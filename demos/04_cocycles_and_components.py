@@ -15,7 +15,7 @@ from cfspectra import (
     build_component,
     canonical_word,
     evaluate_cocycle,
-    exact_spectrum,
+    loop_product,
     synth,
 )
 
@@ -34,18 +34,39 @@ print("word of level 17:", y)
 print("cocycle value (group exponent, module element):",
       evaluate_cocycle(x, y, session.maps, session.ctx))
 
+# The product of the transition values around the depth-3 tower cycle.
+model = session.model(3)
+print("\nloop product around the depth-3 cycle:", loop_product(model))
+
+
+def holonomies(op, cycles):
+    """Total phase exponent of each cycle, walked from its level-0 state."""
+    out = []
+    for start in range(cycles):
+        state, total = start, 0
+        for _ in range(model.height):
+            total += int(op.phase_exp[state])
+            state = int(op.succ[state])
+        assert state == start
+        out.append(total % op.phase_order)
+    return out
+
+
 # Components: base-tower components for acting-group characters, skew-tower
 # components for module characters.  The trivial one is a bare cycle.
 eta0 = Character(session.triple.k_group, (0,))
-spec = exact_spectrum(build_component(session, eta0, depth=3))
-print("\ntrivial component: cycles", spec.signature)
+op = build_component(session, eta0, depth=3)
+print("trivial component: one cycle of length", op.n_states,
+      "with phases", set(op.phase_exp.tolist()))
 
 eta1 = Character(session.triple.k_group, (1,))
-spec = exact_spectrum(build_component(session, eta1, depth=3))
-print("twisted component simple spectrum:", spec.is_simple())
+op = build_component(session, eta1, depth=3)
+print("twisted component: one cycle, holonomy", holonomies(op, 1),
+      "so its", op.n_states, "eigenvalues are distinct")
 
 d = session.factor_characters()[2]
 chi = session.duality.character_of_dual(d)
-spec = exact_spectrum(build_component(session, chi, depth=3))
-print(f"skew component for d={d}: {spec.total_multiplicity} eigenvalues, "
-      f"cycles {spec.signature}")
+op = build_component(session, chi, depth=3)
+print(f"skew component for d={d}: {op.n_states} eigenvalues on "
+      f"{session.k_order} cycles of length {model.height}, holonomies "
+      f"{holonomies(op, session.k_order)}")

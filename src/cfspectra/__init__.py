@@ -2,9 +2,10 @@
 
 The package builds cutting-and-stacking tower schedules, decorates them with
 cocycles into a semidirect product built from a finite abelian module, and
-analyzes the resulting Koopman components as phased permutations: exact
-spectra, weak-limit probes, correlation decay and spectral-multiplicity
-bookkeeping with algebraic disjointness certificates.
+analyzes the resulting Koopman components as phased permutations:
+closed-form spectra backed by an exact loop-product check, weak-limit
+probes, correlation decay and spectral-multiplicity bookkeeping with
+algebraic disjointness certificates.
 """
 
 from .cf_builder import (
@@ -46,12 +47,10 @@ from .finite_algebra import (
 )
 from .koopman_lab import (
     PhasedCycleOperator,
-    SpectralSet,
     build_component,
-    class_equivalence_check,
     correlation_decay,
     disjointness_certificate,
-    exact_spectrum,
+    loop_product,
     multiplicity_report,
     simplicity_probe,
     weak_limit_probe,

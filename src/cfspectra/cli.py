@@ -35,9 +35,8 @@ from pathlib import Path
 from .cf_builder import validate
 from .cocycle_engine import LABEL_PLAIN, LABEL_RIGID_ROTATE
 from .errors import CfspectraError
-from .finite_algebra import orbit_trace_counts, verify_subgroup
+from .finite_algebra import orbit_trace_counts, subgroup_from_generators, verify_subgroup
 from .koopman_lab import (
-    build_component,
     correlation_decay,
     decay_csv,
     exact_spectrum,
@@ -84,8 +83,6 @@ def _suite_algebra(session, stored):
         d_set = frozenset(tuple(v) for v in alg["d_elements"])
     else:
         gens = [tuple(v) for v in alg.get("d_generators", [])]
-        from .finite_algebra import subgroup_from_generators
-
         d_set = subgroup_from_generators(triple.module, gens) if gens else frozenset(
             triple.d_elements()
         )
@@ -249,21 +246,12 @@ def run_verify(bundle_dir, suites) -> tuple[int, dict]:
 
 def dump_spectra(session) -> dict:
     depth = _spectra_depth_cap(session)
-    out = {"schema_version": 1, "depth": depth, "components": []}
-    for e in range(session.k_order):
-        chi = session.triple.k_group
-        from .finite_algebra import Character
-
-        spec = exact_spectrum(
-            build_component(session, Character(chi, (e,)), depth)
-        )
-        out["components"].append({"kind": "eta", "eta": e, "spectrum": spec.to_dict()})
-    for d in session.factor_characters():
-        spec = exact_spectrum(
-            build_component(session, session.duality.character_of_dual(d), depth)
-        )
-        out["components"].append({"kind": "chi", "d": list(d), "spectrum": spec.to_dict()})
-    return out
+    eta = exact_spectrum(session, "eta", depth)
+    chi = exact_spectrum(session, "chi", depth)
+    components = [{"kind": "eta", "eta": e, "spectrum": eta} for e in range(session.k_order)]
+    components += [{"kind": "chi", "d": list(d), "spectrum": chi}
+                   for d in session.factor_characters()]
+    return {"schema_version": 1, "depth": depth, "components": components}
 
 
 def dump_decay(session) -> list:

@@ -2,20 +2,20 @@
 
 Components of the composition operator over a tower are phased permutations:
 a successor map on finitely many states with a root-of-unity weight on every
-edge.  Their spectra are exactly computable cycle by cycle, power averages
-are evaluated by exact bucket counting of phase exponents, and the
-multiplicity bookkeeping reduces to orbit combinatorics on the distinguished
-subgroup.  Floating point appears only in least-squares residuals and in
-report summaries; every equality decision is integer/rational.
+edge.  Every component is a phased shift along the single tower cycle, so
+once the transition values multiply to the identity around that cycle its
+spectrum follows in closed form.  Power averages are evaluated by exact
+bucket counting of phase exponents, and the multiplicity bookkeeping
+reduces to orbit combinatorics on the distinguished subgroup.  Floating
+point appears only in least-squares residuals and in report summaries;
+every equality decision is integer/rational.
 """
 
 from __future__ import annotations
 
 import cmath
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .finite_algebra import (
     ENUMERATION_CAP,
     Character,
     CyclotomicSum,
-    RootOfUnity,
     cyclo_equal,
     orbit,
     orbit_average,
@@ -88,100 +87,10 @@ class PhasedCycleOperator:
         out[self.succ] = np.conj(self._phases()) * np.asarray(vec)
         return out
 
-    def cycles(self):
-        """(representative, length, total phase exponent) per cycle, vectorized."""
-        n = self.n_states
-        rep = np.arange(n, dtype=np.int64)
-        jump = self.succ.copy()
-        hops = 1
-        while hops < n:
-            rep = np.minimum(rep, rep[jump])
-            jump = jump[jump]
-            hops *= 2
-        reps, inverse = np.unique(rep, return_inverse=True)
-        lengths = np.bincount(inverse)
-        totals = np.bincount(inverse, weights=self.phase_exp.astype(np.float64))
-        totals = totals.astype(np.int64) % self.phase_order
-        return reps, lengths, totals
-
-
-@dataclass(frozen=True)
-class SpectralSet:
-    """Exact eigenvalue multiset of a phased permutation.
-
-    Stored as the cycle signature {(length, total-phase exponent): count};
-    a cycle of length L with total phase e^{2 pi i t} contributes the L
-    solutions of z^L = e^{2 pi i t}.
-    """
-
-    signature: tuple  # sorted ((length, Fraction total), count) pairs
-
-    @classmethod
-    def from_operator(cls, op: PhasedCycleOperator) -> "SpectralSet":
-        _, lengths, totals = op.cycles()
-        c = Counter(
-            (int(L), Fraction(int(t), op.phase_order) % 1)
-            for L, t in zip(lengths, totals)
-        )
-        return cls(tuple(sorted(c.items())))
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(int(L) * mult for (L, _), mult in self.signature)
-
-    def eigen_counter(self, cap: int = ENUMERATION_CAP) -> Counter:
-        """Multiset of eigenvalue exponents in [0, 1) as Fractions."""
-        cached = self.__dict__.get("_eigen_cache")
-        if cached is not None:
-            return cached
-        if self.total_multiplicity > cap:
-            raise SizeCapError("eigenvalue multiset too large to expand")
-        out: Counter = Counter()
-        for (L, t), mult in self.signature:
-            for j in range(L):
-                out[(t + j) / L] += mult
-        self.__dict__["_eigen_cache"] = out
-        return out
-
-    def eigenvalues(self, cap: int = ENUMERATION_CAP) -> list[RootOfUnity]:
-        return [RootOfUnity(e) for e, m in sorted(self.eigen_counter(cap).items()) for _ in range(m)]
-
-    def is_simple(self, cap: int = ENUMERATION_CAP) -> bool:
-        return all(m == 1 for m in self.eigen_counter(cap).values())
-
-    def equals(self, other: "SpectralSet", cap: int = ENUMERATION_CAP) -> bool:
-        if self.signature == other.signature:
-            return True
-        return self.eigen_counter(cap) == other.eigen_counter(cap)
-
-    def overlap_fraction(self, other: "SpectralSet", cap: int = ENUMERATION_CAP) -> float:
-        a, b = self.eigen_counter(cap), other.eigen_counter(cap)
-        shared = sum(min(a[e], b[e]) for e in a.keys() & b.keys())
-        return shared / max(self.total_multiplicity, other.total_multiplicity)
-
-    def to_dict(self) -> dict:
-        return {
-            "cycles": [
-                {"length": L, "phase_num": t.numerator, "phase_den": t.denominator,
-                 "count": mult}
-                for (L, t), mult in self.signature
-            ],
-            "total_multiplicity": self.total_multiplicity,
-        }
-
-
-def exact_spectrum(op: PhasedCycleOperator) -> SpectralSet:
-    """Exact eigenvalues with multiplicity; integer arithmetic per cycle."""
-    return SpectralSet.from_operator(op)
-
 
 # ---------------------------------------------------------------------------
 # building components from a tower model
 # ---------------------------------------------------------------------------
-
-
-def _root_order(session) -> int:
-    return lcm(session.k_order, session.duality.dual_module.exponent)
 
 
 def _pairing_weights(orders, d, n: int) -> np.ndarray:
@@ -239,7 +148,7 @@ def build_chi_component(
 def build_component(session, character: Character, depth: int | None = None) -> PhasedCycleOperator:
     """Dispatch on the character's home group (acting group vs module)."""
     model = session.model(depth)
-    n = _root_order(session)
+    n = session.root_order
     if character.group == session.triple.k_group:
         return build_eta_component(model, character.exponents[0], n, session.config.state_cap)
     if character.group == session.duality.dual_module:
@@ -247,38 +156,62 @@ def build_component(session, character: Character, depth: int | None = None) -> 
     raise CharacterTypeError("character belongs to neither side of the session algebra")
 
 
-def permutation_operator(model: TowerModel, phase_order: int,
-                         cap: int = DEFAULT_STATE_CAP) -> PhasedCycleOperator:
-    """The plain (phase-free) permutation of the skew tower levels x group."""
+# ---------------------------------------------------------------------------
+# loop product and closed-form spectra
+# ---------------------------------------------------------------------------
+
+
+def loop_product(model: TowerModel) -> tuple[int, tuple[int, ...]]:
+    """Product in K x| A of the h transition values around the tower cycle.
+
+    Read from the start level: g_0 g_1 ... g_{h-1} under
+    (k1, a1)(k2, a2) = (k1 + k2, a1 + theta^k1 a2).  The group part is the
+    sum of the beta steps; the module part sums each alpha step twisted by
+    the prefix sum of the beta steps before it.
+    """
     kappa = model.ctx.k_order
-    h = model.height
-    if h * kappa > cap:
-        raise SizeCapError(f"{h * kappa} states exceed cap {cap}")
-    d_beta, _ = model.transitions()
-    levels = np.arange(h, dtype=np.int64)
-    succ = np.empty(h * kappa, dtype=np.int64)
-    for k in range(kappa):
-        succ[levels * kappa + k] = ((levels + 1) % h) * kappa + (k + d_beta) % kappa
-    return PhasedCycleOperator(succ, np.zeros(h * kappa, dtype=np.int64), phase_order,
-                               {"kind": "permutation"})
+    d_beta, d_alpha = model.transitions()
+    prefix = (np.cumsum(d_beta) - d_beta) % kappa
+    a = model._apply_theta_pow(prefix, d_alpha).sum(axis=0) % model._orders
+    return int(d_beta.sum() % kappa), tuple(int(x) for x in a)
 
 
-# ---------------------------------------------------------------------------
-# class equivalence (finite shadow of the conjugation symmetry)
-# ---------------------------------------------------------------------------
+def class_equivalence_check(model: TowerModel) -> None:
+    """Raise ConsistencyError unless the loop product is the identity.
+
+    An identity loop product gives every component at this depth zero
+    holonomy: each eta component is one h-cycle and each chi component
+    kappa h-cycles, all with total phase 0.  So chi and chi o theta^k have
+    the same spectrum for every k, the finite shadow of the conjugation
+    symmetry.
+    """
+    product = loop_product(model)
+    if product != model.ctx.identity():
+        raise ConsistencyError(
+            f"transition values multiply to {product} around the depth-{model.depth} "
+            "tower cycle, not the identity; the cocycle does not telescope"
+        )
 
 
-def class_equivalence_check(session, d, depth: int | None = None) -> dict[int, bool]:
-    """Spectrum of the d-component vs the (d composed with k)-component, per k."""
-    duality = session.duality
-    chi = duality.character_of_dual(tuple(d))
-    base = exact_spectrum(build_component(session, chi, depth))
-    verdicts = {}
-    for k in range(session.k_order):
-        twisted = chi.compose_action(duality.dual_action, (k,))
-        spec = exact_spectrum(build_component(session, twisted, depth))
-        verdicts[k] = base.equals(spec)
-    return verdicts
+def exact_spectrum(session, kind: str, depth: int | None = None) -> dict:
+    """Closed-form spectrum shared by every ``kind`` ("eta" or "chi") component.
+
+    A cycle of length h with total phase 0 contributes the h-th roots of
+    unity; an eta component is one such cycle, a chi component kappa of
+    them.  The state cap is that of the built component (h, or h kappa);
+    a loop product other than the identity raises ConsistencyError.
+    """
+    model = session.model(depth)
+    copies = {"eta": 1, "chi": session.k_order}[kind]
+    states = model.height * copies
+    if states > session.config.state_cap:
+        raise SizeCapError(f"{states} states exceed cap {session.config.state_cap}")
+    class_equivalence_check(model)
+    return {
+        "cycles": [{"length": model.height, "phase_num": 0, "phase_den": 1,
+                    "count": copies}],
+        "total_multiplicity": states,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +417,7 @@ def _probe_eta(session, model, stage, label, eta_exp, n0, h_n, delta, tol, mu):
 def _probe_chi(session, model, stage, label, d, n0, h_n, delta, tol, mu):
     ctx = model.ctx
     kappa = ctx.k_order
-    n = _root_order(session)
+    n = session.root_order
     trivial_d = all(x == 0 for x in d)
 
     if label.kind not in (LABEL_RIGID_TRANSLATE, LABEL_DELAYED_TRANSLATE):
@@ -730,21 +663,19 @@ def multiplicity_report(session, mode: str | None = None,
             "multiplicity 2; represented algebraically, not spectrally"
         )
 
-    # finite-level equivalence shadow: spectra within a class coincide
-    verdicts, overlaps, certs = {}, {}, {}
-    reps = [cls[0] for cls in classes]
-    spectra = {}
-    for i, rep in enumerate(reps):
-        verdicts[i] = class_equivalence_check(session, rep, spectra_depth)
-        chi = session.duality.character_of_dual(rep)
-        spectra[i] = exact_spectrum(build_component(session, chi, spectra_depth))
+    # every chi component shares one closed-form spectrum (this raises unless
+    # the loop product is the identity), so spectra coincide within each
+    # class and overlap fully across classes
+    if classes:
+        exact_spectrum(session, "chi", spectra_depth)
+    verdicts = {i: dict.fromkeys(range(session.k_order), True) for i in range(len(classes))}
+    overlaps, certs = {}, {}
+    reps = [session.duality.character_of_dual(cls[0]) for cls in classes]
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
-            chi_i = session.duality.character_of_dual(reps[i])
-            chi_j = session.duality.character_of_dual(reps[j])
-            certs[(i, j)] = disjointness_certificate(session.duality, chi_i, chi_j)
-            overlaps[(i, j)] = spectra[i].overlap_fraction(spectra[j])
-    if any(o == 1.0 for o in overlaps.values()):
+            certs[(i, j)] = disjointness_certificate(session.duality, reps[i], reps[j])
+            overlaps[(i, j)] = 1.0
+    if overlaps:
         notes.append(
             "cross-class spectral overlap is expected at finite level (all "
             "eigenvalues are roots of unity); disjointness evidence is the "

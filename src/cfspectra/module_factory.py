@@ -23,6 +23,7 @@ from .finite_algebra import (
     GroupAutomorphism,
     ModuleAction,
     RootOfUnity,
+    _prime_factors,
     orbit_trace_counts,
 )
 
@@ -40,34 +41,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors_of(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _primitive_root(q: int) -> int:
     """Smallest primitive root modulo a prime q."""
     if q == 2:
         return 1
-    factors = []
-    m = q - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.append(m)
+    factors = _prime_factors(q - 1)
     for g in range(2, q):
         if all(pow(g, (q - 1) // f, q) != 1 for f in factors):
             return g
@@ -277,7 +255,7 @@ def _verify_triple(triple: AlgebraicTriple, cap: int):
     # theta must have exactly the advertised order
     if not triple.theta.power(triple.k_order).is_identity():
         raise ConsistencyError("theta^|K| is not the identity")
-    for p in _prime_factors_of(triple.k_order):
+    for p in _prime_factors(triple.k_order):
         if triple.theta.power(triple.k_order // p).is_identity():
             raise ConsistencyError(f"theta has order dividing |K|/{p}")
     # the defining trace-count property, by exhaustive orbit enumeration

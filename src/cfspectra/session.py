@@ -13,6 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 from .cf_builder import (
@@ -183,8 +184,6 @@ class Session:
     @property
     def root_order(self) -> int:
         """Common root-of-unity order for all component phases."""
-        from math import lcm
-
         return lcm(self.k_order, self.duality.dual_module.exponent)
 
     def stage(self, n: int):

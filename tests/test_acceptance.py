@@ -18,6 +18,7 @@ from cfspectra.koopman_lab import (
     build_component,
     correlation_decay,
     exact_spectrum,
+    loop_product,
     multiplicity_report,
     sample_lags,
     simplicity_probe,
@@ -92,19 +93,33 @@ class TestAcceptance:
         report("cocycle-identity", True, f"{checked} random triples, exact")
 
     def test_conjugation_shadow(self, shipped_direct, shipped_product):
-        # spectra of the d-component and every k-conjugate agree exactly
+        # the loop product is the identity at every depth, so every component
+        # has zero holonomy; the closed form is then checked against the
+        # d-component and every k-conjugate, walked along the tower cycle
         for session in (shipped_direct, shipped_product):
             depth = session.config.spectra_depth
             assert depth >= 4 and session.schedule.depth >= 4
+            for n in range(1, depth + 1):
+                assert loop_product(session.model(n)) == session.ctx.identity(), n
+            kappa = session.k_order
+            d_beta, _ = session.model(depth).transitions()
+            # states[k, l]: the level-l state on the cycle through (level 0, k);
+            # the kappa rows are disjoint and cover all h * kappa states
+            prefix = (np.cumsum(d_beta) - d_beta) % kappa
+            states = np.arange(len(d_beta))[None, :] * kappa \
+                + (np.arange(kappa)[:, None] + prefix[None, :]) % kappa
+            assert exact_spectrum(session, "chi", depth)["cycles"] == [
+                {"length": len(d_beta), "phase_num": 0, "phase_den": 1, "count": kappa}]
             for d in session.factor_characters():
                 chi = session.duality.character_of_dual(d)
-                base = exact_spectrum(build_component(session, chi, depth))
-                for k in range(session.k_order):
+                for k in range(kappa):
                     twisted = chi.compose_action(session.duality.dual_action, (k,))
-                    spec = exact_spectrum(build_component(session, twisted, depth))
-                    assert base.equals(spec), (d, k)
+                    op = build_component(session, twisted, depth)
+                    assert np.array_equal(op.succ[states], np.roll(states, -1, axis=1)), (d, k)
+                    assert not (op.phase_exp[states].sum(axis=1) % op.phase_order).any(), (d, k)
         report("conjugation-shadow", True,
-               "exact multiset equality for all characters and conjugators, depth >= 4")
+               "loop product is the identity at every depth; every character and "
+               "conjugator has kappa zero-holonomy h-cycles, depth >= 4")
 
     def test_rigidity_probe(self, probe_direct, probe_large):
         # identity + mean prediction on translate and rotate stages, r = 64
@@ -126,6 +141,10 @@ class TestAcceptance:
     def test_orbit_average_probe(self, probe_direct):
         stage = probe_direct.stage(3)
         a = probe_direct.label(3).a
+        action = probe_direct.duality.dual_action
+        model = probe_direct.model(3)
+        cyl = model.cylinder_ids(1)
+        delta = stage.i_count / stage.r_count if stage.delta is None else float(stage.delta)
         worst = 0.0
         for d in [(1, 0), (0, 1), (1, 1), (1, 2)]:
             rep = weak_limit_probe(probe_direct, 3, ("chi", d))
@@ -133,9 +152,19 @@ class TestAcceptance:
             assert rep.passed, f"{d}: {rep.max_deviation:.4f} > {rep.tolerance:.4f}"
             worst = max(worst, rep.max_deviation)
             # the predicted factor is evaluated exactly and compared at 1e-9
+            # with the factor the probe used: pred = delta * L * mu_f on the
+            # diagonal rows (f = g, e_u = e_v)
             chi = probe_direct.duality.character_of_dual(d)
-            l_exact = orbit_average(probe_direct.duality.dual_action, chi, a)
-            assert abs(l_exact.value() - l_exact.value()) < 1e-9
+            l_exact = orbit_average(action, chi, a)
+            k_mean = np.mean([chi.evaluate(action.act((k,), a)).value()
+                              for k in range(probe_direct.k_order)])
+            assert abs(l_exact.value() - k_mean) < 1e-9
+            diagonal = [r for r in rep.rows if r["u"] == r["v"]]
+            assert diagonal
+            for row in diagonal:
+                mu_f = np.count_nonzero(cyl == row["u"][0]) / model.height
+                used = complex(*row["pred"]) / (delta * mu_f)
+                assert abs(l_exact.value() - used) < 1e-9, (d, row["u"])
         report("orbit-average-probe", True,
                f"target {a}, r = {stage.r_count}, worst dev {worst:.4f} <= {3 / 64:.4f}")
 
@@ -192,7 +221,10 @@ class TestAcceptance:
         succ = (np.arange(n) + 1) % n
         phases = np.array([(2 * t + 1) % n for t in range(n)])
         op = PhasedCycleOperator(succ, phases, n)
-        assert exact_spectrum(op).is_simple()
+        orbit = [0]
+        for _ in range(n - 1):
+            orbit.append(int(op.succ[orbit[-1]]))
+        assert len(set(orbit)) == n  # a single n-cycle: n distinct eigenvalues
         rep = simplicity_probe(op, None, np.ones(n), power_window=n)
         assert rep.max_residual <= 1e-6, rep.max_residual
         # two components sharing an eigenvalue block joint cyclicity

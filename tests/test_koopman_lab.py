@@ -1,9 +1,10 @@
-from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 
+from cfspectra.cocycle_engine import TowerModel
 from cfspectra.errors import (
     CharacterTypeError,
     ConsistencyError,
@@ -21,7 +22,6 @@ from cfspectra.finite_algebra import (
 )
 from cfspectra.koopman_lab import (
     PhasedCycleOperator,
-    SpectralSet,
     build_component,
     build_eta_component,
     build_chi_component,
@@ -30,8 +30,8 @@ from cfspectra.koopman_lab import (
     disjointness_certificate,
     exact_spectrum,
     factor_classes,
+    loop_product,
     multiplicity_report,
-    permutation_operator,
     sample_lags,
     simplicity_probe,
     weak_limit_probe,
@@ -65,29 +65,6 @@ def product_session():
 
 
 class TestExactSpectrum:
-    def test_plain_four_cycle(self):
-        op = PhasedCycleOperator([1, 2, 3, 0], [0, 0, 0, 0], 4)
-        eig = exact_spectrum(op).eigen_counter()
-        assert eig == Counter({Fraction(0): 1, Fraction(1, 4): 1,
-                               Fraction(1, 2): 1, Fraction(3, 4): 1})
-
-    def test_two_cycle_with_half_phase(self):
-        # z^2 = -1: eighth roots 1/4 and 3/4
-        op = PhasedCycleOperator([1, 0], [1, 0], 2)
-        eig = exact_spectrum(op).eigen_counter()
-        assert eig == Counter({Fraction(1, 4): 1, Fraction(3, 4): 1})
-
-    def test_disjoint_identical_cycles_double_multiplicity(self):
-        op = PhasedCycleOperator([1, 0, 3, 2], [0, 0, 0, 0], 2)
-        eig = exact_spectrum(op).eigen_counter()
-        assert eig == Counter({Fraction(0): 2, Fraction(1, 2): 2})
-
-    def test_total_multiplicity_equals_state_count(self):
-        rng = np.random.default_rng(3)
-        perm = rng.permutation(24)
-        op = PhasedCycleOperator(perm, rng.integers(0, 12, 24), 12)
-        assert exact_spectrum(op).total_multiplicity == 24
-
     def test_apply_matches_matrix(self):
         op = PhasedCycleOperator([1, 2, 0], [1, 0, 2], 3)
         v = np.array([1.0, 2.0, 3.0], dtype=complex)
@@ -100,18 +77,23 @@ class TestExactSpectrum:
 class TestComponents:
     def test_trivial_eta_is_pure_cycle(self, direct_session):
         s = direct_session
+        h = s.schedule.height(3)
         op = build_component(s, Character(s.triple.k_group, (0,)), depth=3)
         assert not op.phase_exp.any()
-        _, lengths, _ = op.cycles()
-        assert list(lengths) == [s.schedule.height(3)]
+        assert np.array_equal(op.succ, (np.arange(h) + 1) % h)
+        assert exact_spectrum(s, "eta", 3) == {
+            "cycles": [{"length": h, "phase_num": 0, "phase_den": 1, "count": 1}],
+            "total_multiplicity": h,
+        }
 
     def test_eta_component_single_cycle_simple_spectrum(self, direct_session):
+        # one h-cycle with total phase 0: the h distinct h-th roots of unity
         s = direct_session
+        h = s.schedule.height(3)
         for e in range(s.k_order):
             op = build_component(s, Character(s.triple.k_group, (e,)), depth=3)
-            spec = exact_spectrum(op)
-            assert spec.total_multiplicity == s.schedule.height(3)
-            assert spec.is_simple()
+            assert np.array_equal(op.succ, (np.arange(h) + 1) % h)
+            assert op.phase_exp.sum() % op.phase_order == 0
 
     def test_plain_labels_give_phase_free_chi(self):
         s = synth(SessionConfig(mode="direct", targets=(1,), shape="staircase",
@@ -141,38 +123,56 @@ class TestComponents:
         with pytest.raises(CharacterTypeError):
             build_component(direct_session, foreign)
 
-    def test_fourier_consistency(self, direct_session):
-        # multiset union of the group-character components equals the spectrum
-        # of the plain permutation on levels x group
-        s = direct_session
-        depth = 3
-        union = Counter()
-        for e in range(s.k_order):
-            op = build_component(s, Character(s.triple.k_group, (e,)), depth)
-            union += exact_spectrum(op).eigen_counter()
-        perm = permutation_operator(s.model(depth), s.root_order)
-        assert union == exact_spectrum(perm).eigen_counter()
-
     def test_chi_cycle_holonomy_telescopes(self, direct_session):
+        # walk each cycle of a built chi component from its level-0 state:
+        # it closes after exactly h steps with total phase 0, as the closed
+        # form says once the loop product is the identity
         s = direct_session
-        d = s.factor_characters()[1]
-        op = build_component(s, s.duality.character_of_dual(d), depth=3)
-        _, lengths, totals = op.cycles()
-        assert all(t == 0 for t in totals)
-        assert all(l == s.schedule.height(3) for l in lengths)
+        for depth in range(1, s.schedule.depth + 1):
+            assert loop_product(s.model(depth)) == s.ctx.identity()
+        h, kappa = s.schedule.height(3), s.k_order
+        for d in s.factor_characters():
+            op = build_component(s, s.duality.character_of_dual(d), depth=3)
+            pos = np.arange(kappa)  # states (level 0, k)
+            total, seen = np.zeros(kappa, dtype=np.int64), []
+            for _ in range(h):
+                seen.extend(pos.tolist())
+                total += op.phase_exp[pos]
+                pos = op.succ[pos]
+            assert np.array_equal(pos, np.arange(kappa))  # each walk closes after h steps
+            assert len(set(seen)) == h * kappa  # and the kappa walks cover every state
+            assert not (total % op.phase_order).any()
+        assert exact_spectrum(s, "chi", 3) == {
+            "cycles": [{"length": h, "phase_num": 0, "phase_den": 1, "count": kappa}],
+            "total_multiplicity": h * kappa,
+        }
 
+    def test_loop_product_matches_scalar_fold(self, product_session, monkeypatch):
+        # the prefix-sum formula against a left-to-right fold of ctx.mul, on
+        # honest transition values and on values with one level corrupted
+        s = product_session
+        ctx = s.ctx
 
-class TestClassEquivalence:
-    def test_all_verdicts_true(self, direct_session):
-        for d in direct_session.factor_characters():
-            if not any(d):
-                continue
-            verdicts = class_equivalence_check(direct_session, d, depth=4)
-            assert verdicts == {k: True for k in range(direct_session.k_order)}
+        def fold(model):
+            d_beta, d_alpha = model.transitions()
+            values = [(int(b), tuple(int(x) for x in a)) for b, a in zip(d_beta, d_alpha)]
+            return reduce(ctx.mul, values, ctx.identity())
 
-    def test_identity_k_trivially_equal(self, direct_session):
-        d = direct_session.factor_characters()[1]
-        assert class_equivalence_check(direct_session, d, depth=2)[0] is True
+        model = s.model(3)
+        assert loop_product(model) == fold(model) == ctx.identity()
+        honest = TowerModel.step_values
+
+        def corrupted(self, steps):
+            d_beta, d_alpha = honest(self, steps)
+            d_beta, d_alpha = d_beta.copy(), d_alpha.copy()
+            d_beta[1] = (d_beta[1] + 1) % self.ctx.k_order
+            d_alpha[2, 0] = (d_alpha[2, 0] + 1) % self._orders[0]
+            return d_beta, d_alpha
+
+        monkeypatch.setattr(TowerModel, "step_values", corrupted)
+        assert loop_product(model) == fold(model) != ctx.identity()
+        with pytest.raises(ConsistencyError):
+            class_equivalence_check(model)
 
 
 class TestWeakLimitProbes:
@@ -396,7 +396,10 @@ class TestSimplicityProbe:
         succ = (np.arange(n) + 1) % n
         phases = np.array([(2 * t + 1) % n for t in range(n)])
         op = PhasedCycleOperator(succ, phases, n)
-        assert exact_spectrum(op).is_simple()
+        orbit = [0]
+        for _ in range(n - 1):
+            orbit.append(int(op.succ[orbit[-1]]))
+        assert len(set(orbit)) == n  # a single n-cycle: n distinct eigenvalues
         rep = simplicity_probe(op, None, np.ones(n), power_window=n)
         assert rep.max_residual <= 1e-6
 

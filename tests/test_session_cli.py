@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from cfspectra.cli import main, run_verify
-from cfspectra.cocycle_engine import LABEL_DELAYED_TRANSLATE
+from cfspectra.cocycle_engine import LABEL_DELAYED_TRANSLATE, TowerModel
 from cfspectra.errors import ScheduleError
 from cfspectra.session import (
     SessionConfig,
@@ -168,3 +168,33 @@ class TestShippedConfigs:
             cfg = SessionConfig.from_json(path.read_text())
             session = synth(cfg)
             assert session.validation.ok, path.name
+
+    @pytest.mark.parametrize("name", ["direct_12", "product_23"])
+    @pytest.mark.parametrize("command, code", [
+        (["verify", "--suite", "multiplicity"], 5),
+        (["dump", "--what", "spectra"], 1),
+        (["dump", "--what", "report"], 1),
+    ], ids=["verify-multiplicity", "dump-spectra", "dump-report"])
+    def test_corrupted_transition_fails_loop_product(self, tmp_path, capsys, monkeypatch,
+                                                     name, command, code):
+        bundle = tmp_path / name
+        assert main(["synth", "--config", str(CONFIG_DIR / f"{name}.json"),
+                     "--out", str(bundle)]) == 0
+        honest = TowerModel.step_values
+
+        def corrupted(self, steps):
+            # one level's transition value off by a module generator
+            d_beta, d_alpha = honest(self, steps)
+            d_alpha = d_alpha.copy()
+            d_alpha[0, 0] = (d_alpha[0, 0] + 1) % self._orders[0]
+            return d_beta, d_alpha
+
+        monkeypatch.setattr(TowerModel, "step_values", corrupted)
+        capsys.readouterr()
+        assert main([command[0], "--bundle", str(bundle)] + command[1:]) == code
+        if command[0] == "verify":
+            report = json.loads((bundle / "verify_report.json").read_text())
+            message = report["multiplicity"]["detail"]["error"]
+        else:
+            message = capsys.readouterr().err
+        assert "does not telescope" in message
