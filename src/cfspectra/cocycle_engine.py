@@ -120,10 +120,6 @@ def schedule_labels(schedule: CFSchedule, module: FiniteAbelianGroup, k_order: i
     return tuple(labels)
 
 
-def plain_labels(schedule: CFSchedule) -> tuple[StageLabel, ...]:
-    return tuple(StageLabel(LABEL_PLAIN) for _ in schedule.stages)
-
-
 # ---------------------------------------------------------------------------
 # per-stage maps
 # ---------------------------------------------------------------------------
@@ -365,22 +361,12 @@ class TowerModel:
             cache[key] = ids
         return cache[key]
 
-    def cylinder_mask(self, n0: int, f: int) -> np.ndarray:
-        return self.cylinder_ids(n0) == f
-
     # -- cocycle arrays -------------------------------------------------------
-
-    def _powered_images(self, vec: np.ndarray) -> list[np.ndarray]:
-        """theta^t(vec) for t = 0..k_order-1 (vec a module element array)."""
-        out = [np.array(vec, dtype=np.int64)]
-        act = self.ctx.action
-        for t in range(1, self.ctx.k_order):
-            out.append(np.array(act.act((1,), tuple(int(x) for x in out[-1])), dtype=np.int64))
-        return out
 
     def _build_word_products(self):
         ctx = self.ctx
-        orders = np.array(ctx.module.orders, dtype=np.int64)
+        orders = self._orders = np.array(ctx.module.orders, dtype=np.int64)
+        self._theta_mats = self._action_matrices()
         rank = len(orders)
         kappa = ctx.k_order
         h0 = self.schedule.initial_height
@@ -397,15 +383,13 @@ class TowerModel:
                 nb[seg] = (beta + b_c) % kappa
                 if any(a_c):
                     # (b, w) * (b_c, a_c) has module part w + theta^b(a_c)
-                    powered = np.stack(self._powered_images(np.array(a_c)))
+                    powered = self._theta_mats @ np.array(a_c, dtype=np.int64) % orders
                     na[seg] = (alpha + powered[beta % kappa]) % orders
                 else:
                     na[seg] = alpha
             beta, alpha = nb, na
         self.word_beta = beta
         self.word_alpha = alpha
-        self._orders = orders
-        self._theta_mats = self._action_matrices()
 
     def _action_matrices(self) -> np.ndarray:
         """Stack of matrices for theta^t, t = 0..k_order-1 (rows reduced mod orders)."""

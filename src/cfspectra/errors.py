@@ -47,3 +47,7 @@ class LagRangeError(CfspectraError):
 
 class CharacterTypeError(CfspectraError):
     """A character was supplied for the wrong group."""
+
+
+class BundleError(CfspectraError):
+    """A stored bundle file differs from the synthesis of the bundle's config."""

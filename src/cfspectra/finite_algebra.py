@@ -99,6 +99,19 @@ class FiniteAbelianGroup:
             raise SizeCapError(f"group of size {self.size} exceeds enumeration cap {cap}")
         return list(itertools.product(*[range(n) for n in self.orders]))
 
+    def coordinate_subgroup(self, coords, cap: int = ENUMERATION_CAP) -> list[Element]:
+        """Elements supported on the given coordinates, the first coordinate slowest."""
+        size = prod(self.orders[c] for c in coords)
+        if size > cap:
+            raise SizeCapError(f"coordinate subgroup of size {size} exceeds cap {cap}")
+        out = []
+        for values in itertools.product(*[range(self.orders[c]) for c in coords]):
+            v = [0] * self.rank
+            for c, x in zip(coords, values):
+                v[c] = x
+            out.append(tuple(v))
+        return out
+
     def element_index(self, a: Element) -> int:
         """Mixed-radix index matching the order produced by elements()."""
         idx = 0

@@ -31,14 +31,7 @@ PRIME_SEARCH_BOUND = 10**6
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return _prime_factors(n) == [n]
 
 
 def _primitive_root(q: int) -> int:
@@ -154,21 +147,7 @@ class AlgebraicTriple:
         return prod(self.module.orders[c] for c in self.d_coords)
 
     def d_elements(self, cap: int = ENUMERATION_CAP) -> list[tuple[int, ...]]:
-        if self.d_size() > cap:
-            raise SizeCapError(f"|D| = {self.d_size()} exceeds cap {cap}")
-        out = [self.module.zero()]
-        for c in self.d_coords:
-            unit = [0] * self.module.rank
-            unit[c] = 1 % self.module.orders[c]
-            unit = tuple(unit)
-            new = []
-            for base in out:
-                x = base
-                for _ in range(self.module.orders[c]):
-                    new.append(x)
-                    x = self.module.add(x, unit)
-            out = new
-        return out
+        return self.module.coordinate_subgroup(self.d_coords, cap)
 
 
 def _block_step_automorphism(
@@ -335,8 +314,8 @@ def compactify(triple: AlgebraicTriple, cap: int = ENUMERATION_CAP) -> CompactTo
     """Truncations of the triple at every depth 1..m, with coherence verified."""
     levels = tuple(
         assemble_triple(triple.targets, depth=j, cap=cap)
-        for j in range(1, triple.depth + 1)
-    )
+        for j in range(1, triple.depth)
+    ) + (triple,)
     tower = CompactTower(levels)
     tower.verify(cap)
     return tower
@@ -373,30 +352,8 @@ class DualityRecord:
         self.triple.module.check(d)
         return Character(self.dual_module, d)
 
-    def factor_character_index(self) -> list[tuple[int, ...]]:
-        """Elements of D = the characters of A that are trivial on H."""
-        return self.triple.d_elements()
-
     def annihilator_elements(self, cap: int = ENUMERATION_CAP):
-        if self.annihilator_size > cap:
-            raise SizeCapError(f"|H| = {self.annihilator_size} exceeds cap {cap}")
-        free = [
-            (i, self.dual_module.orders[i])
-            for i in self.annihilator_coords
-        ]
-        out = [self.dual_module.zero()]
-        for i, n in free:
-            unit = [0] * self.dual_module.rank
-            unit[i] = 1 % n
-            unit = tuple(unit)
-            new = []
-            for base in out:
-                x = base
-                for _ in range(n):
-                    new.append(x)
-                    x = self.dual_module.add(x, unit)
-            out = new
-        return out
+        return self.dual_module.coordinate_subgroup(self.annihilator_coords, cap)
 
     def verify(self, cap: int = ENUMERATION_CAP):
         b_size = self.triple.module.size
@@ -410,11 +367,13 @@ class DualityRecord:
                 for d in self.triple.d_generators():
                     if not self.pairing(t, d).is_one():
                         raise ConsistencyError(f"{t} is not in the annihilator of D")
-        # the identification sends the factor characters onto D, so the
-        # trace-count set computed there must coincide with the primal one
-        primal = orbit_trace_counts(self.triple.action, self.triple.d_elements(cap), cap)
-        if primal != set(self.triple.targets):
-            raise ConsistencyError("primal trace counts changed under dualization")
+        # the identification sends the factor characters onto D, so D's
+        # trace counts under the dual action must be the targets again
+        dual = orbit_trace_counts(self.dual_action, self.triple.d_elements(cap), cap)
+        if dual != set(self.triple.targets):
+            raise ConsistencyError(
+                f"dual trace counts {sorted(dual)} != targets {list(self.triple.targets)}"
+            )
 
 
 def dualize(triple: AlgebraicTriple, cap: int = ENUMERATION_CAP) -> DualityRecord:

@@ -4,7 +4,9 @@ A session bundles everything one run needs: the algebraic triple with its
 dual-side record, the tower schedule with stage labels, and the per-stage
 cocycle tables.  Bundles serialize to a directory of canonical JSON files;
 identical configs produce byte-identical bundles (sorted keys, no
-timestamps, no floats in the payload).
+timestamps, no floats in the payload).  `render_bundle` is the only writer
+of the format: `save_bundle` stores its output and `load_bundle` refuses a
+bundle whose stored files differ from it.
 """
 
 from __future__ import annotations
@@ -13,12 +15,14 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 from pathlib import Path
 
 from .cf_builder import (
     KIND_DELAYED_STAIRCASE,
     KIND_RIGID_STAIRCASE,
+    KIND_STAIRCASE,
     CFSchedule,
     DeltaBlock,
     ValidationReport,
@@ -35,10 +39,10 @@ from .cocycle_engine import (
     StageLabel,
     TowerModel,
     label_cycle,
-    plain_labels,
+    schedule_labels,
     stage_maps,
 )
-from .errors import ScheduleError
+from .errors import BundleError, ScheduleError
 from .finite_algebra import ENUMERATION_CAP
 from .module_factory import AlgebraicTriple, CompactTower, DualityRecord, assemble_triple, compactify, dualize
 
@@ -206,7 +210,7 @@ class Session:
 
     def factor_characters(self):
         """Exponent vectors (elements of D) indexing the factor components."""
-        return self.duality.factor_character_index()
+        return self.triple.d_elements()
 
 
 def _delta_block_plan(config: SessionConfig, gen):
@@ -239,15 +243,13 @@ def synth(config: SessionConfig, cap: int = ENUMERATION_CAP) -> Session:
     if config.shape == SHAPE_DELTA_BLOCKS:
         gen = label_cycle(duality.dual_module, triple.k_order, config.mode, cap)
         labels, schedule = _delta_block_plan(config, gen)
-    elif config.shape == SHAPE_ARITHMETIC:
-        specs = [{"kind": KIND_RIGID_STAIRCASE, "i": r, "r": r} for r in config.r_seq]
-        schedule = build_schedule(config.initial_height, specs)
-        gen = label_cycle(duality.dual_module, triple.k_order, config.mode, cap)
-        labels = tuple(next(gen) for _ in schedule.stages)
     else:
-        specs = [{"kind": "staircase", "r": r} for r in config.r_seq]
+        # arithmetic stages are fully rigid; a staircase stage ignores "i"
+        kind = KIND_RIGID_STAIRCASE if config.shape == SHAPE_ARITHMETIC else KIND_STAIRCASE
+        specs = [{"kind": kind, "i": r, "r": r} for r in config.r_seq]
         schedule = build_schedule(config.initial_height, specs)
-        labels = plain_labels(schedule)
+        labels = schedule_labels(schedule, duality.dual_module, triple.k_order,
+                                 config.mode, cap)
 
     maps = tuple(
         stage_maps(label, st, triple.k_order, duality.dual_module)
@@ -301,48 +303,73 @@ def _cocycle_doc(session: Session) -> dict:
     }
 
 
-def save_bundle(session: Session, outdir) -> Path:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+def _payload_hash(blobs: dict) -> str:
+    h = hashlib.sha256()
+    for name in BUNDLE_FILES:
+        h.update(name.encode())
+        h.update(blobs[name])
+    return h.hexdigest()
+
+
+def render_bundle(session: Session) -> dict[str, str]:
+    """Every bundle file of a session, by file name, as its exact text."""
     payload = {
         "config.json": session.config.to_json(),
         "algebra.json": canonical_json(_algebra_doc(session)),
         "schedule.json": session.schedule.to_json() + "\n",
         "cocycle.json": canonical_json(_cocycle_doc(session)),
     }
-    for name, text in payload.items():
-        (outdir / name).write_text(text)
-    (outdir / "validation.json").write_text(
-        canonical_json(session.validation.to_dict())
-    )
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "bundle_hash": bundle_hash(outdir),
+        "bundle_hash": _payload_hash({n: t.encode() for n, t in payload.items()}),
         "files": sorted(payload),
     }
-    (outdir / "manifest.json").write_text(canonical_json(manifest))
+    return {
+        **payload,
+        "validation.json": canonical_json(session.validation.to_dict()),
+        "manifest.json": canonical_json(manifest),
+    }
+
+
+def save_bundle(session: Session, outdir) -> Path:
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in render_bundle(session).items():
+        (outdir / name).write_text(text)
     return outdir
 
 
 def bundle_hash(bundle_dir) -> str:
-    h = hashlib.sha256()
-    for name in BUNDLE_FILES:
-        h.update(name.encode())
-        h.update((Path(bundle_dir) / name).read_bytes())
-    return h.hexdigest()
+    """The manifest hash of the payload files stored in a bundle directory."""
+    return _payload_hash({n: (Path(bundle_dir) / n).read_bytes() for n in BUNDLE_FILES})
+
+
+def _first_difference(name: str, stored: str, expected: str) -> str:
+    def quote(line):
+        if line is None:
+            return "end of file"
+        return repr(line if len(line) <= 60 else line[:57] + "...")
+
+    pairs = zip_longest(stored.split("\n"), expected.split("\n"))
+    n, (got, want) = next((n, p) for n, p in enumerate(pairs, start=1) if p[0] != p[1])
+    return (f"{name} line {n} differs from the synthesis of config.json: "
+            f"stored {quote(got)}, expected {quote(want)}")
 
 
 def load_bundle(bundle_dir) -> Session:
-    """Rebuild the session from its config; stored files are for cross-checks."""
+    """Re-synthesize the session from config.json and check every stored file.
+
+    A bundle is refused (BundleError) unless each of its files is
+    byte-identical to what its config synthesizes.
+    """
     bundle_dir = Path(bundle_dir)
-    config = SessionConfig.from_json((bundle_dir / "config.json").read_text())
-    return synth(config)
-
-
-def stored_documents(bundle_dir) -> dict:
-    out = {}
-    for name in BUNDLE_FILES + ("validation.json", "manifest.json"):
-        path = Path(bundle_dir) / name
-        if path.exists():
-            out[name] = json.loads(path.read_text())
-    return out
+    session = synth(SessionConfig.from_json((bundle_dir / "config.json").read_text()))
+    for name, text in render_bundle(session).items():
+        path = bundle_dir / name
+        if not path.is_file():
+            raise BundleError(f"{name} is missing from the bundle")
+        stored = path.read_bytes()
+        if stored != text.encode():
+            raise BundleError(
+                _first_difference(name, stored.decode(errors="replace"), text))
+    return session

@@ -66,6 +66,16 @@ class TestGroups:
         with pytest.raises(SizeCapError):
             g.elements(cap=10**6)
 
+    def test_coordinate_subgroup_order_and_cap(self):
+        g = FiniteAbelianGroup((2, 5, 3))
+        # first listed coordinate slowest, each coordinate counting up from 0
+        assert g.coordinate_subgroup((0, 2)) == [
+            (0, 0, 0), (0, 0, 1), (0, 0, 2), (1, 0, 0), (1, 0, 1), (1, 0, 2)]
+        assert g.coordinate_subgroup(()) == [g.zero()]
+        assert g.coordinate_subgroup((0, 1, 2)) == g.elements()
+        with pytest.raises(SizeCapError):
+            g.coordinate_subgroup((1, 2), cap=14)
+
 
 class TestAutomorphisms:
     def test_identity(self):

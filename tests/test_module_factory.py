@@ -2,8 +2,8 @@ import time
 
 import pytest
 
-from cfspectra.errors import ConstructionError
-from cfspectra.finite_algebra import FiniteAbelianGroup
+from cfspectra.errors import ConsistencyError, ConstructionError
+from cfspectra.finite_algebra import FiniteAbelianGroup, GroupAutomorphism, identity_automorphism
 from cfspectra.module_factory import (
     assemble_triple,
     compactify,
@@ -200,6 +200,21 @@ class TestDualize:
 
         for a in rec.dual_module.elements():
             assert len(orbit(rec.dual_action, a)) == len(orbit(t.action, a))
+
+
+    @pytest.mark.parametrize("targets", [{1}, {2}, {1, 2}, {2, 3}, {1, 3, 5}, {2, 4, 6}],
+                             ids=str)
+    def test_identity_dual_action_fails_dual_trace_count(self, monkeypatch, targets):
+        # with a trivial dual action every orbit is a point, so D's dual
+        # trace counts collapse to {1}: only the target set {1} survives
+        t = assemble_triple(targets)
+        monkeypatch.setattr(GroupAutomorphism, "dual",
+                            lambda self: identity_automorphism(self.group))
+        if targets == {1}:
+            dualize(t)
+            return
+        with pytest.raises(ConsistencyError, match="dual trace counts"):
+            dualize(t)
 
 
 class TestScaling:

@@ -6,10 +6,11 @@ import pytest
 
 from cfspectra.cli import main, run_verify
 from cfspectra.cocycle_engine import LABEL_DELAYED_TRANSLATE, TowerModel
-from cfspectra.errors import ScheduleError
+from cfspectra.errors import BundleError, ScheduleError
 from cfspectra.session import (
     SessionConfig,
     bundle_hash,
+    canonical_json,
     load_bundle,
     save_bundle,
     synth,
@@ -58,7 +59,10 @@ class TestSynth:
         save_bundle(synth(cfg), tmp_path / "a")
         save_bundle(synth(cfg), tmp_path / "b")
         assert bundle_hash(tmp_path / "a") == bundle_hash(tmp_path / "b")
-        for name in ("config.json", "algebra.json", "schedule.json", "cocycle.json"):
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert manifest["bundle_hash"] == bundle_hash(tmp_path / "a")
+        for name in ("config.json", "algebra.json", "schedule.json", "cocycle.json",
+                     "validation.json", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_load_roundtrip(self, tmp_path):
@@ -156,6 +160,49 @@ class TestCLI:
         assert "error" in results
 
 
+def _edit(name, change):
+    """Tamper with one bundle file: change its JSON and store it canonically."""
+    def tamper(bundle):
+        path = bundle / name
+        doc = json.loads(path.read_text())
+        change(doc)
+        path.write_text(canonical_json(doc))
+    return tamper
+
+
+def _set(keys, value):
+    def change(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value(doc[keys[-1]])
+    return change
+
+
+def _rewrite_unindented(bundle):
+    path = bundle / "cocycle.json"
+    path.write_text(json.dumps(json.loads(path.read_text()), sort_keys=True))
+
+
+TAMPER_CASES = {
+    "label": ("cocycle.json", _edit("cocycle.json", _set(
+        ["labels", 0, "kind"], lambda _: LABEL_DELAYED_TRANSLATE))),
+    "table-row": ("cocycle.json", _edit("cocycle.json", _set(
+        ["stage_maps", 0, "alpha", 1], lambda row: [(row[0] + 1) % 2] + row[1:]))),
+    "schedule-cut": ("schedule.json", _edit("schedule.json", _set(
+        ["stages", 1, "cuts", 1], lambda c: c + 5))),
+    "annihilator-size": ("algebra.json", _edit("algebra.json", _set(
+        ["annihilator_size"], lambda n: n + 1))),
+    "d-elements-without-zero": ("algebra.json", _edit("algebra.json", _set(
+        ["d_elements"], lambda elems: elems[1:]))),
+    "validation-ok": ("validation.json", _edit("validation.json", _set(
+        ["ok"], lambda ok: not ok))),
+    "manifest-hash": ("manifest.json", _edit("manifest.json", _set(
+        ["bundle_hash"], lambda h: "0" * len(h)))),
+    "missing-cocycle": ("cocycle.json", lambda bundle: (bundle / "cocycle.json").unlink()),
+    "non-canonical": ("cocycle.json", _rewrite_unindented),
+}
+
+
 class TestShippedConfigs:
     @pytest.mark.parametrize("name", ["direct_12", "product_23", "staircase_mixing"])
     def test_config_parses(self, name):
@@ -168,6 +215,38 @@ class TestShippedConfigs:
             cfg = SessionConfig.from_json(path.read_text())
             session = synth(cfg)
             assert session.validation.ok, path.name
+
+    @pytest.mark.parametrize("case", sorted(TAMPER_CASES))
+    def test_tampered_bundle_is_refused(self, tmp_path, capsys, case):
+        # a bundle is its config's synthesis: any other stored byte refuses it
+        fname, tamper = TAMPER_CASES[case]
+        bundle = tmp_path / "b"
+        assert main(["synth", "--config", str(CONFIG_DIR / "direct_12.json"),
+                     "--out", str(bundle)]) == 0
+        tamper(bundle)
+        capsys.readouterr()
+        assert main(["verify", "--bundle", str(bundle), "--suite", "all"]) == 2
+        out = capsys.readouterr().out
+        assert out.count("FAIL") == 4 and f"bundle failed to load: {fname}" in out
+        assert main(["dump", "--bundle", str(bundle), "--what", "spectra"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {fname}")
+        assert len(captured.err) < 250  # a one-line file is quoted in part
+        if case != "missing-cocycle":
+            assert "line" in captured.err and "expected" in captured.err
+
+    def test_refusal_quotes_the_first_differing_line(self, tmp_path):
+        honest = save_bundle(synth(small_direct_config()), tmp_path / "honest")
+        bundle = save_bundle(synth(small_direct_config()), tmp_path / "b")
+        _edit("schedule.json", _set(["stages", 1, "cuts", 1], lambda c: c + 5))(bundle)
+        want = (honest / "schedule.json").read_text().split("\n")
+        got = (bundle / "schedule.json").read_text().split("\n")
+        n = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+        with pytest.raises(BundleError) as info:
+            load_bundle(bundle)
+        assert str(info.value) == (
+            f"schedule.json line {n + 1} differs from the synthesis of config.json: "
+            f"stored {got[n]!r}, expected {want[n]!r}")
 
     @pytest.mark.parametrize("name", ["direct_12", "product_23"])
     @pytest.mark.parametrize("command, code", [
