@@ -14,6 +14,7 @@ re-synthesize it from there and compare every bundle file below, byte for
 byte, with the re-synthesized text.  A missing or differing file refuses
 the bundle (verify exit 2, dump exit 1) with a message naming the file,
 its first differing line, and the stored and expected text of that line.
+A missing directory or an unreadable config.json is refused the same way.
 
 Bundle layout (canonical JSON, schema_version fields throughout):
 
@@ -198,11 +199,19 @@ _SUITE_FUNCS = {
 }
 
 
+def _load_session(bundle_dir):
+    """load_bundle, with every way a bundle can fail to load as a CfspectraError."""
+    try:
+        return load_bundle(bundle_dir)
+    except (CfspectraError, OSError, json.JSONDecodeError, KeyError) as exc:
+        raise CfspectraError(f"bundle failed to load: {exc}") from exc
+
+
 def run_verify(bundle_dir, suites) -> tuple[int, dict]:
     try:
-        session = load_bundle(bundle_dir)
-    except (CfspectraError, OSError, json.JSONDecodeError, KeyError) as exc:
-        return EXIT_ALGEBRA, {"error": f"bundle failed to load: {exc}"}
+        session = _load_session(bundle_dir)
+    except CfspectraError as exc:
+        return EXIT_ALGEBRA, {"error": str(exc)}
     results = {}
     exit_code = EXIT_OK
     for suite in suites:
@@ -247,7 +256,7 @@ def dump_decay(session) -> list:
 
 
 def run_dump(bundle_dir, what, fmt, out_path):
-    session = load_bundle(bundle_dir)
+    session = _load_session(bundle_dir)
     if what == "spectra":
         text = canonical_json(dump_spectra(session))
     elif what == "decay":

@@ -400,12 +400,17 @@ class TowerModel:
         return np.stack(mats)
 
     def _apply_theta_pow(self, exps: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-        """theta^{exps[l]}(vecs[l]) per level, grouped by exponent."""
-        out = np.empty_like(vecs)
-        for t in np.unique(exps):
-            mask = exps == t
-            out[mask] = vecs[mask] @ self._theta_mats[t].T
+        """theta^{exps[l]}(vecs[l]) per level, gathering one matrix entry at a time."""
+        out = np.zeros_like(vecs)
+        rank = len(self._orders)
+        for i in range(rank):
+            for j in range(rank):
+                out[:, i] += self._theta_mats[:, i, j][exps] * vecs[:, j]
         return out % self._orders
+
+    def step_betas(self, steps: int) -> np.ndarray:
+        """Group exponent of the +steps transition per level."""
+        return (self.word_beta - np.roll(self.word_beta, -steps)) % self.ctx.k_order
 
     def step_values(self, steps: int):
         """Transition (group exponent, module vector) per level for +steps.
@@ -413,10 +418,8 @@ class TowerModel:
         Value at level l is product(word l) * product(word l+steps)^{-1},
         computed from the cached word products.
         """
-        kappa = self.ctx.k_order
-        nxt = np.roll(self.word_beta, -steps)
+        d_beta = self.step_betas(steps)
         nxt_alpha = np.roll(self.word_alpha, -steps, axis=0)
-        d_beta = (self.word_beta - nxt) % kappa
         d_alpha = (self.word_alpha - self._apply_theta_pow(d_beta, nxt_alpha)) % self._orders
         return d_beta, d_alpha
 

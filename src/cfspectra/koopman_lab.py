@@ -107,7 +107,7 @@ def build_eta_component(
     kappa = model.ctx.k_order
     if phase_order % kappa:
         raise CharacterTypeError("phase order must be divisible by the group order")
-    d_beta, _ = model.transitions()
+    d_beta = model.step_betas(1)
     succ = (np.arange(h, dtype=np.int64) + 1) % h
     exps = (eta_exp * d_beta * (phase_order // kappa)) % phase_order
     return PhasedCycleOperator(succ, exps, phase_order,
@@ -138,7 +138,7 @@ def build_chi_component(
     succ = np.empty(h * kappa, dtype=np.int64)
     exps = np.empty(h * kappa, dtype=np.int64)
     for k in range(kappa):
-        twisted = model._apply_theta_pow(np.full(h, k, dtype=np.int64), d_alpha)
+        twisted = d_alpha @ model._theta_mats[k].T % model._orders
         exps[levels * kappa + k] = (twisted @ weights) % phase_order
         succ[levels * kappa + k] = ((levels + 1) % h) * kappa + (k + d_beta) % kappa
     return PhasedCycleOperator(succ, exps, phase_order,
@@ -257,7 +257,7 @@ def _eta_pair_tables(model: TowerModel, steps: int, n0: int):
     h = model.height
     cyl = model.cylinder_ids(n0)
     f_of = np.roll(cyl, -steps)  # cylinder of level + steps
-    d_beta, _ = model.step_values(steps)
+    d_beta = model.step_betas(steps)
     kappa = model.ctx.k_order
     n_cyl = model.schedule.height(n0)
     valid = (cyl >= 0) & (f_of >= 0)
@@ -310,7 +310,7 @@ def _chi_values(model: TowerModel, steps: int, n0: int, d, phase_order: int):
         rem = rem % radix[i]
     g_table = np.zeros((kappa, n_a), dtype=complex)
     for k in range(kappa):
-        twisted = model._apply_theta_pow(np.full(n_a, k, dtype=np.int64), a_elements)
+        twisted = a_elements @ model._theta_mats[k].T % orders
         pair_exp = (twisted @ weights) % phase_order
         chi_vals = np.exp(2j * np.pi * pair_exp / phase_order)
         for e in range(kappa):
@@ -363,54 +363,70 @@ def weak_limit_probe(session, stage_index: int, component, n0: int | None = None
     raise CharacterTypeError(f"unknown component kind {kind!r}")
 
 
+# Complex arithmetic on (real, imaginary) array pairs.  Each step rounds as
+# the scalar complex operation it replaces, signed zeros included, so the
+# report rows do not depend on how numpy vectorises complex multiplication.
+
+
+def _cmul(ar, ai, br, bi):
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cadd_real(ar, ai, x):
+    """(ar + i ai) + x for real x, which adds x + 0i."""
+    return ar + x, ai + 0.0
+
+
+def _deviations(values, pred_re, pred_im):
+    """|value - pred| per entry, through hypot as the scalar abs() computes it."""
+    return np.hypot(values.real - pred_re, values.imag - pred_im)
+
+
+def _pairs(a, b) -> list:
+    """[a, b] per element of two equal-shaped arrays, in C order."""
+    return np.stack([a.ravel(), b.ravel()], axis=1).tolist()
+
+
 def _probe_eta(session, model, stage, label, eta_exp, n0, h_n, delta, tol, mu):
     kappa = model.ctx.k_order
-    values, counts, n_cyl = _eta_values(model, h_n, n0, eta_exp)
+    values, _, n_cyl = _eta_values(model, h_n, n0, eta_exp)
     trivial = eta_exp % kappa == 0
+    # tables indexed [g, f]: <1_f, 1_g> and, for eta trivial, mu_f mu_g
+    inner = np.diag(mu)
+    mean = np.outer(mu, mu) if trivial else np.zeros_like(inner)
 
-    if label.kind == LABEL_RIGID_TRANSLATE:
-        pred_kind = "partial_rigidity"  # delta I + (1 - delta) P
-        one_step = None
-    elif label.kind == LABEL_RIGID_ROTATE:
-        pred_kind = "rotation"  # delta eta(k) I + (1 - delta) P
-        one_step = None
-    elif label.kind == LABEL_DELAYED_TRANSLATE:
+    if label.kind == LABEL_DELAYED_TRANSLATE:
         pred_kind = "delayed"  # delta (I + U*) + (1 - 2 delta) P
-        one_step, _, _ = _eta_values(model, 1, n0, eta_exp)
+        # <u, U v> = conj(<U 1_g, 1_f>)
+        one_step = _eta_values(model, 1, n0, eta_exp)[0].T
+        re, im = _cadd_real(one_step.real, -one_step.imag, inner)
+        re, im = _cmul(delta, 0.0, re, im)
+        re, im = _cadd_real(re, im, (1 - 2 * delta) * mean)
+    elif label.kind in (LABEL_RIGID_TRANSLATE, LABEL_RIGID_ROTATE):
+        rot = 1.0 + 0j
+        if label.kind == LABEL_RIGID_ROTATE:
+            pred_kind = "rotation"  # delta eta(k) I + (1 - delta) P
+            rot = cmath.exp(2j * cmath.pi * eta_exp * label.k / kappa)
+        else:
+            pred_kind = "partial_rigidity"  # delta I + (1 - delta) P
+        c = delta * rot
+        re, im = _cmul(c.real, c.imag, inner, 0.0)
+        re, im = _cadd_real(re, im, (1 - delta) * mean)
     else:
         raise LabelError(f"no base-tower prediction for label {label.kind!r}")
 
-    rot = 1.0 + 0j
-    if label.kind == LABEL_RIGID_ROTATE:
-        rot = cmath.exp(2j * cmath.pi * eta_exp * label.k / kappa)
-
-    rows = []
-    max_dev = 0.0
-    for g in range(n_cyl):
-        for f in range(n_cyl):
-            inner = mu[f] if f == g else 0.0
-            val = values[g, f]
-            if label.kind == LABEL_DELAYED_TRANSLATE:
-                # <u, U v> = conj(<U 1_g, 1_f>)
-                pred = delta * (inner + np.conj(one_step[f, g]))
-                pred += (1 - 2 * delta) * (mu[f] * mu[g] if trivial else 0.0)
-            else:
-                pred = delta * rot * inner
-                pred += (1 - delta) * (mu[f] * mu[g] if trivial else 0.0)
-            dev = float(abs(val - pred))
-            max_dev = max(max_dev, dev)
-            rows.append({
-                "u": f, "v": g, "eta": eta_exp,
-                "value": [float(val.real), float(val.imag)],
-                "pred": [complex(pred).real, complex(pred).imag],
-                "deviation": dev,
-            })
+    dev = _deviations(values, re, im)
+    g, f = np.indices((n_cyl, n_cyl))
+    rows = [{"u": u, "v": v, "eta": eta_exp, "value": val, "pred": pred, "deviation": dv}
+            for u, v, val, pred, dv in zip(f.ravel().tolist(), g.ravel().tolist(),
+                                           _pairs(values.real, values.imag),
+                                           _pairs(re, im), dev.ravel().tolist())]
     return WeakLimitReport(
         stage_index=stage.index, label=label,
         component={"kind": "eta", "eta": eta_exp},
         family={"cylinder_level": n0, "cylinders": n_cyl},
         prediction_kind=pred_kind, rows=rows,
-        max_deviation=max_dev, tolerance=tol,
+        max_deviation=float(dev.max()), tolerance=tol,
     )
 
 
@@ -426,58 +442,52 @@ def _probe_chi(session, model, stage, label, d, n0, h_n, delta, tol, mu):
             "rotate stages are probed on the base tower"
         )
 
-    values, counts, n_cyl = _chi_values(model, h_n, n0, d, n)
-    one_step = None
+    values, _, n_cyl = _chi_values(model, h_n, n0, d, n)
+    # tables indexed [e_u, e_v, g, f]: <1_f x eta_{e_u}, 1_g x eta_{e_v}> and
+    # the product of the two means, nonzero only for e_u = e_v = 0
+    inner = np.zeros((kappa, kappa, n_cyl, n_cyl))
+    inner[np.arange(kappa), np.arange(kappa)] = np.diag(mu)
+    mean = np.zeros_like(inner)
+    mean[0, 0] = np.outer(mu, mu)
     if label.kind == LABEL_DELAYED_TRANSLATE:
-        one_step, _, _ = _chi_values(model, 1, n0, d, n)
+        one_step = _chi_values(model, 1, n0, d, n)[0].transpose(1, 0, 3, 2)
+        o_re, o_im = one_step.real, -one_step.imag
 
-    l_value = 1.0 + 0j
-    if not trivial_d:
+    if trivial_d:
+        if label.kind == LABEL_RIGID_TRANSLATE:
+            pred_kind = "partial_rigidity"
+            re = delta * inner + (1 - delta) * mean
+            im = np.zeros_like(re)
+        else:
+            pred_kind = "delayed"
+            re, im = _cadd_real(o_re, o_im, inner)
+            re, im = _cmul(delta, 0.0, re, im)
+            re, im = _cadd_real(re, im, (1 - 2 * delta) * mean)
+    else:
         chi = session.duality.character_of_dual(d)
-        l_exact = orbit_average(session.duality.dual_action, chi, label.a)
-        l_value = l_exact.value()
-    else:
-        l_exact = CyclotomicSum.from_fraction(1)
+        l_value = orbit_average(session.duality.dual_action, chi, label.a).value()
+        if label.kind == LABEL_RIGID_TRANSLATE:
+            pred_kind = "orbit_average"
+            c = delta * l_value
+            re, im = _cmul(c.real, c.imag, inner, 0.0)
+        else:
+            pred_kind = "delayed_orbit_average"
+            re, im = _cmul(l_value.real, l_value.imag, o_re, o_im)
+            re, im = _cadd_real(re, im, inner)
+            re, im = _cmul(delta, 0.0, re, im)
 
-    if label.kind == LABEL_RIGID_TRANSLATE:
-        pred_kind = "orbit_average" if not trivial_d else "partial_rigidity"
-    else:
-        pred_kind = "delayed_orbit_average" if not trivial_d else "delayed"
-
-    rows = []
-    max_dev = 0.0
-    for e_u in range(kappa):
-        for e_v in range(kappa):
-            for g in range(n_cyl):
-                for f in range(n_cyl):
-                    inner = mu[f] if (f == g and e_u == e_v) else 0.0
-                    mean_uv = mu[f] * mu[g] if (e_u == 0 and e_v == 0) else 0.0
-                    val = values[e_u, e_v, g, f]
-                    if trivial_d:
-                        if label.kind == LABEL_RIGID_TRANSLATE:
-                            pred = delta * inner + (1 - delta) * mean_uv
-                        else:
-                            pred = delta * (inner + np.conj(one_step[e_v, e_u, f, g]))
-                            pred += (1 - 2 * delta) * mean_uv
-                    else:
-                        if label.kind == LABEL_RIGID_TRANSLATE:
-                            pred = delta * l_value * inner
-                        else:
-                            pred = delta * (inner + l_value * np.conj(one_step[e_v, e_u, f, g]))
-                    dev = float(abs(val - complex(pred)))
-                    max_dev = max(max_dev, dev)
-                    rows.append({
-                        "u": [f, e_u], "v": [g, e_v],
-                        "value": [float(val.real), float(val.imag)],
-                        "pred": [complex(pred).real, complex(pred).imag],
-                        "deviation": dev,
-                    })
+    dev = _deviations(values, re, im)
+    e_u, e_v, g, f = np.indices(values.shape)
+    rows = [{"u": u, "v": v, "value": val, "pred": pred, "deviation": dv}
+            for u, v, val, pred, dv in zip(_pairs(f, e_u), _pairs(g, e_v),
+                                           _pairs(values.real, values.imag),
+                                           _pairs(re, im), dev.ravel().tolist())]
     return WeakLimitReport(
         stage_index=stage.index, label=label,
         component={"kind": "chi", "d": list(d)},
         family={"cylinder_level": n0, "cylinders": n_cyl, "group_characters": kappa},
         prediction_kind=pred_kind, rows=rows,
-        max_deviation=max_dev, tolerance=tol,
+        max_deviation=float(dev.max()), tolerance=tol,
     )
 
 

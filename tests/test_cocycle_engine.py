@@ -359,6 +359,22 @@ class TestTowerModel:
             assert int(d_beta[l]) == b
             assert tuple(int(v) for v in d_alpha[l]) == a
 
+
+def test_apply_theta_pow_matches_scalar_action(shipped_product):
+    # product_23: kappa = 6 acting on a rank-3 module; every exponent t < kappa
+    # appears, then random ones
+    model = shipped_product.model(1)
+    ctx = model.ctx
+    assert ctx.k_order == 6 and len(ctx.module.orders) == 3
+    rng = np.random.default_rng(7)
+    exps = np.concatenate([np.arange(ctx.k_order), rng.integers(0, ctx.k_order, 600)])
+    vecs = np.stack([rng.integers(0, n, exps.size) for n in ctx.module.orders], axis=1)
+    got = model._apply_theta_pow(exps, vecs)
+    assert (got != vecs).any()
+    for t, v, w in zip(exps.tolist(), vecs.tolist(), got.tolist()):
+        assert tuple(w) == ctx.act(t, tuple(v)), (t, v)
+
+
 def test_group_part_telescopes_to_zero():
     ctx = small_ctx()
     sched = concat_delta_blocks([DeltaBlock("1/2", 4)])

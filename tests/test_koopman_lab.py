@@ -201,6 +201,19 @@ class TestWeakLimitProbes:
         assert rep.prediction_kind == "delayed_orbit_average"
         assert rep.passed
 
+    def test_eta_paths_twist_no_module_vectors(self, product_session, monkeypatch):
+        # eta probes and eta components read only the group part of the
+        # transition values
+        def refuse(self, exps, vecs):
+            raise AssertionError("an eta path computed module parts")
+
+        monkeypatch.setattr(TowerModel, "_apply_theta_pow", refuse)
+        rep = weak_limit_probe(product_session, 5, ("eta", 1))
+        assert rep.prediction_kind == "delayed" and rep.passed
+        model = product_session.model(5)
+        op = build_eta_component(model, 1, product_session.root_order)
+        assert op.n_states == model.height
+
     def test_pair_table_sums_to_cylinder_carpet(self, probe_session):
         # summing the table over all pairs gives <U^h 1_C, 1_C> for the union
         # C of the cylinders; cross-check by direct counting

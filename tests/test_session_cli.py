@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +19,8 @@ from cfspectra.session import (
     synth,
 )
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def small_direct_config():
@@ -159,6 +163,23 @@ class TestCLI:
         assert code == 2
         assert "error" in results
 
+    @pytest.mark.parametrize("case", ["missing-directory", "config-without-targets"])
+    def test_unloadable_bundle_dump_is_an_error_not_a_traceback(self, tmp_path, case):
+        # in a fresh process, so that an uncaught exception shows as a traceback
+        bundle = tmp_path / "b"
+        if case == "config-without-targets":
+            bundle.mkdir()
+            (bundle / "config.json").write_text(json.dumps({"mode": "direct"}))
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfspectra.cli", "dump", "--bundle", str(bundle),
+             "--what", "spectra"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: bundle failed to load: ")
+        assert "Traceback" not in proc.stderr
+
 
 def _edit(name, change):
     """Tamper with one bundle file: change its JSON and store it canonically."""
@@ -230,7 +251,8 @@ class TestShippedConfigs:
         assert out.count("FAIL") == 4 and f"bundle failed to load: {fname}" in out
         assert main(["dump", "--bundle", str(bundle), "--what", "spectra"]) == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith(f"error: {fname}")
+        assert captured.out == "" and captured.err.startswith(
+            f"error: bundle failed to load: {fname}")
         assert len(captured.err) < 250  # a one-line file is quoted in part
         if case != "missing-cocycle":
             assert "line" in captured.err and "expected" in captured.err
