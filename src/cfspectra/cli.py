@@ -15,6 +15,9 @@ byte, with the re-synthesized text.  A missing or differing file refuses
 the bundle (verify exit 2, dump exit 1) with a message naming the file,
 its first differing line, and the stored and expected text of that line.
 A missing directory or an unreadable config.json is refused the same way.
+synth refuses a config file it cannot read or parse, or one with an
+unknown or missing key or a value of the wrong type, with `error: ...`
+and exit 1; the message names the key path (for example `blocks[1].stage`).
 
 Bundle layout (canonical JSON, schema_version fields throughout):
 
@@ -199,6 +202,14 @@ _SUITE_FUNCS = {
 }
 
 
+def _read_config(path) -> SessionConfig:
+    """SessionConfig from a JSON file; an unreadable file is a CfspectraError."""
+    try:
+        return SessionConfig.from_json(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CfspectraError(f"config failed to load: {exc}") from exc
+
+
 def _load_session(bundle_dir):
     """load_bundle, with every way a bundle can fail to load as a CfspectraError."""
     try:
@@ -312,8 +323,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "synth":
-            config = SessionConfig.from_json(Path(args.config).read_text())
-            session = synth(config)
+            session = synth(_read_config(args.config))
             save_bundle(session, args.out)
             print(f"bundle written to {args.out}")
             return EXIT_OK

@@ -15,7 +15,9 @@ successor map.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,8 +28,8 @@ from .cf_builder import (
     CFSchedule,
     CFStage,
 )
-from .errors import LabelError, PairError, SizeCapError
-from .finite_algebra import ENUMERATION_CAP, FiniteAbelianGroup, ModuleAction
+from .errors import InvalidElementError, LabelError, PairError, SizeCapError
+from .finite_algebra import ENUMERATION_CAP, FiniteAbelianGroup, GroupAutomorphism, ModuleAction
 
 LABEL_RIGID_TRANSLATE = "rigid_translate"  # stage pushes the module part by -a
 LABEL_RIGID_ROTATE = "rigid_rotate"  # stage pushes the acting-group part by -k
@@ -140,6 +142,11 @@ class CocycleStageMaps:
         if not (len(self.beta) == len(self.alpha) == len(self.cuts)):
             raise LabelError("table length mismatch")
 
+    @cached_property
+    def cut_index(self) -> dict[int, int]:
+        """Position of each cut in the tables."""
+        return {c: i for i, c in enumerate(self.cuts)}
+
     def to_dict(self):
         return {
             "stage_index": self.stage_index,
@@ -227,19 +234,14 @@ def canonical_word(level: int, schedule: CFSchedule, depth: int | None = None) -
     rest = level
     for n in range(depth, 0, -1):
         st = schedule.stages[n - 1]
-        # the unique column of stage n containing the residual, if any
-        lo = 0
-        candidate = None
-        for c in st.cuts:  # cuts are short; scan is fine
-            if c <= rest < c + st.base_height:
-                candidate = c
-                break
-            if c > rest:
-                break
-        if candidate is None:
+        # the unique column of stage n containing the residual, if any: cuts
+        # start at 0 and columns are disjoint, so only the column at the last
+        # cut <= rest can hold it; past that column's top, rest is a spacer
+        c = st.cuts[bisect_right(st.cuts, rest) - 1]
+        if rest >= c + st.base_height:
             return CoordinateWord(depth, n, rest, tuple(reversed(cuts)))
-        cuts.append(candidate)
-        rest -= candidate
+        cuts.append(c)
+        rest -= c
     return CoordinateWord(depth, 0, rest, tuple(reversed(cuts)))
 
 
@@ -263,8 +265,14 @@ class SemidirectContext:
     def identity(self):
         return (0, self.module.zero())
 
+    @cached_property
+    def _automorphisms(self) -> list[GroupAutomorphism]:
+        return [self.action.automorphism_for((k,)) for k in range(self.k_order)]
+
     def act(self, k: int, a):
-        return self.action.act((k % self.k_order,), a)
+        if not isinstance(k, int):
+            raise InvalidElementError(f"{k!r} is not an element of Z/{self.k_order}")
+        return self._automorphisms[k % self.k_order].apply(a)
 
     def mul(self, g1, g2):
         k1, a1 = g1
@@ -280,7 +288,7 @@ def word_product(word: CoordinateWord, maps_by_stage, ctx: SemidirectContext):
     """Left-to-right product of the per-stage table entries along a word."""
     g = ctx.identity()
     for stage_maps_, c in zip(maps_by_stage, word.padded_cuts()):
-        idx = stage_maps_.cuts.index(c)
+        idx = stage_maps_.cut_index[c]
         g = ctx.mul(g, (stage_maps_.beta[idx], stage_maps_.alpha[idx]))
     return g
 

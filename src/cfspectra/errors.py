@@ -49,5 +49,9 @@ class CharacterTypeError(CfspectraError):
     """A character was supplied for the wrong group."""
 
 
+class ConfigError(CfspectraError):
+    """A config document has an unknown, missing or malformed key."""
+
+
 class BundleError(CfspectraError):
     """A stored bundle file differs from the synthesis of the bundle's config."""

@@ -13,7 +13,7 @@ import cmath
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -55,7 +55,7 @@ class FiniteAbelianGroup:
     def size(self) -> int:
         return prod(self.orders)
 
-    @property
+    @cached_property
     def exponent(self) -> int:
         return lcm(*self.orders)
 
@@ -63,11 +63,12 @@ class FiniteAbelianGroup:
         return (0,) * self.rank
 
     def contains(self, a) -> bool:
-        return (
-            isinstance(a, tuple)
-            and len(a) == self.rank
-            and all(isinstance(x, int) and 0 <= x < n for x, n in zip(a, self.orders))
-        )
+        if not isinstance(a, tuple) or len(a) != len(self.orders):
+            return False
+        for x, n in zip(a, self.orders):
+            if not isinstance(x, int) or not 0 <= x < n:
+                return False
+        return True
 
     def check(self, a) -> Element:
         if not self.contains(a):
@@ -205,11 +206,13 @@ class GroupAutomorphism:
 
     def apply(self, a: Element) -> Element:
         self.group.check(a)
-        acc = self.group.zero()
+        acc = [0] * len(a)
         for coeff, img in zip(a, self.images):
             if coeff:
-                acc = self.group.add(acc, self.group.scale(coeff, img))
-        return acc
+                for i, x in enumerate(img):
+                    if x:
+                        acc[i] += coeff * x
+        return tuple(x % n for x, n in zip(acc, self.group.orders))
 
     def compose(self, other: "GroupAutomorphism") -> "GroupAutomorphism":
         """self after other (i.e. a |-> self(other(a)))."""
@@ -354,6 +357,8 @@ class Character(object):
 
     group: FiniteAbelianGroup
     exponents: tuple[int, ...]
+    # chi(a) = e^{2 pi i e/N} with N the group exponent and e = sum(w_i a_i) mod N
+    _weights: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "exponents", tuple(int(t) for t in self.exponents))
@@ -361,14 +366,15 @@ class Character(object):
             raise CharacterTypeError(
                 f"exponent vector {self.exponents} invalid for {self.group}"
             )
+        n = self.group.exponent
+        object.__setattr__(self, "_weights", tuple(
+            t * (n // m) for t, m in zip(self.exponents, self.group.orders)
+        ))
 
     def evaluate(self, a: Element) -> RootOfUnity:
         self.group.check(a)
-        e = sum(
-            (Fraction(t * x, n) for t, x, n in zip(self.exponents, a, self.group.orders)),
-            Fraction(0),
-        )
-        return RootOfUnity(e)
+        n = self.group.exponent
+        return RootOfUnity(Fraction(sum(w * x for w, x in zip(self._weights, a)) % n, n))
 
     def is_trivial(self) -> bool:
         return all(t == 0 for t in self.exponents)
@@ -617,9 +623,16 @@ def orbit_trace_counts(
 ) -> set[int]:
     """The set of counts #(orbit(d) intersected with the subgroup), d nonzero in it."""
     d_set = verify_subgroup(action.module, subgroup)
-    nonzero = [d for d in d_set if d != action.module.zero()]
-    if not nonzero:
+    zero = action.module.zero()
+    if d_set == {zero}:
         if warn is not None:
             warn("trace counts of the zero subgroup: quantifying over an empty set")
         return set()
-    return {len(orbit(action, d, cap) & d_set) for d in nonzero}
+    # every d in one trace has the same trace, so count each trace once
+    counts, seen = set(), {zero}
+    for d in d_set:
+        if d not in seen:
+            trace = orbit(action, d, cap) & d_set
+            seen.update(trace)
+            counts.add(len(trace))
+    return counts

@@ -573,9 +573,13 @@ def disjointness_certificate(duality, chi: Character, chi2: Character,
                              cap: int = ENUMERATION_CAP) -> Certificate:
     """Conjugation witness if the characters are related, else a separating a.
 
-    The search for a separating element is exhaustive over the module; by
-    the finite-level orbit-average identity it must succeed for unrelated
-    characters, so a failed search raises instead of returning quietly.
+    The search for a separating element covers the whole module, in element
+    order, but visits one element per orbit: orbit averages are constant on
+    orbits, so an element in the orbit of one already scanned cannot
+    separate.  The first separating element is the one an exhaustive scan
+    finds.  By the finite-level orbit-average identity the search must
+    succeed for unrelated characters, so a failed search raises instead of
+    returning quietly.
     """
     action = duality.dual_action
     if chi.group != action.module or chi2.group != action.module:
@@ -583,7 +587,11 @@ def disjointness_certificate(duality, chi: Character, chi2: Character,
     for k in range(duality.triple.k_order):
         if chi.compose_action(action, (k,)).exponents == chi2.exponents:
             return Certificate(equivalent=True, witness_k=k)
+    seen = set()
     for a in action.module.elements(cap):
+        if a in seen:
+            continue
+        seen.update(orbit(action, a, cap))
         l1 = orbit_average(action, chi, a, cap)
         l2 = orbit_average(action, chi2, a, cap)
         if not cyclo_equal(l1, l2):

@@ -42,7 +42,7 @@ from .cocycle_engine import (
     schedule_labels,
     stage_maps,
 )
-from .errors import BundleError, ScheduleError
+from .errors import BundleError, ConfigError, ScheduleError
 from .finite_algebra import ENUMERATION_CAP
 from .module_factory import AlgebraicTriple, CompactTower, DualityRecord, assemble_triple, compactify, dualize
 
@@ -59,6 +59,71 @@ def _frac(x) -> Fraction:
     if isinstance(x, (list, tuple)):
         return Fraction(x[0], x[1])
     return Fraction(x)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(_is_int(v) for v in x)
+
+
+def _is_delta(x) -> bool:
+    """A [numerator, denominator] pair, or anything Fraction() reads."""
+    if isinstance(x, list):
+        return len(x) == 2 and _is_int_list(x) and x[1] != 0
+    try:
+        Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        return False
+    return True
+
+
+def _optional(check):
+    return lambda x: x is None or check(x)
+
+
+# accepted keys of a config document and a test of each value's type; the
+# top level takes exactly what SessionConfig.to_dict writes
+_CONFIG_SCHEMA = {
+    "schema_version": _is_int,
+    "mode": lambda x: isinstance(x, str),
+    "targets": _is_int_list,
+    "shape": lambda x: isinstance(x, str),
+    "blocks": lambda x: isinstance(x, list),
+    "r_seq": _is_int_list,
+    "algebra_depth": _optional(_is_int),
+    "initial_height": _is_int,
+    "cylinder_level": _is_int,
+    "state_cap": _is_int,
+    "ratio_bound": lambda x: _is_int(x) or isinstance(x, float),
+    "spectra_depth": _optional(_is_int),
+}
+_BLOCK_SCHEMA = {
+    "delta": _is_delta,
+    "stages": _is_int,
+    "r_start": _optional(_is_int),
+    "r_seq": _optional(_is_int_list),
+}
+
+
+def _check_keys(doc, schema, required, path: str) -> None:
+    """Raise ConfigError, naming the key path, unless doc is an object whose
+    keys are all in the schema, include the required ones, and hold values
+    of the schema's types."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path or 'config'}: expected an object, got {type(doc).__name__}")
+    prefix = f"{path}." if path else ""
+    unknown = sorted(set(doc) - set(schema))
+    if unknown:
+        raise ConfigError(f"unknown config key {prefix}{unknown[0]}")
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"missing config key {prefix}{key}")
+    for key, value in doc.items():
+        if not schema[key](value):
+            raise ConfigError(f"malformed value for config key {prefix}{key}: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -135,13 +200,23 @@ class SessionConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SessionConfig":
+        """Build a config from its JSON document; raises ConfigError naming the key path.
+
+        The accepted keys are those ``to_dict`` writes; ``mode`` and
+        ``targets`` are required, and so are ``delta`` and ``stages`` in
+        every block.  A key whose value has the wrong type is refused too.
+        """
+        _check_keys(d, _CONFIG_SCHEMA, ("mode", "targets"), "")
+        blocks = d.get("blocks", [])
+        for i, b in enumerate(blocks):
+            _check_keys(b, _BLOCK_SCHEMA, ("delta", "stages"), f"blocks[{i}]")
         return cls(
             mode=d["mode"],
             targets=tuple(d["targets"]),
             shape=d.get("shape", SHAPE_DELTA_BLOCKS),
             blocks=tuple(
                 (_frac(b["delta"]), b["stages"], b.get("r_start"), b.get("r_seq"))
-                for b in d.get("blocks", [])
+                for b in blocks
             ),
             r_seq=tuple(d.get("r_seq", [])),
             algebra_depth=d.get("algebra_depth"),

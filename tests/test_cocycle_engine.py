@@ -30,7 +30,7 @@ from cfspectra.cocycle_engine import (
     word_level,
     word_product,
 )
-from cfspectra.errors import LabelError, PairError
+from cfspectra.errors import InvalidElementError, LabelError, PairError
 from cfspectra.finite_algebra import FiniteAbelianGroup, GroupAutomorphism, ModuleAction
 from cfspectra.module_factory import assemble_triple, dualize
 
@@ -188,6 +188,27 @@ class TestCanonicalWord:
     def test_out_of_range(self):
         with pytest.raises(PairError):
             canonical_word(19, self.sched)
+
+    def test_bisection_matches_linear_scan(self, shipped_direct, shipped_product):
+        # oracle: the first cut whose column contains the residual, scanning up
+        def scanned(level, sched, depth):
+            cuts, rest = [], level
+            for n in range(depth, 0, -1):
+                st = sched.stages[n - 1]
+                col = next((c for c in st.cuts if c <= rest < c + st.base_height), None)
+                if col is None:
+                    return CoordinateWord(depth, n, rest, tuple(reversed(cuts)))
+                cuts.append(col)
+                rest -= col
+            return CoordinateWord(depth, 0, rest, tuple(reversed(cuts)))
+
+        for sched in (self.sched, shipped_direct.schedule, shipped_product.schedule):
+            for depth in range(sched.depth + 1):
+                levels = range(sched.height(depth))
+                if len(levels) > 4000:
+                    levels = random.Random(depth).sample(levels, 4000)
+                for level in levels:
+                    assert canonical_word(level, sched, depth) == scanned(level, sched, depth)
 
 
 class TestEvaluate:
@@ -373,6 +394,19 @@ def test_apply_theta_pow_matches_scalar_action(shipped_product):
     assert (got != vecs).any()
     for t, v, w in zip(exps.tolist(), vecs.tolist(), got.tolist()):
         assert tuple(w) == ctx.act(t, tuple(v)), (t, v)
+
+
+def test_semidirect_act_matches_module_action(shipped_product):
+    ctx = shipped_product.ctx
+    rng = random.Random(3)
+    module = ctx.module
+    samples = [module.element_by_index(rng.randrange(module.size)) for _ in range(20)]
+    for k in range(-ctx.k_order, 2 * ctx.k_order):
+        for a in samples:
+            assert ctx.act(k, a) == ctx.action.act((k % ctx.k_order,), a)
+    for bad_k in (1.0, np.int64(1), "1", None):
+        with pytest.raises(InvalidElementError):
+            ctx.act(bad_k, samples[0])
 
 
 def test_group_part_telescopes_to_zero():

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfspectra.errors import (
     InvalidElementError,
@@ -25,6 +28,7 @@ from cfspectra.finite_algebra import (
     trivial_action,
     verify_subgroup,
 )
+from cfspectra.module_factory import assemble_triple
 
 
 def negation_action(n):
@@ -329,3 +333,92 @@ class TestSubgroupsAndTraceCounts:
         act = ModuleAction(z6, z7, (GroupAutomorphism(z7, ((3,),)),))
         counts = orbit_trace_counts(act, z7.elements())
         assert counts and all(1 <= c <= 6 for c in counts)
+
+
+# ---------------------------------------------------------------------------
+# the integer paths against the loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def fraction_sum_evaluate(chi, a):
+    """Oracle: one Fraction per coordinate, summed."""
+    e = sum((Fraction(t * x, n) for t, x, n in zip(chi.exponents, a, chi.group.orders)),
+            Fraction(0))
+    return RootOfUnity(e)
+
+
+def scale_and_add_apply(phi, a):
+    """Oracle: the image as a group sum of scaled generator images."""
+    g = phi.group
+    acc = g.zero()
+    for coeff, img in zip(a, phi.images):
+        if coeff:
+            acc = g.add(acc, g.scale(coeff, img))
+    return acc
+
+
+@st.composite
+def character_cases(draw):
+    orders = draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))
+    exps = tuple(draw(st.integers(0, n - 1)) for n in orders)
+    elem = tuple(draw(st.integers(0, n - 1)) for n in orders)
+    return FiniteAbelianGroup(tuple(orders)), exps, elem
+
+
+class TestIntegerPaths:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(character_cases())
+    def test_evaluate_matches_fraction_sum(self, case):
+        group, exps, a = case
+        chi = Character(group, exps)
+        got = chi.evaluate(a)
+        want = fraction_sum_evaluate(chi, a)
+        assert got == want
+        assert (got.p, got.q) == (want.p, want.q)
+
+    @pytest.mark.parametrize("targets", [{1, 2}, {2, 3}, {1, 3, 5}, {2, 4, 6}], ids=str)
+    def test_apply_matches_scale_and_add(self, targets):
+        triple = assemble_triple(targets)
+        rng = random.Random(len(targets))
+        g = triple.module
+        samples = [g.zero()] + [g.element_by_index(rng.randrange(g.size)) for _ in range(40)]
+        for k in range(triple.k_order):
+            phi = triple.action.automorphism_for((k,))
+            for a in samples:
+                assert phi.apply(a) == scale_and_add_apply(phi, a)
+
+    def test_apply_matches_scale_and_add_on_every_element(self):
+        g = FiniteAbelianGroup((3, 3))
+        phi = GroupAutomorphism(g, ((2, 1), (1, 1)))
+        for a in g.elements():
+            assert phi.apply(a) == scale_and_add_apply(phi, a)
+
+    def test_apply_still_checks_its_argument(self):
+        g = FiniteAbelianGroup((2, 3))
+        phi = identity_automorphism(g)
+        for bad in [(0, 3), [0, 1], (0,), (np.int64(1), 0)]:
+            with pytest.raises(InvalidElementError):
+                phi.apply(bad)
+
+    def test_contains_answers(self):
+        class Point(tuple):
+            pass
+
+        g = FiniteAbelianGroup((2, 3))
+        assert g.contains((1, 2))
+        assert g.contains((True, 2))  # bool is an int
+        assert g.contains(Point((1, 2)))
+        for bad in [
+            (np.int64(1), 2),
+            (1.0, 2),
+            [1, 2],
+            (-1, 2),
+            (1, 3),
+            (2, 0),
+            (1,),
+            (1, 2, 0),
+            (),
+            "12",
+            None,
+        ]:
+            assert not g.contains(bad), bad

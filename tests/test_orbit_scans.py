@@ -1,0 +1,163 @@
+"""The one-element-per-orbit scans against the exhaustive scans they replaced.
+
+`disjointness_certificate` and `orbit_trace_counts` visit one element per
+orbit (or per trace).  The oracles below are the exhaustive loops: every
+module element for the certificate, every nonzero d for the trace counts.
+Results must be identical, coefficient for coefficient.
+"""
+
+import random
+from types import SimpleNamespace
+
+import pytest
+
+from cfspectra import finite_algebra, koopman_lab
+from cfspectra.errors import ConsistencyError
+from cfspectra.finite_algebra import (
+    ENUMERATION_CAP,
+    cyclo_equal,
+    orbit,
+    orbit_average,
+    orbit_trace_counts,
+)
+from cfspectra.koopman_lab import Certificate, disjointness_certificate, factor_classes
+from cfspectra.module_factory import assemble_triple, dualize
+
+TARGET_SETS = [{1}, {2}, {1, 2}, {2, 3}, {1, 3, 5}, {2, 4, 6}]
+
+
+def exhaustive_certificate(duality, chi, chi2, cap=ENUMERATION_CAP):
+    """Oracle: the certificate scan over every module element, no orbit skipped."""
+    action = duality.dual_action
+    for k in range(duality.triple.k_order):
+        if chi.compose_action(action, (k,)).exponents == chi2.exponents:
+            return Certificate(equivalent=True, witness_k=k)
+    for a in action.module.elements(cap):
+        l1 = orbit_average(action, chi, a, cap)
+        l2 = orbit_average(action, chi2, a, cap)
+        if not cyclo_equal(l1, l2):
+            return Certificate(False, None, a, l1, l2)
+    raise ConsistencyError("exhausted")
+
+
+def per_d_trace_counts(action, subgroup):
+    """Oracle: one trace count per nonzero d, no trace skipped."""
+    d_set = frozenset(subgroup)
+    zero = action.module.zero()
+    return {len(orbit(action, d) & d_set) for d in d_set if d != zero}
+
+
+def class_characters(duality):
+    """One representative character per factor class, in factor_classes order."""
+    classes = factor_classes(SimpleNamespace(triple=duality.triple))
+    return [duality.character_of_dual(cls[0]) for cls in classes]
+
+
+@pytest.fixture(scope="module")
+def rec135():
+    return dualize(assemble_triple({1, 3, 5}))
+
+
+@pytest.fixture(scope="module")
+def chars135(rec135):
+    return class_characters(rec135)
+
+
+def scan_position(duality, a):
+    return duality.dual_module.element_index(tuple(a))
+
+
+class TestCertificateOracle:
+    @pytest.mark.parametrize("source", ["{1,2}", "{2,3}", "product_23"])
+    def test_every_class_pair_matches_exhaustive_scan(self, source, shipped_product):
+        if source == "product_23":
+            rec = shipped_product.duality
+        else:
+            rec = dualize(assemble_triple({1, 2} if source == "{1,2}" else {2, 3}))
+        chars = class_characters(rec)
+        assert len(chars) >= 2
+        for i in range(len(chars)):
+            for j in range(i + 1, len(chars)):
+                got = disjointness_certificate(rec, chars[i], chars[j])
+                want = exhaustive_certificate(rec, chars[i], chars[j])
+                assert got.to_dict() == want.to_dict(), (source, i, j)
+
+    @pytest.mark.parametrize("pair, position", [((0, 1), 1), ((0, 3), 1331)])
+    def test_135_pairs_match_exhaustive_scan(self, rec135, chars135, pair, position):
+        i, j = pair
+        got = disjointness_certificate(rec135, chars135[i], chars135[j])
+        want = exhaustive_certificate(rec135, chars135[i], chars135[j])
+        assert got.to_dict() == want.to_dict()
+        assert scan_position(rec135, got.separating_a) == position
+
+    def test_scan_averages_each_orbit_once(self, rec135, chars135, monkeypatch):
+        # the elements averaged are exactly the first element of every orbit
+        # met before the separating one, in element order
+        averaged = []
+
+        def recording(action, chi, a, cap=ENUMERATION_CAP):
+            averaged.append((chi.exponents, a))
+            return orbit_average(action, chi, a, cap)
+
+        monkeypatch.setattr(koopman_lab, "orbit_average", recording)
+        chi, chi2 = chars135[0], chars135[3]
+        cert = disjointness_certificate(rec135, chi, chi2)
+        stop = scan_position(rec135, cert.separating_a)
+        firsts, seen = [], set()
+        for a in rec135.dual_module.elements()[: stop + 1]:
+            if a not in seen:
+                seen.update(orbit(rec135.dual_action, a))
+                firsts.append(a)
+        assert averaged[0::2] == [(chi.exponents, a) for a in firsts]
+        assert averaged[1::2] == [(chi2.exponents, a) for a in firsts]
+        assert len(firsts) < stop + 1
+
+    def test_orbit_average_is_constant_on_orbits(self, rec135, chars135, shipped_product):
+        # the lemma behind the skip: L(chi, theta^k a) = L(chi, a) for every k
+        rng = random.Random(5)
+        for rec, chars in ((rec135, chars135),
+                           (shipped_product.duality, class_characters(shipped_product.duality))):
+            action = rec.dual_action
+            module = rec.dual_module
+            samples = [chars[0], chars[-1]] + rng.sample(chars, min(3, len(chars)))
+            for chi in samples:
+                for _ in range(6):
+                    a = module.element_by_index(rng.randrange(module.size))
+                    base = orbit_average(action, chi, a)
+                    for k in range(rec.triple.k_order):
+                        moved = orbit_average(action, chi, action.act((k,), a))
+                        assert moved == base
+                        assert (moved.coeffs, moved.denominator, moved.root_order) == (
+                            base.coeffs, base.denominator, base.root_order)
+
+    def test_late_separating_pair_certifies(self, rec135, chars135):
+        # one of the 16 {1,3,5} pairs whose exhaustive scan runs to element 9317
+        cert = disjointness_certificate(rec135, chars135[0], chars135[17])
+        assert not cert.equivalent
+        assert scan_position(rec135, cert.separating_a) == 9317
+        assert not cyclo_equal(cert.l_left, cert.l_right)
+
+
+class TestTraceCountOracle:
+    @pytest.mark.parametrize("targets", TARGET_SETS, ids=str)
+    def test_matches_per_d_count(self, targets):
+        triple = assemble_triple(targets)
+        got = orbit_trace_counts(triple.action, triple.d_elements())
+        assert got == per_d_trace_counts(triple.action, triple.d_elements())
+        assert got == targets
+
+    @pytest.mark.parametrize("targets", [{1, 2}, {2, 3}, {1, 3, 5}], ids=str)
+    def test_counts_each_trace_once(self, targets, monkeypatch):
+        triple = assemble_triple(targets)
+        d_set = frozenset(triple.d_elements())
+        counted = []
+
+        def recording(action, a, cap=ENUMERATION_CAP):
+            counted.append(a)
+            return orbit(action, a, cap)
+
+        monkeypatch.setattr(finite_algebra, "orbit", recording)
+        orbit_trace_counts(triple.action, triple.d_elements())
+        traces = [orbit(triple.action, d) & d_set for d in counted]
+        assert sum(len(t) for t in traces) == len(d_set) - 1
+        assert frozenset().union(*traces) == d_set - {triple.module.zero()}

@@ -9,7 +9,7 @@ import pytest
 
 from cfspectra.cli import main, run_verify
 from cfspectra.cocycle_engine import LABEL_DELAYED_TRANSLATE, TowerModel
-from cfspectra.errors import BundleError, ScheduleError
+from cfspectra.errors import BundleError, ConfigError, ScheduleError
 from cfspectra.session import (
     SessionConfig,
     bundle_hash,
@@ -50,6 +50,53 @@ class TestConfig:
         cfg = small_direct_config()
         again = SessionConfig.from_json(cfg.to_json())
         assert again == cfg
+
+    def test_from_dict_accepts_every_key_to_dict_writes(self):
+        cfg = SessionConfig(
+            mode="product", targets=(2, 3),
+            blocks=((Fraction(1, 2), 2, 3, None), (Fraction(1, 4), 2, None, (5, 6))),
+            algebra_depth=2, initial_height=2, cylinder_level=2, state_cap=10**5,
+            ratio_bound=50.0, spectra_depth=3,
+        )
+        doc = cfg.to_dict()
+        assert "schema_version" in doc
+        assert SessionConfig.from_dict(doc) == cfg
+
+    @pytest.mark.parametrize("doc, path", [
+        ({"mode": "direct"}, "missing config key targets"),
+        ({"targets": [1]}, "missing config key mode"),
+        ({"mode": "direct", "targets": [1, 2], "spectra_dpeth": 3,
+          "blocks": [{"delta": [1, 2], "stages": 2}]}, "unknown config key spectra_dpeth"),
+        ({"mode": "direct", "targets": [1, 2],
+          "blocks": [{"delta": [1, 2], "stages": 2}, {"delta": [1, 4], "stage": 2}]},
+         "unknown config key blocks[1].stage"),
+        ({"mode": "direct", "targets": [1, 2], "blocks": [{"delta": [1, 2]}]},
+         "missing config key blocks[0].stages"),
+        ({"mode": "direct", "targets": [1, 2], "blocks": {"delta": [1, 2]}},
+         "malformed value for config key blocks"),
+        ({"mode": "direct", "targets": [1, 2], "blocks": [[1, 2]]},
+         "blocks[0]: expected an object"),
+        ([1, 2], "config: expected an object"),
+        ({"mode": "direct", "targets": 5, "blocks": [{"delta": [1, 2], "stages": 2}]},
+         "malformed value for config key targets"),
+        ({"mode": "direct", "targets": [1, 2], "state_cap": "x",
+          "blocks": [{"delta": [1, 2], "stages": 2}]},
+         "malformed value for config key state_cap"),
+        ({"mode": "direct", "targets": [1, 2], "initial_height": 1.5,
+          "blocks": [{"delta": [1, 2], "stages": 2}]},
+         "malformed value for config key initial_height"),
+        ({"mode": "direct", "targets": [1, 2], "blocks": [{"delta": [1, 0], "stages": 2}]},
+         "malformed value for config key blocks[0].delta"),
+        ({"mode": "direct", "targets": [1, 2],
+          "blocks": [{"delta": [1, 2], "stages": 2, "r_seq": [3, "4"]}]},
+         "malformed value for config key blocks[0].r_seq"),
+    ], ids=["no-targets", "no-mode", "misspelled-key", "block-key", "block-missing-key",
+            "blocks-not-list", "block-not-object", "not-object", "targets-not-list",
+            "state-cap-string", "height-float", "delta-zero-denominator", "r-seq-string"])
+    def test_malformed_config_names_the_key(self, doc, path):
+        with pytest.raises(ConfigError) as info:
+            SessionConfig.from_dict(doc)
+        assert str(info.value).startswith(path)
 
     def test_targets_normalized(self):
         cfg = SessionConfig(mode="direct", targets=(2, 1, 1),
@@ -179,6 +226,37 @@ class TestCLI:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: bundle failed to load: ")
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("case", ["config-without-targets", "misspelled-key", "block-key",
+                                  "mistyped-value", "missing-file", "not-json"])
+def test_malformed_config_synth_is_an_error_not_a_traceback(tmp_path, case):
+    # in a fresh process, so that an uncaught exception shows as a traceback
+    config = tmp_path / "c.json"
+    good = {"mode": "direct", "targets": [1, 2], "blocks": [{"delta": [1, 2], "stages": 2}]}
+    docs = {
+        "config-without-targets": {"mode": "direct"},
+        "misspelled-key": dict(good, spectra_dpeth=3),
+        "block-key": dict(good, blocks=good["blocks"] + [{"delta": [1, 4], "stage": 2}]),
+        "mistyped-value": dict(good, state_cap="x"),
+    }
+    if case in docs:
+        config.write_text(json.dumps(docs[case]))
+    elif case == "not-json":
+        config.write_text("{mode: direct")
+    out = tmp_path / "bundle"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cfspectra.cli", "synth", "--config", str(config),
+         "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+    if case == "block-key":
+        assert "blocks[1].stage" in proc.stderr
 
 
 def _edit(name, change):
