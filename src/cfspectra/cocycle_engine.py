@@ -384,15 +384,23 @@ class TowerModel:
             h_prev = st.base_height
             nb = np.zeros(st.new_height, dtype=np.int64)
             na = np.zeros((st.new_height, rank), dtype=np.int64)
-            for idx, c in enumerate(st.cuts):
-                b_c = tables.beta[idx]
-                a_c = tables.alpha[idx]
+            # a column's block depends only on the previous stage and the
+            # cut's table entry, so each distinct entry is computed once, at
+            # its first cut, and copied to the later ones
+            first_cut = {}
+            for c, b_c, a_c in zip(st.cuts, tables.beta, tables.alpha):
                 seg = slice(c, c + h_prev)
+                c0 = first_cut.setdefault((b_c, a_c), c)
+                if c0 != c:
+                    nb[seg] = nb[c0:c0 + h_prev]
+                    na[seg] = na[c0:c0 + h_prev]
+                    continue
                 nb[seg] = (beta + b_c) % kappa
                 if any(a_c):
-                    # (b, w) * (b_c, a_c) has module part w + theta^b(a_c)
+                    # (b, w) * (b_c, a_c) has module part w + theta^b(a_c);
+                    # beta is already reduced mod kappa
                     powered = self._theta_mats @ np.array(a_c, dtype=np.int64) % orders
-                    na[seg] = (alpha + powered[beta % kappa]) % orders
+                    na[seg] = (alpha + powered[beta]) % orders
                 else:
                     na[seg] = alpha
             beta, alpha = nb, na

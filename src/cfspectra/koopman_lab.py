@@ -16,6 +16,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import prod
 
 import numpy as np
 
@@ -221,18 +223,47 @@ def exact_spectrum(session, kind: str, depth: int | None = None) -> dict:
 
 @dataclass
 class WeakLimitReport:
+    """A probe's table against its prediction, with the verdict on the worst entry.
+
+    The table is kept as arrays of one shape: ``values`` (complex) and the
+    prediction's real and imaginary parts, indexed [g, f] for an eta probe
+    and [e_u, e_v, g, f] for a chi probe.  ``rows`` renders it as one dict
+    per entry on first read.
+    """
+
     stage_index: int
     label: StageLabel
     component: dict
     family: dict
     prediction_kind: str
-    rows: list = field(default_factory=list)
-    max_deviation: float = 0.0
-    tolerance: float = 0.0
+    values: np.ndarray = field(repr=False, compare=False)
+    pred_re: np.ndarray = field(repr=False, compare=False)
+    pred_im: np.ndarray = field(repr=False, compare=False)
+    deviations: np.ndarray = field(repr=False, compare=False)
+    tolerance: float
+    max_deviation: float = field(init=False)
+
+    def __post_init__(self):
+        self.max_deviation = float(self.deviations.max())
 
     @property
     def passed(self) -> bool:
         return self.max_deviation <= self.tolerance
+
+    @cached_property
+    def rows(self) -> list:
+        value = _pairs(self.values.real, self.values.imag)
+        pred = _pairs(self.pred_re, self.pred_im)
+        dev = self.deviations.ravel().tolist()
+        if self.component["kind"] == "eta":
+            eta = self.component["eta"]
+            g, f = np.indices(self.values.shape)
+            return [{"u": u, "v": v, "eta": eta, "value": val, "pred": p, "deviation": dv}
+                    for u, v, val, p, dv in zip(f.ravel().tolist(), g.ravel().tolist(),
+                                                value, pred, dev)]
+        e_u, e_v, g, f = np.indices(self.values.shape)
+        return [{"u": u, "v": v, "value": val, "pred": p, "deviation": dv}
+                for u, v, val, p, dv in zip(_pairs(f, e_u), _pairs(g, e_v), value, pred, dev)]
 
     def to_dict(self) -> dict:
         return {
@@ -329,10 +360,14 @@ def _chi_values(model: TowerModel, steps: int, n0: int, d, phase_order: int):
 
 
 def _cylinder_measures(model: TowerModel, n0: int) -> np.ndarray:
-    cyl = model.cylinder_ids(n0)
-    n_cyl = model.schedule.height(n0)
-    counts = np.bincount(cyl[cyl >= 0], minlength=n_cyl)
-    return counts / model.height
+    """Measure of each depth-n0 cylinder in the model's tower.
+
+    Every stage past n0 copies each depth-n0 level once per column, so all
+    cylinders have the same measure: the product of those column counts
+    over the height.
+    """
+    copies = prod(st.r_count for st in model.schedule.stages[n0:model.depth])
+    return np.full(model.schedule.height(n0), copies / model.height)
 
 
 def weak_limit_probe(session, stage_index: int, component, n0: int | None = None) -> WeakLimitReport:
@@ -415,18 +450,12 @@ def _probe_eta(session, model, stage, label, eta_exp, n0, h_n, delta, tol, mu):
     else:
         raise LabelError(f"no base-tower prediction for label {label.kind!r}")
 
-    dev = _deviations(values, re, im)
-    g, f = np.indices((n_cyl, n_cyl))
-    rows = [{"u": u, "v": v, "eta": eta_exp, "value": val, "pred": pred, "deviation": dv}
-            for u, v, val, pred, dv in zip(f.ravel().tolist(), g.ravel().tolist(),
-                                           _pairs(values.real, values.imag),
-                                           _pairs(re, im), dev.ravel().tolist())]
     return WeakLimitReport(
         stage_index=stage.index, label=label,
         component={"kind": "eta", "eta": eta_exp},
         family={"cylinder_level": n0, "cylinders": n_cyl},
-        prediction_kind=pred_kind, rows=rows,
-        max_deviation=float(dev.max()), tolerance=tol,
+        prediction_kind=pred_kind, values=values, pred_re=re, pred_im=im,
+        deviations=_deviations(values, re, im), tolerance=tol,
     )
 
 
@@ -476,18 +505,12 @@ def _probe_chi(session, model, stage, label, d, n0, h_n, delta, tol, mu):
             re, im = _cadd_real(re, im, inner)
             re, im = _cmul(delta, 0.0, re, im)
 
-    dev = _deviations(values, re, im)
-    e_u, e_v, g, f = np.indices(values.shape)
-    rows = [{"u": u, "v": v, "value": val, "pred": pred, "deviation": dv}
-            for u, v, val, pred, dv in zip(_pairs(f, e_u), _pairs(g, e_v),
-                                           _pairs(values.real, values.imag),
-                                           _pairs(re, im), dev.ravel().tolist())]
     return WeakLimitReport(
         stage_index=stage.index, label=label,
         component={"kind": "chi", "d": list(d)},
         family={"cylinder_level": n0, "cylinders": n_cyl, "group_characters": kappa},
-        prediction_kind=pred_kind, rows=rows,
-        max_deviation=float(dev.max()), tolerance=tol,
+        prediction_kind=pred_kind, values=values, pred_re=re, pred_im=im,
+        deviations=_deviations(values, re, im), tolerance=tol,
     )
 
 

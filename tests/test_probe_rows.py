@@ -2,8 +2,9 @@
 
 The oracle builds every row of a weak-limit probe one cylinder pair at a
 time with scalar complex arithmetic, from the same bucket-count tables the
-probe uses.  The probe computes its rows as whole arrays; the two must agree
-to the last bit, because verify_report.json carries the rows.
+probe uses.  The probe computes its table as whole arrays and renders the
+rows from them when they are first read; the two must agree to the last
+bit, because verify_report.json carries the rows.
 """
 
 import cmath
@@ -12,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from cfspectra import koopman_lab
 from cfspectra.cocycle_engine import (
     LABEL_DELAYED_TRANSLATE,
     LABEL_RIGID_ROTATE,
@@ -161,3 +163,26 @@ def test_probe_report_equals_scalar_oracle(request, fixture, stage, component):
                      if json.dumps(g) != json.dumps(w)), None)
         pytest.fail(f"first differing row (index, probe, oracle): {diff}; "
                     f"max_deviation {got['max_deviation']!r} vs {want['max_deviation']!r}")
+
+
+def test_probe_renders_rows_only_when_read(request, monkeypatch):
+    # with the row renderer's helper broken, probes still run and give their
+    # verdicts; the rows rendered afterwards equal the oracle's
+    def refuse(*args):
+        raise AssertionError("rows rendered before they were read")
+
+    cases = [("probe_direct", 3, ("eta", 1)), ("probe_direct", 3, ("chi", (1, 2)))]
+    reports = []
+    with monkeypatch.context() as patch:
+        patch.setattr(koopman_lab, "_pairs", refuse)
+        for fixture, stage, component in cases:
+            report = weak_limit_probe(request.getfixturevalue(fixture), stage, component)
+            assert isinstance(report.passed, bool)
+            assert isinstance(report.max_deviation, float)
+            reports.append(report)
+    for (fixture, stage, component), report in zip(cases, reports):
+        want = scalar_report(request.getfixturevalue(fixture), stage, component, report)
+        assert report.max_deviation == want["max_deviation"]
+        assert report.passed == want["passed"]
+        assert json.dumps(report.rows) == json.dumps(want["rows"])
+        assert json.dumps(report.to_dict()["rows"]) == json.dumps(want["rows"])

@@ -1,0 +1,144 @@
+"""The TowerModel build against per-cut and per-level oracles.
+
+The build computes each distinct table entry's column block once and copies
+it to the later cuts carrying the same entry; the oracle below recomputes
+the block at every cut.  Cylinder measures come in closed form from the
+schedule; the oracle counts the levels of each cylinder.
+"""
+
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cfspectra.cocycle_engine import MODE_DIRECT, MODE_PRODUCT, TowerModel
+from cfspectra.koopman_lab import _cylinder_measures
+from cfspectra.session import SessionConfig, synth
+
+
+def per_cut_word_products(model):
+    """Word products built one column block per cut, with no block reused."""
+    ctx = model.ctx
+    orders = np.array(ctx.module.orders, dtype=np.int64)
+    theta_mats = model._theta_mats
+    rank = len(orders)
+    kappa = ctx.k_order
+    h0 = model.schedule.initial_height
+    beta = np.zeros(h0, dtype=np.int64)
+    alpha = np.zeros((h0, rank), dtype=np.int64)
+    for stage, tables in zip(model.schedule.stages[: model.depth], model.maps_by_stage):
+        h_prev = stage.base_height
+        nb = np.zeros(stage.new_height, dtype=np.int64)
+        na = np.zeros((stage.new_height, rank), dtype=np.int64)
+        for idx, c in enumerate(stage.cuts):
+            b_c = tables.beta[idx]
+            a_c = tables.alpha[idx]
+            seg = slice(c, c + h_prev)
+            nb[seg] = (beta + b_c) % kappa
+            if any(a_c):
+                powered = theta_mats @ np.array(a_c, dtype=np.int64) % orders
+                na[seg] = (alpha + powered[beta % kappa]) % orders
+            else:
+                na[seg] = alpha
+        beta, alpha = nb, na
+    return beta, alpha
+
+
+def assert_matches_oracle(model):
+    beta, alpha = per_cut_word_products(model)
+    assert np.array_equal(model.word_beta, beta)
+    assert np.array_equal(model.word_alpha, alpha)
+
+
+@pytest.mark.parametrize("fixture", ["shipped_direct", "shipped_product", "shipped_staircase",
+                                     "probe_direct", "probe_product", "probe_large"])
+def test_word_products_equal_per_cut_build(request, fixture):
+    assert_matches_oracle(request.getfixturevalue(fixture).model())
+
+
+def test_probe_fixtures_reuse_blocks_with_acting_labels(probe_direct):
+    # the fixtures above must exercise both halves of the table entry: a
+    # translate stage repeats group parts under distinct module parts, a
+    # rotate stage the reverse, so keying blocks by either half alone fails
+    def repeats(n):
+        maps = probe_direct.maps[n - 1]
+        entries = set(zip(maps.beta, maps.alpha))
+        return len(entries), len(set(maps.beta)), len(set(maps.alpha))
+
+    entries, betas, alphas = repeats(3)  # translate
+    assert betas == 1 and alphas == entries > 1
+    entries, betas, alphas = repeats(4)  # rotate
+    assert alphas == 1 and betas == entries > 1
+
+
+def _session(mode, delta, r_seq):
+    targets = (1, 2) if mode == MODE_DIRECT else (2, 3)
+    return synth(SessionConfig(mode=mode, targets=targets,
+                               blocks=((delta, len(r_seq), None, tuple(r_seq)),)))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(mode=st.sampled_from([MODE_DIRECT, MODE_PRODUCT]),
+       delta=st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)]),
+       r_seq=st.lists(st.integers(2, 6), min_size=1, max_size=4),
+       wide_last=st.booleans())
+# labels cycle translate, (delayed,) rotate, and the first targets of each
+# kind are the identity, so acting 64-column stages come fourth and later
+@example(mode=MODE_DIRECT, delta=Fraction(1, 2), r_seq=[3, 3, 3, 64], wide_last=False)
+@example(mode=MODE_PRODUCT, delta=Fraction(1, 2), r_seq=[3, 3, 3, 64], wide_last=False)
+def test_word_products_equal_per_cut_build_on_random_schedules(mode, delta, r_seq, wide_last):
+    if wide_last:
+        r_seq = r_seq[:-1] + [64]
+    session = _session(mode, delta, r_seq)
+    for depth in range(1, session.schedule.depth + 1):
+        assert_matches_oracle(session.model(depth))
+
+
+def test_build_allocates_no_block_cache(probe_large):
+    # the build holds two stages' arrays and a few temporaries of one block
+    # at a time; a block is 1/64 of the last stage, so the peak reads 1.04
+    # times the result, and keeping the last stage's three distinct blocks
+    # on the side would read 1.07
+    tracemalloc.start()
+    try:
+        model = TowerModel(probe_large.schedule, maps_by_stage=probe_large.maps,
+                           ctx=probe_large.ctx, cap=probe_large.config.state_cap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * (model.word_beta.nbytes + model.word_alpha.nbytes)
+
+
+# column counts of the benchmark's two larger probe sessions, each one
+# delta = 1/2 block in direct mode
+SCALED = {
+    "scaled_16x16x128x16": (16, 16, 128, 16),
+    "scaled_32x32x256": (32, 32, 256),
+}
+
+
+def bincount_measures(model, n0):
+    """Measure of each depth-n0 cylinder by counting its levels."""
+    cyl = model.cylinder_ids(n0)
+    counts = np.bincount(cyl[cyl >= 0], minlength=model.schedule.height(n0))
+    return counts / model.height
+
+
+@pytest.mark.parametrize("name", ["shipped_direct", "shipped_product", "shipped_staircase",
+                                  "probe_direct", "probe_product", "probe_large",
+                                  *SCALED])
+def test_cylinder_measures_equal_level_counts(request, name):
+    if name in SCALED:
+        session = _session(MODE_DIRECT, Fraction(1, 2), SCALED[name])
+    else:
+        session = request.getfixturevalue(name)
+    schedule = session.schedule
+    for depth in range(1, schedule.depth + 1):
+        # the measures need no cocycle tables
+        model = TowerModel(schedule, depth, cap=session.config.state_cap)
+        for n0 in range(1, depth + 1):
+            got = _cylinder_measures(model, n0)
+            assert np.array_equal(got, bincount_measures(model, n0)), (depth, n0)
