@@ -146,31 +146,31 @@ class CFSchedule:
 
     initial_height: int
     stages: tuple[CFStage, ...]
+    _heights: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        h = self.initial_height
+        hs = [self.initial_height]
         for n, st in enumerate(self.stages, start=1):
-            if st.base_height != h:
+            if st.base_height != hs[-1]:
                 raise ScheduleError(
-                    f"stage {n} has base height {st.base_height}, expected {h}"
+                    f"stage {n} has base height {st.base_height}, expected {hs[-1]}"
                 )
             if st.index != n:
                 raise ScheduleError(f"stage {n} carries index {st.index}")
-            h = st.new_height
+            hs.append(st.new_height)
+        object.__setattr__(self, "_heights", tuple(hs))
 
     @property
     def depth(self) -> int:
         return len(self.stages)
 
-    def heights(self) -> list[int]:
-        hs = [self.initial_height]
-        for st in self.stages:
-            hs.append(st.new_height)
-        return hs
+    def heights(self) -> tuple[int, ...]:
+        """(h_0, h_1, ..., h_depth), computed once at construction."""
+        return self._heights
 
     def height(self, n: int) -> int:
         """h_n; n = 0 is the initial height."""
-        return self.heights()[n]
+        return self._heights[n]
 
     def truncate(self, depth: int) -> "CFSchedule":
         return CFSchedule(self.initial_height, self.stages[:depth])

@@ -16,7 +16,7 @@ successor map.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -135,6 +135,8 @@ class CocycleStageMaps:
     cuts: tuple[int, ...]
     beta: tuple[int, ...]  # exponents in the cyclic acting group
     alpha: tuple[tuple[int, ...], ...]  # module elements
+    # (k_order, module orders) -> checked cut -> entry map, filled by entries()
+    _entries: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.beta[0] != 0 or any(self.alpha[0]):
@@ -142,10 +144,23 @@ class CocycleStageMaps:
         if not (len(self.beta) == len(self.alpha) == len(self.cuts)):
             raise LabelError("table length mismatch")
 
-    @cached_property
-    def cut_index(self) -> dict[int, int]:
-        """Position of each cut in the tables."""
-        return {c: i for i, c in enumerate(self.cuts)}
+    def entries(self, ctx: "SemidirectContext") -> dict:
+        """Cut -> table entry (group exponent, module element) in ctx's K x| A.
+
+        Every entry is checked once, on the first call for a given K x| A;
+        identity entries map to None so that products can skip them.
+        """
+        key = (ctx.k_order, ctx.module.orders)
+        table = self._entries.get(key)
+        if table is None:
+            table = {}
+            for c, b, a in zip(self.cuts, self.beta, self.alpha):
+                if not isinstance(b, int) or not 0 <= b < ctx.k_order:
+                    raise InvalidElementError(f"{b!r} is not an element of Z/{ctx.k_order}")
+                ctx.module.check(a)
+                table[c] = (b, a) if b or any(a) else None
+            self._entries[key] = table
+        return table
 
     def to_dict(self):
         return {
@@ -283,13 +298,35 @@ class SemidirectContext:
         k, a = g
         return ((-k) % self.k_order, self.module.neg(self.act(-k, a)))
 
+    # The unchecked kernel: operands are elements already checked (table
+    # entries, products of them), with group exponents reduced mod k_order.
+    # Exponent 0 acts as the identity, so its application is skipped.
+
+    def _mul(self, g1, g2):
+        k1, a1 = g1
+        k2, a2 = g2
+        if k1:
+            a2 = self._automorphisms[k1]._apply(a2)
+        return ((k1 + k2) % self.k_order, self.module.add(a1, a2))
+
+    def _inv(self, g):
+        k, a = g
+        k = (-k) % self.k_order
+        if k:
+            a = self._automorphisms[k]._apply(a)
+        return (k, self.module.neg(a))
+
 
 def word_product(word: CoordinateWord, maps_by_stage, ctx: SemidirectContext):
-    """Left-to-right product of the per-stage table entries along a word."""
+    """Left-to-right product of the per-stage table entries along a word.
+
+    A cut missing from its stage's table raises KeyError.
+    """
     g = ctx.identity()
     for stage_maps_, c in zip(maps_by_stage, word.padded_cuts()):
-        idx = stage_maps_.cut_index[c]
-        g = ctx.mul(g, (stage_maps_.beta[idx], stage_maps_.alpha[idx]))
+        entry = stage_maps_.entries(ctx)[c]
+        if entry is not None:
+            g = ctx._mul(g, entry)
     return g
 
 
@@ -305,7 +342,7 @@ def evaluate_cocycle(x: CoordinateWord, y: CoordinateWord, maps_by_stage,
         raise PairError(f"words at depths {x.depth} and {y.depth}")
     gx = word_product(x, maps_by_stage, ctx)
     gy = word_product(y, maps_by_stage, ctx)
-    return ctx.mul(gx, ctx.inv(gy))
+    return ctx._mul(gx, ctx._inv(gy))
 
 
 def transition_values(schedule: CFSchedule, maps_by_stage, ctx: SemidirectContext,

@@ -205,7 +205,10 @@ class GroupAutomorphism:
         return m
 
     def apply(self, a: Element) -> Element:
-        self.group.check(a)
+        return self._apply(self.group.check(a))
+
+    def _apply(self, a: Element) -> Element:
+        """The image of an element already known to lie in the group (unchecked)."""
         acc = [0] * len(a)
         for coeff, img in zip(a, self.images):
             if coeff:
@@ -216,7 +219,9 @@ class GroupAutomorphism:
 
     def compose(self, other: "GroupAutomorphism") -> "GroupAutomorphism":
         """self after other (i.e. a |-> self(other(a)))."""
-        return GroupAutomorphism(self.group, tuple(self.apply(img) for img in other.images))
+        if other.group != self.group:
+            raise InvalidElementError("composing automorphisms of different groups")
+        return GroupAutomorphism(self.group, tuple(self._apply(img) for img in other.images))
 
     def power(self, m: int) -> "GroupAutomorphism":
         if m < 0:
@@ -272,14 +277,25 @@ class ModuleAction:
                 )
 
     def automorphism_for(self, k: Element) -> GroupAutomorphism:
+        """phi_1^{k_1} o phi_2^{k_2} o ..., built by one composition per new k.
+
+        Lowering the first nonzero coordinate of k by one gives a k' with
+        phi_for(k) = phi_i o phi_for(k'); the chain of such k' is walked down
+        to a cached power (or zero), then composed back up.
+        """
         self.group.check(k)
-        if k not in self._powers:
-            acc = identity_automorphism(self.module)
-            for coeff, phi in zip(k, self.generator_maps):
-                if coeff:
-                    acc = acc.compose(phi.power(coeff))
-            self._powers[k] = acc
-        return self._powers[k]
+        chain = []
+        while k not in self._powers:
+            i = next((i for i, c in enumerate(k) if c), None)
+            if i is None:
+                self._powers[k] = identity_automorphism(self.module)
+                break
+            chain.append((k, i))
+            k = k[:i] + (k[i] - 1,) + k[i + 1:]
+        phi = self._powers[k]
+        for k, i in reversed(chain):
+            phi = self._powers[k] = self.generator_maps[i].compose(phi)
+        return phi
 
     def act(self, k: Element, a: Element) -> Element:
         return self.automorphism_for(k).apply(a)
@@ -372,7 +388,10 @@ class Character(object):
         ))
 
     def evaluate(self, a: Element) -> RootOfUnity:
-        self.group.check(a)
+        return self._evaluate(self.group.check(a))
+
+    def _evaluate(self, a: Element) -> RootOfUnity:
+        """The value at an element already known to lie in the group (unchecked)."""
         n = self.group.exponent
         return RootOfUnity(Fraction(sum(w * x for w, x in zip(self._weights, a)) % n, n))
 
@@ -567,33 +586,70 @@ def cyclo_equal(x: CyclotomicSum, y: CyclotomicSum) -> bool:
 
 
 def orbit(action: ModuleAction, a: Element, cap: int = ENUMERATION_CAP) -> frozenset:
-    """The full orbit {k . a : k in the acting group}."""
-    action.module.check(a)
-    return frozenset(action.act(k, a) for k in action.group.elements(cap))
+    """The full orbit {k . a : k in the acting group}.
+
+    Computed as the closure of a under the generator maps: each has finite
+    order, so the closure also contains every inverse image.
+    """
+    if action.group.size > cap:
+        raise SizeCapError(f"group of size {action.group.size} exceeds enumeration cap {cap}")
+    out = {action.module.check(a)}
+    frontier = [a]
+    while frontier:
+        x = frontier.pop()
+        for phi in action.generator_maps:
+            y = phi._apply(x)
+            if y not in out:
+                out.add(y)
+                frontier.append(y)
+    return frozenset(out)
 
 
 def orbit_average(
-    action: ModuleAction, chi: Character, a: Element, cap: int = ENUMERATION_CAP
+    action: ModuleAction, chi: Character, a: Element, cap: int = ENUMERATION_CAP,
+    _orbit: frozenset | None = None,
 ) -> CyclotomicSum:
-    """Average of the character over the orbit of a, as an exact cyclotomic sum."""
+    """Average of the character over the orbit of a, as an exact cyclotomic sum.
+
+    ``_orbit`` lets a caller that already holds orbit(action, a) pass it in.
+    """
     if chi.group != action.module:
         raise CharacterTypeError("character of the wrong module")
-    orb = sorted(orbit(action, a, cap))
-    return CyclotomicSum.from_roots((chi.evaluate(b) for b in orb), len(orb))
+    orb = orbit(action, a, cap) if _orbit is None else _orbit
+    return CyclotomicSum.from_roots((chi._evaluate(b) for b in orb), len(orb))
 
 
 def verify_subgroup(group: FiniteAbelianGroup, elems) -> frozenset:
-    """Check closure under addition and negation; raises InvalidSubgroupError."""
+    """Check that a finite set is a subgroup; raises InvalidSubgroupError.
+
+    The span of the set is grown one element at a time, and every sum it
+    produces must stay in the set.  A finite set that contains its own span
+    is closed under addition, hence under negation, so this is the subgroup
+    test with one addition per element of the set.
+    """
     s = frozenset(elems)
-    if group.zero() not in s:
-        raise InvalidSubgroupError("subgroup must contain 0")
     for a in s:
         group.check(a)
-        if group.neg(a) not in s:
-            raise InvalidSubgroupError(f"not closed under negation at {a}")
-        for b in s:
-            if group.add(a, b) not in s:
-                raise InvalidSubgroupError(f"not closed under addition at {a}+{b}")
+    zero = group.zero()
+    if zero not in s:
+        raise InvalidSubgroupError("subgroup must contain 0")
+    # the span, grown in place: `members` for lookup, `span` in growth order
+    members, span = {zero}, [zero]
+    for g in s:
+        if g in members:
+            continue
+        # adjoin the cosets span + m*g, m = 1, 2, ..., until m*g is in the span
+        base, step = len(span), g
+        while step not in members:
+            for j in range(base):
+                x = group.add(span[j], step)
+                if x not in s:
+                    raise InvalidSubgroupError(
+                        f"not closed under addition: {span[j]} + {step} = {x}"
+                    )
+                members.add(x)
+                span.append(x)
+            step = group.add(step, g)
     return s
 
 

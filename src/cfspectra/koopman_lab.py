@@ -614,9 +614,10 @@ def disjointness_certificate(duality, chi: Character, chi2: Character,
     for a in action.module.elements(cap):
         if a in seen:
             continue
-        seen.update(orbit(action, a, cap))
-        l1 = orbit_average(action, chi, a, cap)
-        l2 = orbit_average(action, chi2, a, cap)
+        orb = orbit(action, a, cap)
+        seen.update(orb)
+        l1 = orbit_average(action, chi, a, cap, _orbit=orb)
+        l2 = orbit_average(action, chi2, a, cap, _orbit=orb)
         if not cyclo_equal(l1, l2):
             return Certificate(False, None, a, l1, l2)
     raise ConsistencyError(

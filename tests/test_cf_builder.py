@@ -116,7 +116,7 @@ class TestSchedule:
                 {"kind": "rigid_staircase", "i": 2, "r": 4},
             ],
         )
-        assert sched.heights() == [1, 3, 13]
+        assert sched.heights() == (1, 3, 13)
         assert sched.height(2) == 13
 
     def test_broken_chain_rejected(self):

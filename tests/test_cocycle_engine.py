@@ -17,6 +17,7 @@ from cfspectra.cocycle_engine import (
     LABEL_RIGID_TRANSLATE,
     MODE_DIRECT,
     MODE_PRODUCT,
+    CocycleStageMaps,
     CoordinateWord,
     SemidirectContext,
     StageLabel,
@@ -441,3 +442,93 @@ def test_twisted_module_map_is_a_cocycle_on_the_skew_relation():
         lhs = ctx.act(k1, a13)
         rhs = ctx.module.add(ctx.act(k1, a12), ctx.act(k2, a23))
         assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# the unchecked K x| A kernel and the checks at its boundary
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["direct_12", "product_23"])
+def test_unchecked_kernel_equals_checked_product(name, shipped_direct, shipped_product):
+    session = shipped_direct if name == "direct_12" else shipped_product
+    ctx = session.ctx
+    # every direct_12 entry is the identity, so the random left factors below
+    # carry the non-trivial products there
+    entries = {(b, a) for m in session.maps for b, a in zip(m.beta, m.alpha)}
+    rng = random.Random(len(name))
+    module = ctx.module
+    lefts = list(entries) + [
+        (rng.randrange(ctx.k_order), module.element_by_index(rng.randrange(module.size)))
+        for _ in range(30)
+    ]
+    for e in sorted(entries):
+        assert ctx._inv(e) == ctx.inv(e)
+        for g in lefts:
+            assert ctx._mul(g, e) == ctx.mul(g, e), (g, e)
+            assert ctx._mul(e, g) == ctx.mul(e, g), (e, g)
+
+
+def test_stage_entries_mark_identities(shipped_product):
+    ctx = shipped_product.ctx
+    for maps in shipped_product.maps:
+        table = maps.entries(ctx)
+        assert list(table) == list(maps.cuts)
+        for c, b, a in zip(maps.cuts, maps.beta, maps.alpha):
+            assert table[c] == (None if (b, a) == ctx.identity() else (b, a))
+        assert maps.entries(ctx) is table  # checked once, then cached
+    assert any(v is not None for m in shipped_product.maps for v in m.entries(ctx).values())
+
+
+class TestKernelBoundary:
+    def setup_method(self):
+        self.ctx = small_ctx()  # K = Z/2 on Z/2 + Z/3
+        self.sched = build_schedule(2, [{"kind": "rigid_staircase", "i": 2, "r": 3}])
+        self.good = stage_maps(StageLabel(LABEL_RIGID_TRANSLATE, a=(1, 1)),
+                               self.sched.stages[0], self.ctx.k_order, self.ctx.module)
+
+    def tampered(self, beta=None, alpha=None):
+        return CocycleStageMaps(self.good.stage_index, self.good.cuts,
+                                beta or self.good.beta, alpha or self.good.alpha)
+
+    @pytest.mark.parametrize("beta, alpha", [
+        (None, ((0, 0), (1, 3), (0, 1))),  # module coordinate out of range
+        (None, ((0, 0), (1, -1), (0, 1))),
+        (None, ((0, 0), [1, 1], (0, 1))),  # not a tuple
+        (None, ((0, 0), (1,), (0, 1))),  # wrong rank
+        (None, ((0, 0), (1, 1.0), (0, 1))),
+        ((0, 2, 0), None),  # group exponent out of range
+        ((0, -1, 0), None),
+        ((0, 1.0, 0), None),
+        ((0, np.int64(1), 0), None),
+    ])
+    def test_evaluate_cocycle_rejects_bad_entries(self, beta, alpha):
+        maps = [self.tampered(beta, alpha)]
+        x = canonical_word(self.sched.stages[0].cuts[1], self.sched)
+        y = canonical_word(0, self.sched)
+        with pytest.raises(InvalidElementError):
+            evaluate_cocycle(x, y, maps, self.ctx)
+        # the good tables pass the same boundary
+        assert evaluate_cocycle(x, y, [self.good], self.ctx)[1] == (1, 2)
+
+    def test_unknown_cut_still_fails(self):
+        word = CoordinateWord(1, 0, 0, (1,))
+        with pytest.raises(KeyError):
+            word_product(word, [self.good], self.ctx)
+
+    def test_public_operations_still_check(self):
+        ctx = self.ctx
+        e = (1, (1, 2))
+        for bad in [(1, 3), (2, 0), [1, 1], (1,), (np.int64(1), 0), (1.0, 0)]:
+            with pytest.raises(InvalidElementError):
+                ctx.act(1, bad)
+            with pytest.raises(InvalidElementError):
+                ctx.mul(e, (0, bad))
+            with pytest.raises(InvalidElementError):
+                ctx.inv((1, bad))
+        for bad_k in (1.0, np.int64(1)):
+            with pytest.raises(InvalidElementError):
+                ctx.mul((bad_k, (0, 0)), e)
+        for bad_k in (1.0, np.int64(1), "1", None):
+            with pytest.raises(InvalidElementError):
+                ctx.act(bad_k, (0, 0))

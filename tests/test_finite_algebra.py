@@ -28,7 +28,7 @@ from cfspectra.finite_algebra import (
     trivial_action,
     verify_subgroup,
 )
-from cfspectra.module_factory import assemble_triple
+from cfspectra.module_factory import assemble_triple, dualize
 
 
 def negation_action(n):
@@ -422,3 +422,138 @@ class TestIntegerPaths:
             None,
         ]:
             assert not g.contains(bad), bad
+
+
+# ---------------------------------------------------------------------------
+# theta-stepped orbits and powers, span-grown subgroups: the loops they
+# replaced are the oracles
+# ---------------------------------------------------------------------------
+
+ACCEPTANCE_TARGET_SETS = [{1}, {2}, {1, 2}, {2, 3}, {1, 3, 5}, {2, 4, 6}]
+
+
+def per_k_orbit(action, a):
+    """Oracle: one automorphism application per element of the acting group."""
+    action.module.check(a)
+    return frozenset(action.act(k, a) for k in action.group.elements())
+
+
+def pairwise_verify_subgroup(group, elems):
+    """Oracle: closure checked over every pair, and under negation."""
+    s = frozenset(elems)
+    if group.zero() not in s:
+        raise InvalidSubgroupError("subgroup must contain 0")
+    for a in s:
+        group.check(a)
+        if group.neg(a) not in s:
+            raise InvalidSubgroupError(f"not closed under negation at {a}")
+        for b in s:
+            if group.add(a, b) not in s:
+                raise InvalidSubgroupError(f"not closed under addition at {a}+{b}")
+    return s
+
+
+def verdict(fn, group, elems):
+    try:
+        return fn(group, elems)
+    except InvalidSubgroupError:
+        return "not a subgroup"
+
+
+@st.composite
+def subset_cases(draw):
+    """Subgroups, subgroups with one element added or removed, and random sets."""
+    orders = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    group = FiniteAbelianGroup(orders)
+    elems = group.elements()
+    gens = draw(st.lists(st.sampled_from(elems), max_size=3))
+    s = set(subgroup_from_generators(group, gens))
+    kind = draw(st.sampled_from(["subgroup", "add", "remove", "random"]))
+    if kind == "add":
+        s.add(draw(st.sampled_from(elems)))
+    elif kind == "remove":
+        s.discard(draw(st.sampled_from(sorted(s))))
+    elif kind == "random":
+        s = set(draw(st.lists(st.sampled_from(elems), max_size=12)))
+        if draw(st.booleans()):
+            s.add(group.zero())
+    return group, s
+
+
+def dual_and_direct_actions():
+    for targets in ACCEPTANCE_TARGET_SETS:
+        rec = dualize(assemble_triple(targets))
+        yield f"{sorted(targets)}", rec.triple.action
+        yield f"{sorted(targets)}-dual", rec.dual_action
+
+
+class TestSteppedOracles:
+    @pytest.mark.parametrize("targets", ACCEPTANCE_TARGET_SETS, ids=str)
+    def test_orbit_equals_per_k_orbit(self, targets):
+        rec = dualize(assemble_triple(targets))
+        rng = random.Random(len(targets) * 7 + sum(targets))
+        for action in (rec.triple.action, rec.dual_action):
+            module = action.module
+            samples = [module.zero(), tuple(1 % n for n in module.orders)] + [
+                module.element_by_index(rng.randrange(module.size)) for _ in range(40)
+            ]
+            for a in samples:
+                assert orbit(action, a) == per_k_orbit(action, a), (targets, a)
+
+    def test_automorphism_for_equals_power(self):
+        for name, action in dual_and_direct_actions():
+            kappa = action.group.size
+            theta = action.generator_maps[0]
+            # highest k first: the whole chain is composed from one request
+            got = [action.automorphism_for((k,)) for k in reversed(range(kappa))][::-1]
+            for k in range(kappa):
+                assert got[k].images == theta.power(k).images, (name, k)
+                assert got[k] is action.automorphism_for((k,))
+
+    def test_automorphism_for_on_a_rank_two_group(self):
+        # K = Z/2 + Z/3 acting on Z/7 by x -> -x and x -> 2x
+        z7 = FiniteAbelianGroup((7,))
+        neg, dbl = GroupAutomorphism(z7, ((6,),)), GroupAutomorphism(z7, ((2,),))
+        action = ModuleAction(FiniteAbelianGroup((2, 3)), z7, (neg, dbl))
+        for k in action.group.elements():
+            want = neg.power(k[0]).compose(dbl.power(k[1]))
+            assert action.automorphism_for(k).images == want.images, k
+        assert orbit(action, (1,)) == per_k_orbit(action, (1,)) == frozenset(
+            (x,) for x in range(1, 7))
+
+    def test_stepped_power_is_validated(self):
+        # every new power goes through __post_init__, so a map that is not of
+        # the advertised order is still refused at construction
+        z7 = FiniteAbelianGroup((7,))
+        with pytest.raises(InvalidElementError):
+            ModuleAction(FiniteAbelianGroup((4,)), z7, (GroupAutomorphism(z7, ((3,),)),))
+        with pytest.raises(InvalidElementError):
+            GroupAutomorphism(z7, ((3,),)).compose(identity_automorphism(
+                FiniteAbelianGroup((7, 7))))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(subset_cases())
+    def test_span_verdict_equals_pairwise_verdict(self, case):
+        group, s = case
+        got = verdict(verify_subgroup, group, s)
+        assert got == verdict(pairwise_verify_subgroup, group, s)
+
+    @pytest.mark.parametrize("orders, elems, ok", [
+        ((4,), [(0,), (2,)], True),
+        ((4,), [(0,), (1,), (3,)], False),  # closed under negation only
+        ((6,), [(0,), (2,), (3,), (4,)], False),
+        ((2, 2), [(0, 0), (1, 0), (0, 1)], False),
+        ((2, 2), [(0, 0), (1, 0), (0, 1), (1, 1)], True),
+        ((3, 5), [(0, 0)], True),
+    ])
+    def test_span_verdicts(self, orders, elems, ok):
+        group = FiniteAbelianGroup(orders)
+        want = frozenset(elems) if ok else "not a subgroup"
+        assert verdict(verify_subgroup, group, elems) == want
+        assert verdict(pairwise_verify_subgroup, group, elems) == want
+
+    def test_verify_subgroup_checks_every_element(self):
+        g = FiniteAbelianGroup((4,))
+        for bad in [(4,), (0, 0), (np.int64(1),), (3.0,)]:
+            with pytest.raises(InvalidElementError):
+                verify_subgroup(g, [(0,), (2,), bad])

@@ -1,0 +1,81 @@
+"""Deterministic call-count guards on the exact-arithmetic hot paths.
+
+Each input is checked once where it enters, then the arithmetic runs
+unchecked.  These bounds count calls, not seconds, so they hold on any
+machine: a path that re-validates an engine-made element on every multiply,
+or rebuilds an automorphism per element, breaks them by a wide margin.
+"""
+
+import random
+from pathlib import Path
+
+from cfspectra import finite_algebra
+from cfspectra.cocycle_engine import canonical_word, evaluate_cocycle
+from cfspectra.finite_algebra import FiniteAbelianGroup, GroupAutomorphism, ModuleAction
+from cfspectra.module_factory import assemble_triple
+from cfspectra.session import SessionConfig, synth
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SLACK = 8  # calls allowed beyond the entries checked at the boundary
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_cocycle_triples_check_each_table_entry_once(monkeypatch):
+    # a fresh session, so no table has been checked against its context yet
+    session = synth(SessionConfig.from_json((CONFIG_DIR / "product_23.json").read_text()))
+    sched, maps, ctx = session.schedule, session.maps, session.ctx
+    h = sched.height(sched.depth)
+    rng = random.Random(23)
+    triples = [tuple(rng.randrange(h) for _ in range(3)) for _ in range(250)]
+    entries = sum(len(m.cuts) for m in maps)
+    ctx.act(0, ctx.module.zero())  # builds the context's kappa automorphisms once
+    calls = count_calls(monkeypatch, FiniteAbelianGroup, "contains")
+    non_identity = 0
+    for levels in triples:
+        x, y, z = (canonical_word(lv, sched) for lv in levels)
+        for u, v in ((x, y), (y, z), (x, z)):
+            non_identity += evaluate_cocycle(u, v, maps, ctx) != ctx.identity()
+    assert non_identity  # the triples do multiply non-identity entries
+    assert len(calls) <= entries + SLACK, (len(calls), entries)
+
+
+def test_assembly_builds_O_kappa_automorphisms(monkeypatch):
+    calls = count_calls(monkeypatch, GroupAutomorphism, "__post_init__")
+    triple = assemble_triple((1, 3, 5))
+    kappa = triple.k_order
+    assert kappa == 15
+    assert len(calls) <= 3 * kappa + SLACK, (len(calls), kappa)
+
+
+def test_orbit_builds_no_automorphism(monkeypatch):
+    triple = assemble_triple((1, 3, 5))
+    module = triple.module
+    rng = random.Random(135)
+    samples = [module.element_by_index(rng.randrange(module.size)) for _ in range(50)]
+    calls = count_calls(monkeypatch, GroupAutomorphism, "__post_init__")
+    checks = count_calls(monkeypatch, FiniteAbelianGroup, "contains")
+    for a in samples:
+        finite_algebra.orbit(triple.action, a)
+    assert len(calls) == 0
+    assert len(checks) == len(samples)
+
+
+def test_powers_take_one_composition_each(monkeypatch):
+    triple = assemble_triple((1, 3, 5))
+    # a fresh action, with no power cached yet
+    action = ModuleAction(triple.action.group, triple.module, triple.action.generator_maps)
+    calls = count_calls(monkeypatch, GroupAutomorphism, "__post_init__")
+    powers = [action.automorphism_for((k,)) for k in range(triple.k_order)]
+    assert len(calls) == triple.k_order  # the identity, then one compose per k
+    assert powers[1].images == triple.theta.images

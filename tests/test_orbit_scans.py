@@ -92,14 +92,21 @@ class TestCertificateOracle:
 
     def test_scan_averages_each_orbit_once(self, rec135, chars135, monkeypatch):
         # the elements averaged are exactly the first element of every orbit
-        # met before the separating one, in element order
-        averaged = []
+        # met before the separating one, in element order; each orbit is
+        # computed once and both characters are averaged over it
+        averaged, computed = [], []
 
-        def recording(action, chi, a, cap=ENUMERATION_CAP):
+        def recording(action, chi, a, cap=ENUMERATION_CAP, **kwargs):
             averaged.append((chi.exponents, a))
-            return orbit_average(action, chi, a, cap)
+            assert kwargs["_orbit"] is computed[-1]
+            return orbit_average(action, chi, a, cap, **kwargs)
+
+        def computing(action, a, cap=ENUMERATION_CAP):
+            computed.append(orbit(action, a, cap))
+            return computed[-1]
 
         monkeypatch.setattr(koopman_lab, "orbit_average", recording)
+        monkeypatch.setattr(koopman_lab, "orbit", computing)
         chi, chi2 = chars135[0], chars135[3]
         cert = disjointness_certificate(rec135, chi, chi2)
         stop = scan_position(rec135, cert.separating_a)
@@ -110,6 +117,7 @@ class TestCertificateOracle:
                 firsts.append(a)
         assert averaged[0::2] == [(chi.exponents, a) for a in firsts]
         assert averaged[1::2] == [(chi2.exponents, a) for a in firsts]
+        assert len(computed) == len(firsts)
         assert len(firsts) < stop + 1
 
     def test_orbit_average_is_constant_on_orbits(self, rec135, chars135, shipped_product):
