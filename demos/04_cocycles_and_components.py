@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from cfspectra import (
     Character,
+    DeltaBlock,
     SessionConfig,
     build_component,
     canonical_word,
@@ -21,7 +22,7 @@ from cfspectra import (
 
 session = synth(SessionConfig(
     mode="direct", targets=(1, 2),
-    blocks=((Fraction(1, 2), 4, 3, None),),
+    blocks=(DeltaBlock(Fraction(1, 2), 4, r_start=3),),
 ))
 print("stage labels:", [(l.kind, l.k, l.a) for l in session.labels])
 

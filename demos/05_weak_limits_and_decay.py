@@ -11,12 +11,12 @@ is 3 over the stage's column count.
 import time
 from fractions import Fraction
 
-from cfspectra import SessionConfig, correlation_decay, synth, weak_limit_probe
+from cfspectra import DeltaBlock, SessionConfig, correlation_decay, synth, weak_limit_probe
 from cfspectra.koopman_lab import sample_lags
 
 session = synth(SessionConfig(
     mode="direct", targets=(1, 2),
-    blocks=((Fraction(1, 2), 4, None, (8, 8, 64, 64)),),
+    blocks=(DeltaBlock(Fraction(1, 2), 4, r_seq=(8, 8, 64, 64)),),
 ))
 
 for stage, component in [(3, ("eta", 0)), (3, ("chi", (0, 1))), (4, ("eta", 1))]:

@@ -11,12 +11,12 @@ identity around the tower cycle; the report raises if they do not.
 
 from fractions import Fraction
 
-from cfspectra import SessionConfig, loop_product, multiplicity_report, synth
+from cfspectra import DeltaBlock, SessionConfig, loop_product, multiplicity_report, synth
 
 for mode, targets in (("direct", (1, 2)), ("product", (2, 3))):
     session = synth(SessionConfig(
         mode=mode, targets=targets,
-        blocks=((Fraction(1, 2), 4, 3, None),),
+        blocks=(DeltaBlock(Fraction(1, 2), 4, r_start=3),),
     ))
     rep = multiplicity_report(session, spectra_depth=4)
     print(f"mode {mode}, targets {targets}:")

@@ -16,7 +16,6 @@ height, so there are never spacers above the last column.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -76,20 +75,6 @@ class CFStage:
             "delta": [self.delta.numerator, self.delta.denominator] if self.delta else None,
             "block": self.block,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CFStage":
-        return cls(
-            index=d["index"],
-            base_height=d["base_height"],
-            cuts=tuple(d["cuts"]),
-            i_count=d["i_count"],
-            r_count=d["r_count"],
-            kind=d["kind"],
-            regimes=tuple(d["regimes"]),
-            delta=Fraction(*d["delta"]) if d.get("delta") else None,
-            block=d.get("block"),
-        )
 
 
 def rigid_staircase_cut(
@@ -175,21 +160,12 @@ class CFSchedule:
     def truncate(self, depth: int) -> "CFSchedule":
         return CFSchedule(self.initial_height, self.stages[:depth])
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "schema_version": 1,
             "initial_height": self.initial_height,
             "stages": [st.to_dict() for st in self.stages],
         }
-        return json.dumps(doc, sort_keys=True, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CFSchedule":
-        doc = json.loads(text)
-        return cls(
-            initial_height=doc["initial_height"],
-            stages=tuple(CFStage.from_dict(d) for d in doc["stages"]),
-        )
 
 
 def build_schedule(initial_height: int, stage_specs) -> CFSchedule:
@@ -236,11 +212,13 @@ def rigid_count(delta: Fraction, r: int, kind: str = KIND_RIGID_STAIRCASE) -> in
 
 @dataclass(frozen=True)
 class DeltaBlock:
-    """A run of stages sharing one rigidity fraction delta."""
+    """A run of stages sharing one rigidity fraction delta.
+
+    The field names are the keys of a block in a config document.
+    """
 
     delta: Fraction
-    size: int
-    kinds: tuple[str, ...] | None = None  # per-stage kinds; default all rigid_staircase
+    stages: int
     r_start: int | None = None  # default: max(2, 1-based block position)
     r_seq: tuple[int, ...] | None = None  # explicit per-stage counts, overrides r_start
 
@@ -248,42 +226,47 @@ class DeltaBlock:
         object.__setattr__(self, "delta", Fraction(self.delta))
         if not 0 < self.delta < 1:
             raise ScheduleError(f"delta must be in (0,1), got {self.delta}")
-        if self.size < 1:
+        if self.stages < 1:
             raise ScheduleError("block needs at least one stage")
-        if self.kinds is not None and len(self.kinds) != self.size:
-            raise ScheduleError("kinds must match block size")
-        if self.r_seq is not None and len(self.r_seq) != self.size:
-            raise ScheduleError("r_seq must match block size")
+        if self.r_seq is not None:
+            object.__setattr__(self, "r_seq", tuple(self.r_seq))
+            if len(self.r_seq) != self.stages:
+                raise ScheduleError("r_seq must match block size")
 
     def column_counts(self, position: int) -> list[int]:
         """Per-stage column counts for this block at its 1-based position."""
         if self.r_seq is not None:
             return list(self.r_seq)
         start = self.r_start if self.r_start is not None else max(2, position)
-        return [start + j for j in range(self.size)]
+        return [start + j for j in range(self.stages)]
 
 
-def concat_delta_blocks(blocks, initial_height: int = 1) -> CFSchedule:
+def concat_delta_blocks(blocks, initial_height: int = 1, kinds=None) -> CFSchedule:
     """Concatenate delta blocks into one schedule.
 
     Deltas must be strictly decreasing across blocks.  Heights chain across
     the seams (each block starts from the previous block's final tower) and
     the column count inside block b runs r, r+1, ... starting from
-    max(2, b) unless the block overrides r_start.
+    max(2, b) unless the block overrides r_start.  ``kinds`` gives one cut
+    kind per stage, in order; by default every stage is rigid_staircase.
     """
     blocks = list(blocks)
-    deltas = [Fraction(b.delta) for b in blocks]
+    deltas = [b.delta for b in blocks]
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ScheduleError(f"deltas must be strictly decreasing, got {deltas}")
+    stages = [(pos, blk, r) for pos, blk in enumerate(blocks, start=1)
+              for r in blk.column_counts(pos)]
+    if kinds is None:
+        kinds = [KIND_RIGID_STAIRCASE] * len(stages)
+    elif len(kinds) != len(stages):
+        raise ScheduleError(f"need one cut kind per stage: {len(kinds)} for {len(stages)}")
     specs = []
-    for pos, blk in enumerate(blocks, start=1):
-        for j, r in enumerate(blk.column_counts(pos)):
-            kind = blk.kinds[j] if blk.kinds else KIND_RIGID_STAIRCASE
-            spec = {"kind": kind, "r": r, "block": pos}
-            if kind != KIND_STAIRCASE:
-                spec["i"] = rigid_count(blk.delta, r, kind)
-                spec["delta"] = blk.delta
-            specs.append(spec)
+    for (pos, blk, r), kind in zip(stages, kinds):
+        spec = {"kind": kind, "r": r, "block": pos}
+        if kind != KIND_STAIRCASE:
+            spec["i"] = rigid_count(blk.delta, r, kind)
+            spec["delta"] = blk.delta
+        specs.append(spec)
     return build_schedule(initial_height, specs)
 
 

@@ -66,10 +66,6 @@ class StageLabel:
     def to_dict(self):
         return {"kind": self.kind, "k": self.k, "a": list(self.a) if self.a else None}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["kind"], d.get("k"), tuple(d["a"]) if d.get("a") else None)
-
 
 def label_cycle(module: FiniteAbelianGroup, k_order: int, mode: str,
                 cap: int = ENUMERATION_CAP):
@@ -155,9 +151,7 @@ class CocycleStageMaps:
         if table is None:
             table = {}
             for c, b, a in zip(self.cuts, self.beta, self.alpha):
-                if not isinstance(b, int) or not 0 <= b < ctx.k_order:
-                    raise InvalidElementError(f"{b!r} is not an element of Z/{ctx.k_order}")
-                ctx.module.check(a)
+                ctx.check((b, a))
                 table[c] = (b, a) if b or any(a) else None
             self._entries[key] = table
         return table
@@ -169,11 +163,6 @@ class CocycleStageMaps:
             "beta": list(self.beta),
             "alpha": [list(a) for a in self.alpha],
         }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["stage_index"], tuple(d["cuts"]), tuple(d["beta"]),
-                   tuple(tuple(a) for a in d["alpha"]))
 
 
 def stage_maps(label: StageLabel, stage: CFStage, k_order: int,
@@ -289,14 +278,19 @@ class SemidirectContext:
             raise InvalidElementError(f"{k!r} is not an element of Z/{self.k_order}")
         return self._automorphisms[k % self.k_order].apply(a)
 
+    def check(self, g):
+        """g, if it is an element: an int exponent in [0, k_order) and a module element."""
+        k, a = g
+        if not isinstance(k, int) or not 0 <= k < self.k_order:
+            raise InvalidElementError(f"{k!r} is not an element of Z/{self.k_order}")
+        self.module.check(a)
+        return g
+
     def mul(self, g1, g2):
-        k1, a1 = g1
-        k2, a2 = g2
-        return ((k1 + k2) % self.k_order, self.module.add(a1, self.act(k1, a2)))
+        return self._mul(self.check(g1), self.check(g2))
 
     def inv(self, g):
-        k, a = g
-        return ((-k) % self.k_order, self.module.neg(self.act(-k, a)))
+        return self._inv(self.check(g))
 
     # The unchecked kernel: operands are elements already checked (table
     # entries, products of them), with group exponents reduced mod k_order.

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from math import lcm
 from pathlib import Path
 
@@ -44,6 +44,7 @@ from .cocycle_engine import (
 )
 from .errors import BundleError, ConfigError, ScheduleError
 from .finite_algebra import ENUMERATION_CAP
+from .koopman_lab import DEFAULT_STATE_CAP
 from .module_factory import AlgebraicTriple, CompactTower, DualityRecord, assemble_triple, compactify, dualize
 
 SCHEMA_VERSION = 1
@@ -53,12 +54,6 @@ SHAPE_STAIRCASE = "staircase"
 SHAPE_ARITHMETIC = "arithmetic"
 
 BUNDLE_FILES = ("config.json", "algebra.json", "schedule.json", "cocycle.json")
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, (list, tuple)):
-        return Fraction(x[0], x[1])
-    return Fraction(x)
 
 
 def _is_int(x) -> bool:
@@ -85,7 +80,8 @@ def _optional(check):
 
 
 # accepted keys of a config document and a test of each value's type; the
-# top level takes exactly what SessionConfig.to_dict writes
+# top level takes exactly what SessionConfig.to_dict writes, a block exactly
+# the DeltaBlock fields
 _CONFIG_SCHEMA = {
     "schema_version": _is_int,
     "mode": lambda x: isinstance(x, str),
@@ -108,6 +104,11 @@ _BLOCK_SCHEMA = {
 }
 
 
+def _required(cls) -> tuple[str, ...]:
+    """The fields of a dataclass that have no default."""
+    return tuple(f.name for f in fields(cls) if f.default is MISSING)
+
+
 def _check_keys(doc, schema, required, path: str) -> None:
     """Raise ConfigError, naming the key path, unless doc is an object whose
     keys are all in the schema, include the required ones, and hold values
@@ -126,30 +127,49 @@ def _check_keys(doc, schema, required, path: str) -> None:
             raise ConfigError(f"malformed value for config key {prefix}{key}: {value!r}")
 
 
+def _block_from_dict(doc, i: int) -> DeltaBlock:
+    _check_keys(doc, _BLOCK_SCHEMA, _required(DeltaBlock), f"blocks[{i}]")
+    delta = doc["delta"]
+    return DeltaBlock(**dict(doc, delta=Fraction(*delta) if isinstance(delta, list) else delta))
+
+
+def _to_json_value(x):
+    """A config value as JSON: tuples as lists, fractions as [num, den] and
+    blocks as objects keyed by their field names."""
+    if isinstance(x, DeltaBlock):
+        return {f.name: _to_json_value(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, Fraction):
+        return [x.numerator, x.denominator]
+    if isinstance(x, tuple):
+        return [_to_json_value(v) for v in x]
+    return x
+
+
 @dataclass(frozen=True)
 class SessionConfig:
-    """Everything a deterministic run is derived from."""
+    """Everything a deterministic run is derived from.
+
+    The field names are the keys of a config document.
+    """
 
     mode: str
     targets: tuple[int, ...]
     shape: str = SHAPE_DELTA_BLOCKS
-    blocks: tuple = ()  # (delta, size, r_start|None[, r_seq]) for delta_blocks
+    blocks: tuple[DeltaBlock, ...] = ()  # for delta_blocks
     r_seq: tuple[int, ...] = ()  # per-stage column counts for staircase/arithmetic
     algebra_depth: int | None = None
     initial_height: int = 1
     cylinder_level: int = 1
-    state_cap: int = 2 * 10**6
+    state_cap: int = DEFAULT_STATE_CAP
     ratio_bound: float = 100.0
     spectra_depth: int | None = None  # tower depth for spectrum comparisons
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(sorted(set(int(t) for t in self.targets))))
-        normalized = []
-        for blk in self.blocks:
-            d, s, r = blk[0], blk[1], blk[2]
-            rs = tuple(int(x) for x in blk[3]) if len(blk) > 3 and blk[3] else None
-            normalized.append((Fraction(_frac(d)), int(s), r if r is None else int(r), rs))
-        object.__setattr__(self, "blocks", tuple(normalized))
+        object.__setattr__(self, "blocks", tuple(self.blocks))
+        for i, blk in enumerate(self.blocks):
+            if not isinstance(blk, DeltaBlock):
+                raise ConfigError(f"blocks[{i}]: expected a DeltaBlock, got {type(blk).__name__}")
         object.__setattr__(self, "r_seq", tuple(int(r) for r in self.r_seq))
         if self.mode not in (MODE_DIRECT, MODE_PRODUCT):
             raise ScheduleError(f"unknown mode {self.mode!r}")
@@ -175,28 +195,12 @@ class SessionConfig:
     @property
     def num_stages(self) -> int:
         if self.shape == SHAPE_DELTA_BLOCKS:
-            return sum(s for _, s, _, _ in self.blocks)
+            return sum(b.stages for b in self.blocks)
         return len(self.r_seq)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "mode": self.mode,
-            "targets": list(self.targets),
-            "shape": self.shape,
-            "blocks": [
-                {"delta": [d.numerator, d.denominator], "stages": s, "r_start": r,
-                 "r_seq": list(rs) if rs else None}
-                for d, s, r, rs in self.blocks
-            ],
-            "r_seq": list(self.r_seq),
-            "algebra_depth": self.algebra_depth,
-            "initial_height": self.initial_height,
-            "cylinder_level": self.cylinder_level,
-            "state_cap": self.state_cap,
-            "ratio_bound": self.ratio_bound,
-            "spectra_depth": self.spectra_depth,
-        }
+        doc = {f.name: _to_json_value(getattr(self, f.name)) for f in fields(self)}
+        return {"schema_version": SCHEMA_VERSION, **doc}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SessionConfig":
@@ -205,27 +209,13 @@ class SessionConfig:
         The accepted keys are those ``to_dict`` writes; ``mode`` and
         ``targets`` are required, and so are ``delta`` and ``stages`` in
         every block.  A key whose value has the wrong type is refused too.
+        An absent key takes its field's default.
         """
-        _check_keys(d, _CONFIG_SCHEMA, ("mode", "targets"), "")
-        blocks = d.get("blocks", [])
-        for i, b in enumerate(blocks):
-            _check_keys(b, _BLOCK_SCHEMA, ("delta", "stages"), f"blocks[{i}]")
-        return cls(
-            mode=d["mode"],
-            targets=tuple(d["targets"]),
-            shape=d.get("shape", SHAPE_DELTA_BLOCKS),
-            blocks=tuple(
-                (_frac(b["delta"]), b["stages"], b.get("r_start"), b.get("r_seq"))
-                for b in blocks
-            ),
-            r_seq=tuple(d.get("r_seq", [])),
-            algebra_depth=d.get("algebra_depth"),
-            initial_height=d.get("initial_height", 1),
-            cylinder_level=d.get("cylinder_level", 1),
-            state_cap=d.get("state_cap", 2 * 10**6),
-            ratio_bound=d.get("ratio_bound", 100.0),
-            spectra_depth=d.get("spectra_depth"),
-        )
+        _check_keys(d, _CONFIG_SCHEMA, _required(cls), "")
+        kwargs = {k: v for k, v in d.items() if k != "schema_version"}
+        if "blocks" in kwargs:
+            kwargs["blocks"] = tuple(_block_from_dict(b, i) for i, b in enumerate(d["blocks"]))
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, text: str) -> "SessionConfig":
@@ -288,25 +278,6 @@ class Session:
         return self.triple.d_elements()
 
 
-def _delta_block_plan(config: SessionConfig, gen):
-    """Stage labels first, cut shapes to match, one block at a time."""
-    labels = []
-    blocks = []
-    for pos, (delta, size, r_start, r_seq) in enumerate(config.blocks, start=1):
-        kinds = []
-        for _ in range(size):
-            label = next(gen)
-            labels.append(label)
-            kinds.append(
-                KIND_DELAYED_STAIRCASE
-                if label.kind == LABEL_DELAYED_TRANSLATE
-                else KIND_RIGID_STAIRCASE
-            )
-        blocks.append(DeltaBlock(delta, size, kinds=tuple(kinds), r_start=r_start,
-                                 r_seq=r_seq))
-    return tuple(labels), concat_delta_blocks(blocks, config.initial_height)
-
-
 def synth(config: SessionConfig, cap: int = ENUMERATION_CAP) -> Session:
     """Deterministic pipeline: algebra, schedule, labels, cocycle tables."""
     depth_alg = config.algebra_depth or len(config.targets)
@@ -316,8 +287,12 @@ def synth(config: SessionConfig, cap: int = ENUMERATION_CAP) -> Session:
     ctx = SemidirectContext(triple.k_order, duality.dual_module, duality.dual_action)
 
     if config.shape == SHAPE_DELTA_BLOCKS:
+        # labels first, then each stage's cut kind to match its label
         gen = label_cycle(duality.dual_module, triple.k_order, config.mode, cap)
-        labels, schedule = _delta_block_plan(config, gen)
+        labels = tuple(islice(gen, config.num_stages))
+        kinds = [KIND_DELAYED_STAIRCASE if label.kind == LABEL_DELAYED_TRANSLATE
+                 else KIND_RIGID_STAIRCASE for label in labels]
+        schedule = concat_delta_blocks(config.blocks, config.initial_height, kinds)
     else:
         # arithmetic stages are fully rigid; a staircase stage ignores "i"
         kind = KIND_RIGID_STAIRCASE if config.shape == SHAPE_ARITHMETIC else KIND_STAIRCASE
@@ -391,7 +366,7 @@ def render_bundle(session: Session) -> dict[str, str]:
     payload = {
         "config.json": session.config.to_json(),
         "algebra.json": canonical_json(_algebra_doc(session)),
-        "schedule.json": session.schedule.to_json() + "\n",
+        "schedule.json": canonical_json(session.schedule.to_dict()),
         "cocycle.json": canonical_json(_cocycle_doc(session)),
     }
     manifest = {

@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from cfspectra.cf_builder import DeltaBlock
 from cfspectra.session import SessionConfig, synth
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -32,7 +34,7 @@ def probe_direct():
     # warm-up stages, then 64-column translate and rotate stages
     return synth(SessionConfig(
         mode="direct", targets=(1, 2),
-        blocks=(((1, 2), 4, None, (8, 8, 64, 64)),),
+        blocks=(DeltaBlock(Fraction(1, 2), 4, r_seq=(8, 8, 64, 64)),),
     ))
 
 
@@ -41,7 +43,7 @@ def probe_product():
     # the fifth stage is a 64-column delayed-translate stage
     return synth(SessionConfig(
         mode="product", targets=(2, 3),
-        blocks=(((1, 2), 5, None, (6, 6, 6, 6, 64)),),
+        blocks=(DeltaBlock(Fraction(1, 2), 5, r_seq=(6, 6, 6, 6, 64)),),
     ))
 
 
@@ -50,5 +52,5 @@ def probe_large():
     # the probed stage tops out just under a million levels
     return synth(SessionConfig(
         mode="direct", targets=(1, 2),
-        blocks=(((1, 2), 3, None, (45, 45, 64)),),
+        blocks=(DeltaBlock(Fraction(1, 2), 3, r_seq=(45, 45, 64)),),
     ))

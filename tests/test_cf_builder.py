@@ -125,13 +125,6 @@ class TestSchedule:
         with pytest.raises(ScheduleError):
             CFSchedule(1, (st1, st2))
 
-    def test_json_roundtrip(self):
-        sched = concat_delta_blocks(
-            [DeltaBlock(Fraction(1, 2), 2), DeltaBlock(Fraction(1, 4), 2)]
-        )
-        again = CFSchedule.from_json(sched.to_json())
-        assert again == sched
-
     def test_truncate(self):
         sched = concat_delta_blocks([DeltaBlock(Fraction(1, 2), 4)])
         assert sched.truncate(2).depth == 2
@@ -166,6 +159,16 @@ class TestDeltaBlocks:
         sched = concat_delta_blocks(blocks)
         for st in sched.stages:
             assert abs(Fraction(st.i_count, st.r_count) - st.delta) <= Fraction(1, st.r_count)
+
+    def test_one_cut_kind_per_stage(self):
+        blocks = [DeltaBlock(Fraction(3, 4), 2, r_start=4),
+                  DeltaBlock(Fraction(1, 4), 1, r_start=8)]
+        kinds = ["delayed_staircase", "rigid_staircase", "delayed_staircase"]
+        sched = concat_delta_blocks(blocks, 1, kinds)
+        assert [st.kind for st in sched.stages] == kinds
+        assert [st.i_count for st in sched.stages] == [2, 4, 2]  # delayed needs 2i <= r
+        with pytest.raises(ScheduleError):
+            concat_delta_blocks(blocks, 1, kinds[:2])
 
     def test_rigid_count_rounds_to_nearest(self):
         assert rigid_count(Fraction(1, 2), 8) == 4

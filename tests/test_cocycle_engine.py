@@ -529,6 +529,14 @@ class TestKernelBoundary:
         for bad_k in (1.0, np.int64(1)):
             with pytest.raises(InvalidElementError):
                 ctx.mul((bad_k, (0, 0)), e)
+        # both operands are checked in full: the left module part, the right
+        # exponent, and the exponent that inv negates
+        with pytest.raises(InvalidElementError):
+            ctx.mul((0, (5, 7)), (0, (0, 0)))
+        with pytest.raises(InvalidElementError):
+            ctx.mul((0, [1, 1]), (7, (0, 0)))
+        with pytest.raises(InvalidElementError):
+            ctx.inv((9, (0, 0)))
         for bad_k in (1.0, np.int64(1), "1", None):
             with pytest.raises(InvalidElementError):
                 ctx.act(bad_k, (0, 0))

@@ -4,6 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from cfspectra.cf_builder import DeltaBlock
 from cfspectra.cocycle_engine import TowerModel
 from cfspectra.errors import (
     CharacterTypeError,
@@ -44,7 +45,7 @@ from cfspectra.session import SessionConfig, synth
 def direct_session():
     return synth(SessionConfig(
         mode="direct", targets=(1, 2),
-        blocks=((Fraction(1, 2), 4, 3, None),),
+        blocks=(DeltaBlock(Fraction(1, 2), 4, r_start=3),),
     ))
 
 
@@ -52,7 +53,7 @@ def direct_session():
 def probe_session():
     return synth(SessionConfig(
         mode="direct", targets=(1, 2),
-        blocks=((Fraction(1, 2), 4, None, (8, 8, 64, 64)),),
+        blocks=(DeltaBlock(Fraction(1, 2), 4, r_seq=(8, 8, 64, 64)),),
     ))
 
 
@@ -60,7 +61,7 @@ def probe_session():
 def product_session():
     return synth(SessionConfig(
         mode="product", targets=(2, 3),
-        blocks=((Fraction(1, 2), 5, None, (6, 6, 6, 6, 64)),),
+        blocks=(DeltaBlock(Fraction(1, 2), 5, r_seq=(6, 6, 6, 6, 64)),),
     ))
 
 
@@ -105,7 +106,7 @@ class TestComponents:
     def test_rotate_stage_phases_at_boundaries(self):
         # single rotate stage: phases are eta(-k) exactly at column boundaries
         s = synth(SessionConfig(mode="direct", targets=(1, 2),
-                                blocks=((Fraction(1, 2), 2, 3, None),)))
+                                blocks=(DeltaBlock(Fraction(1, 2), 2, r_start=3),)))
         model = s.model(2)
         op = build_eta_component(model, 1, s.root_order)
         st = s.stage(2)
@@ -362,7 +363,7 @@ class TestCertificates:
 class TestMultiplicityReport:
     def test_trivial_module(self):
         s = synth(SessionConfig(mode="direct", targets=(1,),
-                                blocks=((Fraction(1, 2), 4, 3, None),)))
+                                blocks=(DeltaBlock(Fraction(1, 2), 4, r_start=3),)))
         rep = multiplicity_report(s, spectra_depth=4)
         assert rep.multiplicities == {1}
         assert rep.consistent
@@ -383,7 +384,7 @@ class TestMultiplicityReport:
 
     def test_single_two_in_product_mode(self):
         s = synth(SessionConfig(mode="product", targets=(2,),
-                                blocks=((Fraction(1, 2), 4, 4, None),)))
+                                blocks=(DeltaBlock(Fraction(1, 2), 4, r_start=4),)))
         rep = multiplicity_report(s, spectra_depth=4)
         assert rep.multiplicities == {2}  # class sizes {2}, square factor adds 2
 

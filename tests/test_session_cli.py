@@ -2,15 +2,21 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cfspectra.cf_builder import DeltaBlock
 from cfspectra.cli import main, run_verify
 from cfspectra.cocycle_engine import LABEL_DELAYED_TRANSLATE, TowerModel
 from cfspectra.errors import BundleError, ConfigError, ScheduleError
 from cfspectra.session import (
+    _BLOCK_SCHEMA,
+    _CONFIG_SCHEMA,
     SessionConfig,
     bundle_hash,
     canonical_json,
@@ -26,18 +32,83 @@ CONFIG_DIR = ROOT / "configs"
 def small_direct_config():
     return SessionConfig(
         mode="direct", targets=(1, 2),
-        blocks=((Fraction(1, 2), 2, 3, None), (Fraction(1, 4), 2, 3, None)),
+        blocks=(DeltaBlock(Fraction(1, 2), 2, r_start=3),
+                DeltaBlock(Fraction(1, 4), 2, r_start=3)),
     )
 
 
+@st.composite
+def delta_blocks(draw):
+    """One to three blocks with decreasing deltas; each sets r_start, r_seq or neither."""
+    deltas = draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=64)
+                           .filter(lambda d: 0 < d < 1), min_size=1, max_size=3, unique=True))
+    blocks = []
+    for delta in sorted(deltas, reverse=True):
+        stages = draw(st.integers(1, 4))
+        counts = draw(st.sampled_from(["r_start", "r_seq", "neither"]))
+        extra = {}
+        if counts == "r_start":
+            extra["r_start"] = draw(st.integers(2, 64))
+        elif counts == "r_seq":
+            extra["r_seq"] = tuple(draw(st.lists(st.integers(2, 64), min_size=stages,
+                                                 max_size=stages)))
+        blocks.append(DeltaBlock(delta, stages, **extra))
+    return tuple(blocks)
+
+
+@st.composite
+def session_configs(draw):
+    """Configs of both modes and all three shapes, optional keys set or left unset."""
+    mode = draw(st.sampled_from(["direct", "product"]))
+    shapes = ["delta_blocks", "staircase"] + (["arithmetic"] if mode == "direct" else [])
+    shape = draw(st.sampled_from(shapes))
+    targets = draw(st.sets(st.integers(1, 6), max_size=3)) | {1 if mode == "direct" else 2}
+    kwargs = draw(st.fixed_dictionaries({}, optional={
+        "algebra_depth": st.none() | st.integers(1, 4),
+        "initial_height": st.integers(1, 5),
+        "cylinder_level": st.integers(1, 3),
+        "state_cap": st.integers(1, 10**7),
+        "ratio_bound": st.integers(1, 1000) | st.floats(1, 1e6),
+        "spectra_depth": st.none() | st.integers(1, 6),
+    }))
+    if shape == "delta_blocks":
+        kwargs["blocks"] = draw(delta_blocks())
+    else:
+        kwargs["r_seq"] = tuple(draw(st.lists(st.integers(2, 64), min_size=1, max_size=6)))
+    return SessionConfig(mode=mode, targets=tuple(targets), shape=shape, **kwargs)
+
+
 class TestConfig:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(cfg=session_configs())
+    def test_json_roundtrip_property(self, cfg):
+        text = cfg.to_json()
+        again = SessionConfig.from_json(text)
+        assert again == cfg
+        assert again.to_json() == text
+        # a key left out takes its field's default, so a document without
+        # the keys that hold defaults reads back as the same config
+        doc = cfg.to_dict()
+        sparse = {f.name: doc[f.name] for f in fields(SessionConfig)
+                  if getattr(cfg, f.name) != f.default}
+        assert SessionConfig.from_dict(sparse) == cfg
+
+    def test_schema_keys_are_the_dataclass_fields(self):
+        assert set(_CONFIG_SCHEMA) == {f.name for f in fields(SessionConfig)} | {"schema_version"}
+        assert set(_BLOCK_SCHEMA) == {f.name for f in fields(DeltaBlock)}
+
+    def test_tuple_block_is_refused(self):
+        with pytest.raises(ConfigError, match=r"blocks\[0\]"):
+            SessionConfig(mode="direct", targets=(1, 2),
+                          blocks=((Fraction(1, 2), 2, None, None),))
+
     def test_mode_constraints(self):
         with pytest.raises(ScheduleError):
             SessionConfig(mode="direct", targets=(2, 3),
-                          blocks=((Fraction(1, 2), 2, None, None),))
+                          blocks=(DeltaBlock(Fraction(1, 2), 2),))
         with pytest.raises(ScheduleError):
             SessionConfig(mode="product", targets=(1, 3),
-                          blocks=((Fraction(1, 2), 2, None, None),))
+                          blocks=(DeltaBlock(Fraction(1, 2), 2),))
 
     def test_shape_constraints(self):
         with pytest.raises(ScheduleError):
@@ -54,7 +125,8 @@ class TestConfig:
     def test_from_dict_accepts_every_key_to_dict_writes(self):
         cfg = SessionConfig(
             mode="product", targets=(2, 3),
-            blocks=((Fraction(1, 2), 2, 3, None), (Fraction(1, 4), 2, None, (5, 6))),
+            blocks=(DeltaBlock(Fraction(1, 2), 2, r_start=3),
+                    DeltaBlock(Fraction(1, 4), 2, r_seq=(5, 6))),
             algebra_depth=2, initial_height=2, cylinder_level=2, state_cap=10**5,
             ratio_bound=50.0, spectra_depth=3,
         )
@@ -100,7 +172,7 @@ class TestConfig:
 
     def test_targets_normalized(self):
         cfg = SessionConfig(mode="direct", targets=(2, 1, 1),
-                            blocks=((Fraction(1, 2), 1, None, None),))
+                            blocks=(DeltaBlock(Fraction(1, 2), 1),))
         assert cfg.targets == (1, 2)
 
 
@@ -126,13 +198,13 @@ class TestSynth:
 
     def test_trivial_targets_bundle(self):
         session = synth(SessionConfig(mode="direct", targets=(1,),
-                                      blocks=((Fraction(1, 2), 2, None, None),)))
+                                      blocks=(DeltaBlock(Fraction(1, 2), 2),)))
         assert session.k_order == 1
         assert session.validation.ok
 
     def test_product_bundle_has_delayed_stages(self):
         session = synth(SessionConfig(mode="product", targets=(2, 3),
-                                      blocks=((Fraction(1, 4), 6, 4, None),)))
+                                      blocks=(DeltaBlock(Fraction(1, 4), 6, r_start=4),)))
         kinds = {l.kind for l in session.labels}
         assert LABEL_DELAYED_TRANSLATE in kinds
 
@@ -228,8 +300,17 @@ class TestCLI:
         assert "Traceback" not in proc.stderr
 
 
+MALFORMED_BLOCKS = {
+    "delta-out-of-range": ({"delta": [3, 2], "stages": 2}, "delta must be in (0,1), got 3/2"),
+    "no-stages": ({"delta": [1, 2], "stages": 0}, "block needs at least one stage"),
+    "r-seq-length": ({"delta": [1, 2], "stages": 2, "r_seq": [3]},
+                     "r_seq must match block size"),
+}
+
+
 @pytest.mark.parametrize("case", ["config-without-targets", "misspelled-key", "block-key",
-                                  "mistyped-value", "missing-file", "not-json"])
+                                  "mistyped-value", "missing-file", "not-json",
+                                  *MALFORMED_BLOCKS])
 def test_malformed_config_synth_is_an_error_not_a_traceback(tmp_path, case):
     # in a fresh process, so that an uncaught exception shows as a traceback
     config = tmp_path / "c.json"
@@ -239,6 +320,7 @@ def test_malformed_config_synth_is_an_error_not_a_traceback(tmp_path, case):
         "misspelled-key": dict(good, spectra_dpeth=3),
         "block-key": dict(good, blocks=good["blocks"] + [{"delta": [1, 4], "stage": 2}]),
         "mistyped-value": dict(good, state_cap="x"),
+        **{name: dict(good, blocks=[block]) for name, (block, _) in MALFORMED_BLOCKS.items()},
     }
     if case in docs:
         config.write_text(json.dumps(docs[case]))
@@ -257,6 +339,8 @@ def test_malformed_config_synth_is_an_error_not_a_traceback(tmp_path, case):
     assert not out.exists()
     if case == "block-key":
         assert "blocks[1].stage" in proc.stderr
+    if case in MALFORMED_BLOCKS:
+        assert MALFORMED_BLOCKS[case][1] in proc.stderr
 
 
 def _edit(name, change):

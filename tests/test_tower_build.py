@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cfspectra.cf_builder import DeltaBlock
 from cfspectra.cocycle_engine import MODE_DIRECT, MODE_PRODUCT, TowerModel
 from cfspectra.koopman_lab import _cylinder_measures
 from cfspectra.session import SessionConfig, synth
@@ -77,7 +78,7 @@ def test_probe_fixtures_reuse_blocks_with_acting_labels(probe_direct):
 def _session(mode, delta, r_seq):
     targets = (1, 2) if mode == MODE_DIRECT else (2, 3)
     return synth(SessionConfig(mode=mode, targets=targets,
-                               blocks=((delta, len(r_seq), None, tuple(r_seq)),)))
+                               blocks=(DeltaBlock(delta, len(r_seq), r_seq=r_seq),)))
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
