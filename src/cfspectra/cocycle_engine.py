@@ -9,8 +9,8 @@ the product along the other.  Every table maps cut 0 to the identity, so
 zero-padding words is harmless and the evaluation is well defined.
 
 TowerModel holds the same data as flat numpy arrays for bulk work: per-level
-word products, per-edge transition values and closed-form powers of the
-successor map.
+word products, with the module part kept untwisted, from which the
+transition values of any power of the successor map follow in closed form.
 """
 
 from __future__ import annotations
@@ -311,17 +311,23 @@ class SemidirectContext:
         return (k, self.module.neg(a))
 
 
+def _product(cuts, tables, ctx: SemidirectContext):
+    """Left-to-right product of the entries at the given cuts of resolved tables."""
+    g = ctx.identity()
+    for table, c in zip(tables, cuts):
+        entry = table[c]
+        if entry is not None:
+            g = ctx._mul(g, entry)
+    return g
+
+
 def word_product(word: CoordinateWord, maps_by_stage, ctx: SemidirectContext):
     """Left-to-right product of the per-stage table entries along a word.
 
     A cut missing from its stage's table raises KeyError.
     """
-    g = ctx.identity()
-    for stage_maps_, c in zip(maps_by_stage, word.padded_cuts()):
-        entry = stage_maps_.entries(ctx)[c]
-        if entry is not None:
-            g = ctx._mul(g, entry)
-    return g
+    tables = [m.entries(ctx) for m in maps_by_stage[: word.depth]]
+    return _product(word.padded_cuts(), tables, ctx)
 
 
 def evaluate_cocycle(x: CoordinateWord, y: CoordinateWord, maps_by_stage,
@@ -330,12 +336,14 @@ def evaluate_cocycle(x: CoordinateWord, y: CoordinateWord, maps_by_stage,
 
     Computed as product(x) * product(y)^{-1}; the per-stage tables send cut 0
     to the identity, so the zero padding of canonical words contributes
-    nothing and the cocycle identity holds exactly.
+    nothing and the cocycle identity holds exactly.  Each stage's entry table
+    is resolved once for both words.
     """
     if x.depth != y.depth:
         raise PairError(f"words at depths {x.depth} and {y.depth}")
-    gx = word_product(x, maps_by_stage, ctx)
-    gy = word_product(y, maps_by_stage, ctx)
+    tables = [m.entries(ctx) for m in maps_by_stage[: x.depth]]
+    gx = _product(x.padded_cuts(), tables, ctx)
+    gy = _product(y.padded_cuts(), tables, ctx)
     return ctx._mul(gx, ctx._inv(gy))
 
 
@@ -363,9 +371,10 @@ class TowerModel:
     """Flat-array view of a tower at some depth, with optional cocycle data.
 
     Levels are 0..h-1; the map is +1 cyclically.  When cocycle tables are
-    attached, ``word_beta``/``word_alpha`` hold the per-level word products
-    (group exponent and module vector), from which transition values and any
-    power of the skew map follow in closed form.
+    attached, ``word_beta`` holds the group exponent beta_l of each level's
+    word product (beta_l, alpha_l) and ``word_untwisted`` its module part
+    untwisted, theta^(-beta_l) alpha_l.  Transition values and any power of
+    the skew map follow from these in closed form.
     """
 
     def __init__(self, schedule: CFSchedule, depth: int | None = None,
@@ -427,16 +436,19 @@ class TowerModel:
                     na[seg] = na[c0:c0 + h_prev]
                     continue
                 nb[seg] = (beta + b_c) % kappa
+                # (b, theta^b u) * (b_c, a_c) = (b + b_c, theta^b (u + a_c)),
+                # whose untwisted module part theta^(-b_c) (u + a_c) needs
+                # one matrix for the whole block; the block is written in place
+                block = na[seg]
+                block[:] = alpha
                 if any(a_c):
-                    # (b, w) * (b_c, a_c) has module part w + theta^b(a_c);
-                    # beta is already reduced mod kappa
-                    powered = self._theta_mats @ np.array(a_c, dtype=np.int64) % orders
-                    na[seg] = (alpha + powered[beta]) % orders
-                else:
-                    na[seg] = alpha
+                    block += a_c
+                    block %= orders
+                if b_c:
+                    np.remainder(block @ self._theta_mats[-b_c % kappa].T, orders, out=block)
             beta, alpha = nb, na
         self.word_beta = beta
-        self.word_alpha = alpha
+        self.word_untwisted = alpha
 
     def _action_matrices(self) -> np.ndarray:
         """Stack of matrices for theta^t, t = 0..k_order-1 (rows reduced mod orders)."""
@@ -462,13 +474,14 @@ class TowerModel:
     def step_values(self, steps: int):
         """Transition (group exponent, module vector) per level for +steps.
 
-        Value at level l is product(word l) * product(word l+steps)^{-1},
-        computed from the cached word products.
+        Value at level l is product(word l) * product(word l+steps)^{-1}
+        = (beta_l - beta_{l+steps}, theta^beta_l (u_l - u_{l+steps})) for the
+        untwisted module parts u.
         """
         d_beta = self.step_betas(steps)
-        nxt_alpha = np.roll(self.word_alpha, -steps, axis=0)
-        d_alpha = (self.word_alpha - self._apply_theta_pow(d_beta, nxt_alpha)) % self._orders
-        return d_beta, d_alpha
+        u = self.word_untwisted
+        d_untwisted = (u - np.roll(u, -steps, axis=0)) % self._orders
+        return d_beta, self._apply_theta_pow(self.word_beta, d_untwisted)
 
     def transitions(self):
         return self.step_values(1)
@@ -476,9 +489,7 @@ class TowerModel:
     def cocycle_between(self, l1: int, l2: int):
         """Exact cocycle value between two levels, from the cached products."""
         kappa = self.ctx.k_order
-        db = int((self.word_beta[l1] - self.word_beta[l2]) % kappa)
-        w2 = tuple(int(x) for x in self.word_alpha[l2])
-        da = self.ctx.module.sub(
-            tuple(int(x) for x in self.word_alpha[l1]), self.ctx.act(db, w2)
-        )
-        return db, da
+        b1 = int(self.word_beta[l1])
+        db = (b1 - int(self.word_beta[l2])) % kappa
+        u1, u2 = (tuple(int(x) for x in self.word_untwisted[l]) for l in (l1, l2))
+        return db, self.ctx.act(b1, self.ctx.module.sub(u1, u2))

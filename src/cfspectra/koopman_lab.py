@@ -279,22 +279,61 @@ class WeakLimitReport:
         }
 
 
+def _mixed_radix(bases) -> np.ndarray:
+    """Place values of mixed-radix digits with the given bases, last fastest."""
+    radix = np.ones(len(bases), dtype=np.int64)
+    for i in range(len(bases) - 2, -1, -1):
+        radix[i] = radix[i + 1] * bases[i + 1]
+    return radix
+
+
+def _raw_pair_counts(model: TowerModel, steps: int, n0: int, low=None, n_low: int = 1):
+    """Counts of the level pairs (l, l + steps) of the cyclic tower by their raw words.
+
+    Returns raw[g, b, f, b', x], the number of pairs whose levels lie in
+    depth-n0 cylinders g and f with group exponents b and b' and whose low
+    index is x.  low(a, b) takes the slices of levels at the two ends of a
+    run of pairs and returns each pair's index in range(n_low).
+    """
+    kappa = model.ctx.k_order
+    n_cyl = model.schedule.height(n0)
+    # level code (cyl + 1) * kappa + beta: spacers (cyl = -1) take the codes
+    # below kappa, which are dropped below
+    codes = model.cylinder_ids(n0) * kappa
+    codes += model.word_beta
+    codes += kappa
+    n_codes = (n_cyl + 1) * kappa
+
+    def pair_key(a, b):
+        key = codes[a] * n_codes + codes[b]
+        return key if low is None else key * n_low + low(a, b)
+
+    # the cyclic shift is two contiguous halves, so no shifted copy is made
+    h = model.height
+    s = steps % h
+    key = np.empty(h, dtype=np.int64)
+    key[:h - s] = pair_key(slice(0, h - s), slice(s, h))
+    key[h - s:] = pair_key(slice(h - s, h), slice(0, s))
+    raw = np.bincount(key, minlength=n_codes * n_codes * n_low)
+    raw = raw.reshape(n_codes, n_codes, n_low)[kappa:, kappa:]
+    return raw.reshape(n_cyl, kappa, n_cyl, kappa, n_low)
+
+
 def _eta_pair_tables(model: TowerModel, steps: int, n0: int):
     """Exact bucket counts for <U^steps 1_f, 1_g> on the base tower.
 
     Returns (counts[g, f, s], cylinder count, level count) where s is the
-    group exponent accumulated over the path; everything is integer.
+    group exponent accumulated over the path; everything is integer.  The
+    pairs are counted by their raw words, and each pair of group exponents
+    (b, b') folds into the transition exponent b - b' on the count table.
     """
-    h = model.height
-    cyl = model.cylinder_ids(n0)
-    f_of = np.roll(cyl, -steps)  # cylinder of level + steps
-    d_beta = model.step_betas(steps)
     kappa = model.ctx.k_order
-    n_cyl = model.schedule.height(n0)
-    valid = (cyl >= 0) & (f_of >= 0)
-    key = (cyl[valid] * n_cyl + f_of[valid]) * kappa + d_beta[valid]
-    counts = np.bincount(key, minlength=n_cyl * n_cyl * kappa)
-    return counts.reshape(n_cyl, n_cyl, kappa), n_cyl, h
+    raw = _raw_pair_counts(model, steps, n0)[..., 0]
+    n_cyl = raw.shape[0]
+    counts = np.zeros((n_cyl, n_cyl, kappa), dtype=np.int64)
+    for b in range(kappa):
+        counts[:, :, (b - np.arange(kappa)) % kappa] += raw[:, b]
+    return counts, n_cyl, model.height
 
 
 def _eta_values(model: TowerModel, steps: int, n0: int, eta_exp: int):
@@ -308,41 +347,50 @@ def _eta_values(model: TowerModel, steps: int, n0: int, eta_exp: int):
 def _chi_values(model: TowerModel, steps: int, n0: int, d, phase_order: int):
     """Tables V[e_u, e_v, g, f] = <U_chi^steps (1_f x eta_{e_u}), 1_g x eta_{e_v}>.
 
-    The group-state sum is folded into a precomputed table over (character
-    difference, module value), so the level pass is a single bucket count.
+    The pairs are counted by their raw words, with the difference of their
+    untwisted module parts; the transition value (b - b', theta^b (u - u'))
+    is then folded in on the count table, where theta^b permutes the
+    module.  The group-state sum is folded into a precomputed table over
+    (character difference, module value), so the level pass is a single
+    bucket count.
     """
     ctx = model.ctx
     kappa = ctx.k_order
     orders = np.array(ctx.module.orders, dtype=np.int64)
     h = model.height
-    cyl = model.cylinder_ids(n0)
-    f_of = np.roll(cyl, -steps)
-    d_beta, d_alpha = model.step_values(steps)
-    n_cyl = model.schedule.height(n0)
 
     # module values indexed in mixed radix
-    radix = np.ones(len(orders), dtype=np.int64)
-    for i in range(len(orders) - 2, -1, -1):
-        radix[i] = radix[i + 1] * orders[i + 1]
+    radix = _mixed_radix(orders)
     n_a = int(np.prod(orders))
-    w_idx = d_alpha @ radix
+    # untwisted parts packed in the radix of their differences (digits in
+    # (-n_i, n_i)), so a difference's index is one subtraction and a lookup
+    spans = 2 * orders - 1
+    wide = _mixed_radix(spans)
+    packed = np.zeros(h, dtype=np.int64)
+    for i in range(len(orders)):
+        packed += model.word_untwisted[:, i] * wide[i]
+    offset = int((orders - 1) @ wide)
+    diffs = np.arange(int(np.prod(spans)), dtype=np.int64)[:, None] // wide % spans
+    diff_index = (diffs - (orders - 1)) % orders @ radix
+    raw = _raw_pair_counts(model, steps, n0,
+                           lambda a, b: diff_index[packed[a] - packed[b] + offset], n_a)
+    n_cyl = raw.shape[0]
 
-    valid = (cyl >= 0) & (f_of >= 0)
-    key = ((cyl[valid] * n_cyl + f_of[valid]) * kappa + d_beta[valid]) * n_a + w_idx[valid]
-    counts = np.bincount(key, minlength=n_cyl * n_cyl * kappa * n_a)
-    counts = counts.reshape(n_cyl, n_cyl, kappa, n_a)
+    a_elements = np.arange(n_a, dtype=np.int64)[:, None] // radix % orders
+    # images[k, w] = theta^k of the module element with index w, and
+    # image_index[k] the permutation of indices that theta^k makes
+    images = a_elements @ model._theta_mats.transpose(0, 2, 1) % orders
+    image_index = images @ radix
+    counts = np.zeros((n_cyl, n_cyl, kappa, n_a), dtype=np.int64)
+    for b in range(kappa):
+        # bucket x holds theta^b x = w, so w gathers from x = theta^(-b) w
+        counts[:, :, (b - np.arange(kappa)) % kappa] += raw[:, b][..., image_index[-b % kappa]]
 
     # G[e, w] = sum over k of chi_d(theta^k w) * e^{2 pi i e k / kappa}
     weights = _pairing_weights(orders, d, phase_order)
-    a_elements = np.zeros((n_a, len(orders)), dtype=np.int64)
-    rem = np.arange(n_a, dtype=np.int64)
-    for i in range(len(orders)):
-        a_elements[:, i] = rem // radix[i]
-        rem = rem % radix[i]
     g_table = np.zeros((kappa, n_a), dtype=complex)
     for k in range(kappa):
-        twisted = a_elements @ model._theta_mats[k].T % orders
-        pair_exp = (twisted @ weights) % phase_order
+        pair_exp = (images[k] @ weights) % phase_order
         chi_vals = np.exp(2j * np.pi * pair_exp / phase_order)
         for e in range(kappa):
             g_table[e] += chi_vals * cmath.exp(2j * cmath.pi * e * k / kappa)

@@ -128,9 +128,14 @@ def _check_keys(doc, schema, required, path: str) -> None:
 
 
 def _block_from_dict(doc, i: int) -> DeltaBlock:
-    _check_keys(doc, _BLOCK_SCHEMA, _required(DeltaBlock), f"blocks[{i}]")
+    path = f"blocks[{i}]"
+    _check_keys(doc, _BLOCK_SCHEMA, _required(DeltaBlock), path)
     delta = doc["delta"]
-    return DeltaBlock(**dict(doc, delta=Fraction(*delta) if isinstance(delta, list) else delta))
+    delta = Fraction(*delta) if isinstance(delta, list) else delta
+    try:
+        return DeltaBlock(**dict(doc, delta=delta))
+    except ScheduleError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _to_json_value(x):
@@ -209,9 +214,15 @@ class SessionConfig:
         The accepted keys are those ``to_dict`` writes; ``mode`` and
         ``targets`` are required, and so are ``delta`` and ``stages`` in
         every block.  A key whose value has the wrong type is refused too.
-        An absent key takes its field's default.
+        An absent key takes its field's default; a ``schema_version`` other
+        than this version's is refused.
         """
         _check_keys(d, _CONFIG_SCHEMA, _required(cls), "")
+        version = d.get("schema_version", SCHEMA_VERSION)
+        if version != SCHEMA_VERSION:
+            raise ConfigError(
+                f"unsupported value for config key schema_version: {version!r} "
+                f"(this version reads {SCHEMA_VERSION})")
         kwargs = {k: v for k, v in d.items() if k != "schema_version"}
         if "blocks" in kwargs:
             kwargs["blocks"] = tuple(_block_from_dict(b, i) for i, b in enumerate(d["blocks"]))

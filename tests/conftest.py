@@ -54,3 +54,21 @@ def probe_large():
         mode="direct", targets=(1, 2),
         blocks=(DeltaBlock(Fraction(1, 2), 3, r_seq=(45, 45, 64)),),
     ))
+
+
+# the benchmark's two larger probe sessions, each one delta = 1/2 block in
+# direct mode; stage 4 of the first is a rotate stage, so beta != 0 there
+@pytest.fixture(scope="session")
+def scaled_16x16x128x16():
+    return synth(SessionConfig(
+        mode="direct", targets=(1, 2),
+        blocks=(DeltaBlock(Fraction(1, 2), 4, r_seq=(16, 16, 128, 16)),),
+    ))
+
+
+@pytest.fixture(scope="session")
+def scaled_32x32x256():
+    return synth(SessionConfig(
+        mode="direct", targets=(1, 2),
+        blocks=(DeltaBlock(Fraction(1, 2), 3, r_seq=(32, 32, 256)),),
+    ))

@@ -360,7 +360,9 @@ class TestTowerModel:
             w = canonical_word(l, self.sched)
             g = word_product(w, self.maps, self.ctx)
             assert int(self.model.word_beta[l]) == g[0]
-            assert tuple(int(x) for x in self.model.word_alpha[l]) == g[1]
+            # the module part is stored untwisted: theta^(-beta) alpha
+            untwisted = tuple(int(x) for x in self.model.word_untwisted[l])
+            assert untwisted == self.ctx.act(-g[0], g[1])
 
     def test_transitions_match_scalar_route(self):
         d_beta, d_alpha = self.model.transitions()

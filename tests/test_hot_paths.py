@@ -10,7 +10,7 @@ import random
 from pathlib import Path
 
 from cfspectra import finite_algebra
-from cfspectra.cocycle_engine import canonical_word, evaluate_cocycle
+from cfspectra.cocycle_engine import CocycleStageMaps, canonical_word, evaluate_cocycle
 from cfspectra.finite_algebra import FiniteAbelianGroup, GroupAutomorphism, ModuleAction
 from cfspectra.module_factory import assemble_triple
 from cfspectra.session import SessionConfig, synth
@@ -41,6 +41,7 @@ def test_cocycle_triples_check_each_table_entry_once(monkeypatch):
     entries = sum(len(m.cuts) for m in maps)
     ctx.act(0, ctx.module.zero())  # builds the context's kappa automorphisms once
     calls = count_calls(monkeypatch, FiniteAbelianGroup, "contains")
+    lookups = count_calls(monkeypatch, CocycleStageMaps, "entries")
     non_identity = 0
     for levels in triples:
         x, y, z = (canonical_word(lv, sched) for lv in levels)
@@ -48,6 +49,8 @@ def test_cocycle_triples_check_each_table_entry_once(monkeypatch):
             non_identity += evaluate_cocycle(u, v, maps, ctx) != ctx.identity()
     assert non_identity  # the triples do multiply non-identity entries
     assert len(calls) <= entries + SLACK, (len(calls), entries)
+    # each value resolves every stage's entry table once, for both words
+    assert len(lookups) == 3 * len(triples) * sched.depth, len(lookups)
 
 
 def test_assembly_builds_O_kappa_automorphisms(monkeypatch):

@@ -204,16 +204,22 @@ class TestWeakLimitProbes:
 
     def test_eta_paths_twist_no_module_vectors(self, product_session, monkeypatch):
         # eta probes and eta components read only the group part of the
-        # transition values
-        def refuse(self, exps, vecs):
-            raise AssertionError("an eta path computed module parts")
+        # transition values, and chi probes fold the twist into their bucket
+        # table: no probe computes a transition value or a twist per level
+        def refuse(*args):
+            raise AssertionError("a probe path twisted module parts per level")
 
         monkeypatch.setattr(TowerModel, "_apply_theta_pow", refuse)
+        monkeypatch.setattr(TowerModel, "step_values", refuse)
         rep = weak_limit_probe(product_session, 5, ("eta", 1))
         assert rep.prediction_kind == "delayed" and rep.passed
         model = product_session.model(5)
         op = build_eta_component(model, 1, product_session.root_order)
         assert op.n_states == model.height
+        rep = weak_limit_probe(product_session, 4, ("chi", (0, 1, 0)))
+        assert rep.prediction_kind == "orbit_average" and rep.passed
+        rep = weak_limit_probe(product_session, 5, ("chi", (0, 1, 0)))
+        assert rep.prediction_kind == "delayed_orbit_average" and rep.passed
 
     def test_pair_table_sums_to_cylinder_carpet(self, probe_session):
         # summing the table over all pairs gives <U^h 1_C, 1_C> for the union

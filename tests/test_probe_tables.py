@@ -1,0 +1,135 @@
+"""Probe bucket tables against the per-level transition-value formulas.
+
+The probes bucket each level by its raw word (cylinder, group exponent and
+untwisted module part) paired with the word `steps` levels on, and fold the
+group arithmetic into the bucket table.  The oracles below bucket the
+transition values themselves, read per level from `step_betas` and
+`step_values`, as the tables were first computed; the integer tables must
+be equal.  `step_values` in turn must equal the formula on twisted words,
+alpha_l - theta^(beta_l - beta_{l+s}) alpha_{l+s}.
+"""
+
+import numpy as np
+import pytest
+
+from cfspectra.cocycle_engine import TowerModel
+from cfspectra.koopman_lab import _chi_values, _eta_pair_tables
+
+
+def fresh_model(session, depth):
+    # built outside the session's cache, so the large models do not stay alive
+    return TowerModel(session.schedule, depth, session.maps, session.ctx,
+                      cap=session.config.state_cap)
+
+
+def twisted_step_values(model, steps):
+    """Transition values per level from the twisted word products."""
+    kappa = model.ctx.k_order
+    alpha = model._apply_theta_pow(model.word_beta, model.word_untwisted)
+    d_beta = (model.word_beta - np.roll(model.word_beta, -steps)) % kappa
+    nxt = np.roll(alpha, -steps, axis=0)
+    return d_beta, (alpha - model._apply_theta_pow(d_beta, nxt)) % model._orders
+
+
+def oracle_eta_counts(model, steps, n0):
+    cyl = model.cylinder_ids(n0)
+    f_of = np.roll(cyl, -steps)
+    d_beta = model.step_betas(steps)
+    kappa = model.ctx.k_order
+    n_cyl = model.schedule.height(n0)
+    valid = (cyl >= 0) & (f_of >= 0)
+    key = (cyl[valid] * n_cyl + f_of[valid]) * kappa + d_beta[valid]
+    counts = np.bincount(key, minlength=n_cyl * n_cyl * kappa)
+    return counts.reshape(n_cyl, n_cyl, kappa)
+
+
+def oracle_chi_counts(model, steps, n0):
+    orders = model._orders
+    cyl = model.cylinder_ids(n0)
+    f_of = np.roll(cyl, -steps)
+    d_beta, d_alpha = model.step_values(steps)
+    kappa = model.ctx.k_order
+    n_cyl = model.schedule.height(n0)
+    radix = np.ones(len(orders), dtype=np.int64)
+    for i in range(len(orders) - 2, -1, -1):
+        radix[i] = radix[i + 1] * orders[i + 1]
+    n_a = int(np.prod(orders))
+    w_idx = d_alpha @ radix
+    valid = (cyl >= 0) & (f_of >= 0)
+    key = ((cyl[valid] * n_cyl + f_of[valid]) * kappa + d_beta[valid]) * n_a + w_idx[valid]
+    counts = np.bincount(key, minlength=n_cyl * n_cyl * kappa * n_a)
+    return counts.reshape(n_cyl, n_cyl, kappa, n_a)
+
+
+def assert_tables_match_oracles(model, steps, n0=1):
+    d_beta, d_alpha = model.step_values(steps)
+    want_beta, want_alpha = twisted_step_values(model, steps)
+    assert np.array_equal(d_beta, want_beta) and np.array_equal(d_alpha, want_alpha)
+    eta, _, _ = _eta_pair_tables(model, steps, n0)
+    assert np.array_equal(eta, oracle_eta_counts(model, steps, n0)), steps
+    _, chi, _ = _chi_values(model, steps, n0, (0,) * len(model._orders), 1)
+    assert np.array_equal(chi, oracle_chi_counts(model, steps, n0)), steps
+
+
+# (fixture, depth) of every probed stage of the probe fixtures
+PROBED = [
+    ("probe_direct", 3), ("probe_direct", 4),
+    ("probe_product", 5),
+    ("probe_large", 3),
+    ("scaled_16x16x128x16", 3), ("scaled_16x16x128x16", 4),
+    ("scaled_32x32x256", 3),
+]
+# their last stage is a rotate stage whose labels act, so beta != 0 and the
+# fold over (beta_l, beta_{l+s}) is used
+ROTATE = {("probe_direct", 4), ("scaled_16x16x128x16", 4)}
+
+
+@pytest.mark.parametrize("name, depth", PROBED, ids=[f"{n}-{d}" for n, d in PROBED])
+def test_tables_equal_transition_value_tables(request, name, depth):
+    session = request.getfixturevalue(name)
+    model = fresh_model(session, depth)
+    if (name, depth) in ROTATE:
+        assert len(np.unique(model.word_beta)) == model.ctx.k_order
+    for steps in (1, session.schedule.height(depth - 1), 7):
+        assert_tables_match_oracles(model, steps)
+
+
+@pytest.fixture
+def random_words(shipped_product):
+    # no fixture in product mode has beta != 0, so draw the words: kappa = 6
+    # acting on a rank-3 module, every exponent and module value occurring
+    model = fresh_model(shipped_product, 6)
+    ctx = model.ctx
+    assert ctx.k_order == 6 and len(ctx.module.orders) == 3
+    rng = np.random.default_rng(23)
+    h = model.height
+    model.word_beta = rng.integers(0, ctx.k_order, h)
+    model.word_untwisted = np.stack([rng.integers(0, n, h) for n in ctx.module.orders], axis=1)
+    return model
+
+
+def test_tables_equal_on_random_words(random_words):
+    model = random_words
+    for n0 in (1, 2):
+        for steps in (1, model.schedule.height(5), 7, model.height - 1):
+            assert_tables_match_oracles(model, steps, n0)
+
+
+def test_transition_values_equal_scalar_products_on_random_words(random_words):
+    # level l carries the word product (beta_l, theta^beta_l u_l); a value is
+    # product(l) * product(l')^{-1} in the checked arithmetic of K x| A
+    model = random_words
+    ctx = model.ctx
+    h = model.height
+
+    def product(l):
+        b = int(model.word_beta[l])
+        return b, ctx.act(b, tuple(int(x) for x in model.word_untwisted[l]))
+
+    steps = 7
+    d_beta, d_alpha = model.step_values(steps)
+    for l in range(0, h, 5):
+        want = ctx.mul(product(l), ctx.inv(product((l + steps) % h)))
+        assert (int(d_beta[l]), tuple(int(x) for x in d_alpha[l])) == want
+        assert model.cocycle_between(l, (l + 3 * steps) % h) == ctx.mul(
+            product(l), ctx.inv(product((l + 3 * steps) % h)))

@@ -300,17 +300,19 @@ class TestCLI:
         assert "Traceback" not in proc.stderr
 
 
+# each block is the second of its config, and its refusal names that
 MALFORMED_BLOCKS = {
-    "delta-out-of-range": ({"delta": [3, 2], "stages": 2}, "delta must be in (0,1), got 3/2"),
-    "no-stages": ({"delta": [1, 2], "stages": 0}, "block needs at least one stage"),
-    "r-seq-length": ({"delta": [1, 2], "stages": 2, "r_seq": [3]},
-                     "r_seq must match block size"),
+    "delta-out-of-range": ({"delta": [3, 2], "stages": 2},
+                           "blocks[1]: delta must be in (0,1), got 3/2"),
+    "no-stages": ({"delta": [1, 4], "stages": 0}, "blocks[1]: block needs at least one stage"),
+    "r-seq-length": ({"delta": [1, 4], "stages": 2, "r_seq": [3]},
+                     "blocks[1]: r_seq must match block size"),
 }
 
 
 @pytest.mark.parametrize("case", ["config-without-targets", "misspelled-key", "block-key",
                                   "mistyped-value", "missing-file", "not-json",
-                                  *MALFORMED_BLOCKS])
+                                  "schema-version", *MALFORMED_BLOCKS])
 def test_malformed_config_synth_is_an_error_not_a_traceback(tmp_path, case):
     # in a fresh process, so that an uncaught exception shows as a traceback
     config = tmp_path / "c.json"
@@ -320,7 +322,9 @@ def test_malformed_config_synth_is_an_error_not_a_traceback(tmp_path, case):
         "misspelled-key": dict(good, spectra_dpeth=3),
         "block-key": dict(good, blocks=good["blocks"] + [{"delta": [1, 4], "stage": 2}]),
         "mistyped-value": dict(good, state_cap="x"),
-        **{name: dict(good, blocks=[block]) for name, (block, _) in MALFORMED_BLOCKS.items()},
+        "schema-version": dict(good, schema_version=7),
+        **{name: dict(good, blocks=good["blocks"] + [block])
+           for name, (block, _) in MALFORMED_BLOCKS.items()},
     }
     if case in docs:
         config.write_text(json.dumps(docs[case]))
@@ -339,6 +343,8 @@ def test_malformed_config_synth_is_an_error_not_a_traceback(tmp_path, case):
     assert not out.exists()
     if case == "block-key":
         assert "blocks[1].stage" in proc.stderr
+    if case == "schema-version":
+        assert "schema_version: 7" in proc.stderr
     if case in MALFORMED_BLOCKS:
         assert MALFORMED_BLOCKS[case][1] in proc.stderr
 
