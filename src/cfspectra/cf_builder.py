@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ParameterError, ScheduleError
+from .errors import ParameterError, ScheduleError, SizeCapError
+from .finite_algebra import ENUMERATION_CAP
 
 KIND_RIGID_STAIRCASE = "rigid_staircase"
 KIND_DELAYED_STAIRCASE = "delayed_staircase"
@@ -28,6 +29,8 @@ KIND_STAIRCASE = "staircase"
 REGIME_RIGID = "rigid"
 REGIME_OFFSET = "offset"
 REGIME_STAIRCASE = "staircase"
+
+MAX_HEIGHT = 2**63 - 1  # levels are int64 in every per-level array
 
 
 @dataclass(frozen=True)
@@ -173,10 +176,18 @@ def build_schedule(initial_height: int, stage_specs) -> CFSchedule:
 
     stage_specs: iterable of dicts with keys kind ('rigid_staircase' |
     'delayed_staircase' | 'staircase'), r, and i/delta/block as applicable.
+    The cut sets hold at most ENUMERATION_CAP columns in all, which is
+    checked before a stage is built, and no tower is taller than MAX_HEIGHT;
+    either excess raises SizeCapError.
     """
     stages = []
     h = initial_height
+    columns = 0
     for n, spec in enumerate(stage_specs, start=1):
+        columns += spec["r"]
+        if columns > ENUMERATION_CAP:
+            raise SizeCapError(
+                f"stages 1..{n} have {columns} columns, over the cap {ENUMERATION_CAP}")
         kind = spec["kind"]
         if kind == KIND_RIGID_STAIRCASE:
             st = rigid_staircase_cut(h, spec["i"], spec["r"], index=n,
@@ -190,6 +201,8 @@ def build_schedule(initial_height: int, stage_specs) -> CFSchedule:
             raise ScheduleError(f"unknown stage kind {kind!r}")
         stages.append(st)
         h = st.new_height
+        if h > MAX_HEIGHT:
+            raise SizeCapError(f"stage {n} tower height {h} exceeds {MAX_HEIGHT} levels")
     return CFSchedule(initial_height, tuple(stages))
 
 

@@ -18,6 +18,8 @@ A missing directory or an unreadable config.json is refused the same way.
 synth refuses a config file it cannot read or parse, or one with an
 unknown or missing key or a value of the wrong type, with `error: ...`
 and exit 1; the message names the key path (for example `blocks[1].stage`).
+A schedule with more than 10**6 columns over all its stages, or a tower
+taller than 2**63 - 1 levels, is refused the same way before it is built.
 
 Bundle layout (canonical JSON, schema_version fields throughout):
 
@@ -39,7 +41,6 @@ lag, pairId, value_numerator, value_denominator (exact fractions).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -203,18 +204,26 @@ _SUITE_FUNCS = {
 
 
 def _read_config(path) -> SessionConfig:
-    """SessionConfig from a JSON file; an unreadable file is a CfspectraError."""
+    """SessionConfig from a JSON file; an unreadable file is a CfspectraError.
+
+    ValueError covers text that is not UTF-8, malformed JSON and integers
+    longer than Python converts from text.
+    """
     try:
         return SessionConfig.from_json(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CfspectraError(f"config failed to load: {exc}") from exc
 
 
 def _load_session(bundle_dir):
-    """load_bundle, with every way a bundle can fail to load as a CfspectraError."""
+    """load_bundle, with every way a bundle can fail to load as a CfspectraError.
+
+    ValueError covers a config.json that is not UTF-8 or not JSON, or that
+    holds an integer longer than Python converts from text.
+    """
     try:
         return load_bundle(bundle_dir)
-    except (CfspectraError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (CfspectraError, OSError, ValueError, KeyError) as exc:
         raise CfspectraError(f"bundle failed to load: {exc}") from exc
 
 
@@ -243,10 +252,10 @@ def run_verify(bundle_dir, suites) -> tuple[int, dict]:
 
 def dump_spectra(session) -> dict:
     depth = _spectra_depth_cap(session)
-    eta = exact_spectrum(session, "eta", depth)
-    chi = exact_spectrum(session, "chi", depth)
-    components = [{"kind": "eta", "eta": e, "spectrum": eta} for e in range(session.k_order)]
-    components += [{"kind": "chi", "d": list(d), "spectrum": chi}
+    spectra = exact_spectrum(session, depth)
+    components = [{"kind": "eta", "eta": e, "spectrum": spectra["eta"]}
+                  for e in range(session.k_order)]
+    components += [{"kind": "chi", "d": list(d), "spectrum": spectra["chi"]}
                    for d in session.factor_characters()]
     return {"schema_version": 1, "depth": depth, "components": components}
 

@@ -367,6 +367,21 @@ def transition_values(schedule: CFSchedule, maps_by_stage, ctx: SemidirectContex
 # ---------------------------------------------------------------------------
 
 
+def _step_difference(x: np.ndarray, steps: int, modulus) -> np.ndarray:
+    """(x_l - x_{l+steps}) mod modulus per level of a cyclic array reduced mod modulus.
+
+    The cyclic shift is taken as two slices into one output, and the modulus
+    is added back where the difference is negative.
+    """
+    h = len(x)
+    s = steps % h
+    out = np.empty_like(x)
+    np.subtract(x[:h - s], x[s:], out=out[:h - s])
+    np.subtract(x[h - s:], x[:s], out=out[h - s:])
+    np.add(out, modulus, out=out, where=out < 0)
+    return out
+
+
 class TowerModel:
     """Flat-array view of a tower at some depth, with optional cocycle data.
 
@@ -459,17 +474,21 @@ class TowerModel:
         return np.stack(mats)
 
     def _apply_theta_pow(self, exps: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-        """theta^{exps[l]}(vecs[l]) per level, gathering one matrix entry at a time."""
-        out = np.zeros_like(vecs)
-        rank = len(self._orders)
-        for i in range(rank):
-            for j in range(rank):
-                out[:, i] += self._theta_mats[:, i, j][exps] * vecs[:, j]
-        return out % self._orders
+        """theta^{exps[l]}(vecs[l]) per level, for vectors reduced mod the orders.
+
+        Levels are grouped by exponent: exponent 0 keeps its vector, and each
+        exponent k >= 1 that occurs takes one matrix product for its levels.
+        """
+        out = vecs.copy()
+        for k in range(1, self.ctx.k_order):
+            at = np.flatnonzero(exps == k)
+            if at.size:
+                out[at] = vecs[at] @ self._theta_mats[k].T % self._orders
+        return out
 
     def step_betas(self, steps: int) -> np.ndarray:
         """Group exponent of the +steps transition per level."""
-        return (self.word_beta - np.roll(self.word_beta, -steps)) % self.ctx.k_order
+        return _step_difference(self.word_beta, steps, self.ctx.k_order)
 
     def step_values(self, steps: int):
         """Transition (group exponent, module vector) per level for +steps.
@@ -479,8 +498,7 @@ class TowerModel:
         untwisted module parts u.
         """
         d_beta = self.step_betas(steps)
-        u = self.word_untwisted
-        d_untwisted = (u - np.roll(u, -steps, axis=0)) % self._orders
+        d_untwisted = _step_difference(self.word_untwisted, steps, self._orders)
         return d_beta, self._apply_theta_pow(self.word_beta, d_untwisted)
 
     def transitions(self):

@@ -35,6 +35,7 @@ from .errors import (
     ConsistencyError,
     LabelError,
     LagRangeError,
+    ParameterError,
     SizeCapError,
 )
 from .finite_algebra import (
@@ -195,25 +196,23 @@ def class_equivalence_check(model: TowerModel) -> None:
         )
 
 
-def exact_spectrum(session, kind: str, depth: int | None = None) -> dict:
-    """Closed-form spectrum shared by every ``kind`` ("eta" or "chi") component.
+def exact_spectrum(session, depth: int | None = None) -> dict:
+    """Closed-form spectrum shared by every component of each kind, by kind.
 
     A cycle of length h with total phase 0 contributes the h-th roots of
     unity; an eta component is one such cycle, a chi component kappa of
-    them.  The state cap is that of the built component (h, or h kappa);
-    a loop product other than the identity raises ConsistencyError.
+    them.  One loop check covers both kinds: a loop product other than the
+    identity raises ConsistencyError.  The state cap is that of the larger
+    built component, a chi component's h kappa states.
     """
     model = session.model(depth)
-    copies = {"eta": 1, "chi": session.k_order}[kind]
-    states = model.height * copies
-    if states > session.config.state_cap:
-        raise SizeCapError(f"{states} states exceed cap {session.config.state_cap}")
+    h, kappa = model.height, session.k_order
+    if h * kappa > session.config.state_cap:
+        raise SizeCapError(f"{h * kappa} states exceed cap {session.config.state_cap}")
     class_equivalence_check(model)
-    return {
-        "cycles": [{"length": model.height, "phase_num": 0, "phase_den": 1,
-                    "count": copies}],
-        "total_multiplicity": states,
-    }
+    return {kind: {"cycles": [{"length": h, "phase_num": 0, "phase_den": 1, "count": copies}],
+                   "total_multiplicity": h * copies}
+            for kind, copies in (("eta", 1), ("chi", kappa))}
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +343,16 @@ def _eta_values(model: TowerModel, steps: int, n0: int, eta_exp: int):
     return counts @ phases / h, counts, n_cyl
 
 
-def _chi_values(model: TowerModel, steps: int, n0: int, d, phase_order: int):
-    """Tables V[e_u, e_v, g, f] = <U_chi^steps (1_f x eta_{e_u}), 1_g x eta_{e_v}>.
+def _chi_values(model: TowerModel, steps: tuple[int, ...], n0: int, d, phase_order: int):
+    """Tables V[e_u, e_v, g, f] = <U_chi^s (1_f x eta_{e_u}), 1_g x eta_{e_v}> per s in steps.
 
     The pairs are counted by their raw words, with the difference of their
     untwisted module parts; the transition value (b - b', theta^b (u - u'))
     is then folded in on the count table, where theta^b permutes the
     module.  The group-state sum is folded into a precomputed table over
     (character difference, module value), so the level pass is a single
-    bucket count.
+    bucket count.  Returns (values, counts, cylinder count) per step; the
+    tables that do not depend on the step are built once for all of them.
     """
     ctx = model.ctx
     kappa = ctx.k_order
@@ -372,19 +372,12 @@ def _chi_values(model: TowerModel, steps: int, n0: int, d, phase_order: int):
     offset = int((orders - 1) @ wide)
     diffs = np.arange(int(np.prod(spans)), dtype=np.int64)[:, None] // wide % spans
     diff_index = (diffs - (orders - 1)) % orders @ radix
-    raw = _raw_pair_counts(model, steps, n0,
-                           lambda a, b: diff_index[packed[a] - packed[b] + offset], n_a)
-    n_cyl = raw.shape[0]
 
     a_elements = np.arange(n_a, dtype=np.int64)[:, None] // radix % orders
     # images[k, w] = theta^k of the module element with index w, and
     # image_index[k] the permutation of indices that theta^k makes
     images = a_elements @ model._theta_mats.transpose(0, 2, 1) % orders
     image_index = images @ radix
-    counts = np.zeros((n_cyl, n_cyl, kappa, n_a), dtype=np.int64)
-    for b in range(kappa):
-        # bucket x holds theta^b x = w, so w gathers from x = theta^(-b) w
-        counts[:, :, (b - np.arange(kappa)) % kappa] += raw[:, b][..., image_index[-b % kappa]]
 
     # G[e, w] = sum over k of chi_d(theta^k w) * e^{2 pi i e k / kappa}
     weights = _pairing_weights(orders, d, phase_order)
@@ -394,17 +387,30 @@ def _chi_values(model: TowerModel, steps: int, n0: int, d, phase_order: int):
         chi_vals = np.exp(2j * np.pi * pair_exp / phase_order)
         for e in range(kappa):
             g_table[e] += chi_vals * cmath.exp(2j * cmath.pi * e * k / kappa)
-
     eta_phase = np.exp(2j * np.pi * np.arange(kappa)[:, None] * np.arange(kappa)[None, :] / kappa)
-    # value[e_u, e_v, g, f] = (1/(h kappa)) sum_{s,w} counts[g,f,s,w]
-    #                          * eta_{e_u}(s) * G[e_u - e_v, w]
-    out = np.zeros((kappa, kappa, n_cyl, n_cyl), dtype=complex)
-    for e_u in range(kappa):
-        for e_v in range(kappa):
-            g_vec = g_table[(e_u - e_v) % kappa]
-            contracted = np.einsum("gfsw,s,w->gf", counts, eta_phase[e_u], g_vec)
-            out[e_u, e_v] = contracted / (h * kappa)
-    return out, counts, n_cyl
+
+    def diff_of(a, b):
+        return diff_index[packed[a] - packed[b] + offset]
+
+    tables = []
+    for step in steps:
+        raw = _raw_pair_counts(model, step, n0, diff_of, n_a)
+        n_cyl = raw.shape[0]
+        counts = np.zeros((n_cyl, n_cyl, kappa, n_a), dtype=np.int64)
+        for b in range(kappa):
+            # bucket x holds theta^b x = w, so w gathers from x = theta^(-b) w
+            counts[:, :, (b - np.arange(kappa)) % kappa] += raw[:, b][..., image_index[-b % kappa]]
+
+        # value[e_u, e_v, g, f] = (1/(h kappa)) sum_{s,w} counts[g,f,s,w]
+        #                          * eta_{e_u}(s) * G[e_u - e_v, w]
+        out = np.zeros((kappa, kappa, n_cyl, n_cyl), dtype=complex)
+        for e_u in range(kappa):
+            for e_v in range(kappa):
+                g_vec = g_table[(e_u - e_v) % kappa]
+                contracted = np.einsum("gfsw,s,w->gf", counts, eta_phase[e_u], g_vec)
+                out[e_u, e_v] = contracted / (h * kappa)
+        tables.append((out, counts, n_cyl))
+    return tables
 
 
 def _cylinder_measures(model: TowerModel, n0: int) -> np.ndarray:
@@ -519,15 +525,17 @@ def _probe_chi(session, model, stage, label, d, n0, h_n, delta, tol, mu):
             "rotate stages are probed on the base tower"
         )
 
-    values, _, n_cyl = _chi_values(model, h_n, n0, d, n)
+    delayed = label.kind == LABEL_DELAYED_TRANSLATE
+    tables = _chi_values(model, (h_n, 1) if delayed else (h_n,), n0, d, n)
+    values, _, n_cyl = tables[0]
     # tables indexed [e_u, e_v, g, f]: <1_f x eta_{e_u}, 1_g x eta_{e_v}> and
     # the product of the two means, nonzero only for e_u = e_v = 0
     inner = np.zeros((kappa, kappa, n_cyl, n_cyl))
     inner[np.arange(kappa), np.arange(kappa)] = np.diag(mu)
     mean = np.zeros_like(inner)
     mean[0, 0] = np.outer(mu, mu)
-    if label.kind == LABEL_DELAYED_TRANSLATE:
-        one_step = _chi_values(model, 1, n0, d, n)[0].transpose(1, 0, 3, 2)
+    if delayed:
+        one_step = tables[1][0].transpose(1, 0, 3, 2)
         o_re, o_im = one_step.real, -one_step.imag
 
     if trivial_d:
@@ -577,26 +585,64 @@ class DecayRow:
         return f"{self.lag},{self.pair[0]}-{self.pair[1]},{self.value.numerator},{self.value.denominator}"
 
 
+def _autocorrelation(indicator: np.ndarray):
+    """s -> #{x : indicator[x] and indicator[(x - s) mod h]}, memoised per shift.
+
+    The indicator is packed into uint64 words (little-endian bit order), and
+    so is a doubled copy of it, which serves the cyclic wrap: shift s reads
+    the doubled copy from bit t = -s mod h on, as a word offset and a bit
+    offset, so a count is an AND and a popcount per word.
+    """
+    h = indicator.size
+    n_words = -(-h // 64)
+
+    def pack(bits, n):
+        out = np.zeros(8 * n, dtype=np.uint8)
+        packed = np.packbits(bits, bitorder="little")
+        out[:packed.size] = packed
+        return out.view("<u8")
+
+    words = pack(indicator, n_words)  # the bits past h are zero
+    doubled = pack(np.concatenate([indicator, indicator]), 2 * n_words + 1)
+    counts = {}
+
+    def count(s: int) -> int:
+        t = -s % h
+        if t not in counts:
+            q, r = divmod(t, 64)
+            shifted = doubled[q:q + n_words] >> r
+            if r:
+                shifted |= doubled[q + 1:q + 1 + n_words] << (64 - r)
+            shifted &= words
+            counts[t] = int(np.bitwise_count(shifted).sum())
+        return counts[t]
+
+    return count
+
+
 def correlation_decay(model: TowerModel, pairs, lags, n0: int = 1) -> list[DecayRow]:
-    """Exact |mu(T^lag A & B) - mu(A) mu(B)| per cylinder pair and lag."""
+    """Exact |mu(T^lag A & B) - mu(A) mu(B)| per cylinder pair (A, B) = (f, g) and lag.
+
+    Cylinder f is O + f, for O the starts of the depth-n0 copies, so
+    T^lag A & B has |O & (O - (lag + f - g))| levels: one autocorrelation of
+    O, shared by every pair and lag that lands on the same shift.  Every
+    cylinder has |O| levels.
+    """
     h = model.height
-    cyl = model.cylinder_ids(n0)
-    masks = {}
+    n_cyl = model.schedule.height(n0)
     for f, g in pairs:
-        masks.setdefault(f, cyl == f)
-        masks.setdefault(g, cyl == g)
-    sizes = {f: int(m.sum()) for f, m in masks.items()}
-    rows = []
+        if not (0 <= f < n_cyl and 0 <= g < n_cyl):
+            raise ParameterError(
+                f"cylinder pair ({f}, {g}) outside the {n_cyl} depth-{n0} cylinders")
+    lags = [int(lag) for lag in lags]
     for lag in lags:
-        lag = int(lag)
         if not 0 <= lag < h:
             raise LagRangeError(f"lag {lag} outside the height-{h} model")
-        for f, g in pairs:
-            rolled = np.roll(masks[f], lag)  # level of T^lag A
-            count = int(np.count_nonzero(masks[g] & rolled))
-            value = abs(Fraction(count, h) - Fraction(sizes[f] * sizes[g], h * h))
-            rows.append(DecayRow(lag, (f, g), value))
-    return rows
+    starts = model.cylinder_ids(n0) == 0
+    size = int(np.count_nonzero(starts))
+    count = _autocorrelation(starts)
+    return [DecayRow(lag, (f, g), Fraction(abs(count(lag + f - g) * h - size * size), h * h))
+            for lag in lags for f, g in pairs]
 
 
 def decay_csv(rows) -> str:
@@ -757,7 +803,7 @@ def multiplicity_report(session, mode: str | None = None,
     # the loop product is the identity), so spectra coincide within each
     # class and overlap fully across classes
     if classes:
-        exact_spectrum(session, "chi", spectra_depth)
+        exact_spectrum(session, spectra_depth)
     verdicts = {i: dict.fromkeys(range(session.k_order), True) for i in range(len(classes))}
     overlaps, certs = {}, {}
     reps = [session.duality.character_of_dual(cls[0]) for cls in classes]

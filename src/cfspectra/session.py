@@ -23,6 +23,7 @@ from .cf_builder import (
     KIND_DELAYED_STAIRCASE,
     KIND_RIGID_STAIRCASE,
     KIND_STAIRCASE,
+    MAX_HEIGHT,
     CFSchedule,
     DeltaBlock,
     ValidationReport,
@@ -42,7 +43,7 @@ from .cocycle_engine import (
     schedule_labels,
     stage_maps,
 )
-from .errors import BundleError, ConfigError, ScheduleError
+from .errors import BundleError, ConfigError, ScheduleError, SizeCapError
 from .finite_algebra import ENUMERATION_CAP
 from .koopman_lab import DEFAULT_STATE_CAP
 from .module_factory import AlgebraicTriple, CompactTower, DualityRecord, assemble_triple, compactify, dualize
@@ -291,6 +292,11 @@ class Session:
 
 def synth(config: SessionConfig, cap: int = ENUMERATION_CAP) -> Session:
     """Deterministic pipeline: algebra, schedule, labels, cocycle tables."""
+    # every stage at least doubles the height, so a deeper schedule is taller
+    # than MAX_HEIGHT; refused before the per-stage labels are drawn
+    if config.num_stages >= MAX_HEIGHT.bit_length():
+        raise SizeCapError(
+            f"{config.num_stages} stages would make a tower taller than {MAX_HEIGHT} levels")
     depth_alg = config.algebra_depth or len(config.targets)
     triple = assemble_triple(config.targets, depth_alg, cap)
     tower = compactify(triple, cap)

@@ -113,7 +113,7 @@ class TestAcceptance:
             prefix = (np.cumsum(d_beta) - d_beta) % kappa
             states = np.arange(len(d_beta))[None, :] * kappa \
                 + (np.arange(kappa)[:, None] + prefix[None, :]) % kappa
-            assert exact_spectrum(session, "chi", depth)["cycles"] == [
+            assert exact_spectrum(session, depth)["chi"]["cycles"] == [
                 {"length": len(d_beta), "phase_num": 0, "phase_den": 1, "count": kappa}]
             for d in session.factor_characters():
                 chi = session.duality.character_of_dual(d)

@@ -2,6 +2,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cfspectra.cf_builder import (
     DeltaBlock,
@@ -397,6 +400,34 @@ def test_apply_theta_pow_matches_scalar_action(shipped_product):
     assert (got != vecs).any()
     for t, v, w in zip(exps.tolist(), vecs.tolist(), got.tolist()):
         assert tuple(w) == ctx.act(t, tuple(v)), (t, v)
+
+
+def gathered_theta_pow(model, exps, vecs):
+    """theta^{exps[l]}(vecs[l]) as first computed: per level, one gather of a
+    matrix entry for each of the rank^2 (i, j)."""
+    out = np.zeros_like(vecs)
+    rank = len(model._orders)
+    for i in range(rank):
+        for j in range(rank):
+            out[:, i] += model._theta_mats[:, i, j][exps] * vecs[:, j]
+    return out % model._orders
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_apply_theta_pow_equals_gathered_entries(shipped_product, data):
+    # product_23: kappa = 6 on a rank-3 module; exponents grouped any way,
+    # zero included, and the input left as it was
+    model = shipped_product.model(1)
+    kappa, orders = model.ctx.k_order, model._orders
+    assert kappa == 6 and len(orders) == 3
+    n = data.draw(st.integers(0, 400))
+    exps = data.draw(arrays(np.int64, n, elements=st.integers(0, kappa - 1)))
+    vecs = data.draw(arrays(np.int64, (n, 3), elements=st.integers(0, 6))) % orders
+    before = vecs.copy()
+    got = model._apply_theta_pow(exps, vecs)
+    assert np.array_equal(vecs, before)
+    assert np.array_equal(got, gathered_theta_pow(model, exps, vecs))
 
 
 def test_semidirect_act_matches_module_action(shipped_product):

@@ -1,15 +1,20 @@
-"""Deterministic call-count guards on the exact-arithmetic hot paths.
+"""Deterministic call-count guards on the hot paths.
 
 Each input is checked once where it enters, then the arithmetic runs
 unchecked.  These bounds count calls, not seconds, so they hold on any
 machine: a path that re-validates an engine-made element on every multiply,
-or rebuilds an automorphism per element, breaks them by a wide margin.
+or rebuilds an automorphism per element, breaks them by a wide margin.  The
+full-height passes take their cyclic shifts as slices or bit offsets, never
+as a rolled copy, and a spectra dump checks the loop product once.
 """
 
 import random
 from pathlib import Path
 
-from cfspectra import finite_algebra
+import numpy as np
+
+from cfspectra import finite_algebra, koopman_lab
+from cfspectra.cli import main
 from cfspectra.cocycle_engine import CocycleStageMaps, canonical_word, evaluate_cocycle
 from cfspectra.finite_algebra import FiniteAbelianGroup, GroupAutomorphism, ModuleAction
 from cfspectra.module_factory import assemble_triple
@@ -82,3 +87,27 @@ def test_powers_take_one_composition_each(monkeypatch):
     powers = [action.automorphism_for((k,)) for k in range(triple.k_order)]
     assert len(calls) == triple.k_order  # the identity, then one compose per k
     assert powers[1].images == triple.theta.images
+
+
+def test_spectra_dump_checks_the_loop_once(tmp_path, monkeypatch):
+    bundle = tmp_path / "bundle"
+    assert main(["synth", "--config", str(CONFIG_DIR / "product_23.json"),
+                 "--out", str(bundle)]) == 0
+    calls = count_calls(monkeypatch, koopman_lab, "loop_product")
+    assert main(["dump", "--bundle", str(bundle), "--what", "spectra",
+                 "--out", str(tmp_path / "spectra.json")]) == 0
+    assert len(calls) == 1
+
+
+def test_full_height_passes_roll_no_copy(shipped_product, monkeypatch):
+    model = shipped_product.model(4)
+    h = model.height
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a full-height pass made a rolled copy")
+
+    monkeypatch.setattr(np, "roll", refuse)
+    koopman_lab.correlation_decay(model, [(0, 1), (1, 0)], [0, 7, h - 1])
+    for steps in (1, 7, h - 1):
+        model.step_betas(steps)
+        model.step_values(steps)

@@ -3,6 +3,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfspectra.cf_builder import DeltaBlock
 from cfspectra.cocycle_engine import TowerModel
@@ -11,6 +13,7 @@ from cfspectra.errors import (
     ConsistencyError,
     LabelError,
     LagRangeError,
+    ParameterError,
 )
 from cfspectra.finite_algebra import (
     Character,
@@ -82,7 +85,7 @@ class TestComponents:
         op = build_component(s, Character(s.triple.k_group, (0,)), depth=3)
         assert not op.phase_exp.any()
         assert np.array_equal(op.succ, (np.arange(h) + 1) % h)
-        assert exact_spectrum(s, "eta", 3) == {
+        assert exact_spectrum(s, 3)["eta"] == {
             "cycles": [{"length": h, "phase_num": 0, "phase_den": 1, "count": 1}],
             "total_multiplicity": h,
         }
@@ -143,7 +146,7 @@ class TestComponents:
             assert np.array_equal(pos, np.arange(kappa))  # each walk closes after h steps
             assert len(set(seen)) == h * kappa  # and the kappa walks cover every state
             assert not (total % op.phase_order).any()
-        assert exact_spectrum(s, "chi", 3) == {
+        assert exact_spectrum(s, 3)["chi"] == {
             "cycles": [{"length": h, "phase_num": 0, "phase_den": 1, "count": kappa}],
             "total_multiplicity": h * kappa,
         }
@@ -285,6 +288,14 @@ class TestCorrelationDecay:
     def test_out_of_range_lag(self):
         with pytest.raises(LagRangeError):
             correlation_decay(self.model, [(0, 0)], [self.model.height])
+
+    def test_unknown_cylinder_refused(self):
+        # an id outside range(n_cyl) names no cylinder; read as an empty set
+        # it would show as perfect decay
+        assert self.session.schedule.height(1) == 2
+        for pair in [(5, 5), (0, 2), (-1, 0)]:
+            with pytest.raises(ParameterError, match=rf"\({pair[0]}, {pair[1]}\).* 2 depth-1"):
+                correlation_decay(self.model, [pair], [0])
 
     def test_pure_rotation_has_no_decay(self):
         s = synth(SessionConfig(mode="direct", targets=(1,), shape="arithmetic",
@@ -436,3 +447,38 @@ class TestSimplicityProbe:
         v = np.array([1.0, 0.0, 1.0])
         rep = simplicity_probe(op1, op2, v, power_window=4)
         assert rep.max_residual <= 1e-9
+
+
+def rolled_decay(model, pairs, lags, n0=1):
+    """Decay rows as first computed: a rolled copy of cylinder f's mask per
+    (lag, pair), ANDed with cylinder g's and counted."""
+    h = model.height
+    cyl = model.cylinder_ids(n0)
+    masks = {}
+    for f, g in pairs:
+        masks.setdefault(f, cyl == f)
+        masks.setdefault(g, cyl == g)
+    sizes = {f: int(m.sum()) for f, m in masks.items()}
+    rows = []
+    for lag in lags:
+        for f, g in pairs:
+            count = int(np.count_nonzero(masks[g] & np.roll(masks[f], lag)))
+            value = abs(Fraction(count, h) - Fraction(sizes[f] * sizes[g], h * h))
+            rows.append((lag, (f, g), value.numerator, value.denominator))
+    return rows
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_decay_equals_rolled_masks(shipped_direct, shipped_product, shipped_staircase, data):
+    session = data.draw(st.sampled_from([shipped_direct, shipped_product, shipped_staircase]))
+    n0 = data.draw(st.sampled_from([1, 2, 3]))
+    depth = data.draw(st.integers(n0, session.schedule.depth))
+    model = session.model(depth)
+    h, n_cyl = model.height, session.schedule.height(n0)
+    lags = [0, h - 1] + data.draw(st.lists(st.integers(0, h - 1), max_size=4))
+    cylinder = st.integers(0, n_cyl - 1)
+    pairs = data.draw(st.lists(st.tuples(cylinder, cylinder), min_size=1, max_size=4))
+    rows = correlation_decay(model, pairs, lags, n0)
+    got = [(r.lag, r.pair, r.value.numerator, r.value.denominator) for r in rows]
+    assert got == rolled_decay(model, pairs, lags, n0)

@@ -71,10 +71,10 @@ def _scalar_chi_rows(session, model, label, d, n0, h_n, delta, mu):
     kappa = model.ctx.k_order
     n = session.root_order
     trivial_d = all(x == 0 for x in d)
-    values, _, n_cyl = _chi_values(model, h_n, n0, d, n)
+    [(values, _, n_cyl)] = _chi_values(model, (h_n,), n0, d, n)
     one_step = None
     if label.kind == LABEL_DELAYED_TRANSLATE:
-        one_step, _, _ = _chi_values(model, 1, n0, d, n)
+        [(one_step, _, _)] = _chi_values(model, (1,), n0, d, n)
     l_value = 1.0 + 0j
     if not trivial_d:
         chi = session.duality.character_of_dual(d)

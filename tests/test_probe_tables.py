@@ -67,7 +67,7 @@ def assert_tables_match_oracles(model, steps, n0=1):
     assert np.array_equal(d_beta, want_beta) and np.array_equal(d_alpha, want_alpha)
     eta, _, _ = _eta_pair_tables(model, steps, n0)
     assert np.array_equal(eta, oracle_eta_counts(model, steps, n0)), steps
-    _, chi, _ = _chi_values(model, steps, n0, (0,) * len(model._orders), 1)
+    [(_, chi, _)] = _chi_values(model, (steps,), n0, (0,) * len(model._orders), 1)
     assert np.array_equal(chi, oracle_chi_counts(model, steps, n0)), steps
 
 

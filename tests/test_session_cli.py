@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -282,13 +285,18 @@ class TestCLI:
         assert code == 2
         assert "error" in results
 
-    @pytest.mark.parametrize("case", ["missing-directory", "config-without-targets"])
+    @pytest.mark.parametrize("case", ["missing-directory", "config-without-targets",
+                                      "config-not-utf8", "config-long-integer"])
     def test_unloadable_bundle_dump_is_an_error_not_a_traceback(self, tmp_path, case):
         # in a fresh process, so that an uncaught exception shows as a traceback
         bundle = tmp_path / "b"
-        if case == "config-without-targets":
+        if case != "missing-directory":
             bundle.mkdir()
-            (bundle / "config.json").write_text(json.dumps({"mode": "direct"}))
+            (bundle / "config.json").write_bytes({
+                "config-without-targets": json.dumps({"mode": "direct"}).encode(),
+                "config-not-utf8": b"\xff\xfe{",
+                "config-long-integer": b'{"mode": "direct", "targets": [' + b"1" * 5000 + b"]}",
+            }[case])
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "cfspectra.cli", "dump", "--bundle", str(bundle),
@@ -310,9 +318,20 @@ MALFORMED_BLOCKS = {
 }
 
 
+# schedules over the size caps, each refused before it is built
+OVERSIZED = {
+    "too-many-columns": ({"blocks": [{"delta": [1, 2], "stages": 2, "r_start": 10**8}]},
+                         "stages 1..1 have 100000000 columns, over the cap 1000000"),
+    "too-deep": ({"blocks": [{"delta": [1, 2], "stages": 10**6}]},
+                 "1000000 stages would make a tower taller than"),
+    "too-tall": ({"initial_height": 2**62}, "stage 1 tower height"),
+}
+
+
 @pytest.mark.parametrize("case", ["config-without-targets", "misspelled-key", "block-key",
-                                  "mistyped-value", "missing-file", "not-json",
-                                  "schema-version", *MALFORMED_BLOCKS])
+                                  "mistyped-value", "missing-file", "not-json", "not-utf8",
+                                  "long-integer", "schema-version", *MALFORMED_BLOCKS,
+                                  *OVERSIZED])
 def test_malformed_config_synth_is_an_error_not_a_traceback(tmp_path, case):
     # in a fresh process, so that an uncaught exception shows as a traceback
     config = tmp_path / "c.json"
@@ -325,11 +344,16 @@ def test_malformed_config_synth_is_an_error_not_a_traceback(tmp_path, case):
         "schema-version": dict(good, schema_version=7),
         **{name: dict(good, blocks=good["blocks"] + [block])
            for name, (block, _) in MALFORMED_BLOCKS.items()},
+        **{name: dict(good, **change) for name, (change, _) in OVERSIZED.items()},
     }
     if case in docs:
         config.write_text(json.dumps(docs[case]))
     elif case == "not-json":
         config.write_text("{mode: direct")
+    elif case == "not-utf8":
+        config.write_bytes(b"\xff\xfe{")
+    elif case == "long-integer":
+        config.write_text('{"mode": "direct", "targets": [' + "1" * 5000 + "]}")
     out = tmp_path / "bundle"
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -347,6 +371,41 @@ def test_malformed_config_synth_is_an_error_not_a_traceback(tmp_path, case):
         assert "schema_version: 7" in proc.stderr
     if case in MALFORMED_BLOCKS:
         assert MALFORMED_BLOCKS[case][1] in proc.stderr
+    if case in OVERSIZED:
+        assert OVERSIZED[case][1] in proc.stderr
+
+
+SHIPPED_DOCS = {name: SessionConfig.from_json((CONFIG_DIR / f"{name}.json").read_text()).to_dict()
+                for name in ("direct_12", "product_23", "staircase_mixing")}
+# powers of ten reach the size caps, which plain integer draws seldom do;
+# scalars are drawn as often as containers
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(0, 30).map(lambda e: 10**e)
+                | st.floats() | st.text(max_size=8))
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(SHIPPED_DOCS)), data=st.data())
+def test_synth_of_any_one_key_changed_exits_0_or_1(name, data):
+    # one key of a shipped config, at the top level or in a block, takes a
+    # random JSON value; synth either writes the bundle or refuses the config
+    doc = json.loads(json.dumps(SHIPPED_DOCS[name]))
+    paths = [(doc, key) for key in doc]
+    paths += [(block, key) for block in doc.get("blocks", []) for key in block]
+    owner, key = data.draw(st.sampled_from(paths))
+    owner[key] = data.draw(JSON_VALUES)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "c.json"
+        config.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["synth", "--config", str(config), "--out", str(Path(tmp) / "b")])
+    assert code in (0, 1)
+    assert (code == 1) == err.getvalue().startswith("error: ")
 
 
 def _edit(name, change):
