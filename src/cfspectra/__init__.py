@@ -27,7 +27,6 @@ from .cocycle_engine import (
     TowerModel,
     canonical_word,
     evaluate_cocycle,
-    schedule_labels,
     stage_maps,
     transition_values,
 )

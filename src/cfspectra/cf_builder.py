@@ -62,10 +62,6 @@ class CFStage:
     def min_gap(self) -> int:
         return min(b - a for a, b in zip(self.cuts, self.cuts[1:]))
 
-    def spacer_count(self) -> int:
-        """Levels of the next tower not covered by any column."""
-        return self.new_height - self.r_count * self.base_height
-
     def to_dict(self) -> dict:
         return {
             "index": self.index,
@@ -159,9 +155,6 @@ class CFSchedule:
     def height(self, n: int) -> int:
         """h_n; n = 0 is the initial height."""
         return self._heights[n]
-
-    def truncate(self, depth: int) -> "CFSchedule":
-        return CFSchedule(self.initial_height, self.stages[:depth])
 
     def to_dict(self) -> dict:
         return {

@@ -19,7 +19,11 @@ synth refuses a config file it cannot read or parse, or one with an
 unknown or missing key or a value of the wrong type, with `error: ...`
 and exit 1; the message names the key path (for example `blocks[1].stage`).
 A schedule with more than 10**6 columns over all its stages, or a tower
-taller than 2**63 - 1 levels, is refused the same way before it is built.
+taller than 2**63 - 1 levels, is refused the same way before it is built,
+and so is a cylinder_level outside 0..(number of stages) or a
+spectra_depth below 1.  verify and dump refuse a weak-limit table of more
+entries than state_cap, and a decay table of more than 10**6 rows, before
+building it (a failed suite, or dump exit 1).
 
 Bundle layout (canonical JSON, schema_version fields throughout):
 
@@ -45,7 +49,8 @@ import sys
 from pathlib import Path
 
 from .cocycle_engine import LABEL_PLAIN, LABEL_RIGID_ROTATE
-from .errors import CfspectraError
+from .errors import CfspectraError, SizeCapError
+from .finite_algebra import ENUMERATION_CAP
 from .koopman_lab import (
     correlation_decay,
     decay_csv,
@@ -133,22 +138,30 @@ def _suite_weaklimits(session):
     return not failed, {"failed": failed, "reports": reports}
 
 
+def _cylinder_decay(session, model, lags):
+    """correlation_decay over every pair of cylinders at the session's
+    cylinder level; more rows than ENUMERATION_CAP are refused before the
+    pairs are listed."""
+    n0 = session.config.cylinder_level
+    n_cyl = session.schedule.height(n0)
+    rows = n_cyl * n_cyl * len(lags)
+    if rows > ENUMERATION_CAP:
+        raise SizeCapError(f"{rows} decay rows exceed enumeration cap {ENUMERATION_CAP}")
+    pairs = [(f, g) for f in range(n_cyl) for g in range(n_cyl)]
+    return correlation_decay(model, pairs, lags, n0)
+
+
 def _suite_mixing(session):
-    cfg = session.config
     sched = session.schedule
     depth = sched.depth
     rep = session.validation
     quantities = rep.mixing_ratios
     trend_ok = rep.mixing_trend_ok
     model = session.model()
-    n_cyl = sched.height(cfg.cylinder_level)
-    pairs = [(f, g) for f in range(n_cyl) for g in range(n_cyl)]
     h_early, h_late = sched.height(1), sched.height(depth - 1)
-    early = correlation_decay(model, pairs, sample_lags(h_early, 2 * h_early),
-                              cfg.cylinder_level)
+    early = _cylinder_decay(session, model, sample_lags(h_early, 2 * h_early))
     late_hi = min(2 * h_late, model.height - 1)
-    late = correlation_decay(model, pairs, sample_lags(h_late, late_hi),
-                             cfg.cylinder_level)
+    late = _cylinder_decay(session, model, sample_lags(h_late, late_hi))
     e_max = max(float(r.value) for r in early)
     l_max = max(float(r.value) for r in late)
     decayed = l_max <= 0.5 * e_max
@@ -261,18 +274,13 @@ def dump_spectra(session) -> dict:
 
 
 def dump_decay(session) -> list:
-    cfg = session.config
     model = session.model()
-    n_cyl = session.schedule.height(cfg.cylinder_level)
-    pairs = [(f, g) for f in range(n_cyl) for g in range(n_cyl)]
-    depth = session.schedule.depth
     lags = []
-    for n in range(1, depth):
+    for n in range(1, session.schedule.depth):
         h = session.schedule.height(n)
         hi = min(2 * h, model.height - 1)
         lags.extend(sample_lags(h, hi, count=8))
-    lags = sorted(set(lags))
-    return correlation_decay(model, pairs, lags, cfg.cylinder_level)
+    return _cylinder_decay(session, model, sorted(set(lags)))
 
 
 def run_dump(bundle_dir, what, fmt, out_path):

@@ -28,7 +28,7 @@ from .cf_builder import (
     CFSchedule,
     CFStage,
 )
-from .errors import InvalidElementError, LabelError, PairError, SizeCapError
+from .errors import InvalidElementError, LabelError, PairError, ParameterError, SizeCapError
 from .finite_algebra import ENUMERATION_CAP, FiniteAbelianGroup, GroupAutomorphism, ModuleAction
 
 LABEL_RIGID_TRANSLATE = "rigid_translate"  # stage pushes the module part by -a
@@ -67,8 +67,7 @@ class StageLabel:
         return {"kind": self.kind, "k": self.k, "a": list(self.a) if self.a else None}
 
 
-def label_cycle(module: FiniteAbelianGroup, k_order: int, mode: str,
-                cap: int = ENUMERATION_CAP):
+def label_cycle(module: FiniteAbelianGroup, k_order: int, mode: str):
     """Deterministic target cycle: one translate, (one delayed,) one rotate per turn.
 
     Module targets and group targets advance independently through their full
@@ -76,7 +75,7 @@ def label_cycle(module: FiniteAbelianGroup, k_order: int, mode: str,
     """
     if mode not in (MODE_DIRECT, MODE_PRODUCT):
         raise LabelError(f"unknown mode {mode!r}")
-    a_targets = module.elements(cap)
+    a_targets = module.elements()
     k_targets = list(range(k_order))
     if not a_targets or not k_targets:
         raise LabelError("empty target enumeration")
@@ -98,24 +97,6 @@ def label_cycle(module: FiniteAbelianGroup, k_order: int, mode: str,
                     yield StageLabel(kind, a=a_targets[i % len(a_targets)])
 
     return generator()
-
-
-def schedule_labels(schedule: CFSchedule, module: FiniteAbelianGroup, k_order: int,
-                    mode: str, cap: int = ENUMERATION_CAP) -> tuple[StageLabel, ...]:
-    """Assign the round-robin labels to a schedule, checking shape compatibility."""
-    if all(st.kind == KIND_STAIRCASE for st in schedule.stages):
-        return tuple(StageLabel(LABEL_PLAIN) for _ in schedule.stages)
-    gen = label_cycle(module, k_order, mode, cap)
-    labels = []
-    for st in schedule.stages:
-        label = next(gen)
-        if st.kind not in _KIND_FOR_LABEL[label.kind]:
-            raise LabelError(
-                f"stage {st.index} has shape {st.kind!r}, incompatible with "
-                f"label {label.kind!r}"
-            )
-        labels.append(label)
-    return tuple(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +204,6 @@ class CoordinateWord:
         """Length-`depth` cut vector with zeros below the least depth."""
         return (0,) * self.least_depth + self.cuts
 
-    def is_spacer(self) -> bool:
-        return self.least_depth > 0
-
 
 def canonical_word(level: int, schedule: CFSchedule, depth: int | None = None) -> CoordinateWord:
     """Greedy decomposition of a level into per-stage cuts plus a residual."""
@@ -247,10 +225,6 @@ def canonical_word(level: int, schedule: CFSchedule, depth: int | None = None) -
         cuts.append(c)
         rest -= c
     return CoordinateWord(depth, 0, rest, tuple(reversed(cuts)))
-
-
-def word_level(word: CoordinateWord, schedule: CFSchedule) -> int:
-    return word.residual + sum(word.cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +321,12 @@ def evaluate_cocycle(x: CoordinateWord, y: CoordinateWord, maps_by_stage,
     return ctx._mul(gx, ctx._inv(gy))
 
 
-def transition_values(schedule: CFSchedule, maps_by_stage, ctx: SemidirectContext,
-                      depth: int | None = None, cap: int = ENUMERATION_CAP):
-    """Cocycle value on every edge level -> level+1 (cyclically) of the tower."""
-    if depth is None:
-        depth = schedule.depth
-    h = schedule.height(depth)
-    if h > cap:
-        raise SizeCapError(f"tower height {h} exceeds cap {cap}")
-    words = [canonical_word(l, schedule, depth) for l in range(h)]
+def transition_values(schedule: CFSchedule, maps_by_stage, ctx: SemidirectContext):
+    """Cocycle value on every edge level -> level+1 (cyclically) of the full tower."""
+    h = schedule.height(schedule.depth)
+    if h > ENUMERATION_CAP:
+        raise SizeCapError(f"tower height {h} exceeds cap {ENUMERATION_CAP}")
+    words = [canonical_word(l, schedule) for l in range(h)]
     out = []
     for l in range(h):
         out.append(evaluate_cocycle(words[l], words[(l + 1) % h], maps_by_stage, ctx))
@@ -383,34 +354,32 @@ def _step_difference(x: np.ndarray, steps: int, modulus) -> np.ndarray:
 
 
 class TowerModel:
-    """Flat-array view of a tower at some depth, with optional cocycle data.
+    """Flat-array view of a tower at some depth, with its cocycle data.
 
-    Levels are 0..h-1; the map is +1 cyclically.  When cocycle tables are
-    attached, ``word_beta`` holds the group exponent beta_l of each level's
-    word product (beta_l, alpha_l) and ``word_untwisted`` its module part
-    untwisted, theta^(-beta_l) alpha_l.  Transition values and any power of
-    the skew map follow from these in closed form.
+    Levels are 0..h-1; the map is +1 cyclically.  ``word_beta`` holds the
+    group exponent beta_l of each level's word product (beta_l, alpha_l) and
+    ``word_untwisted`` its module part untwisted, theta^(-beta_l) alpha_l.
+    Transition values and any power of the skew map follow from these in
+    closed form.
     """
 
-    def __init__(self, schedule: CFSchedule, depth: int | None = None,
-                 maps_by_stage=None, ctx: SemidirectContext | None = None,
-                 cap: int = ENUMERATION_CAP):
+    def __init__(self, schedule: CFSchedule, depth: int, maps_by_stage,
+                 ctx: SemidirectContext, cap: int = ENUMERATION_CAP):
         self.schedule = schedule
-        self.depth = schedule.depth if depth is None else depth
-        self.height = schedule.height(self.depth)
+        self.depth = depth
+        self.height = schedule.height(depth)
         if self.height > cap:
             raise SizeCapError(f"tower height {self.height} exceeds cap {cap}")
         self.ctx = ctx
         self.maps_by_stage = maps_by_stage
-        if maps_by_stage is not None:
-            if ctx is None:
-                raise ValueError("cocycle tables need a semidirect context")
-            self._build_word_products()
+        self._build_word_products()
 
     # -- pure tower structure ------------------------------------------------
 
-    def cylinder_ids(self, n0: int = 1) -> np.ndarray:
+    def cylinder_ids(self, n0: int) -> np.ndarray:
         """Per-level id of the depth-n0 cylinder containing it; -1 for deeper spacers."""
+        if not 0 <= n0 <= self.depth:
+            raise ParameterError(f"no depth-{n0} cylinders in a depth-{self.depth} tower")
         key = ("cyl", n0)
         cache = self.__dict__.setdefault("_misc_cache", {})
         if key not in cache:

@@ -5,6 +5,10 @@ vectors, characters evaluate to roots of unity stored as exact fractions,
 and averages of characters over orbits are kept as integer polynomials in a
 primitive root of unity, reduced modulo the corresponding cyclotomic
 polynomial.  No floating point enters any equality decision.
+
+ENUMERATION_CAP is the one bound on full enumerations: every routine that
+lists the elements of a group, a subgroup, an orbit or a character group
+compares the size with it and refuses (SizeCapError) before allocating.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .errors import (
     SizeCapError,
 )
 
-#: Hard default on full enumerations (elements of a group, dual groups, ...).
+#: Bound on full enumerations (elements of a group, dual groups, ...).
 ENUMERATION_CAP = 10**6
 
 Element = tuple[int, ...]
@@ -84,9 +88,6 @@ class FiniteAbelianGroup:
     def sub(self, a: Element, b: Element) -> Element:
         return tuple((x - y) % n for x, y, n in zip(a, b, self.orders))
 
-    def scale(self, m: int, a: Element) -> Element:
-        return tuple((m * x) % n for x, n in zip(a, self.orders))
-
     def generators(self) -> list[Element]:
         eye = []
         for i in range(self.rank):
@@ -95,16 +96,18 @@ class FiniteAbelianGroup:
             eye.append(tuple(v))
         return eye
 
-    def elements(self, cap: int = ENUMERATION_CAP) -> list[Element]:
-        if self.size > cap:
-            raise SizeCapError(f"group of size {self.size} exceeds enumeration cap {cap}")
+    def elements(self) -> list[Element]:
+        if self.size > ENUMERATION_CAP:
+            raise SizeCapError(
+                f"group of size {self.size} exceeds enumeration cap {ENUMERATION_CAP}")
         return list(itertools.product(*[range(n) for n in self.orders]))
 
-    def coordinate_subgroup(self, coords, cap: int = ENUMERATION_CAP) -> list[Element]:
+    def coordinate_subgroup(self, coords) -> list[Element]:
         """Elements supported on the given coordinates, the first coordinate slowest."""
         size = prod(self.orders[c] for c in coords)
-        if size > cap:
-            raise SizeCapError(f"coordinate subgroup of size {size} exceeds cap {cap}")
+        if size > ENUMERATION_CAP:
+            raise SizeCapError(
+                f"coordinate subgroup of size {size} exceeds cap {ENUMERATION_CAP}")
         out = []
         for values in itertools.product(*[range(self.orders[c]) for c in coords]):
             v = [0] * self.rank
@@ -112,13 +115,6 @@ class FiniteAbelianGroup:
                 v[c] = x
             out.append(tuple(v))
         return out
-
-    def element_index(self, a: Element) -> int:
-        """Mixed-radix index matching the order produced by elements()."""
-        idx = 0
-        for x, n in zip(a, self.orders):
-            idx = idx * n + x
-        return idx
 
     def element_by_index(self, idx: int) -> Element:
         out = []
@@ -297,16 +293,6 @@ class ModuleAction:
             phi = self._powers[k] = self.generator_maps[i].compose(phi)
         return phi
 
-    def act(self, k: Element, a: Element) -> Element:
-        return self.automorphism_for(k).apply(a)
-
-    def is_trivial(self) -> bool:
-        return all(phi.is_identity() for phi in self.generator_maps)
-
-
-def trivial_action(module: FiniteAbelianGroup) -> ModuleAction:
-    k = FiniteAbelianGroup((1,))
-    return ModuleAction(k, module, (identity_automorphism(module),))
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +309,6 @@ class RootOfUnity:
     def __post_init__(self):
         object.__setattr__(self, "exponent", Fraction(self.exponent) % 1)
 
-    @classmethod
-    def from_pq(cls, p: int, q: int) -> "RootOfUnity":
-        return cls(Fraction(p, q))
-
     @property
     def p(self) -> int:
         return self.exponent.numerator
@@ -334,22 +316,6 @@ class RootOfUnity:
     @property
     def q(self) -> int:
         return self.exponent.denominator
-
-    @property
-    def order(self) -> int:
-        return self.q
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity(self.exponent + other.exponent)
-
-    def inverse(self) -> "RootOfUnity":
-        return RootOfUnity(-self.exponent)
-
-    def conj(self) -> "RootOfUnity":
-        return self.inverse()
-
-    def __pow__(self, m: int) -> "RootOfUnity":
-        return RootOfUnity(m * self.exponent)
 
     def is_one(self) -> bool:
         return self.p == 0
@@ -395,17 +361,6 @@ class Character(object):
         n = self.group.exponent
         return RootOfUnity(Fraction(sum(w * x for w, x in zip(self._weights, a)) % n, n))
 
-    def is_trivial(self) -> bool:
-        return all(t == 0 for t in self.exponents)
-
-    def __mul__(self, other: "Character") -> "Character":
-        if other.group != self.group:
-            raise CharacterTypeError("characters of different groups")
-        return Character(self.group, self.group.add(self.exponents, other.exponents))
-
-    def conj(self) -> "Character":
-        return Character(self.group, self.group.neg(self.exponents))
-
     def compose_automorphism(self, phi: GroupAutomorphism) -> "Character":
         """The character a |-> self(phi(a))."""
         if phi.group != self.group:
@@ -423,9 +378,9 @@ class Character(object):
         return self.compose_automorphism(action.automorphism_for(k))
 
 
-def dual_characters(group: FiniteAbelianGroup, cap: int = ENUMERATION_CAP) -> list[Character]:
+def dual_characters(group: FiniteAbelianGroup) -> list[Character]:
     """All characters of the group; exactly |G| of them, trivial one first."""
-    return [Character(group, t) for t in group.elements(cap)]
+    return [Character(group, t) for t in group.elements()]
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +461,6 @@ class CyclotomicSum:
         return cls._normalized(1, [x.numerator], x.denominator)
 
     @classmethod
-    def zero(cls) -> "CyclotomicSum":
-        return cls._normalized(1, [0], 1)
-
-    @classmethod
     def _normalized(cls, n: int, coeffs: list[int], den: int) -> "CyclotomicSum":
         if den == 0:
             raise ZeroDivisionError("zero denominator")
@@ -540,24 +491,8 @@ class CyclotomicSum:
     def __sub__(self, other: "CyclotomicSum") -> "CyclotomicSum":
         return self + (-other)
 
-    def scale(self, x) -> "CyclotomicSum":
-        x = Fraction(x)
-        return CyclotomicSum._normalized(
-            self.root_order,
-            [x.numerator * c for c in self.coeffs],
-            self.denominator * x.denominator,
-        )
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self.coeffs[0], self.denominator)
 
     def value(self) -> complex:
         n = self.root_order
@@ -585,14 +520,15 @@ def cyclo_equal(x: CyclotomicSum, y: CyclotomicSum) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def orbit(action: ModuleAction, a: Element, cap: int = ENUMERATION_CAP) -> frozenset:
+def orbit(action: ModuleAction, a: Element) -> frozenset:
     """The full orbit {k . a : k in the acting group}.
 
     Computed as the closure of a under the generator maps: each has finite
     order, so the closure also contains every inverse image.
     """
-    if action.group.size > cap:
-        raise SizeCapError(f"group of size {action.group.size} exceeds enumeration cap {cap}")
+    if action.group.size > ENUMERATION_CAP:
+        raise SizeCapError(
+            f"group of size {action.group.size} exceeds enumeration cap {ENUMERATION_CAP}")
     out = {action.module.check(a)}
     frontier = [a]
     while frontier:
@@ -606,8 +542,7 @@ def orbit(action: ModuleAction, a: Element, cap: int = ENUMERATION_CAP) -> froze
 
 
 def orbit_average(
-    action: ModuleAction, chi: Character, a: Element, cap: int = ENUMERATION_CAP,
-    _orbit: frozenset | None = None,
+    action: ModuleAction, chi: Character, a: Element, _orbit: frozenset | None = None
 ) -> CyclotomicSum:
     """Average of the character over the orbit of a, as an exact cyclotomic sum.
 
@@ -615,7 +550,7 @@ def orbit_average(
     """
     if chi.group != action.module:
         raise CharacterTypeError("character of the wrong module")
-    orb = orbit(action, a, cap) if _orbit is None else _orbit
+    orb = orbit(action, a) if _orbit is None else _orbit
     return CyclotomicSum.from_roots((chi._evaluate(b) for b in orb), len(orb))
 
 
@@ -653,9 +588,7 @@ def verify_subgroup(group: FiniteAbelianGroup, elems) -> frozenset:
     return s
 
 
-def subgroup_from_generators(
-    group: FiniteAbelianGroup, gens, cap: int = ENUMERATION_CAP
-) -> frozenset:
+def subgroup_from_generators(group: FiniteAbelianGroup, gens) -> frozenset:
     """All sums of multiples of the generators (closure under the group law)."""
     frontier = {group.zero()}
     for g in gens:
@@ -668,27 +601,24 @@ def subgroup_from_generators(
                 x = group.add(x, g)
                 if x == base:
                     break
-                if len(new) > cap:
+                if len(new) > ENUMERATION_CAP:
                     raise SizeCapError("subgroup closure exceeds cap")
         frontier = new
     return frozenset(frontier)
 
 
-def orbit_trace_counts(
-    action: ModuleAction, subgroup, cap: int = ENUMERATION_CAP, warn=None
-) -> set[int]:
-    """The set of counts #(orbit(d) intersected with the subgroup), d nonzero in it."""
+def orbit_trace_counts(action: ModuleAction, subgroup) -> set[int]:
+    """The set of counts #(orbit(d) intersected with the subgroup), d nonzero in it.
+
+    The zero subgroup has no nonzero d, so its set of counts is empty.
+    """
     d_set = verify_subgroup(action.module, subgroup)
     zero = action.module.zero()
-    if d_set == {zero}:
-        if warn is not None:
-            warn("trace counts of the zero subgroup: quantifying over an empty set")
-        return set()
     # every d in one trace has the same trace, so count each trace once
     counts, seen = set(), {zero}
     for d in d_set:
         if d not in seen:
-            trace = orbit(action, d, cap) & d_set
+            trace = orbit(action, d) & d_set
             seen.update(trace)
             counts.add(len(trace))
     return counts

@@ -39,7 +39,6 @@ from .errors import (
     SizeCapError,
 )
 from .finite_algebra import (
-    ENUMERATION_CAP,
     Character,
     CyclotomicSum,
     cyclo_equal,
@@ -424,26 +423,35 @@ def _cylinder_measures(model: TowerModel, n0: int) -> np.ndarray:
     return np.full(model.schedule.height(n0), copies / model.height)
 
 
-def weak_limit_probe(session, stage_index: int, component, n0: int | None = None) -> WeakLimitReport:
+def weak_limit_probe(session, stage_index: int, component) -> WeakLimitReport:
     """Exact power-average table at one stage against its class prediction.
 
     ``component`` is ("eta", exponent) for a base-tower component or
     ("chi", d) for a skew-tower component; the stage's label decides which
-    limit formula is predicted.  The tolerance is 3 over the stage's column
-    count; exceeding it is reported, and the right response is a larger
-    stage, never a looser gate.
+    limit formula is predicted.  The cylinders are those at the session's
+    cylinder level.  The tolerance is 3 over the stage's column count;
+    exceeding it is reported, and the right response is a larger stage,
+    never a looser gate.  The bucket table counts pairs of level codes
+    (cylinder, group exponent), and for a chi probe also module values; a
+    table of more entries than the session's state cap is refused before
+    it is allocated.
     """
-    n0 = session.config.cylinder_level if n0 is None else n0
+    n0 = session.config.cylinder_level
     stage = session.stage(stage_index)
     label = session.label(stage_index)
     if label.kind == LABEL_PLAIN:
         raise LabelError("plain stages carry no weak-limit prediction")
+    kind, payload = component
+    entries = ((session.schedule.height(n0) + 1) * session.k_order) ** 2
+    if kind == "chi":
+        entries *= session.ctx.module.size
+    if entries > session.config.state_cap:
+        raise SizeCapError(f"probe table of {entries} entries exceeds cap {session.config.state_cap}")
     model = session.model(stage_index)
     h_n = stage.base_height
     delta = float(stage.delta) if stage.delta is not None else stage.i_count / stage.r_count
     tol = PROBE_TOLERANCE_FACTOR / stage.r_count
     mu = _cylinder_measures(model, n0)
-    kind, payload = component
 
     if kind == "eta":
         return _probe_eta(session, model, stage, label, int(payload), n0, h_n, delta, tol, mu)
@@ -686,8 +694,7 @@ class Certificate:
         return out
 
 
-def disjointness_certificate(duality, chi: Character, chi2: Character,
-                             cap: int = ENUMERATION_CAP) -> Certificate:
+def disjointness_certificate(duality, chi: Character, chi2: Character) -> Certificate:
     """Conjugation witness if the characters are related, else a separating a.
 
     The search for a separating element covers the whole module, in element
@@ -705,13 +712,13 @@ def disjointness_certificate(duality, chi: Character, chi2: Character,
         if chi.compose_action(action, (k,)).exponents == chi2.exponents:
             return Certificate(equivalent=True, witness_k=k)
     seen = set()
-    for a in action.module.elements(cap):
+    for a in action.module.elements():
         if a in seen:
             continue
-        orb = orbit(action, a, cap)
+        orb = orbit(action, a)
         seen.update(orb)
-        l1 = orbit_average(action, chi, a, cap, _orbit=orb)
-        l2 = orbit_average(action, chi2, a, cap, _orbit=orb)
+        l1 = orbit_average(action, chi, a, _orbit=orb)
+        l2 = orbit_average(action, chi2, a, _orbit=orb)
         if not cyclo_equal(l1, l2):
             return Certificate(False, None, a, l1, l2)
     raise ConsistencyError(
@@ -773,15 +780,14 @@ def factor_classes(session):
     return classes
 
 
-def multiplicity_report(session, mode: str | None = None,
-                        spectra_depth: int | None = None) -> MultiplicityReport:
+def multiplicity_report(session, spectra_depth: int | None = None) -> MultiplicityReport:
     """Class decomposition, size set, equivalence evidence and certificates.
 
     The class-size set must equal the trace-count set exactly (both are
     orbit counts; an inequality is a construction bug and raises).  In
     product mode the square factor adjoins 2 to the reported multiplicities.
     """
-    mode = session.mode if mode is None else mode
+    mode = session.mode
     triple = session.triple
     counts = orbit_trace_counts(triple.action, triple.d_elements())
     classes = factor_classes(session)
@@ -845,10 +851,6 @@ class SimplicityReport:
     @property
     def max_residual(self) -> float:
         return max(self.residuals)
-
-    @property
-    def min_residual(self) -> float:
-        return min(self.residuals)
 
 
 def _power_matrix(op: PhasedCycleOperator, vec: np.ndarray, window: int) -> np.ndarray:

@@ -47,39 +47,29 @@ def _primitive_root(q: int) -> int:
 
 @dataclass(frozen=True)
 class OrbitBlock:
-    """Z/q with multiplication by a unit of multiplicative order p.
+    """Z/q, q prime, with multiplication by a unit of multiplicative order p.
 
-    Every nonzero element then has an orbit of length exactly p: a fixed
-    nonzero point would force the unit to be 1.
+    Z/q is a field, so u^j x = x for a nonzero x forces u^j = 1: every
+    nonzero element has an orbit of length exactly p.
     """
 
     prime: int
     multiplier: int
     orbit_length: int
 
-    @property
-    def group(self) -> FiniteAbelianGroup:
-        return FiniteAbelianGroup((self.prime,))
-
-    @property
-    def automorphism(self) -> GroupAutomorphism:
-        return GroupAutomorphism(self.group, ((self.multiplier % self.prime,),))
-
     def verify(self):
-        phi = self.automorphism
-        for x in range(1, self.prime):
-            seen, y = set(), (x,)
-            while y not in seen:
-                seen.add(y)
-                y = phi.apply(y)
-            if len(seen) != self.orbit_length:
-                raise ConsistencyError(
-                    f"orbit of {x} mod {self.prime} has length {len(seen)}, "
-                    f"wanted {self.orbit_length}"
-                )
+        """Raise ConsistencyError unless q is prime and u has order exactly p mod q."""
+        q, u, p = self.prime, self.multiplier, self.orbit_length
+        if not _is_prime(q):
+            raise ConsistencyError(f"block modulus {q} is not prime")
+        if p < 1 or pow(u, p, q) != 1 or any(pow(u, p // f, q) == 1 for f in _prime_factors(p)):
+            raise ConsistencyError(
+                f"{u} does not have multiplicative order {p} mod {q}, so the "
+                f"nonzero orbits do not have length {p}"
+            )
 
 
-def orbit_block(p: int, search_bound: int = PRIME_SEARCH_BOUND) -> OrbitBlock:
+def orbit_block(p: int) -> OrbitBlock:
     """A block whose nonzero orbits all have length exactly p."""
     if p < 1:
         raise ConstructionError(f"orbit length must be >= 1, got {p}")
@@ -87,16 +77,14 @@ def orbit_block(p: int, search_bound: int = PRIME_SEARCH_BOUND) -> OrbitBlock:
         block = OrbitBlock(2, 1, 1)
         block.verify()
         return block
-    q = p + 1
-    while q <= search_bound:
-        if q % p == 1 and _is_prime(q):
+    for q in range(p + 1, PRIME_SEARCH_BOUND + 1, p):  # q = 1 mod p
+        if _is_prime(q):
             g = _primitive_root(q)
             mult = pow(g, (q - 1) // p, q)
             block = OrbitBlock(q, mult, p)
             block.verify()
             return block
-        q += 1
-    raise ConstructionError(f"no prime = 1 mod {p} below {search_bound}")
+    raise ConstructionError(f"no prime = 1 mod {p} below {PRIME_SEARCH_BOUND}")
 
 
 @dataclass(frozen=True)
@@ -146,8 +134,8 @@ class AlgebraicTriple:
     def d_size(self) -> int:
         return prod(self.module.orders[c] for c in self.d_coords)
 
-    def d_elements(self, cap: int = ENUMERATION_CAP) -> list[tuple[int, ...]]:
-        return self.module.coordinate_subgroup(self.d_coords, cap)
+    def d_elements(self) -> list[tuple[int, ...]]:
+        return self.module.coordinate_subgroup(self.d_coords)
 
 
 def _block_step_automorphism(
@@ -170,9 +158,7 @@ def _block_step_automorphism(
     return GroupAutomorphism(module, tuple(images))
 
 
-def assemble_triple(
-    targets, depth: int | None = None, cap: int = ENUMERATION_CAP
-) -> AlgebraicTriple:
+def assemble_triple(targets, depth: int | None = None) -> AlgebraicTriple:
     """Build the triple for the first `depth` entries of the target set.
 
     The module is B_1 + B_2^{copies p_1} + B_3^{copies p_1 p_2} + ...; theta
@@ -201,8 +187,9 @@ def assemble_triple(
     module = FiniteAbelianGroup(tuple(orders))
     # |B| may exceed the enumeration cap (it is never enumerated); the
     # verification below only walks D and K, which must stay enumerable
-    if prod(targets) > cap or prod(b.prime for b in blocks) > cap:
-        raise SizeCapError(f"K or D at depth {depth} exceeds enumeration cap {cap}")
+    if prod(targets) > ENUMERATION_CAP or prod(b.prime for b in blocks) > ENUMERATION_CAP:
+        raise SizeCapError(
+            f"K or D at depth {depth} exceeds enumeration cap {ENUMERATION_CAP}")
     theta = _block_step_automorphism(module, spans, blocks)
 
     triple = AlgebraicTriple(
@@ -213,11 +200,11 @@ def assemble_triple(
         spans=tuple(spans),
         d_coords=tuple(d_coords),
     )
-    _verify_triple(triple, cap)
+    _verify_triple(triple)
     return triple
 
 
-def _verify_triple(triple: AlgebraicTriple, cap: int):
+def _verify_triple(triple: AlgebraicTriple):
     # the twist-and-cycle identity on each span: iterating (copies) times
     # must act as the block twist on every copy simultaneously
     for span, block in zip(triple.spans, triple.blocks):
@@ -238,7 +225,7 @@ def _verify_triple(triple: AlgebraicTriple, cap: int):
         if triple.theta.power(triple.k_order // p).is_identity():
             raise ConsistencyError(f"theta has order dividing |K|/{p}")
     # the defining trace-count property, by exhaustive orbit enumeration
-    got = orbit_trace_counts(triple.action, triple.d_elements(cap), cap)
+    got = orbit_trace_counts(triple.action, triple.d_elements())
     if got != set(triple.targets):
         raise ConsistencyError(
             f"trace counts {sorted(got)} != targets {list(triple.targets)}"
@@ -268,23 +255,12 @@ class CompactTower:
     def k_orders(self) -> list[int]:
         return [lvl.k_order for lvl in self.levels]
 
-    def project_k(self, j: int, k: int) -> int:
-        """K_depth -> K_j, reduction of the cyclic generator exponent."""
-        return k % self.levels[j - 1].k_order
-
     def project_module(self, j: int, a):
         """Module at full depth -> module at depth j (drop deep-block coordinates)."""
         rank = self.levels[j - 1].module.rank
         return tuple(a[:rank])
 
-    def deepest(self) -> AlgebraicTriple:
-        return self.levels[-1]
-
-    def dense_submodule_elements(self, cap: int = ENUMERATION_CAP):
-        """Every element of the deepest module (all orbits are finite here)."""
-        return self.deepest().module.elements(cap)
-
-    def verify(self, cap: int = ENUMERATION_CAP):
+    def verify(self):
         for j in range(1, self.depth):
             lo, hi = self.levels[j - 1], self.levels[j]
             if hi.k_order % lo.k_order:
@@ -310,14 +286,13 @@ class CompactTower:
                     )
 
 
-def compactify(triple: AlgebraicTriple, cap: int = ENUMERATION_CAP) -> CompactTower:
+def compactify(triple: AlgebraicTriple) -> CompactTower:
     """Truncations of the triple at every depth 1..m, with coherence verified."""
     levels = tuple(
-        assemble_triple(triple.targets, depth=j, cap=cap)
-        for j in range(1, triple.depth)
+        assemble_triple(triple.targets, depth=j) for j in range(1, triple.depth)
     ) + (triple,)
     tower = CompactTower(levels)
-    tower.verify(cap)
+    tower.verify()
     return tower
 
 
@@ -352,31 +327,31 @@ class DualityRecord:
         self.triple.module.check(d)
         return Character(self.dual_module, d)
 
-    def annihilator_elements(self, cap: int = ENUMERATION_CAP):
-        return self.dual_module.coordinate_subgroup(self.annihilator_coords, cap)
+    def annihilator_elements(self):
+        return self.dual_module.coordinate_subgroup(self.annihilator_coords)
 
-    def verify(self, cap: int = ENUMERATION_CAP):
+    def verify(self):
         b_size = self.triple.module.size
         d_size = self.triple.d_size()
         if self.annihilator_size * d_size != b_size:
             raise ConsistencyError(
                 f"|H| * |D| = {self.annihilator_size} * {d_size} != |B| = {b_size}"
             )
-        if self.annihilator_size <= cap:
-            for t in self.annihilator_elements(cap):
+        if self.annihilator_size <= ENUMERATION_CAP:
+            for t in self.annihilator_elements():
                 for d in self.triple.d_generators():
                     if not self.pairing(t, d).is_one():
                         raise ConsistencyError(f"{t} is not in the annihilator of D")
         # the identification sends the factor characters onto D, so D's
         # trace counts under the dual action must be the targets again
-        dual = orbit_trace_counts(self.dual_action, self.triple.d_elements(cap), cap)
+        dual = orbit_trace_counts(self.dual_action, self.triple.d_elements())
         if dual != set(self.triple.targets):
             raise ConsistencyError(
                 f"dual trace counts {sorted(dual)} != targets {list(self.triple.targets)}"
             )
 
 
-def dualize(triple: AlgebraicTriple, cap: int = ENUMERATION_CAP) -> DualityRecord:
+def dualize(triple: AlgebraicTriple) -> DualityRecord:
     """Character-group picture of a triple, with |H| * |D| = |B| certified."""
     dual_module = FiniteAbelianGroup(triple.module.orders)
     theta_inv = triple.theta.power(triple.k_order - 1)
@@ -393,5 +368,5 @@ def dualize(triple: AlgebraicTriple, cap: int = ENUMERATION_CAP) -> DualityRecor
         annihilator_coords=ann_coords,
         annihilator_size=ann_size,
     )
-    record.verify(cap)
+    record.verify()
     return record

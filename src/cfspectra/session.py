@@ -33,6 +33,7 @@ from .cf_builder import (
 )
 from .cocycle_engine import (
     LABEL_DELAYED_TRANSLATE,
+    LABEL_PLAIN,
     MODE_DIRECT,
     MODE_PRODUCT,
     CocycleStageMaps,
@@ -40,11 +41,9 @@ from .cocycle_engine import (
     StageLabel,
     TowerModel,
     label_cycle,
-    schedule_labels,
     stage_maps,
 )
 from .errors import BundleError, ConfigError, ScheduleError, SizeCapError
-from .finite_algebra import ENUMERATION_CAP
 from .koopman_lab import DEFAULT_STATE_CAP
 from .module_factory import AlgebraicTriple, CompactTower, DualityRecord, assemble_triple, compactify, dualize
 
@@ -197,6 +196,14 @@ class SessionConfig:
             raise ScheduleError(f"{self.shape} shape needs an explicit r_seq")
         if self.shape == SHAPE_ARITHMETIC and self.mode != MODE_DIRECT:
             raise ScheduleError("arithmetic shape has no delayed stages; use direct mode")
+        if not 0 <= self.cylinder_level <= self.num_stages:
+            raise ConfigError(
+                f"malformed value for config key cylinder_level: {self.cylinder_level!r} "
+                f"(a depth of the {self.num_stages}-stage schedule)")
+        if self.spectra_depth is not None and self.spectra_depth < 1:
+            raise ConfigError(
+                f"malformed value for config key spectra_depth: {self.spectra_depth!r} "
+                "(a depth of at least 1)")
 
     @property
     def num_stages(self) -> int:
@@ -290,7 +297,7 @@ class Session:
         return self.triple.d_elements()
 
 
-def synth(config: SessionConfig, cap: int = ENUMERATION_CAP) -> Session:
+def synth(config: SessionConfig) -> Session:
     """Deterministic pipeline: algebra, schedule, labels, cocycle tables."""
     # every stage at least doubles the height, so a deeper schedule is taller
     # than MAX_HEIGHT; refused before the per-stage labels are drawn
@@ -298,15 +305,19 @@ def synth(config: SessionConfig, cap: int = ENUMERATION_CAP) -> Session:
         raise SizeCapError(
             f"{config.num_stages} stages would make a tower taller than {MAX_HEIGHT} levels")
     depth_alg = config.algebra_depth or len(config.targets)
-    triple = assemble_triple(config.targets, depth_alg, cap)
-    tower = compactify(triple, cap)
-    duality = dualize(triple, cap)
+    triple = assemble_triple(config.targets, depth_alg)
+    tower = compactify(triple)
+    duality = dualize(triple)
     ctx = SemidirectContext(triple.k_order, duality.dual_module, duality.dual_action)
 
-    if config.shape == SHAPE_DELTA_BLOCKS:
-        # labels first, then each stage's cut kind to match its label
-        gen = label_cycle(duality.dual_module, triple.k_order, config.mode, cap)
+    # labels first, then each stage's cut kind to match its label; stage_maps
+    # refuses a label that does not fit its stage
+    if config.shape == SHAPE_STAIRCASE:
+        labels = (StageLabel(LABEL_PLAIN),) * config.num_stages
+    else:
+        gen = label_cycle(duality.dual_module, triple.k_order, config.mode)
         labels = tuple(islice(gen, config.num_stages))
+    if config.shape == SHAPE_DELTA_BLOCKS:
         kinds = [KIND_DELAYED_STAIRCASE if label.kind == LABEL_DELAYED_TRANSLATE
                  else KIND_RIGID_STAIRCASE for label in labels]
         schedule = concat_delta_blocks(config.blocks, config.initial_height, kinds)
@@ -315,8 +326,6 @@ def synth(config: SessionConfig, cap: int = ENUMERATION_CAP) -> Session:
         kind = KIND_RIGID_STAIRCASE if config.shape == SHAPE_ARITHMETIC else KIND_STAIRCASE
         specs = [{"kind": kind, "i": r, "r": r} for r in config.r_seq]
         schedule = build_schedule(config.initial_height, specs)
-        labels = schedule_labels(schedule, duality.dual_module, triple.k_order,
-                                 config.mode, cap)
 
     maps = tuple(
         stage_maps(label, st, triple.k_order, duality.dual_module)

@@ -161,7 +161,7 @@ class TestAcceptance:
             # diagonal rows (f = g, e_u = e_v)
             chi = probe_direct.duality.character_of_dual(d)
             l_exact = orbit_average(action, chi, a)
-            k_mean = np.mean([chi.evaluate(action.act((k,), a)).value()
+            k_mean = np.mean([chi.evaluate(action.automorphism_for((k,)).apply(a)).value()
                               for k in range(probe_direct.k_order)])
             assert abs(l_exact.value() - k_mean) < 1e-9
             diagonal = [r for r in rep.rows if r["u"] == r["v"]]

@@ -46,7 +46,7 @@ class TestCutShapes:
     def test_two_regime_pure_arithmetic(self):
         st = rigid_staircase_cut(7, 5, 5)
         assert st.cuts == tuple(7 * j for j in range(5))
-        assert st.spacer_count() == 0
+        assert st.new_height == 5 * 7  # no spacers
 
     def test_two_regime_small(self):
         # recursion oracle: h=1, i=1, r=3 gives 0, 0+1+0, 1+1+1
@@ -124,11 +124,6 @@ class TestSchedule:
         st2 = rigid_staircase_cut(99, 2, 3, index=2)
         with pytest.raises(ScheduleError):
             CFSchedule(1, (st1, st2))
-
-    def test_truncate(self):
-        sched = concat_delta_blocks([DeltaBlock(Fraction(1, 2), 4)])
-        assert sched.truncate(2).depth == 2
-        assert sched.truncate(2).heights() == sched.heights()[:3]
 
 
 class TestDeltaBlocks:

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -28,21 +29,26 @@ from cfspectra.cocycle_engine import (
     canonical_word,
     evaluate_cocycle,
     label_cycle,
-    schedule_labels,
     stage_maps,
     transition_values,
-    word_level,
     word_product,
 )
-from cfspectra.errors import InvalidElementError, LabelError, PairError
+from cfspectra.errors import InvalidElementError, LabelError, PairError, ParameterError
 from cfspectra.finite_algebra import FiniteAbelianGroup, GroupAutomorphism, ModuleAction
 from cfspectra.module_factory import assemble_triple, dualize
+from cfspectra.session import SessionConfig, synth
 
 
 def small_ctx():
     """K = Z/2 acting on Z/2 + Z/3 by identity x negation (dual side of {1,2})."""
     rec = dualize(assemble_triple({1, 2}))
     return SemidirectContext(rec.triple.k_order, rec.dual_module, rec.dual_action)
+
+
+def direct_maps(sched, ctx):
+    """Direct-mode round-robin tables for every stage of a rigid schedule."""
+    labels = islice(label_cycle(ctx.module, ctx.k_order, MODE_DIRECT), sched.depth)
+    return [stage_maps(l, st, ctx.k_order, ctx.module) for l, st in zip(labels, sched.stages)]
 
 
 def expansion_oracle(x, y, maps_by_stage, ctx):
@@ -97,25 +103,20 @@ class TestLabels:
         assert [l.a for l in labels[0::2]] == [(0,), (1,), (0,), (1,)]
         assert [l.k for l in labels[1::2]] == [0, 1, 0, 1]
 
-    def test_schedule_labels_compat(self):
-        sched = concat_delta_blocks([DeltaBlock("1/2", 4)])
-        g = FiniteAbelianGroup((2, 3))
-        labels = schedule_labels(sched, g, 2, MODE_DIRECT)
-        assert [l.kind for l in labels] == [
-            LABEL_RIGID_TRANSLATE,
-            LABEL_RIGID_ROTATE,
-        ] * 2
-
     def test_delayed_label_requires_delayed_shape(self):
         sched = concat_delta_blocks([DeltaBlock("1/2", 2)])  # rigid_staircase shapes
         g = FiniteAbelianGroup((2,))
+        labels = label_cycle(g, 2, MODE_PRODUCT)
+        # the second label is a delayed translate, which a rigid stage refuses
+        stage_maps(next(labels), sched.stages[0], 2, g)
         with pytest.raises(LabelError):
-            schedule_labels(sched, g, 2, MODE_PRODUCT)
+            stage_maps(next(labels), sched.stages[1], 2, g)
 
     def test_staircase_schedule_gets_plain_labels(self):
-        sched = build_schedule(1, [{"kind": "staircase", "r": r} for r in (2, 3)])
-        labels = schedule_labels(sched, FiniteAbelianGroup((2,)), 2, MODE_DIRECT)
-        assert all(l.kind == LABEL_PLAIN for l in labels)
+        session = synth(SessionConfig(mode=MODE_DIRECT, targets=(1, 2), shape="staircase",
+                                      r_seq=(2, 3)))
+        assert all(l.kind == LABEL_PLAIN for l in session.labels)
+        assert [st.kind for st in session.schedule.stages] == ["staircase"] * 2
 
 
 class TestStageMaps:
@@ -176,7 +177,6 @@ class TestCanonicalWord:
     def test_spacer_marker(self):
         # stage 1 cuts {0,1,3} over height 1: level 2 of the height-4 tower is a spacer
         w = canonical_word(2, self.sched, depth=1)
-        assert w.is_spacer()
         assert (w.least_depth, w.residual, w.cuts) == (1, 2, ())
 
     def test_spacer_at_full_depth(self):
@@ -187,7 +187,7 @@ class TestCanonicalWord:
     def test_levels_roundtrip(self):
         for l in range(self.sched.height(2)):
             w = canonical_word(l, self.sched)
-            assert word_level(w, self.sched) == l
+            assert w.residual + sum(w.cuts) == l
 
     def test_out_of_range(self):
         with pytest.raises(PairError):
@@ -342,11 +342,8 @@ class TestTowerModel:
         self.sched = concat_delta_blocks(
             [DeltaBlock("1/2", 3, r_start=3), DeltaBlock("1/4", 1, r_start=5)]
         )
-        self.labels = schedule_labels(self.sched, self.ctx.module,
-                                      self.ctx.k_order, MODE_DIRECT)
-        self.maps = [stage_maps(l, st, self.ctx.k_order, self.ctx.module)
-                     for l, st in zip(self.labels, self.sched.stages)]
-        self.model = TowerModel(self.sched, maps_by_stage=self.maps, ctx=self.ctx)
+        self.maps = direct_maps(self.sched, self.ctx)
+        self.model = TowerModel(self.sched, self.sched.depth, self.maps, self.ctx)
 
     def test_cylinder_ids_match_words(self):
         ids = self.model.cylinder_ids(1)
@@ -357,6 +354,12 @@ class TestTowerModel:
                 assert ids[l] == expected
             else:
                 assert ids[l] == -1
+
+    def test_cylinder_ids_only_at_the_model_depth_or_above(self):
+        assert self.model.cylinder_ids(0).size == self.model.height
+        for n0 in (-1, self.model.depth + 1):
+            with pytest.raises(ParameterError):
+                self.model.cylinder_ids(n0)
 
     def test_word_products_match_scalar_route(self):
         for l in range(0, self.model.height, 7):
@@ -437,7 +440,7 @@ def test_semidirect_act_matches_module_action(shipped_product):
     samples = [module.element_by_index(rng.randrange(module.size)) for _ in range(20)]
     for k in range(-ctx.k_order, 2 * ctx.k_order):
         for a in samples:
-            assert ctx.act(k, a) == ctx.action.act((k % ctx.k_order,), a)
+            assert ctx.act(k, a) == ctx.action.automorphism_for((k % ctx.k_order,)).apply(a)
     for bad_k in (1.0, np.int64(1), "1", None):
         with pytest.raises(InvalidElementError):
             ctx.act(bad_k, samples[0])
@@ -446,10 +449,7 @@ def test_semidirect_act_matches_module_action(shipped_product):
 def test_group_part_telescopes_to_zero():
     ctx = small_ctx()
     sched = concat_delta_blocks([DeltaBlock("1/2", 4)])
-    labels = schedule_labels(sched, ctx.module, ctx.k_order, MODE_DIRECT)
-    maps = [stage_maps(l, st, ctx.k_order, ctx.module)
-            for l, st in zip(labels, sched.stages)]
-    model = TowerModel(sched, maps_by_stage=maps, ctx=ctx)
+    model = TowerModel(sched, sched.depth, direct_maps(sched, ctx), ctx)
     d_beta, d_alpha = model.transitions()
     assert int(d_beta.sum() % ctx.k_order) == 0
 
@@ -459,10 +459,7 @@ def test_twisted_module_map_is_a_cocycle_on_the_skew_relation():
     # value k . alpha(l, l') satisfies the chain rule exactly
     ctx = small_ctx()
     sched = concat_delta_blocks([DeltaBlock("1/2", 3, r_start=3)])
-    labels = schedule_labels(sched, ctx.module, ctx.k_order, MODE_DIRECT)
-    maps = [stage_maps(l, st, ctx.k_order, ctx.module)
-            for l, st in zip(labels, sched.stages)]
-    model = TowerModel(sched, maps_by_stage=maps, ctx=ctx)
+    model = TowerModel(sched, sched.depth, direct_maps(sched, ctx), ctx)
     rng = random.Random(11)
     h = model.height
     for _ in range(200):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -14,6 +15,7 @@ from cfspectra.errors import (
     LabelError,
     LagRangeError,
     ParameterError,
+    SizeCapError,
 )
 from cfspectra.finite_algebra import (
     Character,
@@ -247,6 +249,21 @@ class TestWeakLimitProbes:
                                 r_seq=(2, 3)))
         with pytest.raises(LabelError):
             weak_limit_probe(s, 1, ("eta", 0))
+
+    def test_oversized_probe_table_is_refused_before_allocating(self):
+        # at cylinder level 3 the stage-4 eta table has ((h_3 + 1) * kappa)**2
+        # entries, over the default state cap of 2 * 10**6
+        s = synth(SessionConfig(mode="direct", targets=(1, 2), cylinder_level=3,
+                                blocks=(DeltaBlock(Fraction(1, 2), 4, r_seq=(8, 8, 64, 64)),)))
+        assert ((s.schedule.height(3) + 1) * s.k_order) ** 2 > s.config.state_cap
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError, match="probe table"):
+                weak_limit_probe(s, 4, ("eta", 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
     def test_rotate_stage_has_no_skew_prediction(self, probe_session):
         with pytest.raises(LabelError):

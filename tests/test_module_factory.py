@@ -5,6 +5,7 @@ import pytest
 from cfspectra.errors import ConsistencyError, ConstructionError
 from cfspectra.finite_algebra import FiniteAbelianGroup, GroupAutomorphism, identity_automorphism
 from cfspectra.module_factory import (
+    OrbitBlock,
     assemble_triple,
     compactify,
     dualize,
@@ -43,26 +44,44 @@ class TestOrbitBlock:
     def test_length_three(self):
         b = orbit_block(3)
         assert b.prime == 7
-        phi = b.automorphism
-        orb = {(1,)}
-        x = (1,)
+        orb = {1}
+        x = 1
         for _ in range(2):
-            x = phi.apply(x)
+            x = x * b.multiplier % b.prime
             orb.add(x)
-        assert orb == {(1,), (2,), (4,)}
+        assert orb == {1, 2, 4}
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 10])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 10, 12, 30])
     def test_all_nonzero_orbits_exact_length(self, p):
+        # oracle for the order check in verify: walk every nonzero orbit
         b = orbit_block(p)
-        phi = b.automorphism
         for x0 in range(1, b.prime):
-            x, length = (x0,), 0
+            x, length = x0, 0
             while True:
-                x = phi.apply(x)
+                x = x * b.multiplier % b.prime
                 length += 1
-                if x == (x0,):
+                if x == x0:
                     break
             assert length == p
+
+    @pytest.mark.parametrize("block", [
+        OrbitBlock(7, 2, 6),  # 2 has order 3 mod 7
+        OrbitBlock(7, 3, 3),  # 3 has order 6 mod 7
+        OrbitBlock(7, 1, 2),  # 1 fixes every point
+        OrbitBlock(7, 0, 1),  # 0 is no unit
+        OrbitBlock(9, 2, 6),  # order 6 mod 9, yet the orbit of 3 is {3, 6}
+        OrbitBlock(2, 1, 0),
+    ], ids=lambda b: f"{b.prime}-{b.multiplier}-{b.orbit_length}")
+    def test_verify_refuses_a_wrong_order(self, block):
+        with pytest.raises(ConsistencyError):
+            block.verify()
+
+    def test_large_orbit_length_is_fast(self):
+        # the smallest prime = 1 mod 1000 is 3001; verify walks no orbit
+        start = time.monotonic()
+        b = orbit_block(1000)
+        assert (b.prime, b.orbit_length) == (3001, 1000)
+        assert time.monotonic() - start < 1.0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ConstructionError):
@@ -140,12 +159,11 @@ class TestCompactify:
     def test_two_three_tower(self):
         tower = compactify(assemble_triple({2, 3}))
         assert tower.k_orders() == [2, 6]
-        assert tower.project_k(1, 5) == 1
         assert tower.project_module(1, (2, 4, 1)) == (2,)
 
     def test_equivariance_all_elements(self):
         tower = compactify(assemble_triple({2, 3}))
-        deep = tower.deepest()
+        deep = tower.levels[-1]
         shallow = tower.levels[0]
         for a in deep.module.elements():
             lhs = tower.project_module(1, deep.theta.apply(a))
@@ -154,11 +172,11 @@ class TestCompactify:
 
     def test_dense_submodule_orbits_finite(self):
         tower = compactify(assemble_triple({1, 2}))
-        action = tower.deepest().action
+        deep = tower.levels[-1]
         from cfspectra.finite_algebra import orbit
 
-        for a in tower.dense_submodule_elements():
-            assert len(orbit(action, a)) <= tower.deepest().k_order
+        for a in deep.module.elements():
+            assert len(orbit(deep.action, a)) <= deep.k_order
 
 
 class TestDualize:
@@ -184,8 +202,8 @@ class TestDualize:
         for k in range(t.k_order):
             for t_el in [(1, 0, 0), (0, 1, 0), (2, 3, 4)]:
                 for b in [(1, 0, 0), (0, 1, 0), (1, 2, 3)]:
-                    kt = rec.dual_action.act((k,), t_el)
-                    kb = t.action.act((k,), b)
+                    kt = rec.dual_action.automorphism_for((k,)).apply(t_el)
+                    kb = t.action.automorphism_for((k,)).apply(b)
                     assert rec.pairing(kt, kb) == rec.pairing(t_el, b)
 
     def test_dual_orbit_traces_match(self):

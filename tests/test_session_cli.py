@@ -20,6 +20,7 @@ from cfspectra.errors import BundleError, ConfigError, ScheduleError
 from cfspectra.session import (
     _BLOCK_SCHEMA,
     _CONFIG_SCHEMA,
+    BUNDLE_FILES,
     SessionConfig,
     bundle_hash,
     canonical_json,
@@ -69,7 +70,6 @@ def session_configs(draw):
     kwargs = draw(st.fixed_dictionaries({}, optional={
         "algebra_depth": st.none() | st.integers(1, 4),
         "initial_height": st.integers(1, 5),
-        "cylinder_level": st.integers(1, 3),
         "state_cap": st.integers(1, 10**7),
         "ratio_bound": st.integers(1, 1000) | st.floats(1, 1e6),
         "spectra_depth": st.none() | st.integers(1, 6),
@@ -78,6 +78,10 @@ def session_configs(draw):
         kwargs["blocks"] = draw(delta_blocks())
     else:
         kwargs["r_seq"] = tuple(draw(st.lists(st.integers(2, 64), min_size=1, max_size=6)))
+    # a cylinder level is a depth of the schedule
+    stages = sum(b.stages for b in kwargs["blocks"]) if "blocks" in kwargs else len(kwargs["r_seq"])
+    if draw(st.booleans()):
+        kwargs["cylinder_level"] = draw(st.integers(1, min(3, stages)))
     return SessionConfig(mode=mode, targets=tuple(targets), shape=shape, **kwargs)
 
 
@@ -165,9 +169,19 @@ class TestConfig:
         ({"mode": "direct", "targets": [1, 2],
           "blocks": [{"delta": [1, 2], "stages": 2, "r_seq": [3, "4"]}]},
          "malformed value for config key blocks[0].r_seq"),
+        ({"mode": "direct", "targets": [1, 2], "cylinder_level": 3,
+          "blocks": [{"delta": [1, 2], "stages": 2}]},
+         "malformed value for config key cylinder_level: 3"),
+        ({"mode": "direct", "targets": [1, 2], "cylinder_level": -1,
+          "blocks": [{"delta": [1, 2], "stages": 2}]},
+         "malformed value for config key cylinder_level: -1"),
+        ({"mode": "direct", "targets": [1, 2], "spectra_depth": 0,
+          "blocks": [{"delta": [1, 2], "stages": 2}]},
+         "malformed value for config key spectra_depth: 0"),
     ], ids=["no-targets", "no-mode", "misspelled-key", "block-key", "block-missing-key",
             "blocks-not-list", "block-not-object", "not-object", "targets-not-list",
-            "state-cap-string", "height-float", "delta-zero-denominator", "r-seq-string"])
+            "state-cap-string", "height-float", "delta-zero-denominator", "r-seq-string",
+            "cylinder-level-past-depth", "cylinder-level-negative", "spectra-depth-zero"])
     def test_malformed_config_names_the_key(self, doc, path):
         with pytest.raises(ConfigError) as info:
             SessionConfig.from_dict(doc)
@@ -279,6 +293,18 @@ class TestCLI:
         code, results = run_verify(bundle, ("mixing",))
         assert code == 4
         assert "no decay" in results["mixing"]["detail"]["diagnostic"]
+
+    def test_oversized_decay_table_is_refused(self, tmp_path, capsys):
+        # at cylinder level 9 the pairs of direct_12's cylinders alone number
+        # about 10**11; they are refused before they are listed
+        doc = json.loads((CONFIG_DIR / "direct_12.json").read_text())
+        bundle = self.synth_bundle(tmp_path, dict(doc, cylinder_level=9))
+        capsys.readouterr()
+        assert main(["dump", "--bundle", str(bundle), "--what", "decay"]) == 1
+        assert "decay rows exceed enumeration cap" in capsys.readouterr().err
+        code, results = run_verify(bundle, ("mixing",))
+        assert code == 4
+        assert "decay rows exceed enumeration cap" in results["mixing"]["detail"]["error"]
 
     def test_missing_bundle_is_reported(self, tmp_path):
         code, results = run_verify(tmp_path / "nope", ("algebra",))
@@ -406,6 +432,47 @@ def test_synth_of_any_one_key_changed_exits_0_or_1(name, data):
             code = main(["synth", "--config", str(config), "--out", str(Path(tmp) / "b")])
     assert code in (0, 1)
     assert (code == 1) == err.getvalue().startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def shipped_bundles(tmp_path_factory):
+    root = tmp_path_factory.mktemp("shipped")
+    return {name: save_bundle(synth(SessionConfig.from_dict(doc)), root / name)
+            for name, doc in SHIPPED_DOCS.items()}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(SHIPPED_DOCS)), data=st.data())
+def test_verify_and_dump_of_any_one_key_changed_end_in_an_exit_code(shipped_bundles, name,
+                                                                    data):
+    # one key of a synthesized shipped bundle's config.json, at the top level
+    # or in a block, takes a random JSON value; the file stays canonical and
+    # the manifest takes its new hash, so a value that leaves the other files
+    # unchanged loads and runs every suite
+    doc = json.loads(json.dumps(SHIPPED_DOCS[name]))
+    paths = [(doc, key) for key in doc]
+    paths += [(block, key) for block in doc.get("blocks", []) for key in block]
+    owner, key = data.draw(st.sampled_from(paths))
+    owner[key] = data.draw(JSON_VALUES)
+    what, fmt = data.draw(st.sampled_from(
+        [("spectra", "json"), ("report", "json"), ("decay", "json"), ("decay", "csv")]))
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = Path(tmp) / "b"
+        bundle.mkdir()
+        for fname in BUNDLE_FILES + ("validation.json", "manifest.json"):
+            (bundle / fname).write_bytes((shipped_bundles[name] / fname).read_bytes())
+        (bundle / "config.json").write_text(canonical_json(doc))
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        manifest["bundle_hash"] = bundle_hash(bundle)
+        (bundle / "manifest.json").write_text(canonical_json(manifest))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            verify_code = main(["verify", "--bundle", str(bundle), "--suite", "all"])
+            dump_code = main(["dump", "--bundle", str(bundle), "--what", what,
+                              "--format", fmt, "--out", str(Path(tmp) / "dump")])
+    assert verify_code in (0, 2, 3, 4, 5)
+    assert dump_code in (0, 1)
+    assert (dump_code == 1) == err.getvalue().startswith("error: ")
 
 
 def _edit(name, change):

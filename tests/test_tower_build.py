@@ -111,8 +111,8 @@ def test_build_allocates_no_block_cache(probe_large):
     # on the side would read 1.07
     tracemalloc.start()
     try:
-        model = TowerModel(probe_large.schedule, maps_by_stage=probe_large.maps,
-                           ctx=probe_large.ctx, cap=probe_large.config.state_cap)
+        model = TowerModel(probe_large.schedule, probe_large.schedule.depth, probe_large.maps,
+                           probe_large.ctx, cap=probe_large.config.state_cap)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -133,8 +133,8 @@ def test_cylinder_measures_equal_level_counts(request, name):
     session = request.getfixturevalue(name)
     schedule = session.schedule
     for depth in range(1, schedule.depth + 1):
-        # the measures need no cocycle tables
-        model = TowerModel(schedule, depth, cap=session.config.state_cap)
+        model = TowerModel(schedule, depth, session.maps[:depth], session.ctx,
+                           cap=session.config.state_cap)
         for n0 in range(1, depth + 1):
             got = _cylinder_measures(model, n0)
             assert np.array_equal(got, bincount_measures(model, n0)), (depth, n0)
