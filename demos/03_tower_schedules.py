@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
-"""Cut-and-stack schedules: the three cut shapes and schedule validation."""
+"""Cut-and-stack schedules: the one cut rule, its three kinds, and schedule validation."""
 
 from fractions import Fraction
 
 from cfspectra import (
     DeltaBlock,
     concat_delta_blocks,
-    delayed_staircase_cut,
-    rigid_staircase_cut,
-    staircase_cut,
+    cut_stage,
     validate,
 )
 
-# A cut set lists the base offset of each column in the next tower.
-print("rigid+staircase, h=5, 2 rigid of 4:", rigid_staircase_cut(5, 2, 4).cuts)
-print("delayed variant, h=5, i=2, r=6:   ", delayed_staircase_cut(5, 2, 6).cuts)
-print("pure staircase, h=3, r=4:         ", staircase_cut(3, 4).cuts)
+# A cut set lists the base offset of each column in the next tower: a rigid
+# run, an offset run (delayed kind only), then a staircase run.
+print("rigid+staircase, h=5, 2 rigid of 4:", cut_stage("rigid_staircase", 5, 2, 4).cuts)
+print("delayed variant, h=5, i=2, r=6:   ", cut_stage("delayed_staircase", 5, 2, 6).cuts)
+print("pure staircase, h=3, r=4:         ", cut_stage("staircase", 3, 0, 4).cuts)
 
 # Chaining blocks of decreasing rigidity fraction: heights continue across
 # the seams and the column count restarts low in each block.

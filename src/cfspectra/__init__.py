@@ -14,9 +14,7 @@ from .cf_builder import (
     DeltaBlock,
     build_schedule,
     concat_delta_blocks,
-    delayed_staircase_cut,
-    rigid_staircase_cut,
-    staircase_cut,
+    cut_stage,
     validate,
 )
 from .cocycle_engine import (

@@ -1,14 +1,12 @@
-"""Cut-and-stack tower schedules: cut-set shapes, chaining and validation.
+"""Cut-and-stack tower schedules: the cut rule, chaining and validation.
 
 A stage takes the current tower of height h and cuts it into r columns; the
-cut set lists the base offset of every column inside the next tower.  Three
-shapes are generated here:
-
-* ``rigid_staircase_cut``   -- an arithmetic run of i columns (no spacers)
-  followed by a staircase run where column j gets j extra spacers;
-* ``delayed_staircase_cut`` -- arithmetic run, then i columns with exactly
-  one spacer each, then a staircase run;
-* ``staircase_cut``         -- pure staircase (column i gets i spacers).
+cut set lists the base offset of every column inside the next tower.  One
+rule, ``cut_stage``, places the columns in three runs: a rigid run of i
+columns with no spacers, then (delayed kind only) an offset run of i
+columns with one spacer each, then a staircase run whose columns get 1, 2,
+... spacers.  A pure staircase is the rigid rule with column 0 alone in the
+rigid run, recorded with i = 0.
 
 Heights chain minimally: the next height is the last cut plus the current
 height, so there are never spacers above the last column.
@@ -76,52 +74,41 @@ class CFStage:
         }
 
 
-def rigid_staircase_cut(
-    h: int, i: int, r: int, *, index: int = 1, delta=None, block=None
-) -> CFStage:
-    """Arithmetic run of i columns, then staircase; step j of the staircase adds j spacers."""
-    if not (0 < i <= r) or r < 2:
-        raise ParameterError(f"need 0 < i <= r and r > 1, got i={i}, r={r}")
+def cut_stage(kind: str, h: int, i: int, r: int, *, index: int = 1, delta=None,
+              block=None) -> CFStage:
+    """The stage of the given kind cutting a height-h tower into r columns.
+
+    Column j sits h levels above column j - 1 plus its spacers: none in the
+    rigid run (columns 0..i-1), one each in the offset run (the next i
+    columns, delayed kind only), and 1, 2, ... in the staircase run.  The
+    staircase kind ignores i and delta: its rigid run is column 0 alone.
+    """
+    if kind == KIND_STAIRCASE:
+        if r < 2:
+            raise ParameterError(f"need r > 1, got r={r}")
+        i, delta, rigid, offset = 0, None, 1, 0
+    elif kind == KIND_RIGID_STAIRCASE:
+        if not (0 < i <= r) or r < 2:
+            raise ParameterError(f"need 0 < i <= r and r > 1, got i={i}, r={r}")
+        rigid, offset = i, 0
+    elif kind == KIND_DELAYED_STAIRCASE:
+        if not (0 < 2 * i <= r):
+            raise ParameterError(f"need 0 < 2i <= r, got i={i}, r={r}")
+        rigid, offset = i, i
+    else:
+        raise ScheduleError(f"unknown stage kind {kind!r}")
     cuts, regimes = [0], [REGIME_RIGID]
     for j in range(1, r):
-        if j < i:
-            cuts.append(cuts[-1] + h)
-            regimes.append(REGIME_RIGID)
+        if j < rigid:
+            spacers, regime = 0, REGIME_RIGID
+        elif j < rigid + offset:
+            spacers, regime = 1, REGIME_OFFSET
         else:
-            cuts.append(cuts[-1] + h + (j - i))
-            regimes.append(REGIME_STAIRCASE)
-    return CFStage(index, h, tuple(cuts), i, r, KIND_RIGID_STAIRCASE, tuple(regimes),
+            spacers, regime = j - rigid - offset, REGIME_STAIRCASE
+        cuts.append(cuts[-1] + h + spacers)
+        regimes.append(regime)
+    return CFStage(index, h, tuple(cuts), i, r, kind, tuple(regimes),
                    Fraction(delta) if delta is not None else None, block)
-
-
-def delayed_staircase_cut(
-    h: int, i: int, r: int, *, index: int = 1, delta=None, block=None
-) -> CFStage:
-    """Arithmetic run, then i columns with one spacer each, then staircase."""
-    if not (0 < 2 * i <= r):
-        raise ParameterError(f"need 0 < 2i <= r, got i={i}, r={r}")
-    cuts, regimes = [0], [REGIME_RIGID]
-    for j in range(1, r):
-        if j < i:
-            cuts.append(cuts[-1] + h)
-            regimes.append(REGIME_RIGID)
-        elif j < 2 * i:
-            cuts.append(cuts[-1] + h + 1)
-            regimes.append(REGIME_OFFSET)
-        else:
-            cuts.append(cuts[-1] + h + (j - 2 * i))
-            regimes.append(REGIME_STAIRCASE)
-    return CFStage(index, h, tuple(cuts), i, r, KIND_DELAYED_STAIRCASE, tuple(regimes),
-                   Fraction(delta) if delta is not None else None, block)
-
-
-def staircase_cut(h: int, r: int, *, index: int = 1, block=None) -> CFStage:
-    """Pure staircase: cut j sits at j*h + j(j-1)/2 (column j carries j spacers)."""
-    if r < 2:
-        raise ParameterError(f"need r > 1, got r={r}")
-    cuts = tuple(j * h + j * (j - 1) // 2 for j in range(r))
-    regimes = (REGIME_RIGID,) + (REGIME_STAIRCASE,) * (r - 1)
-    return CFStage(index, h, cuts, 0, r, KIND_STAIRCASE, regimes, None, block)
 
 
 @dataclass(frozen=True)
@@ -165,7 +152,7 @@ class CFSchedule:
 
 
 def build_schedule(initial_height: int, stage_specs) -> CFSchedule:
-    """Chain stage factories; each spec is (factory_kwargs) consumed in order.
+    """Chain the stages that cut_stage builds from the specs, in order.
 
     stage_specs: iterable of dicts with keys kind ('rigid_staircase' |
     'delayed_staircase' | 'staircase'), r, and i/delta/block as applicable.
@@ -181,17 +168,8 @@ def build_schedule(initial_height: int, stage_specs) -> CFSchedule:
         if columns > ENUMERATION_CAP:
             raise SizeCapError(
                 f"stages 1..{n} have {columns} columns, over the cap {ENUMERATION_CAP}")
-        kind = spec["kind"]
-        if kind == KIND_RIGID_STAIRCASE:
-            st = rigid_staircase_cut(h, spec["i"], spec["r"], index=n,
-                                     delta=spec.get("delta"), block=spec.get("block"))
-        elif kind == KIND_DELAYED_STAIRCASE:
-            st = delayed_staircase_cut(h, spec["i"], spec["r"], index=n,
-                                       delta=spec.get("delta"), block=spec.get("block"))
-        elif kind == KIND_STAIRCASE:
-            st = staircase_cut(h, spec["r"], index=n, block=spec.get("block"))
-        else:
-            raise ScheduleError(f"unknown stage kind {kind!r}")
+        st = cut_stage(spec["kind"], h, spec.get("i", 0), spec["r"], index=n,
+                       delta=spec.get("delta"), block=spec.get("block"))
         stages.append(st)
         h = st.new_height
         if h > MAX_HEIGHT:
@@ -266,13 +244,9 @@ def concat_delta_blocks(blocks, initial_height: int = 1, kinds=None) -> CFSchedu
         kinds = [KIND_RIGID_STAIRCASE] * len(stages)
     elif len(kinds) != len(stages):
         raise ScheduleError(f"need one cut kind per stage: {len(kinds)} for {len(stages)}")
-    specs = []
-    for (pos, blk, r), kind in zip(stages, kinds):
-        spec = {"kind": kind, "r": r, "block": pos}
-        if kind != KIND_STAIRCASE:
-            spec["i"] = rigid_count(blk.delta, r, kind)
-            spec["delta"] = blk.delta
-        specs.append(spec)
+    # a staircase stage ignores i and delta
+    specs = [{"kind": kind, "r": r, "block": pos, "i": rigid_count(blk.delta, r, kind),
+              "delta": blk.delta} for (pos, blk, r), kind in zip(stages, kinds)]
     return build_schedule(initial_height, specs)
 
 

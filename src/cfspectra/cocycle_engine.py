@@ -70,15 +70,14 @@ class StageLabel:
 def label_cycle(module: FiniteAbelianGroup, k_order: int, mode: str):
     """Deterministic target cycle: one translate, (one delayed,) one rotate per turn.
 
-    Module targets and group targets advance independently through their full
+    Module targets and group targets advance independently through their
     finite-level enumerations, so every target recurs with bounded gaps.
+    Translate target j is module element j (mod |A|) in element order and
+    rotate target j is j mod k_order, each drawn when it is needed, so the
+    module is never listed.
     """
     if mode not in (MODE_DIRECT, MODE_PRODUCT):
         raise LabelError(f"unknown mode {mode!r}")
-    a_targets = module.elements()
-    k_targets = list(range(k_order))
-    if not a_targets or not k_targets:
-        raise LabelError("empty target enumeration")
     kinds = [LABEL_RIGID_TRANSLATE]
     if mode == MODE_PRODUCT:
         kinds.append(LABEL_DELAYED_TRANSLATE)
@@ -92,9 +91,9 @@ def label_cycle(module: FiniteAbelianGroup, k_order: int, mode: str):
                 i = counters[kind]
                 counters[kind] += 1
                 if kind == LABEL_RIGID_ROTATE:
-                    yield StageLabel(kind, k=k_targets[i % len(k_targets)])
+                    yield StageLabel(kind, k=i % k_order)
                 else:
-                    yield StageLabel(kind, a=a_targets[i % len(a_targets)])
+                    yield StageLabel(kind, a=module.element_by_index(i % module.size))
 
     return generator()
 
@@ -236,6 +235,7 @@ def canonical_word(level: int, schedule: CFSchedule, depth: int | None = None) -
 class SemidirectContext:
     """Arithmetic in the semidirect product (Z/k_order) x| module."""
 
+    # plain fields, not read through the action: _mul/_inv use them on every product
     k_order: int
     module: FiniteAbelianGroup
     action: ModuleAction  # of Z/k_order on the module
@@ -245,7 +245,9 @@ class SemidirectContext:
 
     @cached_property
     def _automorphisms(self) -> list[GroupAutomorphism]:
-        return [self.action.automorphism_for((k,)) for k in range(self.k_order)]
+        """theta^0 .. theta^(k_order - 1): the action's own power table, filled."""
+        self.action.automorphism_for(self.k_order - 1)
+        return self.action._powers
 
     def act(self, k: int, a):
         if not isinstance(k, int):
@@ -398,7 +400,7 @@ class TowerModel:
     def _build_word_products(self):
         ctx = self.ctx
         orders = self._orders = np.array(ctx.module.orders, dtype=np.int64)
-        self._theta_mats = self._action_matrices()
+        self._theta_mats = np.stack([phi.matrix for phi in ctx._automorphisms])
         rank = len(orders)
         kappa = ctx.k_order
         h0 = self.schedule.initial_height
@@ -433,14 +435,6 @@ class TowerModel:
             beta, alpha = nb, na
         self.word_beta = beta
         self.word_untwisted = alpha
-
-    def _action_matrices(self) -> np.ndarray:
-        """Stack of matrices for theta^t, t = 0..k_order-1 (rows reduced mod orders)."""
-        mats = [np.eye(len(self._orders), dtype=np.int64)]
-        gen = self.ctx.action.generator_maps[0].matrix
-        for _ in range(1, self.ctx.k_order):
-            mats.append((gen @ mats[-1]) % self._orders[:, None])
-        return np.stack(mats)
 
     def _apply_theta_pow(self, exps: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         """theta^{exps[l]}(vecs[l]) per level, for vectors reduced mod the orders.

@@ -1,4 +1,8 @@
-"""Exact arithmetic for finite abelian groups, module actions and characters.
+"""Exact arithmetic for finite abelian groups, the cyclic module action, characters.
+
+The acting group is cyclic, K = <theta>.  ModuleAction keeps the one table
+of powers theta^k, which the semidirect context, the tower matrices and the
+character twists read; an orbit steps theta itself.
 
 Everything here is integer/rational arithmetic: group elements are residue
 vectors, characters evaluate to roots of unity stored as exact fractions,
@@ -236,12 +240,9 @@ class GroupAutomorphism:
 
     def dual(self) -> "GroupAutomorphism":
         """The adjoint map chi |-> chi o self on the dual group (same orders)."""
-        dual_group = FiniteAbelianGroup(self.group.orders)
-        images = []
-        for t in dual_group.generators():
-            chi = Character(self.group, t)
-            images.append(tuple(chi.evaluate(img).scaled_exponent(n) for img, n in zip(self.images, self.group.orders)))
-        return GroupAutomorphism(dual_group, tuple(images))
+        return GroupAutomorphism(self.group, tuple(
+            Character(self.group, t).compose_automorphism(self).exponents
+            for t in self.group.generators()))
 
 
 def identity_automorphism(group: FiniteAbelianGroup) -> GroupAutomorphism:
@@ -250,49 +251,38 @@ def identity_automorphism(group: FiniteAbelianGroup) -> GroupAutomorphism:
 
 @dataclass(frozen=True)
 class ModuleAction:
-    """Action of a finite abelian group on a module by automorphisms.
+    """Action of a cyclic group K = <theta> on a module by automorphisms.
 
-    The acting group is typically cyclic here; each generator is assigned an
-    automorphism, and the assignment must respect the generator's order.
+    The acting group has rank one and ``generator_maps`` holds theta alone,
+    whose order must divide |K|.
     """
 
     group: FiniteAbelianGroup
     module: FiniteAbelianGroup
     generator_maps: tuple[GroupAutomorphism, ...]
-    _powers: dict = field(default_factory=dict, compare=False, repr=False)
+    # theta^0, theta^1, ...: the one table of powers, grown on demand
+    _powers: list = field(default_factory=list, compare=False, repr=False)
 
     def __post_init__(self):
-        if len(self.generator_maps) != self.group.rank:
-            raise ValueError("need one automorphism per acting generator")
-        for phi, n in zip(self.generator_maps, self.group.orders):
-            if phi.group != self.module:
-                raise InvalidElementError("automorphism acts on the wrong module")
-            if not phi.power(n).is_identity():
-                raise InvalidElementError(
-                    f"assigned automorphism does not have order dividing {n}"
-                )
+        if self.group.rank != 1 or len(self.generator_maps) != 1:
+            raise ValueError("the acting group must be cyclic, with one automorphism theta")
+        (theta,), (n,) = self.generator_maps, self.group.orders
+        if theta.group != self.module:
+            raise InvalidElementError("automorphism acts on the wrong module")
+        if not theta.power(n).is_identity():
+            raise InvalidElementError(
+                f"assigned automorphism does not have order dividing {n}"
+            )
 
-    def automorphism_for(self, k: Element) -> GroupAutomorphism:
-        """phi_1^{k_1} o phi_2^{k_2} o ..., built by one composition per new k.
-
-        Lowering the first nonzero coordinate of k by one gives a k' with
-        phi_for(k) = phi_i o phi_for(k'); the chain of such k' is walked down
-        to a cached power (or zero), then composed back up.
-        """
-        self.group.check(k)
-        chain = []
-        while k not in self._powers:
-            i = next((i for i, c in enumerate(k) if c), None)
-            if i is None:
-                self._powers[k] = identity_automorphism(self.module)
-                break
-            chain.append((k, i))
-            k = k[:i] + (k[i] - 1,) + k[i + 1:]
-        phi = self._powers[k]
-        for k, i in reversed(chain):
-            phi = self._powers[k] = self.generator_maps[i].compose(phi)
-        return phi
-
+    def automorphism_for(self, k: int) -> GroupAutomorphism:
+        """theta^k for 0 <= k < |K|, built by one composition per new power."""
+        self.group.check((k,))
+        powers = self._powers
+        if not powers:
+            powers.append(identity_automorphism(self.module))
+        while len(powers) <= k:
+            powers.append(self.generator_maps[0].compose(powers[-1]))
+        return powers[k]
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +361,8 @@ class Character(object):
         )
         return Character(self.group, exps)
 
-    def compose_action(self, action: ModuleAction, k: Element) -> "Character":
-        """The character a |-> self(k . a)."""
+    def compose_action(self, action: ModuleAction, k: int) -> "Character":
+        """The character a |-> self(theta^k a)."""
         if action.module != self.group:
             raise CharacterTypeError("action on the wrong module")
         return self.compose_automorphism(action.automorphism_for(k))
@@ -521,23 +511,16 @@ def cyclo_equal(x: CyclotomicSum, y: CyclotomicSum) -> bool:
 
 
 def orbit(action: ModuleAction, a: Element) -> frozenset:
-    """The full orbit {k . a : k in the acting group}.
-
-    Computed as the closure of a under the generator maps: each has finite
-    order, so the closure also contains every inverse image.
-    """
+    """The full orbit {theta^k a : k in K}, stepped by theta until it returns to a."""
     if action.group.size > ENUMERATION_CAP:
         raise SizeCapError(
             f"group of size {action.group.size} exceeds enumeration cap {ENUMERATION_CAP}")
-    out = {action.module.check(a)}
-    frontier = [a]
-    while frontier:
-        x = frontier.pop()
-        for phi in action.generator_maps:
-            y = phi._apply(x)
-            if y not in out:
-                out.add(y)
-                frontier.append(y)
+    theta = action.generator_maps[0]
+    out = [action.module.check(a)]
+    x = theta._apply(a)
+    while x != a:
+        out.append(x)
+        x = theta._apply(x)
     return frozenset(out)
 
 

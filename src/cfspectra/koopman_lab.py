@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import prod
 
 import numpy as np
@@ -632,9 +632,9 @@ def correlation_decay(model: TowerModel, pairs, lags, n0: int = 1) -> list[Decay
     """Exact |mu(T^lag A & B) - mu(A) mu(B)| per cylinder pair (A, B) = (f, g) and lag.
 
     Cylinder f is O + f, for O the starts of the depth-n0 copies, so
-    T^lag A & B has |O & (O - (lag + f - g))| levels: one autocorrelation of
-    O, shared by every pair and lag that lands on the same shift.  Every
-    cylinder has |O| levels.
+    T^lag A & B has |O & (O - (lag + f - g))| levels: one autocorrelation
+    count of O, and one value, shared by every pair and lag that lands on the
+    same shift.  Every cylinder has |O| levels.
     """
     h = model.height
     n_cyl = model.schedule.height(n0)
@@ -649,8 +649,12 @@ def correlation_decay(model: TowerModel, pairs, lags, n0: int = 1) -> list[Decay
     starts = model.cylinder_ids(n0) == 0
     size = int(np.count_nonzero(starts))
     count = _autocorrelation(starts)
-    return [DecayRow(lag, (f, g), Fraction(abs(count(lag + f - g) * h - size * size), h * h))
-            for lag in lags for f, g in pairs]
+
+    @cache
+    def value(s: int) -> Fraction:
+        return Fraction(abs(count(s) * h - size * size), h * h)
+
+    return [DecayRow(lag, (f, g), value(lag + f - g)) for lag in lags for f, g in pairs]
 
 
 def decay_csv(rows) -> str:
@@ -709,7 +713,7 @@ def disjointness_certificate(duality, chi: Character, chi2: Character) -> Certif
     if chi.group != action.module or chi2.group != action.module:
         raise CharacterTypeError("certificates live on the dual module")
     for k in range(duality.triple.k_order):
-        if chi.compose_action(action, (k,)).exponents == chi2.exponents:
+        if chi.compose_action(action, k).exponents == chi2.exponents:
             return Certificate(equivalent=True, witness_k=k)
     seen = set()
     for a in action.module.elements():

@@ -200,10 +200,11 @@ class SessionConfig:
             raise ConfigError(
                 f"malformed value for config key cylinder_level: {self.cylinder_level!r} "
                 f"(a depth of the {self.num_stages}-stage schedule)")
-        if self.spectra_depth is not None and self.spectra_depth < 1:
-            raise ConfigError(
-                f"malformed value for config key spectra_depth: {self.spectra_depth!r} "
-                "(a depth of at least 1)")
+        for key in ("algebra_depth", "spectra_depth"):
+            depth = getattr(self, key)
+            if depth is not None and depth < 1:
+                raise ConfigError(
+                    f"malformed value for config key {key}: {depth!r} (a depth of at least 1)")
 
     @property
     def num_stages(self) -> int:
@@ -304,7 +305,7 @@ def synth(config: SessionConfig) -> Session:
     if config.num_stages >= MAX_HEIGHT.bit_length():
         raise SizeCapError(
             f"{config.num_stages} stages would make a tower taller than {MAX_HEIGHT} levels")
-    depth_alg = config.algebra_depth or len(config.targets)
+    depth_alg = len(config.targets) if config.algebra_depth is None else config.algebra_depth
     triple = assemble_triple(config.targets, depth_alg)
     tower = compactify(triple)
     duality = dualize(triple)

@@ -118,7 +118,7 @@ class TestAcceptance:
             for d in session.factor_characters():
                 chi = session.duality.character_of_dual(d)
                 for k in range(kappa):
-                    twisted = chi.compose_action(session.duality.dual_action, (k,))
+                    twisted = chi.compose_action(session.duality.dual_action, k)
                     op = build_component(session, twisted, depth)
                     assert np.array_equal(op.succ[states], np.roll(states, -1, axis=1)), (d, k)
                     assert not (op.phase_exp[states].sum(axis=1) % op.phase_order).any(), (d, k)
@@ -161,7 +161,7 @@ class TestAcceptance:
             # diagonal rows (f = g, e_u = e_v)
             chi = probe_direct.duality.character_of_dual(d)
             l_exact = orbit_average(action, chi, a)
-            k_mean = np.mean([chi.evaluate(action.automorphism_for((k,)).apply(a)).value()
+            k_mean = np.mean([chi.evaluate(action.automorphism_for(k).apply(a)).value()
                               for k in range(probe_direct.k_order)])
             assert abs(l_exact.value() - k_mean) < 1e-9
             diagonal = [r for r in rep.rows if r["u"] == r["v"]]

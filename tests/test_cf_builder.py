@@ -3,15 +3,16 @@ from fractions import Fraction
 import pytest
 
 from cfspectra.cf_builder import (
+    KIND_DELAYED_STAIRCASE,
+    KIND_RIGID_STAIRCASE,
+    KIND_STAIRCASE,
     CFSchedule,
     CFStage,
     DeltaBlock,
     build_schedule,
     concat_delta_blocks,
-    delayed_staircase_cut,
+    cut_stage,
     rigid_count,
-    rigid_staircase_cut,
-    staircase_cut,
     validate,
 )
 from cfspectra.errors import ParameterError, ScheduleError
@@ -39,69 +40,85 @@ def oracle_three_regime(h, i, r):
 
 class TestCutShapes:
     def test_two_regime_frozen_example(self):
-        st = rigid_staircase_cut(5, 2, 4)
+        st = cut_stage(KIND_RIGID_STAIRCASE, 5, 2, 4)
         assert st.cuts == (0, 5, 10, 16)
         assert st.new_height == 21
 
     def test_two_regime_pure_arithmetic(self):
-        st = rigid_staircase_cut(7, 5, 5)
+        st = cut_stage(KIND_RIGID_STAIRCASE, 7, 5, 5)
         assert st.cuts == tuple(7 * j for j in range(5))
         assert st.new_height == 5 * 7  # no spacers
 
     def test_two_regime_small(self):
         # recursion oracle: h=1, i=1, r=3 gives 0, 0+1+0, 1+1+1
         assert oracle_two_regime(1, 1, 3) == [0, 1, 3]
-        st = rigid_staircase_cut(1, 1, 3)
+        st = cut_stage(KIND_RIGID_STAIRCASE, 1, 1, 3)
         assert st.cuts == (0, 1, 3)
 
     @pytest.mark.parametrize("h,i,r", [(1, 1, 2), (3, 2, 7), (10, 4, 4), (2, 1, 9)])
     def test_two_regime_matches_oracle(self, h, i, r):
-        assert list(rigid_staircase_cut(h, i, r).cuts) == oracle_two_regime(h, i, r)
+        assert list(cut_stage(KIND_RIGID_STAIRCASE, h, i, r).cuts) == oracle_two_regime(h, i, r)
 
     def test_two_regime_rejects_bad_parameters(self):
         with pytest.raises(ParameterError):
-            rigid_staircase_cut(5, 0, 4)
+            cut_stage(KIND_RIGID_STAIRCASE, 5, 0, 4)
         with pytest.raises(ParameterError):
-            rigid_staircase_cut(5, 5, 4)
+            cut_stage(KIND_RIGID_STAIRCASE, 5, 5, 4)
         with pytest.raises(ParameterError):
-            rigid_staircase_cut(5, 1, 1)
+            cut_stage(KIND_RIGID_STAIRCASE, 5, 1, 1)
 
     def test_three_regime_frozen_example(self):
-        st = delayed_staircase_cut(5, 2, 6)
+        st = cut_stage(KIND_DELAYED_STAIRCASE, 5, 2, 6)
         assert st.cuts == (0, 5, 11, 17, 22, 28)
 
     def test_three_regime_no_staircase_at_boundary(self):
-        st = delayed_staircase_cut(4, 3, 6)
+        st = cut_stage(KIND_DELAYED_STAIRCASE, 4, 3, 6)
         assert st.regimes == ("rigid",) * 3 + ("offset",) * 3
         assert st.cuts == (0, 4, 8, 13, 18, 23)
 
     def test_three_regime_small(self):
         assert oracle_three_regime(1, 1, 4) == [0, 2, 3, 5]
-        assert delayed_staircase_cut(1, 1, 4).cuts == (0, 2, 3, 5)
+        assert cut_stage(KIND_DELAYED_STAIRCASE, 1, 1, 4).cuts == (0, 2, 3, 5)
 
     @pytest.mark.parametrize("h,i,r", [(1, 1, 2), (5, 2, 8), (3, 3, 9)])
     def test_three_regime_matches_oracle(self, h, i, r):
-        assert list(delayed_staircase_cut(h, i, r).cuts) == oracle_three_regime(h, i, r)
+        st = cut_stage(KIND_DELAYED_STAIRCASE, h, i, r)
+        assert list(st.cuts) == oracle_three_regime(h, i, r)
 
     def test_three_regime_rejects_overflow(self):
         with pytest.raises(ParameterError):
-            delayed_staircase_cut(5, 4, 6)
+            cut_stage(KIND_DELAYED_STAIRCASE, 5, 4, 6)
 
     def test_staircase_frozen_examples(self):
-        assert staircase_cut(3, 4).cuts == (0, 3, 7, 12)
-        assert staircase_cut(9, 2).cuts == (0, 9)
-        assert staircase_cut(1, 3).cuts == (0, 1, 3)
+        assert cut_stage(KIND_STAIRCASE, 3, 0, 4).cuts == (0, 3, 7, 12)
+        assert cut_stage(KIND_STAIRCASE, 9, 0, 2).cuts == (0, 9)
+        assert cut_stage(KIND_STAIRCASE, 1, 0, 3).cuts == (0, 1, 3)
+
+    @pytest.mark.parametrize("h,r", [(1, 2), (3, 4), (5, 9)])
+    def test_staircase_is_the_rigid_rule_with_one_rigid_column(self, h, r):
+        st = cut_stage(KIND_STAIRCASE, h, 7, r, delta=Fraction(1, 2))
+        assert st.cuts == cut_stage(KIND_RIGID_STAIRCASE, h, 1, r).cuts
+        assert st.regimes == ("rigid",) + ("staircase",) * (r - 1)
+        assert (st.i_count, st.delta) == (0, None)  # i and delta are ignored
+
+    def test_short_staircase_and_unknown_kind_are_refused(self):
+        with pytest.raises(ParameterError):
+            cut_stage(KIND_STAIRCASE, 5, 0, 1)
+        with pytest.raises(ScheduleError):
+            cut_stage("spiral", 5, 1, 4)
+        with pytest.raises(ScheduleError):
+            build_schedule(1, [{"kind": "spiral", "i": 1, "r": 4}])
 
     def test_staircase_second_difference_is_one(self):
-        st = staircase_cut(4, 8)
+        st = cut_stage(KIND_STAIRCASE, 4, 0, 8)
         diffs = [b - a for a, b in zip(st.cuts, st.cuts[1:])]
         assert all(d2 - d1 == 1 for d1, d2 in zip(diffs, diffs[1:]))
 
     def test_disjointness_and_containment(self):
         for st in [
-            rigid_staircase_cut(5, 2, 6),
-            delayed_staircase_cut(5, 2, 6),
-            staircase_cut(5, 6),
+            cut_stage(KIND_RIGID_STAIRCASE, 5, 2, 6),
+            cut_stage(KIND_DELAYED_STAIRCASE, 5, 2, 6),
+            cut_stage(KIND_STAIRCASE, 5, 0, 6),
         ]:
             assert st.min_gap() >= st.base_height
             assert st.new_height == st.cuts[-1] + st.base_height
@@ -120,8 +137,8 @@ class TestSchedule:
         assert sched.height(2) == 13
 
     def test_broken_chain_rejected(self):
-        st1 = rigid_staircase_cut(1, 2, 3, index=1)
-        st2 = rigid_staircase_cut(99, 2, 3, index=2)
+        st1 = cut_stage(KIND_RIGID_STAIRCASE, 1, 2, 3, index=1)
+        st2 = cut_stage(KIND_RIGID_STAIRCASE, 99, 2, 3, index=2)
         with pytest.raises(ScheduleError):
             CFSchedule(1, (st1, st2))
 

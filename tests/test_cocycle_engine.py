@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cfspectra.cf_builder import (
+    KIND_DELAYED_STAIRCASE,
+    KIND_RIGID_STAIRCASE,
     DeltaBlock,
     build_schedule,
     concat_delta_blocks,
-    rigid_staircase_cut,
-    staircase_cut,
+    cut_stage,
 )
 from cfspectra.cocycle_engine import (
     LABEL_DELAYED_TRANSLATE,
@@ -124,36 +125,34 @@ class TestStageMaps:
         self.module = FiniteAbelianGroup((5,))
 
     def test_rotate_with_single_rigid_column(self):
-        st = rigid_staircase_cut(3, 1, 4)
+        st = cut_stage(KIND_RIGID_STAIRCASE, 3, 1, 4)
         maps = stage_maps(StageLabel(LABEL_RIGID_ROTATE, k=1), st, 6, self.module)
         assert maps.beta == (0, 0, 0, 0)  # empty stepping range
 
     def test_translate_unrolled(self):
-        st = rigid_staircase_cut(3, 3, 5)
+        st = cut_stage(KIND_RIGID_STAIRCASE, 3, 3, 5)
         maps = stage_maps(StageLabel(LABEL_RIGID_TRANSLATE, a=(1,)), st, 2, self.module)
         assert maps.alpha == ((0,), (4,), (3,), (3,), (3,))
         assert maps.beta == (0,) * 5
 
     def test_delayed_unrolled(self):
-        from cfspectra.cf_builder import delayed_staircase_cut
-
-        st = delayed_staircase_cut(3, 2, 6)
+        st = cut_stage(KIND_DELAYED_STAIRCASE, 3, 2, 6)
         maps = stage_maps(StageLabel(LABEL_DELAYED_TRANSLATE, a=(1,)), st, 2, self.module)
         assert maps.alpha == ((0,), (0,), (4,), (3,), (3,), (3,))
 
     def test_rotate_unrolled(self):
-        st = rigid_staircase_cut(3, 3, 5)
+        st = cut_stage(KIND_RIGID_STAIRCASE, 3, 3, 5)
         maps = stage_maps(StageLabel(LABEL_RIGID_ROTATE, k=1), st, 6, self.module)
         assert maps.beta == (0, 5, 4, 4, 4)
 
     def test_tables_constant_past_stepping_range(self):
-        st = rigid_staircase_cut(2, 4, 9)
+        st = cut_stage(KIND_RIGID_STAIRCASE, 2, 4, 9)
         maps = stage_maps(StageLabel(LABEL_RIGID_TRANSLATE, a=(2,)), st, 2, self.module)
         tail = maps.alpha[st.i_count - 1 :]
         assert all(v == tail[0] for v in tail)
 
     def test_shape_mismatch_raises(self):
-        st = rigid_staircase_cut(3, 2, 4)
+        st = cut_stage(KIND_RIGID_STAIRCASE, 3, 2, 4)
         with pytest.raises(LabelError):
             stage_maps(StageLabel(LABEL_DELAYED_TRANSLATE, a=(1,)), st, 2, self.module)
 
@@ -438,9 +437,12 @@ def test_semidirect_act_matches_module_action(shipped_product):
     rng = random.Random(3)
     module = ctx.module
     samples = [module.element_by_index(rng.randrange(module.size)) for _ in range(20)]
+    # binary powers of theta: independent of the power table that act reads
+    theta = ctx.action.generator_maps[0]
+    powers = [theta.power(k) for k in range(ctx.k_order)]
     for k in range(-ctx.k_order, 2 * ctx.k_order):
         for a in samples:
-            assert ctx.act(k, a) == ctx.action.automorphism_for((k % ctx.k_order,)).apply(a)
+            assert ctx.act(k, a) == powers[k % ctx.k_order].apply(a)
     for bad_k in (1.0, np.int64(1), "1", None):
         with pytest.raises(InvalidElementError):
             ctx.act(bad_k, samples[0])

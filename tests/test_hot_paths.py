@@ -84,7 +84,7 @@ def test_powers_take_one_composition_each(monkeypatch):
     # a fresh action, with no power cached yet
     action = ModuleAction(triple.action.group, triple.module, triple.action.generator_maps)
     calls = count_calls(monkeypatch, GroupAutomorphism, "__post_init__")
-    powers = [action.automorphism_for((k,)) for k in range(triple.k_order)]
+    powers = [action.automorphism_for(k) for k in range(triple.k_order)]
     assert len(calls) == triple.k_order  # the identity, then one compose per k
     assert powers[1].images == triple.theta.images
 

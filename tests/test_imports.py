@@ -27,8 +27,6 @@ KEPT = {
         "the cocycle-identity acceptance criterion reads the model through it",
     "finite_algebra.subgroup_from_generators":
         "generates the subgroups of the verify_subgroup property test",
-    "finite_algebra.FiniteAbelianGroup.element_by_index":
-        "the lazy label targets of ROADMAP item 3 index the module with it",
     "koopman_lab.simplicity_probe":
         "the joint-cyclicity acceptance criterion runs it",
     "koopman_lab.SimplicityReport.max_residual":

@@ -202,8 +202,8 @@ class TestDualize:
         for k in range(t.k_order):
             for t_el in [(1, 0, 0), (0, 1, 0), (2, 3, 4)]:
                 for b in [(1, 0, 0), (0, 1, 0), (1, 2, 3)]:
-                    kt = rec.dual_action.automorphism_for((k,)).apply(t_el)
-                    kb = t.action.automorphism_for((k,)).apply(b)
+                    kt = rec.dual_action.automorphism_for(k).apply(t_el)
+                    kb = t.action.automorphism_for(k).apply(b)
                     assert rec.pairing(kt, kb) == rec.pairing(t_el, b)
 
     def test_dual_orbit_traces_match(self):

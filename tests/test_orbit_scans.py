@@ -29,7 +29,7 @@ def exhaustive_certificate(duality, chi, chi2):
     """Oracle: the certificate scan over every module element, no orbit skipped."""
     action = duality.dual_action
     for k in range(duality.triple.k_order):
-        if chi.compose_action(action, (k,)).exponents == chi2.exponents:
+        if chi.compose_action(action, k).exponents == chi2.exponents:
             return Certificate(equivalent=True, witness_k=k)
     for a in action.module.elements():
         l1 = orbit_average(action, chi, a)
@@ -133,7 +133,7 @@ class TestCertificateOracle:
                     base = orbit_average(action, chi, a)
                     for k in range(rec.triple.k_order):
                         moved = orbit_average(
-                            action, chi, action.automorphism_for((k,)).apply(a))
+                            action, chi, action.automorphism_for(k).apply(a))
                         assert moved == base
                         assert (moved.coeffs, moved.denominator, moved.root_order) == (
                             base.coeffs, base.denominator, base.root_order)

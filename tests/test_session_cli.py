@@ -178,10 +178,14 @@ class TestConfig:
         ({"mode": "direct", "targets": [1, 2], "spectra_depth": 0,
           "blocks": [{"delta": [1, 2], "stages": 2}]},
          "malformed value for config key spectra_depth: 0"),
+        ({"mode": "direct", "targets": [1, 2], "algebra_depth": 0,
+          "blocks": [{"delta": [1, 2], "stages": 2}]},
+         "malformed value for config key algebra_depth: 0"),
     ], ids=["no-targets", "no-mode", "misspelled-key", "block-key", "block-missing-key",
             "blocks-not-list", "block-not-object", "not-object", "targets-not-list",
             "state-cap-string", "height-float", "delta-zero-denominator", "r-seq-string",
-            "cylinder-level-past-depth", "cylinder-level-negative", "spectra-depth-zero"])
+            "cylinder-level-past-depth", "cylinder-level-negative", "spectra-depth-zero",
+            "algebra-depth-zero"])
     def test_malformed_config_names_the_key(self, doc, path):
         with pytest.raises(ConfigError) as info:
             SessionConfig.from_dict(doc)
