@@ -30,9 +30,10 @@ action = ModuleAction(z2, z3, (negation,))
 print("module:", z3, " acting group:", z2)
 print("orbit of 1 under negation:", sorted(orbit(action, (1,))))
 
-# Characters of Z/3 and their exact values.
+# Characters of Z/3 and their exact values: a value exp(2 pi i e/N) is the
+# integer exponent e in Z/N, N the group exponent.
 for chi in dual_characters(z3):
-    print(f"character {chi.exponents}: value at 1 is exp(2 pi i {chi.evaluate((1,)).exponent})")
+    print(f"character {chi.exponents}: value at 1 is exp(2 pi i {chi.evaluate((1,))}/{z3.exponent})")
 
 # The orbit average of a nontrivial character is an exact cyclotomic number:
 # (zeta_3 + zeta_3^2) / 2 reduces to -1/2.
@@ -46,6 +47,6 @@ print("trace counts over the full module:", orbit_trace_counts(action, z3.elemen
 
 # The whole point of the exact layer: distinct cyclotomic sums that agree to
 # many decimal places are still told apart.
-a = CyclotomicSum.from_roots([chi.evaluate((1,)), chi.evaluate((2,))], 2)
+a = CyclotomicSum.from_exponents(z3.exponent, [chi.evaluate((1,)), chi.evaluate((2,))], 2)
 b = CyclotomicSum.from_fraction(Fraction(-1, 2))
 print("reduced coefficients agree:", a == b)

@@ -35,7 +35,6 @@ from .finite_algebra import (
     FiniteAbelianGroup,
     GroupAutomorphism,
     ModuleAction,
-    RootOfUnity,
     cyclo_equal,
     dual_characters,
     orbit,

@@ -29,6 +29,8 @@ REGIME_OFFSET = "offset"
 REGIME_STAIRCASE = "staircase"
 
 MAX_HEIGHT = 2**63 - 1  # levels are int64 in every per-level array
+# the staircase mixing ratio i^2/h may not increase from this stage on
+MIXING_NONINCREASING_FROM = 3
 
 
 @dataclass(frozen=True)
@@ -263,7 +265,6 @@ class ValidationReport:
     ratio_bounded: bool = True
     spacer_fraction: Fraction = Fraction(0)
     mixing_ratios: list = field(default_factory=list)  # i_n^2 / h_{n-1}
-    mixing_nonincreasing_from: int = 3
     mixing_trend_ok: bool = True
     failures: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
@@ -328,11 +329,11 @@ def validate(schedule: CFSchedule, ratio_bound: float = 100.0) -> ValidationRepo
             )
         rep.spacer_fraction = 1 - Fraction(1, rep.ratios[-1])
 
-    tail = rep.mixing_ratios[rep.mixing_nonincreasing_from - 1 :]
+    tail = rep.mixing_ratios[MIXING_NONINCREASING_FROM - 1 :]
     if any(b > a for a, b in zip(tail, tail[1:])):
         rep.mixing_trend_ok = False
         rep.warnings.append(
             "staircase mixing ratio i^2/h increases beyond stage "
-            f"{rep.mixing_nonincreasing_from}"
+            f"{MIXING_NONINCREASING_FROM}"
         )
     return rep

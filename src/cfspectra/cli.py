@@ -126,7 +126,7 @@ def _suite_weaklimits(session):
             # skew-tower probe against the first nonzero factor character
             nonzero = [d for d in session.factor_characters()
                        if any(d)]
-            if nonzero and session.schedule.height(n) * session.k_order <= session.config.state_cap:
+            if nonzero:
                 probes.append(("chi", nonzero[0]))
         for component in probes:
             rep = weak_limit_probe(session, n, component)
@@ -183,8 +183,7 @@ def _suite_mixing(session):
 
 
 def _suite_multiplicity(session):
-    depth = min(session.schedule.depth, _spectra_depth_cap(session))
-    report = multiplicity_report(session, spectra_depth=depth)
+    report = multiplicity_report(session, spectra_depth=_spectra_depth_cap(session))
     ok = report.consistent
     expected = set(session.config.targets)
     if report.multiplicities != expected:

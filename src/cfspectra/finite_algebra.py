@@ -5,10 +5,10 @@ of powers theta^k, which the semidirect context, the tower matrices and the
 character twists read; an orbit steps theta itself.
 
 Everything here is integer/rational arithmetic: group elements are residue
-vectors, characters evaluate to roots of unity stored as exact fractions,
-and averages of characters over orbits are kept as integer polynomials in a
-primitive root of unity, reduced modulo the corresponding cyclotomic
-polynomial.  No floating point enters any equality decision.
+vectors, a character value e^{2 pi i e/N} is its exponent e in Z/N (N the
+group exponent), and averages of characters over orbits are kept as integer
+polynomials in a primitive root of unity, reduced modulo the corresponding
+cyclotomic polynomial.  No floating point enters any equality decision.
 
 ENUMERATION_CAP is the one bound on full enumerations: every routine that
 lists the elements of a group, a subgroup, an orbit or a character group
@@ -286,41 +286,8 @@ class ModuleAction:
 
 
 # ---------------------------------------------------------------------------
-# roots of unity and characters
+# characters
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RootOfUnity:
-    """The value e^{2 pi i p/q}, stored as the exponent p/q in lowest terms, 0 <= p/q < 1."""
-
-    exponent: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", Fraction(self.exponent) % 1)
-
-    @property
-    def p(self) -> int:
-        return self.exponent.numerator
-
-    @property
-    def q(self) -> int:
-        return self.exponent.denominator
-
-    def is_one(self) -> bool:
-        return self.p == 0
-
-    def value(self) -> complex:
-        return cmath.exp(2j * cmath.pi * float(self.exponent))
-
-    def scaled_exponent(self, n: int) -> int:
-        """Return t with self = e^{2 pi i t/n}; requires q | n."""
-        if n % self.q:
-            raise ValueError(f"{self} is not an {n}-th root of unity")
-        return self.p * (n // self.q) % n
-
-
-ONE = RootOfUnity(Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -343,23 +310,22 @@ class Character(object):
             t * (n // m) for t, m in zip(self.exponents, self.group.orders)
         ))
 
-    def evaluate(self, a: Element) -> RootOfUnity:
+    def evaluate(self, a: Element) -> int:
+        """The exponent e in Z/N of the value chi(a) = e^{2 pi i e/N}, N the group exponent."""
         return self._evaluate(self.group.check(a))
 
-    def _evaluate(self, a: Element) -> RootOfUnity:
-        """The value at an element already known to lie in the group (unchecked)."""
-        n = self.group.exponent
-        return RootOfUnity(Fraction(sum(w * x for w, x in zip(self._weights, a)) % n, n))
+    def _evaluate(self, a: Element) -> int:
+        """evaluate at an element already known to lie in the group (unchecked)."""
+        return sum(w * x for w, x in zip(self._weights, a)) % self.group.exponent
 
     def compose_automorphism(self, phi: GroupAutomorphism) -> "Character":
         """The character a |-> self(phi(a))."""
         if phi.group != self.group:
             raise CharacterTypeError("automorphism of the wrong group")
-        exps = tuple(
-            self.evaluate(img).scaled_exponent(n)
-            for img, n in zip(phi.images, self.group.orders)
-        )
-        return Character(self.group, exps)
+        # img_j has order dividing n_j, so n_j * chi(img_j) is a multiple of N
+        n = self.group.exponent
+        return Character(self.group, tuple(
+            self._evaluate(img) * n_j // n for img, n_j in zip(phi.images, self.group.orders)))
 
     def compose_action(self, action: ModuleAction, k: int) -> "Character":
         """The character a |-> self(theta^k a)."""
@@ -437,13 +403,15 @@ class CyclotomicSum:
     denominator: int
 
     @classmethod
-    def from_roots(cls, roots, denominator: int = 1) -> "CyclotomicSum":
-        roots = list(roots)
-        n = lcm(*(r.q for r in roots)) if roots else 1
-        raw = [0] * n
-        for r in roots:
-            raw[r.p * (n // r.q)] += 1
-        return cls._normalized(n, raw, denominator)
+    def from_exponents(cls, order: int, exponents, denominator: int = 1) -> "CyclotomicSum":
+        """(sum of zeta^e over exponents 0 <= e < order) / denominator, for
+        zeta = e^{2 pi i/order}, kept over the least root order that holds every term."""
+        exponents = list(exponents)
+        g = gcd(order, *exponents)
+        raw = [0] * (order // g)
+        for e in exponents:
+            raw[e // g] += 1
+        return cls._normalized(order // g, raw, denominator)
 
     @classmethod
     def from_fraction(cls, x) -> "CyclotomicSum":
@@ -534,7 +502,8 @@ def orbit_average(
     if chi.group != action.module:
         raise CharacterTypeError("character of the wrong module")
     orb = orbit(action, a) if _orbit is None else _orbit
-    return CyclotomicSum.from_roots((chi._evaluate(b) for b in orb), len(orb))
+    return CyclotomicSum.from_exponents(
+        chi.group.exponent, [chi._evaluate(b) for b in orb], len(orb))
 
 
 def verify_subgroup(group: FiniteAbelianGroup, elems) -> frozenset:

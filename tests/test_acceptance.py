@@ -161,8 +161,9 @@ class TestAcceptance:
             # diagonal rows (f = g, e_u = e_v)
             chi = probe_direct.duality.character_of_dual(d)
             l_exact = orbit_average(action, chi, a)
-            k_mean = np.mean([chi.evaluate(action.automorphism_for(k).apply(a)).value()
-                              for k in range(probe_direct.k_order)])
+            exps = [chi.evaluate(action.automorphism_for(k).apply(a))
+                    for k in range(probe_direct.k_order)]
+            k_mean = np.mean(np.exp(2j * np.pi * np.array(exps) / chi.group.exponent))
             assert abs(l_exact.value() - k_mean) < 1e-9
             diagonal = [r for r in rep.rows if r["u"] == r["v"]]
             assert diagonal

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from cfspectra.finite_algebra import (
     FiniteAbelianGroup,
     GroupAutomorphism,
     ModuleAction,
-    RootOfUnity,
     cyclo_equal,
     dual_characters,
     identity_automorphism,
@@ -194,7 +194,23 @@ class TestCharacters:
     def test_z7_evaluation(self):
         g = FiniteAbelianGroup((7,))
         chi = Character(g, (3,))
-        assert chi.evaluate((2,)) == RootOfUnity(Fraction(6, 7))
+        assert chi.evaluate((2,)) == 6  # e^{2 pi i 6/7}
+
+    def test_value_is_reduced_mod_the_exponent(self):
+        assert Character(FiniteAbelianGroup((4,)), (3,)).evaluate((3,)) == 1
+        # Z/2 + Z/4 has exponent 4, so chi = (1, 2) has weights (2, 2)
+        chi = Character(FiniteAbelianGroup((2, 4)), (1, 2))
+        assert [chi.evaluate(a) for a in [(0, 0), (1, 0), (0, 1), (1, 3)]] == [0, 2, 2, 0]
+
+    def test_compose_automorphism_scales_exponents(self):
+        # (x, y) -> (x, 2x + y) on Z/2 + Z/4; the exponent of chi o phi at
+        # generator j is chi(phi(e_j)) rescaled from Z/4 to Z/n_j
+        g = FiniteAbelianGroup((2, 4))
+        phi = GroupAutomorphism(g, ((1, 2), (0, 1)))
+        assert Character(g, (1, 1)).compose_automorphism(phi).exponents == (0, 1)
+        for chi in dual_characters(g):
+            twisted = chi.compose_automorphism(phi)
+            assert all(twisted.evaluate(a) == chi.evaluate(phi.apply(a)) for a in g.elements())
 
     def test_compose_action(self):
         act = negation_action(3)
@@ -203,42 +219,26 @@ class TestCharacters:
         assert chi_k.exponents == (2,)  # chi(-x) = conj
 
 
-class TestRootsOfUnity:
-    def test_normalization(self):
-        assert RootOfUnity(Fraction(7, 4)).exponent == Fraction(3, 4)
-        assert RootOfUnity(Fraction(-2, 4)).exponent == Fraction(1, 2)
-
-    def test_scaled_exponent(self):
-        r = RootOfUnity(Fraction(1, 3))
-        assert r.scaled_exponent(6) == 2
-        with pytest.raises(ValueError):
-            r.scaled_exponent(4)
-
-
 class TestCyclotomicSums:
     def test_zeta3_pair_is_minus_one(self):
-        s = CyclotomicSum.from_roots(
-            [RootOfUnity(Fraction(1, 3)), RootOfUnity(Fraction(2, 3))]
-        )
+        s = CyclotomicSum.from_exponents(3, [1, 2])
         assert cyclo_equal(s, CyclotomicSum.from_fraction(-1))
 
     def test_i_vs_minus_i(self):
-        a = CyclotomicSum.from_roots([RootOfUnity(Fraction(1, 4))])
-        b = CyclotomicSum.from_roots([RootOfUnity(Fraction(3, 4))])
+        a = CyclotomicSum.from_exponents(4, [1])
+        b = CyclotomicSum.from_exponents(4, [3])
         assert not cyclo_equal(a, b)
 
     def test_zero_vs_empty(self):
-        assert cyclo_equal(CyclotomicSum.from_roots([]), CyclotomicSum.from_fraction(0))
+        assert cyclo_equal(CyclotomicSum.from_exponents(6, []), CyclotomicSum.from_fraction(0))
 
     def test_full_root_sum_vanishes(self):
         for n in (2, 3, 4, 5, 6, 12):
-            s = CyclotomicSum.from_roots(RootOfUnity(Fraction(j, n)) for j in range(n))
+            s = CyclotomicSum.from_exponents(n, range(n))
             assert s.is_zero()
 
     def test_reduction_idempotent(self):
-        s = CyclotomicSum.from_roots(
-            [RootOfUnity(Fraction(1, 5))] * 3 + [RootOfUnity(Fraction(2, 5))], 7
-        )
+        s = CyclotomicSum.from_exponents(5, [1, 1, 1, 2], 7)
         again = CyclotomicSum._normalized(s.root_order, list(s.coeffs), s.denominator)
         assert s.coeffs == again.coeffs and s.denominator == again.denominator
 
@@ -247,11 +247,8 @@ class TestCyclotomicSums:
         sums = []
         for _ in range(40):
             n = rng.choice([2, 3, 4, 6, 8, 12])
-            roots = [
-                RootOfUnity(Fraction(rng.randrange(n), n))
-                for _ in range(rng.randrange(1, 6))
-            ]
-            sums.append(CyclotomicSum.from_roots(roots, rng.randrange(1, 4)))
+            exponents = [rng.randrange(n) for _ in range(rng.randrange(1, 6))]
+            sums.append(CyclotomicSum.from_exponents(n, exponents, rng.randrange(1, 4)))
         for x in sums:
             for y in sums:
                 exact = cyclo_equal(x, y)
@@ -259,18 +256,16 @@ class TestCyclotomicSums:
                 assert exact == approx
 
     def test_equivalence_relation(self):
-        a = CyclotomicSum.from_roots([RootOfUnity(Fraction(1, 3)), RootOfUnity(Fraction(2, 3))], 2)
+        a = CyclotomicSum.from_exponents(3, [1, 2], 2)
         b = CyclotomicSum.from_fraction(Fraction(-1, 2))
-        c = CyclotomicSum.from_roots([RootOfUnity(Fraction(1, 2))], 2)
+        c = CyclotomicSum.from_exponents(2, [1], 2)
         assert cyclo_equal(a, a)
         assert cyclo_equal(a, b) and cyclo_equal(b, a)
         assert cyclo_equal(b, c) and cyclo_equal(a, c)  # transitivity instance
 
     def test_rational_detection(self):
         # a rational value reduces to a constant polynomial in the root
-        s = CyclotomicSum.from_roots(
-            [RootOfUnity(Fraction(1, 3)), RootOfUnity(Fraction(2, 3))], 2
-        )
+        s = CyclotomicSum.from_exponents(3, [1, 2], 2)
         assert not any(s.coeffs[1:])
         assert Fraction(s.coeffs[0], s.denominator) == Fraction(-1, 2)
 
@@ -287,7 +282,7 @@ class TestOrbitAverage:
         act = ModuleAction(FiniteAbelianGroup((1,)), zn, (identity_automorphism(zn),))
         chi = Character(zn, (2,))
         got = orbit_average(act, chi, (1,))
-        assert got == CyclotomicSum.from_roots([chi.evaluate((1,))])
+        assert got == CyclotomicSum.from_exponents(zn.exponent, [chi.evaluate((1,))])
 
     def test_negation_average_is_minus_half(self):
         act = negation_action(3)
@@ -336,10 +331,21 @@ class TestSubgroupsAndTraceCounts:
 
 
 def fraction_sum_evaluate(chi, a):
-    """Oracle: one Fraction per coordinate, summed."""
-    e = sum((Fraction(t * x, n) for t, x, n in zip(chi.exponents, a, chi.group.orders)),
-            Fraction(0))
-    return RootOfUnity(e)
+    """Oracle: the phase x in [0, 1) of chi(a) = e^{2 pi i x}, one Fraction
+    per coordinate, summed."""
+    return sum((Fraction(t * x, n) for t, x, n in zip(chi.exponents, a, chi.group.orders)),
+               Fraction(0)) % 1
+
+
+def fraction_from_roots(exponents, denominator=1):
+    """Oracle: the sum of e^{2 pi i x} over Fractions x, over the lcm of their
+    reduced denominators."""
+    exponents = [Fraction(x) % 1 for x in exponents]
+    n = lcm(*(x.denominator for x in exponents))
+    raw = [0] * n
+    for x in exponents:
+        raw[x.numerator * (n // x.denominator)] += 1
+    return CyclotomicSum._normalized(n, raw, denominator)
 
 
 def scale_and_add_apply(phi, a):
@@ -367,9 +373,18 @@ class TestIntegerPaths:
         group, exps, a = case
         chi = Character(group, exps)
         got = chi.evaluate(a)
-        want = fraction_sum_evaluate(chi, a)
-        assert got == want
-        assert (got.p, got.q) == (want.p, want.q)
+        assert 0 <= got < group.exponent
+        assert Fraction(got, group.exponent) == fraction_sum_evaluate(chi, a)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 60).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, n - 1), max_size=8), st.integers(1, 6))))
+    def test_from_exponents_matches_fraction_roots(self, case):
+        order, exponents, denominator = case
+        got = CyclotomicSum.from_exponents(order, exponents, denominator)
+        want = fraction_from_roots([Fraction(e, order) for e in exponents], denominator)
+        assert (got.root_order, got.coeffs, got.denominator) == (
+            want.root_order, want.coeffs, want.denominator)
 
     @pytest.mark.parametrize("targets", [{1, 2}, {2, 3}, {1, 3, 5}, {2, 4, 6}], ids=str)
     def test_apply_matches_scale_and_add(self, targets):

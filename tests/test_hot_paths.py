@@ -3,13 +3,16 @@
 Each input is checked once where it enters, then the arithmetic runs
 unchecked.  These bounds count calls, not seconds, so they hold on any
 machine: a path that re-validates an engine-made element on every multiply,
-or rebuilds an automorphism per element, breaks them by a wide margin.  The
+or rebuilds an automorphism per element, breaks them by a wide margin; a
+character value is an integer exponent, never a Fraction.  The
 full-height passes take their cyclic shifts as slices or bit offsets, never
 as a rolled copy, and a spectra dump checks the loop product once.
 """
 
 import random
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -17,7 +20,7 @@ from cfspectra import finite_algebra, koopman_lab
 from cfspectra.cli import main
 from cfspectra.cocycle_engine import CocycleStageMaps, canonical_word, evaluate_cocycle
 from cfspectra.finite_algebra import FiniteAbelianGroup, GroupAutomorphism, ModuleAction
-from cfspectra.module_factory import assemble_triple
+from cfspectra.module_factory import assemble_triple, dualize
 from cfspectra.session import SessionConfig, synth
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -87,6 +90,20 @@ def test_powers_take_one_composition_each(monkeypatch):
     powers = [action.automorphism_for(k) for k in range(triple.k_order)]
     assert len(calls) == triple.k_order  # the identity, then one compose per k
     assert powers[1].images == triple.theta.images
+
+
+def test_certificates_and_duality_build_no_fraction(monkeypatch):
+    # a character value is its exponent in Z/N: assembling and dualizing
+    # {1,3,5} and certifying three of its class pairs make no Fraction
+    calls = count_calls(monkeypatch, Fraction, "__new__")
+    rec = dualize(assemble_triple((1, 3, 5)))
+    classes = koopman_lab.factor_classes(SimpleNamespace(triple=rec.triple))
+    chars = [rec.character_of_dual(cls[0]) for cls in classes[:3]]
+    certs = [koopman_lab.disjointness_certificate(rec, chars[i], chars[j])
+             for i, j in ((0, 1), (0, 2), (1, 2))]
+    assert not any(cert.equivalent for cert in certs)
+    assert len(calls) == 0
+    assert Fraction(1, 3) and len(calls) == 1  # the counter does see a Fraction
 
 
 def test_spectra_dump_checks_the_loop_once(tmp_path, monkeypatch):

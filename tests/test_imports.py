@@ -1,5 +1,6 @@
 """Every name a library module imports must be used in that module, and
-every public definition must have a caller outside the tests.
+every public definition, constants included, must have a caller outside
+the tests.
 
 The package's __init__ re-exports names by importing them, so it is exempt
 from the import check, and its imports are not callers.
@@ -50,9 +51,14 @@ def unused_imports(source: str) -> list[str]:
 
 
 def public_definitions(tree):
-    """(qualified name, node) of each public top-level function and class and
-    of each public method of a public class."""
+    """(qualified name, node) of each public top-level function, class and
+    constant and of each public method of a public class."""
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    yield target.id, node
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name, node
             if isinstance(node, ast.ClassDef):
@@ -128,6 +134,7 @@ def test_guard_flags_a_readded_dead_definition():
     # calls from a definition's own body and names in docstrings are no callers
     modules = package_sources()
     modules["cocycle_engine"] += (
+        "\n\nORPHAN_CONSTANT = 7\n"
         "\n\ndef orphan_function(word):\n"
         "    return orphan_function(word) if word else 0\n"
         "\n\nclass OrphanHolder:\n"
@@ -135,6 +142,7 @@ def test_guard_flags_a_readded_dead_definition():
         "        \"\"\"OrphanHolder.orphan_method\"\"\"\n"
         "        return self.orphan_method\n")
     assert [d for d in dead_definitions(modules, user_sources()) if d not in KEPT] == [
+        "cocycle_engine.ORPHAN_CONSTANT",
         "cocycle_engine.OrphanHolder",
         "cocycle_engine.OrphanHolder.orphan_method",
         "cocycle_engine.orphan_function",

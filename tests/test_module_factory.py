@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import pytest
@@ -196,15 +197,25 @@ class TestDualize:
             assert rec.annihilator_size * t.d_size() == t.module.size
 
     def test_pairing_equivariance(self):
-        # <k.t, k.b> == <t, b> for the dual action
+        # <k.t, k.b> == <t, b> for the dual action; <t, b> is the exponent of
+        # the character of A indexed by b, at t
         t = assemble_triple({2, 3})
         rec = dualize(t)
+        pairing = lambda t_el, b: rec.character_of_dual(b).evaluate(t_el)
         for k in range(t.k_order):
             for t_el in [(1, 0, 0), (0, 1, 0), (2, 3, 4)]:
                 for b in [(1, 0, 0), (0, 1, 0), (1, 2, 3)]:
                     kt = rec.dual_action.automorphism_for(k).apply(t_el)
                     kb = t.action.automorphism_for(k).apply(b)
-                    assert rec.pairing(kt, kb) == rec.pairing(t_el, b)
+                    assert pairing(kt, kb) == pairing(t_el, b)
+
+    def test_annihilator_off_the_pairing_kernel_is_refused(self):
+        # B = Z/3 + Z/7 + Z/7 with D on coordinates 0 and 1: the characters
+        # on coordinate 1 have the same count as H but pair nontrivially with D
+        rec = dualize(assemble_triple({2, 3}))
+        assert rec.annihilator_coords == (2,)
+        with pytest.raises(ConsistencyError, match="not in the annihilator"):
+            dataclasses.replace(rec, annihilator_coords=(1,)).verify()
 
     def test_dual_orbit_traces_match(self):
         # orbits of the dual action on the D-indexed characters trace the same counts

@@ -261,6 +261,18 @@ class TestCLI:
         assert rep["multiplicities"] == [1, 2]
         assert rep["consistent"]
 
+    def test_weaklimits_probes_chi_where_kappa_levels_exceed_the_cap(self, tmp_path):
+        # translate stage 3 has 8,048 levels, so h * kappa exceeds the state
+        # cap, while its chi bucket table holds 5,400 entries: within it
+        cfg = {"mode": "direct", "targets": [1, 2], "state_cap": 8049,
+               "blocks": [{"delta": [1, 2], "stages": 4, "r_seq": [8, 8, 64, 64]}]}
+        bundle = self.synth_bundle(tmp_path, cfg)
+        code, results = run_verify(bundle, ("weaklimits",))
+        assert code == 0
+        probed = [(r["stage_index"], r["component"]["kind"])
+                  for r in results["weaklimits"]["detail"]["reports"]]
+        assert (3, "chi") in probed, probed
+
     def test_decay_csv_row_count(self, tmp_path):
         cfg = {
             "mode": "direct", "targets": [1],

@@ -25,7 +25,8 @@ def per_cut_word_products(model):
     """Word products built one column block per cut, with no block reused."""
     ctx = model.ctx
     orders = np.array(ctx.module.orders, dtype=np.int64)
-    theta_mats = model._theta_mats
+    theta = ctx.action.generator_maps[0]
+    theta_mats = np.stack([theta.power(k).matrix for k in range(ctx.k_order)])
     rank = len(orders)
     kappa = ctx.k_order
     h0 = model.schedule.initial_height
@@ -96,6 +97,9 @@ def _session(mode, delta, r_seq):
 # the sixth stage is product mode's first rotate stage with a non-identity
 # target: beta != 0 with kappa = 6, where theta^(-b) and theta^b differ
 @example(mode=MODE_PRODUCT, delta=Fraction(1, 2), r_seq=[3, 3, 3, 3, 3, 8], wide_last=False)
+# stage 7 translates after that acting rotate: its blocks twist a non-zero
+# module part by theta^(-b) with b != 0, the one use of the build's matrices
+@example(mode=MODE_PRODUCT, delta=Fraction(1, 2), r_seq=[3] * 7, wide_last=False)
 def test_word_products_equal_per_cut_build_on_random_schedules(mode, delta, r_seq, wide_last):
     if wide_last:
         r_seq = r_seq[:-1] + [64]
