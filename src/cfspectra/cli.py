@@ -23,7 +23,8 @@ taller than 2**63 - 1 levels, is refused the same way before it is built,
 and so is a cylinder_level outside 0..(number of stages) or a
 spectra_depth below 1.  verify and dump refuse a weak-limit table of more
 entries than state_cap, and a decay table of more than 10**6 rows, before
-building it (a failed suite, or dump exit 1).
+building it (a failed suite, or dump exit 1); a refused probe is listed in
+the suite's `failed`, beside the reports of the probes that ran.
 
 Bundle layout (canonical JSON, schema_version fields throughout):
 
@@ -129,7 +130,11 @@ def _suite_weaklimits(session):
             if nonzero:
                 probes.append(("chi", nonzero[0]))
         for component in probes:
-            rep = weak_limit_probe(session, n, component)
+            try:
+                rep = weak_limit_probe(session, n, component)
+            except CfspectraError as exc:
+                failed.append(f"stage {n} {component}: {exc}")
+                continue
             reports.append(rep.to_dict())
             if not rep.passed:
                 failed.append(

@@ -5,7 +5,9 @@ a successor map on finitely many states with a root-of-unity weight on every
 edge.  Every component is a phased shift along the single tower cycle, so
 once the transition values multiply to the identity around that cycle its
 spectrum follows in closed form.  Power averages are evaluated by exact
-bucket counting of phase exponents, and the multiplicity bookkeeping
+bucket counting of phase exponents and judged against one weak-limit
+prediction, delta (a I + b U*) + c P, whose coefficients the component and
+the stage label pick from one table.  The multiplicity bookkeeping
 reduces to orbit combinatorics on the distinguished subgroup.  Floating
 point appears only in least-squares residuals and in report summaries;
 every equality decision is integer/rational.
@@ -23,7 +25,6 @@ import numpy as np
 
 from .cocycle_engine import (
     LABEL_DELAYED_TRANSLATE,
-    LABEL_PLAIN,
     LABEL_RIGID_ROTATE,
     LABEL_RIGID_TRANSLATE,
     MODE_PRODUCT,
@@ -317,29 +318,27 @@ def _raw_pair_counts(model: TowerModel, steps: int, n0: int, low=None, n_low: in
     return raw.reshape(n_cyl, kappa, n_cyl, kappa, n_low)
 
 
-def _eta_pair_tables(model: TowerModel, steps: int, n0: int):
-    """Exact bucket counts for <U^steps 1_f, 1_g> on the base tower.
+def _fold_exponents(raw, perms) -> np.ndarray:
+    """Fold raw[g, b, f, b', x] into counts[g, f, s, w] by the transition exponent s = b - b'.
 
-    Returns (counts[g, f, s], cylinder count, level count) where s is the
-    group exponent accumulated over the path; everything is integer.  The
-    pairs are counted by their raw words, and each pair of group exponents
-    (b, b') folds into the transition exponent b - b' on the count table.
+    perms[b] maps each module value w = theta^b x to its bucket x; a table
+    with no module part has one bucket, and perms of shape (kappa, 1).
     """
-    kappa = model.ctx.k_order
-    raw = _raw_pair_counts(model, steps, n0)[..., 0]
-    n_cyl = raw.shape[0]
-    counts = np.zeros((n_cyl, n_cyl, kappa), dtype=np.int64)
+    n_cyl, kappa = raw.shape[:2]
+    counts = np.zeros((n_cyl, n_cyl, kappa, perms.shape[1]), dtype=np.int64)
     for b in range(kappa):
-        counts[:, :, (b - np.arange(kappa)) % kappa] += raw[:, b]
-    return counts, n_cyl, model.height
+        counts[:, :, (b - np.arange(kappa)) % kappa] += raw[:, b][..., perms[b]]
+    return counts
 
 
 def _eta_values(model: TowerModel, steps: int, n0: int, eta_exp: int):
-    """Complex table V[g, f] = <U_eta^steps 1_f, 1_g> plus its exact buckets."""
-    counts, n_cyl, h = _eta_pair_tables(model, steps, n0)
+    """Complex table V[g, f] = <U_eta^steps 1_f, 1_g> plus its exact buckets
+    counts[g, f, s], the level pairs by the group exponent s of their path."""
     kappa = model.ctx.k_order
+    raw = _raw_pair_counts(model, steps, n0)
+    counts = _fold_exponents(raw, np.zeros((kappa, 1), dtype=np.int64))[..., 0]
     phases = np.exp(2j * np.pi * eta_exp * np.arange(kappa) / kappa)
-    return counts @ phases / h, counts, n_cyl
+    return counts @ phases / model.height, counts, raw.shape[0]
 
 
 def _chi_values(model: TowerModel, steps: tuple[int, ...], n0: int, d, phase_order: int):
@@ -377,6 +376,8 @@ def _chi_values(model: TowerModel, steps: tuple[int, ...], n0: int, d, phase_ord
     # image_index[k] the permutation of indices that theta^k makes
     images = a_elements @ model._theta_mats.transpose(0, 2, 1) % orders
     image_index = images @ radix
+    # bucket x holds theta^b x = w, so w gathers from x = theta^(-b) w
+    gathers = image_index[-np.arange(kappa) % kappa]
 
     # G[e, w] = sum over k of chi_d(theta^k w) * e^{2 pi i e k / kappa}
     weights = _pairing_weights(orders, d, phase_order)
@@ -393,12 +394,8 @@ def _chi_values(model: TowerModel, steps: tuple[int, ...], n0: int, d, phase_ord
 
     tables = []
     for step in steps:
-        raw = _raw_pair_counts(model, step, n0, diff_of, n_a)
-        n_cyl = raw.shape[0]
-        counts = np.zeros((n_cyl, n_cyl, kappa, n_a), dtype=np.int64)
-        for b in range(kappa):
-            # bucket x holds theta^b x = w, so w gathers from x = theta^(-b) w
-            counts[:, :, (b - np.arange(kappa)) % kappa] += raw[:, b][..., image_index[-b % kappa]]
+        counts = _fold_exponents(_raw_pair_counts(model, step, n0, diff_of, n_a), gathers)
+        n_cyl = counts.shape[0]
 
         # value[e_u, e_v, g, f] = (1/(h kappa)) sum_{s,w} counts[g,f,s,w]
         #                          * eta_{e_u}(s) * G[e_u - e_v, w]
@@ -423,41 +420,118 @@ def _cylinder_measures(model: TowerModel, n0: int) -> np.ndarray:
     return np.full(model.schedule.height(n0), copies / model.height)
 
 
+# The weak limit of U^{h_n} at a labelled stage n, on a probe's table:
+#     pred = delta (a <1_f, 1_g> + b <U 1_g, 1_f>*) + c mu_f mu_g.
+# (component kind, label kind) -> (prediction kind, (a, b, c) from the
+# label's phase lam and delta): lam is eta(k) on a rotate stage and the
+# orbit average L(a) of chi on a translate stage.  b None drops the
+# one-step term, c None the mean term.  A trivial chi takes its label's eta
+# entry.
+_PREDICTIONS = {
+    ("eta", LABEL_RIGID_TRANSLATE): ("partial_rigidity", lambda lam, d: (1, None, 1 - d)),
+    ("eta", LABEL_RIGID_ROTATE): ("rotation", lambda lam, d: (lam, None, 1 - d)),
+    ("eta", LABEL_DELAYED_TRANSLATE): ("delayed", lambda lam, d: (1, 1, 1 - 2 * d)),
+    ("chi", LABEL_RIGID_TRANSLATE): ("orbit_average", lambda lam, d: (lam, None, None)),
+    ("chi", LABEL_DELAYED_TRANSLATE): ("delayed_orbit_average", lambda lam, d: (1, lam, None)),
+}
+
+
+def _weak_limit_prediction(coefficients, lam, delta, inner, one_step, mean):
+    """A ``_PREDICTIONS`` entry on the tables of <1_f, 1_g>, <U 1_f, 1_g> and
+    mu_f mu_g, as (real, imaginary) arrays; one_step is read only when b is.
+
+    The rounding is fixed: (delta a) inner without a one-step term, and
+    delta (b U* + inner), for a = 1, with it; c P is added last whenever c
+    is given, zero tables included.
+    """
+    a, b, c = coefficients(lam, delta)
+    if b is None:
+        da = delta * a
+        re, im = _cmul(da.real, da.imag, inner, 0.0)
+    else:
+        # the adjoint swaps u and v: the axis pairs (e_u, e_v) and (g, f)
+        adjoint = one_step.conj().transpose(np.arange(one_step.ndim) ^ 1)
+        re, im = _cmul(b.real, b.imag, adjoint.real, adjoint.imag)
+        re, im = _cadd_real(re, im, inner)
+        re, im = _cmul(delta, 0.0, re, im)
+    if c is not None:
+        re, im = _cadd_real(re, im, c * mean)
+    return re, im
+
+
 def weak_limit_probe(session, stage_index: int, component) -> WeakLimitReport:
     """Exact power-average table at one stage against its class prediction.
 
-    ``component`` is ("eta", exponent) for a base-tower component or
-    ("chi", d) for a skew-tower component; the stage's label decides which
-    limit formula is predicted.  The cylinders are those at the session's
-    cylinder level.  The tolerance is 3 over the stage's column count;
-    exceeding it is reported, and the right response is a larger stage,
-    never a looser gate.  The bucket table counts pairs of level codes
-    (cylinder, group exponent), and for a chi probe also module values; a
-    table of more entries than the session's state cap is refused before
-    it is allocated.
+    ``component`` is ("eta", e) for a base-tower component, e in range(kappa),
+    or ("chi", d) for a skew-tower component, d an element of the module;
+    the stage's label decides which limit formula is predicted.  The
+    cylinders are those at the session's cylinder level.  The tolerance is
+    3 over the stage's column count; exceeding it is reported, and the
+    right response is a larger stage, never a looser gate.
+
+    Nothing is built for a refused probe.  An unknown component kind raises
+    CharacterTypeError, a component the label has no prediction for (a
+    plain stage, or chi on a rotate stage) LabelError, and an e or d outside
+    its group InvalidElementError.  Then a bucket table (pairs of level
+    codes: cylinder, group exponent and, for chi, module value) of more
+    entries than the session's state cap raises SizeCapError.
     """
     n0 = session.config.cylinder_level
     stage = session.stage(stage_index)
     label = session.label(stage_index)
-    if label.kind == LABEL_PLAIN:
-        raise LabelError("plain stages carry no weak-limit prediction")
     kind, payload = component
-    entries = ((session.schedule.height(n0) + 1) * session.k_order) ** 2
-    if kind == "chi":
+    if kind not in ("eta", "chi"):
+        raise CharacterTypeError(f"unknown component kind {kind!r}")
+    if (kind, label.kind) not in _PREDICTIONS:
+        raise LabelError(f"no {kind} prediction for a {label.kind!r} stage")
+    kappa = session.k_order
+    n_cyl = session.schedule.height(n0)
+    entries = ((n_cyl + 1) * kappa) ** 2
+    if kind == "eta":
+        session.triple.k_group.check((payload,))
+        trivial = payload == 0
+    else:
+        session.ctx.module.check(payload)
+        trivial = not any(payload)
         entries *= session.ctx.module.size
     if entries > session.config.state_cap:
         raise SizeCapError(f"probe table of {entries} entries exceeds cap {session.config.state_cap}")
-    model = session.model(stage_index)
-    h_n = stage.base_height
-    delta = float(stage.delta) if stage.delta is not None else stage.i_count / stage.r_count
-    tol = PROBE_TOLERANCE_FACTOR / stage.r_count
-    mu = _cylinder_measures(model, n0)
+    pred_kind, coefficients = _PREDICTIONS["eta" if trivial else kind, label.kind]
+    lam = 1
+    if label.kind == LABEL_RIGID_ROTATE:
+        lam = cmath.exp(2j * cmath.pi * payload * label.k / kappa)
+    elif kind == "chi" and not trivial:
+        chi = session.duality.character_of_dual(payload)
+        lam = orbit_average(session.duality.dual_action, chi, label.a).value()
 
+    model = session.model(stage_index)
+    delta = float(stage.delta) if stage.delta is not None else stage.i_count / stage.r_count
+    steps = (stage.base_height,) if coefficients(lam, delta)[1] is None else (stage.base_height, 1)
+    mu = _cylinder_measures(model, n0)
+    family = {"cylinder_level": n0, "cylinders": n_cyl}
+    # <1_f x eta_e, 1_g x eta_e'> = [f = g][e = e'] mu_f, and the means
+    # multiply to mu_f mu_g [e = e' = 0]; an eta table has no e axes, and its
+    # mean is nonzero only for eta trivial
     if kind == "eta":
-        return _probe_eta(session, model, stage, label, int(payload), n0, h_n, delta, tol, mu)
-    if kind == "chi":
-        return _probe_chi(session, model, stage, label, tuple(payload), n0, h_n, delta, tol, mu)
-    raise CharacterTypeError(f"unknown component kind {kind!r}")
+        tables = [_eta_values(model, s, n0, payload)[0] for s in steps]
+        chars, means = 1.0, float(trivial)
+        record = {"kind": "eta", "eta": payload}
+    else:
+        tables = [t[0] for t in _chi_values(model, steps, n0, payload, session.root_order)]
+        chars = np.eye(kappa)
+        means = chars * (np.arange(kappa) == 0)
+        record = {"kind": "chi", "d": list(payload)}
+        family["group_characters"] = kappa
+    inner = np.multiply.outer(chars, np.diag(mu))
+    mean = np.multiply.outer(means, np.outer(mu, mu))
+    # tables[-1] is the one-step table when the prediction has one
+    re, im = _weak_limit_prediction(coefficients, lam, delta, inner, tables[-1], mean)
+    return WeakLimitReport(
+        stage_index=stage.index, label=label, component=record, family=family,
+        prediction_kind=pred_kind, values=tables[0], pred_re=re, pred_im=im,
+        deviations=_deviations(tables[0], re, im),
+        tolerance=PROBE_TOLERANCE_FACTOR / stage.r_count,
+    )
 
 
 # Complex arithmetic on (real, imaginary) array pairs.  Each step rounds as
@@ -482,100 +556,6 @@ def _deviations(values, pred_re, pred_im):
 def _pairs(a, b) -> list:
     """[a, b] per element of two equal-shaped arrays, in C order."""
     return np.stack([a.ravel(), b.ravel()], axis=1).tolist()
-
-
-def _probe_eta(session, model, stage, label, eta_exp, n0, h_n, delta, tol, mu):
-    kappa = model.ctx.k_order
-    values, _, n_cyl = _eta_values(model, h_n, n0, eta_exp)
-    trivial = eta_exp % kappa == 0
-    # tables indexed [g, f]: <1_f, 1_g> and, for eta trivial, mu_f mu_g
-    inner = np.diag(mu)
-    mean = np.outer(mu, mu) if trivial else np.zeros_like(inner)
-
-    if label.kind == LABEL_DELAYED_TRANSLATE:
-        pred_kind = "delayed"  # delta (I + U*) + (1 - 2 delta) P
-        # <u, U v> = conj(<U 1_g, 1_f>)
-        one_step = _eta_values(model, 1, n0, eta_exp)[0].T
-        re, im = _cadd_real(one_step.real, -one_step.imag, inner)
-        re, im = _cmul(delta, 0.0, re, im)
-        re, im = _cadd_real(re, im, (1 - 2 * delta) * mean)
-    elif label.kind in (LABEL_RIGID_TRANSLATE, LABEL_RIGID_ROTATE):
-        rot = 1.0 + 0j
-        if label.kind == LABEL_RIGID_ROTATE:
-            pred_kind = "rotation"  # delta eta(k) I + (1 - delta) P
-            rot = cmath.exp(2j * cmath.pi * eta_exp * label.k / kappa)
-        else:
-            pred_kind = "partial_rigidity"  # delta I + (1 - delta) P
-        c = delta * rot
-        re, im = _cmul(c.real, c.imag, inner, 0.0)
-        re, im = _cadd_real(re, im, (1 - delta) * mean)
-    else:
-        raise LabelError(f"no base-tower prediction for label {label.kind!r}")
-
-    return WeakLimitReport(
-        stage_index=stage.index, label=label,
-        component={"kind": "eta", "eta": eta_exp},
-        family={"cylinder_level": n0, "cylinders": n_cyl},
-        prediction_kind=pred_kind, values=values, pred_re=re, pred_im=im,
-        deviations=_deviations(values, re, im), tolerance=tol,
-    )
-
-
-def _probe_chi(session, model, stage, label, d, n0, h_n, delta, tol, mu):
-    ctx = model.ctx
-    kappa = ctx.k_order
-    n = session.root_order
-    trivial_d = all(x == 0 for x in d)
-
-    if label.kind not in (LABEL_RIGID_TRANSLATE, LABEL_DELAYED_TRANSLATE):
-        raise LabelError(
-            f"no skew-tower prediction for label {label.kind!r}; "
-            "rotate stages are probed on the base tower"
-        )
-
-    delayed = label.kind == LABEL_DELAYED_TRANSLATE
-    tables = _chi_values(model, (h_n, 1) if delayed else (h_n,), n0, d, n)
-    values, _, n_cyl = tables[0]
-    # tables indexed [e_u, e_v, g, f]: <1_f x eta_{e_u}, 1_g x eta_{e_v}> and
-    # the product of the two means, nonzero only for e_u = e_v = 0
-    inner = np.zeros((kappa, kappa, n_cyl, n_cyl))
-    inner[np.arange(kappa), np.arange(kappa)] = np.diag(mu)
-    mean = np.zeros_like(inner)
-    mean[0, 0] = np.outer(mu, mu)
-    if delayed:
-        one_step = tables[1][0].transpose(1, 0, 3, 2)
-        o_re, o_im = one_step.real, -one_step.imag
-
-    if trivial_d:
-        if label.kind == LABEL_RIGID_TRANSLATE:
-            pred_kind = "partial_rigidity"
-            re = delta * inner + (1 - delta) * mean
-            im = np.zeros_like(re)
-        else:
-            pred_kind = "delayed"
-            re, im = _cadd_real(o_re, o_im, inner)
-            re, im = _cmul(delta, 0.0, re, im)
-            re, im = _cadd_real(re, im, (1 - 2 * delta) * mean)
-    else:
-        chi = session.duality.character_of_dual(d)
-        l_value = orbit_average(session.duality.dual_action, chi, label.a).value()
-        if label.kind == LABEL_RIGID_TRANSLATE:
-            pred_kind = "orbit_average"
-            c = delta * l_value
-            re, im = _cmul(c.real, c.imag, inner, 0.0)
-        else:
-            pred_kind = "delayed_orbit_average"
-            re, im = _cmul(l_value.real, l_value.imag, o_re, o_im)
-            re, im = _cadd_real(re, im, inner)
-            re, im = _cmul(delta, 0.0, re, im)
-
-    return WeakLimitReport(
-        stage_index=stage.index, label=label,
-        component={"kind": "chi", "d": list(d)},
-        family={"cylinder_level": n0, "cylinders": n_cyl, "group_characters": kappa},
-        prediction_kind=pred_kind, values=values, pred_re=re, pred_im=im,
-        deviations=_deviations(values, re, im), tolerance=tol,
-    )
 
 
 # ---------------------------------------------------------------------------

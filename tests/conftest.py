@@ -48,6 +48,15 @@ def probe_product():
 
 
 @pytest.fixture(scope="session")
+def probe_kappa3():
+    # stage 4 rotates by k = 1 with kappa = 3, so eta(k) is not real
+    return synth(SessionConfig(
+        mode="direct", targets=(1, 3),
+        blocks=(DeltaBlock(Fraction(1, 2), 4, r_seq=(4, 4, 4, 4)),),
+    ))
+
+
+@pytest.fixture(scope="session")
 def probe_large():
     # the probed stage tops out just under a million levels
     return synth(SessionConfig(

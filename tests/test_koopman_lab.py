@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
@@ -12,6 +13,7 @@ from cfspectra.cocycle_engine import TowerModel
 from cfspectra.errors import (
     CharacterTypeError,
     ConsistencyError,
+    InvalidElementError,
     LabelError,
     LagRangeError,
     ParameterError,
@@ -268,6 +270,28 @@ class TestWeakLimitProbes:
     def test_rotate_stage_has_no_skew_prediction(self, probe_session):
         with pytest.raises(LabelError):
             weak_limit_probe(probe_session, 4, ("chi", (1, 0)))
+
+    @pytest.mark.parametrize("stage, component, error", [
+        (3, ("zeta", 0), CharacterTypeError),
+        (4, ("chi", (1, 0)), LabelError),
+        (3, ("chi", (1,)), InvalidElementError),
+        (3, ("chi", (2, 0)), InvalidElementError),
+        (3, ("eta", 5), InvalidElementError),
+        (4, ("eta", -1), InvalidElementError),
+    ])
+    def test_bad_input_is_refused_before_building(self, probe_session, monkeypatch,
+                                                   stage, component, error):
+        # no model is cached and none can be built; under a state cap of 1,
+        # which refuses every table, the input is still judged first
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tower model was built for a refused probe")
+
+        monkeypatch.setattr(TowerModel, "__init__", refuse)
+        for cap in (probe_session.config.state_cap, 1):
+            config = dataclasses.replace(probe_session.config, state_cap=cap)
+            s = dataclasses.replace(probe_session, config=config, _models={})
+            with pytest.raises(error):
+                weak_limit_probe(s, stage, component)
 
     def test_mean_zero_vectors_weak_mixing_shadow(self, probe_session):
         # |<U^h v, v>| <= delta ||v||^2 + 3/r for mean-zero v on translate stages

@@ -135,7 +135,8 @@ def scalar_report(session, stage_index, component, report):
 
 
 # (fixture, stage, component): stage 3 of probe_direct translates, stage 4
-# rotates; stage 5 of probe_product is delayed
+# rotates; stage 5 of probe_product is delayed; stage 4 of probe_kappa3
+# rotates with a phase that is not real
 CASES = [
     ("probe_direct", 3, ("eta", 0)),
     ("probe_direct", 3, ("eta", 1)),
@@ -147,6 +148,7 @@ CASES = [
     ("probe_direct", 3, ("chi", (1, 2))),
     ("probe_product", 5, ("chi", (0, 0, 0))),
     ("probe_product", 5, ("chi", (0, 1, 0))),
+    ("probe_kappa3", 4, ("eta", 1)),
 ]
 
 

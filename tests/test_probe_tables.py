@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cfspectra.cocycle_engine import TowerModel
-from cfspectra.koopman_lab import _chi_values, _eta_pair_tables
+from cfspectra.koopman_lab import _chi_values, _eta_values
 
 
 def fresh_model(session, depth):
@@ -65,7 +65,7 @@ def assert_tables_match_oracles(model, steps, n0=1):
     d_beta, d_alpha = model.step_values(steps)
     want_beta, want_alpha = twisted_step_values(model, steps)
     assert np.array_equal(d_beta, want_beta) and np.array_equal(d_alpha, want_alpha)
-    eta, _, _ = _eta_pair_tables(model, steps, n0)
+    _, eta, _ = _eta_values(model, steps, n0, 0)
     assert np.array_equal(eta, oracle_eta_counts(model, steps, n0)), steps
     [(_, chi, _)] = _chi_values(model, (steps,), n0, (0,) * len(model._orders), 1)
     assert np.array_equal(chi, oracle_chi_counts(model, steps, n0)), steps

@@ -273,6 +273,22 @@ class TestCLI:
                   for r in results["weaklimits"]["detail"]["reports"]]
         assert (3, "chi") in probed, probed
 
+    def test_weaklimits_keeps_reports_when_a_later_probe_is_refused(self, tmp_path):
+        # the chi table holds 5,400 entries, over this cap; the eta probes
+        # before it fit, and their reports stay in the record
+        cfg = {"mode": "direct", "targets": [1, 2], "state_cap": 5000,
+               "blocks": [{"delta": [1, 2], "stages": 4, "r_seq": [8, 8, 64, 64]}]}
+        bundle = self.synth_bundle(tmp_path, cfg)
+        code, results = run_verify(bundle, ("weaklimits",))
+        assert code == 3
+        detail = results["weaklimits"]["detail"]
+        assert detail["failed"] == [
+            "stage 1 ('chi', (0, 1)): probe table of 5400 entries exceeds cap 5000"]
+        probed = [(r["stage_index"], r["component"]) for r in detail["reports"]]
+        assert probed == [(2, {"kind": "eta", "eta": 0}), (2, {"kind": "eta", "eta": 1}),
+                          (1, {"kind": "eta", "eta": 0})]
+        assert all(r["passed"] for r in detail["reports"])
+
     def test_decay_csv_row_count(self, tmp_path):
         cfg = {
             "mode": "direct", "targets": [1],
