@@ -7,7 +7,8 @@
 Verify exit codes: 0 all gated checks pass, 2 algebra, 3 weak limits,
 4 mixing trend, 5 multiplicity (first failing suite in that order).
 A verify run also writes its suite reports next to the bundle
-(verify_report.json, or the --report path).
+(verify_report.json, or the --report path).  A --report path that cannot
+be written ends the run with `error: ...` and exit 1.
 
 A bundle is fully determined by its config.json.  verify and dump
 re-synthesize it from there and compare every bundle file below, byte for
@@ -39,8 +40,10 @@ Bundle layout (canonical JSON, schema_version fields throughout):
     validation.json  the schedule validation report
     manifest.json    sha256 over the four payload files
 
-Dump formats: spectra and report as JSON; decay as CSV with columns
-lag, pairId, value_numerator, value_denominator (exact fractions).
+Dump formats: spectra and report as JSON only, so --format csv is
+refused for them with `error: ...` and exit 1; decay as JSON or as CSV
+with columns lag, pairId, value_numerator, value_denominator (exact
+fractions).
 """
 
 from __future__ import annotations
@@ -288,6 +291,8 @@ def dump_decay(session) -> list:
 
 
 def run_dump(bundle_dir, what, fmt, out_path):
+    if fmt == "csv" and what != "decay":
+        raise CfspectraError(f"a {what} dump is JSON only; csv is for decay")
     session = _load_session(bundle_dir)
     if what == "spectra":
         text = canonical_json(dump_spectra(session))
@@ -356,8 +361,11 @@ def main(argv=None) -> int:
             )
             try:
                 report_path.write_text(canonical_json(results))
-            except OSError:
-                pass  # a missing bundle directory already failed above
+            except OSError as exc:
+                if args.report:
+                    raise CfspectraError(f"report not written: {exc}") from exc
+                # the default path is in the bundle directory: a missing one
+                # already failed above
             for suite in suites:
                 res = results.get(suite)
                 status = "PASS" if res and res["passed"] else "FAIL"

@@ -8,9 +8,11 @@ product of the per-stage table entries along one word times the inverse of
 the product along the other.  Every table maps cut 0 to the identity, so
 zero-padding words is harmless and the evaluation is well defined.
 
-TowerModel holds the same data as flat numpy arrays for bulk work: per-level
-word products, with the module part kept untwisted, from which the
-transition values of any power of the successor map follow in closed form.
+A Tower is a depth of the schedule with its stage tables and lists no
+level.  TowerModel adds the same data as flat numpy arrays for bulk work:
+per-level word products, with the module part kept untwisted, from which
+the transition values of any power of the successor map follow in closed
+form.
 """
 
 from __future__ import annotations
@@ -355,14 +357,10 @@ def _step_difference(x: np.ndarray, steps: int, modulus) -> np.ndarray:
     return out
 
 
-class TowerModel:
-    """Flat-array view of a tower at some depth, with its cocycle data.
+class Tower:
+    """A tower at some depth as its stages and their cocycle tables; no level is listed.
 
-    Levels are 0..h-1; the map is +1 cyclically.  ``word_beta`` holds the
-    group exponent beta_l of each level's word product (beta_l, alpha_l) and
-    ``word_untwisted`` its module part untwisted, theta^(-beta_l) alpha_l.
-    Transition values and any power of the skew map follow from these in
-    closed form.
+    A tower taller than the cap is refused here, before anything is allocated.
     """
 
     def __init__(self, schedule: CFSchedule, depth: int, maps_by_stage,
@@ -374,6 +372,21 @@ class TowerModel:
             raise SizeCapError(f"tower height {self.height} exceeds cap {cap}")
         self.ctx = ctx
         self.maps_by_stage = maps_by_stage
+
+
+class TowerModel(Tower):
+    """Flat-array view of a tower at some depth, with its cocycle data.
+
+    Levels are 0..h-1; the map is +1 cyclically.  ``word_beta`` holds the
+    group exponent beta_l of each level's word product (beta_l, alpha_l) and
+    ``word_untwisted`` its module part untwisted, theta^(-beta_l) alpha_l.
+    Transition values and any power of the skew map follow from these in
+    closed form.
+    """
+
+    def __init__(self, schedule: CFSchedule, depth: int, maps_by_stage,
+                 ctx: SemidirectContext, cap: int = ENUMERATION_CAP):
+        super().__init__(schedule, depth, maps_by_stage, ctx, cap)
         self._build_word_products()
 
     # -- pure tower structure ------------------------------------------------

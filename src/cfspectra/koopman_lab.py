@@ -7,7 +7,10 @@ once the transition values multiply to the identity around that cycle its
 spectrum follows in closed form.  Power averages are evaluated by exact
 bucket counting of phase exponents and judged against one weak-limit
 prediction, delta (a I + b U*) + c P, whose coefficients the component and
-the stage label pick from one table.  The multiplicity bookkeeping
+the stage label pick from one table.  The level pairs are counted through
+the cut-and-stack recursion, so a probe never lists the tower it probes:
+only the towers at the cylinder level, or under a lag as long as their
+column height, are listed.  The multiplicity bookkeeping
 reduces to orbit combinatorics on the distinguished subgroup.  Floating
 point appears only in least-squares residuals and in report summaries;
 every equality decision is integer/rational.
@@ -29,6 +32,7 @@ from .cocycle_engine import (
     LABEL_RIGID_TRANSLATE,
     MODE_PRODUCT,
     StageLabel,
+    Tower,
     TowerModel,
 )
 from .errors import (
@@ -286,36 +290,312 @@ def _mixed_radix(bases) -> np.ndarray:
     return radix
 
 
-def _raw_pair_counts(model: TowerModel, steps: int, n0: int, low=None, n_low: int = 1):
+def _module_tables(ctx, module: bool):
+    """(orders, radix, theta, images) of the module, or of the trivial module.
+
+    theta[k] is the matrix of theta^k, and images[k, w] is theta^k of the
+    element with index w, indices being mixed radix with the last coordinate
+    fastest.  The trivial module (``module`` false) has rank 0 and one
+    element, index 0.
+    """
+    orders = np.array(ctx.module.orders if module else (), dtype=np.int64)
+    rank = len(orders)
+    theta = np.stack([phi.matrix[:rank, :rank] for phi in ctx._automorphisms])
+    radix = _mixed_radix(orders)
+    elements = np.arange(int(np.prod(orders)), dtype=np.int64)[:, None] // radix % orders
+    return orders, radix, theta, elements @ theta.transpose(0, 2, 1) % orders
+
+
+def _runs(lengths):
+    """(run, offset) of each element of consecutive runs of the given lengths."""
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    starts = np.cumsum(lengths) - lengths
+    return run, np.arange(run.size) - starts[run]
+
+
+def _at(words, idx):
+    """The words at the given level indices."""
+    return tuple(np.take(w, idx, axis=0) for w in words)
+
+
+_NO_PAIRS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
+def _merged(parts):
+    """Tables (keys, counts) summed into one with distinct sorted keys."""
+    if not parts:
+        return _NO_PAIRS
+    key = np.concatenate([p[0] for p in parts])
+    count = np.concatenate([p[1] for p in parts])
+    order = np.argsort(key)
+    key, count = key[order], count[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    return key[first], np.add.reduceat(count, first)
+
+
+class _PairCounter:
+    """Pair tables of one tower, counted through its cut-and-stack recursion.
+
+    A table is sparse, keys and counts, and holds several weighted tables
+    at once: key c R + i counts entry i of raw[g, b, f, b', x] (R entries)
+    in table c.  The word of a level is its depth-n0 cylinder (-1 for a
+    deeper spacer, whose pairs are dropped), its group exponent and its
+    untwisted module part u; a table of twist t keys a pair of words by
+    x = u - theta^t u', and the raw table is the one of twist 0.  Column j of
+    stage m carries the entry (b_j, a_j): its level y has the word of level
+    y of the depth-(m-1) tower times the entry, which adds b_j to the
+    exponent and sends u to theta^(-b_j) u + v_j, for v_j = theta^(-b_j) a_j.
+
+    A lag-s table of the depth-m tower is then the lag-s table of the
+    depth-(m-1) tower moved into each column, plus the pairs that cross from
+    the top of a column to the bottom of the next one, which join the top
+    and bottom s words of the depth-(m-1) tower.  At the cylinder depth n0,
+    or for a lag of at least the column height, the words of the whole
+    depth-m tower are listed and paired level by level.  Models are built
+    only for those towers, and kept for the counter's lifetime only.
+    """
+
+    def __init__(self, tower, n0: int, module: bool):
+        if n0 > tower.depth:
+            raise ParameterError(f"no depth-{n0} cylinders in a depth-{tower.depth} tower")
+        self.tower = tower
+        self.n0 = n0
+        self.kappa = tower.ctx.k_order
+        self.heights = tower.schedule.heights()
+        self.orders, self.radix, self.theta, self.images = _module_tables(tower.ctx, module)
+        n_cyl = self.heights[n0]
+        self.shape = (n_cyl, self.kappa, n_cyl, self.kappa, self.images.shape[1])
+        self._words = {}
+        self._stages = {}
+
+    # -- module arithmetic on vectors and on indices ---------------------------
+
+    def index(self, vecs):
+        """Index of each (unreduced) vector along the last axis."""
+        x = np.zeros(vecs.shape[:-1], dtype=np.int64)
+        for i, (n, place) in enumerate(zip(self.orders.tolist(), self.radix.tolist())):
+            x += vecs[..., i] % n * place
+        return x
+
+    def act(self, k, vecs):
+        """theta^k of every row of vecs (rows reduced mod the orders)."""
+        k %= self.kappa
+        return vecs @ self.theta[k].T % self.orders if k else vecs
+
+    def x_map(self, sign, k, d):
+        """Index maps x -> sign theta^k x + d, for d the index of an element;
+        with arrays k and d, one map per entry."""
+        return self.index(sign * self.images[k % self.kappa] + self.images[0, d][..., None, :])
+
+    # -- words -----------------------------------------------------------------
+
+    def words(self, m):
+        """(cylinder, exponent, u) of every level of the depth-m tower."""
+        if m not in self._words:
+            t = self.tower
+            model = TowerModel(t.schedule, m, t.maps_by_stage[:m], t.ctx, cap=t.height)
+            self._words[m] = (model.cylinder_ids(self.n0), model.word_beta,
+                              model.word_untwisted[:, :len(self.orders)])
+        return self._words[m]
+
+    def stage(self, m):
+        """Stage m's column entries b_j and v_j, and its gaps g_j: the spacer
+        count between column j and column j + 1."""
+        if m not in self._stages:
+            st, maps = self.tower.schedule.stages[m - 1], self.tower.maps_by_stage[m - 1]
+            b = np.array(maps.beta, dtype=np.int64)
+            a = np.array(maps.alpha, dtype=np.int64)[:, :len(self.orders)]
+            v = a.copy()
+            for k in np.unique(b):
+                rows = b == k
+                v[rows] = self.act(-k, a[rows])
+            gaps = np.diff(np.array(st.cuts, dtype=np.int64)) - st.base_height
+            self._stages[m] = (b, v, gaps)
+        return self._stages[m]
+
+    def edge(self, m, size, top):
+        """Words of the top or bottom `size` levels of the depth-m tower.
+
+        The bottom levels are those of column 0, whose entry is the
+        identity; the top ones are those of the last column, since no stage
+        has spacers above it.
+        """
+        if m > self.n0 and size <= self.heights[m - 1]:
+            cyl, beta, u = self.edge(m - 1, size, top)
+            if top:
+                b, v, _ = self.stage(m)
+                beta, u = (beta + b[-1]) % self.kappa, (self.act(-b[-1], u) + v[-1]) % self.orders
+            return cyl, beta, u
+        window = slice(self.heights[m] - size, None) if top else slice(0, size)
+        return tuple(w[window] for w in self.words(m))
+
+    # -- tables ----------------------------------------------------------------
+
+    def encode(self, c, g, b1, f, b2, x):
+        n_cyl, kappa, _, _, n_a = self.shape
+        return ((((c * n_cyl + g) * kappa + b1) * n_cyl + f) * kappa + b2) * n_a + x
+
+    def decode(self, key):
+        n_cyl, kappa, _, _, n_a = self.shape
+        rest, x = np.divmod(key, n_a)
+        rest, b2 = np.divmod(rest, kappa)
+        rest, f = np.divmod(rest, n_cyl)
+        rest, b1 = np.divmod(rest, kappa)
+        c, g = np.divmod(rest, n_cyl)
+        return c, g, b1, f, b2, x
+
+    def pair_keys(self, first, i1, second, i2, t, weights):
+        """Tables of twist t of the word pairs (first[i1[i]], second[i2[i]]),
+        pair i counted weights[c, i] times in table c; keys may repeat."""
+        keep = np.flatnonzero((first[0][i1] >= 0) & (second[0][i2] >= 0))
+        c, i = np.nonzero(weights[:, keep])
+        at = keep[i]
+        (c1, b1, u1), (c2, b2, u2) = _at(first, i1[at]), _at(second, i2[at])
+        x = self.index(u1 - self.act(t, u2))
+        return self.encode(c, c1, b1, c2, b2, x), weights[c, at]
+
+    def level_pass(self, m, lags, weights, t, cyclic):
+        """Pairs (l, l + s) listed level by level over the depth-m tower."""
+        words = self.words(m)
+        h = len(words[0])
+        run, first = _runs(np.full(lags.size, h) if cyclic else h - lags)
+        second = first + lags[run]
+        if cyclic:
+            second %= h
+        return self.pair_keys(words, first, words, second, t, weights[:, run])
+
+    def pairs(self, m, lags, weights, t, cyclic=False):
+        """Tables of twist t of the pairs (l, l + s) of the depth-m tower,
+        where table c counts the lag lags[i] (distinct) weights[c, i] times;
+        with cyclic, l + s is taken modulo the height, for lags below it."""
+        if not cyclic:
+            keep = lags < self.heights[m]
+            lags, weights = lags[keep], weights[:, keep]
+        if m == self.n0:
+            return self.level_pass(m, lags, weights, t, cyclic)
+        big = lags >= self.heights[m - 1]
+        parts = [self.level_pass(m, lags[big], weights[:, big], t, cyclic)] if big.any() else []
+        lags, weights = lags[~big], weights[:, ~big]
+        if lags.size:
+            key, count = self.pairs(m - 1, lags, weights, t)
+            c, g, e1, f, e2, x = self.decode(key)
+            b, v, _ = self.stage(m)
+            # column j moves both words of a pair inside it by its entry, so
+            # x becomes theta^(-b_j) x + v_j - theta^t v_j: a_j cancels for t = 0
+            n_a = self.shape[4]
+            groups, copies = np.unique(b * n_a + self.index(v - self.act(t, v)),
+                                       return_counts=True)
+            b_j, d = np.divmod(groups, n_a)
+            x_maps = self.x_map(1, -b_j, d)
+            for j, n_copies in enumerate(copies.tolist()):
+                parts.append((self.encode(c, g, (e1 + b_j[j]) % self.kappa, f,
+                                          (e2 + b_j[j]) % self.kappa, x_maps[j, x]),
+                              count * n_copies))
+            parts += self.crossings(m, lags, weights, t, cyclic)
+        return _merged(parts)
+
+    def crossings(self, m, lags, weights, t, cyclic):
+        """Pairs of lag s < h_(m-1) from the top of column j to the bottom of
+        column j + 1 (with cyclic, also from the last column to column 0).
+
+        Across a gap of g spacers such a pair spans n = s - g levels: the
+        top level size - n + k of the top words and the bottom level k, for
+        k in range(n).  Boundaries are grouped by their two entries, as far
+        as a pair's key depends on them (b_j, b_(j+1) and
+        v_j - theta^t v_(j+1)); within a group, the weight of a span n sums
+        over the gaps and lags with s - g = n, a correlation of the two
+        weight vectors.
+        """
+        b, v, gaps = self.stage(m)
+        left = np.arange(len(b) - 1)
+        if cyclic:
+            left, gaps = np.append(left, len(b) - 1), np.append(gaps, 0)
+        right = (left + 1) % len(b)
+        size = int(lags.max())
+        if not size:
+            return []
+        top, bottom = self.edge(m - 1, size, True), self.edge(m - 1, size, False)
+        lag_weights = np.zeros((len(weights), size + 1), dtype=np.int64)
+        lag_weights[:, lags] = weights
+        n_a, kappa = self.shape[4], self.kappa
+        groups = (b[left] * kappa + b[right]) * n_a + self.index(v[left] - self.act(t, v[right]))
+        parts = []
+        for group in np.unique(groups).tolist():
+            gap_weights = np.bincount(gaps[groups == group])[::-1]
+            span_weights = np.stack([np.convolve(row, gap_weights)[len(gap_weights):][:size]
+                                     for row in lag_weights])
+            spans = np.flatnonzero(span_weights.any(axis=0)) + 1
+            run, k = _runs(spans)
+            pair, d = divmod(group, n_a)
+            b1, b2 = divmod(pair, kappa)
+            first = (top[0], (top[1] + b1) % kappa,
+                     (self.act(-b1, top[2]) + self.images[0, d]) % self.orders)
+            second = (bottom[0], (bottom[1] + b2) % kappa, self.act(-b2, bottom[2]))
+            parts.append(self.pair_keys(first, size - spans[run] + k, second, k, t,
+                                        span_weights[:, spans[run] - 1]))
+        return parts
+
+    def column_step(self):
+        """Table of the pairs (l, l + h_(n-1)) of the depth-n tower, in parts.
+
+        Such a pair joins level y of column j to level y - g_j of column
+        j + 1, the last column wrapping to column 0 with gap 0: a reversed
+        lag-g_j pair of the depth-(n-1) tower, each side with its own
+        column's entry.  Boundaries are grouped by the entries of both sides
+        (b_j, b_(j+1) and v_j - v_(j+1)), one weighted table over the gaps
+        per group, and the groups of one inner twist b_(j+1) - b_j are
+        counted together; the reversed pairs, moved, have twist 0.
+        """
+        n = self.tower.depth
+        b, v, gaps = self.stage(n)
+        left = np.arange(len(b))
+        right = (left + 1) % len(b)
+        n_a, kappa = self.shape[4], self.kappa
+        groups = (b[left] * kappa + b[right]) * n_a + self.index(v[left] - v[right])
+        groups, group_of = np.unique(groups, return_inverse=True)
+        lags, lag_of = np.unique(np.append(gaps, 0), return_inverse=True)
+        weights = np.zeros((len(groups), len(lags)), dtype=np.int64)
+        np.add.at(weights, (group_of, lag_of), 1)
+        pair, d = np.divmod(groups, n_a)
+        b1, b2 = np.divmod(pair, kappa)
+        # x = -theta^(-b_(j+1)) x' + v_j - v_(j+1) for the reversed pair's x'
+        x_maps = self.x_map(-1, -b2, d)
+        # the twist acts on the module part only
+        twists = (b2 - b1) % kappa if len(self.orders) else np.zeros_like(b1)
+        parts = []
+        for t in np.unique(twists).tolist():
+            rows = np.flatnonzero(twists == t)
+            used = weights[rows].any(axis=0)
+            key, count = self.pairs(n - 1, lags[used], weights[np.ix_(rows, used)], t)
+            c, g, e1, f, e2, x = self.decode(key)
+            c = rows[c]
+            parts.append((self.encode(0, f, (e2 + b1[c]) % kappa, g, (e1 + b2[c]) % kappa,
+                                      x_maps[c, x]), count))
+        return parts
+
+
+def _raw_pair_counts(tower: Tower, steps: int, n0: int, module: bool) -> np.ndarray:
     """Counts of the level pairs (l, l + steps) of the cyclic tower by their raw words.
 
     Returns raw[g, b, f, b', x], the number of pairs whose levels lie in
-    depth-n0 cylinders g and f with group exponents b and b' and whose low
-    index is x.  low(a, b) takes the slices of levels at the two ends of a
-    run of pairs and returns each pair's index in range(n_low).
+    depth-n0 cylinders g and f with group exponents b and b' and whose
+    untwisted module parts differ by the element of index x; without
+    ``module`` the last axis has the one index 0.  The step h_(n-1) of a
+    depth-n tower is counted from the column structure of stage n, any
+    other step through the lag recursion; no tower deeper than the
+    cylinder level is listed unless a lag reaches its column height.
     """
-    kappa = model.ctx.k_order
-    n_cyl = model.schedule.height(n0)
-    # level code (cyl + 1) * kappa + beta: spacers (cyl = -1) take the codes
-    # below kappa, which are dropped below
-    codes = model.cylinder_ids(n0) * kappa
-    codes += model.word_beta
-    codes += kappa
-    n_codes = (n_cyl + 1) * kappa
-
-    def pair_key(a, b):
-        key = codes[a] * n_codes + codes[b]
-        return key if low is None else key * n_low + low(a, b)
-
-    # the cyclic shift is two contiguous halves, so no shifted copy is made
-    h = model.height
-    s = steps % h
-    key = np.empty(h, dtype=np.int64)
-    key[:h - s] = pair_key(slice(0, h - s), slice(s, h))
-    key[h - s:] = pair_key(slice(h - s, h), slice(0, s))
-    raw = np.bincount(key, minlength=n_codes * n_codes * n_low)
-    raw = raw.reshape(n_codes, n_codes, n_low)[kappa:, kappa:]
-    return raw.reshape(n_cyl, kappa, n_cyl, kappa, n_low)
+    counter = _PairCounter(tower, n0, module)
+    n = tower.depth
+    s = steps % tower.height
+    if n > n0 and s == tower.schedule.height(n - 1):
+        parts = counter.column_step()
+    else:
+        parts = [counter.pairs(n, np.array([s]), np.ones((1, 1), dtype=np.int64), 0, True)]
+    raw = np.zeros(prod(counter.shape), dtype=np.int64)
+    for key, count in parts:
+        np.add.at(raw, key, count)
+    return raw.reshape(counter.shape)
 
 
 def _fold_exponents(raw, perms) -> np.ndarray:
@@ -331,52 +611,34 @@ def _fold_exponents(raw, perms) -> np.ndarray:
     return counts
 
 
-def _eta_values(model: TowerModel, steps: int, n0: int, eta_exp: int):
+def _eta_values(tower: Tower, steps: int, n0: int, eta_exp: int):
     """Complex table V[g, f] = <U_eta^steps 1_f, 1_g> plus its exact buckets
     counts[g, f, s], the level pairs by the group exponent s of their path."""
-    kappa = model.ctx.k_order
-    raw = _raw_pair_counts(model, steps, n0)
+    kappa = tower.ctx.k_order
+    raw = _raw_pair_counts(tower, steps, n0, False)
     counts = _fold_exponents(raw, np.zeros((kappa, 1), dtype=np.int64))[..., 0]
     phases = np.exp(2j * np.pi * eta_exp * np.arange(kappa) / kappa)
-    return counts @ phases / model.height, counts, raw.shape[0]
+    return counts @ phases / tower.height, counts, raw.shape[0]
 
 
-def _chi_values(model: TowerModel, steps: tuple[int, ...], n0: int, d, phase_order: int):
+def _chi_values(tower: Tower, steps: tuple[int, ...], n0: int, d, phase_order: int):
     """Tables V[e_u, e_v, g, f] = <U_chi^s (1_f x eta_{e_u}), 1_g x eta_{e_v}> per s in steps.
 
     The pairs are counted by their raw words, with the difference of their
     untwisted module parts; the transition value (b - b', theta^b (u - u'))
     is then folded in on the count table, where theta^b permutes the
     module.  The group-state sum is folded into a precomputed table over
-    (character difference, module value), so the level pass is a single
-    bucket count.  Returns (values, counts, cylinder count) per step; the
-    tables that do not depend on the step are built once for all of them.
+    (character difference, module value).  Returns (values, counts,
+    cylinder count) per step; the tables that do not depend on the step are
+    built once for all of them.
     """
-    ctx = model.ctx
-    kappa = ctx.k_order
-    orders = np.array(ctx.module.orders, dtype=np.int64)
-    h = model.height
-
-    # module values indexed in mixed radix
-    radix = _mixed_radix(orders)
-    n_a = int(np.prod(orders))
-    # untwisted parts packed in the radix of their differences (digits in
-    # (-n_i, n_i)), so a difference's index is one subtraction and a lookup
-    spans = 2 * orders - 1
-    wide = _mixed_radix(spans)
-    packed = np.zeros(h, dtype=np.int64)
-    for i in range(len(orders)):
-        packed += model.word_untwisted[:, i] * wide[i]
-    offset = int((orders - 1) @ wide)
-    diffs = np.arange(int(np.prod(spans)), dtype=np.int64)[:, None] // wide % spans
-    diff_index = (diffs - (orders - 1)) % orders @ radix
-
-    a_elements = np.arange(n_a, dtype=np.int64)[:, None] // radix % orders
-    # images[k, w] = theta^k of the module element with index w, and
-    # image_index[k] the permutation of indices that theta^k makes
-    images = a_elements @ model._theta_mats.transpose(0, 2, 1) % orders
-    image_index = images @ radix
+    kappa = tower.ctx.k_order
+    h = tower.height
+    orders, radix, _, images = _module_tables(tower.ctx, True)
+    n_a = images.shape[1]
+    # image_index[k] is the permutation of indices that theta^k makes, and
     # bucket x holds theta^b x = w, so w gathers from x = theta^(-b) w
+    image_index = images @ radix
     gathers = image_index[-np.arange(kappa) % kappa]
 
     # G[e, w] = sum over k of chi_d(theta^k w) * e^{2 pi i e k / kappa}
@@ -389,12 +651,9 @@ def _chi_values(model: TowerModel, steps: tuple[int, ...], n0: int, d, phase_ord
             g_table[e] += chi_vals * cmath.exp(2j * cmath.pi * e * k / kappa)
     eta_phase = np.exp(2j * np.pi * np.arange(kappa)[:, None] * np.arange(kappa)[None, :] / kappa)
 
-    def diff_of(a, b):
-        return diff_index[packed[a] - packed[b] + offset]
-
     tables = []
     for step in steps:
-        counts = _fold_exponents(_raw_pair_counts(model, step, n0, diff_of, n_a), gathers)
+        counts = _fold_exponents(_raw_pair_counts(tower, step, n0, True), gathers)
         n_cyl = counts.shape[0]
 
         # value[e_u, e_v, g, f] = (1/(h kappa)) sum_{s,w} counts[g,f,s,w]
@@ -409,18 +668,18 @@ def _chi_values(model: TowerModel, steps: tuple[int, ...], n0: int, d, phase_ord
     return tables
 
 
-def _cylinder_measures(model: TowerModel, n0: int) -> np.ndarray:
-    """Measure of each depth-n0 cylinder in the model's tower.
+def _cylinder_measures(tower: Tower, n0: int) -> np.ndarray:
+    """Measure of each depth-n0 cylinder in the tower.
 
     Every stage past n0 copies each depth-n0 level once per column, so all
     cylinders have the same measure: the product of those column counts
     over the height.
     """
-    copies = prod(st.r_count for st in model.schedule.stages[n0:model.depth])
-    return np.full(model.schedule.height(n0), copies / model.height)
+    copies = prod(st.r_count for st in tower.schedule.stages[n0:tower.depth])
+    return np.full(tower.schedule.height(n0), copies / tower.height)
 
 
-# The weak limit of U^{h_n} at a labelled stage n, on a probe's table:
+# The weak limit of U^{h_(n-1)} at a labelled stage n, on a probe's table:
 #     pred = delta (a <1_f, 1_g> + b <U 1_g, 1_f>*) + c mu_f mu_g.
 # (component kind, label kind) -> (prediction kind, (a, b, c) from the
 # label's phase lam and delta): lam is eta(k) on a rotate stage and the
@@ -474,7 +733,9 @@ def weak_limit_probe(session, stage_index: int, component) -> WeakLimitReport:
     plain stage, or chi on a rotate stage) LabelError, and an e or d outside
     its group InvalidElementError.  Then a bucket table (pairs of level
     codes: cylinder, group exponent and, for chi, module value) of more
-    entries than the session's state cap raises SizeCapError.
+    entries than the session's state cap raises SizeCapError, and so does a
+    stage taller than the cap, although the probe builds no tower of its
+    height; a stage shallower than the cylinder level raises ParameterError.
     """
     n0 = session.config.cylinder_level
     stage = session.stage(stage_index)
@@ -504,20 +765,21 @@ def weak_limit_probe(session, stage_index: int, component) -> WeakLimitReport:
         chi = session.duality.character_of_dual(payload)
         lam = orbit_average(session.duality.dual_action, chi, label.a).value()
 
-    model = session.model(stage_index)
+    tower = Tower(session.schedule, stage_index, session.maps[:stage_index], session.ctx,
+                  cap=session.config.state_cap)
     delta = float(stage.delta) if stage.delta is not None else stage.i_count / stage.r_count
     steps = (stage.base_height,) if coefficients(lam, delta)[1] is None else (stage.base_height, 1)
-    mu = _cylinder_measures(model, n0)
+    mu = _cylinder_measures(tower, n0)
     family = {"cylinder_level": n0, "cylinders": n_cyl}
     # <1_f x eta_e, 1_g x eta_e'> = [f = g][e = e'] mu_f, and the means
     # multiply to mu_f mu_g [e = e' = 0]; an eta table has no e axes, and its
     # mean is nonzero only for eta trivial
     if kind == "eta":
-        tables = [_eta_values(model, s, n0, payload)[0] for s in steps]
+        tables = [_eta_values(tower, s, n0, payload)[0] for s in steps]
         chars, means = 1.0, float(trivial)
         record = {"kind": "eta", "eta": payload}
     else:
-        tables = [t[0] for t in _chi_values(model, steps, n0, payload, session.root_order)]
+        tables = [t[0] for t in _chi_values(tower, steps, n0, payload, session.root_order)]
         chars = np.eye(kappa)
         means = chars * (np.arange(kappa) == 0)
         record = {"kind": "chi", "d": list(payload)}

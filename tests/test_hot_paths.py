@@ -6,19 +6,27 @@ machine: a path that re-validates an engine-made element on every multiply,
 or rebuilds an automorphism per element, breaks them by a wide margin; a
 character value is an integer exponent, never a Fraction.  The
 full-height passes take their cyclic shifts as slices or bit offsets, never
-as a rolled copy, and a spectra dump checks the loop product once.
+as a rolled copy, and a spectra dump checks the loop product once.  A
+weak-limit probe at stage n lists no tower taller than h_(n-1).
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from cfspectra import finite_algebra, koopman_lab
 from cfspectra.cli import main
-from cfspectra.cocycle_engine import CocycleStageMaps, canonical_word, evaluate_cocycle
+from cfspectra.cocycle_engine import (
+    CocycleStageMaps,
+    TowerModel,
+    canonical_word,
+    evaluate_cocycle,
+)
 from cfspectra.finite_algebra import FiniteAbelianGroup, GroupAutomorphism, ModuleAction
 from cfspectra.module_factory import assemble_triple, dualize
 from cfspectra.session import SessionConfig, synth
@@ -128,3 +136,28 @@ def test_full_height_passes_roll_no_copy(shipped_product, monkeypatch):
     for steps in (1, 7, h - 1):
         model.step_betas(steps)
         model.step_values(steps)
+
+
+@pytest.mark.parametrize("fixture, stage, component", [
+    ("scaled_16x16x128x16", 4, ("eta", 1)),
+    ("probe_large", 3, ("eta", 0)),
+    ("scaled_16x16x128x16", 3, ("chi", (1, 1))),
+])
+def test_probes_list_no_tower_of_the_probed_depth(request, monkeypatch, fixture, stage,
+                                                  component):
+    # the pairs of the depth-n tower are counted from its stages; only the
+    # towers at the cylinder level, or under a lag as long as their column
+    # height, are listed, and none is taller than stage n's columns
+    session = request.getfixturevalue(fixture)
+    heights = []
+    build = TowerModel.__init__
+
+    def recording(self, schedule, depth, *args, **kwargs):
+        heights.append(schedule.height(depth))
+        build(self, schedule, depth, *args, **kwargs)
+
+    monkeypatch.setattr(TowerModel, "__init__", recording)
+    report = koopman_lab.weak_limit_probe(dataclasses.replace(session, _models={}),
+                                          stage, component)
+    assert report.passed
+    assert heights and max(heights) <= session.schedule.height(stage - 1), heights

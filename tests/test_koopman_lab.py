@@ -267,6 +267,23 @@ class TestWeakLimitProbes:
             tracemalloc.stop()
         assert peak < 10**6
 
+    def test_tall_or_shallow_stage_is_refused_after_the_table_size(self, probe_session):
+        # stage 4's eta table holds 900 entries, under a cap of 1000 that its
+        # 515,568 levels exceed; no tower of that height is built, yet the
+        # stage is refused as a model of it would be
+        config = dataclasses.replace(probe_session.config, state_cap=1000)
+        s = dataclasses.replace(probe_session, config=config, _models={})
+        with pytest.raises(SizeCapError, match="tower height 515568 exceeds cap 1000"):
+            weak_limit_probe(s, 4, ("eta", 0))
+        # stage 3's 8,048 levels exceed the cap too, but its chi table of 5,400
+        # entries is refused first
+        with pytest.raises(SizeCapError, match="probe table of 5400 entries"):
+            weak_limit_probe(s, 3, ("chi", (1, 0)))
+        # at cylinder level 2, stage 1 has no depth-2 cylinders
+        s = synth(dataclasses.replace(probe_session.config, cylinder_level=2))
+        with pytest.raises(ParameterError, match="no depth-2 cylinders in a depth-1 tower"):
+            weak_limit_probe(s, 1, ("eta", 0))
+
     def test_rotate_stage_has_no_skew_prediction(self, probe_session):
         with pytest.raises(LabelError):
             weak_limit_probe(probe_session, 4, ("chi", (1, 0)))

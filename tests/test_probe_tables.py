@@ -1,11 +1,13 @@
 """Probe bucket tables against the per-level transition-value formulas.
 
-The probes bucket each level by its raw word (cylinder, group exponent and
-untwisted module part) paired with the word `steps` levels on, and fold the
-group arithmetic into the bucket table.  The oracles below bucket the
-transition values themselves, read per level from `step_betas` and
-`step_values`, as the tables were first computed; the integer tables must
-be equal.  `step_values` in turn must equal the formula on twisted words,
+The probes bucket each level pair by the raw words of its two levels
+(cylinder, group exponent and untwisted module part) and fold the group
+arithmetic into the bucket table.  ``level_pass_counts`` makes that count
+level by level over a whole tower; it is the oracle of the cut-and-stack
+recursion the probes count with (test_probe_counts.py).  The oracles
+below bucket the transition values themselves, read per level from
+`step_betas` and `step_values`; the folded level-pass tables must be equal
+to them.  `step_values` in turn must equal the formula on twisted words,
 alpha_l - theta^(beta_l - beta_{l+s}) alpha_{l+s}.
 """
 
@@ -13,7 +15,38 @@ import numpy as np
 import pytest
 
 from cfspectra.cocycle_engine import TowerModel
-from cfspectra.koopman_lab import _chi_values, _eta_values
+from cfspectra.koopman_lab import _fold_exponents, _mixed_radix, _module_tables
+
+
+def level_pass_counts(model, steps, n0, module):
+    """raw[g, b, f, b', x] of the pairs (l, l + steps) of the cyclic tower,
+    one bucket count over all its levels; x indexes the difference of the
+    untwisted module parts, or is 0 without ``module``."""
+    kappa = model.ctx.k_order
+    n_cyl = model.schedule.height(n0)
+    # level code (cyl + 1) * kappa + beta: spacers (cyl = -1) take the codes
+    # below kappa, which are dropped below
+    codes = model.cylinder_ids(n0) * kappa + model.word_beta + kappa
+    n_codes = (n_cyl + 1) * kappa
+    orders = np.array(model.ctx.module.orders if module else (), dtype=np.int64)
+    n_a = int(np.prod(orders))
+    u = model.word_untwisted[:, :len(orders)]
+    nxt = (np.arange(model.height) + steps) % model.height
+    x = (u - u[nxt]) % orders @ _mixed_radix(orders)
+    key = (codes * n_codes + codes[nxt]) * n_a + x
+    raw = np.bincount(key, minlength=n_codes * n_codes * n_a)
+    raw = raw.reshape(n_codes, n_codes, n_a)[kappa:, kappa:]
+    return raw.reshape(n_cyl, kappa, n_cyl, kappa, n_a)
+
+
+def folded_counts(model, steps, n0, module):
+    """The level-pass table folded by transition value, as the probes fold theirs."""
+    kappa = model.ctx.k_order
+    raw = level_pass_counts(model, steps, n0, module)
+    if not module:
+        return _fold_exponents(raw, np.zeros((kappa, 1), dtype=np.int64))[..., 0]
+    _, radix, _, images = _module_tables(model.ctx, True)
+    return _fold_exponents(raw, (images @ radix)[-np.arange(kappa) % kappa])
 
 
 def fresh_model(session, depth):
@@ -65,9 +98,9 @@ def assert_tables_match_oracles(model, steps, n0=1):
     d_beta, d_alpha = model.step_values(steps)
     want_beta, want_alpha = twisted_step_values(model, steps)
     assert np.array_equal(d_beta, want_beta) and np.array_equal(d_alpha, want_alpha)
-    _, eta, _ = _eta_values(model, steps, n0, 0)
+    eta = folded_counts(model, steps, n0, False)
     assert np.array_equal(eta, oracle_eta_counts(model, steps, n0)), steps
-    [(_, chi, _)] = _chi_values(model, (steps,), n0, (0,) * len(model._orders), 1)
+    chi = folded_counts(model, steps, n0, True)
     assert np.array_equal(chi, oracle_chi_counts(model, steps, n0)), steps
 
 

@@ -303,6 +303,31 @@ class TestCLI:
         lags = {int(l.split(",")[0]) for l in lines[1:]}
         assert len(lines) - 1 == len(lags) * n_cyl * n_cyl
 
+    @pytest.mark.parametrize("what", ["spectra", "report"])
+    def test_csv_of_a_json_only_dump_is_refused(self, tmp_path, capsys, what):
+        bundle = self.synth_bundle(tmp_path, {"mode": "direct", "targets": [1],
+                                              "shape": "staircase", "r_seq": [2, 3]})
+        out = tmp_path / "dump.csv"
+        capsys.readouterr()
+        assert main(["dump", "--bundle", str(bundle), "--what", what,
+                     "--format", "csv", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_unwritable_report_path_is_an_error(self, tmp_path, capsys):
+        bundle = self.synth_bundle(tmp_path, {"mode": "direct", "targets": [1],
+                                              "shape": "staircase", "r_seq": [2, 3]})
+        report = tmp_path / "missing" / "r.json"
+        capsys.readouterr()
+        assert main(["verify", "--bundle", str(bundle), "--suite", "algebra",
+                     "--report", str(report)]) == 1
+        assert capsys.readouterr().err.startswith("error: report not written")
+        assert not report.exists()
+        # a writable --report path, and the default path, still get the record
+        assert main(["verify", "--bundle", str(bundle), "--suite", "algebra",
+                     "--report", str(tmp_path / "r.json")]) == 0
+        assert json.loads((tmp_path / "r.json").read_text())["algebra"]["passed"]
+
     def test_corrupted_subgroup_exits_2(self, tmp_path):
         cfg = {
             "mode": "direct", "targets": [1, 2],
