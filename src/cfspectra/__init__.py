@@ -3,9 +3,9 @@
 The package builds cutting-and-stacking tower schedules, decorates them with
 cocycles into a semidirect product built from a finite abelian module, and
 analyzes the resulting Koopman components as phased permutations:
-closed-form spectra backed by an exact loop-product check, weak-limit
-probes, correlation decay and spectral-multiplicity bookkeeping with
-algebraic disjointness certificates.
+closed-form spectra read off the schedule, weak-limit probes, correlation
+decay and spectral-multiplicity bookkeeping with algebraic disjointness
+certificates.
 """
 
 from .cf_builder import (

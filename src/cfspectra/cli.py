@@ -146,7 +146,7 @@ def _suite_weaklimits(session):
     return not failed, {"failed": failed, "reports": reports}
 
 
-def _cylinder_decay(session, model, lags):
+def _cylinder_decay(session, tower, lags):
     """correlation_decay over every pair of cylinders at the session's
     cylinder level; more rows than ENUMERATION_CAP are refused before the
     pairs are listed."""
@@ -156,7 +156,7 @@ def _cylinder_decay(session, model, lags):
     if rows > ENUMERATION_CAP:
         raise SizeCapError(f"{rows} decay rows exceed enumeration cap {ENUMERATION_CAP}")
     pairs = [(f, g) for f in range(n_cyl) for g in range(n_cyl)]
-    return correlation_decay(model, pairs, lags, n0)
+    return correlation_decay(tower, pairs, lags, n0)
 
 
 def _suite_mixing(session):
@@ -165,11 +165,11 @@ def _suite_mixing(session):
     rep = session.validation
     quantities = rep.mixing_ratios
     trend_ok = rep.mixing_trend_ok
-    model = session.model()
+    tower = session.tower_at()
     h_early, h_late = sched.height(1), sched.height(depth - 1)
-    early = _cylinder_decay(session, model, sample_lags(h_early, 2 * h_early))
-    late_hi = min(2 * h_late, model.height - 1)
-    late = _cylinder_decay(session, model, sample_lags(h_late, late_hi))
+    early = _cylinder_decay(session, tower, sample_lags(h_early, 2 * h_early))
+    late_hi = min(2 * h_late, tower.height - 1)
+    late = _cylinder_decay(session, tower, sample_lags(h_late, late_hi))
     e_max = max(float(r.value) for r in early)
     l_max = max(float(r.value) for r in late)
     decayed = l_max <= 0.5 * e_max
@@ -281,13 +281,13 @@ def dump_spectra(session) -> dict:
 
 
 def dump_decay(session) -> list:
-    model = session.model()
+    tower = session.tower_at()
     lags = []
     for n in range(1, session.schedule.depth):
         h = session.schedule.height(n)
-        hi = min(2 * h, model.height - 1)
+        hi = min(2 * h, tower.height - 1)
         lags.extend(sample_lags(h, hi, count=8))
-    return _cylinder_decay(session, model, sorted(set(lags)))
+    return _cylinder_decay(session, tower, sorted(set(lags)))
 
 
 def run_dump(bundle_dir, what, fmt, out_path):

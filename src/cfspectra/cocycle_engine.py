@@ -8,11 +8,11 @@ product of the per-stage table entries along one word times the inverse of
 the product along the other.  Every table maps cut 0 to the identity, so
 zero-padding words is harmless and the evaluation is well defined.
 
-A Tower is a depth of the schedule with its stage tables and lists no
-level.  TowerModel adds the same data as flat numpy arrays for bulk work:
-per-level word products, with the module part kept untwisted, from which
-the transition values of any power of the successor map follow in closed
-form.
+A Tower is a depth of the schedule with its stage tables; it lists no
+level, and reads its cylinder starts off the cuts.  TowerModel adds flat
+numpy arrays for bulk work: per-level word products, with the module part
+kept untwisted, from which the transition values of any power of the
+successor map follow in closed form.
 """
 
 from __future__ import annotations
@@ -373,6 +373,16 @@ class Tower:
         self.ctx = ctx
         self.maps_by_stage = maps_by_stage
 
+    def cylinder_starts(self, n0: int) -> np.ndarray:
+        """Bottom level of every depth-n0 copy, increasing: each stage past n0
+        places the tower below it at each of its cuts, an outer sum of offsets."""
+        if not 0 <= n0 <= self.depth:
+            raise ParameterError(f"no depth-{n0} cylinders in a depth-{self.depth} tower")
+        starts = np.zeros(1, dtype=np.int64)
+        for st in self.schedule.stages[n0:self.depth]:
+            starts = (np.array(st.cuts, dtype=np.int64)[:, None] + starts).ravel()
+        return starts
+
 
 class TowerModel(Tower):
     """Flat-array view of a tower at some depth, with its cocycle data.
@@ -393,20 +403,11 @@ class TowerModel(Tower):
 
     def cylinder_ids(self, n0: int) -> np.ndarray:
         """Per-level id of the depth-n0 cylinder containing it; -1 for deeper spacers."""
-        if not 0 <= n0 <= self.depth:
-            raise ParameterError(f"no depth-{n0} cylinders in a depth-{self.depth} tower")
-        key = ("cyl", n0)
-        cache = self.__dict__.setdefault("_misc_cache", {})
-        if key not in cache:
-            ids = np.arange(self.schedule.height(n0), dtype=np.int64)
-            h = self.schedule.height(n0)
-            for st in self.schedule.stages[n0:self.depth]:
-                nxt = np.full(st.new_height, -1, dtype=np.int64)
-                for c in st.cuts:
-                    nxt[c:c + h] = ids
-                ids, h = nxt, st.new_height
-            cache[key] = ids
-        return cache[key]
+        starts = self.cylinder_starts(n0)
+        h = self.schedule.height(n0)
+        ids = np.full(self.height, -1, dtype=np.int64)
+        ids[starts[:, None] + np.arange(h)] = np.arange(h)
+        return ids
 
     # -- cocycle arrays -------------------------------------------------------
 

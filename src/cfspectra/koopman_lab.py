@@ -2,9 +2,9 @@
 
 Components of the composition operator over a tower are phased permutations:
 a successor map on finitely many states with a root-of-unity weight on every
-edge.  Every component is a phased shift along the single tower cycle, so
-once the transition values multiply to the identity around that cycle its
-spectrum follows in closed form.  Power averages are evaluated by exact
+edge.  Every component is a phased shift along the single tower cycle,
+around which the transition values telescope, so its spectrum is a closed
+form in the height and kappa.  Power averages are evaluated by exact
 bucket counting of phase exponents and judged against one weak-limit
 prediction, delta (a I + b U*) + c P, whose coefficients the component and
 the stage label pick from one table.  The level pairs are counted through
@@ -203,17 +203,14 @@ def class_equivalence_check(model: TowerModel) -> None:
 def exact_spectrum(session, depth: int | None = None) -> dict:
     """Closed-form spectrum shared by every component of each kind, by kind.
 
-    A cycle of length h with total phase 0 contributes the h-th roots of
-    unity; an eta component is one such cycle, a chi component kappa of
-    them.  One loop check covers both kinds: a loop product other than the
-    identity raises ConsistencyError.  The state cap is that of the larger
-    built component, a chi component's h kappa states.
+    The transition values telescope around the tower cycle, so an eta
+    component is one h-cycle of total phase 0, the h-th roots of unity, and
+    a chi component kappa of them.  A tower taller than the state cap is
+    refused, then a chi component's h kappa states over it.
     """
-    model = session.model(depth)
-    h, kappa = model.height, session.k_order
+    h, kappa = session.tower_at(depth).height, session.k_order
     if h * kappa > session.config.state_cap:
         raise SizeCapError(f"{h * kappa} states exceed cap {session.config.state_cap}")
-    class_equivalence_check(model)
     return {kind: {"cycles": [{"length": h, "phase_num": 0, "phase_den": 1, "count": copies}],
                    "total_multiplicity": h * copies}
             for kind, copies in (("eta", 1), ("chi", kappa))}
@@ -728,15 +725,19 @@ def weak_limit_probe(session, stage_index: int, component) -> WeakLimitReport:
     3 over the stage's column count; exceeding it is reported, and the
     right response is a larger stage, never a looser gate.
 
-    Nothing is built for a refused probe.  An unknown component kind raises
-    CharacterTypeError, a component the label has no prediction for (a
-    plain stage, or chi on a rotate stage) LabelError, and an e or d outside
-    its group InvalidElementError.  Then a bucket table (pairs of level
-    codes: cylinder, group exponent and, for chi, module value) of more
-    entries than the session's state cap raises SizeCapError, and so does a
-    stage taller than the cap, although the probe builds no tower of its
-    height; a stage shallower than the cylinder level raises ParameterError.
+    Nothing is built for a refused probe.  A stage outside 1..depth raises
+    ParameterError, an unknown component kind CharacterTypeError, a
+    component the label has no prediction for (a plain stage, or chi on a
+    rotate stage) LabelError, and an e or d outside its group
+    InvalidElementError.  Then a bucket table (pairs of level codes:
+    cylinder, group exponent and, for chi, module value) of more entries
+    than the session's state cap raises SizeCapError, and so does a stage
+    taller than the cap, although the probe builds no tower of its height;
+    a stage shallower than the cylinder level raises ParameterError.
     """
+    depth = session.schedule.depth
+    if not 1 <= stage_index <= depth:
+        raise ParameterError(f"no stage {stage_index} in a {depth}-stage schedule")
     n0 = session.config.cylinder_level
     stage = session.stage(stage_index)
     label = session.label(stage_index)
@@ -765,8 +766,7 @@ def weak_limit_probe(session, stage_index: int, component) -> WeakLimitReport:
         chi = session.duality.character_of_dual(payload)
         lam = orbit_average(session.duality.dual_action, chi, label.a).value()
 
-    tower = Tower(session.schedule, stage_index, session.maps[:stage_index], session.ctx,
-                  cap=session.config.state_cap)
+    tower = session.tower_at(stage_index)
     delta = float(stage.delta) if stage.delta is not None else stage.i_count / stage.r_count
     steps = (stage.base_height,) if coefficients(lam, delta)[1] is None else (stage.base_height, 1)
     mu = _cylinder_measures(tower, n0)
@@ -835,25 +835,23 @@ class DecayRow:
         return f"{self.lag},{self.pair[0]}-{self.pair[1]},{self.value.numerator},{self.value.denominator}"
 
 
-def _autocorrelation(indicator: np.ndarray):
-    """s -> #{x : indicator[x] and indicator[(x - s) mod h]}, memoised per shift.
+def _autocorrelation(levels: np.ndarray, h: int):
+    """s -> #{x in O : (x - s) mod h in O} for a set O of levels, memoised per shift.
 
-    The indicator is packed into uint64 words (little-endian bit order), and
-    so is a doubled copy of it, which serves the cyclic wrap: shift s reads
-    the doubled copy from bit t = -s mod h on, as a word offset and a bit
-    offset, so a count is an AND and a popcount per word.
+    The indicator of O is packed into uint64 words (little-endian bit
+    order), and so is a doubled copy of it, which serves the cyclic wrap:
+    shift s reads the doubled copy from bit t = -s mod h on, as a word offset
+    and a bit offset, so a count is an AND and a popcount per word.
     """
-    h = indicator.size
     n_words = -(-h // 64)
 
-    def pack(bits, n):
-        out = np.zeros(8 * n, dtype=np.uint8)
-        packed = np.packbits(bits, bitorder="little")
-        out[:packed.size] = packed
-        return out.view("<u8")
+    def pack(positions, n):
+        bits = np.zeros(64 * n, dtype=bool)
+        bits[positions] = True
+        return np.packbits(bits, bitorder="little").view("<u8")
 
-    words = pack(indicator, n_words)  # the bits past h are zero
-    doubled = pack(np.concatenate([indicator, indicator]), 2 * n_words + 1)
+    words = pack(levels, n_words)  # the bits past h are zero
+    doubled = pack(np.concatenate([levels, levels + h]), 2 * n_words + 1)
     counts = {}
 
     def count(s: int) -> int:
@@ -870,16 +868,16 @@ def _autocorrelation(indicator: np.ndarray):
     return count
 
 
-def correlation_decay(model: TowerModel, pairs, lags, n0: int = 1) -> list[DecayRow]:
+def correlation_decay(tower: Tower, pairs, lags, n0: int = 1) -> list[DecayRow]:
     """Exact |mu(T^lag A & B) - mu(A) mu(B)| per cylinder pair (A, B) = (f, g) and lag.
 
-    Cylinder f is O + f, for O the starts of the depth-n0 copies, so
-    T^lag A & B has |O & (O - (lag + f - g))| levels: one autocorrelation
-    count of O, and one value, shared by every pair and lag that lands on the
-    same shift.  Every cylinder has |O| levels.
+    Cylinder f is O + f, for O the starts of the depth-n0 copies read off the
+    stage cuts, so T^lag A & B has |O & (O - (lag + f - g))| levels: one
+    autocorrelation count of O, and one value, shared by every pair and lag
+    that lands on the same shift.  Every cylinder has |O| levels.
     """
-    h = model.height
-    n_cyl = model.schedule.height(n0)
+    h = tower.height
+    n_cyl = tower.schedule.height(n0)
     for f, g in pairs:
         if not (0 <= f < n_cyl and 0 <= g < n_cyl):
             raise ParameterError(
@@ -888,13 +886,12 @@ def correlation_decay(model: TowerModel, pairs, lags, n0: int = 1) -> list[Decay
     for lag in lags:
         if not 0 <= lag < h:
             raise LagRangeError(f"lag {lag} outside the height-{h} model")
-    starts = model.cylinder_ids(n0) == 0
-    size = int(np.count_nonzero(starts))
-    count = _autocorrelation(starts)
+    starts = tower.cylinder_starts(n0)
+    count = _autocorrelation(starts, h)
 
     @cache
     def value(s: int) -> Fraction:
-        return Fraction(abs(count(s) * h - size * size), h * h)
+        return Fraction(abs(count(s) * h - starts.size ** 2), h * h)
 
     return [DecayRow(lag, (f, g), value(lag + f - g)) for lag in lags for f, g in pairs]
 
@@ -1051,9 +1048,9 @@ def multiplicity_report(session, spectra_depth: int | None = None) -> Multiplici
             "multiplicity 2; represented algebraically, not spectrally"
         )
 
-    # every chi component shares one closed-form spectrum (this raises unless
-    # the loop product is the identity), so spectra coincide within each
-    # class and overlap fully across classes
+    # every chi component shares one closed-form spectrum, so spectra
+    # coincide within each class and overlap fully across classes; the
+    # spectra depth is refused over the state cap as the spectra dump is
     if classes:
         exact_spectrum(session, spectra_depth)
     verdicts = {i: dict.fromkeys(range(session.k_order), True) for i in range(len(classes))}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from itertools import islice, zip_longest
 from math import lcm
@@ -39,6 +39,7 @@ from .cocycle_engine import (
     CocycleStageMaps,
     SemidirectContext,
     StageLabel,
+    Tower,
     TowerModel,
     label_cycle,
     stage_maps,
@@ -260,7 +261,6 @@ class Session:
     labels: tuple[StageLabel, ...]
     maps: tuple[CocycleStageMaps, ...]
     validation: ValidationReport
-    _models: dict = field(default_factory=dict, repr=False)
 
     @property
     def mode(self) -> str:
@@ -281,17 +281,17 @@ class Session:
     def label(self, n: int) -> StageLabel:
         return self.labels[n - 1]
 
-    def model(self, depth: int | None = None) -> TowerModel:
+    def tower_at(self, depth: int | None = None) -> Tower:
+        """The tower at a depth, the full one by default; it lists no level,
+        and one taller than state_cap is refused."""
         depth = self.schedule.depth if depth is None else depth
-        if depth not in self._models:
-            self._models[depth] = TowerModel(
-                self.schedule,
-                depth=depth,
-                maps_by_stage=self.maps[:depth],
-                ctx=self.ctx,
-                cap=self.config.state_cap,
-            )
-        return self._models[depth]
+        return Tower(self.schedule, depth, self.maps[:depth], self.ctx, cap=self.config.state_cap)
+
+    def model(self, depth: int | None = None) -> TowerModel:
+        """The tower at a depth with its level arrays, built on every call."""
+        depth = self.schedule.depth if depth is None else depth
+        return TowerModel(self.schedule, depth, self.maps[:depth], self.ctx,
+                          cap=self.config.state_cap)
 
     def factor_characters(self):
         """Exponent vectors (elements of D) indexing the factor components."""

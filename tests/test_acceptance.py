@@ -97,34 +97,35 @@ class TestAcceptance:
         report("cocycle-identity", True,
                f"{checked} random triples, exact, against the TowerModel arrays")
 
-    def test_conjugation_shadow(self, shipped_direct, shipped_product):
-        # the loop product is the identity at every depth, so every component
-        # has zero holonomy; the closed form is then checked against the
-        # d-component and every k-conjugate, walked along the tower cycle
-        for session in (shipped_direct, shipped_product):
-            depth = session.config.spectra_depth
-            assert depth >= 4 and session.schedule.depth >= 4
-            for n in range(1, depth + 1):
-                assert loop_product(session.model(n)) == session.ctx.identity(), n
-            kappa = session.k_order
-            d_beta, _ = session.model(depth).transitions()
-            # states[k, l]: the level-l state on the cycle through (level 0, k);
-            # the kappa rows are disjoint and cover all h * kappa states
-            prefix = (np.cumsum(d_beta) - d_beta) % kappa
-            states = np.arange(len(d_beta))[None, :] * kappa \
-                + (np.arange(kappa)[:, None] + prefix[None, :]) % kappa
-            assert exact_spectrum(session, depth)["chi"]["cycles"] == [
-                {"length": len(d_beta), "phase_num": 0, "phase_den": 1, "count": kappa}]
-            for d in session.factor_characters():
-                chi = session.duality.character_of_dual(d)
-                for k in range(kappa):
-                    twisted = chi.compose_action(session.duality.dual_action, k)
-                    op = build_component(session, twisted, depth)
-                    assert np.array_equal(op.succ[states], np.roll(states, -1, axis=1)), (d, k)
-                    assert not (op.phase_exp[states].sum(axis=1) % op.phase_order).any(), (d, k)
-        report("conjugation-shadow", True,
-               "loop product is the identity at every depth; every character and "
-               "conjugator has kappa zero-holonomy h-cycles, depth >= 4")
+    def test_conjugation_shadow(self, probe_product):
+        # chi o theta^k is chi with the acting-group coordinate of the skew
+        # tower moved by k, so its probe table is chi's with the group
+        # characters eta_(e_u), eta_(e_v) rephased: V'[e_u, e_v] =
+        # e^(-2 pi i (e_u - e_v) k / kappa) V[e_u, e_v], at kappa = 6 and
+        # on entries e_u != e_v that are far from 0
+        s = probe_product
+        action = s.duality.dual_action
+        kappa = s.k_order
+        e = np.arange(kappa)
+        worst, off_diagonal, checked = 0.0, 0.0, 0
+        for n in (4, 5):
+            assert s.label(n).kind in ("rigid_translate", "delayed_translate")
+            # one character of a 3-element class in each factor, one of a 2-element class
+            for d in [(0, 1, 0), (1, 0, 0), (1, 1, 0)]:
+                chi = s.duality.character_of_dual(d)
+                values = weak_limit_probe(s, n, ("chi", d)).values
+                off_diagonal = max(off_diagonal, np.abs(values[e[:, None] != e]).max())
+                for k in range(1, kappa):
+                    twisted = chi.compose_action(action, k).exponents
+                    phase = np.exp(-2j * np.pi * np.subtract.outer(e, e) * k / kappa)
+                    got = weak_limit_probe(s, n, ("chi", twisted)).values
+                    worst = max(worst, np.abs(got - phase[:, :, None, None] * values).max())
+                    checked += 1
+        assert checked == 2 * 3 * (kappa - 1) and off_diagonal > 1e-3
+        report("conjugation-shadow", worst <= 1e-12,
+               f"{checked} probes of chi o theta^k against chi at translate and delayed "
+               f"stages, max dev {worst:.1e} <= 1e-12; off-diagonal entries up to "
+               f"{off_diagonal:.3f}")
 
     def test_rigidity_probe(self, probe_direct, probe_large):
         # identity + mean prediction on translate and rotate stages, r = 64
@@ -188,12 +189,12 @@ class TestAcceptance:
         session = shipped_staircase
         sched = session.schedule
         assert sched.depth >= 10
-        model = session.model()
+        tower = session.tower_at()
         n_cyl = sched.height(1)
         pairs = [(f, g) for f in range(n_cyl) for g in range(n_cyl)]
         h = sched.heights()
-        early = correlation_decay(model, pairs, sample_lags(h[1], 2 * h[1]))
-        late = correlation_decay(model, pairs, sample_lags(h[9], 2 * h[9]))
+        early = correlation_decay(tower, pairs, sample_lags(h[1], 2 * h[1]))
+        late = correlation_decay(tower, pairs, sample_lags(h[9], 2 * h[9]))
         e_max = max(float(r.value) for r in early)
         l_max = max(float(r.value) for r in late)
         assert l_max <= 0.5 * e_max, (l_max, e_max)

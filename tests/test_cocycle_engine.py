@@ -359,6 +359,8 @@ class TestTowerModel:
         for n0 in (-1, self.model.depth + 1):
             with pytest.raises(ParameterError):
                 self.model.cylinder_ids(n0)
+            with pytest.raises(ParameterError):
+                self.model.cylinder_starts(n0)
 
     def test_word_products_match_scalar_route(self):
         for l in range(0, self.model.height, 7):

@@ -6,11 +6,11 @@ machine: a path that re-validates an engine-made element on every multiply,
 or rebuilds an automorphism per element, breaks them by a wide margin; a
 character value is an integer exponent, never a Fraction.  The
 full-height passes take their cyclic shifts as slices or bit offsets, never
-as a rolled copy, and a spectra dump checks the loop product once.  A
-weak-limit probe at stage n lists no tower taller than h_(n-1).
+as a rolled copy.  No command builds a tower model other than a probe's
+base-case towers, and a weak-limit probe at stage n lists none taller than
+h_(n-1).
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -114,14 +114,41 @@ def test_certificates_and_duality_build_no_fraction(monkeypatch):
     assert Fraction(1, 3) and len(calls) == 1  # the counter does see a Fraction
 
 
-def test_spectra_dump_checks_the_loop_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("name", ["direct_12", "product_23", "staircase_mixing"])
+def test_commands_build_no_tower_model_and_no_loop_product(tmp_path, monkeypatch, name):
+    # spectra come from the schedule and decay from the stage cuts; the only
+    # models a command builds are the probe counter's base-case towers
     bundle = tmp_path / "bundle"
-    assert main(["synth", "--config", str(CONFIG_DIR / "product_23.json"),
+    assert main(["synth", "--config", str(CONFIG_DIR / f"{name}.json"),
                  "--out", str(bundle)]) == 0
-    calls = count_calls(monkeypatch, koopman_lab, "loop_product")
-    assert main(["dump", "--bundle", str(bundle), "--what", "spectra",
-                 "--out", str(tmp_path / "spectra.json")]) == 0
-    assert len(calls) == 1
+    loops = count_calls(monkeypatch, koopman_lab, "loop_product")
+    checks = count_calls(monkeypatch, koopman_lab, "class_equivalence_check")
+    inside, outside = [], []
+    build, words = TowerModel.__init__, koopman_lab._PairCounter.words
+
+    def recording(self, *args, **kwargs):
+        if not inside:
+            outside.append(None)
+        build(self, *args, **kwargs)
+
+    def counter_words(self, m):
+        inside.append(None)
+        try:
+            return words(self, m)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(TowerModel, "__init__", recording)
+    monkeypatch.setattr(koopman_lab._PairCounter, "words", counter_words)
+    for command in (["verify", "--suite", "mixing"], ["verify", "--suite", "multiplicity"],
+                    ["dump", "--what", "spectra"], ["dump", "--what", "decay"],
+                    ["dump", "--what", "report"]):
+        assert main([command[0], "--bundle", str(bundle), *command[1:],
+                     "--out" if command[0] == "dump" else "--report",
+                     str(tmp_path / "out")]) == 0
+        assert not outside and not loops and not checks, command
+    assert main(["verify", "--bundle", str(bundle), "--suite", "all"]) == 0
+    assert not outside and not loops and not checks
 
 
 def test_full_height_passes_roll_no_copy(shipped_product, monkeypatch):
@@ -157,7 +184,6 @@ def test_probes_list_no_tower_of_the_probed_depth(request, monkeypatch, fixture,
         build(self, schedule, depth, *args, **kwargs)
 
     monkeypatch.setattr(TowerModel, "__init__", recording)
-    report = koopman_lab.weak_limit_probe(dataclasses.replace(session, _models={}),
-                                          stage, component)
+    report = koopman_lab.weak_limit_probe(session, stage, component)
     assert report.passed
     assert heights and max(heights) <= session.schedule.height(stage - 1), heights

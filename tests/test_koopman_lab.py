@@ -272,7 +272,7 @@ class TestWeakLimitProbes:
         # 515,568 levels exceed; no tower of that height is built, yet the
         # stage is refused as a model of it would be
         config = dataclasses.replace(probe_session.config, state_cap=1000)
-        s = dataclasses.replace(probe_session, config=config, _models={})
+        s = dataclasses.replace(probe_session, config=config)
         with pytest.raises(SizeCapError, match="tower height 515568 exceeds cap 1000"):
             weak_limit_probe(s, 4, ("eta", 0))
         # stage 3's 8,048 levels exceed the cap too, but its chi table of 5,400
@@ -295,20 +295,26 @@ class TestWeakLimitProbes:
         (3, ("chi", (2, 0)), InvalidElementError),
         (3, ("eta", 5), InvalidElementError),
         (4, ("eta", -1), InvalidElementError),
+        (0, ("eta", 0), ParameterError),
+        (5, ("eta", 0), ParameterError),
     ])
     def test_bad_input_is_refused_before_building(self, probe_session, monkeypatch,
                                                    stage, component, error):
-        # no model is cached and none can be built; under a state cap of 1,
-        # which refuses every table, the input is still judged first
+        # no model can be built; under a state cap of 1, which refuses every
+        # table, the input is still judged first.  Stages 0 and 5 lie outside
+        # the 4-stage schedule: at cylinder level 0, stage 0 would read stage
+        # 4's label against a depth-0 tower
         def refuse(*args, **kwargs):
             raise AssertionError("a tower model was built for a refused probe")
 
         monkeypatch.setattr(TowerModel, "__init__", refuse)
         for cap in (probe_session.config.state_cap, 1):
-            config = dataclasses.replace(probe_session.config, state_cap=cap)
-            s = dataclasses.replace(probe_session, config=config, _models={})
-            with pytest.raises(error):
-                weak_limit_probe(s, stage, component)
+            for n0 in (1, 0):
+                config = dataclasses.replace(probe_session.config, state_cap=cap,
+                                             cylinder_level=n0)
+                s = dataclasses.replace(probe_session, config=config)
+                with pytest.raises(error):
+                    weak_limit_probe(s, stage, component)
 
     def test_mean_zero_vectors_weak_mixing_shadow(self, probe_session):
         # |<U^h v, v>| <= delta ||v||^2 + 3/r for mean-zero v on translate stages

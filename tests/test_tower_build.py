@@ -3,8 +3,9 @@
 The build computes each distinct table entry's column block once and copies
 it to the later cuts carrying the same entry, and it keeps the module part
 untwisted; the oracle below recomputes the twisted block at every cut.
-Cylinder measures come in closed form from the schedule; the oracle counts
-the levels of each cylinder.
+Cylinder measures come in closed form from the schedule, and the starts of
+the cylinder copies from the stage cuts; the oracles count the levels of
+each cylinder and stack its ids stage by stage.
 """
 
 import tracemalloc
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfspectra.cf_builder import DeltaBlock
-from cfspectra.cocycle_engine import MODE_DIRECT, MODE_PRODUCT, TowerModel
+from cfspectra.cocycle_engine import MODE_DIRECT, MODE_PRODUCT, Tower, TowerModel
 from cfspectra.koopman_lab import _cylinder_measures
 from cfspectra.session import SessionConfig, synth
 
@@ -130,15 +131,35 @@ def bincount_measures(model, n0):
     return counts / model.height
 
 
+def stacked_cylinder_ids(model, n0):
+    """Cylinder ids stacked stage by stage: each cut of a deeper stage gets a
+    copy of the ids of the tower below it, spacers -1."""
+    ids = np.arange(model.schedule.height(n0), dtype=np.int64)
+    for st in model.schedule.stages[n0:model.depth]:
+        nxt = np.full(st.new_height, -1, dtype=np.int64)
+        for c in st.cuts:
+            nxt[c:c + len(ids)] = ids
+        ids = nxt
+    return ids
+
+
 @pytest.mark.parametrize("name", ["shipped_direct", "shipped_product", "shipped_staircase",
                                   "probe_direct", "probe_product", "probe_large",
                                   "scaled_16x16x128x16", "scaled_32x32x256"])
 def test_cylinder_measures_equal_level_counts(request, name):
+    # the measures, the cylinder ids and the start set read by correlation
+    # decay, each against the levels of a tower model
     session = request.getfixturevalue(name)
     schedule = session.schedule
     for depth in range(1, schedule.depth + 1):
         model = TowerModel(schedule, depth, session.maps[:depth], session.ctx,
                            cap=session.config.state_cap)
-        for n0 in range(1, depth + 1):
+        tower = Tower(schedule, depth, session.maps[:depth], session.ctx,
+                      cap=session.config.state_cap)
+        for n0 in range(depth + 1):
             got = _cylinder_measures(model, n0)
             assert np.array_equal(got, bincount_measures(model, n0)), (depth, n0)
+            ids = model.cylinder_ids(n0)
+            assert np.array_equal(ids, stacked_cylinder_ids(model, n0)), (depth, n0)
+            assert np.array_equal(tower.cylinder_starts(n0), np.flatnonzero(ids == 0)), \
+                (depth, n0)
