@@ -74,7 +74,9 @@ class FiniteAbelianGroup:
         if not isinstance(a, tuple) or len(a) != len(self.orders):
             return False
         for x, n in zip(a, self.orders):
-            if not isinstance(x, int) or not 0 <= x < n:
+            # a bool is an int but no coordinate; a plain int skips both isinstance tests
+            if (type(x) is not int and (isinstance(x, bool) or not isinstance(x, int))
+                    or not 0 <= x < n):
                 return False
         return True
 

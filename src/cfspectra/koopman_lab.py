@@ -350,6 +350,10 @@ class _PairCounter:
     or for a lag of at least the column height, the words of the whole
     depth-m tower are listed and paired level by level.  Models are built
     only for those towers, and kept for the counter's lifetime only.
+
+    `folded` maps the raw keys of one step's parts to the buckets of their
+    transition values and merges those, so no dense table of the raw keys
+    is built.
     """
 
     def __init__(self, tower, n0: int, module: bool):
@@ -360,6 +364,8 @@ class _PairCounter:
         self.kappa = tower.ctx.k_order
         self.heights = tower.schedule.heights()
         self.orders, self.radix, self.theta, self.images = _module_tables(tower.ctx, module)
+        # image_index[k, x] is the index of theta^k of the element of index x
+        self.image_index = self.images @ self.radix
         n_cyl = self.heights[n0]
         self.shape = (n_cyl, self.kappa, n_cyl, self.kappa, self.images.shape[1])
         self._words = {}
@@ -532,6 +538,37 @@ class _PairCounter:
                                         span_weights[:, spans[run] - 1]))
         return parts
 
+    def parts(self, steps):
+        """Tables of the pairs (l, l + steps) of the cyclic tower, in parts
+        whose keys may repeat across parts.
+
+        The step h_(n-1) of a depth-n tower is counted from the column
+        structure of stage n, any other step through the lag recursion.
+        """
+        tower = self.tower
+        n = tower.depth
+        s = steps % tower.height
+        if n > self.n0 and s == tower.schedule.height(n - 1):
+            return self.column_step()
+        return [self.pairs(n, np.array([s]), np.ones((1, 1), dtype=np.int64), 0, True)]
+
+    def folded(self, steps):
+        """The raw table at `steps` by cylinders and transition value.
+
+        Raw key (g, b, f, b', x) goes to the bucket
+        ((g n_cyl + f) kappa + s) |A| + w of the transition value
+        (s, w) = (b - b', theta^b x), theta^b read as a permutation of the
+        indices.  The buckets are distinct and sorted, each with the exact
+        sum of its raw counts.
+        """
+        n_cyl, kappa, _, _, n_a = self.shape
+        buckets = []
+        for key, count in self.parts(steps):
+            _, g, b1, f, b2, x = self.decode(key)
+            buckets.append((((g * n_cyl + f) * kappa + (b1 - b2) % kappa) * n_a
+                            + self.image_index[b1, x], count))
+        return _merged(buckets)
+
     def column_step(self):
         """Table of the pairs (l, l + h_(n-1)) of the depth-n tower, in parts.
 
@@ -571,75 +608,45 @@ class _PairCounter:
         return parts
 
 
-def _raw_pair_counts(tower: Tower, steps: int, n0: int, module: bool) -> np.ndarray:
-    """Counts of the level pairs (l, l + steps) of the cyclic tower by their raw words.
-
-    Returns raw[g, b, f, b', x], the number of pairs whose levels lie in
-    depth-n0 cylinders g and f with group exponents b and b' and whose
-    untwisted module parts differ by the element of index x; without
-    ``module`` the last axis has the one index 0.  The step h_(n-1) of a
-    depth-n tower is counted from the column structure of stage n, any
-    other step through the lag recursion; no tower deeper than the
-    cylinder level is listed unless a lag reaches its column height.
-    """
-    counter = _PairCounter(tower, n0, module)
-    n = tower.depth
-    s = steps % tower.height
-    if n > n0 and s == tower.schedule.height(n - 1):
-        parts = counter.column_step()
-    else:
-        parts = [counter.pairs(n, np.array([s]), np.ones((1, 1), dtype=np.int64), 0, True)]
-    raw = np.zeros(prod(counter.shape), dtype=np.int64)
-    for key, count in parts:
-        np.add.at(raw, key, count)
-    return raw.reshape(counter.shape)
-
-
-def _fold_exponents(raw, perms) -> np.ndarray:
-    """Fold raw[g, b, f, b', x] into counts[g, f, s, w] by the transition exponent s = b - b'.
-
-    perms[b] maps each module value w = theta^b x to its bucket x; a table
-    with no module part has one bucket, and perms of shape (kappa, 1).
-    """
-    n_cyl, kappa = raw.shape[:2]
-    counts = np.zeros((n_cyl, n_cyl, kappa, perms.shape[1]), dtype=np.int64)
-    for b in range(kappa):
-        counts[:, :, (b - np.arange(kappa)) % kappa] += raw[:, b][..., perms[b]]
-    return counts
-
-
 def _eta_values(tower: Tower, steps: int, n0: int, eta_exp: int):
     """Complex table V[g, f] = <U_eta^steps 1_f, 1_g> plus its exact buckets
-    counts[g, f, s], the level pairs by the group exponent s of their path."""
-    kappa = tower.ctx.k_order
-    raw = _raw_pair_counts(tower, steps, n0, False)
-    counts = _fold_exponents(raw, np.zeros((kappa, 1), dtype=np.int64))[..., 0]
+    counts[g, f, s], the level pairs by the group exponent s of their path.
+
+    The folded buckets are distinct, so they are assigned into the table,
+    not summed; the table is contracted with the phases of eta as a whole.
+    """
+    counter = _PairCounter(tower, n0, False)
+    n_cyl, kappa = counter.shape[:2]
+    key, count = counter.folded(steps)
+    counts = np.zeros(n_cyl * n_cyl * kappa, dtype=np.int64)
+    counts[key] = count
+    counts = counts.reshape(n_cyl, n_cyl, kappa)
     phases = np.exp(2j * np.pi * eta_exp * np.arange(kappa) / kappa)
-    return counts @ phases / tower.height, counts, raw.shape[0]
+    return counts @ phases / tower.height, counts, n_cyl
 
 
 def _chi_values(tower: Tower, steps: tuple[int, ...], n0: int, d, phase_order: int):
     """Tables V[e_u, e_v, g, f] = <U_chi^s (1_f x eta_{e_u}), 1_g x eta_{e_v}> per s in steps.
 
-    The pairs are counted by their raw words, with the difference of their
-    untwisted module parts; the transition value (b - b', theta^b (u - u'))
-    is then folded in on the count table, where theta^b permutes the
-    module.  The group-state sum is folded into a precomputed table over
-    (character difference, module value).  Returns (values, counts,
-    cylinder count) per step; the tables that do not depend on the step are
-    built once for all of them.
+    One pair counter serves every step.  A bucket (g, f, s, w) of its folded
+    table, (s, w) the transition value, adds count * eta_{e_u}(s) *
+    G[e_u - e_v, w] to entry (g, f), for G the group-state sum of the
+    character over (character difference, module value).  The product is
+    taken once per nonzero bucket, in that order; each entry sums its terms
+    from zero in bucket order, so (s, w) order, and is divided by h kappa
+    last.  That is how np.einsum("gfsw,s,w->gf", ...) rounds over the dense
+    table of the buckets while an entry's kappa |A| terms fit in numpy's
+    8192-element iterator buffer, at a cost in the nonzero buckets instead
+    of n_cyl^2 kappa^3 |A|.  Returns (values, buckets, cylinder count) per
+    step, the buckets as the folded (keys, counts).
     """
-    kappa = tower.ctx.k_order
-    h = tower.height
-    orders, radix, _, images = _module_tables(tower.ctx, True)
-    n_a = images.shape[1]
-    # image_index[k] is the permutation of indices that theta^k makes, and
-    # bucket x holds theta^b x = w, so w gathers from x = theta^(-b) w
-    image_index = images @ radix
-    gathers = image_index[-np.arange(kappa) % kappa]
+    counter = _PairCounter(tower, n0, True)
+    kappa, h = counter.kappa, tower.height
+    images = counter.images
+    n_cyl, n_a = counter.shape[0], images.shape[1]
 
     # G[e, w] = sum over k of chi_d(theta^k w) * e^{2 pi i e k / kappa}
-    weights = _pairing_weights(orders, d, phase_order)
+    weights = _pairing_weights(counter.orders, d, phase_order)
     g_table = np.zeros((kappa, n_a), dtype=complex)
     for k in range(kappa):
         pair_exp = (images[k] @ weights) % phase_order
@@ -648,20 +655,26 @@ def _chi_values(tower: Tower, steps: tuple[int, ...], n0: int, d, phase_order: i
             g_table[e] += chi_vals * cmath.exp(2j * cmath.pi * e * k / kappa)
     eta_phase = np.exp(2j * np.pi * np.arange(kappa)[:, None] * np.arange(kappa)[None, :] / kappa)
 
+    e_v = np.arange(kappa)
+    n_bins = kappa * n_cyl * n_cyl
     tables = []
     for step in steps:
-        counts = _fold_exponents(_raw_pair_counts(tower, step, n0, True), gathers)
-        n_cyl = counts.shape[0]
-
-        # value[e_u, e_v, g, f] = (1/(h kappa)) sum_{s,w} counts[g,f,s,w]
-        #                          * eta_{e_u}(s) * G[e_u - e_v, w]
-        out = np.zeros((kappa, kappa, n_cyl, n_cyl), dtype=complex)
+        key, count = counter.folded(step)
+        cell, rest = np.divmod(key, kappa * n_a)
+        s, w = np.divmod(rest, n_a)
+        # bin (e_v, g, f) per term, terms of one bin in bucket order
+        bins = (e_v[:, None] * (n_cyl * n_cyl) + cell).ravel()
+        re, im = np.empty((kappa, n_bins)), np.empty((kappa, n_bins))
         for e_u in range(kappa):
-            for e_v in range(kappa):
-                g_vec = g_table[(e_u - e_v) % kappa]
-                contracted = np.einsum("gfsw,s,w->gf", counts, eta_phase[e_u], g_vec)
-                out[e_u, e_v] = contracted / (h * kappa)
-        tables.append((out, counts, n_cyl))
+            t_re, t_im = _cmul(count, 0.0, eta_phase.real[e_u, s], eta_phase.imag[e_u, s])
+            g = (e_u - e_v)[:, None] % kappa
+            t_re, t_im = _cmul(t_re, t_im, g_table.real[g, w], g_table.imag[g, w])
+            re[e_u] = np.bincount(bins, t_re.ravel(), n_bins)
+            im[e_u] = np.bincount(bins, t_im.ravel(), n_bins)
+        values = np.empty((kappa, kappa, n_cyl, n_cyl), dtype=complex)
+        values.real = re.reshape(values.shape)
+        values.imag = im.reshape(values.shape)
+        tables.append((values / (h * kappa), (key, count), n_cyl))
     return tables
 
 

@@ -416,9 +416,10 @@ class TestIntegerPaths:
 
         g = FiniteAbelianGroup((2, 3))
         assert g.contains((1, 2))
-        assert g.contains((True, 2))  # bool is an int
         assert g.contains(Point((1, 2)))
         for bad in [
+            (True, 2),  # a bool is an int, but no coordinate
+            (1, False),
             (np.int64(1), 2),
             (1.0, 2),
             [1, 2],

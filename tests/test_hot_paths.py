@@ -8,10 +8,11 @@ character value is an integer exponent, never a Fraction.  The
 full-height passes take their cyclic shifts as slices or bit offsets, never
 as a rolled copy.  No command builds a tower model other than a probe's
 base-case towers, and a weak-limit probe at stage n lists none taller than
-h_(n-1).
+h_(n-1), nor a dense table of its raw pair counts.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -187,3 +188,21 @@ def test_probes_list_no_tower_of_the_probed_depth(request, monkeypatch, fixture,
     report = koopman_lab.weak_limit_probe(session, stage, component)
     assert report.passed
     assert heights and max(heights) <= session.schedule.height(stage - 1), heights
+
+
+def test_chi_probe_builds_no_dense_raw_table(probe_product):
+    # the raw pairs of this probe fall in a few dozen buckets, out of the
+    # n_cyl^2 kappa^2 |A| int64 entries (3.43 MB) of a dense raw table
+    session = probe_product
+    n_cyl = session.schedule.height(session.config.cylinder_level)
+    dense = n_cyl**2 * session.k_order**2 * session.ctx.module.size * 8
+    probe = (session, 5, ("chi", (0, 1, 0)))
+    koopman_lab.weak_limit_probe(*probe)  # fills the session's caches first
+    tracemalloc.start()
+    try:
+        report = koopman_lab.weak_limit_probe(*probe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < dense, (peak, dense)

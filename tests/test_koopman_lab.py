@@ -297,6 +297,8 @@ class TestWeakLimitProbes:
         (4, ("eta", -1), InvalidElementError),
         (0, ("eta", 0), ParameterError),
         (5, ("eta", 0), ParameterError),
+        (3, ("eta", True), InvalidElementError),
+        (3, ("chi", (True, False)), InvalidElementError),
     ])
     def test_bad_input_is_refused_before_building(self, probe_session, monkeypatch,
                                                    stage, component, error):

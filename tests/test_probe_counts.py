@@ -6,10 +6,14 @@ tables, pairs across a column boundary from the words at the column ends,
 and the step h_(n-1) from the depth-(n-1) tables over the gaps.  No tower
 deeper than the cylinder level is listed unless a lag reaches its column
 height.  Every raw table it counts must equal `level_pass_counts`, one
-bucket count over all levels of a full-depth TowerModel.
+bucket count over all levels of a full-depth TowerModel, and its sparse
+fold the nonzero entries of the dense fold of that table.  The probe
+tables, contracted per nonzero bucket, must equal the dense contraction of
+the level pass bit for bit.
 """
 
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -18,26 +22,71 @@ from hypothesis import strategies as st
 
 from cfspectra.cf_builder import DeltaBlock
 from cfspectra.cocycle_engine import MODE_DIRECT, MODE_PRODUCT, Tower, TowerModel
-from cfspectra.koopman_lab import _raw_pair_counts
+from cfspectra.koopman_lab import _chi_values, _eta_values, _merged, _PairCounter
 from cfspectra.session import SessionConfig, synth
-from test_probe_tables import PROBED, level_pass_counts
+from test_probe_tables import (
+    PROBED,
+    folded_counts,
+    level_pass_counts,
+    oracle_chi_values,
+    oracle_eta_values,
+)
 
 TABLE_LIMIT = 10**6  # raw tables larger than this are not compared with a module part
 
 
-def assert_counts_equal(session, n, n0):
+def raw_counts(counter, steps):
+    """The counter's raw table at `steps`, its parts merged, as a dense array."""
+    key, count = _merged(counter.parts(steps))
+    raw = np.zeros(prod(counter.shape), dtype=np.int64)
+    raw[key] = count
+    return raw.reshape(counter.shape)
+
+
+def depth_n(session, n):
     schedule = session.schedule
     args = (schedule, n, session.maps[:n], session.ctx)
-    model = TowerModel(*args, cap=schedule.height(n))
-    tower = Tower(*args, cap=schedule.height(n))
-    entries = (schedule.height(n0) * session.k_order) ** 2
-    for step in (schedule.height(n - 1), 1):
+    return TowerModel(*args, cap=schedule.height(n)), Tower(*args, cap=schedule.height(n))
+
+
+def module_fits(session, n0):
+    """Whether the raw table with a module part is small enough to compare."""
+    entries = (session.schedule.height(n0) * session.k_order) ** 2
+    return entries * session.ctx.module.size <= TABLE_LIMIT
+
+
+def assert_counts_equal(session, n, n0):
+    model, tower = depth_n(session, n)
+    for step in (session.schedule.height(n - 1), 1):
         for module in (False, True):
-            if module and entries * session.ctx.module.size > TABLE_LIMIT:
+            if module and not module_fits(session, n0):
                 continue
-            got = _raw_pair_counts(tower, step, n0, module)
+            counter = _PairCounter(tower, n0, module)
             want = level_pass_counts(model, step, n0, module)
-            assert np.array_equal(got, want), (n, n0, step, module)
+            assert np.array_equal(raw_counts(counter, step), want), (n, n0, step, module)
+            key, count = counter.folded(step)
+            dense = folded_counts(model, step, n0, module).ravel()
+            assert np.array_equal(key, np.flatnonzero(dense)), (n, n0, step, module)
+            assert np.array_equal(count, dense[key]), (n, n0, step, module)
+
+
+def assert_values_equal_dense_contraction(session, n, n0):
+    # eta = kappa - 1 and d the last element of A; compared as bytes, so
+    # signed zeros count
+    model, tower = depth_n(session, n)
+    kappa = session.k_order
+    module = session.ctx.module
+    d = module.element_by_index(module.size - 1)
+    steps = (session.schedule.height(n - 1), 1)
+    for step in steps:
+        got = _eta_values(tower, step, n0, kappa - 1)[0]
+        assert got.tobytes() == oracle_eta_values(model, step, n0, kappa - 1).tobytes(), step
+    if not module_fits(session, n0):
+        return
+    tables = _chi_values(tower, steps, n0, d, session.root_order)
+    for step, (got, _, _) in zip(steps, tables):
+        want = oracle_chi_values(model, step, n0, d, session.root_order)
+        assert got.tobytes() == want.tobytes(), (n, n0, step)
 
 
 # (mode, targets): kappa 2 and 3 in direct mode, and delayed stages in
@@ -63,21 +112,43 @@ def schedules(draw):
     return mode, targets, blocks, min(cylinder_level, stages)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(schedules())
-# an acting rotate stage of kappa 3, then a translate stage under it
-@example((MODE_DIRECT, (1, 3), (DeltaBlock(Fraction(1, 2), 5, r_seq=(3, 4, 3, 5, 4)),), 1))
-# delayed stages above an acting rotate stage, at cylinder level 2
-@example((MODE_PRODUCT, (1, 2), (DeltaBlock(Fraction(1, 2), 5, r_seq=(3, 3, 3, 4, 6)),
-                                 DeltaBlock(Fraction(1, 3), 2, r_seq=(2, 5))), 2))
-def test_counts_equal_level_pass_on_random_schedules(drawn):
+def on_random_schedules(test):
+    """Run `test` on 60 drawn schedules and on two fixed ones."""
+    # an acting rotate stage of kappa 3, then a translate stage under it
+    test = example((MODE_DIRECT, (1, 3),
+                    (DeltaBlock(Fraction(1, 2), 5, r_seq=(3, 4, 3, 5, 4)),), 1))(test)
+    # delayed stages above an acting rotate stage, at cylinder level 2
+    test = example((MODE_PRODUCT, (1, 2), (DeltaBlock(Fraction(1, 2), 5, r_seq=(3, 3, 3, 4, 6)),
+                                           DeltaBlock(Fraction(1, 3), 2, r_seq=(2, 5))), 2))(test)
+    return settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)(given(schedules())(test))
+
+
+def drawn_session(drawn):
     mode, targets, blocks, n0 = drawn
-    session = synth(SessionConfig(mode=mode, targets=targets, blocks=blocks,
-                                  cylinder_level=n0))
+    return synth(SessionConfig(mode=mode, targets=targets, blocks=blocks,
+                               cylinder_level=n0)), n0
+
+
+@on_random_schedules
+def test_counts_equal_level_pass_on_random_schedules(drawn):
+    session, n0 = drawn_session(drawn)
     for n in range(n0, session.schedule.depth + 1):
         assert_counts_equal(session, n, n0)
+
+
+@on_random_schedules
+def test_values_equal_dense_contraction_on_random_schedules(drawn):
+    session, n0 = drawn_session(drawn)
+    for n in range(n0, session.schedule.depth + 1):
+        assert_values_equal_dense_contraction(session, n, n0)
 
 
 @pytest.mark.parametrize("name, depth", PROBED, ids=[f"{n}-{d}" for n, d in PROBED])
 def test_counts_equal_level_pass_on_probe_fixtures(request, name, depth):
     assert_counts_equal(request.getfixturevalue(name), depth, 1)
+
+
+@pytest.mark.parametrize("name, depth", PROBED, ids=[f"{n}-{d}" for n, d in PROBED])
+def test_values_equal_dense_contraction_on_probe_fixtures(request, name, depth):
+    assert_values_equal_dense_contraction(request.getfixturevalue(name), depth, 1)

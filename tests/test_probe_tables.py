@@ -8,14 +8,19 @@ recursion the probes count with (test_probe_counts.py).  The oracles
 below bucket the transition values themselves, read per level from
 `step_betas` and `step_values`; the folded level-pass tables must be equal
 to them.  `step_values` in turn must equal the formula on twisted words,
-alpha_l - theta^(beta_l - beta_{l+s}) alpha_{l+s}.
+alpha_l - theta^(beta_l - beta_{l+s}) alpha_{l+s}.  The dense fold
+(`_fold_exponents`) and the dense contractions of the folded tables
+(`oracle_eta_values`, `oracle_chi_values`) are the oracles of the probes'
+sparse fold and per-bucket contraction (test_probe_counts.py).
 """
+
+import cmath
 
 import numpy as np
 import pytest
 
 from cfspectra.cocycle_engine import TowerModel
-from cfspectra.koopman_lab import _fold_exponents, _mixed_radix, _module_tables
+from cfspectra.koopman_lab import _mixed_radix, _module_tables, _pairing_weights
 
 
 def level_pass_counts(model, steps, n0, module):
@@ -39,6 +44,19 @@ def level_pass_counts(model, steps, n0, module):
     return raw.reshape(n_cyl, kappa, n_cyl, kappa, n_a)
 
 
+def _fold_exponents(raw, perms) -> np.ndarray:
+    """Fold raw[g, b, f, b', x] into counts[g, f, s, w] by the transition exponent s = b - b'.
+
+    perms[b] maps each module value w = theta^b x to its bucket x; a table
+    with no module part has one bucket, and perms of shape (kappa, 1).
+    """
+    n_cyl, kappa = raw.shape[:2]
+    counts = np.zeros((n_cyl, n_cyl, kappa, perms.shape[1]), dtype=np.int64)
+    for b in range(kappa):
+        counts[:, :, (b - np.arange(kappa)) % kappa] += raw[:, b][..., perms[b]]
+    return counts
+
+
 def folded_counts(model, steps, n0, module):
     """The level-pass table folded by transition value, as the probes fold theirs."""
     kappa = model.ctx.k_order
@@ -47,6 +65,38 @@ def folded_counts(model, steps, n0, module):
         return _fold_exponents(raw, np.zeros((kappa, 1), dtype=np.int64))[..., 0]
     _, radix, _, images = _module_tables(model.ctx, True)
     return _fold_exponents(raw, (images @ radix)[-np.arange(kappa) % kappa])
+
+
+def oracle_eta_values(model, steps, n0, eta_exp):
+    """V[g, f] from the folded level pass, contracted with the phases of eta."""
+    kappa = model.ctx.k_order
+    counts = folded_counts(model, steps, n0, False)
+    phases = np.exp(2j * np.pi * eta_exp * np.arange(kappa) / kappa)
+    return counts @ phases / model.height
+
+
+def oracle_chi_values(model, steps, n0, d, phase_order):
+    """V[e_u, e_v, g, f] from the folded level pass, one dense einsum over
+    (s, w) per (e_u, e_v)."""
+    kappa = model.ctx.k_order
+    orders, _, _, images = _module_tables(model.ctx, True)
+    # G[e, w] = sum over k of chi_d(theta^k w) * e^{2 pi i e k / kappa}
+    weights = _pairing_weights(orders, d, phase_order)
+    g_table = np.zeros((kappa, images.shape[1]), dtype=complex)
+    for k in range(kappa):
+        chi_vals = np.exp(2j * np.pi * ((images[k] @ weights) % phase_order) / phase_order)
+        for e in range(kappa):
+            g_table[e] += chi_vals * cmath.exp(2j * cmath.pi * e * k / kappa)
+    eta_phase = np.exp(2j * np.pi * np.arange(kappa)[:, None] * np.arange(kappa)[None, :] / kappa)
+    counts = folded_counts(model, steps, n0, True)
+    n_cyl = counts.shape[0]
+    out = np.zeros((kappa, kappa, n_cyl, n_cyl), dtype=complex)
+    for e_u in range(kappa):
+        for e_v in range(kappa):
+            contracted = np.einsum("gfsw,s,w->gf", counts, eta_phase[e_u],
+                                   g_table[(e_u - e_v) % kappa])
+            out[e_u, e_v] = contracted / (model.height * kappa)
+    return out
 
 
 def fresh_model(session, depth):
