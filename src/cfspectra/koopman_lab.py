@@ -49,7 +49,6 @@ from .finite_algebra import (
     cyclo_equal,
     orbit,
     orbit_average,
-    orbit_trace_counts,
 )
 
 DEFAULT_STATE_CAP = 2 * 10**6
@@ -337,11 +336,13 @@ class _PairCounter:
     at once: key c R + i counts entry i of raw[g, b, f, b', x] (R entries)
     in table c.  The word of a level is its depth-n0 cylinder (-1 for a
     deeper spacer, whose pairs are dropped), its group exponent and its
-    untwisted module part u; a table of twist t keys a pair of words by
-    x = u - theta^t u', and the raw table is the one of twist 0.  Column j of
-    stage m carries the entry (b_j, a_j): its level y has the word of level
-    y of the depth-(m-1) tower times the entry, which adds b_j to the
-    exponent and sends u to theta^(-b_j) u + v_j, for v_j = theta^(-b_j) a_j.
+    untwisted module part u; a pair of words is keyed by x = u - u'.
+    Column j of stage m carries the entry (b_j, a_j): its level y has the
+    word of level y of the depth-(m-1) tower times the entry, which adds b_j
+    to the exponent and sends u to theta^(-b_j) u + v_j, for
+    v_j = theta^(-b_j) a_j.  So a pair inside column j moves by one index
+    lookup, x to theta^(-b_j) x, and a pair across a boundary depends on the
+    entries of its two columns through (b_j, b_(j+1), v_j - v_(j+1)).
 
     A lag-s table of the depth-m tower is then the lag-s table of the
     depth-(m-1) tower moved into each column, plus the pairs that cross from
@@ -349,9 +350,9 @@ class _PairCounter:
     and bottom s words of the depth-(m-1) tower.  At the cylinder depth n0,
     or for a lag of at least the column height, the words of the whole
     depth-m tower are listed and paired level by level.  Models are built
-    only for those towers, and kept for the counter's lifetime only.
+    only for those towers, once per counter, and kept for its lifetime only.
 
-    `folded` maps the raw keys of one step's parts to the buckets of their
+    `folded` maps the raw keys of one step to the buckets of their
     transition values and merges those, so no dense table of the raw keys
     is built.
     """
@@ -371,7 +372,7 @@ class _PairCounter:
         self._words = {}
         self._stages = {}
 
-    # -- module arithmetic on vectors and on indices ---------------------------
+    # -- module arithmetic on vectors ------------------------------------------
 
     def index(self, vecs):
         """Index of each (unreduced) vector along the last axis."""
@@ -384,11 +385,6 @@ class _PairCounter:
         """theta^k of every row of vecs (rows reduced mod the orders)."""
         k %= self.kappa
         return vecs @ self.theta[k].T % self.orders if k else vecs
-
-    def x_map(self, sign, k, d):
-        """Index maps x -> sign theta^k x + d, for d the index of an element;
-        with arrays k and d, one map per entry."""
-        return self.index(sign * self.images[k % self.kappa] + self.images[0, d][..., None, :])
 
     # -- words -----------------------------------------------------------------
 
@@ -415,6 +411,24 @@ class _PairCounter:
             gaps = np.diff(np.array(st.cuts, dtype=np.int64)) - st.base_height
             self._stages[m] = (b, v, gaps)
         return self._stages[m]
+
+    def boundaries(self, m, cyclic):
+        """Stage m's boundaries from column j to j + 1 (with cyclic, also from
+        the last column to column 0, across gap 0), grouped by their entries:
+        b_j, b_(j+1) and the index d of v_j - v_(j+1) per group, then the
+        group and the gap of each boundary."""
+        b, v, gaps = self.stage(m)
+        left = np.arange(len(b) if cyclic else len(b) - 1)
+        right = (left + 1) % len(b)
+        if cyclic:
+            gaps = np.append(gaps, 0)
+        n_a, kappa = self.shape[4], self.kappa
+        groups, group_of = np.unique(
+            (b[left] * kappa + b[right]) * n_a + self.index(v[left] - v[right]),
+            return_inverse=True)
+        pair, d = np.divmod(groups, n_a)
+        b1, b2 = np.divmod(pair, kappa)
+        return b1, b2, d, group_of, gaps
 
     def edge(self, m, size, top):
         """Words of the top or bottom `size` levels of the depth-m tower.
@@ -447,17 +461,16 @@ class _PairCounter:
         c, g = np.divmod(rest, n_cyl)
         return c, g, b1, f, b2, x
 
-    def pair_keys(self, first, i1, second, i2, t, weights):
-        """Tables of twist t of the word pairs (first[i1[i]], second[i2[i]]),
-        pair i counted weights[c, i] times in table c; keys may repeat."""
+    def pair_keys(self, first, i1, second, i2, weights):
+        """Tables of the word pairs (first[i1[i]], second[i2[i]]), pair i
+        counted weights[c, i] times in table c; keys may repeat."""
         keep = np.flatnonzero((first[0][i1] >= 0) & (second[0][i2] >= 0))
         c, i = np.nonzero(weights[:, keep])
         at = keep[i]
         (c1, b1, u1), (c2, b2, u2) = _at(first, i1[at]), _at(second, i2[at])
-        x = self.index(u1 - self.act(t, u2))
-        return self.encode(c, c1, b1, c2, b2, x), weights[c, at]
+        return self.encode(c, c1, b1, c2, b2, self.index(u1 - u2)), weights[c, at]
 
-    def level_pass(self, m, lags, weights, t, cyclic):
+    def level_pass(self, m, lags, weights, cyclic):
         """Pairs (l, l + s) listed level by level over the depth-m tower."""
         words = self.words(m)
         h = len(words[0])
@@ -465,82 +478,67 @@ class _PairCounter:
         second = first + lags[run]
         if cyclic:
             second %= h
-        return self.pair_keys(words, first, words, second, t, weights[:, run])
+        return self.pair_keys(words, first, words, second, weights[:, run])
 
-    def pairs(self, m, lags, weights, t, cyclic=False):
-        """Tables of twist t of the pairs (l, l + s) of the depth-m tower,
-        where table c counts the lag lags[i] (distinct) weights[c, i] times;
-        with cyclic, l + s is taken modulo the height, for lags below it."""
+    def pairs(self, m, lags, weights, cyclic=False):
+        """Tables of the pairs (l, l + s) of the depth-m tower, where table c
+        counts the lag lags[i] (distinct) weights[c, i] times; with cyclic,
+        l + s is taken modulo the height, for lags below it."""
         if not cyclic:
             keep = lags < self.heights[m]
             lags, weights = lags[keep], weights[:, keep]
         if m == self.n0:
-            return self.level_pass(m, lags, weights, t, cyclic)
+            return self.level_pass(m, lags, weights, cyclic)
         big = lags >= self.heights[m - 1]
-        parts = [self.level_pass(m, lags[big], weights[:, big], t, cyclic)] if big.any() else []
+        parts = [self.level_pass(m, lags[big], weights[:, big], cyclic)] if big.any() else []
         lags, weights = lags[~big], weights[:, ~big]
         if lags.size:
-            key, count = self.pairs(m - 1, lags, weights, t)
+            key, count = self.pairs(m - 1, lags, weights)
             c, g, e1, f, e2, x = self.decode(key)
-            b, v, _ = self.stage(m)
-            # column j moves both words of a pair inside it by its entry, so
-            # x becomes theta^(-b_j) x + v_j - theta^t v_j: a_j cancels for t = 0
-            n_a = self.shape[4]
-            groups, copies = np.unique(b * n_a + self.index(v - self.act(t, v)),
-                                       return_counts=True)
-            b_j, d = np.divmod(groups, n_a)
-            x_maps = self.x_map(1, -b_j, d)
-            for j, n_copies in enumerate(copies.tolist()):
-                parts.append((self.encode(c, g, (e1 + b_j[j]) % self.kappa, f,
-                                          (e2 + b_j[j]) % self.kappa, x_maps[j, x]),
+            # column j adds b_j to both exponents and sends x to
+            # theta^(-b_j) x: v_j cancels, so columns of one b_j move alike
+            b, copies = np.unique(self.stage(m)[0], return_counts=True)
+            for b_j, n_copies in zip(b.tolist(), copies.tolist()):
+                parts.append((self.encode(c, g, (e1 + b_j) % self.kappa, f,
+                                          (e2 + b_j) % self.kappa, self.image_index[-b_j, x]),
                               count * n_copies))
-            parts += self.crossings(m, lags, weights, t, cyclic)
+            parts += self.crossings(m, lags, weights, cyclic)
         return _merged(parts)
 
-    def crossings(self, m, lags, weights, t, cyclic):
+    def crossings(self, m, lags, weights, cyclic):
         """Pairs of lag s < h_(m-1) from the top of column j to the bottom of
         column j + 1 (with cyclic, also from the last column to column 0).
 
         Across a gap of g spacers such a pair spans n = s - g levels: the
         top level size - n + k of the top words and the bottom level k, for
-        k in range(n).  Boundaries are grouped by their two entries, as far
-        as a pair's key depends on them (b_j, b_(j+1) and
-        v_j - theta^t v_(j+1)); within a group, the weight of a span n sums
-        over the gaps and lags with s - g = n, a correlation of the two
+        k in range(n).  Per group of `boundaries`, the weight of a span n
+        sums over the gaps and lags with s - g = n, a correlation of the two
         weight vectors.
         """
-        b, v, gaps = self.stage(m)
-        left = np.arange(len(b) - 1)
-        if cyclic:
-            left, gaps = np.append(left, len(b) - 1), np.append(gaps, 0)
-        right = (left + 1) % len(b)
         size = int(lags.max())
         if not size:
             return []
         top, bottom = self.edge(m - 1, size, True), self.edge(m - 1, size, False)
         lag_weights = np.zeros((len(weights), size + 1), dtype=np.int64)
         lag_weights[:, lags] = weights
-        n_a, kappa = self.shape[4], self.kappa
-        groups = (b[left] * kappa + b[right]) * n_a + self.index(v[left] - self.act(t, v[right]))
+        b1, b2, d, group_of, gaps = self.boundaries(m, cyclic)
         parts = []
-        for group in np.unique(groups).tolist():
-            gap_weights = np.bincount(gaps[groups == group])[::-1]
+        for group, (b_1, b_2, d_1) in enumerate(zip(b1.tolist(), b2.tolist(), d.tolist())):
+            gap_weights = np.bincount(gaps[group_of == group])[::-1]
             span_weights = np.stack([np.convolve(row, gap_weights)[len(gap_weights):][:size]
                                      for row in lag_weights])
             spans = np.flatnonzero(span_weights.any(axis=0)) + 1
             run, k = _runs(spans)
-            pair, d = divmod(group, n_a)
-            b1, b2 = divmod(pair, kappa)
-            first = (top[0], (top[1] + b1) % kappa,
-                     (self.act(-b1, top[2]) + self.images[0, d]) % self.orders)
-            second = (bottom[0], (bottom[1] + b2) % kappa, self.act(-b2, bottom[2]))
-            parts.append(self.pair_keys(first, size - spans[run] + k, second, k, t,
+            first = (top[0], (top[1] + b_1) % self.kappa,
+                     (self.act(-b_1, top[2]) + self.images[0, d_1]) % self.orders)
+            second = (bottom[0], (bottom[1] + b_2) % self.kappa, self.act(-b_2, bottom[2]))
+            parts.append(self.pair_keys(first, size - spans[run] + k, second, k,
                                         span_weights[:, spans[run] - 1]))
         return parts
 
-    def parts(self, steps):
-        """Tables of the pairs (l, l + steps) of the cyclic tower, in parts
-        whose keys may repeat across parts.
+    def raw(self, steps):
+        """Table of the pairs (l, l + steps) of the cyclic tower; keys may
+        repeat.
 
         The step h_(n-1) of a depth-n tower is counted from the column
         structure of stage n, any other step through the lag recursion.
@@ -550,7 +548,7 @@ class _PairCounter:
         s = steps % tower.height
         if n > self.n0 and s == tower.schedule.height(n - 1):
             return self.column_step()
-        return [self.pairs(n, np.array([s]), np.ones((1, 1), dtype=np.int64), 0, True)]
+        return self.pairs(n, np.array([s]), np.ones((1, 1), dtype=np.int64), True)
 
     def folded(self, steps):
         """The raw table at `steps` by cylinders and transition value.
@@ -562,87 +560,74 @@ class _PairCounter:
         sum of its raw counts.
         """
         n_cyl, kappa, _, _, n_a = self.shape
-        buckets = []
-        for key, count in self.parts(steps):
-            _, g, b1, f, b2, x = self.decode(key)
-            buckets.append((((g * n_cyl + f) * kappa + (b1 - b2) % kappa) * n_a
-                            + self.image_index[b1, x], count))
-        return _merged(buckets)
+        key, count = self.raw(steps)
+        _, g, b1, f, b2, x = self.decode(key)
+        bucket = ((g * n_cyl + f) * kappa + (b1 - b2) % kappa) * n_a + self.image_index[b1, x]
+        return _merged([(bucket, count)])
 
     def column_step(self):
-        """Table of the pairs (l, l + h_(n-1)) of the depth-n tower, in parts.
+        """Table of the pairs (l, l + h_(n-1)) of the depth-n tower; keys may
+        repeat.
 
         Such a pair joins level y of column j to level y - g_j of column
         j + 1, the last column wrapping to column 0 with gap 0: a reversed
         lag-g_j pair of the depth-(n-1) tower, each side with its own
-        column's entry.  Boundaries are grouped by the entries of both sides
-        (b_j, b_(j+1) and v_j - v_(j+1)), one weighted table over the gaps
-        per group, and the groups of one inner twist b_(j+1) - b_j are
-        counted together; the reversed pairs, moved, have twist 0.
+        column's entry.  One weighted table over the gaps per group of
+        `boundaries` counts them all.  Each side's u is moved by its own
+        theta^(-b), so the key is a function of the reversed pair's x' only
+        when b_j = b_(j+1): a table with a module part is refused
+        (ParameterError) on a stage whose columns differ in b.  No probe asks
+        for one, as chi has no prediction on a rotate stage.
         """
         n = self.tower.depth
-        b, v, gaps = self.stage(n)
-        left = np.arange(len(b))
-        right = (left + 1) % len(b)
-        n_a, kappa = self.shape[4], self.kappa
-        groups = (b[left] * kappa + b[right]) * n_a + self.index(v[left] - v[right])
-        groups, group_of = np.unique(groups, return_inverse=True)
-        lags, lag_of = np.unique(np.append(gaps, 0), return_inverse=True)
-        weights = np.zeros((len(groups), len(lags)), dtype=np.int64)
+        if len(self.orders) and np.unique(self.stage(n)[0]).size > 1:
+            raise ParameterError(f"no module table at the column step of stage {n}, "
+                                 "whose columns differ in their group exponent")
+        b1, b2, d, group_of, gaps = self.boundaries(n, True)
+        lags, lag_of = np.unique(gaps, return_inverse=True)
+        weights = np.zeros((len(b1), len(lags)), dtype=np.int64)
         np.add.at(weights, (group_of, lag_of), 1)
-        pair, d = np.divmod(groups, n_a)
-        b1, b2 = np.divmod(pair, kappa)
-        # x = -theta^(-b_(j+1)) x' + v_j - v_(j+1) for the reversed pair's x'
-        x_maps = self.x_map(-1, -b2, d)
-        # the twist acts on the module part only
-        twists = (b2 - b1) % kappa if len(self.orders) else np.zeros_like(b1)
-        parts = []
-        for t in np.unique(twists).tolist():
-            rows = np.flatnonzero(twists == t)
-            used = weights[rows].any(axis=0)
-            key, count = self.pairs(n - 1, lags[used], weights[np.ix_(rows, used)], t)
-            c, g, e1, f, e2, x = self.decode(key)
-            c = rows[c]
-            parts.append((self.encode(0, f, (e2 + b1[c]) % kappa, g, (e1 + b2[c]) % kappa,
-                                      x_maps[c, x]), count))
-        return parts
+        key, count = self.pairs(n - 1, lags, weights)
+        c, g, e1, f, e2, x = self.decode(key)
+        # x = v_j - v_(j+1) - theta^(-b) x' for the reversed pair's x'
+        x = self.index(self.images[0, d[c]] - self.images[-b2[c], x])
+        return self.encode(0, f, (e2 + b1[c]) % self.kappa, g, (e1 + b2[c]) % self.kappa, x), count
 
 
-def _eta_values(tower: Tower, steps: int, n0: int, eta_exp: int):
-    """Complex table V[g, f] = <U_eta^steps 1_f, 1_g> plus its exact buckets
-    counts[g, f, s], the level pairs by the group exponent s of their path.
+def _eta_values(counter: _PairCounter, steps: tuple[int, ...], eta_exp: int):
+    """Complex tables V[g, f] = <U_eta^s 1_f, 1_g>, one per s in steps.
 
-    The folded buckets are distinct, so they are assigned into the table,
-    not summed; the table is contracted with the phases of eta as a whole.
+    The counter's folded buckets of a step, counts[g, f, s] by the group
+    exponent s of the pair's path, are distinct, so they are assigned into
+    the table, not summed; the table is contracted with the phases of eta as
+    a whole.
     """
-    counter = _PairCounter(tower, n0, False)
     n_cyl, kappa = counter.shape[:2]
-    key, count = counter.folded(steps)
-    counts = np.zeros(n_cyl * n_cyl * kappa, dtype=np.int64)
-    counts[key] = count
-    counts = counts.reshape(n_cyl, n_cyl, kappa)
     phases = np.exp(2j * np.pi * eta_exp * np.arange(kappa) / kappa)
-    return counts @ phases / tower.height, counts, n_cyl
+    tables = []
+    for step in steps:
+        key, count = counter.folded(step)
+        counts = np.zeros(n_cyl * n_cyl * kappa, dtype=np.int64)
+        counts[key] = count
+        tables.append(counts.reshape(n_cyl, n_cyl, kappa) @ phases / counter.tower.height)
+    return tables
 
 
-def _chi_values(tower: Tower, steps: tuple[int, ...], n0: int, d, phase_order: int):
+def _chi_values(counter: _PairCounter, steps: tuple[int, ...], d, phase_order: int):
     """Tables V[e_u, e_v, g, f] = <U_chi^s (1_f x eta_{e_u}), 1_g x eta_{e_v}> per s in steps.
 
-    One pair counter serves every step.  A bucket (g, f, s, w) of its folded
-    table, (s, w) the transition value, adds count * eta_{e_u}(s) *
-    G[e_u - e_v, w] to entry (g, f), for G the group-state sum of the
-    character over (character difference, module value).  The product is
-    taken once per nonzero bucket, in that order; each entry sums its terms
-    from zero in bucket order, so (s, w) order, and is divided by h kappa
-    last.  That is how np.einsum("gfsw,s,w->gf", ...) rounds over the dense
-    table of the buckets while an entry's kappa |A| terms fit in numpy's
-    8192-element iterator buffer, at a cost in the nonzero buckets instead
-    of n_cyl^2 kappa^3 |A|.  Returns (values, buckets, cylinder count) per
-    step, the buckets as the folded (keys, counts).
+    A bucket (g, f, s, w) of the counter's folded table, (s, w) the
+    transition value, adds count * eta_{e_u}(s) * G[e_u - e_v, w] to entry
+    (g, f), for G the group-state sum of the character over (character
+    difference, module value).  The product is taken once per nonzero
+    bucket, in that order; each entry sums its terms from zero in bucket
+    order, so (s, w) order, and is divided by h kappa last.  That is how
+    np.einsum("gfsw,s,w->gf", ...) rounds over the dense table of the
+    buckets while an entry's kappa |A| terms fit in numpy's 8192-element
+    iterator buffer, at a cost in the nonzero buckets instead of
+    n_cyl^2 kappa^3 |A|.
     """
-    counter = _PairCounter(tower, n0, True)
-    kappa, h = counter.kappa, tower.height
-    images = counter.images
+    kappa, h, images = counter.kappa, counter.tower.height, counter.images
     n_cyl, n_a = counter.shape[0], images.shape[1]
 
     # G[e, w] = sum over k of chi_d(theta^k w) * e^{2 pi i e k / kappa}
@@ -674,7 +659,7 @@ def _chi_values(tower: Tower, steps: tuple[int, ...], n0: int, d, phase_order: i
         values = np.empty((kappa, kappa, n_cyl, n_cyl), dtype=complex)
         values.real = re.reshape(values.shape)
         values.imag = im.reshape(values.shape)
-        tables.append((values / (h * kappa), (key, count), n_cyl))
+        tables.append(values / (h * kappa))
     return tables
 
 
@@ -787,12 +772,13 @@ def weak_limit_probe(session, stage_index: int, component) -> WeakLimitReport:
     # <1_f x eta_e, 1_g x eta_e'> = [f = g][e = e'] mu_f, and the means
     # multiply to mu_f mu_g [e = e' = 0]; an eta table has no e axes, and its
     # mean is nonzero only for eta trivial
+    counter = _PairCounter(tower, n0, kind == "chi")
     if kind == "eta":
-        tables = [_eta_values(tower, s, n0, payload)[0] for s in steps]
+        tables = _eta_values(counter, steps, payload)
         chars, means = 1.0, float(trivial)
         record = {"kind": "eta", "eta": payload}
     else:
-        tables = [t[0] for t in _chi_values(tower, steps, n0, payload, session.root_order)]
+        tables = _chi_values(counter, steps, payload, session.root_order)
         chars = np.eye(kappa)
         means = chars * (np.arange(kappa) == 0)
         record = {"kind": "chi", "d": list(payload)}
@@ -1039,19 +1025,14 @@ def factor_classes(session):
 def multiplicity_report(session, spectra_depth: int | None = None) -> MultiplicityReport:
     """Class decomposition, size set, equivalence evidence and certificates.
 
-    The class-size set must equal the trace-count set exactly (both are
-    orbit counts; an inequality is a construction bug and raises).  In
-    product mode the square factor adjoins 2 to the reported multiplicities.
+    The classes are the traces orbit(d) & D of the nonzero d in D, so the
+    trace counts are the class sizes; they are checked against the targets
+    where the triple is assembled and dualized, not again here.  In product
+    mode the square factor adjoins 2 to the reported multiplicities.
     """
     mode = session.mode
-    triple = session.triple
-    counts = orbit_trace_counts(triple.action, triple.d_elements())
     classes = factor_classes(session)
     class_sizes = [len(c) for c in classes]
-    if set(class_sizes) != counts:
-        raise ConsistencyError(
-            f"class sizes {sorted(set(class_sizes))} != trace counts {sorted(counts)}"
-        )
     mult = set(class_sizes)
     notes = []
     if mode == MODE_PRODUCT:
@@ -1082,7 +1063,7 @@ def multiplicity_report(session, spectra_depth: int | None = None) -> Multiplici
     return MultiplicityReport(
         targets=session.config.targets,
         mode=mode,
-        trace_counts=counts,
+        trace_counts=set(class_sizes),
         classes=classes,
         class_sizes=class_sizes,
         multiplicities=mult,

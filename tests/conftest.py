@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 from pathlib import Path
 

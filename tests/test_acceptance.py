@@ -6,7 +6,6 @@ fails, never that a threshold drifted.
 
 import random
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,17 +14,13 @@ from cfspectra.cocycle_engine import canonical_word, evaluate_cocycle
 from cfspectra.finite_algebra import orbit_average
 from cfspectra.koopman_lab import (
     PhasedCycleOperator,
-    build_component,
     correlation_decay,
-    exact_spectrum,
-    loop_product,
     multiplicity_report,
     sample_lags,
     simplicity_probe,
     weak_limit_probe,
 )
 from cfspectra.module_factory import assemble_triple, dualize
-from cfspectra.session import SessionConfig, synth
 
 TARGET_SETS = [{1}, {2}, {1, 2}, {2, 3}, {1, 3, 5}, {2, 4, 6}]
 
@@ -245,7 +240,6 @@ class TestAcceptance:
 
     def test_shipped_bundles_verify_green(self, tmp_path):
         from cfspectra.cli import main, run_verify
-        import json as _json
         from pathlib import Path
 
         config_dir = Path(__file__).resolve().parent.parent / "configs"

@@ -35,7 +35,7 @@ from cfspectra.cocycle_engine import (
     word_product,
 )
 from cfspectra.errors import InvalidElementError, LabelError, PairError, ParameterError
-from cfspectra.finite_algebra import FiniteAbelianGroup, GroupAutomorphism, ModuleAction
+from cfspectra.finite_algebra import FiniteAbelianGroup
 from cfspectra.module_factory import assemble_triple, dualize
 from cfspectra.session import SessionConfig, synth
 

@@ -8,7 +8,7 @@ character value is an integer exponent, never a Fraction.  The
 full-height passes take their cyclic shifts as slices or bit offsets, never
 as a rolled copy.  No command builds a tower model other than a probe's
 base-case towers, and a weak-limit probe at stage n lists none taller than
-h_(n-1), nor a dense table of its raw pair counts.
+h_(n-1), nor any tower twice, nor a dense table of its raw pair counts.
 """
 
 import random
@@ -188,6 +188,23 @@ def test_probes_list_no_tower_of_the_probed_depth(request, monkeypatch, fixture,
     report = koopman_lab.weak_limit_probe(session, stage, component)
     assert report.passed
     assert heights and max(heights) <= session.schedule.height(stage - 1), heights
+
+
+def test_delayed_eta_probe_builds_each_base_case_tower_once(probe_product, monkeypatch):
+    # both steps of a delayed probe, h_(n-1) and 1, are read from one pair
+    # counter, so the towers it lists are built once per probe
+    depths = []
+    build = TowerModel.__init__
+
+    def recording(self, schedule, depth, *args, **kwargs):
+        depths.append(depth)
+        build(self, schedule, depth, *args, **kwargs)
+
+    monkeypatch.setattr(TowerModel, "__init__", recording)
+    report = koopman_lab.weak_limit_probe(probe_product, 5, ("eta", 0))
+    assert report.passed
+    assert report.prediction_kind == "delayed"
+    assert depths and sorted(depths) == sorted(set(depths)), depths
 
 
 def test_chi_probe_builds_no_dense_raw_table(probe_product):

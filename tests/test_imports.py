@@ -1,6 +1,6 @@
-"""Every name a library module imports must be used in that module, and
-every public definition, constants included, must have a caller outside
-the tests.
+"""Every name a library module, a test or a demo imports must be used in
+that file, and every public definition, constants included, must have a
+caller outside the tests.
 
 The package's __init__ re-exports names by importing them, so it is exempt
 from the import check, and its imports are not callers.
@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cfspectra"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 USERS = sorted([*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
+IMPORTERS = MODULES + sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 # definitions kept although nothing in src/, demos/ or perfbench/ calls them
 KEPT = {
@@ -114,7 +115,7 @@ def test_checker_sees_an_unused_import():
         "gcd (line 2)", "os (line 1)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

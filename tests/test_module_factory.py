@@ -4,7 +4,7 @@ import time
 import pytest
 
 from cfspectra.errors import ConsistencyError, ConstructionError
-from cfspectra.finite_algebra import FiniteAbelianGroup, GroupAutomorphism, identity_automorphism
+from cfspectra.finite_algebra import GroupAutomorphism, identity_automorphism
 from cfspectra.module_factory import (
     OrbitBlock,
     assemble_triple,

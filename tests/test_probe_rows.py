@@ -24,13 +24,16 @@ from cfspectra.koopman_lab import (
     _chi_values,
     _cylinder_measures,
     _eta_values,
+    _PairCounter,
     weak_limit_probe,
 )
 
 
 def _scalar_eta_rows(model, label, eta_exp, n0, h_n, delta, mu):
     kappa = model.ctx.k_order
-    values, _, n_cyl = _eta_values(model, h_n, n0, eta_exp)
+    counter = _PairCounter(model, n0, False)
+    n_cyl = counter.shape[0]
+    [values] = _eta_values(counter, (h_n,), eta_exp)
     trivial = eta_exp % kappa == 0
     one_step = None
     if label.kind == LABEL_RIGID_TRANSLATE:
@@ -39,7 +42,7 @@ def _scalar_eta_rows(model, label, eta_exp, n0, h_n, delta, mu):
         pred_kind = "rotation"
     else:
         pred_kind = "delayed"
-        one_step, _, _ = _eta_values(model, 1, n0, eta_exp)
+        [one_step] = _eta_values(counter, (1,), eta_exp)
     rot = 1.0 + 0j
     if label.kind == LABEL_RIGID_ROTATE:
         rot = cmath.exp(2j * cmath.pi * eta_exp * label.k / kappa)
@@ -71,10 +74,12 @@ def _scalar_chi_rows(session, model, label, d, n0, h_n, delta, mu):
     kappa = model.ctx.k_order
     n = session.root_order
     trivial_d = all(x == 0 for x in d)
-    [(values, _, n_cyl)] = _chi_values(model, (h_n,), n0, d, n)
+    counter = _PairCounter(model, n0, True)
+    n_cyl = counter.shape[0]
+    [values] = _chi_values(counter, (h_n,), d, n)
     one_step = None
     if label.kind == LABEL_DELAYED_TRANSLATE:
-        [(one_step, _, _)] = _chi_values(model, (1,), n0, d, n)
+        [one_step] = _chi_values(counter, (1,), d, n)
     l_value = 1.0 + 0j
     if not trivial_d:
         chi = session.duality.character_of_dual(d)
