@@ -160,6 +160,9 @@ def _cylinder_decay(session, tower, lags):
 
 
 def _suite_mixing(session):
+    """Decay over an early window [h_1, 2 h_1] and a late one [h_(D-1), 2 h_(D-1)],
+    counted off the stage cuts, plus the validation's staircase ratio trend;
+    the late maximum must be at most half the early one."""
     sched = session.schedule
     depth = sched.depth
     rep = session.validation

@@ -373,11 +373,15 @@ class Tower:
         self.ctx = ctx
         self.maps_by_stage = maps_by_stage
 
+    def check_cylinder_level(self, n0: int):
+        """Refuse a cylinder level outside 0..depth."""
+        if not 0 <= n0 <= self.depth:
+            raise ParameterError(f"no depth-{n0} cylinders in a depth-{self.depth} tower")
+
     def cylinder_starts(self, n0: int) -> np.ndarray:
         """Bottom level of every depth-n0 copy, increasing: each stage past n0
         places the tower below it at each of its cuts, an outer sum of offsets."""
-        if not 0 <= n0 <= self.depth:
-            raise ParameterError(f"no depth-{n0} cylinders in a depth-{self.depth} tower")
+        self.check_cylinder_level(n0)
         starts = np.zeros(1, dtype=np.int64)
         for st in self.schedule.stages[n0:self.depth]:
             starts = (np.array(st.cuts, dtype=np.int64)[:, None] + starts).ravel()

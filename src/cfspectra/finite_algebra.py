@@ -219,11 +219,20 @@ class GroupAutomorphism:
                         acc[i] += coeff * x
         return tuple(x % n for x, n in zip(acc, self.group.orders))
 
+    @classmethod
+    def _unchecked(cls, group: FiniteAbelianGroup, images: tuple[Element, ...]):
+        """An automorphism from images known to define one, without the check."""
+        phi = object.__new__(cls)
+        object.__setattr__(phi, "group", group)
+        object.__setattr__(phi, "images", images)
+        return phi
+
     def compose(self, other: "GroupAutomorphism") -> "GroupAutomorphism":
-        """self after other (i.e. a |-> self(other(a)))."""
+        """self after other (i.e. a |-> self(other(a))); a composite of two
+        automorphisms is one, so it is built unchecked."""
         if other.group != self.group:
             raise InvalidElementError("composing automorphisms of different groups")
-        return GroupAutomorphism(self.group, tuple(self._apply(img) for img in other.images))
+        return self._unchecked(self.group, tuple(self._apply(img) for img in other.images))
 
     def power(self, m: int) -> "GroupAutomorphism":
         if m < 0:
@@ -248,7 +257,7 @@ class GroupAutomorphism:
 
 
 def identity_automorphism(group: FiniteAbelianGroup) -> GroupAutomorphism:
-    return GroupAutomorphism(group, tuple(group.generators()))
+    return GroupAutomorphism._unchecked(group, tuple(group.generators()))
 
 
 @dataclass(frozen=True)

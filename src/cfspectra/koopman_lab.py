@@ -10,7 +10,8 @@ prediction, delta (a I + b U*) + c P, whose coefficients the component and
 the stage label pick from one table.  The level pairs are counted through
 the cut-and-stack recursion, so a probe never lists the tower it probes:
 only the towers at the cylinder level, or under a lag as long as their
-column height, are listed.  The multiplicity bookkeeping
+column height, are listed; correlation decay counts the differences of the
+cylinder starts off the stage cuts, and lists none.  The multiplicity bookkeeping
 reduces to orbit combinatorics on the distinguished subgroup.  Floating
 point appears only in least-squares residuals and in report summaries;
 every equality decision is integer/rational.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -834,46 +835,91 @@ class DecayRow:
         return f"{self.lag},{self.pair[0]}-{self.pair[1]},{self.value.numerator},{self.value.denominator}"
 
 
-def _autocorrelation(levels: np.ndarray, h: int):
-    """s -> #{x in O : (x - s) mod h in O} for a set O of levels, memoised per shift.
+def _column_pairs(cuts: np.ndarray, below: int, t: np.ndarray) -> np.ndarray:
+    """u = t - c_j + c_k per difference t, column j and column k with
+    |u| < `below`, the height of the tower the cuts stack; shape
+    (t.size, r, 2).
 
-    The indicator of O is packed into uint64 words (little-endian bit
-    order), and so is a doubled copy of it, which serves the cyclic wrap:
-    shift s reads the doubled copy from bit t = -s mod h on, as a word offset
-    and a bit offset, so a count is an AND and a popcount per word.
+    Cuts lie at least `below` apart, so each (t, j) has at most two such k,
+    the first with c_k > c_j - t - below and the next; -below marks a
+    missing k, as no two copies below differ by it.
     """
-    n_words = -(-h // 64)
+    x = cuts - t[:, None]  # c_j - t
+    k = np.searchsorted(cuts, x - below, side="right")[..., None] + np.arange(2)
+    u = cuts[np.minimum(k, cuts.size - 1)] - x[..., None]
+    return np.where((k < cuts.size) & (u < below), u, -below)
 
-    def pack(positions, n):
-        bits = np.zeros(64 * n, dtype=bool)
-        bits[positions] = True
-        return np.packbits(bits, bitorder="little").view("<u8")
 
-    words = pack(levels, n_words)  # the bits past h are zero
-    doubled = pack(np.concatenate([levels, levels + h]), 2 * n_words + 1)
-    counts = {}
+def _difference_table(stages, base: int) -> np.ndarray:
+    """L(t) = #{(x, y) in O^2 : x - y = t} at every -h <= t < h, indexed
+    t + h, for O the bottoms of the height-`base` copies that `stages` stack
+    into a tower of height h.
 
-    def count(s: int) -> int:
-        t = -s % h
-        if t not in counts:
-            q, r = divmod(t, 64)
-            shifted = doubled[q:q + n_words] >> r
-            if r:
-                shifted |= doubled[q + 1:q + 1 + n_words] << (64 - r)
-            shifted &= words
-            counts[t] = int(np.bitwise_count(shifted).sum())
-        return counts[t]
+    O after a stage is O before it placed at each cut c_j, so the new counts
+    are sum_(j,k) L(t - (c_j - c_k)): two passes of slice adds, first
+    M(v) = sum_k L(v - (c_last - c_k)), then sum_j M(t - c_j).
+    """
+    table = np.zeros(2 * base, dtype=np.int64)
+    table[base] = 1
+    for st in stages:
+        last = st.cuts[-1]
+        partial = np.zeros(last + table.size, dtype=np.int64)
+        for c in st.cuts:
+            partial[last - c:last - c + table.size] += table
+        table = np.zeros(2 * st.new_height, dtype=np.int64)
+        for c in st.cuts:
+            table[c:c + partial.size] += partial
+    return table
 
-    return count
+
+def _difference_counts(stages, base: int, t: np.ndarray) -> np.ndarray:
+    """L(t), as in _difference_table, at the differences t alone, -h <= t < h.
+
+    The top stage sums L below it over the pairs of _column_pairs.  While
+    the pairs are fewer than the entries of the table below, L below is
+    asked at their distinct differences alone, the same way; else that
+    table is built and read, at most max(r, below) (t, j) at a time.  So a
+    stage is tabled only where the pairs asked of it outnumber its entries.
+    """
+    if not stages:
+        return (t == 0).astype(np.int64)
+    st = stages[-1]
+    cuts = np.array(st.cuts, dtype=np.int64)
+    below = st.base_height
+    if t.size * cuts.size < below:
+        asked, where = np.unique(_column_pairs(cuts, below, t), return_inverse=True)
+        counts = _difference_counts(stages[:-1], base, asked)
+        return counts[where.reshape(t.size, -1)].sum(axis=1)
+    table = _difference_table(stages[:-1], base)
+    step = max(1, below // cuts.size)
+    return np.concatenate([table[_column_pairs(cuts, below, t[i:i + step]) + below].sum(axis=(1, 2))
+                           for i in range(0, t.size, step)])
+
+
+def _shift_counts(schedule, n0: int, depth: int, shifts: np.ndarray) -> np.ndarray:
+    """#{(x, y) in O^2 : x - y = s mod h} per shift 0 <= s < h, for O the
+    starts of the depth-n0 copies in the depth-`depth` tower of height h.
+
+    As x - y lies in (-h, h), the count at s is L(s) + L(s - h), for L the
+    difference counts of _difference_counts, and O is never listed.  Every
+    count formed is at most |O| (a difference pairs each x with at most one
+    y), and |O| <= h < 2^63, so the int64 counts are exact.
+    """
+    h = schedule.height(depth)
+    t = np.concatenate([shifts, shifts - h])
+    counts = _difference_counts(schedule.stages[n0:depth], schedule.height(n0), t)
+    return counts[:shifts.size] + counts[shifts.size:]
 
 
 def correlation_decay(tower: Tower, pairs, lags, n0: int = 1) -> list[DecayRow]:
     """Exact |mu(T^lag A & B) - mu(A) mu(B)| per cylinder pair (A, B) = (f, g) and lag.
 
-    Cylinder f is O + f, for O the starts of the depth-n0 copies read off the
-    stage cuts, so T^lag A & B has |O & (O - (lag + f - g))| levels: one
-    autocorrelation count of O, and one value, shared by every pair and lag
-    that lands on the same shift.  Every cylinder has |O| levels.
+    Cylinder f is O + f, for O the starts of the depth-n0 copies, so
+    T^lag A & B has |O & (O - (lag + f - g))| levels: a count of the
+    differences of O at one shift mod h, read off the stage cuts
+    (_shift_counts) with O never listed.  Every cylinder has |O| = prod r
+    levels.  Pairs and lags that land on the same shift share one count and
+    one value.
     """
     h = tower.height
     n_cyl = tower.schedule.height(n0)
@@ -885,14 +931,14 @@ def correlation_decay(tower: Tower, pairs, lags, n0: int = 1) -> list[DecayRow]:
     for lag in lags:
         if not 0 <= lag < h:
             raise LagRangeError(f"lag {lag} outside the height-{h} model")
-    starts = tower.cylinder_starts(n0)
-    count = _autocorrelation(starts, h)
-
-    @cache
-    def value(s: int) -> Fraction:
-        return Fraction(abs(count(s) * h - starts.size ** 2), h * h)
-
-    return [DecayRow(lag, (f, g), value(lag + f - g)) for lag in lags for f, g in pairs]
+    tower.check_cylinder_level(n0)
+    size = prod(st.r_count for st in tower.schedule.stages[n0:tower.depth])
+    offsets = np.array(sorted({f - g for f, g in pairs}), dtype=np.int64)
+    shifts = np.unique(np.add.outer(np.array(lags, dtype=np.int64), offsets) % h)
+    counts = _shift_counts(tower.schedule, n0, tower.depth, shifts)
+    value = {s: Fraction(abs(c * h - size * size), h * h)
+             for s, c in zip(shifts.tolist(), counts.tolist())}
+    return [DecayRow(lag, (f, g), value[(lag + f - g) % h]) for lag in lags for f, g in pairs]
 
 
 def decay_csv(rows) -> str:

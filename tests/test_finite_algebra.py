@@ -5,7 +5,7 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfspectra.errors import (
@@ -147,6 +147,68 @@ class TestAutomorphisms:
         lhs = phi.compose(psi).dual()
         rhs = psi.dual().compose(phi.dual())
         assert lhs.images == rhs.images
+
+
+GROUPS = [(7,), (2, 4), (3, 3), (2, 2, 3), (4, 6)]
+
+
+@st.composite
+def images_of(draw, group):
+    """Generator images drawn from the group's elements, a map or not."""
+    return tuple(group.element_by_index(draw(st.integers(0, group.size - 1)))
+                 for _ in range(group.rank))
+
+
+def is_automorphism(group, images) -> bool:
+    """Whether the images define a bijective homomorphism, by listing the group."""
+    orders = group.orders
+    if any(any(x * n % m for x, m in zip(img, orders)) for img, n in zip(images, orders)):
+        return False
+    values = {tuple(sum(c * img[i] for c, img in zip(a, images)) % m
+                    for i, m in enumerate(orders)) for a in group.elements()}
+    return len(values) == group.size
+
+
+@st.composite
+def automorphism_cases(draw):
+    """(group, phi, psi, m) for two automorphisms built with the check."""
+    group = FiniteAbelianGroup(draw(st.sampled_from(GROUPS)))
+    phis = []
+    for _ in range(2):
+        images = draw(images_of(group))
+        assume(is_automorphism(group, images))
+        phis.append(GroupAutomorphism(group, images))
+    return group, *phis, draw(st.integers(0, 13))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(automorphism_cases())
+def test_composites_and_powers_equal_checked_construction(case):
+    # the identity and compose, and so power, build their results unchecked;
+    # each must be the automorphism the checked constructor builds from the
+    # same images
+    group, phi, psi, m = case
+    power = identity_automorphism(group)
+    for _ in range(m):
+        power = phi.compose(power)
+    for built in (phi.compose(psi), phi.power(m)):
+        assert built == GroupAutomorphism(group, built.images)
+    elements = list(group.elements())
+    assert [phi.compose(psi).apply(a) for a in elements] == \
+        [phi.apply(psi.apply(a)) for a in elements]
+    assert phi.power(m).images == power.images
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(GROUPS).map(FiniteAbelianGroup).flatmap(
+    lambda group: st.tuples(st.just(group), images_of(group))))
+def test_images_from_outside_keep_the_check(case):
+    group, images = case
+    if is_automorphism(group, images):
+        assert GroupAutomorphism(group, images).images == images
+    else:
+        with pytest.raises(InvalidElementError):
+            GroupAutomorphism(group, images)
 
 
 class TestOrbits:

@@ -5,10 +5,11 @@ unchecked.  These bounds count calls, not seconds, so they hold on any
 machine: a path that re-validates an engine-made element on every multiply,
 or rebuilds an automorphism per element, breaks them by a wide margin; a
 character value is an integer exponent, never a Fraction.  The
-full-height passes take their cyclic shifts as slices or bit offsets, never
-as a rolled copy.  No command builds a tower model other than a probe's
+full-height passes take their cyclic shifts as slices, never as a rolled
+copy.  No command builds a tower model other than a probe's
 base-case towers, and a weak-limit probe at stage n lists none taller than
 h_(n-1), nor any tower twice, nor a dense table of its raw pair counts.
+Decay lists no cylinder start and packs no h-bit indicator.
 """
 
 import random
@@ -20,10 +21,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cfspectra import finite_algebra, koopman_lab
+from cfspectra import cli, finite_algebra, koopman_lab
 from cfspectra.cli import main
 from cfspectra.cocycle_engine import (
     CocycleStageMaps,
+    Tower,
     TowerModel,
     canonical_word,
     evaluate_cocycle,
@@ -96,8 +98,10 @@ def test_powers_take_one_composition_each(monkeypatch):
     # a fresh action, with no power cached yet
     action = ModuleAction(triple.action.group, triple.module, triple.action.generator_maps)
     calls = count_calls(monkeypatch, GroupAutomorphism, "__post_init__")
+    composes = count_calls(monkeypatch, GroupAutomorphism, "compose")
     powers = [action.automorphism_for(k) for k in range(triple.k_order)]
-    assert len(calls) == triple.k_order  # the identity, then one compose per k
+    assert len(composes) == triple.k_order - 1  # one compose per k past the identity
+    assert len(calls) == 0  # the identity and a composite of automorphisms need no check
     assert powers[1].images == triple.theta.images
 
 
@@ -150,6 +154,73 @@ def test_commands_build_no_tower_model_and_no_loop_product(tmp_path, monkeypatch
         assert not outside and not loops and not checks, command
     assert main(["verify", "--bundle", str(bundle), "--suite", "all"]) == 0
     assert not outside and not loops and not checks
+
+
+@pytest.mark.parametrize("name", ["direct_12", "product_23", "staircase_mixing"])
+def test_decay_lists_no_start_set(tmp_path, monkeypatch, name):
+    # decay counts the differences of the cylinder starts off the stage cuts
+    bundle = tmp_path / "bundle"
+    assert main(["synth", "--config", str(CONFIG_DIR / f"{name}.json"),
+                 "--out", str(bundle)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decay listed the cylinder starts")
+
+    monkeypatch.setattr(Tower, "cylinder_starts", refuse)
+    assert main(["dump", "--bundle", str(bundle), "--what", "decay",
+                 "--out", str(tmp_path / "decay.json")]) == 0
+    assert main(["verify", "--bundle", str(bundle), "--suite", "mixing"]) == 0
+
+
+def test_decay_dump_packs_no_indicator(shipped_staircase):
+    # packing an h-bit indicator of the starts and its doubled copy peaks
+    # near 3h bytes of bools (8.4 MB at h = 590,866); the dense difference
+    # table below the top stage is 2 h_(D-1) int64 entries (1.6 MB)
+    cli.dump_decay(shipped_staircase)  # fills the session's caches first
+    tracemalloc.start()
+    try:
+        rows = cli.dump_decay(shipped_staircase)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows
+    assert peak < 4 * 10**6, peak
+
+
+def test_decay_pairs_no_two_cuts_of_a_wide_top_stage():
+    # 20,000 rigid columns over a 2-level tower: a table of every difference
+    # of two top cuts holds 4 * 10**8 int64 entries; the counter forms at
+    # most 2 max(r, h_(D-1)) column pairs at a time
+    session = synth(SessionConfig(mode="direct", targets=(1,), shape="arithmetic",
+                                  r_seq=(2, 20000)))
+    cli.dump_decay(session)  # fills the session's caches first
+    tracemalloc.start()
+    try:
+        rows = cli.dump_decay(session)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows
+    assert peak < 4 * 10**6, peak
+
+
+def test_decay_builds_no_table_over_a_wide_stage(monkeypatch):
+    # a dense table over the 20,000-column stage takes 2 r h_2 = 1.6 * 10**9
+    # slice-add entries; the few shifts asked of it are summed over its
+    # column pairs, and only the 2-level tower below gets a table
+    session = synth(SessionConfig(mode="direct", targets=(1,), shape="arithmetic",
+                                  r_seq=(2, 20000, 2)))
+    built = []
+    original = koopman_lab._difference_table
+
+    def recording(stages, base):
+        built.append(len(stages))
+        return original(stages, base)
+
+    monkeypatch.setattr(koopman_lab, "_difference_table", recording)
+    assert cli.dump_decay(session)
+    assert cli._suite_mixing(session)[1]["late_max"] >= 0
+    assert built and set(built) == {0}
 
 
 def test_full_height_passes_roll_no_copy(shipped_product, monkeypatch):
