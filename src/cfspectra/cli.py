@@ -49,6 +49,7 @@ fractions).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -161,8 +162,9 @@ def _cylinder_decay(session, tower, lags):
 
 def _suite_mixing(session):
     """Decay over an early window [h_1, 2 h_1] and a late one [h_(D-1), 2 h_(D-1)],
-    counted off the stage cuts, plus the validation's staircase ratio trend;
-    the late maximum must be at most half the early one."""
+    each clipped to the lags below the tower's height and counted off the
+    stage cuts, plus the validation's staircase ratio trend; the late maximum
+    must be at most half the early one."""
     sched = session.schedule
     depth = sched.depth
     rep = session.validation
@@ -170,14 +172,15 @@ def _suite_mixing(session):
     trend_ok = rep.mixing_trend_ok
     tower = session.tower_at()
     h_early, h_late = sched.height(1), sched.height(depth - 1)
-    early = _cylinder_decay(session, tower, sample_lags(h_early, 2 * h_early))
+    early_hi = min(2 * h_early, tower.height - 1)
     late_hi = min(2 * h_late, tower.height - 1)
+    early = _cylinder_decay(session, tower, sample_lags(h_early, early_hi))
     late = _cylinder_decay(session, tower, sample_lags(h_late, late_hi))
     e_max = max(float(r.value) for r in early)
     l_max = max(float(r.value) for r in late)
     decayed = l_max <= 0.5 * e_max
     doc = {
-        "early_window": [h_early, 2 * h_early],
+        "early_window": [h_early, early_hi],
         "late_window": [h_late, late_hi],
         "early_max": e_max,
         "late_max": l_max,
@@ -324,7 +327,10 @@ def run_dump(bundle_dir, what, fmt, out_path):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it
+    unchanged, and argparse builds a help formatter for every argument."""
     p = argparse.ArgumentParser(prog="cfspectra", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)

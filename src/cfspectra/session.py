@@ -246,8 +246,97 @@ class SessionConfig:
         return canonical_json(self.to_dict())
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii  # the function json.dumps escapes with
+_INF = float("inf")
+
+
+def _float_text(x) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# the text of each scalar type, by exact type
+_SCALAR_TEXT = {
+    str: _ESCAPE,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _leaf_text(o) -> str:
+    """The text of a scalar as json writes it: by its exact type, else as the
+    str, int or float its type subclasses; anything else is refused as json
+    refuses it."""
+    text = _SCALAR_TEXT.get(type(o))
+    if text is not None:
+        return text(o)
+    for base in (str, int, float):
+        if isinstance(o, base):
+            return _SCALAR_TEXT[base](o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _key_text(k) -> str:
+    if isinstance(k, str):
+        return _ESCAPE(k) + ": "
+    if k is None or isinstance(k, (int, float)):
+        return f'"{_leaf_text(k)}": '
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _write(o, lead: str, nl: str, out: list) -> None:
+    """Append the text of o to out, with lead (the separator and indent before
+    it) joined to its first fragment; nl is the line break and indent of o's
+    own level.  Each scalar inside o is one fragment, joined to its lead."""
+    if isinstance(o, dict):
+        items, opening, closing = sorted(o.items()), "{", "}"
+    elif isinstance(o, (list, tuple)):
+        items, opening, closing = o, "[", "]"
+    else:
+        out.append(lead + _leaf_text(o))
+        return
+    if not items:
+        out.append(lead + opening + closing)
+        return
+    inner = nl + " "
+    sep = "," + inner
+    lead += opening + inner
+    keyed = opening == "{"
+    for v in items:
+        if keyed:
+            k, v = v
+            lead += _key_text(k)
+        text = _SCALAR_TEXT.get(type(v))
+        if text is None:
+            _write(v, lead, inner, out)
+        else:
+            out.append(lead + text(v))
+        lead = sep
+    out.append(nl + closing)
+
+
 def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    """The canonical text of a JSON document: exactly
+    ``json.dumps(doc, sort_keys=True, indent=1) + "\\n"``.
+
+    Keys are sorted as json sorts them, one value per line indented by one
+    space per level, strings ASCII-escaped, floats as their repr (``NaN``,
+    ``Infinity``, ``-Infinity``), and a final newline.  A value or key that
+    json.dumps refuses raises TypeError.  Written directly, since an indent
+    sends json.dumps to its pure-Python encoder; tests/test_canonical_json.py
+    holds the two equal.
+    """
+    out = []
+    _write(doc, "", "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 @dataclass

@@ -9,9 +9,14 @@ full-height passes take their cyclic shifts as slices, never as a rolled
 copy.  No command builds a tower model other than a probe's
 base-case towers, and a weak-limit probe at stage n lists none taller than
 h_(n-1), nor any tower twice, nor a dense table of its raw pair counts.
-Decay lists no cylinder start and packs no h-bit indicator.
+Decay lists no cylinder start and packs no h-bit indicator.  No command
+renders JSON through json's pure-Python encoder, and a process builds its
+argument parser once.
 """
 
+import argparse
+import hashlib
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -34,7 +39,8 @@ from cfspectra.finite_algebra import FiniteAbelianGroup, GroupAutomorphism, Modu
 from cfspectra.module_factory import assemble_triple, dualize
 from cfspectra.session import SessionConfig, synth
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 SLACK = 8  # calls allowed beyond the entries checked at the boundary
 
 
@@ -294,3 +300,47 @@ def test_chi_probe_builds_no_dense_raw_table(probe_product):
         tracemalloc.stop()
     assert report.passed
     assert peak < dense, (peak, dense)
+
+
+@pytest.mark.parametrize("name", ["direct_12", "product_23", "staircase_mixing"])
+def test_commands_skip_the_pure_python_json_encoder(tmp_path, monkeypatch, capsys, name):
+    # json.dumps with an indent runs json.encoder._make_iterencode, a Python
+    # generator per value; the bytes still equal the benchmark's reference
+    # digests of the same files
+    want = json.loads((ROOT / "perfbench" / "reference.json").read_text())["cli"][name]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rendered through the pure-Python json encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    bundle = tmp_path / "bundle"
+    assert main(["synth", "--config", str(CONFIG_DIR / f"{name}.json"),
+                 "--out", str(bundle)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--bundle", str(bundle), "--suite", "all"]) == want["verify_code"]
+    assert capsys.readouterr().out == want["verify_stdout"]
+    assert (bundle / "verify_report.json").is_file()
+    digests = {fname: hashlib.sha256((bundle / fname).read_bytes()).hexdigest()
+               for fname in want["bundle"]}
+    for what, fmt in (("spectra", "json"), ("decay", "csv"), ("report", "json")):
+        out = tmp_path / f"{what}.{fmt}"
+        assert main(["dump", "--bundle", str(bundle), "--what", what, "--format", fmt,
+                     "--out", str(out)]) == 0
+        digests[what] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == {**want["bundle"], **want["dumps"]}
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    # argparse makes a help formatter for every argument it adds, so the
+    # parser is built on the first call of a process and reused after it
+    builds = count_calls(monkeypatch, argparse.ArgumentParser, "__init__")
+    missing = str(tmp_path / "missing")
+    per_call = []
+    for argv in (["dump", "--bundle", missing, "--what", "spectra", "--format", "csv"],
+                 ["synth", "--config", missing, "--out", missing],
+                 ["dump", "--bundle", missing, "--what", "report"],
+                 ["verify", "--bundle", missing, "--suite", "algebra"]):
+        before = len(builds)
+        assert main(argv) != 0
+        per_call.append(len(builds) - before)
+    assert per_call[1:] == [0, 0, 0], per_call

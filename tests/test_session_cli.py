@@ -351,6 +351,18 @@ class TestCLI:
         assert code == 4
         assert "no decay" in results["mixing"]["detail"]["diagnostic"]
 
+    def test_two_stage_bundle_gets_a_mixing_verdict(self, tmp_path):
+        # h = 2 h_1, so the early window [h_1, 2 h_1] reaches lag h and is
+        # clipped to h - 1 like the late one, not refused as a lag error
+        cfg = {"mode": "direct", "targets": [1], "shape": "staircase", "r_seq": [2, 2]}
+        bundle = self.synth_bundle(tmp_path, cfg)
+        code, results = run_verify(bundle, ("mixing",))
+        assert code == 4
+        detail = results["mixing"]["detail"]
+        assert "error" not in detail
+        assert detail["early_window"] == [2, 3]
+        assert "no decay" in detail["diagnostic"]
+
     def test_oversized_decay_table_is_refused(self, tmp_path, capsys):
         # at cylinder level 9 the pairs of direct_12's cylinders alone number
         # about 10**11; they are refused before they are listed
