@@ -18,7 +18,7 @@ for mode, targets in (("direct", (1, 2)), ("product", (2, 3))):
         mode=mode, targets=targets,
         blocks=(DeltaBlock(Fraction(1, 2), 4, r_start=3),),
     ))
-    rep = multiplicity_report(session, spectra_depth=4)
+    rep = multiplicity_report(session)
     print(f"mode {mode}, targets {targets}:")
     print("  classes:", rep.classes)
     print("  class sizes:", rep.class_sizes, " trace counts:", sorted(rep.trace_counts))

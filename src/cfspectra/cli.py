@@ -22,10 +22,13 @@ and exit 1; the message names the key path (for example `blocks[1].stage`).
 A schedule with more than 10**6 columns over all its stages, or a tower
 taller than 2**63 - 1 levels, is refused the same way before it is built,
 and so is a cylinder_level outside 0..(number of stages) or a
-spectra_depth below 1.  verify and dump refuse a weak-limit table of more
-entries than state_cap, and a decay table of more than 10**6 rows, before
-building it (a failed suite, or dump exit 1); a refused probe is listed in
-the suite's `failed`, beside the reports of the probes that ran.
+spectra_depth below 1.  verify and dump refuse each array they would build
+over more entries than state_cap (a weak-limit table, a tower a probe
+lists, its level pairs, the column pairs of correlation decay), and a decay
+table of more than 10**6 rows, before building it (a failed suite, or dump
+exit 1); a tower's height alone is never refused.  A refused probe is
+listed in the suite's `failed`, beside the reports of the probes that ran.
+Spectra are dumped at spectra_depth, clipped to the depth, else at the full depth.
 
 Bundle layout (canonical JSON, schema_version fields throughout):
 
@@ -104,7 +107,9 @@ def _suite_algebra(session):
 
 
 def _probe_stages(session):
-    """Highest feasible stage per labelled class kind."""
+    """Highest stage per labelled class kind no taller than state_cap: not an
+    allocation bound (no probe lists its stage's tower), but deeper stages
+    wait on the finite-stage predictions of ROADMAP item 1."""
     chosen = {}
     cap = session.config.state_cap
     for n in range(session.schedule.depth, 0, -1):
@@ -197,7 +202,7 @@ def _suite_mixing(session):
 
 
 def _suite_multiplicity(session):
-    report = multiplicity_report(session, spectra_depth=_spectra_depth_cap(session))
+    report = multiplicity_report(session)
     expected = set(session.config.targets)
     ok = report.multiplicities == expected
     certs_ok = all(not c.equivalent for c in report.certificates.values())
@@ -205,18 +210,6 @@ def _suite_multiplicity(session):
     doc["expected"] = sorted(expected)
     doc["certificates_all_separating"] = certs_ok
     return ok and certs_ok, doc
-
-
-def _spectra_depth_cap(session):
-    if session.config.spectra_depth is not None:
-        return min(session.config.spectra_depth, session.schedule.depth)
-    cap = session.config.state_cap
-    kappa = session.k_order
-    depth = 0
-    for n in range(1, session.schedule.depth + 1):
-        if session.schedule.height(n) * kappa <= cap:
-            depth = n
-    return max(depth, 1)
 
 
 _SUITE_FUNCS = {
@@ -275,7 +268,7 @@ def run_verify(bundle_dir, suites) -> tuple[int, dict]:
 
 
 def dump_spectra(session) -> dict:
-    depth = _spectra_depth_cap(session)
+    depth = min(session.config.spectra_depth or session.schedule.depth, session.schedule.depth)
     spectra = exact_spectrum(session, depth)
     components = [{"kind": "eta", "eta": e, "spectrum": spectra["eta"]}
                   for e in range(session.k_order)]
@@ -311,8 +304,7 @@ def run_dump(bundle_dir, what, fmt, out_path):
                  for r in rows]
             )
     elif what == "report":
-        depth = _spectra_depth_cap(session)
-        text = canonical_json(multiplicity_report(session, spectra_depth=depth).to_dict())
+        text = canonical_json(multiplicity_report(session).to_dict())
     else:
         raise CfspectraError(f"nothing to dump for {what!r}")
     if out_path:

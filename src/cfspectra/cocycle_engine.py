@@ -360,16 +360,18 @@ def _step_difference(x: np.ndarray, steps: int, modulus) -> np.ndarray:
 class Tower:
     """A tower at some depth as its stages and their cocycle tables; no level is listed.
 
-    A tower taller than the cap is refused here, before anything is allocated.
+    A depth outside 0..(number of stages) is refused; its height is not, as
+    `cap` bounds the arrays built over it, each where it is built.
     """
 
     def __init__(self, schedule: CFSchedule, depth: int, maps_by_stage,
                  ctx: SemidirectContext, cap: int = ENUMERATION_CAP):
+        if not 0 <= depth <= schedule.depth:
+            raise ParameterError(f"no depth-{depth} tower in a {schedule.depth}-stage schedule")
         self.schedule = schedule
         self.depth = depth
         self.height = schedule.height(depth)
-        if self.height > cap:
-            raise SizeCapError(f"tower height {self.height} exceeds cap {cap}")
+        self.cap = cap
         self.ctx = ctx
         self.maps_by_stage = maps_by_stage
 
@@ -395,12 +397,15 @@ class TowerModel(Tower):
     group exponent beta_l of each level's word product (beta_l, alpha_l) and
     ``word_untwisted`` its module part untwisted, theta^(-beta_l) alpha_l.
     Transition values and any power of the skew map follow from these in
-    closed form.
+    closed form.  A model taller than the cap is refused before its level
+    arrays are built.
     """
 
     def __init__(self, schedule: CFSchedule, depth: int, maps_by_stage,
                  ctx: SemidirectContext, cap: int = ENUMERATION_CAP):
         super().__init__(schedule, depth, maps_by_stage, ctx, cap)
+        if self.height > cap:
+            raise SizeCapError(f"tower height {self.height} exceeds cap {cap}")
         self._build_word_products()
 
     # -- pure tower structure ------------------------------------------------

@@ -205,12 +205,9 @@ def exact_spectrum(session, depth: int | None = None) -> dict:
 
     The transition values telescope around the tower cycle, so an eta
     component is one h-cycle of total phase 0, the h-th roots of unity, and
-    a chi component kappa of them.  A tower taller than the state cap is
-    refused, then a chi component's h kappa states over it.
+    a chi component kappa of them.
     """
     h, kappa = session.tower_at(depth).height, session.k_order
-    if h * kappa > session.config.state_cap:
-        raise SizeCapError(f"{h * kappa} states exceed cap {session.config.state_cap}")
     return {kind: {"cycles": [{"length": h, "phase_num": 0, "phase_den": 1, "count": copies}],
                    "total_multiplicity": h * copies}
             for kind, copies in (("eta", 1), ("chi", kappa))}
@@ -303,8 +300,12 @@ def _module_tables(ctx, module: bool):
     return orders, radix, theta, elements @ theta.transpose(0, 2, 1) % orders
 
 
-def _runs(lengths):
-    """(run, offset) of each element of consecutive runs of the given lengths."""
+def _runs(lengths, cap):
+    """(run, offset) of each element of consecutive runs of the given lengths;
+    more elements than the cap are refused before any is listed."""
+    total = int(np.sum(lengths))
+    if total > cap:
+        raise SizeCapError(f"{total} level pairs exceed cap {cap}")
     run = np.repeat(np.arange(len(lengths)), lengths)
     starts = np.cumsum(lengths) - lengths
     return run, np.arange(run.size) - starts[run]
@@ -359,8 +360,7 @@ class _PairCounter:
     """
 
     def __init__(self, tower, n0: int, module: bool):
-        if n0 > tower.depth:
-            raise ParameterError(f"no depth-{n0} cylinders in a depth-{tower.depth} tower")
+        tower.check_cylinder_level(n0)
         self.tower = tower
         self.n0 = n0
         self.kappa = tower.ctx.k_order
@@ -393,7 +393,7 @@ class _PairCounter:
         """(cylinder, exponent, u) of every level of the depth-m tower."""
         if m not in self._words:
             t = self.tower
-            model = TowerModel(t.schedule, m, t.maps_by_stage[:m], t.ctx, cap=t.height)
+            model = TowerModel(t.schedule, m, t.maps_by_stage[:m], t.ctx, cap=t.cap)
             self._words[m] = (model.cylinder_ids(self.n0), model.word_beta,
                               model.word_untwisted[:, :len(self.orders)])
         return self._words[m]
@@ -475,7 +475,7 @@ class _PairCounter:
         """Pairs (l, l + s) listed level by level over the depth-m tower."""
         words = self.words(m)
         h = len(words[0])
-        run, first = _runs(np.full(lags.size, h) if cyclic else h - lags)
+        run, first = _runs(np.full(lags.size, h) if cyclic else h - lags, self.tower.cap)
         second = first + lags[run]
         if cyclic:
             second %= h
@@ -529,7 +529,7 @@ class _PairCounter:
             span_weights = np.stack([np.convolve(row, gap_weights)[len(gap_weights):][:size]
                                      for row in lag_weights])
             spans = np.flatnonzero(span_weights.any(axis=0)) + 1
-            run, k = _runs(spans)
+            run, k = _runs(spans, self.tower.cap)
             first = (top[0], (top[1] + b_1) % self.kappa,
                      (self.act(-b_1, top[2]) + self.images[0, d_1]) % self.orders)
             second = (bottom[0], (bottom[1] + b_2) % self.kappa, self.act(-b_2, bottom[2]))
@@ -730,9 +730,9 @@ def weak_limit_probe(session, stage_index: int, component) -> WeakLimitReport:
     rotate stage) LabelError, and an e or d outside its group
     InvalidElementError.  Then a bucket table (pairs of level codes:
     cylinder, group exponent and, for chi, module value) of more entries
-    than the session's state cap raises SizeCapError, and so does a stage
-    taller than the cap, although the probe builds no tower of its height;
-    a stage shallower than the cylinder level raises ParameterError.
+    than the session's state cap raises SizeCapError, and so do a tower the
+    pair counter lists and its level pairs (the stage's own height is not
+    checked); a stage shallower than the cylinder level raises ParameterError.
     """
     depth = session.schedule.depth
     if not 1 <= stage_index <= depth:
@@ -872,23 +872,27 @@ def _difference_table(stages, base: int) -> np.ndarray:
     return table
 
 
-def _difference_counts(stages, base: int, t: np.ndarray) -> np.ndarray:
+def _difference_counts(stages, base: int, t: np.ndarray, cap: int) -> np.ndarray:
     """L(t), as in _difference_table, at the differences t alone, -h <= t < h.
 
     The top stage sums L below it over the pairs of _column_pairs.  While
     the pairs are fewer than the entries of the table below, L below is
     asked at their distinct differences alone, the same way; else that
     table is built and read, at most max(r, below) (t, j) at a time.  So a
-    stage is tabled only where the pairs asked of it outnumber its entries.
+    stage is tabled only where the pairs asked of it outnumber its entries,
+    and refused before either is built where the fewer exceed the cap.
     """
     if not stages:
         return (t == 0).astype(np.int64)
     st = stages[-1]
-    cuts = np.array(st.cuts, dtype=np.int64)
     below = st.base_height
+    size = min(t.size * st.r_count, below)
+    if size > cap:
+        raise SizeCapError(f"decay pairs of {size} entries exceed cap {cap}")
+    cuts = np.array(st.cuts, dtype=np.int64)
     if t.size * cuts.size < below:
         asked, where = np.unique(_column_pairs(cuts, below, t), return_inverse=True)
-        counts = _difference_counts(stages[:-1], base, asked)
+        counts = _difference_counts(stages[:-1], base, asked, cap)
         return counts[where.reshape(t.size, -1)].sum(axis=1)
     table = _difference_table(stages[:-1], base)
     step = max(1, below // cuts.size)
@@ -896,18 +900,19 @@ def _difference_counts(stages, base: int, t: np.ndarray) -> np.ndarray:
                            for i in range(0, t.size, step)])
 
 
-def _shift_counts(schedule, n0: int, depth: int, shifts: np.ndarray) -> np.ndarray:
+def _shift_counts(tower: Tower, n0: int, shifts: np.ndarray) -> np.ndarray:
     """#{(x, y) in O^2 : x - y = s mod h} per shift 0 <= s < h, for O the
-    starts of the depth-n0 copies in the depth-`depth` tower of height h.
+    starts of the depth-n0 copies in the tower, of height h.
 
     As x - y lies in (-h, h), the count at s is L(s) + L(s - h), for L the
     difference counts of _difference_counts, and O is never listed.  Every
     count formed is at most |O| (a difference pairs each x with at most one
     y), and |O| <= h < 2^63, so the int64 counts are exact.
     """
-    h = schedule.height(depth)
+    h, schedule = tower.height, tower.schedule
     t = np.concatenate([shifts, shifts - h])
-    counts = _difference_counts(schedule.stages[n0:depth], schedule.height(n0), t)
+    counts = _difference_counts(schedule.stages[n0:tower.depth], schedule.height(n0), t,
+                                tower.cap)
     return counts[:shifts.size] + counts[shifts.size:]
 
 
@@ -919,8 +924,9 @@ def correlation_decay(tower: Tower, pairs, lags, n0: int = 1) -> list[DecayRow]:
     differences of O at one shift mod h, read off the stage cuts
     (_shift_counts) with O never listed.  Every cylinder has |O| = prod r
     levels.  Pairs and lags that land on the same shift share one count and
-    one value.
+    one value.  A cylinder level outside 0..depth is refused first.
     """
+    tower.check_cylinder_level(n0)
     h = tower.height
     n_cyl = tower.schedule.height(n0)
     for f, g in pairs:
@@ -931,11 +937,10 @@ def correlation_decay(tower: Tower, pairs, lags, n0: int = 1) -> list[DecayRow]:
     for lag in lags:
         if not 0 <= lag < h:
             raise LagRangeError(f"lag {lag} outside the height-{h} model")
-    tower.check_cylinder_level(n0)
     size = prod(st.r_count for st in tower.schedule.stages[n0:tower.depth])
     offsets = np.array(sorted({f - g for f, g in pairs}), dtype=np.int64)
     shifts = np.unique(np.add.outer(np.array(lags, dtype=np.int64), offsets) % h)
-    counts = _shift_counts(tower.schedule, n0, tower.depth, shifts)
+    counts = _shift_counts(tower, n0, shifts)
     value = {s: Fraction(abs(c * h - size * size), h * h)
              for s, c in zip(shifts.tolist(), counts.tolist())}
     return [DecayRow(lag, (f, g), value[(lag + f - g) % h]) for lag in lags for f, g in pairs]
@@ -1068,7 +1073,7 @@ def factor_classes(session):
     return classes
 
 
-def multiplicity_report(session, spectra_depth: int | None = None) -> MultiplicityReport:
+def multiplicity_report(session) -> MultiplicityReport:
     """Class decomposition, size set, equivalence evidence and certificates.
 
     The classes are the traces orbit(d) & D of the nonzero d in D, so the
@@ -1089,10 +1094,7 @@ def multiplicity_report(session, spectra_depth: int | None = None) -> Multiplici
         )
 
     # every chi component shares one closed-form spectrum, so spectra
-    # coincide within each class and overlap fully across classes; the
-    # spectra depth is refused over the state cap as the spectra dump is
-    if classes:
-        exact_spectrum(session, spectra_depth)
+    # coincide within each class and overlap fully across classes
     verdicts = {i: dict.fromkeys(range(session.k_order), True) for i in range(len(classes))}
     overlaps, certs = {}, {}
     reps = [session.duality.character_of_dual(cls[0]) for cls in classes]

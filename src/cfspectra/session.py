@@ -168,7 +168,7 @@ class SessionConfig:
     cylinder_level: int = 1
     state_cap: int = DEFAULT_STATE_CAP
     ratio_bound: float = 100.0
-    spectra_depth: int | None = None  # tower depth for spectrum comparisons
+    spectra_depth: int | None = None  # depth of the spectra dump; None: the full depth
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(sorted(set(int(t) for t in self.targets))))
@@ -372,7 +372,7 @@ class Session:
 
     def tower_at(self, depth: int | None = None) -> Tower:
         """The tower at a depth, the full one by default; it lists no level,
-        and one taller than state_cap is refused."""
+        and a depth outside 0..(number of stages) is refused."""
         depth = self.schedule.depth if depth is None else depth
         return Tower(self.schedule, depth, self.maps[:depth], self.ctx, cap=self.config.state_cap)
 

@@ -201,13 +201,11 @@ class TestAcceptance:
                "staircase quantity non-increasing beyond stage 3")
 
     def test_multiplicity_reports(self, shipped_direct, shipped_product):
-        rep12 = multiplicity_report(shipped_direct,
-                                    spectra_depth=shipped_direct.config.spectra_depth)
+        rep12 = multiplicity_report(shipped_direct)
         assert rep12.multiplicities == {1, 2}
         assert set(rep12.class_sizes) == rep12.trace_counts == {1, 2}
         assert all(not c.equivalent for c in rep12.certificates.values())
-        rep23 = multiplicity_report(shipped_product,
-                                    spectra_depth=shipped_product.config.spectra_depth)
+        rep23 = multiplicity_report(shipped_product)
         assert rep23.multiplicities == {2, 3}
         assert set(rep23.class_sizes) == rep23.trace_counts == {2, 3}
         assert all(not c.equivalent for c in rep23.certificates.values())

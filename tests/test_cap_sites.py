@@ -1,0 +1,88 @@
+"""Every size refusal in the package names the allocation it bounds.
+
+A function that raises SizeCapError must be listed in CAP_SITES with what
+its check keeps from being built, and every listed function must still
+raise it.  So a new refusal that guards nothing, a height compared with
+state_cap where no array of that height is built, say, cannot land
+without a stated reason.
+"""
+
+import ast
+
+from test_imports import package_sources
+
+# function -> the allocation its SizeCapError refuses before it is made
+CAP_SITES = {
+    "cf_builder.build_schedule":
+        "the cut lists of all stages (ENUMERATION_CAP columns), and int64 level "
+        "indices (MAX_HEIGHT)",
+    "cli._cylinder_decay":
+        "the decay rows, one per cylinder pair and lag (ENUMERATION_CAP)",
+    "cocycle_engine.transition_values":
+        "a canonical word and a cocycle value per level of the full tower "
+        "(ENUMERATION_CAP)",
+    "cocycle_engine.TowerModel.__init__":
+        "the model's word arrays, one row per level (its cap)",
+    "finite_algebra.FiniteAbelianGroup.elements":
+        "the list of the group's elements (ENUMERATION_CAP)",
+    "finite_algebra.FiniteAbelianGroup.coordinate_subgroup":
+        "the list of the subgroup's elements (ENUMERATION_CAP)",
+    "finite_algebra.orbit":
+        "the orbit, up to one element per acting-group element (ENUMERATION_CAP)",
+    "finite_algebra.subgroup_from_generators":
+        "the closure set of the generated subgroup (ENUMERATION_CAP)",
+    "koopman_lab.build_eta_component":
+        "the component's successor and phase arrays, one per level (its cap)",
+    "koopman_lab.build_chi_component":
+        "the component's successor and phase arrays, h kappa states (its cap)",
+    "koopman_lab._runs":
+        "the level-pair index arrays the pair counter lists (the tower's cap)",
+    "koopman_lab.weak_limit_probe":
+        "the probe's bucket table over pairs of level codes (state_cap)",
+    "koopman_lab._difference_counts":
+        "a stage's column pairs, or the difference table below it, the fewer "
+        "(the tower's cap)",
+    "module_factory.assemble_triple":
+        "the element lists of K and D that the triple's checks walk "
+        "(ENUMERATION_CAP)",
+    "session.synth":
+        "int64 level indices: a schedule of 63 stages is taller than MAX_HEIGHT, "
+        "refused before its labels are drawn",
+}
+
+
+def raises_size_cap(node) -> bool:
+    return any(isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+               and isinstance(n.exc.func, ast.Name) and n.exc.func.id == "SizeCapError"
+               for n in ast.walk(node))
+
+
+def cap_sites(modules: dict[str, str]) -> list[str]:
+    """Qualified names of the functions and methods of the modules (name ->
+    source) whose bodies raise SizeCapError."""
+    sites = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if isinstance(child, ast.FunctionDef) and raises_size_cap(child):
+                    sites.append(name)
+                visit(child, name)
+
+    for module, source in modules.items():
+        visit(ast.parse(source), module)
+    return sorted(sites)
+
+
+def test_every_size_refusal_names_what_it_bounds():
+    assert cap_sites(package_sources()) == sorted(CAP_SITES)
+
+
+def test_guard_flags_an_unlisted_refusal():
+    modules = package_sources()
+    modules["koopman_lab"] += (
+        "\n\ndef height_only(tower, cap):\n"
+        "    if tower.height > cap:\n"
+        "        raise SizeCapError(f'tower height {tower.height} exceeds cap {cap}')\n")
+    assert [s for s in cap_sites(modules) if s not in CAP_SITES] == ["koopman_lab.height_only"]

@@ -109,7 +109,7 @@ def test_decay_counts_equal_bitset_on_random_schedules(case):
     h = schedule.height(depth)
     tower = ListedTower(schedule, depth, (), None, cap=h)
     oracle = bitset_autocorrelation(tower.cylinder_starts(n0), h)
-    got = _shift_counts(schedule, n0, depth, np.array(shifts, dtype=np.int64) % h)
+    got = _shift_counts(tower, n0, np.array(shifts, dtype=np.int64) % h)
     assert got.tolist() == [oracle(s) for s in shifts], (shifts, n0)
     rows = correlation_decay(tower, pairs, lags, n0)
     assert [(r.lag, r.pair, r.value.numerator, r.value.denominator) for r in rows] \

@@ -39,11 +39,12 @@ def negation_action(n):
     return ModuleAction(z2, zn, (neg,))
 
 
-def refusal_peak(call) -> int:
-    """Peak traced allocation, in bytes, of a call that must raise SizeCapError."""
+def refusal_peak(call, match=None) -> int:
+    """Peak traced allocation, in bytes, of a call that must raise SizeCapError
+    (with a message matching `match`, when given)."""
     tracemalloc.start()
     try:
-        with pytest.raises(SizeCapError):
+        with pytest.raises(SizeCapError, match=match):
             call()
         return tracemalloc.get_traced_memory()[1]
     finally:

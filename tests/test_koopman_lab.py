@@ -46,6 +46,7 @@ from cfspectra.koopman_lab import (
 )
 from cfspectra.module_factory import assemble_triple, dualize
 from cfspectra.session import SessionConfig, synth
+from test_finite_algebra import refusal_peak
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,11 @@ def product_session():
         mode="product", targets=(2, 3),
         blocks=(DeltaBlock(Fraction(1, 2), 5, r_seq=(6, 6, 6, 6, 64)),),
     ))
+
+
+def with_cap(session, cap):
+    """The session under another state cap, not re-synthesized."""
+    return dataclasses.replace(session, config=dataclasses.replace(session.config, state_cap=cap))
 
 
 class TestExactSpectrum:
@@ -267,22 +273,37 @@ class TestWeakLimitProbes:
             tracemalloc.stop()
         assert peak < 10**6
 
-    def test_tall_or_shallow_stage_is_refused_after_the_table_size(self, probe_session):
-        # stage 4's eta table holds 900 entries, under a cap of 1000 that its
-        # 515,568 levels exceed; no tower of that height is built, yet the
-        # stage is refused as a model of it would be
-        config = dataclasses.replace(probe_session.config, state_cap=1000)
-        s = dataclasses.replace(probe_session, config=config)
-        with pytest.raises(SizeCapError, match="tower height 515568 exceeds cap 1000"):
+    def test_tall_stage_is_probed_under_a_cap_below_its_height(self, probe_session):
+        # stage 4 has 515,568 levels, yet its eta table holds 900 entries and
+        # the counter lists at most 1,719 level pairs at once, over the
+        # 118-level depth-2 tower: a cap of 2,000 refuses nothing, and the
+        # report is the uncapped one
+        report = weak_limit_probe(with_cap(probe_session, 2000), 4, ("eta", 0))
+        assert report.to_dict() == weak_limit_probe(probe_session, 4, ("eta", 0)).to_dict()
+        # a cap of 1,000 refuses those level pairs, and stage 3's chi table
+        # of 5,400 entries before any pair
+        s = with_cap(probe_session, 1000)
+        with pytest.raises(SizeCapError, match="1719 level pairs exceed cap 1000"):
             weak_limit_probe(s, 4, ("eta", 0))
-        # stage 3's 8,048 levels exceed the cap too, but its chi table of 5,400
-        # entries is refused first
         with pytest.raises(SizeCapError, match="probe table of 5400 entries"):
             weak_limit_probe(s, 3, ("chi", (1, 0)))
         # at cylinder level 2, stage 1 has no depth-2 cylinders
         s = synth(dataclasses.replace(probe_session.config, cylinder_level=2))
         with pytest.raises(ParameterError, match="no depth-2 cylinders in a depth-1 tower"):
             weak_limit_probe(s, 1, ("eta", 0))
+
+    def test_level_pairs_over_the_cap_are_refused_before_they_are_listed(self):
+        # stage 4 of (8, 8, 32, 512) rotates; its spacer gaps of at least
+        # h_2 = 118 levels pair 511,911 levels of the 3,896-level depth-3
+        # tower, about 60 MB of index and word arrays when listed
+        s = synth(SessionConfig(mode="direct", targets=(1, 2), state_cap=10**5,
+                                blocks=(DeltaBlock(Fraction(1, 2), 4, r_seq=(8, 8, 32, 512)),)))
+        assert refusal_peak(lambda: weak_limit_probe(s, 4, ("eta", 1)),
+                            "511911 level pairs exceed cap 100000") < 5 * 10**6
+        # under a cap below that tower's height, its model is refused first
+        capped = with_cap(s, 3000)
+        assert refusal_peak(lambda: weak_limit_probe(capped, 4, ("eta", 1)),
+                            "tower height 3896 exceeds cap 3000") < 10**5
 
     def test_rotate_stage_has_no_skew_prediction(self, probe_session):
         with pytest.raises(LabelError):
@@ -362,6 +383,26 @@ class TestCorrelationDecay:
         for pair in [(5, 5), (0, 2), (-1, 0)]:
             with pytest.raises(ParameterError, match=rf"\({pair[0]}, {pair[1]}\).* 2 depth-1"):
                 correlation_decay(self.model, [pair], [0])
+
+    def test_cylinder_level_is_checked_before_it_is_read(self, shipped_direct):
+        # direct_12's depth-3 tower has no depth-12 cylinders (no height 12
+        # is read) and no depth-(-1) ones (the last height is no cylinder count)
+        tower = shipped_direct.tower_at(3)
+        for n0 in (12, -1):
+            with pytest.raises(ParameterError, match=rf"no depth-{n0} cylinders in a depth-3"):
+                correlation_decay(tower, [(0, 0)], [0], n0)
+
+    def test_decay_pairs_over_the_cap_are_refused_before_they_are_formed(self):
+        # the top stage stacks 10,000 columns over a 262,144-level tower: the
+        # late window's 144 differences ask 1,440,000 column pairs, so the
+        # difference table of the tower below would be built, about 19 MB
+        s = synth(SessionConfig(mode="direct", targets=(1,), shape="staircase",
+                                r_seq=(2,) * 18 + (10000,), state_cap=10**5))
+        below = s.schedule.height(18)
+        lags = sample_lags(below, 2 * below)
+        pairs = [(f, g) for f in range(2) for g in range(2)]
+        assert refusal_peak(lambda: correlation_decay(s.tower_at(), pairs, lags),
+                            "decay pairs of 262144 entries exceed cap 100000") < 10**5
 
     def test_pure_rotation_has_no_decay(self):
         s = synth(SessionConfig(mode="direct", targets=(1,), shape="arithmetic",
@@ -447,12 +488,12 @@ class TestMultiplicityReport:
     def test_trivial_module(self):
         s = synth(SessionConfig(mode="direct", targets=(1,),
                                 blocks=(DeltaBlock(Fraction(1, 2), 4, r_start=3),)))
-        rep = multiplicity_report(s, spectra_depth=4)
+        rep = multiplicity_report(s)
         assert rep.multiplicities == {1}
         assert rep.consistent
 
     def test_direct_12(self, direct_session):
-        rep = multiplicity_report(direct_session, spectra_depth=4)
+        rep = multiplicity_report(direct_session)
         assert rep.multiplicities == {1, 2}
         assert sorted(rep.class_sizes) == [1, 2, 2]
         assert rep.consistent
@@ -460,7 +501,7 @@ class TestMultiplicityReport:
         assert all(not c.equivalent for c in rep.certificates.values())
 
     def test_product_23(self, product_session):
-        rep = multiplicity_report(product_session, spectra_depth=4)
+        rep = multiplicity_report(product_session)
         assert rep.multiplicities == {2, 3}
         assert set(rep.class_sizes) == {2, 3}
         assert rep.consistent
@@ -468,7 +509,7 @@ class TestMultiplicityReport:
     def test_single_two_in_product_mode(self):
         s = synth(SessionConfig(mode="product", targets=(2,),
                                 blocks=(DeltaBlock(Fraction(1, 2), 4, r_start=4),)))
-        rep = multiplicity_report(s, spectra_depth=4)
+        rep = multiplicity_report(s)
         assert rep.multiplicities == {2}  # class sizes {2}, square factor adds 2
 
     def test_classes_partition_nonzero_d(self, product_session):

@@ -375,6 +375,26 @@ class TestCLI:
         assert code == 4
         assert "decay rows exceed enumeration cap" in results["mixing"]["detail"]["error"]
 
+    def test_a_cap_refuses_what_is_allocated_not_a_height(self, tmp_path, capsys):
+        # under a cap of 1,000 the 590,866-level staircase_mixing tower is not
+        # refused: the mixing suite is refused on the decay pairs it would
+        # form, the multiplicity suite passes, and the closed-form spectra
+        # are dumped at the full depth
+        doc = json.loads((CONFIG_DIR / "staircase_mixing.json").read_text())
+        bundle = self.synth_bundle(tmp_path, dict(doc, state_cap=1000))
+        code, results = run_verify(bundle, ("mixing", "multiplicity"))
+        assert code == 4
+        assert results["mixing"]["detail"] == {
+            "error": "decay pairs of 2346 entries exceed cap 1000"}
+        assert results["multiplicity"]["passed"]
+        capsys.readouterr()
+        assert main(["dump", "--bundle", str(bundle), "--what", "spectra"]) == 0
+        spectra = json.loads(capsys.readouterr().out)
+        assert spectra["depth"] == 10
+        assert spectra["components"][0]["spectrum"]["total_multiplicity"] == 590866
+        assert main(["dump", "--bundle", str(bundle), "--what", "decay"]) == 1
+        assert "decay pairs of 2028 entries exceed cap 1000" in capsys.readouterr().err
+
     def test_missing_bundle_is_reported(self, tmp_path):
         code, results = run_verify(tmp_path / "nope", ("algebra",))
         assert code == 2

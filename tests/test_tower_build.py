@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 from cfspectra.cf_builder import DeltaBlock
 from cfspectra.cocycle_engine import MODE_DIRECT, MODE_PRODUCT, Tower, TowerModel
-from cfspectra.koopman_lab import _cylinder_measures
+from cfspectra.errors import ParameterError
+from cfspectra.koopman_lab import _cylinder_measures, exact_spectrum
 from cfspectra.session import SessionConfig, synth
+from test_finite_algebra import refusal_peak
 
 
 def per_cut_word_products(model):
@@ -122,6 +124,30 @@ def test_build_allocates_no_block_cache(probe_large):
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * (model.word_beta.nbytes + model.word_untwisted.nbytes)
+
+
+def test_model_over_the_cap_is_refused_before_its_arrays(probe_large):
+    # the tower lists no level, so no cap refuses it; its model, about 21 MB
+    # of word arrays over 874,928 levels, is refused one level over the cap
+    schedule, depth = probe_large.schedule, probe_large.schedule.depth
+    h = schedule.height(depth)
+    assert Tower(schedule, depth, probe_large.maps, probe_large.ctx, cap=1).height == h
+    assert refusal_peak(lambda: TowerModel(schedule, depth, probe_large.maps, probe_large.ctx,
+                                           cap=h - 1),
+                        f"tower height {h} exceeds cap {h - 1}") < 10**5
+
+
+def test_a_depth_outside_the_schedule_is_refused(shipped_direct):
+    # depth -1 would read the last height, and a depth past the schedule
+    # names no height
+    depth = shipped_direct.schedule.depth
+    for bad in (-1, depth + 1):
+        with pytest.raises(ParameterError, match=rf"no depth-{bad} tower in a {depth}-stage"):
+            shipped_direct.tower_at(bad)
+        with pytest.raises(ParameterError):
+            exact_spectrum(shipped_direct, bad)
+    assert shipped_direct.tower_at(0).height == shipped_direct.schedule.initial_height
+    assert shipped_direct.tower_at(depth).height == shipped_direct.tower_at().height
 
 
 def bincount_measures(model, n0):
