@@ -23,10 +23,12 @@ A schedule with more than 10**6 columns over all its stages, or a tower
 taller than 2**63 - 1 levels, is refused the same way before it is built,
 and so is a cylinder_level outside 0..(number of stages) or a
 spectra_depth below 1.  verify and dump refuse each array they would build
-over more entries than state_cap (a weak-limit table, a tower a probe
-lists, its level pairs, the column pairs of correlation decay), and a decay
-table of more than 10**6 rows, before building it (a failed suite, or dump
-exit 1); a tower's height alone is never refused.  A refused probe is
+over more entries than state_cap (the largest dense array of a weak-limit
+probe, a tower a probe lists, its level pairs, the column pairs of
+correlation decay), and a decay table of more than 10**6 rows, before
+building it (a failed suite, or dump exit 1); a tower's height alone is
+never refused.  A decay lag window [h_n, 2 h_n] with no lag below the
+height, as for a one-stage schedule, fails the mixing suite by name.  A refused probe is
 listed in the suite's `failed`, beside the reports of the probes that ran.
 Spectra are dumped at spectra_depth, clipped to the depth, else at the full depth.
 
@@ -57,7 +59,7 @@ import sys
 from pathlib import Path
 
 from .cocycle_engine import LABEL_PLAIN, LABEL_RIGID_ROTATE
-from .errors import CfspectraError, SizeCapError
+from .errors import CfspectraError, LagRangeError, SizeCapError
 from .finite_algebra import ENUMERATION_CAP
 from .koopman_lab import (
     correlation_decay,
@@ -129,15 +131,13 @@ def _suite_weaklimits(session):
     if not chosen:
         return True, {"notes": ["no labelled stages; nothing to probe"], "reports": []}
     for kind, n in sorted(chosen.items()):
-        probes = [("eta", 0)]
         if kind == LABEL_RIGID_ROTATE:
-            probes.append(("eta", 1 % session.k_order))
+            # eta_0 and eta_1, one character when kappa = 1
+            probes = [("eta", e) for e in range(min(2, session.k_order))]
         else:
-            # skew-tower probe against the first nonzero factor character
-            nonzero = [d for d in session.factor_characters()
-                       if any(d)]
-            if nonzero:
-                probes.append(("chi", nonzero[0]))
+            # eta_0, and the skew-tower probe against the first nonzero factor character
+            nonzero = [d for d in session.factor_characters() if any(d)]
+            probes = [("eta", 0)] + [("chi", d) for d in nonzero[:1]]
         for component in probes:
             try:
                 rep = weak_limit_probe(session, n, component)
@@ -165,20 +165,27 @@ def _cylinder_decay(session, tower, lags):
     return correlation_decay(tower, pairs, lags, n0)
 
 
+def _lag_window(schedule, n):
+    """[h_n, 2 h_n] clipped to the lags below the full tower's height; a
+    window with no such lag is refused (LagRangeError), naming the cause."""
+    h, height = schedule.height(n), schedule.height(schedule.depth)
+    if h >= height:
+        raise LagRangeError(f"the schedule has no lag in [h_{n}, 2 h_{n}] = [{h}, {2 * h}] "
+                            f"below its height {height}")
+    return h, min(2 * h, height - 1)
+
+
 def _suite_mixing(session):
     """Decay over an early window [h_1, 2 h_1] and a late one [h_(D-1), 2 h_(D-1)],
     each clipped to the lags below the tower's height and counted off the
     stage cuts, plus the validation's staircase ratio trend; the late maximum
     must be at most half the early one."""
-    sched = session.schedule
-    depth = sched.depth
     rep = session.validation
     quantities = rep.mixing_ratios
     trend_ok = rep.mixing_trend_ok
     tower = session.tower_at()
-    h_early, h_late = sched.height(1), sched.height(depth - 1)
-    early_hi = min(2 * h_early, tower.height - 1)
-    late_hi = min(2 * h_late, tower.height - 1)
+    sched = session.schedule
+    (h_early, early_hi), (h_late, late_hi) = (_lag_window(sched, n) for n in (1, sched.depth - 1))
     early = _cylinder_decay(session, tower, sample_lags(h_early, early_hi))
     late = _cylinder_decay(session, tower, sample_lags(h_late, late_hi))
     e_max = max(float(r.value) for r in early)
@@ -278,13 +285,9 @@ def dump_spectra(session) -> dict:
 
 
 def dump_decay(session) -> list:
-    tower = session.tower_at()
-    lags = []
-    for n in range(1, session.schedule.depth):
-        h = session.schedule.height(n)
-        hi = min(2 * h, tower.height - 1)
-        lags.extend(sample_lags(h, hi, count=8))
-    return _cylinder_decay(session, tower, sorted(set(lags)))
+    lags = {lag for n in range(1, session.schedule.depth)
+            for lag in sample_lags(*_lag_window(session.schedule, n), count=8)}
+    return _cylinder_decay(session, session.tower_at(), sorted(lags))
 
 
 def run_dump(bundle_dir, what, fmt, out_path):

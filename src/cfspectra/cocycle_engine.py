@@ -20,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import prod
 
 import numpy as np
 
@@ -379,6 +380,13 @@ class Tower:
         """Refuse a cylinder level outside 0..depth."""
         if not 0 <= n0 <= self.depth:
             raise ParameterError(f"no depth-{n0} cylinders in a depth-{self.depth} tower")
+
+    def cylinder_size(self, n0: int) -> int:
+        """|O|, the number of depth-n0 copies in the tower and so the levels of
+        each depth-n0 cylinder: every stage past n0 copies the tower below it
+        once per column, so the product of those column counts."""
+        self.check_cylinder_level(n0)
+        return prod(st.r_count for st in self.schedule.stages[n0:self.depth])
 
     def cylinder_starts(self, n0: int) -> np.ndarray:
         """Bottom level of every depth-n0 copy, increasing: each stage past n0

@@ -13,6 +13,11 @@ cyclotomic polynomial.  No floating point enters any equality decision.
 ENUMERATION_CAP is the one bound on full enumerations: every routine that
 lists the elements of a group, a subgroup, an orbit or a character group
 compares the size with it and refuses (SizeCapError) before allocating.
+
+orbit_traces is the one walk of the trace partition of a subgroup, the
+classes orbit(d) & D whose sizes the spectral multiplicities realize;
+module_factory's AlgebraicTriple keeps it for D, and orbit_trace_counts is
+the set of its class sizes.
 """
 
 from __future__ import annotations
@@ -570,18 +575,24 @@ def subgroup_from_generators(group: FiniteAbelianGroup, gens) -> frozenset:
     return frozenset(frontier)
 
 
-def orbit_trace_counts(action: ModuleAction, subgroup) -> set[int]:
-    """The set of counts #(orbit(d) intersected with the subgroup), d nonzero in it.
+def orbit_traces(action: ModuleAction, subgroup) -> tuple[tuple[Element, ...], ...]:
+    """The traces orbit(d) intersected with the subgroup, d nonzero in it: a
+    partition of its nonzero elements, each trace sorted, ordered by least
+    element.
 
-    The zero subgroup has no nonzero d, so its set of counts is empty.
+    Every d in one trace has the same trace, so each is walked once, from its
+    least element.  The zero subgroup has no nonzero d, so no trace.
     """
     d_set = verify_subgroup(action.module, subgroup)
-    zero = action.module.zero()
-    # every d in one trace has the same trace, so count each trace once
-    counts, seen = set(), {zero}
-    for d in d_set:
+    traces, seen = [], {action.module.zero()}
+    for d in sorted(d_set):
         if d not in seen:
-            trace = orbit(action, d) & d_set
+            trace = tuple(sorted(orbit(action, d) & d_set))
             seen.update(trace)
-            counts.add(len(trace))
-    return counts
+            traces.append(trace)
+    return tuple(traces)
+
+
+def orbit_trace_counts(action: ModuleAction, subgroup) -> set[int]:
+    """The set of counts #(orbit(d) intersected with the subgroup), d nonzero in it."""
+    return {len(trace) for trace in orbit_traces(action, subgroup)}

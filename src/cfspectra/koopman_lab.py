@@ -11,8 +11,10 @@ the stage label pick from one table.  The level pairs are counted through
 the cut-and-stack recursion, so a probe never lists the tower it probes:
 only the towers at the cylinder level, or under a lag as long as their
 column height, are listed; correlation decay counts the differences of the
-cylinder starts off the stage cuts, and lists none.  The multiplicity bookkeeping
-reduces to orbit combinatorics on the distinguished subgroup.  Floating
+cylinder starts off the stage cuts, and lists none.  Both read the levels of
+a cylinder, |O|, from Tower.cylinder_size.  The multiplicity report takes
+its classes from the triple's trace partition of the distinguished subgroup
+and walks orbits only to certify that two classes separate.  Floating
 point appears only in least-squares residuals and in report summaries;
 every equality decision is integer/rational.
 """
@@ -23,7 +25,6 @@ import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import prod
 
 import numpy as np
 
@@ -664,17 +665,6 @@ def _chi_values(counter: _PairCounter, steps: tuple[int, ...], d, phase_order: i
     return tables
 
 
-def _cylinder_measures(tower: Tower, n0: int) -> np.ndarray:
-    """Measure of each depth-n0 cylinder in the tower.
-
-    Every stage past n0 copies each depth-n0 level once per column, so all
-    cylinders have the same measure: the product of those column counts
-    over the height.
-    """
-    copies = prod(st.r_count for st in tower.schedule.stages[n0:tower.depth])
-    return np.full(tower.schedule.height(n0), copies / tower.height)
-
-
 # The weak limit of U^{h_(n-1)} at a labelled stage n, on a probe's table:
 #     pred = delta (a <1_f, 1_g> + b <U 1_g, 1_f>*) + c mu_f mu_g.
 # (component kind, label kind) -> (prediction kind, (a, b, c) from the
@@ -728,11 +718,14 @@ def weak_limit_probe(session, stage_index: int, component) -> WeakLimitReport:
     ParameterError, an unknown component kind CharacterTypeError, a
     component the label has no prediction for (a plain stage, or chi on a
     rotate stage) LabelError, and an e or d outside its group
-    InvalidElementError.  Then a bucket table (pairs of level codes:
-    cylinder, group exponent and, for chi, module value) of more entries
-    than the session's state cap raises SizeCapError, and so do a tower the
-    pair counter lists and its level pairs (the stage's own height is not
-    checked); a stage shallower than the cylinder level raises ParameterError.
+    InvalidElementError.  Then SizeCapError is raised where the largest
+    dense array the probe builds has more entries than the session's state
+    cap: for eta the count table, n_cyl^2 kappa; for chi the larger of its
+    value tables, (kappa n_cyl)^2, and the module images theta^k w, kappa |A|
+    rank(A).  The sparse pair tables hold only the pairs the counter meets,
+    and the counter refuses a tower it would list, and its level pairs, over
+    the cap (the stage's own height is not checked); a stage shallower than
+    the cylinder level raises ParameterError.
     """
     depth = session.schedule.depth
     if not 1 <= stage_index <= depth:
@@ -747,14 +740,16 @@ def weak_limit_probe(session, stage_index: int, component) -> WeakLimitReport:
         raise LabelError(f"no {kind} prediction for a {label.kind!r} stage")
     kappa = session.k_order
     n_cyl = session.schedule.height(n0)
-    entries = ((n_cyl + 1) * kappa) ** 2
     if kind == "eta":
         session.triple.k_group.check((payload,))
         trivial = payload == 0
+        entries = n_cyl * n_cyl * kappa  # _eta_values' count table
     else:
-        session.ctx.module.check(payload)
+        module = session.ctx.module
+        module.check(payload)
         trivial = not any(payload)
-        entries *= session.ctx.module.size
+        # _chi_values' value tables, and the images theta^k w of _module_tables
+        entries = max((kappa * n_cyl) ** 2, kappa * module.size * module.rank)
     if entries > session.config.state_cap:
         raise SizeCapError(f"probe table of {entries} entries exceeds cap {session.config.state_cap}")
     pred_kind, coefficients = _PREDICTIONS["eta" if trivial else kind, label.kind]
@@ -768,7 +763,8 @@ def weak_limit_probe(session, stage_index: int, component) -> WeakLimitReport:
     tower = session.tower_at(stage_index)
     delta = float(stage.delta) if stage.delta is not None else stage.i_count / stage.r_count
     steps = (stage.base_height,) if coefficients(lam, delta)[1] is None else (stage.base_height, 1)
-    mu = _cylinder_measures(tower, n0)
+    # every depth-n0 cylinder has the same measure mu
+    mu = tower.cylinder_size(n0) / tower.height
     family = {"cylinder_level": n0, "cylinders": n_cyl}
     # <1_f x eta_e, 1_g x eta_e'> = [f = g][e = e'] mu_f, and the means
     # multiply to mu_f mu_g [e = e' = 0]; an eta table has no e axes, and its
@@ -784,8 +780,8 @@ def weak_limit_probe(session, stage_index: int, component) -> WeakLimitReport:
         means = chars * (np.arange(kappa) == 0)
         record = {"kind": "chi", "d": list(payload)}
         family["group_characters"] = kappa
-    inner = np.multiply.outer(chars, np.diag(mu))
-    mean = np.multiply.outer(means, np.outer(mu, mu))
+    inner = np.multiply.outer(chars, mu * np.eye(n_cyl))
+    mean = np.multiply.outer(means, np.full((n_cyl, n_cyl), mu * mu))
     # tables[-1] is the one-step table when the prediction has one
     re, im = _weak_limit_prediction(coefficients, lam, delta, inner, tables[-1], mean)
     return WeakLimitReport(
@@ -937,7 +933,7 @@ def correlation_decay(tower: Tower, pairs, lags, n0: int = 1) -> list[DecayRow]:
     for lag in lags:
         if not 0 <= lag < h:
             raise LagRangeError(f"lag {lag} outside the height-{h} model")
-    size = prod(st.r_count for st in tower.schedule.stages[n0:tower.depth])
+    size = tower.cylinder_size(n0)
     offsets = np.array(sorted({f - g for f, g in pairs}), dtype=np.int64)
     shifts = np.unique(np.add.outer(np.array(lags, dtype=np.int64), offsets) % h)
     counts = _shift_counts(tower, n0, shifts)
@@ -1025,7 +1021,7 @@ class MultiplicityReport:
     targets: tuple[int, ...]
     mode: str
     trace_counts: set[int]
-    classes: list  # lists of module elements (exponent vectors)
+    classes: tuple  # the trace partition of D, as the triple holds it
     class_sizes: list[int]
     multiplicities: set[int]
     equivalence_verdicts: dict
@@ -1057,20 +1053,9 @@ def factor_classes(session):
     """Partition of the nonzero factor characters by the conjugation relation.
 
     Characters indexed by D decompose into traces of acting-group orbits;
-    the class of d is orbit(d) & D.
+    the class of d is orbit(d) & D, as the triple holds them.
     """
-    triple = session.triple
-    d_set = set(triple.d_elements())
-    zero = triple.module.zero()
-    classes = []
-    seen = set()
-    for d in sorted(d_set):
-        if d == zero or d in seen:
-            continue
-        cls = sorted(orbit(triple.action, d) & d_set)
-        seen.update(cls)
-        classes.append(cls)
-    return classes
+    return session.triple.classes
 
 
 def multiplicity_report(session) -> MultiplicityReport:

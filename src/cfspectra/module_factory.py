@@ -4,9 +4,12 @@ Given a target set P = {p_1 < p_2 < ...} the factory builds, per entry, a
 prime cyclic block whose nonzero orbits all have length exactly p_i, then
 glues the blocks into a module B with a single cyclic automorphism theta so
 that the set of counts #(orbit(d) & D), d nonzero in the distinguished
-subgroup D, is exactly {p_1, ..., p_m}.  The same data dualizes to the
-companion picture used by the Koopman components, and truncating at depths
-1..m gives a coherent tower of cyclic quotients.
+subgroup D, is exactly {p_1, ..., p_m}.  The triple keeps the traces
+themselves, the trace partition of D (``AlgebraicTriple.classes``): assembly
+checks their sizes against P, dualization checks that D has the same
+partition under the dual action, and the multiplicity report reads it.  The
+same data dualizes to the companion picture used by the Koopman components,
+and truncating at depths 1..m gives a coherent tower of cyclic quotients.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .finite_algebra import (
     GroupAutomorphism,
     ModuleAction,
     _prime_factors,
-    orbit_trace_counts,
+    orbit_traces,
 )
 
 PRIME_SEARCH_BOUND = 10**6
@@ -121,6 +124,12 @@ class AlgebraicTriple:
     @cached_property
     def action(self) -> ModuleAction:
         return ModuleAction(self.k_group, self.module, (self.theta,))
+
+    @cached_property
+    def classes(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The trace partition of D: the traces orbit(d) & D of its nonzero
+        d, each sorted, ordered by least element."""
+        return orbit_traces(self.action, self.d_elements())
 
     def d_generators(self) -> list[tuple[int, ...]]:
         gens = []
@@ -224,7 +233,7 @@ def _verify_triple(triple: AlgebraicTriple):
         if triple.theta.power(triple.k_order // p).is_identity():
             raise ConsistencyError(f"theta has order dividing |K|/{p}")
     # the defining trace-count property, by exhaustive orbit enumeration
-    got = orbit_trace_counts(triple.action, triple.d_elements())
+    got = {len(c) for c in triple.classes}
     if got != set(triple.targets):
         raise ConsistencyError(
             f"trace counts {sorted(got)} != targets {list(triple.targets)}"
@@ -339,12 +348,12 @@ class DualityRecord:
                 if any(chi.evaluate(t) for chi in chars):
                     raise ConsistencyError(f"{t} is not in the annihilator of D")
         # the identification sends the factor characters onto D, so D's
-        # trace counts under the dual action must be the targets again
-        dual = orbit_trace_counts(self.dual_action, self.triple.d_elements())
-        if dual != set(self.triple.targets):
+        # traces under the dual action must be its traces under theta
+        dual = orbit_traces(self.dual_action, self.triple.d_elements())
+        if dual != self.triple.classes:
             raise ConsistencyError(
-                f"dual trace counts {sorted(dual)} != targets {list(self.triple.targets)}"
-            )
+                f"dual trace counts {sorted({len(c) for c in dual})}: the dual trace "
+                f"partition of D is not its partition under theta")
 
 
 def dualize(triple: AlgebraicTriple) -> DualityRecord:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from itertools import islice, zip_longest
@@ -201,6 +202,10 @@ class SessionConfig:
             raise ConfigError(
                 f"malformed value for config key cylinder_level: {self.cylinder_level!r} "
                 f"(a depth of the {self.num_stages}-stage schedule)")
+        # json reads NaN and Infinity, which would turn the mass-ratio gate off
+        if isinstance(self.ratio_bound, float) and not math.isfinite(self.ratio_bound):
+            raise ConfigError(f"malformed value for config key ratio_bound: "
+                              f"{self.ratio_bound!r} (a finite number)")
         for key in ("algebra_depth", "spectra_depth"):
             depth = getattr(self, key)
             if depth is not None and depth < 1:

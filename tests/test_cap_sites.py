@@ -38,7 +38,8 @@ CAP_SITES = {
     "koopman_lab._runs":
         "the level-pair index arrays the pair counter lists (the tower's cap)",
     "koopman_lab.weak_limit_probe":
-        "the probe's bucket table over pairs of level codes (state_cap)",
+        "the probe's largest dense array: the eta count table, or the chi value "
+        "tables or module images, the larger (state_cap)",
     "koopman_lab._difference_counts":
         "a stage's column pairs, or the difference table below it, the fewer "
         "(the tower's cap)",

@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -123,6 +124,25 @@ def test_certificates_and_duality_build_no_fraction(monkeypatch):
     assert not any(cert.equivalent for cert in certs)
     assert len(calls) == 0
     assert Fraction(1, 3) and len(calls) == 1  # the counter does see a Fraction
+
+
+@pytest.mark.parametrize("name", ["direct_12", "product_23"])
+def test_multiplicity_report_walks_orbits_only_in_the_certificate_scan(monkeypatch, name):
+    # the classes are the triple's trace partition, walked once when it is
+    # assembled; the report walks orbits only to separate class pairs
+    session = synth(SessionConfig.from_json((CONFIG_DIR / f"{name}.json").read_text()))
+    callers = []
+    original = finite_algebra.orbit
+
+    def recording(action, a):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(action, a)
+
+    monkeypatch.setattr(finite_algebra, "orbit", recording)
+    monkeypatch.setattr(koopman_lab, "orbit", recording)
+    report = koopman_lab.multiplicity_report(session)
+    assert report.certificates
+    assert callers and set(callers) == {"disjointness_certificate"}
 
 
 @pytest.mark.parametrize("name", ["direct_12", "product_23", "staircase_mixing"])

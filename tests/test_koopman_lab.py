@@ -280,17 +280,36 @@ class TestWeakLimitProbes:
         # report is the uncapped one
         report = weak_limit_probe(with_cap(probe_session, 2000), 4, ("eta", 0))
         assert report.to_dict() == weak_limit_probe(probe_session, 4, ("eta", 0)).to_dict()
-        # a cap of 1,000 refuses those level pairs, and stage 3's chi table
-        # of 5,400 entries before any pair
+        # a cap of 1,000 refuses those level pairs, and a cap of 700 stage
+        # 3's chi value tables of (2 * 14)**2 = 784 entries before any pair
         s = with_cap(probe_session, 1000)
         with pytest.raises(SizeCapError, match="1719 level pairs exceed cap 1000"):
             weak_limit_probe(s, 4, ("eta", 0))
-        with pytest.raises(SizeCapError, match="probe table of 5400 entries"):
-            weak_limit_probe(s, 3, ("chi", (1, 0)))
+        with pytest.raises(SizeCapError, match="probe table of 784 entries exceeds cap 700"):
+            weak_limit_probe(with_cap(probe_session, 700), 3, ("chi", (1, 0)))
         # at cylinder level 2, stage 1 has no depth-2 cylinders
         s = synth(dataclasses.replace(probe_session.config, cylinder_level=2))
         with pytest.raises(ParameterError, match="no depth-2 cylinders in a depth-1 tower"):
             weak_limit_probe(s, 1, ("eta", 0))
+
+    def test_probe_bound_counts_the_arrays_the_probe_builds(self, shipped_product):
+        # product_23's chi probe at stage 8 builds value tables of
+        # (6 * 2)**2 = 144 entries and module images of 6 * 147 * 3 = 2,646:
+        # under a cap of 20,000 it runs as uncapped, under 2,646 it is refused
+        component = ("chi", (0, 1, 0))
+        report = weak_limit_probe(with_cap(shipped_product, 20000), 8, component)
+        assert report.to_dict() == weak_limit_probe(shipped_product, 8, component).to_dict()
+        with pytest.raises(SizeCapError, match="probe table of 2646 entries exceeds cap 2645"):
+            weak_limit_probe(with_cap(shipped_product, 2645), 8, component)
+
+    def test_module_images_over_the_cap_are_refused_before_they_are_built(self):
+        # {1, 3, 5}: kappa = 15 and A = Z/2 + Z/7 + (Z/11)^3, so a chi probe's
+        # images theta^k w hold 15 * 18,634 * 5 = 1,397,550 entries; built
+        # under the default cap, the probe peaks at about 23 MB traced
+        s = synth(SessionConfig(mode="direct", targets=(1, 3, 5), state_cap=10**6,
+                                blocks=(DeltaBlock(Fraction(1, 2), 2),)))
+        assert refusal_peak(lambda: weak_limit_probe(s, 1, ("chi", (0, 1, 0, 0, 0))),
+                            "probe table of 1397550 entries exceeds cap 1000000") < 10**5
 
     def test_level_pairs_over_the_cap_are_refused_before_they_are_listed(self):
         # stage 4 of (8, 8, 32, 512) rotates; its spacer gaps of at least

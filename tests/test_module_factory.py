@@ -231,6 +231,21 @@ class TestDualize:
             assert len(orbit(rec.dual_action, a)) == len(orbit(t.action, a))
 
 
+    def test_dual_partition_must_be_the_primal_one(self, monkeypatch):
+        # {1, 3, 6} puts the 3-block and the 6-block both on Z/7.  Conjugating
+        # the dual generator by psi, which mixes the Z/7 coordinates, keeps
+        # D's dual trace counts {1, 3, 6} but moves its traces
+        t = assemble_triple({1, 3, 6})
+        psi = GroupAutomorphism(t.module, ((1, 0, 0, 0, 0), (0, 6, 5, 0, 0), (0, 0, 5, 0, 3),
+                                           (0, 2, 0, 3, 0), (0, 0, 0, 0, 4)))
+        psi_inverse = psi.power(5)  # psi has order 6
+        assert psi.compose(psi_inverse).is_identity()
+        dual = GroupAutomorphism.dual
+        monkeypatch.setattr(GroupAutomorphism, "dual",
+                            lambda self: psi.compose(dual(self)).compose(psi_inverse))
+        with pytest.raises(ConsistencyError, match=r"dual trace counts \[1, 3, 6\]: the dual"):
+            dualize(t)
+
     @pytest.mark.parametrize("targets", [{1}, {2}, {1, 2}, {2, 3}, {1, 3, 5}, {2, 4, 6}],
                              ids=str)
     def test_identity_dual_action_fails_dual_trace_count(self, monkeypatch, targets):

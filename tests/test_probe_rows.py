@@ -22,7 +22,6 @@ from cfspectra.cocycle_engine import (
 from cfspectra.finite_algebra import orbit_average
 from cfspectra.koopman_lab import (
     _chi_values,
-    _cylinder_measures,
     _eta_values,
     _PairCounter,
     weak_limit_probe,
@@ -127,7 +126,7 @@ def scalar_report(session, stage_index, component, report):
     label = session.label(stage_index)
     model = session.model(stage_index)
     delta = float(stage.delta) if stage.delta is not None else stage.i_count / stage.r_count
-    mu = _cylinder_measures(model, n0)
+    mu = np.full(session.schedule.height(n0), model.cylinder_size(n0) / model.height)
     kind, payload = component
     if kind == "eta":
         pred_kind, rows, max_dev = _scalar_eta_rows(

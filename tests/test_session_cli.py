@@ -263,7 +263,7 @@ class TestCLI:
 
     def test_weaklimits_probes_chi_where_kappa_levels_exceed_the_cap(self, tmp_path):
         # translate stage 3 has 8,048 levels, so h * kappa exceeds the state
-        # cap, while its chi bucket table holds 5,400 entries: within it
+        # cap, while its chi value tables hold 784 entries: within it
         cfg = {"mode": "direct", "targets": [1, 2], "state_cap": 8049,
                "blocks": [{"delta": [1, 2], "stages": 4, "r_seq": [8, 8, 64, 64]}]}
         bundle = self.synth_bundle(tmp_path, cfg)
@@ -274,16 +274,16 @@ class TestCLI:
         assert (3, "chi") in probed, probed
 
     def test_weaklimits_keeps_reports_when_a_later_probe_is_refused(self, tmp_path):
-        # the chi table holds 5,400 entries, over this cap; the eta probes
-        # before it fit, and their reports stay in the record
-        cfg = {"mode": "direct", "targets": [1, 2], "state_cap": 5000,
+        # the chi value tables hold (2 * 14)**2 = 784 entries, over this cap;
+        # the eta probes before it fit, and their reports stay in the record
+        cfg = {"mode": "direct", "targets": [1, 2], "state_cap": 700,
                "blocks": [{"delta": [1, 2], "stages": 4, "r_seq": [8, 8, 64, 64]}]}
         bundle = self.synth_bundle(tmp_path, cfg)
         code, results = run_verify(bundle, ("weaklimits",))
         assert code == 3
         detail = results["weaklimits"]["detail"]
         assert detail["failed"] == [
-            "stage 1 ('chi', (0, 1)): probe table of 5400 entries exceeds cap 5000"]
+            "stage 1 ('chi', (0, 1)): probe table of 784 entries exceeds cap 700"]
         probed = [(r["stage_index"], r["component"]) for r in detail["reports"]]
         assert probed == [(2, {"kind": "eta", "eta": 0}), (2, {"kind": "eta", "eta": 1}),
                           (1, {"kind": "eta", "eta": 0})]
@@ -362,6 +362,41 @@ class TestCLI:
         assert "error" not in detail
         assert detail["early_window"] == [2, 3]
         assert "no decay" in detail["diagnostic"]
+
+    def test_one_stage_bundle_is_refused_its_early_window(self, tmp_path):
+        # h = h_1 = 4, so no lag of the early window [h_1, 2 h_1] lies below
+        # the height; the refusal names that, not an empty lag window
+        cfg = {"mode": "direct", "targets": [1], "shape": "staircase", "r_seq": [3]}
+        code, results = run_verify(self.synth_bundle(tmp_path, cfg), ("mixing",))
+        assert code == 4
+        assert results["mixing"]["detail"] == {
+            "error": "the schedule has no lag in [h_1, 2 h_1] = [4, 8] below its height 4"}
+
+    def test_rotate_stage_probes_eta_once_when_kappa_is_one(self, tmp_path):
+        # with targets [1], kappa = 1, so eta_1 is eta_0: rotate stage 4
+        # gets one eta probe
+        cfg = {"mode": "direct", "targets": [1],
+               "blocks": [{"delta": [1, 2], "stages": 4, "r_seq": [4, 4, 8, 8]}]}
+        code, results = run_verify(self.synth_bundle(tmp_path, cfg), ("weaklimits",))
+        assert code == 0
+        probed = [(r["stage_index"], r["component"])
+                  for r in results["weaklimits"]["detail"]["reports"]]
+        assert probed == [(4, {"kind": "eta", "eta": 0}), (3, {"kind": "eta", "eta": 0}),
+                          (3, {"kind": "chi", "d": [1]})]
+
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf"), float("-inf")], ids=str)
+    def test_non_finite_ratio_bound_is_refused(self, tmp_path, capsys, bound):
+        # r_seq [2000] breaks the default mass-ratio bound, so algebra fails;
+        # json reads NaN and Infinity, either of which would turn that gate off
+        cfg = {"mode": "direct", "targets": [1], "shape": "staircase", "r_seq": [2000]}
+        code, _ = run_verify(self.synth_bundle(tmp_path, cfg), ("algebra",))
+        assert code == 2
+        path = tmp_path / "bound.json"
+        path.write_text(json.dumps(dict(cfg, ratio_bound=bound)))
+        capsys.readouterr()
+        assert main(["synth", "--config", str(path), "--out", str(tmp_path / "n")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: malformed value for config key ratio_bound: {bound!r} (a finite number)\n")
 
     def test_oversized_decay_table_is_refused(self, tmp_path, capsys):
         # at cylinder level 9 the pairs of direct_12's cylinders alone number
