@@ -5,8 +5,9 @@ tables on the cut sets.  A point of the height-h_m tower is identified by a
 coordinate word (residual height at the least depth where the level exists,
 then one cut per deeper stage); the cocycle value between two levels is the
 product of the per-stage table entries along one word times the inverse of
-the product along the other.  Every table maps cut 0 to the identity, so
-zero-padding words is harmless and the evaluation is well defined.
+the product along the other.  Every cut set starts at 0 and every table
+maps cut 0 to the identity, so the stages below a word's least depth
+contribute nothing and are not walked; the evaluation is well defined.
 
 A Tower is a depth of the schedule with its stage tables; it lists no
 level, and reads its cylinder starts off the cuts.  TowerModel adds flat
@@ -118,6 +119,8 @@ class CocycleStageMaps:
     _entries: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.cuts[0] != 0:
+            raise LabelError(f"cut set starts at {self.cuts[0]}, not 0")
         if self.beta[0] != 0 or any(self.alpha[0]):
             raise LabelError("tables must map cut 0 to the identity")
         if not (len(self.beta) == len(self.alpha) == len(self.cuts)):
@@ -202,10 +205,6 @@ class CoordinateWord:
     residual: int
     cuts: tuple[int, ...]  # cuts for stages least_depth+1 .. depth
 
-    def padded_cuts(self) -> tuple[int, ...]:
-        """Length-`depth` cut vector with zeros below the least depth."""
-        return (0,) * self.least_depth + self.cuts
-
 
 def canonical_word(level: int, schedule: CFSchedule, depth: int | None = None) -> CoordinateWord:
     """Greedy decomposition of a level into per-stage cuts plus a residual."""
@@ -242,9 +241,24 @@ class SemidirectContext:
     k_order: int
     module: FiniteAbelianGroup
     action: ModuleAction  # of Z/k_order on the module
+    # [the last maps tuple served, its resolved entry tables], kept by tables()
+    _resolved: list = field(default_factory=lambda: [None, []], init=False, compare=False,
+                            repr=False)
 
     def identity(self):
         return (0, self.module.zero())
+
+    def tables(self, maps_by_stage, depth: int) -> list[dict]:
+        """Entry tables of the first `depth` stages in this K x| A.  A tuple of maps is
+        resolved once and kept, matched by identity, until another tuple is served;
+        a list is resolved on every call, so a changed list is seen."""
+        held, tables = self._resolved
+        if held is maps_by_stage and len(tables) >= depth:
+            return tables
+        tables = [m.entries(self) for m in maps_by_stage[:depth]]
+        if type(maps_by_stage) is tuple:
+            self._resolved[:] = (maps_by_stage, tables)
+        return tables
 
     @cached_property
     def _automorphisms(self) -> list[GroupAutomorphism]:
@@ -290,13 +304,14 @@ class SemidirectContext:
         return (k, self.module.neg(a))
 
 
-def _product(cuts, tables, ctx: SemidirectContext):
-    """Left-to-right product of the entries at the given cuts of resolved tables."""
-    g = ctx.identity()
-    for table, c in zip(tables, cuts):
+def _product(word: CoordinateWord, tables, ctx: SemidirectContext):
+    """Left-to-right product of the non-identity entries along a word's own cuts (the
+    stages below its least depth sit at cut 0, the identity); None if there are none."""
+    g = None
+    for table, c in zip(tables[word.least_depth:], word.cuts):
         entry = table[c]
         if entry is not None:
-            g = ctx._mul(g, entry)
+            g = entry if g is None else ctx._mul(g, entry)
     return g
 
 
@@ -305,8 +320,8 @@ def word_product(word: CoordinateWord, maps_by_stage, ctx: SemidirectContext):
 
     A cut missing from its stage's table raises KeyError.
     """
-    tables = [m.entries(ctx) for m in maps_by_stage[: word.depth]]
-    return _product(word.padded_cuts(), tables, ctx)
+    g = _product(word, ctx.tables(maps_by_stage, word.depth), ctx)
+    return ctx.identity() if g is None else g
 
 
 def evaluate_cocycle(x: CoordinateWord, y: CoordinateWord, maps_by_stage,
@@ -314,16 +329,19 @@ def evaluate_cocycle(x: CoordinateWord, y: CoordinateWord, maps_by_stage,
     """Exact cocycle value between two levels of a common-depth tower.
 
     Computed as product(x) * product(y)^{-1}; the per-stage tables send cut 0
-    to the identity, so the zero padding of canonical words contributes
-    nothing and the cocycle identity holds exactly.  Each stage's entry table
-    is resolved once for both words.
+    to the identity, so the stages below a word's least depth contribute
+    nothing and the cocycle identity holds exactly.  The tables are resolved
+    by the context (see SemidirectContext.tables).
     """
     if x.depth != y.depth:
         raise PairError(f"words at depths {x.depth} and {y.depth}")
-    tables = [m.entries(ctx) for m in maps_by_stage[: x.depth]]
-    gx = _product(x.padded_cuts(), tables, ctx)
-    gy = _product(y.padded_cuts(), tables, ctx)
-    return ctx._mul(gx, ctx._inv(gy))
+    tables = ctx.tables(maps_by_stage, x.depth)
+    gx = _product(x, tables, ctx)
+    gy = _product(y, tables, ctx)
+    if gy is None:
+        return ctx.identity() if gx is None else gx
+    gy = ctx._inv(gy)
+    return gy if gx is None else ctx._mul(gx, gy)
 
 
 def transition_values(schedule: CFSchedule, maps_by_stage, ctx: SemidirectContext):

@@ -52,6 +52,11 @@ def direct_maps(sched, ctx):
     return [stage_maps(l, st, ctx.k_order, ctx.module) for l, st in zip(labels, sched.stages)]
 
 
+def padded(word):
+    """Length-`depth` cut vector of a word, with zeros below its least depth."""
+    return (0,) * word.least_depth + word.cuts
+
+
 def expansion_oracle(x, y, maps_by_stage, ctx):
     """Independent route: the explicit two-sided expansion of the cocycle.
 
@@ -62,7 +67,7 @@ def expansion_oracle(x, y, maps_by_stage, ctx):
     def side(word):
         total = 0
         acc = ctx.module.zero()
-        for maps, c in zip(maps_by_stage, word.padded_cuts()):
+        for maps, c in zip(maps_by_stage, padded(word)):
             idx = maps.cuts.index(c)
             acc = ctx.module.add(acc, ctx.act(total, maps.alpha[idx]))
             total = (total + maps.beta[idx]) % ctx.k_order
@@ -156,6 +161,18 @@ class TestStageMaps:
         with pytest.raises(LabelError):
             stage_maps(StageLabel(LABEL_DELAYED_TRANSLATE, a=(1,)), st, 2, self.module)
 
+    @pytest.mark.parametrize("cuts, beta, alpha, message", [
+        ((1, 4), (0, 1), ((0, 0), (1, 2)), "starts at 1, not 0"),
+        ((0, 4), (1, 1), ((0, 0), (1, 2)), "cut 0 to the identity"),
+        ((0, 4), (0, 1), ((0, 1), (1, 2)), "cut 0 to the identity"),
+    ])
+    def test_cut_0_leads_and_maps_to_the_identity(self, cuts, beta, alpha, message):
+        # products skip the stages below a word's least depth, as if at cut 0:
+        # a table with no cut 0, or a non-identity entry there, would be misread
+        with pytest.raises(LabelError, match=message):
+            CocycleStageMaps(1, cuts, beta, alpha)
+        CocycleStageMaps(1, (0, 4), (0, 1), ((0, 0), (1, 2)))
+
 
 class TestCanonicalWord:
     def setup_method(self):
@@ -181,7 +198,7 @@ class TestCanonicalWord:
     def test_spacer_at_full_depth(self):
         w = canonical_word(4 + 2, self.sched)  # spacer copy inside column 1
         assert (w.least_depth, w.residual, w.cuts) == (1, 2, (4,))
-        assert w.padded_cuts() == (0, 4)
+        assert padded(w) == (0, 4)
 
     def test_levels_roundtrip(self):
         for l in range(self.sched.height(2)):
@@ -269,7 +286,7 @@ class TestEvaluate:
                 b, a = evaluate_cocycle(x, y, maps, self.ctx)
                 assert b == 0
                 expected = self.ctx.module.zero()
-                for m, cx, cy in zip(maps, x.padded_cuts(), y.padded_cuts()):
+                for m, cx, cy in zip(maps, padded(x), padded(y)):
                     expected = self.ctx.module.add(
                         expected, m.alpha[m.cuts.index(cx)]
                     )
@@ -283,6 +300,114 @@ class TestEvaluate:
         y = canonical_word(0, self.sched, depth=2)
         with pytest.raises(PairError):
             evaluate_cocycle(x, y, self.maps, self.ctx)
+
+
+class TestEvaluateKappa6:
+    """K = Z/6 acting on Z/3 + Z/7 + Z/7 (product_23's context), where the
+    inverse of theta^k is not theta^k and K acts differently from the left
+    and from the right."""
+
+    @pytest.fixture(autouse=True)
+    def setup(self, shipped_product):
+        self.ctx = shipped_product.ctx
+        assert self.ctx.k_order == 6
+        self.sched = concat_delta_blocks([DeltaBlock("1/2", 3, r_start=3)])
+        labels = (
+            StageLabel(LABEL_RIGID_ROTATE, k=1),
+            StageLabel(LABEL_RIGID_TRANSLATE, a=(1, 2, 3)),
+            StageLabel(LABEL_RIGID_ROTATE, k=2),
+        )
+        self.maps = [stage_maps(l, st, 6, self.ctx.module)
+                     for l, st in zip(labels, self.sched.stages)]
+        for m in self.maps:
+            assert any(m.beta) or any(any(a) for a in m.alpha)
+        self.words = [canonical_word(l, self.sched) for l in range(self.sched.height(3))]
+
+    def test_matches_expansion_oracle(self):
+        twisted = 0
+        for x in self.words:
+            for y in self.words:
+                value = evaluate_cocycle(x, y, self.maps, self.ctx)
+                assert value == expansion_oracle(x, y, self.maps, self.ctx), (x, y)
+                twisted += value[0] not in (0, 3) and any(value[1])
+        assert twisted
+        assert {w.least_depth for w in self.words} == {0, 2, 3}  # spacers skip stages
+
+    def test_word_product_matches_expansion_oracle(self):
+        origin = canonical_word(0, self.sched)
+        for w in self.words:
+            assert word_product(w, self.maps, self.ctx) == expansion_oracle(
+                w, origin, self.maps, self.ctx)
+
+
+class TestResolvedTables:
+    """The context keeps the resolved tables of the last maps tuple it served."""
+
+    def setup_method(self):
+        self.ctx = small_ctx()
+        self.sched = concat_delta_blocks([DeltaBlock("1/2", 2, r_start=3)])
+        self.words = [canonical_word(l, self.sched) for l in range(self.sched.height(2))]
+
+    def maps(self, *labels):
+        return tuple(stage_maps(l, st, self.ctx.k_order, self.ctx.module)
+                     for l, st in zip(labels, self.sched.stages))
+
+    def test_alternating_tuples_get_their_own_tables(self):
+        one = self.maps(StageLabel(LABEL_RIGID_TRANSLATE, a=(1, 1)),
+                        StageLabel(LABEL_RIGID_ROTATE, k=1))
+        two = self.maps(StageLabel(LABEL_RIGID_ROTATE, k=1),
+                        StageLabel(LABEL_RIGID_TRANSLATE, a=(0, 2)))
+        y = self.words[-1]
+        assert any(expansion_oracle(u, y, one, self.ctx) != expansion_oracle(u, y, two, self.ctx)
+                   for u in self.words[::7])
+        shallow = canonical_word(2, self.sched, depth=1), canonical_word(0, self.sched, depth=1)
+        for _ in range(3):
+            for maps in (one, two):
+                # a depth-1 value first, then the full depth on the same tuple
+                assert evaluate_cocycle(*shallow, maps, self.ctx) == expansion_oracle(
+                    *shallow, maps, self.ctx)
+                for u in self.words[::7]:
+                    assert evaluate_cocycle(u, y, maps, self.ctx) == expansion_oracle(
+                        u, y, maps, self.ctx)
+                    assert word_product(u, maps, self.ctx) == expansion_oracle(
+                        u, self.words[0], maps, self.ctx)
+
+    def test_a_list_is_resolved_on_every_call(self):
+        first = self.maps(StageLabel(LABEL_RIGID_TRANSLATE, a=(1, 1)),
+                          StageLabel(LABEL_RIGID_ROTATE, k=1))
+        other = self.maps(StageLabel(LABEL_RIGID_TRANSLATE, a=(1, 1)),
+                          StageLabel(LABEL_RIGID_TRANSLATE, a=(0, 1)))
+        maps = list(first)
+        x, y = self.words[-1], self.words[0]
+        before = evaluate_cocycle(x, y, maps, self.ctx)
+        maps[1] = other[1]
+        after = evaluate_cocycle(x, y, maps, self.ctx)
+        assert before == evaluate_cocycle(x, y, first, self.ctx)
+        assert after == evaluate_cocycle(x, y, other, self.ctx) != before
+        assert word_product(x, maps, self.ctx) == word_product(x, other, self.ctx)
+
+    def test_a_tampered_tuple_fails_on_its_first_value(self):
+        good = self.maps(StageLabel(LABEL_RIGID_TRANSLATE, a=(1, 1)),
+                         StageLabel(LABEL_RIGID_ROTATE, k=1))
+        bad = (good[0], CocycleStageMaps(2, good[1].cuts, (0, 2) + good[1].beta[2:],
+                                         good[1].alpha))
+        x, y = self.words[-1], self.words[0]
+        want = evaluate_cocycle(x, y, good, self.ctx)
+        for _ in range(2):  # a refused tuple is not kept
+            with pytest.raises(InvalidElementError):
+                evaluate_cocycle(x, y, bad, self.ctx)
+            with pytest.raises(InvalidElementError):
+                word_product(x, bad, self.ctx)
+        assert evaluate_cocycle(x, y, good, self.ctx) == want
+
+    def test_tuple_and_list_give_equal_values(self):
+        maps = self.maps(StageLabel(LABEL_RIGID_TRANSLATE, a=(1, 2)),
+                         StageLabel(LABEL_RIGID_ROTATE, k=1))
+        for x in self.words:
+            assert word_product(x, maps, self.ctx) == word_product(x, list(maps), self.ctx)
+            for y in self.words[::3]:
+                assert evaluate_cocycle(x, y, maps, self.ctx) == evaluate_cocycle(
+                    x, y, list(maps), self.ctx)
 
 
 class TestTransitions:
@@ -349,7 +474,7 @@ class TestTowerModel:
         for l in range(self.model.height):
             w = canonical_word(l, self.sched)
             if w.least_depth <= 1:
-                expected = w.residual + (w.padded_cuts()[0] if w.least_depth == 0 else 0)
+                expected = w.residual + (padded(w)[0] if w.least_depth == 0 else 0)
                 assert ids[l] == expected
             else:
                 assert ids[l] == -1
