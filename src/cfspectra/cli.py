@@ -21,15 +21,18 @@ unknown or missing key or a value of the wrong type, with `error: ...`
 and exit 1; the message names the key path (for example `blocks[1].stage`).
 A schedule with more than 10**6 columns over all its stages, or a tower
 taller than 2**63 - 1 levels, is refused the same way before it is built,
-and so is a cylinder_level outside 0..(number of stages) or a
-spectra_depth below 1.  verify and dump refuse each array they would build
-over more entries than state_cap (the largest dense array of a weak-limit
-probe, a tower a probe lists, its level pairs, the column pairs of
-correlation decay), and a decay table of more than 10**6 rows, before
+and so is a cylinder_level outside 0..(number of stages), or an
+initial_height, state_cap or spectra_depth below 1.  verify and dump
+refuse each array they would build over more entries than state_cap (the
+largest dense array of a weak-limit probe, a tower a probe lists, its
+level pairs, the column pairs of correlation decay), and a decay table of
+more than 10**6 rows, before
 building it (a failed suite, or dump exit 1); a tower's height alone is
 never refused.  A decay lag window [h_n, 2 h_n] with no lag below the
 height, as for a one-stage schedule, fails the mixing suite by name.  A refused probe is
-listed in the suite's `failed`, beside the reports of the probes that ran.
+listed in the suite's `failed`, beside the reports of the probes that ran;
+a state_cap below every labelled stage's height fails the weak-limit suite
+the same way, naming the shortest one.
 Spectra are dumped at spectra_depth, clipped to the depth, else at the full depth.
 
 Bundle layout (canonical JSON, schema_version fields throughout):
@@ -129,7 +132,15 @@ def _suite_weaklimits(session):
     failed = []
     chosen = _probe_stages(session)
     if not chosen:
-        return True, {"notes": ["no labelled stages; nothing to probe"], "reports": []}
+        # heights grow with the stage, so the first labelled stage is the shortest
+        n = next((n for n, label in enumerate(session.labels, start=1)
+                  if label.kind != LABEL_PLAIN), None)
+        if n is None:
+            return True, {"notes": ["no labelled stages; nothing to probe"], "reports": []}
+        return False, {"failed": [f"no labelled stage probed: state_cap "
+                                  f"{session.config.state_cap} is below the shortest one, "
+                                  f"stage {n} of height {session.schedule.height(n)}"],
+                       "reports": []}
     for kind, n in sorted(chosen.items()):
         if kind == LABEL_RIGID_ROTATE:
             # eta_0 and eta_1, one character when kappa = 1

@@ -9,11 +9,16 @@ the product along the other.  Every cut set starts at 0 and every table
 maps cut 0 to the identity, so the stages below a word's least depth
 contribute nothing and are not walked; the evaluation is well defined.
 
+SemidirectContext owns the resolved entry tables: it checks a maps tuple's
+entries once, when it first serves the tuple, and keeps them until another
+tuple is served.  Its powers of theta are the action's own table.
+
 A Tower is a depth of the schedule with its stage tables; it lists no
 level, and reads its cylinder starts off the cuts.  TowerModel adds flat
 numpy arrays for bulk work: per-level word products, with the module part
 kept untwisted, from which the transition values of any power of the
-successor map follow in closed form.
+successor map follow in closed form (step_values); it reads theta's
+matrices off the action's one stack.
 """
 
 from __future__ import annotations
@@ -115,8 +120,6 @@ class CocycleStageMaps:
     cuts: tuple[int, ...]
     beta: tuple[int, ...]  # exponents in the cyclic acting group
     alpha: tuple[tuple[int, ...], ...]  # module elements
-    # (k_order, module orders) -> checked cut -> entry map, filled by entries()
-    _entries: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.cuts[0] != 0:
@@ -127,19 +130,13 @@ class CocycleStageMaps:
             raise LabelError("table length mismatch")
 
     def entries(self, ctx: "SemidirectContext") -> dict:
-        """Cut -> table entry (group exponent, module element) in ctx's K x| A.
-
-        Every entry is checked once, on the first call for a given K x| A;
-        identity entries map to None so that products can skip them.
-        """
-        key = (ctx.k_order, ctx.module.orders)
-        table = self._entries.get(key)
-        if table is None:
-            table = {}
-            for c, b, a in zip(self.cuts, self.beta, self.alpha):
-                ctx.check((b, a))
-                table[c] = (b, a) if b or any(a) else None
-            self._entries[key] = table
+        """Cut -> table entry (group exponent, module element) in ctx's K x| A,
+        every entry checked; identity entries map to None so that products can
+        skip them.  The context keeps the tables it resolves (ctx.tables)."""
+        table = {}
+        for c, b, a in zip(self.cuts, self.beta, self.alpha):
+            ctx.check((b, a))
+            table[c] = (b, a) if b or any(a) else None
         return table
 
     def to_dict(self):
@@ -261,10 +258,9 @@ class SemidirectContext:
         return tables
 
     @cached_property
-    def _automorphisms(self) -> list[GroupAutomorphism]:
-        """theta^0 .. theta^(k_order - 1): the action's own power table, filled."""
-        self.action.automorphism_for(self.k_order - 1)
-        return self.action._powers
+    def _automorphisms(self) -> tuple[GroupAutomorphism, ...]:
+        """theta^0 .. theta^(k_order - 1): the action's own power table."""
+        return self.action.powers
 
     def act(self, k: int, a):
         if not isinstance(k, int):
@@ -449,7 +445,7 @@ class TowerModel(Tower):
     def _build_word_products(self):
         ctx = self.ctx
         orders = self._orders = np.array(ctx.module.orders, dtype=np.int64)
-        self._theta_mats = np.stack([phi.matrix for phi in ctx._automorphisms])
+        self._theta_mats = ctx.action.matrices
         rank = len(orders)
         kappa = ctx.k_order
         h0 = self.schedule.initial_height
@@ -498,10 +494,6 @@ class TowerModel(Tower):
                 out[at] = vecs[at] @ self._theta_mats[k].T % self._orders
         return out
 
-    def step_betas(self, steps: int) -> np.ndarray:
-        """Group exponent of the +steps transition per level."""
-        return _step_difference(self.word_beta, steps, self.ctx.k_order)
-
     def step_values(self, steps: int):
         """Transition (group exponent, module vector) per level for +steps.
 
@@ -509,12 +501,9 @@ class TowerModel(Tower):
         = (beta_l - beta_{l+steps}, theta^beta_l (u_l - u_{l+steps})) for the
         untwisted module parts u.
         """
-        d_beta = self.step_betas(steps)
+        d_beta = _step_difference(self.word_beta, steps, self.ctx.k_order)
         d_untwisted = _step_difference(self.word_untwisted, steps, self._orders)
         return d_beta, self._apply_theta_pow(self.word_beta, d_untwisted)
-
-    def transitions(self):
-        return self.step_values(1)
 
     def cocycle_between(self, l1: int, l2: int):
         """Exact cocycle value between two levels, from the cached products."""

@@ -1,8 +1,10 @@
 """Exact arithmetic for finite abelian groups, the cyclic module action, characters.
 
 The acting group is cyclic, K = <theta>.  ModuleAction keeps the one table
-of powers theta^k, which the semidirect context, the tower matrices and the
-character twists read; an orbit steps theta itself.
+of powers theta^0 .. theta^(|K|-1) and the one read-only stack of their
+matrices: the semidirect context and the character twists read the powers,
+the tower model and the probes' module tables the matrices; an orbit steps
+theta itself.
 
 Everything here is integer/rational arithmetic: group elements are residue
 vectors, a character value e^{2 pi i e/N} is its exponent e in Z/N (N the
@@ -276,8 +278,6 @@ class ModuleAction:
     group: FiniteAbelianGroup
     module: FiniteAbelianGroup
     generator_maps: tuple[GroupAutomorphism, ...]
-    # theta^0, theta^1, ...: the one table of powers, grown on demand
-    _powers: list = field(default_factory=list, compare=False, repr=False)
 
     def __post_init__(self):
         if self.group.rank != 1 or len(self.generator_maps) != 1:
@@ -290,15 +290,25 @@ class ModuleAction:
                 f"assigned automorphism does not have order dividing {n}"
             )
 
-    def automorphism_for(self, k: int) -> GroupAutomorphism:
-        """theta^k for 0 <= k < |K|, built by one composition per new power."""
-        self.group.check((k,))
-        powers = self._powers
-        if not powers:
-            powers.append(identity_automorphism(self.module))
-        while len(powers) <= k:
+    @cached_property
+    def powers(self) -> tuple[GroupAutomorphism, ...]:
+        """theta^0 .. theta^(|K| - 1), the one table of powers: one composition each."""
+        powers = [identity_automorphism(self.module)]
+        for _ in range(1, self.group.orders[0]):
             powers.append(self.generator_maps[0].compose(powers[-1]))
-        return powers[k]
+        return tuple(powers)
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """The powers' integer matrices as one read-only (|K|, rank, rank) stack."""
+        mats = np.stack([phi.matrix for phi in self.powers])
+        mats.setflags(write=False)
+        return mats
+
+    def automorphism_for(self, k: int) -> GroupAutomorphism:
+        """theta^k for 0 <= k < |K|."""
+        self.group.check((k,))
+        return self.powers[k]
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .cocycle_engine import (
     StageLabel,
     Tower,
     TowerModel,
+    _step_difference,
 )
 from .errors import (
     CharacterTypeError,
@@ -105,63 +106,36 @@ def _pairing_weights(orders, d, n: int) -> np.ndarray:
     return np.array([di * (n // ni) for di, ni in zip(d, orders)], dtype=np.int64)
 
 
-def build_eta_component(
-    model: TowerModel, eta_exp: int, phase_order: int, cap: int = DEFAULT_STATE_CAP
-) -> PhasedCycleOperator:
-    """Component over the base tower twisted by a character of the acting group."""
-    h = model.height
-    if h > cap:
-        raise SizeCapError(f"{h} states exceed cap {cap}")
-    kappa = model.ctx.k_order
-    if phase_order % kappa:
-        raise CharacterTypeError("phase order must be divisible by the group order")
-    d_beta = model.step_betas(1)
-    succ = (np.arange(h, dtype=np.int64) + 1) % h
-    exps = (eta_exp * d_beta * (phase_order // kappa)) % phase_order
-    return PhasedCycleOperator(succ, exps, phase_order,
-                               {"kind": "eta", "eta": eta_exp % kappa, "levels": h})
-
-
-def build_chi_component(
-    model: TowerModel, d, phase_order: int, cap: int = DEFAULT_STATE_CAP
-) -> PhasedCycleOperator:
-    """Component over the skew tower (levels x acting group) twisted by a
-    character of the module, indexed by an element d of the primal side."""
-    ctx = model.ctx
-    kappa = ctx.k_order
-    h = model.height
+def build_component(session, character: Character, depth: int | None = None) -> PhasedCycleOperator:
+    """The component of a character of the acting group, over the base tower,
+    or of the module (indexed by an element d of the primal side), over the
+    skew tower of levels x acting group; phases are over the root order."""
+    model = session.model(depth)
+    n, cap = session.root_order, session.config.state_cap
+    h, kappa = model.height, session.k_order
+    levels = np.arange(h, dtype=np.int64)
+    if character.group == session.triple.k_group:
+        if h > cap:
+            raise SizeCapError(f"{h} states exceed cap {cap}")
+        eta = character.exponents[0]
+        d_beta = _step_difference(model.word_beta, 1, kappa)
+        return PhasedCycleOperator((levels + 1) % h, eta * d_beta * (n // kappa) % n, n,
+                                   {"kind": "eta", "eta": eta % kappa, "levels": h})
+    if character.group != session.duality.dual_module:
+        raise CharacterTypeError("character belongs to neither side of the session algebra")
     if h * kappa > cap:
         raise SizeCapError(f"{h * kappa} states exceed cap {cap}")
-    orders = ctx.module.orders
-    if any(phase_order % n for n in orders) or phase_order % kappa:
-        raise CharacterTypeError("phase order incompatible with the algebra")
-    d = tuple(int(x) for x in d)
-    if len(d) != len(orders):
-        raise CharacterTypeError("component index has the wrong rank")
-    d_beta, d_alpha = model.transitions()
-    weights = _pairing_weights(orders, d, phase_order)
-
+    d = character.exponents
+    d_beta, d_alpha = model.step_values(1)
+    weights = _pairing_weights(model._orders, d, n)
     # state (level l, group exponent k) flattened as l * kappa + k
-    levels = np.arange(h, dtype=np.int64)
     succ = np.empty(h * kappa, dtype=np.int64)
     exps = np.empty(h * kappa, dtype=np.int64)
     for k in range(kappa):
         twisted = d_alpha @ model._theta_mats[k].T % model._orders
-        exps[levels * kappa + k] = (twisted @ weights) % phase_order
+        exps[levels * kappa + k] = (twisted @ weights) % n
         succ[levels * kappa + k] = ((levels + 1) % h) * kappa + (k + d_beta) % kappa
-    return PhasedCycleOperator(succ, exps, phase_order,
-                               {"kind": "chi", "d": d, "levels": h, "kappa": kappa})
-
-
-def build_component(session, character: Character, depth: int | None = None) -> PhasedCycleOperator:
-    """Dispatch on the character's home group (acting group vs module)."""
-    model = session.model(depth)
-    n = session.root_order
-    if character.group == session.triple.k_group:
-        return build_eta_component(model, character.exponents[0], n, session.config.state_cap)
-    if character.group == session.duality.dual_module:
-        return build_chi_component(model, character.exponents, n, session.config.state_cap)
-    raise CharacterTypeError("character belongs to neither side of the session algebra")
+    return PhasedCycleOperator(succ, exps, n, {"kind": "chi", "d": d, "levels": h, "kappa": kappa})
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +152,7 @@ def loop_product(model: TowerModel) -> tuple[int, tuple[int, ...]]:
     the prefix sum of the beta steps before it.
     """
     kappa = model.ctx.k_order
-    d_beta, d_alpha = model.transitions()
+    d_beta, d_alpha = model.step_values(1)
     prefix = (np.cumsum(d_beta) - d_beta) % kappa
     a = model._apply_theta_pow(prefix, d_alpha).sum(axis=0) % model._orders
     return int(d_beta.sum() % kappa), tuple(int(x) for x in a)
@@ -295,7 +269,7 @@ def _module_tables(ctx, module: bool):
     """
     orders = np.array(ctx.module.orders if module else (), dtype=np.int64)
     rank = len(orders)
-    theta = np.stack([phi.matrix[:rank, :rank] for phi in ctx._automorphisms])
+    theta = ctx.action.matrices[:, :rank, :rank]
     radix = _mixed_radix(orders)
     elements = np.arange(int(np.prod(orders)), dtype=np.int64)[:, None] // radix % orders
     return orders, radix, theta, elements @ theta.transpose(0, 2, 1) % orders

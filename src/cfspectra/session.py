@@ -206,11 +206,12 @@ class SessionConfig:
         if isinstance(self.ratio_bound, float) and not math.isfinite(self.ratio_bound):
             raise ConfigError(f"malformed value for config key ratio_bound: "
                               f"{self.ratio_bound!r} (a finite number)")
-        for key in ("algebra_depth", "spectra_depth"):
-            depth = getattr(self, key)
-            if depth is not None and depth < 1:
+        for key, what in (("algebra_depth", "depth"), ("spectra_depth", "depth"),
+                          ("initial_height", "height"), ("state_cap", "cap")):
+            value = getattr(self, key)
+            if value is not None and value < 1:
                 raise ConfigError(
-                    f"malformed value for config key {key}: {depth!r} (a depth of at least 1)")
+                    f"malformed value for config key {key}: {value!r} (a {what} of at least 1)")
 
     @property
     def num_stages(self) -> int:
@@ -508,11 +509,6 @@ def save_bundle(session: Session, outdir) -> Path:
     for name, text in render_bundle(session).items():
         (outdir / name).write_text(text)
     return outdir
-
-
-def bundle_hash(bundle_dir) -> str:
-    """The manifest hash of the payload files stored in a bundle directory."""
-    return _payload_hash({n: (Path(bundle_dir) / n).read_bytes() for n in BUNDLE_FILES})
 
 
 def _first_difference(name: str, stored: str, expected: str) -> str:

@@ -31,10 +31,9 @@ CAP_SITES = {
         "the orbit, up to one element per acting-group element (ENUMERATION_CAP)",
     "finite_algebra.subgroup_from_generators":
         "the closure set of the generated subgroup (ENUMERATION_CAP)",
-    "koopman_lab.build_eta_component":
-        "the component's successor and phase arrays, one per level (its cap)",
-    "koopman_lab.build_chi_component":
-        "the component's successor and phase arrays, h kappa states (its cap)",
+    "koopman_lab.build_component":
+        "the component's successor and phase arrays, one per level for an eta "
+        "component and h kappa states for a chi one (state_cap)",
     "koopman_lab._runs":
         "the level-pair index arrays the pair counter lists (the tower's cap)",
     "koopman_lab.weak_limit_probe":

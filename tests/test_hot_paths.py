@@ -15,6 +15,7 @@ argument parser once.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -110,6 +111,32 @@ def test_powers_take_one_composition_each(monkeypatch):
     assert len(composes) == triple.k_order - 1  # one compose per k past the identity
     assert len(calls) == 0  # the identity and a composite of automorphisms need no check
     assert powers[1].images == triple.theta.images
+
+
+def test_weaklimits_stack_theta_matrices_once_per_action(tmp_path, monkeypatch):
+    # product_23 has kappa = 6: every tower model and pair counter of the
+    # suite reads its action's one stack, so each power's matrix is taken once
+    bundle = tmp_path / "b"
+    assert main(["synth", "--config", str(CONFIG_DIR / "product_23.json"),
+                 "--out", str(bundle)]) == 0
+    taken, stacked = [], []
+    matrix, stack = GroupAutomorphism.matrix.fget, ModuleAction.matrices.func
+
+    def counting_matrix(phi):
+        taken.append(phi)
+        return matrix(phi)
+
+    def counting_stack(action):
+        stacked.append(action)
+        return stack(action)
+
+    recording = functools.cached_property(counting_stack)
+    recording.__set_name__(ModuleAction, "matrices")
+    monkeypatch.setattr(GroupAutomorphism, "matrix", property(counting_matrix))
+    monkeypatch.setattr(ModuleAction, "matrices", recording)
+    assert main(["verify", "--bundle", str(bundle), "--suite", "weaklimits"]) == 0
+    assert len(stacked) == 1 and stacked[0].group.orders == (6,)
+    assert len(taken) == 6, len(taken)
 
 
 def test_certificates_and_duality_build_no_fraction(monkeypatch):
@@ -259,7 +286,6 @@ def test_full_height_passes_roll_no_copy(shipped_product, monkeypatch):
     monkeypatch.setattr(np, "roll", refuse)
     koopman_lab.correlation_decay(model, [(0, 1), (1, 0)], [0, 7, h - 1])
     for steps in (1, 7, h - 1):
-        model.step_betas(steps)
         model.step_values(steps)
 
 

@@ -3,7 +3,9 @@ that file, and every public definition, constants included, must have a
 caller outside the tests.
 
 The package's __init__ re-exports names by importing them, so it is exempt
-from the import check, and its imports are not callers.
+from the import check, and its imports are not callers.  A string that
+spells a name is a caller only in perfbench/ and demos/, where the tracer
+names its targets that way; in the package it is data, a dict key say.
 """
 
 import ast
@@ -24,7 +26,7 @@ KEPT = {
     "cocycle_engine.word_product":
         "scalar oracle for the TowerModel word-product arrays",
     "cocycle_engine.transition_values":
-        "scalar oracle for TowerModel.transitions",
+        "scalar oracle for TowerModel.step_values",
     "cocycle_engine.TowerModel.cocycle_between":
         "the cocycle-identity acceptance criterion reads the model through it",
     "finite_algebra.subgroup_from_generators":
@@ -68,10 +70,11 @@ def public_definitions(tree):
                         yield f"{node.name}.{item.name}", item
 
 
-def references(tree) -> Counter:
-    """Names used by a syntax tree: plain names, attributes, and the parts of
-    a string that is a dotted name (the benchmark's tracer names its targets
-    that way).  Docstrings and other bare strings do not count."""
+def references(tree, strings: bool) -> Counter:
+    """Names used by a syntax tree: plain names, attributes and, with
+    ``strings``, the parts of a string that is a dotted name (the benchmark's
+    tracer names its targets that way).  Docstrings and other bare strings
+    do not count."""
     docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
     counts = Counter()
     for node in ast.walk(tree):
@@ -79,7 +82,7 @@ def references(tree) -> Counter:
             counts[node.id] += 1
         elif isinstance(node, ast.Attribute):
             counts[node.attr] += 1
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+        elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in docstrings
               and re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", node.value)):
             counts.update(node.value.split("."))
@@ -91,13 +94,15 @@ def dead_definitions(modules: dict[str, str], users: list[str]) -> list[str]:
     outside their own body references."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     total = Counter()
-    for tree in [*trees.values(), *(ast.parse(source) for source in users)]:
-        total += references(tree)
+    for tree in trees.values():
+        total += references(tree, strings=False)
+    for source in users:
+        total += references(ast.parse(source), strings=True)
     dead = []
     for module, tree in trees.items():
         for qualname, node in public_definitions(tree):
             name = qualname.rsplit(".", 1)[-1]
-            if total[name] == references(node)[name]:
+            if total[name] == references(node, strings=False)[name]:
                 dead.append(f"{module}.{qualname}")
     return sorted(dead)
 
@@ -148,3 +153,16 @@ def test_guard_flags_a_readded_dead_definition():
         "cocycle_engine.OrphanHolder.orphan_method",
         "cocycle_engine.orphan_function",
     ]
+
+
+def test_guard_counts_strings_only_outside_the_package():
+    # a dict key in a package module is no caller; the tracer's dotted target is
+    modules = package_sources()
+    modules["cocycle_engine"] += (
+        "\n\ndef orphan_function(word):\n"
+        "    return word\n"
+        "\n\nORPHAN_DOC = {'orphan_function': 1}\n")
+    dead = dead_definitions(modules, user_sources())
+    assert "cocycle_engine.orphan_function" in dead
+    traced = user_sources() + ["TARGETS = ('cocycle_engine.orphan_function',)\n"]
+    assert "cocycle_engine.orphan_function" not in dead_definitions(modules, traced)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfspectra.cf_builder import DeltaBlock
-from cfspectra.cocycle_engine import TowerModel
+from cfspectra.cocycle_engine import TowerModel, canonical_word, evaluate_cocycle
 from cfspectra.errors import (
     CharacterTypeError,
     ConsistencyError,
@@ -31,8 +31,6 @@ from cfspectra.finite_algebra import (
 from cfspectra.koopman_lab import (
     PhasedCycleOperator,
     build_component,
-    build_eta_component,
-    build_chi_component,
     class_equivalence_check,
     correlation_decay,
     disjointness_certificate,
@@ -120,22 +118,43 @@ class TestComponents:
         # single rotate stage: phases are eta(-k) exactly at column boundaries
         s = synth(SessionConfig(mode="direct", targets=(1, 2),
                                 blocks=(DeltaBlock(Fraction(1, 2), 2, r_start=3),)))
-        model = s.model(2)
-        op = build_eta_component(model, 1, s.root_order)
+        op = build_component(s, Character(s.triple.k_group, (1,)), depth=2)
         st = s.stage(2)
         assert s.label(2).kind == "rigid_rotate"
         interior = [l for l in range(st.base_height - 1)]
         assert not op.phase_exp[interior].any()
 
-    def test_chi_wrong_rank_rejected(self, direct_session):
-        with pytest.raises(CharacterTypeError):
-            build_chi_component(direct_session.model(2), (1, 2, 3, 4),
-                                direct_session.root_order)
-
     def test_wrong_dual_rejected(self, direct_session):
         foreign = Character(FiniteAbelianGroup((5,)), (1,))
         with pytest.raises(CharacterTypeError):
             build_component(direct_session, foreign)
+
+    @pytest.mark.parametrize("name, depth", [("shipped_product", 6), ("probe_kappa3", 4)])
+    def test_components_equal_scalar_oracle(self, request, name, depth):
+        # state (l, k) steps to (l + 1, k + b) with phase chi_d(theta^k a), for
+        # the transition value (b, a) of l -> l + 1 from the scalar cocycle and
+        # theta^k from binary powers, not from the action's tables.  product_23
+        # has a non-symmetric theta and a != 0 at depth 6; probe_kappa3 has
+        # kappa = 3 and b != 0 at depth 4
+        s = request.getfixturevalue(name)
+        h, kappa, n = s.schedule.height(depth), s.k_order, s.root_order
+        theta = s.ctx.action.generator_maps[0]
+        words = [canonical_word(l, s.schedule, depth) for l in range(h)]
+        values = [evaluate_cocycle(words[l], words[(l + 1) % h], s.maps, s.ctx)
+                  for l in range(h)]
+        assert any(b for b, _ in values) or any(map(any, (a for _, a in values)))
+        for e in range(kappa):
+            op = build_component(s, Character(s.triple.k_group, (e,)), depth=depth)
+            assert op.phase_exp.tolist() == [e * b * (n // kappa) % n for b, _ in values]
+        scale = n // s.duality.dual_module.exponent
+        for d in s.factor_characters()[1:4]:
+            chi = s.duality.character_of_dual(d)
+            op = build_component(s, chi, depth=depth)
+            for l, (b, a) in enumerate(values):
+                for k in range(kappa):
+                    state = l * kappa + k
+                    assert op.succ[state] == (l + 1) % h * kappa + (k + b) % kappa
+                    assert op.phase_exp[state] == chi.evaluate(theta.power(k).apply(a)) * scale
 
     def test_chi_cycle_holonomy_telescopes(self, direct_session):
         # walk each cycle of a built chi component from its level-0 state:
@@ -168,7 +187,7 @@ class TestComponents:
         ctx = s.ctx
 
         def fold(model):
-            d_beta, d_alpha = model.transitions()
+            d_beta, d_alpha = model.step_values(1)
             values = [(int(b), tuple(int(x) for x in a)) for b, a in zip(d_beta, d_alpha)]
             return reduce(ctx.mul, values, ctx.identity())
 
@@ -227,7 +246,8 @@ class TestWeakLimitProbes:
         rep = weak_limit_probe(product_session, 5, ("eta", 1))
         assert rep.prediction_kind == "delayed" and rep.passed
         model = product_session.model(5)
-        op = build_eta_component(model, 1, product_session.root_order)
+        op = build_component(product_session, Character(product_session.triple.k_group, (1,)),
+                             depth=5)
         assert op.n_states == model.height
         rep = weak_limit_probe(product_session, 4, ("chi", (0, 1, 0)))
         assert rep.prediction_kind == "orbit_average" and rep.passed

@@ -6,7 +6,7 @@ arithmetic into the bucket table.  ``level_pass_counts`` makes that count
 level by level over a whole tower; it is the oracle of the cut-and-stack
 recursion the probes count with (test_probe_counts.py).  The oracles
 below bucket the transition values themselves, read per level from
-`step_betas` and `step_values`; the folded level-pass tables must be equal
+`step_values`; the folded level-pass tables must be equal
 to them.  `step_values` in turn must equal the formula on twisted words,
 alpha_l - theta^(beta_l - beta_{l+s}) alpha_{l+s}.  The dense fold
 (`_fold_exponents`) and the dense contractions of the folded tables
@@ -117,7 +117,7 @@ def twisted_step_values(model, steps):
 def oracle_eta_counts(model, steps, n0):
     cyl = model.cylinder_ids(n0)
     f_of = np.roll(cyl, -steps)
-    d_beta = model.step_betas(steps)
+    d_beta = model.step_values(steps)[0]
     kappa = model.ctx.k_order
     n_cyl = model.schedule.height(n0)
     valid = (cyl >= 0) & (f_of >= 0)

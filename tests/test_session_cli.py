@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -22,7 +23,6 @@ from cfspectra.session import (
     _CONFIG_SCHEMA,
     BUNDLE_FILES,
     SessionConfig,
-    bundle_hash,
     canonical_json,
     load_bundle,
     save_bundle,
@@ -31,6 +31,16 @@ from cfspectra.session import (
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
+
+
+def manifest_hash(bundle_dir) -> str:
+    """The manifest's hash of a bundle's stored payload files: one sha256 over
+    each file's name and bytes, in BUNDLE_FILES order."""
+    h = hashlib.sha256()
+    for name in BUNDLE_FILES:
+        h.update(name.encode())
+        h.update((Path(bundle_dir) / name).read_bytes())
+    return h.hexdigest()
 
 
 def small_direct_config():
@@ -181,11 +191,24 @@ class TestConfig:
         ({"mode": "direct", "targets": [1, 2], "algebra_depth": 0,
           "blocks": [{"delta": [1, 2], "stages": 2}]},
          "malformed value for config key algebra_depth: 0"),
+        ({"mode": "direct", "targets": [1, 2], "initial_height": 0,
+          "blocks": [{"delta": [1, 2], "stages": 2}]},
+         "malformed value for config key initial_height: 0 (a height of at least 1)"),
+        ({"mode": "direct", "targets": [1, 2], "initial_height": -3,
+          "blocks": [{"delta": [1, 2], "stages": 2}]},
+         "malformed value for config key initial_height: -3 (a height of at least 1)"),
+        ({"mode": "direct", "targets": [1, 2], "state_cap": 0,
+          "blocks": [{"delta": [1, 2], "stages": 2}]},
+         "malformed value for config key state_cap: 0 (a cap of at least 1)"),
+        ({"mode": "direct", "targets": [1, 2], "state_cap": -5,
+          "blocks": [{"delta": [1, 2], "stages": 2}]},
+         "malformed value for config key state_cap: -5 (a cap of at least 1)"),
     ], ids=["no-targets", "no-mode", "misspelled-key", "block-key", "block-missing-key",
             "blocks-not-list", "block-not-object", "not-object", "targets-not-list",
             "state-cap-string", "height-float", "delta-zero-denominator", "r-seq-string",
             "cylinder-level-past-depth", "cylinder-level-negative", "spectra-depth-zero",
-            "algebra-depth-zero"])
+            "algebra-depth-zero", "initial-height-zero", "initial-height-negative",
+            "state-cap-zero", "state-cap-negative"])
     def test_malformed_config_names_the_key(self, doc, path):
         with pytest.raises(ConfigError) as info:
             SessionConfig.from_dict(doc)
@@ -202,9 +225,9 @@ class TestSynth:
         cfg = small_direct_config()
         save_bundle(synth(cfg), tmp_path / "a")
         save_bundle(synth(cfg), tmp_path / "b")
-        assert bundle_hash(tmp_path / "a") == bundle_hash(tmp_path / "b")
+        assert manifest_hash(tmp_path / "a") == manifest_hash(tmp_path / "b")
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
-        assert manifest["bundle_hash"] == bundle_hash(tmp_path / "a")
+        assert manifest["bundle_hash"] == manifest_hash(tmp_path / "a")
         for name in ("config.json", "algebra.json", "schedule.json", "cocycle.json",
                      "validation.json", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
@@ -371,6 +394,32 @@ class TestCLI:
         assert code == 4
         assert results["mixing"]["detail"] == {
             "error": "the schedule has no lag in [h_1, 2 h_1] = [4, 8] below its height 4"}
+
+    @pytest.mark.parametrize("name", ["direct_12", "product_23"])
+    def test_weaklimits_fails_when_the_cap_skips_every_labelled_stage(self, tmp_path, capsys,
+                                                                       name):
+        # stage 1 is labelled and 2 levels tall; a cap of 1 leaves no stage
+        # to probe, which fails the gate instead of passing it on no probe
+        doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        bundle = self.synth_bundle(tmp_path, dict(doc, state_cap=1))
+        capsys.readouterr()
+        assert main(["verify", "--bundle", str(bundle), "--suite", "weaklimits"]) == 3
+        assert capsys.readouterr().out == "weaklimits: FAIL\n"
+        report = json.loads((bundle / "verify_report.json").read_text())
+        assert report["weaklimits"]["detail"] == {"failed": [
+            "no labelled stage probed: state_cap 1 is below the shortest one, "
+            "stage 1 of height 2"], "reports": []}
+
+    def test_weaklimits_passes_a_schedule_with_no_labelled_stage(self, tmp_path):
+        # staircase_mixing labels no stage, so there is nothing to probe
+        # under any cap
+        doc = json.loads((CONFIG_DIR / "staircase_mixing.json").read_text())
+        for cap in (1, doc.get("state_cap", 2 * 10**6)):
+            bundle = self.synth_bundle(tmp_path, dict(doc, state_cap=cap), name=f"cap{cap}")
+            code, results = run_verify(bundle, ("weaklimits",))
+            assert code == 0
+            assert results["weaklimits"]["detail"] == {
+                "notes": ["no labelled stages; nothing to probe"], "reports": []}
 
     def test_rotate_stage_probes_eta_once_when_kappa_is_one(self, tmp_path):
         # with targets [1], kappa = 1, so eta_1 is eta_0: rotate stage 4
@@ -587,7 +636,7 @@ def test_verify_and_dump_of_any_one_key_changed_end_in_an_exit_code(shipped_bund
             (bundle / fname).write_bytes((shipped_bundles[name] / fname).read_bytes())
         (bundle / "config.json").write_text(canonical_json(doc))
         manifest = json.loads((bundle / "manifest.json").read_text())
-        manifest["bundle_hash"] = bundle_hash(bundle)
+        manifest["bundle_hash"] = manifest_hash(bundle)
         (bundle / "manifest.json").write_text(canonical_json(manifest))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
