@@ -46,9 +46,11 @@ from .koopman_lab import (
     build_component,
     correlation_decay,
     disjointness_certificate,
+    disjointness_certificates,
     loop_product,
     multiplicity_report,
     simplicity_probe,
+    stage_probes,
     weak_limit_probe,
 )
 from .module_factory import (

@@ -8,7 +8,11 @@ Verify exit codes: 0 all gated checks pass, 2 algebra, 3 weak limits,
 4 mixing trend, 5 multiplicity (first failing suite in that order).
 A verify run also writes its suite reports next to the bundle
 (verify_report.json, or the --report path).  A --report path that cannot
-be written ends the run with `error: ...` and exit 1.
+be written ends the run with `error: ...` and exit 1, and so do a synth
+--out that cannot hold the bundle (`error: bundle not written: ...`; an
+existing file, or a path under one) and a dump --out that cannot be
+written (`error: dump not written: ...`; a missing directory, or a
+directory).
 
 A bundle is fully determined by its config.json.  verify and dump
 re-synthesize it from there and compare every bundle file below, byte for
@@ -70,7 +74,7 @@ from .koopman_lab import (
     exact_spectrum,
     multiplicity_report,
     sample_lags,
-    weak_limit_probe,
+    stage_probes,
 )
 from .session import (
     SessionConfig,
@@ -149,11 +153,9 @@ def _suite_weaklimits(session):
             # eta_0, and the skew-tower probe against the first nonzero factor character
             nonzero = [d for d in session.factor_characters() if any(d)]
             probes = [("eta", 0)] + [("chi", d) for d in nonzero[:1]]
-        for component in probes:
-            try:
-                rep = weak_limit_probe(session, n, component)
-            except CfspectraError as exc:
-                failed.append(f"stage {n} {component}: {exc}")
+        for component, rep in zip(probes, stage_probes(session, n, probes)):
+            if isinstance(rep, CfspectraError):
+                failed.append(f"stage {n} {component}: {rep}")
                 continue
             reports.append(rep.to_dict())
             if not rep.passed:
@@ -322,7 +324,10 @@ def run_dump(bundle_dir, what, fmt, out_path):
     else:
         raise CfspectraError(f"nothing to dump for {what!r}")
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            raise CfspectraError(f"dump not written: {exc}") from exc
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -363,7 +368,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "synth":
             session = synth(_read_config(args.config))
-            save_bundle(session, args.out)
+            try:
+                save_bundle(session, args.out)
+            except OSError as exc:
+                raise CfspectraError(f"bundle not written: {exc}") from exc
             print(f"bundle written to {args.out}")
             return EXIT_OK
         if args.command == "verify":

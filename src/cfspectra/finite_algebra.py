@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -110,10 +111,15 @@ class FiniteAbelianGroup:
         return eye
 
     def elements(self) -> list[Element]:
+        return list(self.iter_elements())
+
+    def iter_elements(self) -> Iterator[Element]:
+        """The elements in the order of `elements`, one at a time; a group
+        over ENUMERATION_CAP is refused before the first."""
         if self.size > ENUMERATION_CAP:
             raise SizeCapError(
                 f"group of size {self.size} exceeds enumeration cap {ENUMERATION_CAP}")
-        return list(itertools.product(*[range(n) for n in self.orders]))
+        return itertools.product(*[range(n) for n in self.orders])
 
     def coordinate_subgroup(self, coords) -> list[Element]:
         """Elements supported on the given coordinates, the first coordinate slowest."""

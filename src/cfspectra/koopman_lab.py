@@ -12,9 +12,11 @@ the cut-and-stack recursion, so a probe never lists the tower it probes:
 only the towers at the cylinder level, or under a lag as long as their
 column height, are listed; correlation decay counts the differences of the
 cylinder starts off the stage cuts, and lists none.  Both read the levels of
-a cylinder, |O|, from Tower.cylinder_size.  The multiplicity report takes
-its classes from the triple's trace partition of the distinguished subgroup
-and walks orbits only to certify that two classes separate.  Floating
+a cylinder, |O|, from Tower.cylinder_size.  The probes of one stage share
+one pair counter.  The multiplicity report takes its classes from the
+triple's trace partition of the distinguished subgroup and walks orbits
+only to certify that classes separate, in one scan for all its class
+pairs.  Floating
 point appears only in least-squares residuals and in report summaries;
 every equality decision is integer/rational.
 """
@@ -39,6 +41,7 @@ from .cocycle_engine import (
     _step_difference,
 )
 from .errors import (
+    CfspectraError,
     CharacterTypeError,
     ConsistencyError,
     LabelError,
@@ -331,7 +334,10 @@ class _PairCounter:
 
     `folded` maps the raw keys of one step to the buckets of their
     transition values and merges those, so no dense table of the raw keys
-    is built.
+    is built; it keeps each step's table for the counter's lifetime.  One
+    counter serves every probe of a stage (stage_probes): the eta and chi
+    tables of a step are read from one folded table, eta summing out the
+    module value.
     """
 
     def __init__(self, tower, n0: int, module: bool):
@@ -347,6 +353,7 @@ class _PairCounter:
         self.shape = (n_cyl, self.kappa, n_cyl, self.kappa, self.images.shape[1])
         self._words = {}
         self._stages = {}
+        self._folded = {}
 
     # -- module arithmetic on vectors ------------------------------------------
 
@@ -533,13 +540,16 @@ class _PairCounter:
         ((g n_cyl + f) kappa + s) |A| + w of the transition value
         (s, w) = (b - b', theta^b x), theta^b read as a permutation of the
         indices.  The buckets are distinct and sorted, each with the exact
-        sum of its raw counts.
+        sum of its raw counts.  The table of a step is folded once per
+        counter.
         """
-        n_cyl, kappa, _, _, n_a = self.shape
-        key, count = self.raw(steps)
-        _, g, b1, f, b2, x = self.decode(key)
-        bucket = ((g * n_cyl + f) * kappa + (b1 - b2) % kappa) * n_a + self.image_index[b1, x]
-        return _merged([(bucket, count)])
+        if steps not in self._folded:
+            n_cyl, kappa, _, _, n_a = self.shape
+            key, count = self.raw(steps)
+            _, g, b1, f, b2, x = self.decode(key)
+            bucket = ((g * n_cyl + f) * kappa + (b1 - b2) % kappa) * n_a + self.image_index[b1, x]
+            self._folded[steps] = _merged([(bucket, count)])
+        return self._folded[steps]
 
     def column_step(self):
         """Table of the pairs (l, l + h_(n-1)) of the depth-n tower; keys may
@@ -573,16 +583,22 @@ class _PairCounter:
 def _eta_values(counter: _PairCounter, steps: tuple[int, ...], eta_exp: int):
     """Complex tables V[g, f] = <U_eta^s 1_f, 1_g>, one per s in steps.
 
-    The counter's folded buckets of a step, counts[g, f, s] by the group
-    exponent s of the pair's path, are distinct, so they are assigned into
-    the table, not summed; the table is contracted with the phases of eta as
-    a whole.
+    The counter's folded buckets of a step, by the cell (g, f, s), s the
+    group exponent of the pair's path, are distinct, so they are assigned
+    into the table, not summed.  A counter with the module splits each cell
+    into a sorted run of buckets, one per module value, which the cell sums
+    exactly first.  The table is contracted with the phases of eta as a
+    whole.
     """
-    n_cyl, kappa = counter.shape[:2]
+    n_cyl, kappa, _, _, n_a = counter.shape
     phases = np.exp(2j * np.pi * eta_exp * np.arange(kappa) / kappa)
     tables = []
     for step in steps:
         key, count = counter.folded(step)
+        if n_a > 1:
+            cell = key // n_a
+            first = np.flatnonzero(np.diff(cell, prepend=-1))
+            key, count = cell[first], np.add.reduceat(count, first)
         counts = np.zeros(n_cyl * n_cyl * kappa, dtype=np.int64)
         counts[key] = count
         tables.append(counts.reshape(n_cyl, n_cyl, kappa) @ phases / counter.tower.height)
@@ -678,34 +694,28 @@ def _weak_limit_prediction(coefficients, lam, delta, inner, one_step, mean):
     return re, im
 
 
-def weak_limit_probe(session, stage_index: int, component) -> WeakLimitReport:
-    """Exact power-average table at one stage against its class prediction.
+@dataclass
+class _ProbePlan:
+    """A component that passed its checks: its prediction's entry, the label
+    phase lam, the stage's delta and the steps its tables are counted at."""
 
-    ``component`` is ("eta", e) for a base-tower component, e in range(kappa),
-    or ("chi", d) for a skew-tower component, d an element of the module;
-    the stage's label decides which limit formula is predicted.  The
-    cylinders are those at the session's cylinder level.  The tolerance is
-    3 over the stage's column count; exceeding it is reported, and the
-    right response is a larger stage, never a looser gate.
+    kind: str
+    payload: object
+    trivial: bool
+    prediction_kind: str
+    coefficients: object
+    lam: complex
+    delta: float
+    steps: tuple[int, ...]
 
-    Nothing is built for a refused probe.  A stage outside 1..depth raises
-    ParameterError, an unknown component kind CharacterTypeError, a
-    component the label has no prediction for (a plain stage, or chi on a
-    rotate stage) LabelError, and an e or d outside its group
-    InvalidElementError.  Then SizeCapError is raised where the largest
-    dense array the probe builds has more entries than the session's state
-    cap: for eta the count table, n_cyl^2 kappa; for chi the larger of its
-    value tables, (kappa n_cyl)^2, and the module images theta^k w, kappa |A|
-    rank(A).  The sparse pair tables hold only the pairs the counter meets,
-    and the counter refuses a tower it would list, and its level pairs, over
-    the cap (the stage's own height is not checked); a stage shallower than
-    the cylinder level raises ParameterError.
-    """
+
+def _probe_plan(session, stage_index: int, component) -> _ProbePlan:
+    """The checks of one component at one stage, in the order
+    weak_limit_probe documents, and what its prediction reads; builds no
+    table."""
     depth = session.schedule.depth
     if not 1 <= stage_index <= depth:
         raise ParameterError(f"no stage {stage_index} in a {depth}-stage schedule")
-    n0 = session.config.cylinder_level
-    stage = session.stage(stage_index)
     label = session.label(stage_index)
     kind, payload = component
     if kind not in ("eta", "chi"):
@@ -713,7 +723,7 @@ def weak_limit_probe(session, stage_index: int, component) -> WeakLimitReport:
     if (kind, label.kind) not in _PREDICTIONS:
         raise LabelError(f"no {kind} prediction for a {label.kind!r} stage")
     kappa = session.k_order
-    n_cyl = session.schedule.height(n0)
+    n_cyl = session.schedule.height(session.config.cylinder_level)
     if kind == "eta":
         session.triple.k_group.check((payload,))
         trivial = payload == 0
@@ -733,23 +743,34 @@ def weak_limit_probe(session, stage_index: int, component) -> WeakLimitReport:
     elif kind == "chi" and not trivial:
         chi = session.duality.character_of_dual(payload)
         lam = orbit_average(session.duality.dual_action, chi, label.a).value()
-
-    tower = session.tower_at(stage_index)
+    stage = session.stage(stage_index)
     delta = float(stage.delta) if stage.delta is not None else stage.i_count / stage.r_count
     steps = (stage.base_height,) if coefficients(lam, delta)[1] is None else (stage.base_height, 1)
-    # every depth-n0 cylinder has the same measure mu
-    mu = tower.cylinder_size(n0) / tower.height
+    return _ProbePlan(kind, payload, trivial, pred_kind, coefficients, lam, delta, steps)
+
+
+def _probe_tables(session, plan: _ProbePlan, counter: _PairCounter) -> list:
+    """The component's power-average tables at the plan's steps."""
+    if plan.kind == "eta":
+        return _eta_values(counter, plan.steps, plan.payload)
+    return _chi_values(counter, plan.steps, plan.payload, session.root_order)
+
+
+def _probe_report(session, stage_index: int, plan: _ProbePlan, tables,
+                  mu: float) -> WeakLimitReport:
+    """The component's tables against its prediction, for mu the measure of
+    every depth-n0 cylinder."""
+    stage, n0, kappa = session.stage(stage_index), session.config.cylinder_level, session.k_order
+    n_cyl = session.schedule.height(n0)
+    delta, lam, payload = plan.delta, plan.lam, plan.payload
     family = {"cylinder_level": n0, "cylinders": n_cyl}
     # <1_f x eta_e, 1_g x eta_e'> = [f = g][e = e'] mu_f, and the means
     # multiply to mu_f mu_g [e = e' = 0]; an eta table has no e axes, and its
     # mean is nonzero only for eta trivial
-    counter = _PairCounter(tower, n0, kind == "chi")
-    if kind == "eta":
-        tables = _eta_values(counter, steps, payload)
-        chars, means = 1.0, float(trivial)
+    if plan.kind == "eta":
+        chars, means = 1.0, float(plan.trivial)
         record = {"kind": "eta", "eta": payload}
     else:
-        tables = _chi_values(counter, steps, payload, session.root_order)
         chars = np.eye(kappa)
         means = chars * (np.arange(kappa) == 0)
         record = {"kind": "chi", "d": list(payload)}
@@ -757,13 +778,83 @@ def weak_limit_probe(session, stage_index: int, component) -> WeakLimitReport:
     inner = np.multiply.outer(chars, mu * np.eye(n_cyl))
     mean = np.multiply.outer(means, np.full((n_cyl, n_cyl), mu * mu))
     # tables[-1] is the one-step table when the prediction has one
-    re, im = _weak_limit_prediction(coefficients, lam, delta, inner, tables[-1], mean)
+    re, im = _weak_limit_prediction(plan.coefficients, lam, delta, inner, tables[-1], mean)
     return WeakLimitReport(
-        stage_index=stage.index, label=label, component=record, family=family,
-        prediction_kind=pred_kind, values=tables[0], pred_re=re, pred_im=im,
-        deviations=_deviations(tables[0], re, im),
+        stage_index=stage.index, label=session.label(stage_index), component=record,
+        family=family, prediction_kind=plan.prediction_kind, values=tables[0],
+        pred_re=re, pred_im=im, deviations=_deviations(tables[0], re, im),
         tolerance=PROBE_TOLERANCE_FACTOR / stage.r_count,
     )
+
+
+def stage_probes(session, stage_index: int, components) -> list:
+    """weak_limit_probe of each component at one stage, from one pair counter.
+
+    Returns one WeakLimitReport or one CfspectraError per component, in
+    order.  Every component's checks run first; then one counter serves the
+    components that passed them, each table of a step folded once.  The
+    counter carries the module only if a chi component passed its checks,
+    so a chi refused on its module images builds none of them for eta.  A
+    refusal met while counting (a tower or its level pairs over the cap, a
+    stage shallower than the cylinder level) is repeated, with the same
+    message, for each component that asks for the refused table.
+    """
+    plans = []
+    for component in components:
+        try:
+            plans.append(_probe_plan(session, stage_index, component))
+        except CfspectraError as exc:
+            plans.append(exc)
+    n0 = session.config.cylinder_level
+    module = any(isinstance(p, _ProbePlan) and p.kind == "chi" for p in plans)
+    counter, counted = None, []
+    for plan in plans:
+        if isinstance(plan, _ProbePlan):
+            try:
+                if counter is None:
+                    counter = _PairCounter(session.tower_at(stage_index), n0, module)
+                plan = (plan, _probe_tables(session, plan, counter))
+            except CfspectraError as exc:
+                plan = exc
+        counted.append(plan)
+    if counter is None:
+        return counted
+    tower = counter.tower
+    mu = tower.cylinder_size(n0) / tower.height
+    # the counter's towers and folded tables go before any prediction is formed
+    del counter
+    return [c if isinstance(c, CfspectraError) else _probe_report(session, stage_index, *c, mu)
+            for c in counted]
+
+
+def weak_limit_probe(session, stage_index: int, component) -> WeakLimitReport:
+    """Exact power-average table at one stage against its class prediction.
+
+    ``component`` is ("eta", e) for a base-tower component, e in range(kappa),
+    or ("chi", d) for a skew-tower component, d an element of the module;
+    the stage's label decides which limit formula is predicted.  The
+    cylinders are those at the session's cylinder level.  The tolerance is
+    3 over the stage's column count; exceeding it is reported, and the
+    right response is a larger stage, never a looser gate.  This is the
+    one-component case of stage_probes.
+
+    Nothing is built for a refused probe.  A stage outside 1..depth raises
+    ParameterError, an unknown component kind CharacterTypeError, a
+    component the label has no prediction for (a plain stage, or chi on a
+    rotate stage) LabelError, and an e or d outside its group
+    InvalidElementError.  Then SizeCapError is raised where the largest
+    dense array the probe builds has more entries than the session's state
+    cap: for eta the count table, n_cyl^2 kappa; for chi the larger of its
+    value tables, (kappa n_cyl)^2, and the module images theta^k w, kappa |A|
+    rank(A).  The sparse pair tables hold only the pairs the counter meets,
+    and the counter refuses a tower it would list, and its level pairs, over
+    the cap (the stage's own height is not checked); a stage shallower than
+    the cylinder level raises ParameterError.
+    """
+    (result,) = stage_probes(session, stage_index, [component])
+    if isinstance(result, CfspectraError):
+        raise result
+    return result
 
 
 # Complex arithmetic on (real, imaginary) array pairs.  Each step rounds as
@@ -957,37 +1048,68 @@ class Certificate:
         return out
 
 
-def disjointness_certificate(duality, chi: Character, chi2: Character) -> Certificate:
-    """Conjugation witness if the characters are related, else a separating a.
+def disjointness_certificates(duality, chars) -> dict:
+    """Certificate of every pair i < j of the characters, keyed (i, j) in order.
 
-    The search for a separating element covers the whole module, in element
-    order, but visits one element per orbit: orbit averages are constant on
-    orbits, so an element in the orbit of one already scanned cannot
-    separate.  The first separating element is the one an exhaustive scan
-    finds.  By the finite-level orbit-average identity the search must
-    succeed for unrelated characters, so a failed search raises instead of
-    returning quietly.
+    A pair is a conjugation witness, the least k with chi_i o theta^k =
+    chi_j, when the characters are related; each character's kappa
+    conjugates are listed once.  The other pairs share one search for a
+    separating element, over the module in element order, one element per
+    orbit: orbit averages are constant on orbits, so an element in the
+    orbit of one already scanned cannot separate.  The module is walked
+    lazily, each orbit once, and each orbit's average is taken once per
+    character that still has an open pair.  A pair closes at the first
+    orbit whose averages differ, so its separating element is the one an
+    exhaustive scan of that pair finds.  By the finite-level orbit-average
+    identity the search must succeed for unrelated characters, so a failed
+    search raises instead of returning quietly.
     """
     action = duality.dual_action
-    if chi.group != action.module or chi2.group != action.module:
+    if any(chi.group != action.module for chi in chars):
         raise CharacterTypeError("certificates live on the dual module")
-    for k in range(duality.triple.k_order):
-        if chi.compose_action(action, k).exponents == chi2.exponents:
-            return Certificate(equivalent=True, witness_k=k)
-    seen = set()
-    for a in action.module.elements():
-        if a in seen:
-            continue
-        orb = orbit(action, a)
-        seen.update(orb)
-        l1 = orbit_average(action, chi, a, _orbit=orb)
-        l2 = orbit_average(action, chi2, a, _orbit=orb)
-        if not cyclo_equal(l1, l2):
-            return Certificate(False, None, a, l1, l2)
-    raise ConsistencyError(
-        "unrelated characters with identical orbit averages on the whole "
-        "module; the finite-level separation identity is violated"
-    )
+    pairs = [(i, j) for i in range(len(chars)) for j in range(i + 1, len(chars))]
+    certs = {}
+    conjugates = {}
+    for i, j in pairs:
+        if i not in conjugates:
+            # the least k per conjugate, so a witness is the first k that fits
+            conjugates[i] = {}
+            for k in range(duality.triple.k_order):
+                conjugates[i].setdefault(chars[i].compose_action(action, k).exponents, k)
+        k = conjugates[i].get(chars[j].exponents)
+        if k is not None:
+            certs[(i, j)] = Certificate(equivalent=True, witness_k=k)
+    open_pairs = [p for p in pairs if p not in certs]
+    if open_pairs:
+        seen = set()
+        for a in action.module.iter_elements():
+            if a in seen:
+                continue
+            orb = orbit(action, a)
+            seen.update(orb)
+            averages = {c: orbit_average(action, chars[c], a, _orbit=orb)
+                        for c in sorted({c for p in open_pairs for c in p})}
+            still_open = []
+            for i, j in open_pairs:
+                if cyclo_equal(averages[i], averages[j]):
+                    still_open.append((i, j))
+                else:
+                    certs[(i, j)] = Certificate(False, None, a, averages[i], averages[j])
+            open_pairs = still_open
+            if not open_pairs:
+                break
+        else:
+            raise ConsistencyError(
+                "unrelated characters with identical orbit averages on the whole "
+                "module; the finite-level separation identity is violated"
+            )
+    return {p: certs[p] for p in pairs}
+
+
+def disjointness_certificate(duality, chi: Character, chi2: Character) -> Certificate:
+    """Conjugation witness if the characters are related, else a separating a:
+    the two-character case of disjointness_certificates."""
+    return disjointness_certificates(duality, (chi, chi2))[(0, 1)]
 
 
 @dataclass
@@ -1055,12 +1177,9 @@ def multiplicity_report(session) -> MultiplicityReport:
     # every chi component shares one closed-form spectrum, so spectra
     # coincide within each class and overlap fully across classes
     verdicts = {i: dict.fromkeys(range(session.k_order), True) for i in range(len(classes))}
-    overlaps, certs = {}, {}
     reps = [session.duality.character_of_dual(cls[0]) for cls in classes]
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            certs[(i, j)] = disjointness_certificate(session.duality, reps[i], reps[j])
-            overlaps[(i, j)] = 1.0
+    certs = disjointness_certificates(session.duality, reps)
+    overlaps = dict.fromkeys(certs, 1.0)
     if overlaps:
         notes.append(
             "cross-class spectral overlap is expected at finite level (all "

@@ -23,8 +23,9 @@ CAP_SITES = {
         "(ENUMERATION_CAP)",
     "cocycle_engine.TowerModel.__init__":
         "the model's word arrays, one row per level (its cap)",
-    "finite_algebra.FiniteAbelianGroup.elements":
-        "the list of the group's elements (ENUMERATION_CAP)",
+    "finite_algebra.FiniteAbelianGroup.iter_elements":
+        "the list of the group's elements, or a walk over all of them "
+        "(ENUMERATION_CAP)",
     "finite_algebra.FiniteAbelianGroup.coordinate_subgroup":
         "the list of the subgroup's elements (ENUMERATION_CAP)",
     "finite_algebra.orbit":
@@ -36,7 +37,7 @@ CAP_SITES = {
         "component and h kappa states for a chi one (state_cap)",
     "koopman_lab._runs":
         "the level-pair index arrays the pair counter lists (the tower's cap)",
-    "koopman_lab.weak_limit_probe":
+    "koopman_lab._probe_plan":
         "the probe's largest dense array: the eta count table, or the chi value "
         "tables or module images, the larger (state_cap)",
     "koopman_lab._difference_counts":

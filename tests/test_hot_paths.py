@@ -8,7 +8,9 @@ character value is an integer exponent, never a Fraction.  The
 full-height passes take their cyclic shifts as slices, never as a rolled
 copy.  No command builds a tower model other than a probe's
 base-case towers, and a weak-limit probe at stage n lists none taller than
-h_(n-1), nor any tower twice, nor a dense table of its raw pair counts.
+h_(n-1), nor any tower twice, nor a dense table of its raw pair counts;
+the probes of one stage share one counter, and a multiplicity report
+walks each orbit once.
 Decay lists no cylinder start and packs no h-bit indicator.  No command
 renders JSON through json's pure-Python encoder, and a process builds its
 argument parser once.
@@ -153,10 +155,14 @@ def test_certificates_and_duality_build_no_fraction(monkeypatch):
     assert Fraction(1, 3) and len(calls) == 1  # the counter does see a Fraction
 
 
-@pytest.mark.parametrize("name", ["direct_12", "product_23"])
-def test_multiplicity_report_walks_orbits_only_in_the_certificate_scan(monkeypatch, name):
+@pytest.mark.parametrize("name, orbits", [("direct_12", 3), ("product_23", 12)],
+                         ids=["direct_12", "product_23"])
+def test_multiplicity_report_walks_orbits_only_in_the_certificate_scan(monkeypatch, name,
+                                                                       orbits):
     # the classes are the triple's trace partition, walked once when it is
-    # assembled; the report walks orbits only to separate class pairs
+    # assembled; the report walks orbits only to separate class pairs, in
+    # one scan that serves every pair and walks each orbit once (a scan per
+    # pair walks 7 and 98)
     session = synth(SessionConfig.from_json((CONFIG_DIR / f"{name}.json").read_text()))
     callers = []
     original = finite_algebra.orbit
@@ -169,7 +175,33 @@ def test_multiplicity_report_walks_orbits_only_in_the_certificate_scan(monkeypat
     monkeypatch.setattr(koopman_lab, "orbit", recording)
     report = koopman_lab.multiplicity_report(session)
     assert report.certificates
-    assert callers and set(callers) == {"disjointness_certificate"}
+    assert callers and set(callers) == {"disjointness_certificates"}
+    assert len(callers) <= orbits, len(callers)
+
+
+@pytest.mark.parametrize("name, counters, models, tables", [
+    ("direct_12", 2, 6, 2), ("product_23", 3, 7, 4)], ids=["direct_12", "product_23"])
+def test_weaklimits_count_each_stage_once(tmp_path, monkeypatch, name, counters, models,
+                                          tables):
+    # every probe of a stage reads one pair counter, which lists each of its
+    # towers once and folds each step's table once; a counter per probe
+    # builds 4 counters and 12 models on direct_12, 6 and 14 on product_23
+    bundle = tmp_path / "bundle"
+    assert main(["synth", "--config", str(CONFIG_DIR / f"{name}.json"),
+                 "--out", str(bundle)]) == 0
+    built = count_calls(monkeypatch, koopman_lab._PairCounter, "__init__")
+    listed = count_calls(monkeypatch, TowerModel, "__init__")
+    folded = []
+    raw = koopman_lab._PairCounter.raw
+
+    def recording(self, steps):
+        folded.append((self.tower.depth, steps))
+        return raw(self, steps)
+
+    monkeypatch.setattr(koopman_lab._PairCounter, "raw", recording)
+    assert main(["verify", "--bundle", str(bundle), "--suite", "weaklimits"]) == 0
+    assert (len(built), len(listed)) == (counters, models), (len(built), len(listed))
+    assert len(folded) == len(set(folded)) == tables, folded
 
 
 @pytest.mark.parametrize("name", ["direct_12", "product_23", "staircase_mixing"])

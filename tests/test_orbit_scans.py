@@ -3,7 +3,9 @@
 `disjointness_certificate` and `orbit_trace_counts` visit one element per
 orbit (or per trace).  The oracles below are the exhaustive loops: every
 module element for the certificate, every nonzero d for the trace counts.
-Results must be identical, coefficient for coefficient.
+`disjointness_certificates` shares one scan among many pairs; its oracle
+is the scan of each pair on its own.  Results must be identical,
+coefficient for coefficient.
 """
 
 import random
@@ -12,14 +14,19 @@ from types import SimpleNamespace
 import pytest
 
 from cfspectra import finite_algebra, koopman_lab
-from cfspectra.errors import ConsistencyError
+from cfspectra.errors import ConsistencyError, SizeCapError
 from cfspectra.finite_algebra import (
     cyclo_equal,
     orbit,
     orbit_average,
     orbit_trace_counts,
 )
-from cfspectra.koopman_lab import Certificate, disjointness_certificate, factor_classes
+from cfspectra.koopman_lab import (
+    Certificate,
+    disjointness_certificate,
+    disjointness_certificates,
+    factor_classes,
+)
 from cfspectra.module_factory import assemble_triple, dualize
 
 TARGET_SETS = [{1}, {2}, {1, 2}, {2, 3}, {1, 3, 5}, {2, 4, 6}]
@@ -37,6 +44,36 @@ def exhaustive_certificate(duality, chi, chi2):
         if not cyclo_equal(l1, l2):
             return Certificate(False, None, a, l1, l2)
     raise ConsistencyError("exhausted")
+
+
+def per_pair_certificate(duality, chi, chi2):
+    """Oracle: one pair's own scan, one element per orbit, as if no other
+    pair shared it."""
+    action = duality.dual_action
+    for k in range(duality.triple.k_order):
+        if chi.compose_action(action, k).exponents == chi2.exponents:
+            return Certificate(equivalent=True, witness_k=k)
+    seen = set()
+    for a in action.module.elements():
+        if a in seen:
+            continue
+        orb = orbit(action, a)
+        seen.update(orb)
+        l1 = orbit_average(action, chi, a, _orbit=orb)
+        l2 = orbit_average(action, chi2, a, _orbit=orb)
+        if not cyclo_equal(l1, l2):
+            return Certificate(False, None, a, l1, l2)
+    raise ConsistencyError("exhausted")
+
+
+def assert_shared_scan_equals_per_pair(duality, chars):
+    got = disjointness_certificates(duality, chars)
+    pairs = [(i, j) for i in range(len(chars)) for j in range(i + 1, len(chars))]
+    assert list(got) == pairs
+    for i, j in pairs:
+        want = per_pair_certificate(duality, chars[i], chars[j])
+        assert got[(i, j)].to_dict() == want.to_dict(), (i, j)
+    return got
 
 
 def per_d_trace_counts(action, subgroup):
@@ -144,6 +181,63 @@ class TestCertificateOracle:
         assert not cert.equivalent
         assert scan_position(rec135, cert.separating_a) == 9317
         assert not cyclo_equal(cert.l_left, cert.l_right)
+
+
+class TestSharedCertificateScan:
+    @pytest.mark.parametrize("fixture", ["shipped_direct", "shipped_product"])
+    def test_every_class_pair_matches_per_pair_scan(self, request, fixture):
+        # the class representatives, then a conjugate of the first, so some
+        # pairs are witnessed and the rest share the scan
+        duality = request.getfixturevalue(fixture).duality
+        chars = class_characters(duality)
+        chars.append(chars[0].compose_action(duality.dual_action, 1))
+        got = assert_shared_scan_equals_per_pair(duality, chars)
+        assert any(c.equivalent for c in got.values())
+        assert sum(not c.equivalent for c in got.values()) >= 3
+
+    def test_sampled_135_pairs_match_per_pair_scan(self, rec135, chars135):
+        # eight of the 33 classes, 28 pairs: both scan strata, the pairs that
+        # separate at position 1 and those that run to 1331 or 1332
+        sample = sorted(random.Random(135).sample(range(len(chars135)), 8))
+        got = assert_shared_scan_equals_per_pair(rec135, [chars135[i] for i in sample])
+        positions = {scan_position(rec135, c.separating_a) for c in got.values()}
+        assert 1 in positions and positions & {1331, 1332}, positions
+
+    def test_each_orbit_walked_once_and_averaged_per_open_character(self, rec135, chars135,
+                                                                    monkeypatch):
+        # the scan stops at the last pair's separating orbit, and each orbit
+        # is averaged once for each character with a pair still open on it
+        walked, averaged = [], []
+
+        def computing(action, a):
+            walked.append(a)
+            return orbit(action, a)
+
+        def recording(action, chi, a, **kwargs):
+            assert a == walked[-1]
+            averaged.append((len(walked) - 1, chars135.index(chi)))
+            return orbit_average(action, chi, a, **kwargs)
+
+        monkeypatch.setattr(koopman_lab, "orbit", computing)
+        monkeypatch.setattr(koopman_lab, "orbit_average", recording)
+        picked = (0, 1, 3, 17)
+        certs = disjointness_certificates(rec135, [chars135[i] for i in picked])
+        closed = {(picked[i], picked[j]): walked.index(c.separating_a)
+                  for (i, j), c in certs.items()}
+        assert len(walked) == len(set(walked)) == max(closed.values()) + 1
+        # pairs close at orbits 1, 91 and 625, so characters drop out along the way
+        assert len(set(closed.values())) == 3, closed
+        assert averaged == [(t, c) for t in range(len(walked)) for c in picked
+                            if any(c in p and t <= at for p, at in closed.items())]
+
+    def test_135_module_over_the_cap_is_refused_before_the_scan(self, rec135, chars135,
+                                                                monkeypatch):
+        walked = []
+        monkeypatch.setattr(finite_algebra, "ENUMERATION_CAP", rec135.dual_module.size - 1)
+        monkeypatch.setattr(koopman_lab, "orbit", lambda action, a: walked.append(a))
+        with pytest.raises(SizeCapError, match="exceeds enumeration cap"):
+            disjointness_certificates(rec135, chars135[:3])
+        assert not walked
 
 
 class TestTraceCountOracle:

@@ -11,7 +11,8 @@ fold the nonzero entries of the dense fold of that table.  A table with a
 module part at the step h_(n-1) of a stage whose columns differ in their
 group exponent is refused, not counted.  The probe tables, contracted per
 nonzero bucket, must equal the dense contraction of the level pass bit for
-bit.
+bit, and an eta table read from a counter with the module part the one
+read from a counter without it.
 """
 
 from fractions import Fraction
@@ -161,6 +162,25 @@ def test_values_equal_dense_contraction_on_random_schedules(drawn):
     session, n0 = drawn_session(drawn)
     for n in range(n0, session.schedule.depth + 1):
         assert_values_equal_dense_contraction(session, n, n0)
+
+
+@on_random_schedules
+def test_eta_tables_of_a_module_counter_equal_the_module_less_ones(drawn):
+    # the probes of a stage share one counter, which carries the module when
+    # a chi probe asks for it; eta sums each cell's module values out exactly
+    session, n0 = drawn_session(drawn)
+    kappa = session.k_order
+    for n in range(n0, session.schedule.depth + 1):
+        if not module_fits(session, n0):
+            continue
+        _, tower = depth_n(session, n)
+        steps = [s for s in (session.schedule.height(n - 1), 1)
+                 if not refused(session, n, n0, s, True)]
+        plain, shared = _PairCounter(tower, n0, False), _PairCounter(tower, n0, True)
+        for eta in range(kappa):
+            got = _eta_values(shared, steps, eta)
+            want = _eta_values(plain, steps, eta)
+            assert [t.tobytes() for t in got] == [t.tobytes() for t in want], (n, eta)
 
 
 @pytest.mark.parametrize("name, depth", PROBED, ids=[f"{n}-{d}" for n, d in PROBED])

@@ -337,6 +337,36 @@ class TestCLI:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["existing-file", "under-a-file"])
+    def test_synth_out_that_cannot_hold_a_bundle_is_an_error(self, tmp_path, capsys, case):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"mode": "direct", "targets": [1],
+                                        "shape": "staircase", "r_seq": [2, 3]}))
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = blocker if case == "existing-file" else blocker / "b"
+        capsys.readouterr()
+        assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bundle not written: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert blocker.read_text() == "kept"
+
+    @pytest.mark.parametrize("case", ["missing-directory", "a-directory"])
+    def test_dump_out_that_cannot_be_written_is_an_error(self, tmp_path, capsys, case):
+        bundle = self.synth_bundle(tmp_path, {"mode": "direct", "targets": [1],
+                                              "shape": "staircase", "r_seq": [2, 3]})
+        out = tmp_path / "missing" / "x.json" if case == "missing-directory" else tmp_path
+        capsys.readouterr()
+        assert main(["dump", "--bundle", str(bundle), "--what", "spectra",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: dump not written: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "missing").exists()
+
     def test_unwritable_report_path_is_an_error(self, tmp_path, capsys):
         bundle = self.synth_bundle(tmp_path, {"mode": "direct", "targets": [1],
                                               "shape": "staircase", "r_seq": [2, 3]})

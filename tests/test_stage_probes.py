@@ -1,0 +1,131 @@
+"""The probes of one stage, read from one pair counter, against one probe each.
+
+stage_probes checks every component first, then counts the stage's pairs
+once: the counter carries the module when a chi component passed its
+checks, and an eta table read from it sums out the module value.  Each
+result must equal weak_limit_probe of that component alone, whose eta
+counter has no module, report byte for report byte, and each refusal the
+same error with the same message.
+"""
+
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+
+from cfspectra import cli
+from cfspectra.cf_builder import DeltaBlock
+from cfspectra.errors import CfspectraError, ParameterError, SizeCapError
+from cfspectra.koopman_lab import stage_probes, weak_limit_probe
+from cfspectra.session import SessionConfig, synth
+
+
+def outcome(result):
+    """A report as its dict and its value bytes (signed zeros count), or a
+    refusal as its type and message."""
+    if isinstance(result, CfspectraError):
+        return type(result).__name__, str(result)
+    return result.to_dict(), result.values.tobytes()
+
+
+def one_by_one(session, n, components):
+    out = []
+    for component in components:
+        try:
+            out.append(outcome(weak_limit_probe(session, n, component)))
+        except CfspectraError as exc:
+            out.append(outcome(exc))
+    return out
+
+
+def mixed_components(session):
+    """Refusals between eta and chi probes, chi first, so no component's
+    result may lean on its place in the list."""
+    module = session.ctx.module
+    nonzero = [d for d in session.factor_characters() if any(d)]
+    return ([("chi", nonzero[0]), ("eta", 0), ("bogus", 0), ("chi", module.zero()),
+             ("eta", session.k_order - 1), ("chi", tuple(module.orders))]
+            + [("chi", d) for d in nonzero[1:3]])
+
+
+def assert_shared_equals_one_by_one(session, n, components):
+    got = [outcome(r) for r in stage_probes(session, n, components)]
+    assert got == one_by_one(session, n, components), (n, components)
+    return got
+
+
+# the benchmark's probe stages, each with every component probed there
+@pytest.mark.parametrize("fixture, stage, components", [
+    ("probe_direct", 3, [("eta", 0), ("chi", (1, 0)), ("chi", (0, 1)), ("chi", (1, 1)),
+                         ("chi", (1, 2))]),
+    ("probe_direct", 4, [("eta", 0), ("eta", 1)]),
+    ("probe_product", 5, [("eta", 0), ("chi", (0, 1, 0))]),
+    ("probe_large", 3, [("eta", 0), ("eta", 1)]),
+    ("scaled_16x16x128x16", 3, [("eta", 0), ("chi", (1, 1)), ("chi", (0, 2))]),
+    ("scaled_16x16x128x16", 4, [("eta", 0), ("eta", 1)]),
+    ("scaled_32x32x256", 3, [("eta", 0), ("chi", (1, 1))]),
+])
+def test_stage_probes_equal_one_probe_each_on_probe_fixtures(request, fixture, stage,
+                                                             components):
+    got = assert_shared_equals_one_by_one(request.getfixturevalue(fixture), stage, components)
+    assert all(isinstance(result[0], dict) for result in got)
+
+
+@pytest.mark.parametrize("fixture", ["probe_direct", "probe_product", "probe_kappa3"])
+def test_stage_probes_equal_one_probe_each_with_refusals(request, fixture):
+    session = request.getfixturevalue(fixture)
+    for n in range(1, session.schedule.depth + 1):
+        assert_shared_equals_one_by_one(session, n, mixed_components(session))
+
+
+@pytest.mark.parametrize("fixture", ["shipped_direct", "shipped_product", "shipped_staircase"])
+def test_stage_probes_equal_one_probe_each_on_shipped_bundles(request, fixture):
+    # the stages the weak-limit suite probes; staircase_mixing has only plain
+    # stages, each of which refuses every component
+    session = request.getfixturevalue(fixture)
+    stages = list(cli._probe_stages(session).values())
+    for n in stages or range(1, session.schedule.depth + 1):
+        got = assert_shared_equals_one_by_one(session, n, mixed_components(session))
+        assert any(isinstance(result[0], dict) for result in got) == bool(stages)
+
+
+@pytest.mark.parametrize("delta, r_seq, cylinder_level, state_cap, stage, error", [
+    # a stage under the cylinder level
+    (Fraction(1, 2), (2, 2, 3, 3), 3, 2 * 10**6, 1, ParameterError),
+    # 272 level pairs of a listed tower, over the cap
+    (Fraction(1, 4), (4, 4, 32, 32), 1, 250, 3, SizeCapError),
+])
+def test_a_refusal_while_counting_repeats_for_each_component(delta, r_seq, cylinder_level,
+                                                             state_cap, stage, error):
+    # a refusal of the counter is met once per component that passed its
+    # checks, with the message one probe raises
+    session = synth(SessionConfig(
+        mode="direct", targets=(1, 2), cylinder_level=cylinder_level, state_cap=state_cap,
+        blocks=(DeltaBlock(delta, len(r_seq), r_seq=r_seq),)))
+    components = [("eta", 0), ("chi", (1, 0)), ("chi", (0, 1))]
+    results = stage_probes(session, stage, components)
+    assert all(isinstance(r, error) for r in results), results
+    assert [outcome(r) for r in results] == one_by_one(session, stage, components)
+
+
+def test_chi_refused_on_module_images_builds_none_for_eta():
+    # {1,3,5}: kappa 15 and |A| = 18,634 of rank 5, so the chi module images
+    # hold 1,397,550 int64 entries (11.2 MB), over the cap; eta_0 on the same
+    # stage counts its pairs without the module
+    session = synth(SessionConfig(
+        mode="direct", targets=(1, 3, 5), state_cap=10**6,
+        blocks=(DeltaBlock(Fraction(1, 2), 3, r_seq=(4, 4, 4)),)))
+    module = session.ctx.module
+    images = session.k_order * module.size * module.rank * 8
+    d = next(d for d in session.factor_characters() if any(d))
+    components = [("eta", 0), ("chi", d)]
+    stage_probes(session, 3, components)  # fills the session's caches first
+    tracemalloc.start()
+    try:
+        eta, chi = stage_probes(session, 3, components)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(chi, SizeCapError) and "exceeds cap" in str(chi)
+    assert eta.passed
+    assert peak < images // 4, (peak, images)
