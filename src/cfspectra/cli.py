@@ -28,8 +28,9 @@ taller than 2**63 - 1 levels, is refused the same way before it is built,
 and so is a cylinder_level outside 0..(number of stages), or an
 initial_height, state_cap or spectra_depth below 1.  verify and dump
 refuse each array they would build over more entries than state_cap (the
-largest dense array of a weak-limit probe, a tower a probe lists, its
-level pairs, the column pairs of correlation decay), and a decay table of
+largest dense array of a weak-limit probe; the cylinder-depth tower a
+probe lists, its level pairs and column offsets, the only tower and pairs
+it lists; the column pairs of correlation decay), and a decay table of
 more than 10**6 rows, before
 building it (a failed suite, or dump exit 1); a tower's height alone is
 never refused.  A decay lag window [h_n, 2 h_n] with no lag below the

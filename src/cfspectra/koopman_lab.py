@@ -9,14 +9,15 @@ bucket counting of phase exponents and judged against one weak-limit
 prediction, delta (a I + b U*) + c P, whose coefficients the component and
 the stage label pick from one table.  The level pairs are counted through
 the cut-and-stack recursion, so a probe never lists the tower it probes:
-only the towers at the cylinder level, or under a lag as long as their
-column height, are listed; correlation decay counts the differences of the
-cylinder starts off the stage cuts, and lists none.  Both read the levels of
-a cylinder, |O|, from Tower.cylinder_size.  The probes of one stage share
-one pair counter.  The multiplicity report takes its classes from the
-triple's trace partition of the distinguished subgroup and walks orbits
-only to certify that classes separate, in one scan for all its class
-pairs.  Floating
+only the tower at the cylinder level is listed, and a lag as long as a
+column's height is counted from the column offsets; correlation decay
+counts the differences of the cylinder starts off the stage cuts, in
+closed form where a stage's gaps are equal, and lists none.  Both read the
+levels of a cylinder, |O|, from Tower.cylinder_size.  The probes of one
+stage share one pair counter.  The multiplicity report takes its classes
+from the triple's trace partition of the distinguished subgroup and walks
+orbits only to certify that classes separate, in one scan for all its
+class pairs.  Floating
 point appears only in least-squares residuals and in report summaries;
 every equality decision is integer/rational.
 """
@@ -26,7 +27,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
+from math import prod
 
 import numpy as np
 
@@ -295,18 +297,45 @@ def _at(words, idx):
 
 
 _NO_PAIRS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+_FAR = np.full(2, np.iinfo(np.int64).max)
+
+
+def _joined(parts):
+    """Tables (keys, counts) as one, whose keys may repeat."""
+    if len(parts) < 2:
+        return parts[0] if parts else _NO_PAIRS
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 def _merged(parts):
     """Tables (keys, counts) summed into one with distinct sorted keys."""
-    if not parts:
-        return _NO_PAIRS
-    key = np.concatenate([p[0] for p in parts])
-    count = np.concatenate([p[1] for p in parts])
+    key, count = _joined(parts)
     order = np.argsort(key)
     key, count = key[order], count[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
+    first = np.flatnonzero(_starts(key))
     return key[first], np.add.reduceat(count, first)
+
+
+def _starts(values):
+    """Where each run of equal values of a sorted array starts."""
+    starts = np.empty(values.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
+def _kept(method):
+    """A _PairCounter method whose result is kept, per argument tuple, for
+    the counter's lifetime."""
+
+    @wraps(method)
+    def kept(self, *args):
+        key = (method.__name__, *args)
+        if key not in self._kept:
+            self._kept[key] = method(self, *args)
+        return self._kept[key]
+
+    return kept
 
 
 class _PairCounter:
@@ -316,28 +345,31 @@ class _PairCounter:
     at once: key c R + i counts entry i of raw[g, b, f, b', x] (R entries)
     in table c.  The word of a level is its depth-n0 cylinder (-1 for a
     deeper spacer, whose pairs are dropped), its group exponent and its
-    untwisted module part u; a pair of words is keyed by x = u - u'.
-    Column j of stage m carries the entry (b_j, a_j): its level y has the
-    word of level y of the depth-(m-1) tower times the entry, which adds b_j
-    to the exponent and sends u to theta^(-b_j) u + v_j, for
-    v_j = theta^(-b_j) a_j.  So a pair inside column j moves by one index
-    lookup, x to theta^(-b_j) x, and a pair across a boundary depends on the
-    entries of its two columns through (b_j, b_(j+1), v_j - v_(j+1)).
+    untwisted module part u.  Table c has a twist delta_c, an exponent of
+    theta, and keys a pair of words by x = u - theta^(delta_c) u'; the
+    tables asked for from outside have twist 0.  Column j of stage m
+    carries the entry (b_j, a_j): its level y has the word of level y of
+    the depth-(m-1) tower times the entry, which adds b_j to the exponent
+    and sends u to theta^(-b_j) u + v_j, for v_j = theta^(-b_j) a_j.
 
-    A lag-s table of the depth-m tower is then the lag-s table of the
-    depth-(m-1) tower moved into each column, plus the pairs that cross from
-    the top of a column to the bottom of the next one, which join the top
-    and bottom s words of the depth-(m-1) tower.  At the cylinder depth n0,
-    or for a lag of at least the column height, the words of the whole
-    depth-m tower are listed and paired level by level.  Models are built
-    only for those towers, once per counter, and kept for its lifetime only.
+    A lag-s table of the depth-m tower is then counted from the tables of
+    the depth-(m-1) tower, in three parts: the pairs inside a column, the
+    lower table moved into each column (`columns`); for s below the column
+    height h_(m-1), the pairs that cross from the top of a column to the
+    bottom of the next one, which join the top and bottom s words of the
+    depth-(m-1) tower (`crossings`); and for s of at least h_(m-1), the
+    pairs between two columns, lower pairs at the lag their column offsets
+    leave (`offsets`).  The lower tables of all three are asked for at once.
+    Only the depth-n0 tower, the cylinder depth, is listed and paired level
+    by level, from the one model the counter builds.
 
     `folded` maps the raw keys of one step to the buckets of their
     transition values and merges those, so no dense table of the raw keys
-    is built; it keeps each step's table for the counter's lifetime.  One
-    counter serves every probe of a stage (stage_probes): the eta and chi
-    tables of a step are read from one folded table, eta summing out the
-    module value.
+    is built.  The counter keeps the depth-n0 words, each stage's entries
+    and boundaries, the edges it pairs and each step's folded table for
+    its lifetime, and nothing beyond it.  One counter serves every probe of
+    a stage (stage_probes): the eta and chi tables of a step are read from
+    one folded table, eta summing out the module value.
     """
 
     def __init__(self, tower, n0: int, module: bool):
@@ -349,11 +381,17 @@ class _PairCounter:
         self.orders, self.radix, self.theta, self.images = _module_tables(tower.ctx, module)
         # image_index[k, x] is the index of theta^k of the element of index x
         self.image_index = self.images @ self.radix
+        # twists are exponents of theta, which has nothing to act on without
+        # a module part
+        self.twist_order = self.kappa if len(self.orders) else 1
         n_cyl = self.heights[n0]
         self.shape = (n_cyl, self.kappa, n_cyl, self.kappa, self.images.shape[1])
-        self._words = {}
-        self._stages = {}
-        self._folded = {}
+        self.table_size = prod(self.shape)
+        # one side of a pair, its cylinder and exponent, is coded g kappa + b;
+        # shifted[k, g kappa + b] codes (g, b + k)
+        side, k = np.arange(n_cyl * self.kappa), np.arange(self.kappa)[:, None]
+        self.shifted = side - side % self.kappa + (side % self.kappa + k) % self.kappa
+        self._kept = {}
 
     # -- module arithmetic on vectors ------------------------------------------
 
@@ -365,174 +403,352 @@ class _PairCounter:
         return x
 
     def act(self, k, vecs):
-        """theta^k of every row of vecs (rows reduced mod the orders)."""
-        k %= self.kappa
-        return vecs @ self.theta[k].T % self.orders if k else vecs
+        """theta^k of every row of vecs (rows reduced mod the orders), for one
+        exponent k or one per row."""
+        if not len(self.orders):
+            return vecs
+        k = np.asarray(k) % self.kappa
+        if not k.any():
+            return vecs
+        if not k.ndim:
+            return vecs @ self.theta[k].T % self.orders
+        out = vecs.copy()
+        for e in np.unique(k).tolist():
+            if e:
+                rows = k == e
+                out[rows] = vecs[rows] @ self.theta[e].T % self.orders
+        return out
 
-    # -- words -----------------------------------------------------------------
+    # -- the tower's structure -------------------------------------------------
 
-    def words(self, m):
-        """(cylinder, exponent, u) of every level of the depth-m tower."""
-        if m not in self._words:
-            t = self.tower
-            model = TowerModel(t.schedule, m, t.maps_by_stage[:m], t.ctx, cap=t.cap)
-            self._words[m] = (model.cylinder_ids(self.n0), model.word_beta,
-                              model.word_untwisted[:, :len(self.orders)])
-        return self._words[m]
+    @_kept
+    def words(self):
+        """(cylinder, exponent, u) of every level of the depth-n0 tower."""
+        t = self.tower
+        model = TowerModel(t.schedule, self.n0, t.maps_by_stage[:self.n0], t.ctx, cap=t.cap)
+        return (model.cylinder_ids(self.n0), model.word_beta,
+                model.word_untwisted[:, :len(self.orders)])
 
+    @_kept
     def stage(self, m):
-        """Stage m's column entries b_j and v_j, and its gaps g_j: the spacer
-        count between column j and column j + 1."""
-        if m not in self._stages:
-            st, maps = self.tower.schedule.stages[m - 1], self.tower.maps_by_stage[m - 1]
-            b = np.array(maps.beta, dtype=np.int64)
-            a = np.array(maps.alpha, dtype=np.int64)[:, :len(self.orders)]
-            v = a.copy()
-            for k in np.unique(b):
-                rows = b == k
-                v[rows] = self.act(-k, a[rows])
-            gaps = np.diff(np.array(st.cuts, dtype=np.int64)) - st.base_height
-            self._stages[m] = (b, v, gaps)
-        return self._stages[m]
+        """Stage m's column entries b_j and v_j, its cuts c_j and its gaps g_j:
+        the spacer count between column j and column j + 1."""
+        st, maps = self.tower.schedule.stages[m - 1], self.tower.maps_by_stage[m - 1]
+        b = np.array(maps.beta, dtype=np.int64)
+        v = self.act(-b, np.array(maps.alpha, dtype=np.int64)[:, :len(self.orders)])
+        cuts = np.array(st.cuts, dtype=np.int64)
+        return b, v, cuts, np.diff(cuts) - st.base_height
 
-    def boundaries(self, m, cyclic):
+    @_kept
+    def boundaries(self, m, cyclic, delta):
         """Stage m's boundaries from column j to j + 1 (with cyclic, also from
         the last column to column 0, across gap 0), grouped by their entries:
-        b_j, b_(j+1) and the index d of v_j - v_(j+1) per group, then the
-        group and the gap of each boundary."""
-        b, v, gaps = self.stage(m)
+        per group b_j, b_(j+1), the index d of v_j - theta^delta v_(j+1), and
+        the number of its boundaries at each gap."""
+        b, v, _, gaps = self.stage(m)
         left = np.arange(len(b) if cyclic else len(b) - 1)
         right = (left + 1) % len(b)
         if cyclic:
             gaps = np.append(gaps, 0)
         n_a, kappa = self.shape[4], self.kappa
         groups, group_of = np.unique(
-            (b[left] * kappa + b[right]) * n_a + self.index(v[left] - v[right]),
+            (b[left] * kappa + b[right]) * n_a + self.index(v[left] - self.act(delta, v[right])),
             return_inverse=True)
-        pair, d = np.divmod(groups, n_a)
-        b1, b2 = np.divmod(pair, kappa)
-        return b1, b2, d, group_of, gaps
+        out = []
+        for group, code in enumerate(groups.tolist()):
+            pair, d = divmod(code, n_a)
+            b_1, b_2 = divmod(pair, kappa)
+            out.append((b_1, b_2, d, np.bincount(gaps[group_of == group])))
+        return out
 
+    @_kept
     def edge(self, m, size, top):
         """Words of the top or bottom `size` levels of the depth-m tower.
 
         The bottom levels are those of column 0, whose entry is the
         identity; the top ones are those of the last column, since no stage
-        has spacers above it.
+        has spacers above it.  A window taller than a column spans several:
+        each the whole depth-(m-1) tower moved by its column's entry, with
+        the spacers of the gaps (cylinder -1) between them.
         """
-        if m > self.n0 and size <= self.heights[m - 1]:
+        h = self.heights[m]
+        if m == self.n0:
+            window = slice(h - size, None) if top else slice(0, size)
+            return tuple(w[window] for w in self.words())
+        b, v, cuts, _ = self.stage(m)
+        below = self.heights[m - 1]
+        if size <= below:
             cyl, beta, u = self.edge(m - 1, size, top)
             if top:
-                b, v, _ = self.stage(m)
                 beta, u = (beta + b[-1]) % self.kappa, (self.act(-b[-1], u) + v[-1]) % self.orders
             return cyl, beta, u
-        window = slice(self.heights[m] - size, None) if top else slice(0, size)
-        return tuple(w[window] for w in self.words(m))
+        if size > self.tower.cap:
+            raise SizeCapError(f"{size} edge levels exceed cap {self.tower.cap}")
+        levels = np.arange(h - size, h) if top else np.arange(size)
+        col = np.searchsorted(cuts, levels, side="right") - 1
+        y = levels - cuts[col]
+        spacer = y >= below
+        y[spacer] = 0
+        cyl, beta, u = _at(self.edge(m - 1, below, True), y)
+        return (np.where(spacer, -1, cyl), (beta + b[col]) % self.kappa,
+                (self.act(-b[col], u) + v[col]) % self.orders)
 
     # -- tables ----------------------------------------------------------------
 
-    def encode(self, c, g, b1, f, b2, x):
-        n_cyl, kappa, _, _, n_a = self.shape
-        return ((((c * n_cyl + g) * kappa + b1) * n_cyl + f) * kappa + b2) * n_a + x
+    def encode(self, c, first, second, x):
+        """Key of table c, the sides' codes g kappa + b and x."""
+        sides, n_a = self.shifted.shape[1], self.shape[4]
+        return ((c * sides + first) * sides + second) * n_a + x
 
     def decode(self, key):
-        n_cyl, kappa, _, _, n_a = self.shape
+        sides, n_a = self.shifted.shape[1], self.shape[4]
         rest, x = np.divmod(key, n_a)
-        rest, b2 = np.divmod(rest, kappa)
-        rest, f = np.divmod(rest, n_cyl)
-        rest, b1 = np.divmod(rest, kappa)
-        c, g = np.divmod(rest, n_cyl)
-        return c, g, b1, f, b2, x
+        rest, second = np.divmod(rest, sides)
+        c, first = np.divmod(rest, sides)
+        return c, first, second, x
 
-    def pair_keys(self, first, i1, second, i2, weights):
-        """Tables of the word pairs (first[i1[i]], second[i2[i]]), pair i
-        counted weights[c, i] times in table c; keys may repeat."""
+    def pair_keys(self, first, i1, second, i2, c, count, twists):
+        """Table of the word pairs (first[i1[i]], second[i2[i]]), pair i
+        counted count[i] times in table c[i], of twist twists[c[i]]; keys may
+        repeat."""
         keep = np.flatnonzero((first[0][i1] >= 0) & (second[0][i2] >= 0))
-        c, i = np.nonzero(weights[:, keep])
-        at = keep[i]
-        (c1, b1, u1), (c2, b2, u2) = _at(first, i1[at]), _at(second, i2[at])
-        return self.encode(c, c1, b1, c2, b2, self.index(u1 - u2)), weights[c, at]
+        c, count = c[keep], count[keep]
+        (c1, b1, u1), (c2, b2, u2) = _at(first, i1[keep]), _at(second, i2[keep])
+        if twists.any():
+            u2 = self.act(twists[c], u2)
+        kappa = self.kappa
+        return self.encode(c, c1 * kappa + b1, c2 * kappa + b2, self.index(u1 - u2)), count
 
-    def level_pass(self, m, lags, weights, cyclic):
-        """Pairs (l, l + s) listed level by level over the depth-m tower."""
-        words = self.words(m)
+    def level_pass(self, lags, weights, twists, cyclic):
+        """Pairs (l, l + s) listed level by level over the depth-n0 tower, once
+        per table that counts their lag."""
+        words = self.words()
         h = len(words[0])
-        run, first = _runs(np.full(lags.size, h) if cyclic else h - lags, self.tower.cap)
-        second = first + lags[run]
+        c, i = np.nonzero(weights)
+        run, first = _runs(np.full(c.size, h) if cyclic else h - lags[i], self.tower.cap)
+        c, i = c[run], i[run]
+        second = first + lags[i]
         if cyclic:
             second %= h
-        return self.pair_keys(words, first, words, second, weights[:, run])
+        return self.pair_keys(words, first, words, second, c, weights[c, i], twists)
 
-    def pairs(self, m, lags, weights, cyclic=False):
+    def pairs(self, m, lags, weights, twists, cyclic=False):
         """Tables of the pairs (l, l + s) of the depth-m tower, where table c
-        counts the lag lags[i] (distinct) weights[c, i] times; with cyclic,
-        l + s is taken modulo the height, for lags below it."""
-        if not cyclic:
-            keep = lags < self.heights[m]
-            lags, weights = lags[keep], weights[:, keep]
-        if m == self.n0:
-            return self.level_pass(m, lags, weights, cyclic)
-        big = lags >= self.heights[m - 1]
-        parts = [self.level_pass(m, lags[big], weights[:, big], cyclic)] if big.any() else []
-        lags, weights = lags[~big], weights[:, ~big]
-        if lags.size:
-            key, count = self.pairs(m - 1, lags, weights)
-            c, g, e1, f, e2, x = self.decode(key)
-            # column j adds b_j to both exponents and sends x to
-            # theta^(-b_j) x: v_j cancels, so columns of one b_j move alike
-            b, copies = np.unique(self.stage(m)[0], return_counts=True)
-            for b_j, n_copies in zip(b.tolist(), copies.tolist()):
-                parts.append((self.encode(c, g, (e1 + b_j) % self.kappa, f,
-                                          (e2 + b_j) % self.kappa, self.image_index[-b_j, x]),
-                              count * n_copies))
-            parts += self.crossings(m, lags, weights, cyclic)
-        return _merged(parts)
+        counts the lag lags[i] (increasing) weights[c, i] times, with twist
+        twists[c]; with cyclic, l + s is taken modulo the height, for lags
+        below it.  Returned as parts whose keys may repeat; within a part the
+        tables come in order, each one run of keys.
 
-    def crossings(self, m, lags, weights, cyclic):
+        The tables' keys are refused before any is formed where they would
+        pass the int64 range.  The lags below the column height are asked of
+        the depth-(m-1) tower as they are, the others as the lower tables of
+        their column offsets, placed after the given ones, in one call.
+        """
+        keys = len(weights) * self.table_size
+        if keys > 2**63:
+            raise SizeCapError(f"pair tables of {keys} keys exceed the int64 key space")
+        if not cyclic:
+            keep = np.searchsorted(lags, self.heights[m])
+            lags, weights = lags[:keep], weights[:, :keep]
+        if m == self.n0:
+            return [self.level_pass(lags, weights, twists, cyclic)]
+        small = np.searchsorted(lags, self.heights[m - 1])
+        lags, weights, big_lags, big_weights = (lags[:small], weights[:, :small],
+                                                lags[small:], weights[:, small:])
+        # the given tables go below only with a lag to ask for
+        n_tables = len(weights) if lags.size else 0
+        lower, lower_weights, lower_twists = lags, weights, twists
+        if big_lags.size:
+            spans, span_weights, span_twists, groups = self.offsets(m, big_lags, big_weights,
+                                                                    twists, cyclic)
+            lower = np.union1d(lags, spans)
+            lower_weights = np.zeros((n_tables + len(span_weights), lower.size), dtype=np.int64)
+            lower_weights[:n_tables, np.searchsorted(lower, lags)] = weights[:n_tables]
+            lower_weights[n_tables:, np.searchsorted(lower, spans)] = span_weights
+            lower_twists = np.concatenate([twists[:n_tables], span_twists])
+        parts = self.crossings(m, lags, weights, twists, cyclic)
+        if lower.size:
+            below = self.pairs(m - 1, lower, lower_weights, lower_twists)
+            key, count = below[0] if len(below) == 1 else _merged(below)
+            split = np.searchsorted(key, n_tables * self.table_size)
+            if split:
+                parts += self.columns(m, key[:split], count[:split], twists)
+            if split < key.size:
+                parts.append(self.moved(key[split:], count[split:], groups, twists, n_tables))
+        return parts
+
+    def columns(self, m, key, count, twists):
+        """The lower tables moved into every column of stage m.
+
+        Column j adds b_j to both exponents and sends x to
+        theta^(-b_j) x + (1 - theta^delta) v_j, for delta the table's twist,
+        so the columns of one (b_j, (1 - theta^delta) v_j) move alike, and a
+        column with neither, as every translate column at twist 0, leaves
+        the key as it is.
+        """
+        parts = []
+        for delta, tables in self.twist_classes(twists):
+            keys, counts = key, count
+            if tables is not None:
+                at = tables[key // self.table_size]
+                keys, counts = key[at], count[at]
+            decoded = None
+            for b_j, w, copies in self.moves(m, delta):
+                if not (b_j or w):
+                    parts.append((keys, counts * copies))
+                    continue
+                if decoded is None:
+                    decoded = self.decode(keys)
+                c, first, second, x = decoded
+                x = (self.index(self.images[-b_j] + self.images[0, w])[x] if w
+                     else self.image_index[-b_j, x])
+                moved = self.encode(c, self.shifted[b_j, first], self.shifted[b_j, second], x)
+                parts.append((moved, counts * copies))
+        return parts
+
+    @_kept
+    def moves(self, m, delta):
+        """(b_j, index of (1 - theta^delta) v_j, columns) per distinct move of
+        the columns of stage m."""
+        b, v, _, _ = self.stage(m)
+        n_a = self.shape[4]
+        moves, copies = np.unique(b * n_a + self.index(v - self.act(delta, v)),
+                                  return_counts=True)
+        return [(*divmod(move, n_a), n) for move, n in zip(moves.tolist(), copies.tolist())]
+
+    def twist_classes(self, twists):
+        """The distinct twists of the tables, each with a mask of its tables,
+        None where all tables share it."""
+        if not twists.any():
+            return [(0, None)]
+        deltas = np.unique(twists)
+        if deltas.size == 1:
+            return [(int(deltas[0]), None)]
+        return [(delta, twists == delta) for delta in deltas.tolist()]
+
+    def offsets(self, m, lags, weights, twists, cyclic):
+        """The pairs of lags s >= h_(m-1) of the depth-m tower, as lower tables.
+
+        Such a pair joins level y of column j to level y + t of column k,
+        for t = s - (c_k - c_j) with |t| < h_(m-1); with cyclic, the columns
+        wrap around past the last one, at c_k + h_m.  So it is a lag-|t|
+        pair of the depth-(m-1) tower, reversed for t < 0, each side moved
+        by its own column's entry.  Cuts lie at least h_(m-1) apart, so each
+        (s, j) has at most two such k, the first past c_j + s - h_(m-1) and
+        the next; those 2 r per lag are refused over the cap before they are
+        listed.  The (s, j, k) of each table c are grouped by orientation,
+        b_j, b_k and the index d of v_j - theta^delta v_k, delta the table's
+        twist, and each group is one lower table, weighted by |t|.  Its twist,
+        delta + b_j - b_k, or b_k - b_j - delta reversed, makes the moved key
+        a function of the lower pair's (`moved`).
+
+        Returns the lower lags |t| (distinct), the groups' weights and twists,
+        and the groups' (c, reversed, b_j, b_k, d).
+        """
+        kappa, n_a = self.kappa, self.shape[4]
+        b, v, cuts, _ = self.stage(m)
+        below = self.heights[m - 1]
+        listed = 2 * lags.size * cuts.size
+        if listed > self.tower.cap:
+            raise SizeCapError(f"{listed} column offsets exceed cap {self.tower.cap}")
+        # the column bottoms, past the last one those of the wrapped columns,
+        # then two that no level reaches
+        ends = np.concatenate((cuts, cuts + self.heights[m], _FAR) if cyclic else (cuts, _FAR))
+        at = (cuts + lags[:, None]).ravel()  # c_j + s, per (s, j)
+        k = np.searchsorted(ends, at - below, side="right")
+        k = np.concatenate((k, k + 1))
+        t = np.concatenate((at, at)) - ends[k]
+        pair = np.flatnonzero(t > -below)
+        lag, j = np.divmod(pair % at.size, cuts.size)
+        k, t = k[pair] % cuts.size, t[pair]
+        c, e = np.nonzero(weights[:, lag])
+        j, k, t = j[e], k[e], t[e]
+        group = ((c * 2 + (t < 0)) * kappa + b[j]) * kappa + b[k]
+        if len(self.orders):
+            group = group * n_a + self.index(v[j] - (self.act(twists[c], v[k]) if twists.any()
+                                                     else v[k]))
+        # one sorted pass sums the weights per (group, |t|)
+        key, weight = _merged([(group * below + np.abs(t), weights[c, lag[e]])])
+        group, span = np.divmod(key, below)
+        first = _starts(group)
+        spans = np.unique(span)
+        span_weights = np.zeros((np.count_nonzero(first), spans.size), dtype=np.int64)
+        span_weights[np.cumsum(first) - 1, np.searchsorted(spans, span)] = weight
+        rest, d = np.divmod(group[first], n_a)
+        rest, b_k = np.divmod(rest, kappa)
+        rest, b_j = np.divmod(rest, kappa)
+        c, rev = np.divmod(rest, 2)
+        delta = twists[c]
+        span_twists = np.where(rev, b_k - b_j - delta, delta + b_j - b_k) % self.twist_order
+        return spans, span_weights, span_twists, (c, rev, b_j, b_k, d)
+
+    def moved(self, key, count, groups, twists, offset):
+        """The lower tables of `offsets`' groups, group i at table offset + i,
+        as a part of the groups' own tables.
+
+        A lower pair (g, e, f, e', x) of group (c, b_j, b_k, d) goes to
+        (g, e + b_j, f, e' + b_k, theta^(-b_j) x + d); reversed, it runs
+        from column k to column j, so to (f, e' + b_j, g, e + b_k,
+        d - theta^(delta - b_k) x), delta the twist of table c.
+        """
+        i, first, second, x = self.decode(key)
+        i -= offset
+        c, rev, b_j, b_k, d = groups
+        if len(self.orders):
+            # x' per group and lower x, one table of |A| entries per group
+            power = np.where(rev, twists[c] - b_k, -b_j) % self.kappa
+            x = self.index(self.images[0, d, None] + (1 - 2 * rev)[:, None, None]
+                           * self.images[power])[i, x]
+        rev = rev.astype(bool)[i]
+        first, second = np.where(rev, second, first), np.where(rev, first, second)
+        return (self.encode(c[i], self.shifted[b_j][i, first], self.shifted[b_k][i, second], x),
+                count)
+
+    def crossings(self, m, lags, weights, twists, cyclic):
         """Pairs of lag s < h_(m-1) from the top of column j to the bottom of
         column j + 1 (with cyclic, also from the last column to column 0).
 
         Across a gap of g spacers such a pair spans n = s - g levels: the
         top level size - n + k of the top words and the bottom level k, for
         k in range(n).  Per group of `boundaries`, the weight of a span n
-        sums over the gaps and lags with s - g = n, a correlation of the two
-        weight vectors.
+        sums the weights of the lags g + n over the group's gaps g; the
+        pairs of a span are listed once per table that weighs it.
         """
-        size = int(lags.max())
+        size = int(lags.max()) if lags.size else 0
         if not size:
             return []
         top, bottom = self.edge(m - 1, size, True), self.edge(m - 1, size, False)
         lag_weights = np.zeros((len(weights), size + 1), dtype=np.int64)
         lag_weights[:, lags] = weights
-        b1, b2, d, group_of, gaps = self.boundaries(m, cyclic)
         parts = []
-        for group, (b_1, b_2, d_1) in enumerate(zip(b1.tolist(), b2.tolist(), d.tolist())):
-            gap_weights = np.bincount(gaps[group_of == group])[::-1]
-            span_weights = np.stack([np.convolve(row, gap_weights)[len(gap_weights):][:size]
-                                     for row in lag_weights])
-            spans = np.flatnonzero(span_weights.any(axis=0)) + 1
-            run, k = _runs(spans, self.tower.cap)
-            first = (top[0], (top[1] + b_1) % self.kappa,
-                     (self.act(-b_1, top[2]) + self.images[0, d_1]) % self.orders)
-            second = (bottom[0], (bottom[1] + b_2) % self.kappa, self.act(-b_2, bottom[2]))
-            parts.append(self.pair_keys(first, size - spans[run] + k, second, k,
-                                        span_weights[:, spans[run] - 1]))
+        for delta, tables in self.twist_classes(twists):
+            rows = lag_weights if tables is None else lag_weights * tables[:, None]
+            for b_1, b_2, d_1, gap_counts in self.boundaries(m, cyclic, delta):
+                # one correlation for all rows, each padded past its gaps
+                reach = gap_counts[:size][::-1]
+                width = size + reach.size
+                padded = np.zeros((len(rows), width), dtype=np.int64)
+                padded[:, :size + 1] = rows
+                span_weights = np.convolve(padded.ravel(), reach)[reach.size - 1:].reshape(
+                    len(rows), width)[:, 1:size + 1]
+                c, span = np.nonzero(span_weights)
+                run, k = _runs(span + 1, self.tower.cap)
+                c, span = c[run], span[run]
+                first = (top[0], (top[1] + b_1) % self.kappa,
+                         (self.act(-b_1, top[2]) + self.images[0, d_1]) % self.orders)
+                second = (bottom[0], (bottom[1] + b_2) % self.kappa, self.act(-b_2, bottom[2]))
+                parts.append(self.pair_keys(first, size - 1 - span + k, second, k, c,
+                                            span_weights[c, span], twists))
         return parts
 
     def raw(self, steps):
         """Table of the pairs (l, l + steps) of the cyclic tower; keys may
-        repeat.
+        repeat."""
+        s = steps % self.tower.height
+        return _joined(self.pairs(self.tower.depth, np.array([s]), np.ones((1, 1), dtype=np.int64),
+                                  np.zeros(1, dtype=np.int64), True))
 
-        The step h_(n-1) of a depth-n tower is counted from the column
-        structure of stage n, any other step through the lag recursion.
-        """
-        tower = self.tower
-        n = tower.depth
-        s = steps % tower.height
-        if n > self.n0 and s == tower.schedule.height(n - 1):
-            return self.column_step()
-        return self.pairs(n, np.array([s]), np.ones((1, 1), dtype=np.int64), True)
-
+    @_kept
     def folded(self, steps):
         """The raw table at `steps` by cylinders and transition value.
 
@@ -540,55 +756,25 @@ class _PairCounter:
         ((g n_cyl + f) kappa + s) |A| + w of the transition value
         (s, w) = (b - b', theta^b x), theta^b read as a permutation of the
         indices.  The buckets are distinct and sorted, each with the exact
-        sum of its raw counts.  The table of a step is folded once per
-        counter.
+        sum of its raw counts.
         """
-        if steps not in self._folded:
-            n_cyl, kappa, _, _, n_a = self.shape
-            key, count = self.raw(steps)
-            _, g, b1, f, b2, x = self.decode(key)
-            bucket = ((g * n_cyl + f) * kappa + (b1 - b2) % kappa) * n_a + self.image_index[b1, x]
-            self._folded[steps] = _merged([(bucket, count)])
-        return self._folded[steps]
-
-    def column_step(self):
-        """Table of the pairs (l, l + h_(n-1)) of the depth-n tower; keys may
-        repeat.
-
-        Such a pair joins level y of column j to level y - g_j of column
-        j + 1, the last column wrapping to column 0 with gap 0: a reversed
-        lag-g_j pair of the depth-(n-1) tower, each side with its own
-        column's entry.  One weighted table over the gaps per group of
-        `boundaries` counts them all.  Each side's u is moved by its own
-        theta^(-b), so the key is a function of the reversed pair's x' only
-        when b_j = b_(j+1): a table with a module part is refused
-        (ParameterError) on a stage whose columns differ in b.  No probe asks
-        for one, as chi has no prediction on a rotate stage.
-        """
-        n = self.tower.depth
-        if len(self.orders) and np.unique(self.stage(n)[0]).size > 1:
-            raise ParameterError(f"no module table at the column step of stage {n}, "
-                                 "whose columns differ in their group exponent")
-        b1, b2, d, group_of, gaps = self.boundaries(n, True)
-        lags, lag_of = np.unique(gaps, return_inverse=True)
-        weights = np.zeros((len(b1), len(lags)), dtype=np.int64)
-        np.add.at(weights, (group_of, lag_of), 1)
-        key, count = self.pairs(n - 1, lags, weights)
-        c, g, e1, f, e2, x = self.decode(key)
-        # x = v_j - v_(j+1) - theta^(-b) x' for the reversed pair's x'
-        x = self.index(self.images[0, d[c]] - self.images[-b2[c], x])
-        return self.encode(0, f, (e2 + b1[c]) % self.kappa, g, (e1 + b2[c]) % self.kappa, x), count
+        n_cyl, kappa, _, _, n_a = self.shape
+        key, count = self.raw(steps)
+        _, first, second, x = self.decode(key)
+        (g, b1), (f, b2) = np.divmod(first, kappa), np.divmod(second, kappa)
+        bucket = ((g * n_cyl + f) * kappa + (b1 - b2) % kappa) * n_a + self.image_index[b1, x]
+        return _merged([(bucket, count)])
 
 
 def _eta_values(counter: _PairCounter, steps: tuple[int, ...], eta_exp: int):
     """Complex tables V[g, f] = <U_eta^s 1_f, 1_g>, one per s in steps.
 
-    The counter's folded buckets of a step, by the cell (g, f, s), s the
-    group exponent of the pair's path, are distinct, so they are assigned
-    into the table, not summed.  A counter with the module splits each cell
-    into a sorted run of buckets, one per module value, which the cell sums
-    exactly first.  The table is contracted with the phases of eta as a
-    whole.
+    A bucket of the counter's folded table adds count * eta(s), s the group
+    exponent of the pair's path, to its cell (g, f): one bincount each for
+    the real and the imaginary parts, which sums a cell's buckets in order
+    of s, as the contraction of a dense count table with the phases would.
+    A counter with the module splits each (g, f, s) into a sorted run of
+    buckets, one per module value, which is summed exactly first.
     """
     n_cyl, kappa, _, _, n_a = counter.shape
     phases = np.exp(2j * np.pi * eta_exp * np.arange(kappa) / kappa)
@@ -596,12 +782,15 @@ def _eta_values(counter: _PairCounter, steps: tuple[int, ...], eta_exp: int):
     for step in steps:
         key, count = counter.folded(step)
         if n_a > 1:
-            cell = key // n_a
-            first = np.flatnonzero(np.diff(cell, prepend=-1))
-            key, count = cell[first], np.add.reduceat(count, first)
-        counts = np.zeros(n_cyl * n_cyl * kappa, dtype=np.int64)
-        counts[key] = count
-        tables.append(counts.reshape(n_cyl, n_cyl, kappa) @ phases / counter.tower.height)
+            key = key // n_a
+            first = np.flatnonzero(_starts(key))
+            key, count = key[first], np.add.reduceat(count, first)
+        cell, s = np.divmod(key, kappa)
+        values = np.empty(n_cyl * n_cyl, dtype=complex)
+        values.real = np.bincount(cell, count * phases.real[s], values.size)
+        values.imag = np.bincount(cell, count * phases.imag[s], values.size)
+        values /= counter.tower.height
+        tables.append(values.reshape(n_cyl, n_cyl))
     return tables
 
 
@@ -624,16 +813,15 @@ def _chi_values(counter: _PairCounter, steps: tuple[int, ...], d, phase_order: i
 
     # G[e, w] = sum over k of chi_d(theta^k w) * e^{2 pi i e k / kappa}
     weights = _pairing_weights(counter.orders, d, phase_order)
+    chi_vals = np.exp(2j * np.pi * ((images @ weights) % phase_order) / phase_order)
+    phases = np.array([[cmath.exp(2j * cmath.pi * e * k / kappa) for k in range(kappa)]
+                       for e in range(kappa)])
     g_table = np.zeros((kappa, n_a), dtype=complex)
     for k in range(kappa):
-        pair_exp = (images[k] @ weights) % phase_order
-        chi_vals = np.exp(2j * np.pi * pair_exp / phase_order)
-        for e in range(kappa):
-            g_table[e] += chi_vals * cmath.exp(2j * cmath.pi * e * k / kappa)
+        g_table += chi_vals[k] * phases[:, k, None]
     eta_phase = np.exp(2j * np.pi * np.arange(kappa)[:, None] * np.arange(kappa)[None, :] / kappa)
 
     e_v = np.arange(kappa)
-    n_bins = kappa * n_cyl * n_cyl
     tables = []
     for step in steps:
         key, count = counter.folded(step)
@@ -641,17 +829,15 @@ def _chi_values(counter: _PairCounter, steps: tuple[int, ...], d, phase_order: i
         s, w = np.divmod(rest, n_a)
         # bin (e_v, g, f) per term, terms of one bin in bucket order
         bins = (e_v[:, None] * (n_cyl * n_cyl) + cell).ravel()
-        re, im = np.empty((kappa, n_bins)), np.empty((kappa, n_bins))
+        values = np.empty((kappa, kappa * n_cyl * n_cyl), dtype=complex)
         for e_u in range(kappa):
             t_re, t_im = _cmul(count, 0.0, eta_phase.real[e_u, s], eta_phase.imag[e_u, s])
             g = (e_u - e_v)[:, None] % kappa
             t_re, t_im = _cmul(t_re, t_im, g_table.real[g, w], g_table.imag[g, w])
-            re[e_u] = np.bincount(bins, t_re.ravel(), n_bins)
-            im[e_u] = np.bincount(bins, t_im.ravel(), n_bins)
-        values = np.empty((kappa, kappa, n_cyl, n_cyl), dtype=complex)
-        values.real = re.reshape(values.shape)
-        values.imag = im.reshape(values.shape)
-        tables.append(values / (h * kappa))
+            values.real[e_u] = np.bincount(bins, t_re.ravel(), values.shape[1])
+            values.imag[e_u] = np.bincount(bins, t_im.ravel(), values.shape[1])
+        values /= h * kappa
+        tables.append(values.reshape(kappa, kappa, n_cyl, n_cyl))
     return tables
 
 
@@ -775,16 +961,33 @@ def _probe_report(session, stage_index: int, plan: _ProbePlan, tables,
         means = chars * (np.arange(kappa) == 0)
         record = {"kind": "chi", "d": list(payload)}
         family["group_characters"] = kappa
-    inner = np.multiply.outer(chars, mu * np.eye(n_cyl))
-    mean = np.multiply.outer(means, np.full((n_cyl, n_cyl), mu * mu))
-    # tables[-1] is the one-step table when the prediction has one
-    re, im = _weak_limit_prediction(plan.coefficients, lam, delta, inner, tables[-1], mean)
+    # the inner products and means on the diagonal g = f ([..., 0]) and off
+    # it ([..., 1])
+    inner = np.multiply.outer(chars, mu * np.array([1.0, 0.0]))
+    mean = np.multiply.outer(means, np.full(2, mu * mu))
+    if len(tables) > 1:
+        # tables[1] is the one-step table of a prediction that has one
+        re, im = _weak_limit_prediction(plan.coefficients, lam, delta, _by_side(inner, n_cyl),
+                                        tables[1], _by_side(mean, n_cyl))
+    else:
+        # without it, an entry's prediction is a function of its side alone
+        re, im = _weak_limit_prediction(plan.coefficients, lam, delta, inner, None, mean)
+        re, im = _by_side(re, n_cyl), _by_side(im, n_cyl)
     return WeakLimitReport(
         stage_index=stage.index, label=session.label(stage_index), component=record,
         family=family, prediction_kind=plan.prediction_kind, values=tables[0],
         pred_re=re, pred_im=im, deviations=_deviations(tables[0], re, im),
         tolerance=PROBE_TOLERANCE_FACTOR / stage.r_count,
     )
+
+
+def _by_side(sides, n: int) -> np.ndarray:
+    """n x n tables holding sides[..., 0] on the diagonal and sides[..., 1]
+    off it."""
+    out = np.empty((*sides.shape[:-1], n * n))
+    out[...] = sides[..., 1:]
+    out[..., ::n + 1] = sides[..., :1]
+    return out.reshape(*sides.shape[:-1], n, n)
 
 
 def stage_probes(session, stage_index: int, components) -> list:
@@ -795,9 +998,10 @@ def stage_probes(session, stage_index: int, components) -> list:
     components that passed them, each table of a step folded once.  The
     counter carries the module only if a chi component passed its checks,
     so a chi refused on its module images builds none of them for eta.  A
-    refusal met while counting (a tower or its level pairs over the cap, a
-    stage shallower than the cylinder level) is repeated, with the same
-    message, for each component that asks for the refused table.
+    refusal met while counting (the cylinder-depth tower, its level pairs
+    or the column offsets over the cap, a stage shallower than the cylinder
+    level) is repeated, with the same message, for each component that asks
+    for the refused table.
     """
     plans = []
     for component in components:
@@ -846,10 +1050,12 @@ def weak_limit_probe(session, stage_index: int, component) -> WeakLimitReport:
     dense array the probe builds has more entries than the session's state
     cap: for eta the count table, n_cyl^2 kappa; for chi the larger of its
     value tables, (kappa n_cyl)^2, and the module images theta^k w, kappa |A|
-    rank(A).  The sparse pair tables hold only the pairs the counter meets,
-    and the counter refuses a tower it would list, and its level pairs, over
-    the cap (the stage's own height is not checked); a stage shallower than
-    the cylinder level raises ParameterError.
+    rank(A).  The sparse pair tables hold only the pairs the counter meets.
+    The counter lists only the cylinder-depth tower and its level pairs,
+    and refuses those, the column offsets it groups and the edge windows it
+    pairs over the cap, and tables whose keys would pass the int64 range
+    (the stage's own height is not checked); a stage shallower than the
+    cylinder level raises ParameterError.
     """
     (result,) = stage_probes(session, stage_index, [component])
     if isinstance(result, CfspectraError):
@@ -873,7 +1079,8 @@ def _cadd_real(ar, ai, x):
 
 def _deviations(values, pred_re, pred_im):
     """|value - pred| per entry, through hypot as the scalar abs() computes it."""
-    return np.hypot(values.real - pred_re, values.imag - pred_im)
+    deviations = values.real - pred_re
+    return np.hypot(deviations, values.imag - pred_im, out=deviations)
 
 
 def _pairs(a, b) -> list:
@@ -936,12 +1143,13 @@ def _difference_table(stages, base: int) -> np.ndarray:
 def _difference_counts(stages, base: int, t: np.ndarray, cap: int) -> np.ndarray:
     """L(t), as in _difference_table, at the differences t alone, -h <= t < h.
 
-    The top stage sums L below it over the pairs of _column_pairs.  While
-    the pairs are fewer than the entries of the table below, L below is
-    asked at their distinct differences alone, the same way; else that
-    table is built and read, at most max(r, below) (t, j) at a time.  So a
-    stage is tabled only where the pairs asked of it outnumber its entries,
-    and refused before either is built where the fewer exceed the cap.
+    The top stage sums L below it over its column pairs (`_cut_differences`).
+    While the pairs are fewer than the entries of the table below, L below
+    is asked at their distinct differences alone, the same way; else that
+    table is built and read, the pairs of about max(r, below) (t, j) at a
+    time.  So a stage is tabled only where the pairs asked of it outnumber
+    its entries, and refused before either is built where the fewer exceed
+    the cap, counting r pairs per difference even where equal gaps leave two.
     """
     if not stages:
         return (t == 0).astype(np.int64)
@@ -951,14 +1159,44 @@ def _difference_counts(stages, base: int, t: np.ndarray, cap: int) -> np.ndarray
     if size > cap:
         raise SizeCapError(f"decay pairs of {size} entries exceed cap {cap}")
     cuts = np.array(st.cuts, dtype=np.int64)
-    if t.size * cuts.size < below:
-        asked, where = np.unique(_column_pairs(cuts, below, t), return_inverse=True)
+    # two pairs per difference where the gaps are all equal, else two per
+    # column: gaps no smaller than the first, summing to r - 1 of it
+    r, gap = cuts.size, st.cuts[1]
+    equal = r == 2 or st.cuts[-1] == (r - 1) * gap and (cuts[1:] - cuts[:-1]).min() == gap
+    per = 2 if equal else 2 * r
+    if t.size * per < 2 * below:
+        u, weight = _cut_differences(cuts, below, t, equal)
+        asked, where = np.unique(u, return_inverse=True)
         counts = _difference_counts(stages[:-1], base, asked, cap)
-        return counts[where.reshape(t.size, -1)].sum(axis=1)
+        return _pair_sums(counts[where.reshape(u.shape)], weight)
     table = _difference_table(stages[:-1], base)
-    step = max(1, below // cuts.size)
-    return np.concatenate([table[_column_pairs(cuts, below, t[i:i + step]) + below].sum(axis=(1, 2))
-                           for i in range(0, t.size, step)])
+    step = max(1, 2 * below // per)
+    return np.concatenate([_pair_sums(table[u + below], weight) for u, weight in (
+        _cut_differences(cuts, below, t[i:i + step], equal) for i in range(0, t.size, step))])
+
+
+def _cut_differences(cuts, below: int, t: np.ndarray, equal: bool):
+    """The differences u = t - (c_j - c_k) with |u| < `below`, a row per t,
+    and how many column pairs (j, k) leave each (None for one each); -below
+    marks a missing one, as no two copies below differ by it.
+
+    With equal gaps p the cut differences are q p, each from r - |q| column
+    pairs, and at most two q leave |u| < below; otherwise every column pair
+    is listed (_column_pairs).
+    """
+    if not equal:
+        return _column_pairs(cuts, below, t), None
+    r, p = cuts.size, cuts[1] - cuts[0]
+    q = (t[:, None] + below - 1) // p - np.arange(2)
+    u = t[:, None] - q * p
+    return np.where((np.abs(u) < below) & (np.abs(q) < r), u, -below), r - np.abs(q)
+
+
+def _pair_sums(counts, weight):
+    """Per row, the sum of the counts of its column pairs."""
+    if weight is not None:
+        counts = counts * weight
+    return counts.reshape(len(counts), -1).sum(axis=1)
 
 
 def _shift_counts(tower: Tower, n0: int, shifts: np.ndarray) -> np.ndarray:

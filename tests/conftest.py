@@ -56,6 +56,17 @@ def probe_kappa3():
 
 
 @pytest.fixture(scope="session")
+def probe_kappa3_wide():
+    # kappa = 3, and stage 4 rotates by k = 1; the gaps of stages 3 and 4
+    # reach the column heights below them, h_1 = 5 and h_2 = 21, so both
+    # stages pair columns at lags past a column's height
+    return synth(SessionConfig(
+        mode="direct", targets=(1, 3),
+        blocks=(DeltaBlock(Fraction(1, 2), 4, r_seq=(4, 4, 14, 46)),),
+    ))
+
+
+@pytest.fixture(scope="session")
 def probe_large():
     # the probed stage tops out just under a million levels
     return synth(SessionConfig(

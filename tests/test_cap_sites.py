@@ -37,6 +37,15 @@ CAP_SITES = {
         "component and h kappa states for a chi one (state_cap)",
     "koopman_lab._runs":
         "the level-pair index arrays the pair counter lists (the tower's cap)",
+    "koopman_lab._PairCounter.edge":
+        "the words of a tower's top or bottom levels that span several of its "
+        "columns, which the crossings pair (the tower's cap)",
+    "koopman_lab._PairCounter.offsets":
+        "the (lag, column, column) offsets of the lags of at least a column's "
+        "height, two per lag and column (the tower's cap)",
+    "koopman_lab._PairCounter.pairs":
+        "the int64 keys of the pair tables, tables times n_cyl^2 kappa^2 |A| "
+        "(2^63)",
     "koopman_lab._probe_plan":
         "the probe's largest dense array: the eta count table, or the chi value "
         "tables or module images, the larger (state_cap)",

@@ -7,9 +7,10 @@ or rebuilds an automorphism per element, breaks them by a wide margin; a
 character value is an integer exponent, never a Fraction.  The
 full-height passes take their cyclic shifts as slices, never as a rolled
 copy.  No command builds a tower model other than a probe's
-base-case towers, and a weak-limit probe at stage n lists none taller than
-h_(n-1), nor any tower twice, nor a dense table of its raw pair counts;
-the probes of one stage share one counter, and a multiplicity report
+cylinder-depth tower, and a weak-limit probe lists no deeper one, even for
+lags past a column's height, nor any tower twice, nor a dense table of its
+raw pair counts; its counter groups each stage's column boundaries once.
+The probes of one stage share one counter, and a multiplicity report
 walks each orbit once.
 Decay lists no cylinder start and packs no h-bit indicator.  No command
 renders JSON through json's pure-Python encoder, and a process builds its
@@ -32,6 +33,7 @@ import pytest
 
 from cfspectra import cli, finite_algebra, koopman_lab
 from cfspectra.cli import main
+from cfspectra.cf_builder import DeltaBlock
 from cfspectra.cocycle_engine import (
     CocycleStageMaps,
     Tower,
@@ -180,12 +182,12 @@ def test_multiplicity_report_walks_orbits_only_in_the_certificate_scan(monkeypat
 
 
 @pytest.mark.parametrize("name, counters, models, tables", [
-    ("direct_12", 2, 6, 2), ("product_23", 3, 7, 4)], ids=["direct_12", "product_23"])
+    ("direct_12", 2, 2, 2), ("product_23", 3, 3, 4)], ids=["direct_12", "product_23"])
 def test_weaklimits_count_each_stage_once(tmp_path, monkeypatch, name, counters, models,
                                           tables):
-    # every probe of a stage reads one pair counter, which lists each of its
-    # towers once and folds each step's table once; a counter per probe
-    # builds 4 counters and 12 models on direct_12, 6 and 14 on product_23
+    # every probe of a stage reads one pair counter, which lists its
+    # cylinder-depth tower once and folds each step's table once; a counter
+    # per probe builds 4 counters and models on direct_12, 6 on product_23
     bundle = tmp_path / "bundle"
     assert main(["synth", "--config", str(CONFIG_DIR / f"{name}.json"),
                  "--out", str(bundle)]) == 0
@@ -207,7 +209,7 @@ def test_weaklimits_count_each_stage_once(tmp_path, monkeypatch, name, counters,
 @pytest.mark.parametrize("name", ["direct_12", "product_23", "staircase_mixing"])
 def test_commands_build_no_tower_model_and_no_loop_product(tmp_path, monkeypatch, name):
     # spectra come from the schedule and decay from the stage cuts; the only
-    # models a command builds are the probe counter's base-case towers
+    # model a command builds is the probe counter's cylinder-depth tower
     bundle = tmp_path / "bundle"
     assert main(["synth", "--config", str(CONFIG_DIR / f"{name}.json"),
                  "--out", str(bundle)]) == 0
@@ -221,10 +223,10 @@ def test_commands_build_no_tower_model_and_no_loop_product(tmp_path, monkeypatch
             outside.append(None)
         build(self, *args, **kwargs)
 
-    def counter_words(self, m):
+    def counter_words(self):
         inside.append(None)
         try:
-            return words(self, m)
+            return words(self)
         finally:
             inside.pop()
 
@@ -321,6 +323,77 @@ def test_full_height_passes_roll_no_copy(shipped_product, monkeypatch):
         model.step_values(steps)
 
 
+@pytest.mark.parametrize("fixture, stage, components", [
+    ("probe_direct", 3, [("eta", 0), ("chi", (1, 0))]),
+    ("probe_direct", 4, [("eta", 0), ("eta", 1)]),
+    ("scaled_16x16x128x16", 3, [("eta", 0), ("chi", (1, 1))]),
+    ("probe_kappa3_wide", 4, [("eta", 1), ("eta", 2)]),
+])
+def test_probes_build_no_tower_below_the_cylinder_depth(request, monkeypatch, fixture, stage,
+                                                        components):
+    # stage 3's gaps reach past h_1 = 14 on (8, 8, 64, 64), past h_1 = 28
+    # on (16, 16, 128, 16), and stage 4's past h_2 = 21 on probe_kappa3_wide:
+    # those lags pair columns by their offsets, so the only model built is
+    # the depth-1 one that the counter lists
+    session = request.getfixturevalue(fixture)
+    depths = []
+    build = TowerModel.__init__
+
+    def recording(self, schedule, depth, *args, **kwargs):
+        depths.append(depth)
+        build(self, schedule, depth, *args, **kwargs)
+
+    monkeypatch.setattr(TowerModel, "__init__", recording)
+    reports = koopman_lab.stage_probes(session, stage, components)
+    assert all(report.passed for report in reports)
+    assert depths == [session.config.cylinder_level], depths
+
+
+@pytest.mark.parametrize("fixture, stage", [("probe_product", 5), ("probe_direct", 3)])
+def test_a_counter_groups_each_stage_boundaries_once(request, monkeypatch, fixture, stage):
+    # the delayed stage 5 counts the steps h_4 and 1, and stage 3 of
+    # (8, 8, 64, 64) its column step and the offsets below it: every table
+    # asks for the boundaries of the stages below, which one counter groups
+    # once per stage, orientation and twist
+    session = request.getfixturevalue(fixture)
+    grouped = []
+    stage_of = koopman_lab._PairCounter.stage
+
+    def recording(self, m):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "boundaries":
+            grouped.append((id(self), m, *(caller.f_locals[k] for k in ("cyclic", "delta"))))
+        return stage_of(self, m)
+
+    monkeypatch.setattr(koopman_lab._PairCounter, "stage", recording)
+    components = [("eta", 0)] + [("chi", d) for d in session.factor_characters()[1:3]]
+    reports = koopman_lab.stage_probes(session, stage, components)
+    assert all(report.passed for report in reports)
+    assert grouped and len(grouped) == len(set(grouped)), grouped
+
+
+def test_a_probe_refused_on_its_level_pairs_now_runs_under_the_default_cap():
+    # stage 4 of (8, 8, 256, 1024): 394 gaps reach h_2 = 118, and listed over
+    # the 38,336-level depth-3 tower their pairs were 14,980,471, refused
+    # under the default cap and about 1.4 GB under a lifted one; counted by
+    # their column offsets both probes peak near 18 MB
+    session = synth(SessionConfig(
+        mode="direct", targets=(1, 2),
+        blocks=(DeltaBlock(Fraction(1, 2), 4, r_seq=(8, 8, 256, 1024)),)))
+    assert session.config.state_cap == koopman_lab.DEFAULT_STATE_CAP
+    components = [("eta", 0), ("eta", 1)]
+    koopman_lab.stage_probes(session, 4, components)  # fills the session's caches first
+    tracemalloc.start()
+    try:
+        reports = koopman_lab.stage_probes(session, 4, components)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [round(r.max_deviation, 7) for r in reports] == [0.0001107, 0.0015282]
+    assert all(report.passed for report in reports)
+    assert peak < 4 * 10**7, peak
+
+
 @pytest.mark.parametrize("fixture, stage, component", [
     ("scaled_16x16x128x16", 4, ("eta", 1)),
     ("probe_large", 3, ("eta", 0)),
@@ -329,8 +402,7 @@ def test_full_height_passes_roll_no_copy(shipped_product, monkeypatch):
 def test_probes_list_no_tower_of_the_probed_depth(request, monkeypatch, fixture, stage,
                                                   component):
     # the pairs of the depth-n tower are counted from its stages; only the
-    # towers at the cylinder level, or under a lag as long as their column
-    # height, are listed, and none is taller than stage n's columns
+    # tower at the cylinder level is listed, no taller than stage n's columns
     session = request.getfixturevalue(fixture)
     heights = []
     build = TowerModel.__init__
@@ -347,7 +419,7 @@ def test_probes_list_no_tower_of_the_probed_depth(request, monkeypatch, fixture,
 
 def test_delayed_eta_probe_builds_each_base_case_tower_once(probe_product, monkeypatch):
     # both steps of a delayed probe, h_(n-1) and 1, are read from one pair
-    # counter, so the towers it lists are built once per probe
+    # counter, so the tower it lists is built once per probe
     depths = []
     build = TowerModel.__init__
 

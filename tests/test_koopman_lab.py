@@ -294,16 +294,16 @@ class TestWeakLimitProbes:
         assert peak < 10**6
 
     def test_tall_stage_is_probed_under_a_cap_below_its_height(self, probe_session):
-        # stage 4 has 515,568 levels, yet its eta table holds 900 entries and
-        # the counter lists at most 1,719 level pairs at once, over the
-        # 118-level depth-2 tower: a cap of 2,000 refuses nothing, and the
-        # report is the uncapped one
-        report = weak_limit_probe(with_cap(probe_session, 2000), 4, ("eta", 0))
+        # stage 4 has 515,568 levels, yet its eta table holds 392 entries and
+        # the counter lists at most 496 level pairs at once, those that cross
+        # stage 3's column boundaries at lags up to 31: a cap of 500 refuses
+        # nothing, and the report is the uncapped one
+        report = weak_limit_probe(with_cap(probe_session, 500), 4, ("eta", 0))
         assert report.to_dict() == weak_limit_probe(probe_session, 4, ("eta", 0)).to_dict()
-        # a cap of 1,000 refuses those level pairs, and a cap of 700 stage
+        # a cap of 450 refuses those level pairs, and a cap of 700 stage
         # 3's chi value tables of (2 * 14)**2 = 784 entries before any pair
-        s = with_cap(probe_session, 1000)
-        with pytest.raises(SizeCapError, match="1719 level pairs exceed cap 1000"):
+        s = with_cap(probe_session, 450)
+        with pytest.raises(SizeCapError, match="496 level pairs exceed cap 450"):
             weak_limit_probe(s, 4, ("eta", 0))
         with pytest.raises(SizeCapError, match="probe table of 784 entries exceeds cap 700"):
             weak_limit_probe(with_cap(probe_session, 700), 3, ("chi", (1, 0)))
@@ -333,16 +333,22 @@ class TestWeakLimitProbes:
 
     def test_level_pairs_over_the_cap_are_refused_before_they_are_listed(self):
         # stage 4 of (8, 8, 32, 512) rotates; its spacer gaps of at least
-        # h_2 = 118 levels pair 511,911 levels of the 3,896-level depth-3
-        # tower, about 60 MB of index and word arrays when listed
+        # h_2 = 118 levels join the columns of stage 3 at 8,832 listed column
+        # offsets, and its shorter gaps cross stage 3's boundaries in 6,903
+        # level pairs; listed over the 3,896-level depth-3 tower, its pairs
+        # were 511,911.  Under a cap of 10**5 the probe runs as uncapped.
         s = synth(SessionConfig(mode="direct", targets=(1, 2), state_cap=10**5,
                                 blocks=(DeltaBlock(Fraction(1, 2), 4, r_seq=(8, 8, 32, 512)),)))
-        assert refusal_peak(lambda: weak_limit_probe(s, 4, ("eta", 1)),
-                            "511911 level pairs exceed cap 100000") < 5 * 10**6
-        # under a cap below that tower's height, its model is refused first
-        capped = with_cap(s, 3000)
-        assert refusal_peak(lambda: weak_limit_probe(capped, 4, ("eta", 1)),
-                            "tower height 3896 exceeds cap 3000") < 10**5
+        report = weak_limit_probe(s, 4, ("eta", 1))
+        assert report.to_dict() == weak_limit_probe(with_cap(s, 10**9), 4, ("eta", 1)).to_dict()
+        # under a lower cap the offsets are refused before they are listed,
+        # and so are the 496 crossing pairs of (8, 8, 64, 64)'s stage 4
+        assert refusal_peak(lambda: weak_limit_probe(with_cap(s, 8000), 4, ("eta", 1)),
+                            "8832 column offsets exceed cap 8000") < 1.5 * 10**5
+        s = synth(SessionConfig(mode="direct", targets=(1, 2), state_cap=450,
+                                blocks=(DeltaBlock(Fraction(1, 2), 4, r_seq=(8, 8, 64, 64)),)))
+        assert refusal_peak(lambda: weak_limit_probe(s, 4, ("eta", 0)),
+                            "496 level pairs exceed cap 450") < 10**5
 
     def test_rotate_stage_has_no_skew_prediction(self, probe_session):
         with pytest.raises(LabelError):
@@ -440,6 +446,9 @@ class TestCorrelationDecay:
         below = s.schedule.height(18)
         lags = sample_lags(below, 2 * below)
         pairs = [(f, g) for f in range(2) for g in range(2)]
+        # np.unique imports numpy.ma on its first call, about 1 MB traced;
+        # imported here, the peak is the refusal's own
+        assert np.ma.is_masked(np.ma.masked_array([0], mask=[True]))
         assert refusal_peak(lambda: correlation_decay(s.tower_at(), pairs, lags),
                             "decay pairs of 262144 entries exceed cap 100000") < 10**5
 

@@ -3,18 +3,23 @@
 weak_limit_probe counts the level pairs of the depth-n tower from the
 structure of its stages: pairs inside a column come from the depth-(n-1)
 tables, pairs across a column boundary from the words at the column ends,
-and the step h_(n-1) from the depth-(n-1) tables over the gaps.  No tower
-deeper than the cylinder level is listed unless a lag reaches its column
-height.  Every raw table it counts must equal `level_pass_counts`, one
-bucket count over all levels of a full-depth TowerModel, and its sparse
-fold the nonzero entries of the dense fold of that table.  A table with a
-module part at the step h_(n-1) of a stage whose columns differ in their
-group exponent is refused, not counted.  The probe tables, contracted per
-nonzero bucket, must equal the dense contraction of the level pass bit for
-bit, and an eta table read from a counter with the module part the one
-read from a counter without it.
+and pairs of a lag of at least the column height, the step h_(n-1) among
+them, from the depth-(n-1) tables at the lags their column offsets leave.
+No tower deeper than the cylinder level is listed.  Every raw table it
+counts must equal `level_pass_counts`, one bucket count over all levels of
+a full-depth TowerModel, and its sparse fold the nonzero entries of the
+dense fold of that table, with or without a module part, on stages whose
+columns differ in their group exponent too.  The probe tables, contracted
+per nonzero bucket, must equal the dense contraction of the level pass bit
+for bit, and an eta table read from a counter with the module part the one
+read from a counter without it.  At kappa = 3, where b' - b and b - b'
+differ and so do theta^b and theta^-b, fixed schedules whose rotate stage
+acts pin the fold's direction and the build's untwisting.  The tables of
+any lags and twists, big lags among them, must equal `listed_pairs`, the
+level pass over the whole tower.
 """
 
+import tracemalloc
 from fractions import Fraction
 from math import prod
 
@@ -25,8 +30,14 @@ from hypothesis import strategies as st
 
 from cfspectra.cf_builder import DeltaBlock
 from cfspectra.cocycle_engine import MODE_DIRECT, MODE_PRODUCT, Tower, TowerModel
-from cfspectra.errors import ParameterError
-from cfspectra.koopman_lab import _chi_values, _eta_values, _merged, _PairCounter
+from cfspectra.errors import SizeCapError
+from cfspectra.koopman_lab import (
+    _chi_values,
+    _eta_values,
+    _merged,
+    _module_tables,
+    _PairCounter,
+)
 from cfspectra.session import SessionConfig, synth
 from test_probe_tables import (
     PROBED,
@@ -59,13 +70,6 @@ def module_fits(session, n0):
     return entries * session.ctx.module.size <= TABLE_LIMIT
 
 
-def refused(session, n, n0, step, module):
-    """Whether the counter refuses this table: one with a module part at the
-    column step of a stage whose columns differ in their group exponent."""
-    return (module and n > n0 and step == session.schedule.height(n - 1)
-            and len(set(session.maps[n - 1].beta)) > 1)
-
-
 def assert_counts_equal(session, n, n0):
     model, tower = depth_n(session, n)
     for step in (session.schedule.height(n - 1), 1):
@@ -73,10 +77,6 @@ def assert_counts_equal(session, n, n0):
             if module and not module_fits(session, n0):
                 continue
             counter = _PairCounter(tower, n0, module)
-            if refused(session, n, n0, step, module):
-                with pytest.raises(ParameterError, match="differ in their group exponent"):
-                    counter.raw(step)
-                continue
             want = level_pass_counts(model, step, n0, module)
             assert np.array_equal(raw_counts(counter, step), want), (n, n0, step, module)
             key, count = counter.folded(step)
@@ -98,12 +98,7 @@ def assert_values_equal_dense_contraction(session, n, n0):
         assert got.tobytes() == oracle_eta_values(model, step, n0, kappa - 1).tobytes(), step
     if not module_fits(session, n0):
         return
-    counter = _PairCounter(tower, n0, True)
-    if refused(session, n, n0, steps[0], True):
-        with pytest.raises(ParameterError, match="differ in their group exponent"):
-            _chi_values(counter, steps, d, session.root_order)
-        steps = steps[1:]
-    tables = _chi_values(counter, steps, d, session.root_order)
+    tables = _chi_values(_PairCounter(tower, n0, True), steps, d, session.root_order)
     for step, got in zip(steps, tables):
         want = oracle_chi_values(model, step, n0, d, session.root_order)
         assert got.tobytes() == want.tobytes(), (n, n0, step)
@@ -174,8 +169,7 @@ def test_eta_tables_of_a_module_counter_equal_the_module_less_ones(drawn):
         if not module_fits(session, n0):
             continue
         _, tower = depth_n(session, n)
-        steps = [s for s in (session.schedule.height(n - 1), 1)
-                 if not refused(session, n, n0, s, True)]
+        steps = (session.schedule.height(n - 1), 1)
         plain, shared = _PairCounter(tower, n0, False), _PairCounter(tower, n0, True)
         for eta in range(kappa):
             got = _eta_values(shared, steps, eta)
@@ -191,3 +185,109 @@ def test_counts_equal_level_pass_on_probe_fixtures(request, name, depth):
 @pytest.mark.parametrize("name, depth", PROBED, ids=[f"{n}-{d}" for n, d in PROBED])
 def test_values_equal_dense_contraction_on_probe_fixtures(request, name, depth):
     assert_values_equal_dense_contraction(request.getfixturevalue(name), depth, 1)
+
+
+# kappa = 3 schedules whose stage 4 rotates by k = 1: the counter's raw and
+# folded tables against the level pass at the rotate stage and at stage 3,
+# whose lags, like stage 4's, reach past the column height below
+KAPPA3 = [("probe_kappa3_wide", 3), ("probe_kappa3_wide", 4), ("probe_kappa3", 4)]
+
+
+@pytest.mark.parametrize("name, depth", KAPPA3, ids=[f"{n}-{d}" for n, d in KAPPA3])
+def test_counts_equal_level_pass_at_kappa_3(request, name, depth):
+    session = request.getfixturevalue(name)
+    assert session.k_order == 3 and len(set(session.maps[3].beta)) > 1
+    assert module_fits(session, 1)
+    assert_counts_equal(session, depth, 1)
+    assert_values_equal_dense_contraction(session, depth, 1)
+
+
+def listed_pairs(model, n0, lags, weights, twists, module):
+    """raw[c, g, b, f, b', x] of the pairs (l, l + s) of a tower listed level
+    by level: table c counts the lag lags[i] weights[c, i] times and keys a
+    pair by x, the index of u - theta^(twists[c]) u'."""
+    kappa = model.ctx.k_order
+    n_cyl = model.schedule.height(n0)
+    orders, radix, theta, images = _module_tables(model.ctx, module)
+    cyl, beta = model.cylinder_ids(n0), model.word_beta
+    u = model.word_untwisted[:, :len(orders)]
+    raw = np.zeros((len(weights), n_cyl, kappa, n_cyl, kappa, images.shape[1]), dtype=np.int64)
+    for c, i in zip(*np.nonzero(weights)):
+        first = np.arange(model.height - lags[i])
+        second = first + lags[i]
+        keep = (cyl[first] >= 0) & (cyl[second] >= 0)
+        first, second = first[keep], second[keep]
+        x = (u[first] - u[second] @ theta[twists[c]].T) % orders @ radix
+        np.add.at(raw[c], (cyl[first], beta[first], cyl[second], beta[second], x), weights[c, i])
+    return raw
+
+
+def counted_pairs(counter, m, lags, weights, twists):
+    """The counter's tables of the same pairs, as a dense raw array."""
+    key, count = _merged(counter.pairs(m, lags, weights, twists))
+    n_cyl, kappa, _, _, n_a = counter.shape
+    c, first, second, x = counter.decode(key)
+    raw = np.zeros((len(weights), n_cyl, kappa, n_cyl, kappa, n_a), dtype=np.int64)
+    raw[c, first // kappa, first % kappa, second // kappa, second % kappa, x] = count
+    return raw
+
+
+def assert_pairs_equal_listed(session, m, n0, lags, seed):
+    """Three tables of random weights over the lags, each of its own twist."""
+    model, _ = depth_n(session, m)
+    # one lag pairs up to h_m levels, listed once per table that counts it
+    tower = Tower(session.schedule, m, session.maps[:m], session.ctx,
+                  cap=3 * session.schedule.height(m) * len(lags))
+    rng = np.random.default_rng(seed)
+    lags = np.unique(np.array(lags, dtype=np.int64))
+    weights = rng.integers(0, 3, (3, lags.size))
+    for module in (False, True):
+        if module and not module_fits(session, n0):
+            continue
+        counter = _PairCounter(tower, n0, module)
+        twists = np.arange(3) % counter.twist_order
+        got = counted_pairs(counter, m, lags, weights, twists)
+        want = listed_pairs(model, n0, lags, weights, twists, module)
+        assert np.array_equal(got, want), (m, n0, module, lags.tolist())
+
+
+def spread_lags(session, m):
+    """Lags around every column height below depth m, and up to h_m - 1."""
+    heights = session.schedule.heights()[:m + 1]
+    around = [h + d for h in heights for d in (-2, -1, 0, 1, 3)]
+    return [s for s in around + [heights[m] - 1, heights[m] // 2] if 0 <= s < heights[m]]
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+def test_pairs_of_any_lag_and_twist_equal_the_listed_pairs(probe_kappa3_wide, depth):
+    assert_pairs_equal_listed(probe_kappa3_wide, depth, 1, spread_lags(probe_kappa3_wide, depth),
+                              depth)
+
+
+@on_random_schedules
+def test_pairs_of_any_lag_and_twist_equal_the_listed_pairs_on_random_schedules(drawn):
+    session, n0 = drawn_session(drawn)
+    for m in range(n0, session.schedule.depth + 1):
+        assert_pairs_equal_listed(session, m, n0, spread_lags(session, m), m)
+
+
+def test_pair_tables_past_the_int64_key_space_are_refused(probe_kappa3_wide):
+    # a key packs (table, cylinder, exponent, cylinder, exponent, x), so more
+    # tables than 2^63 / (n_cyl^2 kappa^2 |A|) would wrap and merge unrelated
+    # pairs; with the cap lifted they are refused before any key is formed,
+    # the weights broadcast from one entry so that none is allocated
+    session = probe_kappa3_wide
+    tower = Tower(session.schedule, 4, session.maps, session.ctx, cap=10**18)
+    counter = _PairCounter(tower, 1, True)
+    assert counter.table_size == (5 * 3) ** 2 * 14
+    tables = 2**63 // counter.table_size + 1
+    weights = np.broadcast_to(np.ones((1, 1), dtype=np.int64), (tables, 1))
+    twists = np.broadcast_to(np.zeros(1, dtype=np.int64), (tables,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match=f"{tables * 3150} keys exceed the int64 key space"):
+            counter.pairs(4, np.array([1]), weights, twists)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5, peak

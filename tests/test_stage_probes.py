@@ -92,8 +92,8 @@ def test_stage_probes_equal_one_probe_each_on_shipped_bundles(request, fixture):
 @pytest.mark.parametrize("delta, r_seq, cylinder_level, state_cap, stage, error", [
     # a stage under the cylinder level
     (Fraction(1, 2), (2, 2, 3, 3), 3, 2 * 10**6, 1, ParameterError),
-    # 272 level pairs of a listed tower, over the cap
-    (Fraction(1, 4), (4, 4, 32, 32), 1, 250, 3, SizeCapError),
+    # the 256 column offsets of stage 3's column step, over the cap
+    (Fraction(1, 4), (4, 4, 128), 1, 250, 3, SizeCapError),
 ])
 def test_a_refusal_while_counting_repeats_for_each_component(delta, r_seq, cylinder_level,
                                                              state_cap, stage, error):
