@@ -11,13 +11,12 @@ the stage label pick from one table.  The level pairs are counted through
 the cut-and-stack recursion, so a probe never lists the tower it probes:
 only the tower at the cylinder level is listed, and a lag as long as a
 column's height is counted from the column offsets; correlation decay
-counts the differences of the cylinder starts off the stage cuts, in
-closed form where a stage's gaps are equal, and lists none.  Both read the
-levels of a cylinder, |O|, from Tower.cylinder_size.  The probes of one
-stage share one pair counter.  The multiplicity report takes its classes
-from the triple's trace partition of the distinguished subgroup and walks
-orbits only to certify that classes separate, in one scan for all its
-class pairs.  Floating
+counts the differences of the cylinder starts off the stage cuts, and
+lists none.  Both read the levels of a cylinder, |O|, from
+Tower.cylinder_size.  The probes of one stage share one pair counter.  The
+multiplicity report takes its classes from the triple's trace partition of
+the distinguished subgroup and walks orbits only to certify that classes
+separate, in one scan for all its class pairs.  Floating
 point appears only in least-squares residuals and in report summaries;
 every equality decision is integer/rational.
 """
@@ -402,6 +401,14 @@ class _PairCounter:
             x += vecs[..., i] % n * place
         return x
 
+    def added(self, x, y, sign):
+        """Index of the element of index x plus sign times that of index y,
+        digit by digit."""
+        out = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
+        for n, place in zip(self.orders.tolist(), self.radix.tolist()):
+            out += (x // place + sign * (y // place)) % n * place
+        return out
+
     def act(self, k, vecs):
         """theta^k of every row of vecs (rows reduced mod the orders), for one
         exponent k or one per row."""
@@ -495,6 +502,14 @@ class _PairCounter:
 
     # -- tables ----------------------------------------------------------------
 
+    def weight_table(self, tables, lags, what):
+        """Zero weights of `tables` tables at `lags` lags, refused over the
+        tower's cap before they are allocated."""
+        entries = tables * lags
+        if entries > self.tower.cap:
+            raise SizeCapError(f"{entries} {what} exceed cap {self.tower.cap}")
+        return np.zeros((tables, lags), dtype=np.int64)
+
     def encode(self, c, first, second, x):
         """Key of table c, the sides' codes g kappa + b and x."""
         sides, n_a = self.shifted.shape[1], self.shape[4]
@@ -562,7 +577,8 @@ class _PairCounter:
             spans, span_weights, span_twists, groups = self.offsets(m, big_lags, big_weights,
                                                                     twists, cyclic)
             lower = np.union1d(lags, spans)
-            lower_weights = np.zeros((n_tables + len(span_weights), lower.size), dtype=np.int64)
+            lower_weights = self.weight_table(n_tables + len(span_weights), lower.size,
+                                              "lower table weights")
             lower_weights[:n_tables, np.searchsorted(lower, lags)] = weights[:n_tables]
             lower_weights[n_tables:, np.searchsorted(lower, spans)] = span_weights
             lower_twists = np.concatenate([twists[:n_tables], span_twists])
@@ -635,12 +651,13 @@ class _PairCounter:
         pair of the depth-(m-1) tower, reversed for t < 0, each side moved
         by its own column's entry.  Cuts lie at least h_(m-1) apart, so each
         (s, j) has at most two such k, the first past c_j + s - h_(m-1) and
-        the next; those 2 r per lag are refused over the cap before they are
-        listed.  The (s, j, k) of each table c are grouped by orientation,
-        b_j, b_k and the index d of v_j - theta^delta v_k, delta the table's
-        twist, and each group is one lower table, weighted by |t|.  Its twist,
-        delta + b_j - b_k, or b_k - b_j - delta reversed, makes the moved key
-        a function of the lower pair's (`moved`).
+        the next; those 2 r per lag and table that weighs it are refused
+        over the cap before they are listed, as are group keys that would
+        pass the int64 range.  The (s, j, k) of each table c are grouped by
+        orientation, b_j, b_k and the index d of v_j - theta^delta v_k, delta
+        the table's twist, and each group is one lower table, weighted by
+        |t|.  Its twist, delta + b_j - b_k, or b_k - b_j - delta reversed,
+        makes the moved key a function of the lower pair's (`moved`).
 
         Returns the lower lags |t| (distinct), the groups' weights and twists,
         and the groups' (c, reversed, b_j, b_k, d).
@@ -648,31 +665,34 @@ class _PairCounter:
         kappa, n_a = self.kappa, self.shape[4]
         b, v, cuts, _ = self.stage(m)
         below = self.heights[m - 1]
-        listed = 2 * lags.size * cuts.size
+        keys = len(weights) * 2 * kappa * kappa * n_a * below
+        if keys > 2**63:
+            raise SizeCapError(f"column offset groups of {keys} keys exceed the int64 key space")
+        c, i = np.nonzero(weights)  # the (table, lag) entries to list
+        listed = 2 * c.size * cuts.size
         if listed > self.tower.cap:
             raise SizeCapError(f"{listed} column offsets exceed cap {self.tower.cap}")
         # the column bottoms, past the last one those of the wrapped columns,
         # then two that no level reaches
         ends = np.concatenate((cuts, cuts + self.heights[m], _FAR) if cyclic else (cuts, _FAR))
-        at = (cuts + lags[:, None]).ravel()  # c_j + s, per (s, j)
+        at = (cuts + lags[i, None]).ravel()  # c_j + s, per (entry, j)
         k = np.searchsorted(ends, at - below, side="right")
         k = np.concatenate((k, k + 1))
         t = np.concatenate((at, at)) - ends[k]
         pair = np.flatnonzero(t > -below)
-        lag, j = np.divmod(pair % at.size, cuts.size)
-        k, t = k[pair] % cuts.size, t[pair]
-        c, e = np.nonzero(weights[:, lag])
-        j, k, t = j[e], k[e], t[e]
+        entry, j = np.divmod(pair % at.size, cuts.size)
+        c, i, k, t = c[entry], i[entry], k[pair] % cuts.size, t[pair]
         group = ((c * 2 + (t < 0)) * kappa + b[j]) * kappa + b[k]
         if len(self.orders):
             group = group * n_a + self.index(v[j] - (self.act(twists[c], v[k]) if twists.any()
                                                      else v[k]))
         # one sorted pass sums the weights per (group, |t|)
-        key, weight = _merged([(group * below + np.abs(t), weights[c, lag[e]])])
+        key, weight = _merged([(group * below + np.abs(t), weights[c, i])])
         group, span = np.divmod(key, below)
         first = _starts(group)
         spans = np.unique(span)
-        span_weights = np.zeros((np.count_nonzero(first), spans.size), dtype=np.int64)
+        span_weights = self.weight_table(np.count_nonzero(first), spans.size,
+                                         "column offset weights")
         span_weights[np.cumsum(first) - 1, np.searchsorted(spans, span)] = weight
         rest, d = np.divmod(group[first], n_a)
         rest, b_k = np.divmod(rest, kappa)
@@ -695,13 +715,11 @@ class _PairCounter:
         i -= offset
         c, rev, b_j, b_k, d = groups
         if len(self.orders):
-            # x' per group and lower x, one table of |A| entries per group
             power = np.where(rev, twists[c] - b_k, -b_j) % self.kappa
-            x = self.index(self.images[0, d, None] + (1 - 2 * rev)[:, None, None]
-                           * self.images[power])[i, x]
+            x = self.added(d[i], self.image_index[power[i], x], 1 - 2 * rev[i])
         rev = rev.astype(bool)[i]
         first, second = np.where(rev, second, first), np.where(rev, first, second)
-        return (self.encode(c[i], self.shifted[b_j][i, first], self.shifted[b_k][i, second], x),
+        return (self.encode(c[i], self.shifted[b_j[i], first], self.shifted[b_k[i], second], x),
                 count)
 
     def crossings(self, m, lags, weights, twists, cyclic):
@@ -718,7 +736,7 @@ class _PairCounter:
         if not size:
             return []
         top, bottom = self.edge(m - 1, size, True), self.edge(m - 1, size, False)
-        lag_weights = np.zeros((len(weights), size + 1), dtype=np.int64)
+        lag_weights = self.weight_table(len(weights), size + 1, "crossing weights")
         lag_weights[:, lags] = weights
         parts = []
         for delta, tables in self.twist_classes(twists):
@@ -727,7 +745,7 @@ class _PairCounter:
                 # one correlation for all rows, each padded past its gaps
                 reach = gap_counts[:size][::-1]
                 width = size + reach.size
-                padded = np.zeros((len(rows), width), dtype=np.int64)
+                padded = self.weight_table(len(rows), width, "crossing weights")
                 padded[:, :size + 1] = rows
                 span_weights = np.convolve(padded.ravel(), reach)[reach.size - 1:].reshape(
                     len(rows), width)[:, 1:size + 1]
@@ -859,25 +877,42 @@ _PREDICTIONS = {
 
 def _weak_limit_prediction(coefficients, lam, delta, inner, one_step, mean):
     """A ``_PREDICTIONS`` entry on the tables of <1_f, 1_g>, <U 1_f, 1_g> and
-    mu_f mu_g, as (real, imaginary) arrays; one_step is read only when b is.
+    mu_f mu_g, as (real, imaginary) n x n arrays.  inner and mean are
+    given by side, [..., 0] on the diagonal g = f and [..., 1] off it;
+    one_step is a table of the probe's shape, whose values are read only
+    when b is given.
 
     The rounding is fixed: (delta a) inner without a one-step term, and
     delta (b U* + inner), for a = 1, with it; c P is added last whenever c
-    is given, zero tables included.
+    is given, zero tables included.  Every step acts entry by entry, so a
+    prediction without a one-step term is formed on the two values per
+    side and spread last.
     """
     a, b, c = coefficients(lam, delta)
+    n = one_step.shape[-1]
     if b is None:
         da = delta * a
         re, im = _cmul(da.real, da.imag, inner, 0.0)
-    else:
-        # the adjoint swaps u and v: the axis pairs (e_u, e_v) and (g, f)
-        adjoint = one_step.conj().transpose(np.arange(one_step.ndim) ^ 1)
-        re, im = _cmul(b.real, b.imag, adjoint.real, adjoint.imag)
-        re, im = _cadd_real(re, im, inner)
-        re, im = _cmul(delta, 0.0, re, im)
+        if c is not None:
+            re, im = _cadd_real(re, im, c * mean)
+        return _by_side(re, n), _by_side(im, n)
+    # the adjoint swaps u and v: the axis pairs (e_u, e_v) and (g, f)
+    adjoint = one_step.conj().transpose(np.arange(one_step.ndim) ^ 1)
+    re, im = _cmul(b.real, b.imag, adjoint.real, adjoint.imag)
+    re, im = _cadd_real(re, im, _by_side(inner, n))
+    re, im = _cmul(delta, 0.0, re, im)
     if c is not None:
-        re, im = _cadd_real(re, im, c * mean)
+        re, im = _cadd_real(re, im, c * _by_side(mean, n))
     return re, im
+
+
+def _by_side(sides, n: int) -> np.ndarray:
+    """n x n tables holding sides[..., 0] on the diagonal and sides[..., 1]
+    off it."""
+    out = np.empty((*sides.shape[:-1], n * n))
+    out[...] = sides[..., 1:]
+    out[..., ::n + 1] = sides[..., :1]
+    return out.reshape(*sides.shape[:-1], n, n)
 
 
 @dataclass
@@ -965,29 +1000,14 @@ def _probe_report(session, stage_index: int, plan: _ProbePlan, tables,
     # it ([..., 1])
     inner = np.multiply.outer(chars, mu * np.array([1.0, 0.0]))
     mean = np.multiply.outer(means, np.full(2, mu * mu))
-    if len(tables) > 1:
-        # tables[1] is the one-step table of a prediction that has one
-        re, im = _weak_limit_prediction(plan.coefficients, lam, delta, _by_side(inner, n_cyl),
-                                        tables[1], _by_side(mean, n_cyl))
-    else:
-        # without it, an entry's prediction is a function of its side alone
-        re, im = _weak_limit_prediction(plan.coefficients, lam, delta, inner, None, mean)
-        re, im = _by_side(re, n_cyl), _by_side(im, n_cyl)
+    # tables[-1] is the one-step table when the prediction has one
+    re, im = _weak_limit_prediction(plan.coefficients, lam, delta, inner, tables[-1], mean)
     return WeakLimitReport(
         stage_index=stage.index, label=session.label(stage_index), component=record,
         family=family, prediction_kind=plan.prediction_kind, values=tables[0],
         pred_re=re, pred_im=im, deviations=_deviations(tables[0], re, im),
         tolerance=PROBE_TOLERANCE_FACTOR / stage.r_count,
     )
-
-
-def _by_side(sides, n: int) -> np.ndarray:
-    """n x n tables holding sides[..., 0] on the diagonal and sides[..., 1]
-    off it."""
-    out = np.empty((*sides.shape[:-1], n * n))
-    out[...] = sides[..., 1:]
-    out[..., ::n + 1] = sides[..., :1]
-    return out.reshape(*sides.shape[:-1], n, n)
 
 
 def stage_probes(session, stage_index: int, components) -> list:
@@ -998,10 +1018,10 @@ def stage_probes(session, stage_index: int, components) -> list:
     components that passed them, each table of a step folded once.  The
     counter carries the module only if a chi component passed its checks,
     so a chi refused on its module images builds none of them for eta.  A
-    refusal met while counting (the cylinder-depth tower, its level pairs
-    or the column offsets over the cap, a stage shallower than the cylinder
-    level) is repeated, with the same message, for each component that asks
-    for the refused table.
+    refusal met while counting (the cylinder-depth tower, its level pairs,
+    the column offsets or a weight table over the cap, keys past the int64
+    range, a stage shallower than the cylinder level) is repeated, with the
+    same message, for each component that asks for the refused table.
     """
     plans = []
     for component in components:
@@ -1052,10 +1072,11 @@ def weak_limit_probe(session, stage_index: int, component) -> WeakLimitReport:
     value tables, (kappa n_cyl)^2, and the module images theta^k w, kappa |A|
     rank(A).  The sparse pair tables hold only the pairs the counter meets.
     The counter lists only the cylinder-depth tower and its level pairs,
-    and refuses those, the column offsets it groups and the edge windows it
-    pairs over the cap, and tables whose keys would pass the int64 range
-    (the stage's own height is not checked); a stage shallower than the
-    cylinder level raises ParameterError.
+    and refuses those, the column offsets it groups, the edge windows it
+    pairs and its dense tables of weights per (table, lag) over the cap,
+    and keys that would pass the int64 range (the stage's own height is not
+    checked); a stage shallower than the cylinder level raises
+    ParameterError.
     """
     (result,) = stage_probes(session, stage_index, [component])
     if isinstance(result, CfspectraError):
@@ -1143,13 +1164,12 @@ def _difference_table(stages, base: int) -> np.ndarray:
 def _difference_counts(stages, base: int, t: np.ndarray, cap: int) -> np.ndarray:
     """L(t), as in _difference_table, at the differences t alone, -h <= t < h.
 
-    The top stage sums L below it over its column pairs (`_cut_differences`).
-    While the pairs are fewer than the entries of the table below, L below
-    is asked at their distinct differences alone, the same way; else that
-    table is built and read, the pairs of about max(r, below) (t, j) at a
-    time.  So a stage is tabled only where the pairs asked of it outnumber
-    its entries, and refused before either is built where the fewer exceed
-    the cap, counting r pairs per difference even where equal gaps leave two.
+    The top stage sums L below it over the pairs of _column_pairs.  While
+    the pairs are fewer than the entries of the table below, L below is
+    asked at their distinct differences alone, the same way; else that
+    table is built and read, at most max(r, below) (t, j) at a time.  So a
+    stage is tabled only where the pairs asked of it outnumber its entries,
+    and refused before either is built where the fewer exceed the cap.
     """
     if not stages:
         return (t == 0).astype(np.int64)
@@ -1159,44 +1179,14 @@ def _difference_counts(stages, base: int, t: np.ndarray, cap: int) -> np.ndarray
     if size > cap:
         raise SizeCapError(f"decay pairs of {size} entries exceed cap {cap}")
     cuts = np.array(st.cuts, dtype=np.int64)
-    # two pairs per difference where the gaps are all equal, else two per
-    # column: gaps no smaller than the first, summing to r - 1 of it
-    r, gap = cuts.size, st.cuts[1]
-    equal = r == 2 or st.cuts[-1] == (r - 1) * gap and (cuts[1:] - cuts[:-1]).min() == gap
-    per = 2 if equal else 2 * r
-    if t.size * per < 2 * below:
-        u, weight = _cut_differences(cuts, below, t, equal)
-        asked, where = np.unique(u, return_inverse=True)
+    if t.size * cuts.size < below:
+        asked, where = np.unique(_column_pairs(cuts, below, t), return_inverse=True)
         counts = _difference_counts(stages[:-1], base, asked, cap)
-        return _pair_sums(counts[where.reshape(u.shape)], weight)
+        return counts[where.reshape(t.size, -1)].sum(axis=1)
     table = _difference_table(stages[:-1], base)
-    step = max(1, 2 * below // per)
-    return np.concatenate([_pair_sums(table[u + below], weight) for u, weight in (
-        _cut_differences(cuts, below, t[i:i + step], equal) for i in range(0, t.size, step))])
-
-
-def _cut_differences(cuts, below: int, t: np.ndarray, equal: bool):
-    """The differences u = t - (c_j - c_k) with |u| < `below`, a row per t,
-    and how many column pairs (j, k) leave each (None for one each); -below
-    marks a missing one, as no two copies below differ by it.
-
-    With equal gaps p the cut differences are q p, each from r - |q| column
-    pairs, and at most two q leave |u| < below; otherwise every column pair
-    is listed (_column_pairs).
-    """
-    if not equal:
-        return _column_pairs(cuts, below, t), None
-    r, p = cuts.size, cuts[1] - cuts[0]
-    q = (t[:, None] + below - 1) // p - np.arange(2)
-    u = t[:, None] - q * p
-    return np.where((np.abs(u) < below) & (np.abs(q) < r), u, -below), r - np.abs(q)
-
-
-def _pair_sums(counts, weight):
-    """Per row, the sum of the counts of its column pairs."""
-    if weight is not None:
-        counts = counts * weight
-    return counts.reshape(len(counts), -1).sum(axis=1)
+    step = max(1, below // cuts.size)
+    return np.concatenate([table[_column_pairs(cuts, below, t[i:i + step]) + below].sum(axis=(1, 2))
+                           for i in range(0, t.size, step)])
 
 
 def _shift_counts(tower: Tower, n0: int, shifts: np.ndarray) -> np.ndarray:

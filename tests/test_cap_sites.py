@@ -42,10 +42,14 @@ CAP_SITES = {
         "columns, which the crossings pair (the tower's cap)",
     "koopman_lab._PairCounter.offsets":
         "the (lag, column, column) offsets of the lags of at least a column's "
-        "height, two per lag and column (the tower's cap)",
+        "height, two per lag and column (the tower's cap), and their int64 "
+        "group keys, tables times 2 kappa^2 |A| times the column height (2^63)",
     "koopman_lab._PairCounter.pairs":
         "the int64 keys of the pair tables, tables times n_cyl^2 kappa^2 |A| "
         "(2^63)",
+    "koopman_lab._PairCounter.weight_table":
+        "a dense table of weights per (table, lag) that the counter asks of "
+        "the tower below or pairs across a column boundary (the tower's cap)",
     "koopman_lab._probe_plan":
         "the probe's largest dense array: the eta count table, or the chi value "
         "tables or module images, the larger (state_cap)",

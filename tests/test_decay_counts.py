@@ -4,10 +4,7 @@ correlation_decay counts |O & (O - s)| for O the starts of the depth-n0
 copies from the differences of the stage cuts, and never lists O.  Every
 count must equal `bitset_autocorrelation`, an AND and a popcount over an
 h-bit indicator of the listed O, and every row the rolled masks of
-`rolled_decay`, on random schedules that mix all three stage kinds.  A
-stage whose gaps are all equal sums its cut differences in closed form;
-its counts must equal the sum over every column pair (`_column_pairs`) of
-the dense difference table below it.
+`rolled_decay`, on random schedules that mix all three stage kinds.
 """
 
 import numpy as np
@@ -15,21 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfspectra.cf_builder import (
-    CFSchedule,
-    CFStage,
     KIND_DELAYED_STAIRCASE,
     KIND_RIGID_STAIRCASE,
     KIND_STAIRCASE,
     build_schedule,
 )
 from cfspectra.cocycle_engine import Tower, TowerModel
-from cfspectra.koopman_lab import (
-    _column_pairs,
-    _difference_counts,
-    _difference_table,
-    _shift_counts,
-    correlation_decay,
-)
+from cfspectra.koopman_lab import _shift_counts, correlation_decay
 from test_koopman_lab import rolled_decay
 
 
@@ -125,41 +114,3 @@ def test_decay_counts_equal_bitset_on_random_schedules(case):
     rows = correlation_decay(tower, pairs, lags, n0)
     assert [(r.lag, r.pair, r.value.numerator, r.value.denominator) for r in rows] \
         == rolled_decay(tower, pairs, lags, n0)
-
-
-@st.composite
-def equal_gap_schedules(draw):
-    """(schedule, differences): stages of r columns g spacers apart, for r
-    and g drawn per stage, and differences -h <= t < h of the full tower."""
-    h = draw(st.integers(1, 3))
-    stages = []
-    for n in range(1, draw(st.integers(1, 3)) + 1):
-        r, gap = draw(st.integers(2, 7)), draw(st.integers(0, 4))
-        cuts = tuple(j * (h + gap) for j in range(r))
-        stages.append(CFStage(n, h, cuts, 0, r, "staircase", ("rigid",) * r))
-        h += cuts[-1]
-    t = draw(st.lists(st.integers(-h, h - 1), min_size=1, max_size=8))
-    return CFSchedule(stages[0].base_height, tuple(stages)), np.array(t, dtype=np.int64)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(case=equal_gap_schedules())
-# the arithmetic shape's rigid stages, gap 0, over an r = 2 stage with gaps
-@example(case=(CFSchedule(2, (CFStage(1, 2, (0, 3), 0, 2, "staircase", ("rigid",) * 2),
-                              CFStage(2, 5, (0, 5, 10, 15), 0, 4, "staircase",
-                                      ("rigid",) * 4))),
-               np.array([-20, -19, -5, 0, 4, 5, 15, 19], dtype=np.int64)))
-def test_equal_gap_counts_equal_the_column_pair_sum(case):
-    schedule, t = case
-    stages, base = schedule.stages, schedule.initial_height
-    top = stages[-1]
-    below = top.base_height
-    table = _difference_table(stages[:-1], base)
-    cuts = np.array(top.cuts, dtype=np.int64)
-    want = table[_column_pairs(cuts, below, t) + below].sum(axis=(1, 2))
-    got = _difference_counts(stages, base, t, cap=10**6)
-    assert got.tolist() == want.tolist(), (t, [st.cuts for st in stages])
-    # the table branch, with more differences asked than the stage has entries
-    many = np.arange(-schedule.height(schedule.depth), schedule.height(schedule.depth))
-    want = table[_column_pairs(cuts, below, many) + below].sum(axis=(1, 2))
-    assert _difference_counts(stages, base, many, cap=10**6).tolist() == want.tolist()

@@ -291,3 +291,81 @@ def test_pair_tables_past_the_int64_key_space_are_refused(probe_kappa3_wide):
     finally:
         tracemalloc.stop()
     assert peak < 10**5, peak
+
+
+def test_column_offset_groups_past_the_int64_key_space_are_refused():
+    # the column offsets of a lag of at least h_(m-1) pack (table,
+    # orientation, b_j, b_k, d) and then |t| < h_(m-1) into one key, of
+    # 2 kappa^2 |A| h_(m-1) per table; one table at stage 9 of this tower
+    # passes 2^63 there, though its pair keys fit, and is refused under the
+    # default cap before any offset is listed
+    session = synth(SessionConfig(
+        mode="direct", targets=(1, 3),
+        blocks=(DeltaBlock(Fraction(1, 2), 9,
+                           r_seq=(4, 4, 14, 46, 1000, 1000, 1000, 5000, 100)),)))
+    below = session.schedule.height(8)
+    counter = _PairCounter(session.tower_at(9), 1, True)
+    assert counter.table_size < 2**63 < 2 * 3 * 3 * 14 * below
+    with pytest.raises(SizeCapError, match=f"column offset groups of {252 * below} keys "
+                                           "exceed the int64 key space"):
+        counter.pairs(9, np.array([below]), np.ones((1, 1), dtype=np.int64),
+                      np.zeros(1, dtype=np.int64))
+
+
+def test_weights_over_the_cap_are_refused_before_they_are_listed(probe_kappa3_wide):
+    # many tables at one lag: below h_3 their crossing weights, tables x
+    # (lag + 1), and past it the column offsets each table weighs, are
+    # refused over the tower's cap before either is allocated
+    session = probe_kappa3_wide
+    tower = Tower(session.schedule, 4, session.maps, session.ctx, cap=1000)
+    counter = _PairCounter(tower, 1, False)
+    below = session.schedule.height(3)
+    weights = np.broadcast_to(np.ones((1, 1), dtype=np.int64), (200, 1))
+    twists = np.broadcast_to(np.zeros(1, dtype=np.int64), (200,))
+    for lag, message in ((20, "4200 crossing weights exceed cap 1000"),
+                         (below, "18400 column offsets exceed cap 1000")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError, match=message):
+                counter.pairs(4, np.array([lag]), weights, twists)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10**4, (lag, peak)
+
+
+def test_moved_keys_cost_memory_per_key_not_per_group():
+    # kappa = 6 and |A| = 294 of rank 4: an offset group per orientation and
+    # d, each key of a few moved by its own group, with no table of |A|
+    # images per group (588 x 294 x 4 entries, 5.5 MB)
+    session = synth(SessionConfig(mode="direct", targets=(1, 2, 3),
+                                  blocks=(DeltaBlock(Fraction(1, 2), 2, r_seq=(4, 4)),)))
+    counter = _PairCounter(session.tower_at(2), 1, True)
+    kappa, n_a = counter.kappa, counter.shape[4]
+    assert (kappa, n_a, counter.images.shape[2]) == (6, 294, 4)
+    rev = np.repeat(np.arange(2), n_a)
+    d = np.tile(np.arange(n_a), 2)
+    c, b_j, b_k = np.zeros_like(d), (rev + d) % kappa, d % kappa
+    twists = np.array([1])
+    rng = np.random.default_rng(5)
+    sides = counter.shifted.shape[1]
+    group = rng.integers(0, d.size, 50)
+    first, second, x = (rng.integers(0, sides, 50), rng.integers(0, sides, 50),
+                        rng.integers(0, n_a, 50))
+    key = counter.encode(7 + group, first, second, x)
+    tracemalloc.start()
+    try:
+        got, _ = counter.moved(key, np.ones(50, dtype=np.int64), (c, rev, b_j, b_k, d), twists, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 10**4, peak
+    # the documented move, key by key
+    for k, (i, f, s, w) in enumerate(zip(group, first, second, x)):
+        if rev[i]:
+            power, sign, f, s = (twists[0] - b_k[i]) % kappa, -1, s, f
+        else:
+            power, sign = -b_j[i] % kappa, 1
+        moved = counter.index(counter.images[0, d[i]] + sign * counter.images[power, w])
+        assert got[k] == counter.encode(c[i], counter.shifted[b_j[i], f],
+                                        counter.shifted[b_k[i], s], moved)
