@@ -147,15 +147,19 @@ def _suite_weaklimits(session):
                                   f"{session.config.state_cap} is below the shortest one, "
                                   f"stage {n} of height {session.schedule.height(n)}"],
                        "reports": []}
+    probes = {}
     for kind, n in sorted(chosen.items()):
         if kind == LABEL_RIGID_ROTATE:
             # eta_0 and eta_1, one character when kappa = 1
-            probes = [("eta", e) for e in range(min(2, session.k_order))]
+            probes[n] = [("eta", e) for e in range(min(2, session.k_order))]
         else:
             # eta_0, and the skew-tower probe against the first nonzero factor character
             nonzero = [d for d in session.factor_characters() if any(d)]
-            probes = [("eta", 0)] + [("chi", d) for d in nonzero[:1]]
-        for component, rep in zip(probes, stage_probes(session, n, probes)):
+            probes[n] = [("eta", 0)] + [("chi", d) for d in nonzero[:1]]
+    # every chosen stage counted by one pair counter
+    results = stage_probes(session, probes)
+    for n, components in probes.items():
+        for component, rep in zip(components, results[n]):
             if isinstance(rep, CfspectraError):
                 failed.append(f"stage {n} {component}: {rep}")
                 continue

@@ -8,17 +8,14 @@ form in the height and kappa.  Power averages are evaluated by exact
 bucket counting of phase exponents and judged against one weak-limit
 prediction, delta (a I + b U*) + c P, whose coefficients the component and
 the stage label pick from one table.  The level pairs are counted through
-the cut-and-stack recursion, so a probe never lists the tower it probes:
-only the tower at the cylinder level is listed, and a lag as long as a
-column's height is counted from the column offsets; correlation decay
-counts the differences of the cylinder starts off the stage cuts, and
-lists none.  Both read the levels of a cylinder, |O|, from
-Tower.cylinder_size.  The probes of one stage share one pair counter.  The
-multiplicity report takes its classes from the triple's trace partition of
-the distinguished subgroup and walks orbits only to certify that classes
-separate, in one scan for all its class pairs.  Floating
-point appears only in least-squares residuals and in report summaries;
-every equality decision is integer/rational.
+the cut-and-stack recursion, listing only the tower at the cylinder level,
+all probed stages in one pass of one pair counter; correlation decay
+counts the differences of the cylinder starts off the stage cuts.  The
+multiplicity report takes its classes from the triple's trace partition
+and walks orbits only to certify that classes separate, in one scan for
+all its class pairs.  Floating point appears only in least-squares
+residuals and in report summaries; every equality decision is
+integer/rational.
 """
 
 from __future__ import annotations
@@ -69,10 +66,8 @@ PROBE_TOLERANCE_FACTOR = 3  # deviation budget is this over the stage's column c
 
 @dataclass
 class PhasedCycleOperator:
-    """Permutation of states with a root-of-unity phase on every edge.
-
-    Acts on functions by (U v)(s) = zeta_N^{phase_exp[s]} * v(succ[s]).
-    """
+    """Permutation of states with a root-of-unity phase on every edge, acting
+    by (U v)(s) = zeta_N^{phase_exp[s]} * v(succ[s])."""
 
     succ: np.ndarray
     phase_exp: np.ndarray
@@ -148,13 +143,10 @@ def build_component(session, character: Character, depth: int | None = None) -> 
 
 
 def loop_product(model: TowerModel) -> tuple[int, tuple[int, ...]]:
-    """Product in K x| A of the h transition values around the tower cycle.
-
-    Read from the start level: g_0 g_1 ... g_{h-1} under
-    (k1, a1)(k2, a2) = (k1 + k2, a1 + theta^k1 a2).  The group part is the
-    sum of the beta steps; the module part sums each alpha step twisted by
-    the prefix sum of the beta steps before it.
-    """
+    """Product g_0 g_1 ... g_{h-1} in K x| A of the transition values around
+    the tower cycle, under (k1, a1)(k2, a2) = (k1 + k2, a1 + theta^k1 a2):
+    the sum of the beta steps, and each alpha step twisted by the prefix
+    sum of the beta steps before it."""
     kappa = model.ctx.k_order
     d_beta, d_alpha = model.step_values(1)
     prefix = (np.cumsum(d_beta) - d_beta) % kappa
@@ -163,14 +155,10 @@ def loop_product(model: TowerModel) -> tuple[int, tuple[int, ...]]:
 
 
 def class_equivalence_check(model: TowerModel) -> None:
-    """Raise ConsistencyError unless the loop product is the identity.
-
-    An identity loop product gives every component at this depth zero
-    holonomy: each eta component is one h-cycle and each chi component
-    kappa h-cycles, all with total phase 0.  So chi and chi o theta^k have
-    the same spectrum for every k, the finite shadow of the conjugation
-    symmetry.
-    """
+    """Raise ConsistencyError unless the loop product is the identity, which
+    gives every component at this depth zero holonomy: chi and chi o theta^k
+    then have the same spectrum for every k, the finite shadow of the
+    conjugation symmetry."""
     product = loop_product(model)
     if product != model.ctx.identity():
         raise ConsistencyError(
@@ -180,12 +168,10 @@ def class_equivalence_check(model: TowerModel) -> None:
 
 
 def exact_spectrum(session, depth: int | None = None) -> dict:
-    """Closed-form spectrum shared by every component of each kind, by kind.
-
-    The transition values telescope around the tower cycle, so an eta
-    component is one h-cycle of total phase 0, the h-th roots of unity, and
-    a chi component kappa of them.
-    """
+    """Closed-form spectrum shared by every component of each kind, by kind:
+    the transition values telescope around the tower cycle, so an eta
+    component is one h-cycle of total phase 0 and a chi component kappa of
+    them."""
     h, kappa = session.tower_at(depth).height, session.k_order
     return {kind: {"cycles": [{"length": h, "phase_num": 0, "phase_den": 1, "count": copies}],
                    "total_multiplicity": h * copies}
@@ -201,10 +187,9 @@ def exact_spectrum(session, depth: int | None = None) -> dict:
 class WeakLimitReport:
     """A probe's table against its prediction, with the verdict on the worst entry.
 
-    The table is kept as arrays of one shape: ``values`` (complex) and the
-    prediction's real and imaginary parts, indexed [g, f] for an eta probe
-    and [e_u, e_v, g, f] for a chi probe.  ``rows`` renders it as one dict
-    per entry on first read.
+    ``values`` (complex) and the prediction's real and imaginary parts are
+    indexed [g, f] for eta and [e_u, e_v, g, f] for chi; ``rows`` renders
+    them as one dict per entry on first read.
     """
 
     stage_index: int
@@ -264,12 +249,9 @@ def _mixed_radix(bases) -> np.ndarray:
 
 
 def _module_tables(ctx, module: bool):
-    """(orders, radix, theta, images) of the module, or of the trivial module.
-
-    theta[k] is the matrix of theta^k, and images[k, w] is theta^k of the
-    element with index w, indices being mixed radix with the last coordinate
-    fastest.  The trivial module (``module`` false) has rank 0 and one
-    element, index 0.
+    """(orders, radix, theta, images) of the module, or of the trivial module
+    (rank 0, one element): theta[k] is the matrix of theta^k, images[k, w]
+    theta^k of the element of mixed-radix index w, last coordinate fastest.
     """
     orders = np.array(ctx.module.orders if module else (), dtype=np.int64)
     rank = len(orders)
@@ -340,16 +322,15 @@ def _kept(method):
 class _PairCounter:
     """Pair tables of one tower, counted through its cut-and-stack recursion.
 
-    A table is sparse, keys and counts, and holds several weighted tables
-    at once: key c R + i counts entry i of raw[g, b, f, b', x] (R entries)
-    in table c.  The word of a level is its depth-n0 cylinder (-1 for a
-    deeper spacer, whose pairs are dropped), its group exponent and its
-    untwisted module part u.  Table c has a twist delta_c, an exponent of
-    theta, and keys a pair of words by x = u - theta^(delta_c) u'; the
-    tables asked for from outside have twist 0.  Column j of stage m
-    carries the entry (b_j, a_j): its level y has the word of level y of
-    the depth-(m-1) tower times the entry, which adds b_j to the exponent
-    and sends u to theta^(-b_j) u + v_j, for v_j = theta^(-b_j) a_j.
+    A table is sparse, keys and counts, holding several weighted tables at
+    once: key c R + i counts entry i of raw[g, b, f, b', x] (R entries) in
+    table c.  A level's word is its depth-n0 cylinder (-1 for a deeper
+    spacer, whose pairs are dropped), group exponent and untwisted module
+    part u.  Table c keys a pair of words by x = u - theta^(delta_c) u', its
+    twist delta_c 0 for the tables asked from outside.  Level y of column j
+    of stage m has the word of level y of the depth-(m-1) tower times the
+    column's entry (b_j, a_j), which adds b_j to the exponent and sends u to
+    theta^(-b_j) u + v_j, for v_j = theta^(-b_j) a_j.
 
     A lag-s table of the depth-m tower is then counted from the tables of
     the depth-(m-1) tower, in three parts: the pairs inside a column, the
@@ -359,16 +340,15 @@ class _PairCounter:
     depth-(m-1) tower (`crossings`); and for s of at least h_(m-1), the
     pairs between two columns, lower pairs at the lag their column offsets
     leave (`offsets`).  The lower tables of all three are asked for at once.
-    Only the depth-n0 tower, the cylinder depth, is listed and paired level
-    by level, from the one model the counter builds.
+    Only the depth-n0 tower, the cylinder depth, is listed level by level.
 
-    `folded` maps the raw keys of one step to the buckets of their
-    transition values and merges those, so no dense table of the raw keys
-    is built.  The counter keeps the depth-n0 words, each stage's entries
-    and boundaries, the edges it pairs and each step's folded table for
-    its lifetime, and nothing beyond it.  One counter serves every probe of
-    a stage (stage_probes): the eta and chi tables of a step are read from
-    one folded table, eta summing out the module value.
+    The words, entries, boundaries, edges and moves depend only on the
+    tower's structure, so one counter serves every stage from n0 up, and
+    keeps what it builds for its lifetime.  `count` counts the cyclic
+    tables of any (depth, step)s in one top-down pass, one `pairs` call per
+    depth, and folds each into the buckets of its transition values with
+    no dense table of raw keys.  The eta and chi tables of a (depth, step)
+    are read from its one folded table, eta summing out the module value.
     """
 
     def __init__(self, tower, n0: int, module: bool):
@@ -391,6 +371,7 @@ class _PairCounter:
         side, k = np.arange(n_cyl * self.kappa), np.arange(self.kappa)[:, None]
         self.shifted = side - side % self.kappa + (side % self.kappa + k) % self.kappa
         self._kept = {}
+        self.tables = {}  # the folded table of each (depth, step) counted
 
     # -- module arithmetic on vectors ------------------------------------------
 
@@ -402,8 +383,7 @@ class _PairCounter:
         return x
 
     def added(self, x, y, sign):
-        """Index of the element of index x plus sign times that of index y,
-        digit by digit."""
+        """Index of the element of index x plus sign times that of index y."""
         out = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
         for n, place in zip(self.orders.tolist(), self.radix.tolist()):
             out += (x // place + sign * (y // place)) % n * place
@@ -438,11 +418,13 @@ class _PairCounter:
 
     @_kept
     def stage(self, m):
-        """Stage m's column entries b_j and v_j, its cuts c_j and its gaps g_j:
-        the spacer count between column j and column j + 1."""
+        """Stage m's column entries b_j and v_j (v_j read only with the module),
+        its cuts c_j and its gaps g_j: the spacer count between column j and
+        column j + 1."""
         st, maps = self.tower.schedule.stages[m - 1], self.tower.maps_by_stage[m - 1]
         b = np.array(maps.beta, dtype=np.int64)
-        v = self.act(-b, np.array(maps.alpha, dtype=np.int64)[:, :len(self.orders)])
+        v = self.act(-b, np.array(maps.alpha, dtype=np.int64)[:, :len(self.orders)]
+                     if len(self.orders) else np.zeros((len(b), 0), dtype=np.int64))
         cuts = np.array(st.cuts, dtype=np.int64)
         return b, v, cuts, np.diff(cuts) - st.base_height
 
@@ -470,14 +452,11 @@ class _PairCounter:
 
     @_kept
     def edge(self, m, size, top):
-        """Words of the top or bottom `size` levels of the depth-m tower.
-
-        The bottom levels are those of column 0, whose entry is the
-        identity; the top ones are those of the last column, since no stage
-        has spacers above it.  A window taller than a column spans several:
-        each the whole depth-(m-1) tower moved by its column's entry, with
-        the spacers of the gaps (cylinder -1) between them.
-        """
+        """Words of the top or bottom `size` levels of the depth-m tower: those
+        of column 0, whose entry is the identity, or of the last column, as
+        no stage has spacers above it.  A taller window spans several
+        columns, each the depth-(m-1) tower moved by its entry, with the
+        spacers of the gaps (cylinder -1) between them."""
         h = self.heights[m]
         if m == self.n0:
             window = slice(h - size, None) if top else slice(0, size)
@@ -534,76 +513,90 @@ class _PairCounter:
         kappa = self.kappa
         return self.encode(c, c1 * kappa + b1, c2 * kappa + b2, self.index(u1 - u2)), count
 
-    def level_pass(self, lags, weights, twists, cyclic):
+    def level_pass(self, lags, weights, twists, wraps):
         """Pairs (l, l + s) listed level by level over the depth-n0 tower, once
-        per table that counts their lag."""
+        per table that counts their lag; the last `wraps` tables wrap l + s."""
         words = self.words()
         h = len(words[0])
         c, i = np.nonzero(weights)
-        run, first = _runs(np.full(c.size, h) if cyclic else h - lags[i], self.tower.cap)
+        run, first = _runs(np.where(c >= len(weights) - wraps, h, h - lags[i]), self.tower.cap)
         c, i = c[run], i[run]
         second = first + lags[i]
-        if cyclic:
+        if wraps:  # a table that does not wrap pairs no l + s past the top
             second %= h
         return self.pair_keys(words, first, words, second, c, weights[c, i], twists)
 
-    def pairs(self, m, lags, weights, twists, cyclic=False):
+    def pairs(self, m, lags, weights, twists, wraps=0, asked=()):
         """Tables of the pairs (l, l + s) of the depth-m tower, where table c
         counts the lag lags[i] (increasing) weights[c, i] times, with twist
-        twists[c]; with cyclic, l + s is taken modulo the height, for lags
-        below it.  Returned as parts whose keys may repeat; within a part the
-        tables come in order, each one run of keys.
+        twists[c]; for the last `wraps` tables, the cyclic ones, l + s is taken
+        modulo the height.  Each (depth, step) of asked, in decreasing depth
+        below m, adds the cyclic table of that step at that depth, numbered
+        after the given tables in the order asked.  Returned as parts whose
+        keys may repeat; within a part the tables come in order, each one run
+        of keys.  Keys past the int64 range are refused before any is formed.
 
-        The tables' keys are refused before any is formed where they would
-        pass the int64 range.  The lags below the column height are asked of
-        the depth-(m-1) tower as they are, the others as the lower tables of
-        their column offsets, placed after the given ones, in one call.
+        One call asks the depth-(m-1) tower for the lags below the column
+        height as they are, then the lower tables of the column offsets of
+        the others, then the asked tables of depth m - 1.
         """
-        keys = len(weights) * self.table_size
+        keys = (len(weights) + len(asked)) * self.table_size
         if keys > 2**63:
             raise SizeCapError(f"pair tables of {keys} keys exceed the int64 key space")
-        if not cyclic:
-            keep = np.searchsorted(lags, self.heights[m])
-            lags, weights = lags[:keep], weights[:, :keep]
+        # a cyclic table's lag is below the height already
+        keep = np.searchsorted(lags, self.heights[m])
+        lags, weights = lags[:keep], weights[:, :keep]
         if m == self.n0:
-            return [self.level_pass(lags, weights, twists, cyclic)]
+            return [self.level_pass(lags, weights, twists, wraps)]
         small = np.searchsorted(lags, self.heights[m - 1])
         lags, weights, big_lags, big_weights = (lags[:small], weights[:, :small],
                                                 lags[small:], weights[:, small:])
         # the given tables go below only with a lag to ask for
         n_tables = len(weights) if lags.size else 0
-        lower, lower_weights, lower_twists = lags, weights, twists
+        groups = (_NO_PAIRS[0],) * 5
+        lower = [(lags, weights[:n_tables], twists[:n_tables])]
         if big_lags.size:
-            spans, span_weights, span_twists, groups = self.offsets(m, big_lags, big_weights,
-                                                                    twists, cyclic)
-            lower = np.union1d(lags, spans)
-            lower_weights = self.weight_table(n_tables + len(span_weights), lower.size,
-                                              "lower table weights")
-            lower_weights[:n_tables, np.searchsorted(lower, lags)] = weights[:n_tables]
-            lower_weights[n_tables:, np.searchsorted(lower, spans)] = span_weights
-            lower_twists = np.concatenate([twists[:n_tables], span_twists])
-        parts = self.crossings(m, lags, weights, twists, cyclic)
-        if lower.size:
-            below = self.pairs(m - 1, lower, lower_weights, lower_twists)
+            *offsets, groups = self.offsets(m, big_lags, big_weights, twists, wraps)
+            lower.append(offsets)
+        own = [step % self.heights[m - 1] for depth, step in asked if depth == m - 1]
+        if own:
+            lower.append((np.array(own), np.eye(len(own), dtype=np.int64), np.zeros_like(own)))
+        lower_lags, lower_weights = lags, weights[:n_tables]
+        if len(lower) > 1:
+            lower_lags = np.unique(np.concatenate([part[0] for part in lower]))
+            lower_weights = self.weight_table(sum(len(part[1]) for part in lower),
+                                              lower_lags.size, "lower table weights")
+            row = 0
+            for part_lags, part_weights, _ in lower:
+                lower_weights[row:row + len(part_weights),
+                              np.searchsorted(lower_lags, part_lags)] = part_weights
+                row += len(part_weights)
+        parts = self.crossings(m, lags, weights, twists, wraps)
+        if lower_lags.size or asked:
+            through = n_tables + len(groups[0])
+            below = self.pairs(m - 1, lower_lags, lower_weights,
+                               np.concatenate([part[2] for part in lower]), len(own),
+                               asked[len(own):])
             key, count = below[0] if len(below) == 1 else _merged(below)
-            split = np.searchsorted(key, n_tables * self.table_size)
+            split, end = key.searchsorted([n_tables * self.table_size, through * self.table_size])
             if split:
                 parts += self.columns(m, key[:split], count[:split], twists)
-            if split < key.size:
-                parts.append(self.moved(key[split:], count[split:], groups, twists, n_tables))
+            if split < end:
+                parts.append(self.moved(key[split:end], count[split:end], groups, twists,
+                                        n_tables))
+            if end < key.size:  # the asked tables, numbered after the given ones
+                parts.append((key[end:] + (len(weights) - through) * self.table_size,
+                              count[end:]))
         return parts
 
     def columns(self, m, key, count, twists):
-        """The lower tables moved into every column of stage m.
-
-        Column j adds b_j to both exponents and sends x to
-        theta^(-b_j) x + (1 - theta^delta) v_j, for delta the table's twist,
-        so the columns of one (b_j, (1 - theta^delta) v_j) move alike, and a
-        column with neither, as every translate column at twist 0, leaves
-        the key as it is.
-        """
+        """The lower tables moved into every column of stage m: column j adds
+        b_j to both exponents and sends x to theta^(-b_j) x +
+        (1 - theta^delta) v_j, delta the table's twist, so the columns of one
+        (b_j, (1 - theta^delta) v_j) move alike, and one with neither, as
+        every translate column at twist 0, leaves the key as it is."""
         parts = []
-        for delta, tables in self.twist_classes(twists):
+        for delta, _, tables in self.twist_classes(twists):
             keys, counts = key, count
             if tables is not None:
                 at = tables[key // self.table_size]
@@ -632,35 +625,33 @@ class _PairCounter:
                                   return_counts=True)
         return [(*divmod(move, n_a), n) for move, n in zip(moves.tolist(), copies.tolist())]
 
-    def twist_classes(self, twists):
-        """The distinct twists of the tables, each with a mask of its tables,
-        None where all tables share it."""
-        if not twists.any():
-            return [(0, None)]
-        deltas = np.unique(twists)
-        if deltas.size == 1:
-            return [(int(deltas[0]), None)]
-        return [(delta, twists == delta) for delta in deltas.tolist()]
+    def twist_classes(self, twists, wraps=0):
+        """The distinct (twist, cyclic) of the tables, the last `wraps` of them
+        cyclic, each with a mask of its tables, None where all tables share it."""
+        if not (wraps or twists.any()):
+            return [(0, 0, None)]
+        code = twists * 2 + (np.arange(len(twists)) >= len(twists) - wraps)
+        classes = np.unique(code)
+        if len(classes) == 1:
+            return [(*divmod(int(classes[0]), 2), None)]
+        return [(*divmod(c, 2), code == c) for c in classes.tolist()]
 
-    def offsets(self, m, lags, weights, twists, cyclic):
+    def offsets(self, m, lags, weights, twists, wraps):
         """The pairs of lags s >= h_(m-1) of the depth-m tower, as lower tables.
 
         Such a pair joins level y of column j to level y + t of column k,
-        for t = s - (c_k - c_j) with |t| < h_(m-1); with cyclic, the columns
-        wrap around past the last one, at c_k + h_m.  So it is a lag-|t|
-        pair of the depth-(m-1) tower, reversed for t < 0, each side moved
-        by its own column's entry.  Cuts lie at least h_(m-1) apart, so each
-        (s, j) has at most two such k, the first past c_j + s - h_(m-1) and
-        the next; those 2 r per lag and table that weighs it are refused
-        over the cap before they are listed, as are group keys that would
-        pass the int64 range.  The (s, j, k) of each table c are grouped by
-        orientation, b_j, b_k and the index d of v_j - theta^delta v_k, delta
-        the table's twist, and each group is one lower table, weighted by
-        |t|.  Its twist, delta + b_j - b_k, or b_k - b_j - delta reversed,
-        makes the moved key a function of the lower pair's (`moved`).
-
-        Returns the lower lags |t| (distinct), the groups' weights and twists,
-        and the groups' (c, reversed, b_j, b_k, d).
+        for t = s - (c_k - c_j) with |t| < h_(m-1), the columns of a cyclic
+        table wrapping past the last one, at c_k + h_m: a lag-|t| pair of the
+        depth-(m-1) tower, reversed for t < 0, each side moved by its
+        column's entry.  Cuts lie at least h_(m-1) apart, so each (s, j) has
+        at most two such k; those 2 r per lag and table are refused over the
+        cap before they are listed, as are group keys past the int64 range.
+        The (s, j, k) of table c are grouped by orientation, b_j, b_k and the
+        index d of v_j - theta^delta v_k, delta the table's twist; a group is
+        one lower table, weighted by |t|, whose twist, delta + b_j - b_k, or
+        b_k - b_j - delta reversed, makes the moved key a function of the
+        lower pair's (`moved`).  Returns the lower lags |t| (distinct), the
+        groups' weights and twists, and the groups' (c, reversed, b_j, b_k, d).
         """
         kappa, n_a = self.kappa, self.shape[4]
         b, v, cuts, _ = self.stage(m)
@@ -674,14 +665,18 @@ class _PairCounter:
             raise SizeCapError(f"{listed} column offsets exceed cap {self.tower.cap}")
         # the column bottoms, past the last one those of the wrapped columns,
         # then two that no level reaches
-        ends = np.concatenate((cuts, cuts + self.heights[m], _FAR) if cyclic else (cuts, _FAR))
+        ends = np.concatenate((cuts, cuts + self.heights[m], _FAR) if wraps else (cuts, _FAR))
         at = (cuts + lags[i, None]).ravel()  # c_j + s, per (entry, j)
         k = np.searchsorted(ends, at - below, side="right")
         k = np.concatenate((k, k + 1))
         t = np.concatenate((at, at)) - ends[k]
         pair = np.flatnonzero(t > -below)
         entry, j = np.divmod(pair % at.size, cuts.size)
-        c, i, k, t = c[entry], i[entry], k[pair] % cuts.size, t[pair]
+        c, i, k, t = c[entry], i[entry], k[pair], t[pair]
+        if 0 < wraps < len(weights):  # only a cyclic table wraps
+            pair = np.flatnonzero((c >= len(weights) - wraps) | (k < cuts.size))
+            c, i, j, k, t = c[pair], i[pair], j[pair], k[pair], t[pair]
+        k %= cuts.size
         group = ((c * 2 + (t < 0)) * kappa + b[j]) * kappa + b[k]
         if len(self.orders):
             group = group * n_a + self.index(v[j] - (self.act(twists[c], v[k]) if twists.any()
@@ -704,13 +699,11 @@ class _PairCounter:
 
     def moved(self, key, count, groups, twists, offset):
         """The lower tables of `offsets`' groups, group i at table offset + i,
-        as a part of the groups' own tables.
-
-        A lower pair (g, e, f, e', x) of group (c, b_j, b_k, d) goes to
-        (g, e + b_j, f, e' + b_k, theta^(-b_j) x + d); reversed, it runs
-        from column k to column j, so to (f, e' + b_j, g, e + b_k,
-        d - theta^(delta - b_k) x), delta the twist of table c.
-        """
+        as a part of the groups' own tables: a lower pair (g, e, f, e', x) of
+        group (c, b_j, b_k, d) goes to (g, e + b_j, f, e' + b_k,
+        theta^(-b_j) x + d), or reversed, from column k to column j, to
+        (f, e' + b_j, g, e + b_k, d - theta^(delta - b_k) x), delta the twist
+        of table c."""
         i, first, second, x = self.decode(key)
         i -= offset
         c, rev, b_j, b_k, d = groups
@@ -722,16 +715,14 @@ class _PairCounter:
         return (self.encode(c[i], self.shifted[b_j[i], first], self.shifted[b_k[i], second], x),
                 count)
 
-    def crossings(self, m, lags, weights, twists, cyclic):
+    def crossings(self, m, lags, weights, twists, wraps):
         """Pairs of lag s < h_(m-1) from the top of column j to the bottom of
-        column j + 1 (with cyclic, also from the last column to column 0).
-
-        Across a gap of g spacers such a pair spans n = s - g levels: the
-        top level size - n + k of the top words and the bottom level k, for
-        k in range(n).  Per group of `boundaries`, the weight of a span n
-        sums the weights of the lags g + n over the group's gaps g; the
-        pairs of a span are listed once per table that weighs it.
-        """
+        column j + 1 (for a cyclic table, also from the last column to column
+        0).  Across a gap of g spacers such a pair spans n = s - g levels: top
+        level size - n + k and bottom level k, for k in range(n).  Per group
+        of `boundaries`, the weight of a span n sums the weights of the lags
+        g + n over the group's gaps g; the pairs of a span are listed once per
+        table that weighs it."""
         size = int(lags.max()) if lags.size else 0
         if not size:
             return []
@@ -739,7 +730,7 @@ class _PairCounter:
         lag_weights = self.weight_table(len(weights), size + 1, "crossing weights")
         lag_weights[:, lags] = weights
         parts = []
-        for delta, tables in self.twist_classes(twists):
+        for delta, cyclic, tables in self.twist_classes(twists, wraps):
             rows = lag_weights if tables is None else lag_weights * tables[:, None]
             for b_1, b_2, d_1, gap_counts in self.boundaries(m, cyclic, delta):
                 # one correlation for all rows, each padded past its gaps
@@ -759,46 +750,63 @@ class _PairCounter:
                                             span_weights[c, span], twists))
         return parts
 
-    def raw(self, steps):
-        """Table of the pairs (l, l + steps) of the cyclic tower; keys may
-        repeat."""
-        s = steps % self.tower.height
-        return _joined(self.pairs(self.tower.depth, np.array([s]), np.ones((1, 1), dtype=np.int64),
-                                  np.zeros(1, dtype=np.int64), True))
+    def raw(self, asked):
+        """Table i of the pairs (l, l + step) of the cyclic depth-d tower, for
+        (d, step) the i-th of asked, in decreasing depth from the counter's
+        depth to n0; keys may repeat."""
+        for depth, _ in asked:
+            if not self.n0 <= depth <= self.tower.depth:
+                raise ParameterError(f"no depth-{self.n0} cylinders in a depth-{depth} tower")
+        steps = [step % self.heights[asked[0][0]] for depth, step in asked if depth == asked[0][0]]
+        lags = sorted(set(steps))
+        weights = np.eye(len(lags), dtype=np.int64)[[lags.index(step) for step in steps]]
+        return _joined(self.pairs(asked[0][0], np.array(lags), weights, np.zeros(len(steps), int),
+                                  len(steps), asked[len(steps):]))
 
-    @_kept
-    def folded(self, steps):
-        """The raw table at `steps` by cylinders and transition value.
-
-        Raw key (g, b, f, b', x) goes to the bucket
-        ((g n_cyl + f) kappa + s) |A| + w of the transition value
-        (s, w) = (b - b', theta^b x), theta^b read as a permutation of the
-        indices.  The buckets are distinct and sorted, each with the exact
-        sum of its raw counts.
-        """
+    def count(self, asked):
+        """Fold the tables of every (depth, step) asked, the step taken modulo
+        the depth's height, from one `raw` call, and keep each: raw key
+        (c, g, b, f, b', x) goes to the bucket
+        ((g n_cyl + f) kappa + s) |A| + w of table c, for the transition value
+        (s, w) = (b - b', theta^b x), theta^b a permutation of the indices.
+        A table's buckets are distinct and sorted, each with the exact sum of
+        its raw counts."""
+        asked = sorted({(depth, step % self.heights[depth]) for depth, step in asked},
+                       reverse=True)
         n_cyl, kappa, _, _, n_a = self.shape
-        key, count = self.raw(steps)
-        _, first, second, x = self.decode(key)
+        key, count = self.raw(asked)
+        c, first, second, x = self.decode(key)
         (g, b1), (f, b2) = np.divmod(first, kappa), np.divmod(second, kappa)
+        size = n_cyl * n_cyl * kappa * n_a
         bucket = ((g * n_cyl + f) * kappa + (b1 - b2) % kappa) * n_a + self.image_index[b1, x]
-        return _merged([(bucket, count)])
+        if len(asked) > 1:  # table c's buckets after those of the tables before it
+            bucket += c * size
+        bucket, count = _merged([(bucket, count)])
+        ends = np.searchsorted(bucket, np.arange(len(asked) + 1) * size).tolist()
+        for c, table in enumerate(asked):
+            key = bucket[ends[c]:ends[c + 1]]
+            key -= c * size
+            self.tables[table] = key, count[ends[c]:ends[c + 1]]
+
+    def folded(self, depth, step):
+        """The folded table of (depth, step), counted alone unless counted."""
+        step %= self.heights[depth]
+        if (depth, step) not in self.tables:
+            self.count([(depth, step)])
+        return self.tables[depth, step]
 
 
-def _eta_values(counter: _PairCounter, steps: tuple[int, ...], eta_exp: int):
-    """Complex tables V[g, f] = <U_eta^s 1_f, 1_g>, one per s in steps.
-
-    A bucket of the counter's folded table adds count * eta(s), s the group
-    exponent of the pair's path, to its cell (g, f): one bincount each for
-    the real and the imaginary parts, which sums a cell's buckets in order
-    of s, as the contraction of a dense count table with the phases would.
-    A counter with the module splits each (g, f, s) into a sorted run of
-    buckets, one per module value, which is summed exactly first.
-    """
+def _eta_values(counter: _PairCounter, depth: int, steps: tuple[int, ...], eta_exp: int):
+    """Complex tables V[g, f] = <U_eta^s 1_f, 1_g> over the depth-`depth`
+    tower, one per s in steps: a folded bucket adds count * eta(s), s the
+    pair's group exponent, to its cell (g, f), summed in order of s by one
+    bincount per part, as a dense contraction would, after a counter with
+    the module sums each (g, f, s)'s run of module values exactly."""
     n_cyl, kappa, _, _, n_a = counter.shape
     phases = np.exp(2j * np.pi * eta_exp * np.arange(kappa) / kappa)
     tables = []
     for step in steps:
-        key, count = counter.folded(step)
+        key, count = counter.folded(depth, step)
         if n_a > 1:
             key = key // n_a
             first = np.flatnonzero(_starts(key))
@@ -807,26 +815,24 @@ def _eta_values(counter: _PairCounter, steps: tuple[int, ...], eta_exp: int):
         values = np.empty(n_cyl * n_cyl, dtype=complex)
         values.real = np.bincount(cell, count * phases.real[s], values.size)
         values.imag = np.bincount(cell, count * phases.imag[s], values.size)
-        values /= counter.tower.height
+        values /= counter.heights[depth]
         tables.append(values.reshape(n_cyl, n_cyl))
     return tables
 
 
-def _chi_values(counter: _PairCounter, steps: tuple[int, ...], d, phase_order: int):
-    """Tables V[e_u, e_v, g, f] = <U_chi^s (1_f x eta_{e_u}), 1_g x eta_{e_v}> per s in steps.
+def _chi_values(counter: _PairCounter, depth: int, steps: tuple[int, ...], d,
+                phase_order: int):
+    """Tables V[e_u, e_v, g, f] = <U_chi^s (1_f x eta_{e_u}), 1_g x eta_{e_v}>
+    over the depth-`depth` tower, per s in steps.
 
-    A bucket (g, f, s, w) of the counter's folded table, (s, w) the
-    transition value, adds count * eta_{e_u}(s) * G[e_u - e_v, w] to entry
-    (g, f), for G the group-state sum of the character over (character
-    difference, module value).  The product is taken once per nonzero
-    bucket, in that order; each entry sums its terms from zero in bucket
-    order, so (s, w) order, and is divided by h kappa last.  That is how
-    np.einsum("gfsw,s,w->gf", ...) rounds over the dense table of the
-    buckets while an entry's kappa |A| terms fit in numpy's 8192-element
-    iterator buffer, at a cost in the nonzero buckets instead of
-    n_cyl^2 kappa^3 |A|.
+    A folded bucket (g, f, s, w), (s, w) the transition value, adds count *
+    eta_{e_u}(s) * G[e_u - e_v, w] to entry (g, f), G the group-state sum of
+    the character.  Each entry sums its terms from zero in bucket order and
+    is divided by h kappa last: how np.einsum("gfsw,s,w->gf", ...) rounds
+    over the dense buckets while an entry's kappa |A| terms fit in numpy's
+    8192-element iterator buffer, at a cost in the nonzero buckets only.
     """
-    kappa, h, images = counter.kappa, counter.tower.height, counter.images
+    kappa, h, images = counter.kappa, counter.heights[depth], counter.images
     n_cyl, n_a = counter.shape[0], images.shape[1]
 
     # G[e, w] = sum over k of chi_d(theta^k w) * e^{2 pi i e k / kappa}
@@ -842,7 +848,7 @@ def _chi_values(counter: _PairCounter, steps: tuple[int, ...], d, phase_order: i
     e_v = np.arange(kappa)
     tables = []
     for step in steps:
-        key, count = counter.folded(step)
+        key, count = counter.folded(depth, step)
         cell, rest = np.divmod(key, kappa * n_a)
         s, w = np.divmod(rest, n_a)
         # bin (e_v, g, f) per term, terms of one bin in bucket order
@@ -862,10 +868,9 @@ def _chi_values(counter: _PairCounter, steps: tuple[int, ...], d, phase_order: i
 # The weak limit of U^{h_(n-1)} at a labelled stage n, on a probe's table:
 #     pred = delta (a <1_f, 1_g> + b <U 1_g, 1_f>*) + c mu_f mu_g.
 # (component kind, label kind) -> (prediction kind, (a, b, c) from the
-# label's phase lam and delta): lam is eta(k) on a rotate stage and the
-# orbit average L(a) of chi on a translate stage.  b None drops the
-# one-step term, c None the mean term.  A trivial chi takes its label's eta
-# entry.
+# label's phase lam, eta(k) on a rotate stage and chi's orbit average L(a)
+# on a translate stage, and delta); b None drops the one-step term, c None
+# the mean term.  A trivial chi takes its label's eta entry.
 _PREDICTIONS = {
     ("eta", LABEL_RIGID_TRANSLATE): ("partial_rigidity", lambda lam, d: (1, None, 1 - d)),
     ("eta", LABEL_RIGID_ROTATE): ("rotation", lambda lam, d: (lam, None, 1 - d)),
@@ -877,12 +882,10 @@ _PREDICTIONS = {
 
 def _weak_limit_prediction(coefficients, lam, delta, inner, one_step, mean):
     """A ``_PREDICTIONS`` entry on the tables of <1_f, 1_g>, <U 1_f, 1_g> and
-    mu_f mu_g, as (real, imaginary) n x n arrays.  inner and mean are
-    given by side, [..., 0] on the diagonal g = f and [..., 1] off it;
-    one_step is a table of the probe's shape, whose values are read only
-    when b is given.
-
-    The rounding is fixed: (delta a) inner without a one-step term, and
+    mu_f mu_g, as (real, imaginary) n x n arrays; inner and mean are given
+    by side, [..., 0] on the diagonal g = f and [..., 1] off it, and
+    one_step, of the probe's shape, is read only when b is given.  The
+    rounding is fixed: (delta a) inner without a one-step term, and
     delta (b U* + inner), for a = 1, with it; c P is added last whenever c
     is given, zero tables included.  Every step acts entry by entry, so a
     prediction without a one-step term is formed on the two values per
@@ -931,9 +934,8 @@ class _ProbePlan:
 
 
 def _probe_plan(session, stage_index: int, component) -> _ProbePlan:
-    """The checks of one component at one stage, in the order
-    weak_limit_probe documents, and what its prediction reads; builds no
-    table."""
+    """The checks of one component at one stage, in the order weak_limit_probe
+    documents, and what its prediction reads; builds no table."""
     depth = session.schedule.depth
     if not 1 <= stage_index <= depth:
         raise ParameterError(f"no stage {stage_index} in a {depth}-stage schedule")
@@ -970,19 +972,48 @@ def _probe_plan(session, stage_index: int, component) -> _ProbePlan:
     return _ProbePlan(kind, payload, trivial, pred_kind, coefficients, lam, delta, steps)
 
 
-def _probe_tables(session, plan: _ProbePlan, counter: _PairCounter) -> list:
-    """The component's power-average tables at the plan's steps."""
+def _probe_tables(session, stage_index: int, plan: _ProbePlan, counter: _PairCounter):
+    """The plan with the component's power-average tables at its steps."""
     if plan.kind == "eta":
-        return _eta_values(counter, plan.steps, plan.payload)
-    return _chi_values(counter, plan.steps, plan.payload, session.root_order)
+        return plan, _eta_values(counter, stage_index, plan.steps, plan.payload)
+    return plan, _chi_values(counter, stage_index, plan.steps, plan.payload, session.root_order)
 
 
-def _probe_report(session, stage_index: int, plan: _ProbePlan, tables,
-                  mu: float) -> WeakLimitReport:
+def _or_error(function, *args):
+    """function(*args), or the CfspectraError it raises, rid of the frames
+    (and counters) its traceback holds."""
+    try:
+        return function(*args)
+    except CfspectraError as exc:
+        return exc.with_traceback(None)
+
+
+def _tables(session, plans: dict) -> dict:
+    """Each plan with its tables, from one counter counting every (stage, step) at once."""
+    module = any(plan.kind == "chi" for stage in plans.values() for plan in stage)
+    counter = _PairCounter(session.tower_at(max(plans)), session.config.cylinder_level, module)
+    counter.count([(n, step) for n, stage in plans.items() for plan in stage
+                   for step in plan.steps])
+    return {n: [_probe_tables(session, n, plan, counter) for plan in stage]
+            for n, stage in plans.items()}
+
+
+def _stage_tables(session, stage_index: int, plans) -> list:
+    """Each plan of one stage with its tables, or the refusal met counting
+    them, from a counter on the stage's tower that counts each step apart."""
+    counter = _or_error(_PairCounter, session.tower_at(stage_index),
+                        session.config.cylinder_level, any(plan.kind == "chi" for plan in plans))
+    if isinstance(counter, CfspectraError):
+        return [counter] * len(plans)
+    return [_or_error(_probe_tables, session, stage_index, plan, counter) for plan in plans]
+
+
+def _probe_report(session, stage_index: int, plan: _ProbePlan, tables) -> WeakLimitReport:
     """The component's tables against its prediction, for mu the measure of
-    every depth-n0 cylinder."""
+    every depth-n0 cylinder in the stage's tower."""
     stage, n0, kappa = session.stage(stage_index), session.config.cylinder_level, session.k_order
     n_cyl = session.schedule.height(n0)
+    mu = session.tower_at(stage_index).cylinder_size(n0) / session.schedule.height(stage_index)
     delta, lam, payload = plan.delta, plan.lam, plan.payload
     family = {"cylinder_level": n0, "cylinders": n_cyl}
     # <1_f x eta_e, 1_g x eta_e'> = [f = g][e = e'] mu_f, and the means
@@ -996,8 +1027,7 @@ def _probe_report(session, stage_index: int, plan: _ProbePlan, tables,
         means = chars * (np.arange(kappa) == 0)
         record = {"kind": "chi", "d": list(payload)}
         family["group_characters"] = kappa
-    # the inner products and means on the diagonal g = f ([..., 0]) and off
-    # it ([..., 1])
+    # the inner products and means on the diagonal g = f ([..., 0]) and off it
     inner = np.multiply.outer(chars, mu * np.array([1.0, 0.0]))
     mean = np.multiply.outer(means, np.full(2, mu * mu))
     # tables[-1] is the one-step table when the prediction has one
@@ -1010,75 +1040,57 @@ def _probe_report(session, stage_index: int, plan: _ProbePlan, tables,
     )
 
 
-def stage_probes(session, stage_index: int, components) -> list:
-    """weak_limit_probe of each component at one stage, from one pair counter.
+def stage_probes(session, probes: dict) -> dict:
+    """weak_limit_probe of each component at each stage, from one pair counter.
 
-    Returns one WeakLimitReport or one CfspectraError per component, in
-    order.  Every component's checks run first; then one counter serves the
-    components that passed them, each table of a step folded once.  The
-    counter carries the module only if a chi component passed its checks,
-    so a chi refused on its module images builds none of them for eta.  A
-    refusal met while counting (the cylinder-depth tower, its level pairs,
-    the column offsets or a weight table over the cap, keys past the int64
-    range, a stage shallower than the cylinder level) is repeated, with the
-    same message, for each component that asks for the refused table.
+    ``probes`` maps a stage index to its components; returns, per stage,
+    one WeakLimitReport or one CfspectraError per component, in order.
+    Every component's checks run first.  Then one counter, on the deepest
+    stage's tower, counts every step of every stage in one top-down pass,
+    carrying the module only if a chi component passed its checks.  Each
+    stage's tables are divided by its own height, and its predictions take
+    its own mu.  The counter lists only the cylinder-depth tower; it
+    refuses that tower, its level pairs, the column offsets, the edge
+    windows and the weight tables over the cap, keys past the int64 range
+    and a stage below the cylinder level (the stage's own height is not
+    checked).  Such a refusal falls back to a counter per stage, each step
+    counted apart: each component that asks for a refused table gets that
+    count's refusal, and the other stages report.
     """
-    plans = []
-    for component in components:
-        try:
-            plans.append(_probe_plan(session, stage_index, component))
-        except CfspectraError as exc:
-            plans.append(exc)
-    n0 = session.config.cylinder_level
-    module = any(isinstance(p, _ProbePlan) and p.kind == "chi" for p in plans)
-    counter, counted = None, []
-    for plan in plans:
-        if isinstance(plan, _ProbePlan):
-            try:
-                if counter is None:
-                    counter = _PairCounter(session.tower_at(stage_index), n0, module)
-                plan = (plan, _probe_tables(session, plan, counter))
-            except CfspectraError as exc:
-                plan = exc
-        counted.append(plan)
-    if counter is None:
-        return counted
-    tower = counter.tower
-    mu = tower.cylinder_size(n0) / tower.height
-    # the counter's towers and folded tables go before any prediction is formed
-    del counter
-    return [c if isinstance(c, CfspectraError) else _probe_report(session, stage_index, *c, mu)
-            for c in counted]
+    checked = {n: [_or_error(_probe_plan, session, n, component) for component in components]
+               for n, components in probes.items()}
+    plans = {n: live for n, stage in checked.items()
+             if (live := [plan for plan in stage if isinstance(plan, _ProbePlan)])}
+    counted = _or_error(_tables, session, plans) if plans else {}
+    if isinstance(counted, CfspectraError):
+        counted = {n: _stage_tables(session, n, stage) for n, stage in plans.items()}
+    tables = {n: iter(counted.get(n, ())) for n in checked}
+    return {n: [c if isinstance(c, CfspectraError) else _probe_report(session, n, *c)
+                for c in (p if isinstance(p, CfspectraError) else next(tables[n]) for p in stage)]
+            for n, stage in checked.items()}
 
 
 def weak_limit_probe(session, stage_index: int, component) -> WeakLimitReport:
     """Exact power-average table at one stage against its class prediction.
 
-    ``component`` is ("eta", e) for a base-tower component, e in range(kappa),
-    or ("chi", d) for a skew-tower component, d an element of the module;
-    the stage's label decides which limit formula is predicted.  The
-    cylinders are those at the session's cylinder level.  The tolerance is
-    3 over the stage's column count; exceeding it is reported, and the
-    right response is a larger stage, never a looser gate.  This is the
-    one-component case of stage_probes.
+    ``component`` is ("eta", e), e in range(kappa), or ("chi", d), d an
+    element of the module; the stage's label decides the predicted limit,
+    over the cylinders of the session's cylinder level.  The tolerance is 3
+    over the stage's column count; exceeding it is reported, and the right
+    response is a larger stage, never a looser gate.  This is stage_probes
+    of one stage and one component, whose refusal is raised.
 
     Nothing is built for a refused probe.  A stage outside 1..depth raises
     ParameterError, an unknown component kind CharacterTypeError, a
     component the label has no prediction for (a plain stage, or chi on a
     rotate stage) LabelError, and an e or d outside its group
     InvalidElementError.  Then SizeCapError is raised where the largest
-    dense array the probe builds has more entries than the session's state
-    cap: for eta the count table, n_cyl^2 kappa; for chi the larger of its
-    value tables, (kappa n_cyl)^2, and the module images theta^k w, kappa |A|
-    rank(A).  The sparse pair tables hold only the pairs the counter meets.
-    The counter lists only the cylinder-depth tower and its level pairs,
-    and refuses those, the column offsets it groups, the edge windows it
-    pairs and its dense tables of weights per (table, lag) over the cap,
-    and keys that would pass the int64 range (the stage's own height is not
-    checked); a stage shallower than the cylinder level raises
-    ParameterError.
+    dense array the probe builds has more entries than the state cap: for
+    eta the count table, n_cyl^2 kappa; for chi the larger of its value
+    tables, (kappa n_cyl)^2, and the module images, kappa |A| rank(A).  The
+    refusals met while counting are stage_probes'.
     """
-    (result,) = stage_probes(session, stage_index, [component])
+    (result,) = stage_probes(session, {stage_index: [component]})[stage_index]
     if isinstance(result, CfspectraError):
         raise result
     return result
@@ -1126,12 +1138,10 @@ class DecayRow:
 
 def _column_pairs(cuts: np.ndarray, below: int, t: np.ndarray) -> np.ndarray:
     """u = t - c_j + c_k per difference t, column j and column k with
-    |u| < `below`, the height of the tower the cuts stack; shape
-    (t.size, r, 2).
-
-    Cuts lie at least `below` apart, so each (t, j) has at most two such k,
-    the first with c_k > c_j - t - below and the next; -below marks a
-    missing k, as no two copies below differ by it.
+    |u| < `below`, the height of the tower the cuts stack; shape (t.size, r,
+    2).  Cuts lie at least `below` apart, so each (t, j) has at most two
+    such k, the first with c_k > c_j - t - below and the next; -below marks
+    a missing k, as no two copies below differ by it.
     """
     x = cuts - t[:, None]  # c_j - t
     k = np.searchsorted(cuts, x - below, side="right")[..., None] + np.arange(2)
@@ -1142,11 +1152,10 @@ def _column_pairs(cuts: np.ndarray, below: int, t: np.ndarray) -> np.ndarray:
 def _difference_table(stages, base: int) -> np.ndarray:
     """L(t) = #{(x, y) in O^2 : x - y = t} at every -h <= t < h, indexed
     t + h, for O the bottoms of the height-`base` copies that `stages` stack
-    into a tower of height h.
-
-    O after a stage is O before it placed at each cut c_j, so the new counts
-    are sum_(j,k) L(t - (c_j - c_k)): two passes of slice adds, first
-    M(v) = sum_k L(v - (c_last - c_k)), then sum_j M(t - c_j).
+    into a tower of height h.  O after a stage is O before it placed at
+    each cut c_j, so the new counts are sum_(j,k) L(t - (c_j - c_k)): two
+    passes of slice adds, first M(v) = sum_k L(v - (c_last - c_k)), then
+    sum_j M(t - c_j).
     """
     table = np.zeros(2 * base, dtype=np.int64)
     table[base] = 1
@@ -1162,9 +1171,8 @@ def _difference_table(stages, base: int) -> np.ndarray:
 
 
 def _difference_counts(stages, base: int, t: np.ndarray, cap: int) -> np.ndarray:
-    """L(t), as in _difference_table, at the differences t alone, -h <= t < h.
-
-    The top stage sums L below it over the pairs of _column_pairs.  While
+    """L(t), as in _difference_table, at the differences t alone, -h <= t < h:
+    the top stage sums L below it over the pairs of _column_pairs.  While
     the pairs are fewer than the entries of the table below, L below is
     asked at their distinct differences alone, the same way; else that
     table is built and read, at most max(r, below) (t, j) at a time.  So a
@@ -1191,9 +1199,8 @@ def _difference_counts(stages, base: int, t: np.ndarray, cap: int) -> np.ndarray
 
 def _shift_counts(tower: Tower, n0: int, shifts: np.ndarray) -> np.ndarray:
     """#{(x, y) in O^2 : x - y = s mod h} per shift 0 <= s < h, for O the
-    starts of the depth-n0 copies in the tower, of height h.
-
-    As x - y lies in (-h, h), the count at s is L(s) + L(s - h), for L the
+    starts of the depth-n0 copies in the tower, of height h.  As x - y lies
+    in (-h, h), the count at s is L(s) + L(s - h), for L the
     difference counts of _difference_counts, and O is never listed.  Every
     count formed is at most |O| (a difference pairs each x with at most one
     y), and |O| <= h < 2^63, so the int64 counts are exact.
@@ -1207,7 +1214,6 @@ def _shift_counts(tower: Tower, n0: int, shifts: np.ndarray) -> np.ndarray:
 
 def correlation_decay(tower: Tower, pairs, lags, n0: int = 1) -> list[DecayRow]:
     """Exact |mu(T^lag A & B) - mu(A) mu(B)| per cylinder pair (A, B) = (f, g) and lag.
-
     Cylinder f is O + f, for O the starts of the depth-n0 copies, so
     T^lag A & B has |O & (O - (lag + f - g))| levels: a count of the
     differences of O at one shift mod h, read off the stage cuts
@@ -1279,18 +1285,15 @@ class Certificate:
 def disjointness_certificates(duality, chars) -> dict:
     """Certificate of every pair i < j of the characters, keyed (i, j) in order.
 
-    A pair is a conjugation witness, the least k with chi_i o theta^k =
-    chi_j, when the characters are related; each character's kappa
-    conjugates are listed once.  The other pairs share one search for a
-    separating element, over the module in element order, one element per
-    orbit: orbit averages are constant on orbits, so an element in the
-    orbit of one already scanned cannot separate.  The module is walked
-    lazily, each orbit once, and each orbit's average is taken once per
-    character that still has an open pair.  A pair closes at the first
-    orbit whose averages differ, so its separating element is the one an
+    A related pair gets a conjugation witness, the least k with
+    chi_i o theta^k = chi_j (each character's conjugates listed once).  The
+    others share one lazy search for a separating element, in element order,
+    one element per orbit, as orbit averages are constant on orbits; each
+    orbit's average is taken once per character with an open pair, and a
+    pair closes at the first orbit whose averages differ, the element an
     exhaustive scan of that pair finds.  By the finite-level orbit-average
-    identity the search must succeed for unrelated characters, so a failed
-    search raises instead of returning quietly.
+    identity the search succeeds for unrelated characters, so a failed
+    search raises.
     """
     action = duality.dual_action
     if any(chi.group != action.module for chi in chars):
@@ -1384,12 +1387,10 @@ def factor_classes(session):
 
 def multiplicity_report(session) -> MultiplicityReport:
     """Class decomposition, size set, equivalence evidence and certificates.
-
     The classes are the traces orbit(d) & D of the nonzero d in D, so the
-    trace counts are the class sizes; they are checked against the targets
-    where the triple is assembled and dualized, not again here.  In product
-    mode the square factor adjoins 2 to the reported multiplicities.
-    """
+    trace counts are the class sizes, checked against the targets where the
+    triple is assembled and dualized.  In product mode the square factor
+    adjoins 2 to the reported multiplicities."""
     mode = session.mode
     classes = factor_classes(session)
     class_sizes = [len(c) for c in classes]
@@ -1460,9 +1461,8 @@ def _power_matrix(op: PhasedCycleOperator, vec: np.ndarray, window: int) -> np.n
 def simplicity_probe(op1: PhasedCycleOperator, op2: PhasedCycleOperator | None,
                      v: np.ndarray, power_window: int,
                      test_vectors: np.ndarray | None = None) -> SimplicityReport:
-    """Least-squares residuals of test vectors against the power span of v.
-
-    The span is {(op1^q (+) op2^q) v : |q| <= window} on the direct sum of
+    """Least-squares residuals of test vectors against the power span of v,
+    {(op1^q (+) op2^q) v : |q| <= window} on the direct sum of
     the two state spaces (just op1's powers when op2 is None).  Low
     residuals witness joint cyclicity; a vector far from the span stays far
     because the span cannot grow beyond the available distinct eigenvalues.

@@ -10,8 +10,8 @@ copy.  No command builds a tower model other than a probe's
 cylinder-depth tower, and a weak-limit probe lists no deeper one, even for
 lags past a column's height, nor any tower twice, nor a dense table of its
 raw pair counts; its counter groups each stage's column boundaries once.
-The probes of one stage share one counter, and a multiplicity report
-walks each orbit once.
+The probes of one verify share one counter, which enters each depth once
+for all its stages, and a multiplicity report walks each orbit once.
 Decay lists no cylinder start and packs no h-bit indicator.  No command
 renders JSON through json's pure-Python encoder, and a process builds its
 argument parser once.
@@ -181,29 +181,55 @@ def test_multiplicity_report_walks_orbits_only_in_the_certificate_scan(monkeypat
     assert len(callers) <= orbits, len(callers)
 
 
-@pytest.mark.parametrize("name, counters, models, tables", [
-    ("direct_12", 2, 2, 2), ("product_23", 3, 3, 4)], ids=["direct_12", "product_23"])
-def test_weaklimits_count_each_stage_once(tmp_path, monkeypatch, name, counters, models,
-                                          tables):
-    # every probe of a stage reads one pair counter, which lists its
-    # cylinder-depth tower once and folds each step's table once; a counter
-    # per probe builds 4 counters and models on direct_12, 6 on product_23
+@pytest.mark.parametrize("name, tables", [("direct_12", 2), ("product_23", 4)],
+                         ids=["direct_12", "product_23"])
+def test_weaklimits_count_each_stage_once(tmp_path, monkeypatch, name, tables):
+    # one verify builds one pair counter, on the deepest probed stage's
+    # tower, which lists its cylinder-depth tower once and counts the tables
+    # of every probed stage, each (stage, step) once, in one `raw` call; a
+    # counter per stage builds 2 counters and models on direct_12, 3 on
+    # product_23
     bundle = tmp_path / "bundle"
     assert main(["synth", "--config", str(CONFIG_DIR / f"{name}.json"),
                  "--out", str(bundle)]) == 0
     built = count_calls(monkeypatch, koopman_lab._PairCounter, "__init__")
-    listed = count_calls(monkeypatch, TowerModel, "__init__")
-    folded = []
-    raw = koopman_lab._PairCounter.raw
+    depths, asked = [], []
+    build, raw = TowerModel.__init__, koopman_lab._PairCounter.raw
 
-    def recording(self, steps):
-        folded.append((self.tower.depth, steps))
-        return raw(self, steps)
+    def building(self, schedule, depth, *args, **kwargs):
+        depths.append(depth)
+        build(self, schedule, depth, *args, **kwargs)
 
+    def recording(self, tables):
+        asked.append(list(tables))
+        return raw(self, tables)
+
+    monkeypatch.setattr(TowerModel, "__init__", building)
     monkeypatch.setattr(koopman_lab._PairCounter, "raw", recording)
     assert main(["verify", "--bundle", str(bundle), "--suite", "weaklimits"]) == 0
-    assert (len(built), len(listed)) == (counters, models), (len(built), len(listed))
-    assert len(folded) == len(set(folded)) == tables, folded
+    assert len(built) == 1 and depths == [1], (len(built), depths)
+    assert len(asked) == 1 and len(asked[0]) == len(set(asked[0])) == tables, asked
+
+
+@pytest.mark.parametrize("name", ["direct_12", "product_23"])
+def test_weaklimits_enter_each_depth_once(tmp_path, monkeypatch, name):
+    # stage n's table enters the recursion at depth n, beside the lower
+    # tables that the stages above it ask for, so one verify enters `pairs`
+    # once per depth from the deepest probed stage down to the cylinder
+    # depth; a counter per stage enters the depths below its stage again
+    bundle = tmp_path / "bundle"
+    assert main(["synth", "--config", str(CONFIG_DIR / f"{name}.json"),
+                 "--out", str(bundle)]) == 0
+    entered = []
+    pairs = koopman_lab._PairCounter.pairs
+
+    def recording(self, m, *args):
+        entered.append(m)
+        return pairs(self, m, *args)
+
+    monkeypatch.setattr(koopman_lab._PairCounter, "pairs", recording)
+    assert main(["verify", "--bundle", str(bundle), "--suite", "weaklimits"]) == 0
+    assert sorted(entered) == list(range(1, 10)), entered
 
 
 @pytest.mark.parametrize("name", ["direct_12", "product_23", "staircase_mixing"])
@@ -344,7 +370,7 @@ def test_probes_build_no_tower_below_the_cylinder_depth(request, monkeypatch, fi
         build(self, schedule, depth, *args, **kwargs)
 
     monkeypatch.setattr(TowerModel, "__init__", recording)
-    reports = koopman_lab.stage_probes(session, stage, components)
+    reports = koopman_lab.stage_probes(session, {stage: components})[stage]
     assert all(report.passed for report in reports)
     assert depths == [session.config.cylinder_level], depths
 
@@ -367,7 +393,7 @@ def test_a_counter_groups_each_stage_boundaries_once(request, monkeypatch, fixtu
 
     monkeypatch.setattr(koopman_lab._PairCounter, "stage", recording)
     components = [("eta", 0)] + [("chi", d) for d in session.factor_characters()[1:3]]
-    reports = koopman_lab.stage_probes(session, stage, components)
+    reports = koopman_lab.stage_probes(session, {stage: components})[stage]
     assert all(report.passed for report in reports)
     assert grouped and len(grouped) == len(set(grouped)), grouped
 
@@ -382,10 +408,10 @@ def test_a_probe_refused_on_its_level_pairs_now_runs_under_the_default_cap():
         blocks=(DeltaBlock(Fraction(1, 2), 4, r_seq=(8, 8, 256, 1024)),)))
     assert session.config.state_cap == koopman_lab.DEFAULT_STATE_CAP
     components = [("eta", 0), ("eta", 1)]
-    koopman_lab.stage_probes(session, 4, components)  # fills the session's caches first
+    koopman_lab.stage_probes(session, {4: components})[4]  # fills the session's caches first
     tracemalloc.start()
     try:
-        reports = koopman_lab.stage_probes(session, 4, components)
+        reports = koopman_lab.stage_probes(session, {4: components})[4]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

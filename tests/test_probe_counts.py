@@ -16,7 +16,9 @@ read from a counter without it.  At kappa = 3, where b' - b and b - b'
 differ and so do theta^b and theta^-b, fixed schedules whose rotate stage
 acts pin the fold's direction and the build's untwisting.  The tables of
 any lags and twists, big lags among them, must equal `listed_pairs`, the
-level pass over the whole tower.
+level pass over the whole tower.  One counter that counts the tables of
+every labelled stage in one pass must give each stage the raw and folded
+tables that a counter of that stage alone gives it.
 """
 
 import tracemalloc
@@ -29,11 +31,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfspectra.cf_builder import DeltaBlock
-from cfspectra.cocycle_engine import MODE_DIRECT, MODE_PRODUCT, Tower, TowerModel
+from cfspectra.cocycle_engine import LABEL_PLAIN, MODE_DIRECT, MODE_PRODUCT, Tower, TowerModel
 from cfspectra.errors import SizeCapError
 from cfspectra.koopman_lab import (
     _chi_values,
     _eta_values,
+    _joined,
     _merged,
     _module_tables,
     _PairCounter,
@@ -50,9 +53,10 @@ from test_probe_tables import (
 TABLE_LIMIT = 10**6  # raw tables larger than this are not compared with a module part
 
 
-def raw_counts(counter, steps):
-    """The counter's raw table at `steps`, its keys merged, as a dense array."""
-    key, count = _merged([counter.raw(steps)])
+def raw_counts(counter, depth, steps):
+    """The counter's raw table of the cyclic depth-`depth` tower at `steps`,
+    its keys merged, as a dense array."""
+    key, count = _merged([counter.raw([(depth, steps)])])
     raw = np.zeros(prod(counter.shape), dtype=np.int64)
     raw[key] = count
     return raw.reshape(counter.shape)
@@ -78,8 +82,8 @@ def assert_counts_equal(session, n, n0):
                 continue
             counter = _PairCounter(tower, n0, module)
             want = level_pass_counts(model, step, n0, module)
-            assert np.array_equal(raw_counts(counter, step), want), (n, n0, step, module)
-            key, count = counter.folded(step)
+            assert np.array_equal(raw_counts(counter, n, step), want), (n, n0, step, module)
+            key, count = counter.folded(n, step)
             dense = folded_counts(model, step, n0, module).ravel()
             assert np.array_equal(key, np.flatnonzero(dense)), (n, n0, step, module)
             assert np.array_equal(count, dense[key]), (n, n0, step, module)
@@ -93,12 +97,12 @@ def assert_values_equal_dense_contraction(session, n, n0):
     module = session.ctx.module
     d = module.element_by_index(module.size - 1)
     steps = (session.schedule.height(n - 1), 1)
-    tables = _eta_values(_PairCounter(tower, n0, False), steps, kappa - 1)
+    tables = _eta_values(_PairCounter(tower, n0, False), n, steps, kappa - 1)
     for step, got in zip(steps, tables):
         assert got.tobytes() == oracle_eta_values(model, step, n0, kappa - 1).tobytes(), step
     if not module_fits(session, n0):
         return
-    tables = _chi_values(_PairCounter(tower, n0, True), steps, d, session.root_order)
+    tables = _chi_values(_PairCounter(tower, n0, True), n, steps, d, session.root_order)
     for step, got in zip(steps, tables):
         want = oracle_chi_values(model, step, n0, d, session.root_order)
         assert got.tobytes() == want.tobytes(), (n, n0, step)
@@ -172,8 +176,8 @@ def test_eta_tables_of_a_module_counter_equal_the_module_less_ones(drawn):
         steps = (session.schedule.height(n - 1), 1)
         plain, shared = _PairCounter(tower, n0, False), _PairCounter(tower, n0, True)
         for eta in range(kappa):
-            got = _eta_values(shared, steps, eta)
-            want = _eta_values(plain, steps, eta)
+            got = _eta_values(shared, n, steps, eta)
+            want = _eta_values(plain, n, steps, eta)
             assert [t.tobytes() for t in got] == [t.tobytes() for t in want], (n, eta)
 
 
@@ -200,6 +204,65 @@ def test_counts_equal_level_pass_at_kappa_3(request, name, depth):
     assert module_fits(session, 1)
     assert_counts_equal(session, depth, 1)
     assert_values_equal_dense_contraction(session, depth, 1)
+
+
+def by_table(counter, part, tables):
+    """Raw keys merged, as (keys within the table, counts) per table."""
+    key, count = _merged([part])
+    table, key = np.divmod(key, counter.table_size)
+    ends = np.searchsorted(table, np.arange(tables + 1))
+    return [(key[a:b], count[a:b]) for a, b in zip(ends[:-1], ends[1:])]
+
+
+def assert_joint_pass_equals_one_stage_passes(session, n0):
+    """Both steps of every labelled stage from n0 on, counted in one pass of
+    a counter on the full tower, against a counter per stage and step."""
+    stages = [n for n in range(max(n0, 1), session.schedule.depth + 1)
+              if session.label(n).kind != LABEL_PLAIN]
+    if not stages:
+        return
+    asked = sorted({(n, step) for n in stages for step in (session.schedule.height(n - 1), 1)},
+                   reverse=True)
+    for module in (False, True):
+        if module and not module_fits(session, n0):
+            continue
+        joint = _PairCounter(session.tower_at(), n0, module)
+        tables = by_table(joint, joint.raw(asked), len(asked))
+        joint.count(asked)
+        for (n, step), (key, count) in zip(asked, tables):
+            alone = _PairCounter(session.tower_at(n), n0, module)
+            [(want_key, want_count)] = by_table(alone, alone.raw([(n, step)]), 1)
+            assert np.array_equal(key, want_key) and np.array_equal(count, want_count), (
+                n, step, module)
+            got, want = joint.folded(n, step), alone.folded(n, step)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (n, step, module)
+
+
+@on_random_schedules
+def test_joint_pass_equals_one_stage_passes_on_random_schedules(drawn):
+    session, n0 = drawn_session(drawn)
+    assert_joint_pass_equals_one_stage_passes(session, n0)
+
+
+@pytest.mark.parametrize("name", sorted({n for n, _ in PROBED + KAPPA3}))
+def test_joint_pass_equals_one_stage_passes_on_probe_fixtures(request, name):
+    assert_joint_pass_equals_one_stage_passes(request.getfixturevalue(name), 1)
+
+
+def test_asked_tables_are_counted_below_a_call_that_asks_nothing(probe_kappa3_wide):
+    # a given table whose lag passes the height pairs nothing and asks
+    # nothing of the tower below; the asked table of depth 2 is still
+    # counted there, and comes back as table 1
+    session = probe_kappa3_wide
+    heights = session.schedule.heights()
+    counter = _PairCounter(session.tower_at(4), 1, True)
+    parts = counter.pairs(4, np.array([heights[4]]), np.ones((1, 1), dtype=np.int64),
+                          np.zeros(1, dtype=np.int64), 0, [(2, heights[1])])
+    (key, _), (got_key, got_count) = by_table(counter, _joined(parts), 2)
+    alone = _PairCounter(session.tower_at(2), 1, True)
+    [(want_key, want_count)] = by_table(alone, alone.raw([(2, heights[1])]), 1)
+    assert key.size == 0 and want_key.size
+    assert np.array_equal(got_key, want_key) and np.array_equal(got_count, want_count)
 
 
 def listed_pairs(model, n0, lags, weights, twists, module):

@@ -32,7 +32,7 @@ def _scalar_eta_rows(model, label, eta_exp, n0, h_n, delta, mu):
     kappa = model.ctx.k_order
     counter = _PairCounter(model, n0, False)
     n_cyl = counter.shape[0]
-    [values] = _eta_values(counter, (h_n,), eta_exp)
+    [values] = _eta_values(counter, model.depth, (h_n,), eta_exp)
     trivial = eta_exp % kappa == 0
     one_step = None
     if label.kind == LABEL_RIGID_TRANSLATE:
@@ -41,7 +41,7 @@ def _scalar_eta_rows(model, label, eta_exp, n0, h_n, delta, mu):
         pred_kind = "rotation"
     else:
         pred_kind = "delayed"
-        [one_step] = _eta_values(counter, (1,), eta_exp)
+        [one_step] = _eta_values(counter, model.depth, (1,), eta_exp)
     rot = 1.0 + 0j
     if label.kind == LABEL_RIGID_ROTATE:
         rot = cmath.exp(2j * cmath.pi * eta_exp * label.k / kappa)
@@ -75,10 +75,10 @@ def _scalar_chi_rows(session, model, label, d, n0, h_n, delta, mu):
     trivial_d = all(x == 0 for x in d)
     counter = _PairCounter(model, n0, True)
     n_cyl = counter.shape[0]
-    [values] = _chi_values(counter, (h_n,), d, n)
+    [values] = _chi_values(counter, model.depth, (h_n,), d, n)
     one_step = None
     if label.kind == LABEL_DELAYED_TRANSLATE:
-        [one_step] = _chi_values(counter, (1,), d, n)
+        [one_step] = _chi_values(counter, model.depth, (1,), d, n)
     l_value = 1.0 + 0j
     if not trivial_d:
         chi = session.duality.character_of_dual(d)

@@ -727,6 +727,24 @@ class TestShippedConfigs:
         cfg = SessionConfig.from_json((CONFIG_DIR / f"{name}.json").read_text())
         assert cfg.num_stages >= 4
 
+    # sha256 of the verify_report.json that `verify` (every suite) writes
+    # next to each shipped bundle: reports, margins and refusals are pinned
+    # byte for byte, so a change that moves any of them must say so here
+    VERIFY_REPORT_SHA256 = {
+        "direct_12": "6afa107c19215609fcec8610f1894c1e583fdbb5323b30d827476416ad6140e2",
+        "product_23": "66c34377c6f1858acfe89579e2dc7fd271948b5452fa30e28e9d32aa65da4799",
+        "staircase_mixing": "6f5277c4908d82b0aa782be1896233e1dae85d8847b6ca22aa841c963d8decaf",
+    }
+
+    @pytest.mark.parametrize("name", sorted(VERIFY_REPORT_SHA256))
+    def test_verify_report_bytes_are_pinned(self, tmp_path, capsys, name):
+        bundle = tmp_path / name
+        assert main(["synth", "--config", str(CONFIG_DIR / f"{name}.json"),
+                     "--out", str(bundle)]) == 0
+        assert main(["verify", "--bundle", str(bundle)]) == 0
+        digest = hashlib.sha256((bundle / "verify_report.json").read_bytes()).hexdigest()
+        assert digest == self.VERIFY_REPORT_SHA256[name]
+
     def test_verify_all_green_on_shipped_configs(self, tmp_path):
         # the full gate run lives in the acceptance suite; here just synth
         for path in sorted(CONFIG_DIR.glob("*.json")):

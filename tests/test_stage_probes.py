@@ -1,20 +1,24 @@
-"""The probes of one stage, read from one pair counter, against one probe each.
+"""The probes of several stages, read from one pair counter, against one probe each.
 
-stage_probes checks every component first, then counts the stage's pairs
-once: the counter carries the module when a chi component passed its
-checks, and an eta table read from it sums out the module value.  Each
-result must equal weak_limit_probe of that component alone, whose eta
-counter has no module, report byte for report byte, and each refusal the
-same error with the same message.
+stage_probes checks every component first, then counts the pairs of every
+stage in one pass of one counter: the counter carries the module when a
+chi component passed its checks, and an eta table read from it sums out
+the module value.  Each result must equal weak_limit_probe of that
+component alone, whose eta counter has no module, report byte for report
+byte, and each refusal the same error with the same message.  A refusal
+met while counting them all falls back to a counter per stage, so a stage
+that fits still reports beside one that is refused.
 """
 
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from cfspectra import cli
+from cfspectra import cli, koopman_lab
 from cfspectra.cf_builder import DeltaBlock
+from cfspectra.cocycle_engine import LABEL_PLAIN
 from cfspectra.errors import CfspectraError, ParameterError, SizeCapError
 from cfspectra.koopman_lab import stage_probes, weak_limit_probe
 from cfspectra.session import SessionConfig, synth
@@ -49,7 +53,7 @@ def mixed_components(session):
 
 
 def assert_shared_equals_one_by_one(session, n, components):
-    got = [outcome(r) for r in stage_probes(session, n, components)]
+    got = [outcome(r) for r in stage_probes(session, {n: components})[n]]
     assert got == one_by_one(session, n, components), (n, components)
     return got
 
@@ -89,6 +93,67 @@ def test_stage_probes_equal_one_probe_each_on_shipped_bundles(request, fixture):
         assert any(isinstance(result[0], dict) for result in got) == bool(stages)
 
 
+@pytest.mark.parametrize("fixture", ["probe_direct", "probe_product", "probe_kappa3",
+                                     "probe_kappa3_wide", "shipped_direct", "shipped_product"])
+def test_stage_probes_of_every_labelled_stage_equal_one_probe_each(request, fixture):
+    # every labelled stage in one call, each with refusals between its probes
+    session = request.getfixturevalue(fixture)
+    probes = {n: mixed_components(session) for n in range(session.schedule.depth, 0, -1)
+              if session.label(n).kind != LABEL_PLAIN}
+    results = stage_probes(session, probes)
+    assert list(results) == list(probes)
+    for n, components in probes.items():
+        assert [outcome(r) for r in results[n]] == one_by_one(session, n, components), n
+
+
+def test_a_stage_refused_while_counting_leaves_the_others_reporting(monkeypatch):
+    # (4, 4, 128) at delta = 1/4 under cap 250: the column step of stage 3
+    # lists 256 column offsets, over the cap, while rotate stage 2 fits.  The
+    # pass over both meets the refusal, so each stage is counted on its own:
+    # stage 2 reports, and stage 3 is refused with the message its own count
+    # meets.  The suite's height skip would pass over stage 3 (h_3 = 8,528),
+    # so the suite is handed both stages.
+    session = synth(SessionConfig(mode="direct", targets=(1, 2), state_cap=250,
+                                  blocks=(DeltaBlock(Fraction(1, 4), 3, r_seq=(4, 4, 128)),)))
+    probes = {3: [("eta", 0), ("chi", (0, 1))], 2: [("eta", 0), ("eta", 1)]}
+    results = stage_probes(session, probes)
+    message = "256 column offsets exceed cap 250"
+    assert [outcome(r) for r in results[3]] == [("SizeCapError", message)] * 2
+    assert all(report.passed for report in results[2])
+    for n, components in probes.items():
+        assert [outcome(r) for r in results[n]] == one_by_one(session, n, components), n
+    monkeypatch.setattr(cli, "_probe_stages", lambda session: {"rigid_rotate": 2,
+                                                               "rigid_translate": 3})
+    passed, doc = cli._suite_weaklimits(session)
+    assert not passed
+    assert doc["failed"] == [f"stage 3 {c}: {message}" for c in probes[3]]
+    assert [(r["stage_index"], r["component"]) for r in doc["reports"]] == [
+        (2, {"kind": "eta", "eta": 0}), (2, {"kind": "eta", "eta": 1})]
+
+
+def test_a_refused_pass_frees_its_counter_before_the_fallback(monkeypatch):
+    # the refusal's traceback holds the frames of the pass over every stage,
+    # and so its counter; the fallback's counters must not sit beside it
+    session = synth(SessionConfig(mode="direct", targets=(1, 2), state_cap=250,
+                                  blocks=(DeltaBlock(Fraction(1, 4), 3, r_seq=(4, 4, 128)),)))
+    counters, alive = [], []
+    init, fallback = koopman_lab._PairCounter.__init__, koopman_lab._stage_tables
+
+    def recording(self, *args):
+        counters.append(weakref.ref(self))
+        init(self, *args)
+
+    def checking(*args):
+        alive.append(sum(ref() is not None for ref in counters))
+        return fallback(*args)
+
+    monkeypatch.setattr(koopman_lab._PairCounter, "__init__", recording)
+    monkeypatch.setattr(koopman_lab, "_stage_tables", checking)
+    results = stage_probes(session, {3: [("eta", 0)], 2: [("eta", 0)]})
+    assert isinstance(results[3][0], SizeCapError) and results[2][0].passed
+    assert alive == [0, 0], alive
+
+
 @pytest.mark.parametrize("delta, r_seq, cylinder_level, state_cap, stage, error", [
     # a stage under the cylinder level
     (Fraction(1, 2), (2, 2, 3, 3), 3, 2 * 10**6, 1, ParameterError),
@@ -103,7 +168,7 @@ def test_a_refusal_while_counting_repeats_for_each_component(delta, r_seq, cylin
         mode="direct", targets=(1, 2), cylinder_level=cylinder_level, state_cap=state_cap,
         blocks=(DeltaBlock(delta, len(r_seq), r_seq=r_seq),)))
     components = [("eta", 0), ("chi", (1, 0)), ("chi", (0, 1))]
-    results = stage_probes(session, stage, components)
+    results = stage_probes(session, {stage: components})[stage]
     assert all(isinstance(r, error) for r in results), results
     assert [outcome(r) for r in results] == one_by_one(session, stage, components)
 
@@ -119,10 +184,10 @@ def test_chi_refused_on_module_images_builds_none_for_eta():
     images = session.k_order * module.size * module.rank * 8
     d = next(d for d in session.factor_characters() if any(d))
     components = [("eta", 0), ("chi", d)]
-    stage_probes(session, 3, components)  # fills the session's caches first
+    stage_probes(session, {3: components})[3]  # fills the session's caches first
     tracemalloc.start()
     try:
-        eta, chi = stage_probes(session, 3, components)
+        eta, chi = stage_probes(session, {3: components})[3]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
