@@ -1,10 +1,12 @@
 """Exact arithmetic for finite abelian groups, the cyclic module action, characters.
 
-The acting group is cyclic, K = <theta>.  ModuleAction keeps the one table
-of powers theta^0 .. theta^(|K|-1) and the one read-only stack of their
-matrices: the semidirect context and the character twists read the powers,
-the tower model and the probes' module tables the matrices; an orbit steps
-theta itself.
+The acting group is cyclic, K = <theta>.  ModuleAction.matrices, the one
+read-only int64 stack of theta^0 .. theta^(|K|-1), owns theta's powers:
+the table of automorphisms that the semidirect context and the character
+twists read is a read of it, the order check reads theta^|K| as theta times
+its last entry, and the tower model and the probes' module tables read it
+directly.  An orbit is one product of the stack with an element, and an
+orbit average takes the character at those |K| images with one more.
 
 Everything here is integer/rational arithmetic: group elements are residue
 vectors, a character value e^{2 pi i e/N} is its exponent e in Z/N (N the
@@ -13,13 +15,16 @@ polynomials in a primitive root of unity, reduced modulo the corresponding
 cyclotomic polynomial.  No floating point enters any equality decision.
 
 ENUMERATION_CAP is the one bound on full enumerations: every routine that
-lists the elements of a group, a subgroup, an orbit or a character group
-compares the size with it and refuses (SizeCapError) before allocating.
+lists the elements of a group, a subgroup, the power stack (and so an
+orbit) or a character group compares the size with it and refuses
+(SizeCapError) before allocating.  Array products of residues are refused
+the same way when their sums could pass the int64 range.
 
 orbit_traces is the one walk of the trace partition of a subgroup, the
 classes orbit(d) & D whose sizes the spectral multiplicities realize;
-module_factory's AlgebraicTriple keeps it for D, and orbit_trace_counts is
-the set of its class sizes.
+module_factory's AlgebraicTriple keeps it for D, a coordinate subgroup it
+builds, so it skips the subgroup check, and orbit_trace_counts is the set
+of its class sizes.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .errors import (
 
 #: Bound on full enumerations (elements of a group, dual groups, ...).
 ENUMERATION_CAP = 10**6
+_INT64_MAX = np.iinfo(np.int64).max
 
 Element = tuple[int, ...]
 
@@ -214,10 +220,7 @@ class GroupAutomorphism:
     @property
     def matrix(self) -> np.ndarray:
         """Integer matrix M with column j = image of generator j."""
-        m = np.zeros((self.group.rank, self.group.rank), dtype=np.int64)
-        for j, img in enumerate(self.images):
-            m[:, j] = img
-        return m
+        return np.array(self.images, dtype=np.int64).T
 
     def apply(self, a: Element) -> Element:
         return self._apply(self.group.check(a))
@@ -247,18 +250,6 @@ class GroupAutomorphism:
             raise InvalidElementError("composing automorphisms of different groups")
         return self._unchecked(self.group, tuple(self._apply(img) for img in other.images))
 
-    def power(self, m: int) -> "GroupAutomorphism":
-        if m < 0:
-            raise ValueError("negative powers need an explicit order; raise to order-1 instead")
-        result = identity_automorphism(self.group)
-        base = self
-        while m:
-            if m & 1:
-                result = result.compose(base)
-            base = base.compose(base)
-            m >>= 1
-        return result
-
     def is_identity(self) -> bool:
         return self.images == tuple(self.group.generators())
 
@@ -273,12 +264,22 @@ def identity_automorphism(group: FiniteAbelianGroup) -> GroupAutomorphism:
     return GroupAutomorphism._unchecked(group, tuple(group.generators()))
 
 
+def _int64_sums(terms: int, left: int, right: int, what: str):
+    """Refuse sums of `terms` products of integers in [0, left) and [0, right)
+    that could pass the int64 range, before any product is formed."""
+    if terms * (left - 1) * (right - 1) > _INT64_MAX:
+        raise SizeCapError(
+            f"{what}: {terms} products of residues below {left} and {right} "
+            f"exceed the int64 range")
+
+
 @dataclass(frozen=True)
 class ModuleAction:
     """Action of a cyclic group K = <theta> on a module by automorphisms.
 
     The acting group has rank one and ``generator_maps`` holds theta alone,
-    whose order must divide |K|.
+    whose order must divide |K|.  ``matrices`` owns theta's powers: the
+    order check, ``powers``, every orbit and every orbit average read it.
     """
 
     group: FiniteAbelianGroup
@@ -291,25 +292,48 @@ class ModuleAction:
         (theta,), (n,) = self.generator_maps, self.group.orders
         if theta.group != self.module:
             raise InvalidElementError("automorphism acts on the wrong module")
-        if not theta.power(n).is_identity():
+        # theta^|K| is theta times the stack's last entry, one product past it
+        if not np.array_equal(theta.matrix @ self.matrices[-1] % self._orders[:, None],
+                              self.matrices[0]):
             raise InvalidElementError(
                 f"assigned automorphism does not have order dividing {n}"
             )
 
     @cached_property
-    def powers(self) -> tuple[GroupAutomorphism, ...]:
-        """theta^0 .. theta^(|K| - 1), the one table of powers: one composition each."""
-        powers = [identity_automorphism(self.module)]
-        for _ in range(1, self.group.orders[0]):
-            powers.append(self.generator_maps[0].compose(powers[-1]))
-        return tuple(powers)
+    def _orders(self) -> np.ndarray:
+        """The module's orders as an int64 vector."""
+        return np.array(self.module.orders, dtype=np.int64)
 
     @cached_property
     def matrices(self) -> np.ndarray:
-        """The powers' integer matrices as one read-only (|K|, rank, rank) stack."""
-        mats = np.stack([phi.matrix for phi in self.powers])
+        """theta^0 .. theta^(|K| - 1) as one read-only (|K|, rank, rank) int64
+        stack, each power theta times the one before, mod the orders.
+
+        A stack of more than ENUMERATION_CAP entries, or one whose products
+        (and those of its rows with residue vectors) could pass the int64
+        range, is refused before it is built.
+        """
+        (kappa,), rank, top = self.group.orders, self.module.rank, max(self.module.orders)
+        if kappa * rank * rank > ENUMERATION_CAP:
+            raise SizeCapError(
+                f"power stack of {kappa} x {rank} x {rank} entries exceeds "
+                f"enumeration cap {ENUMERATION_CAP}")
+        _int64_sums(rank, top, top, "theta's matrix products")
+        theta = self.generator_maps[0].matrix
+        mats = np.empty((kappa, rank, rank), dtype=np.int64)
+        rows = self._orders[:, None]
+        mats[0] = np.eye(rank, dtype=np.int64) % rows
+        for k in range(1, kappa):
+            np.remainder(theta @ mats[k - 1], rows, out=mats[k])
         mats.setflags(write=False)
         return mats
+
+    @cached_property
+    def powers(self) -> tuple[GroupAutomorphism, ...]:
+        """theta^0 .. theta^(|K| - 1) as automorphisms, read off the stack:
+        the images of the generators are the matrices' columns."""
+        return tuple(GroupAutomorphism._unchecked(self.module, tuple(map(tuple, m)))
+                     for m in self.matrices.transpose(0, 2, 1).tolist())
 
     def automorphism_for(self, k: int) -> GroupAutomorphism:
         """theta^k for 0 <= k < |K|."""
@@ -426,8 +450,10 @@ class CyclotomicSum:
     """An exact value (integer polynomial in a primitive N-th root) / denominator.
 
     The coefficient vector is kept reduced modulo the N-th cyclotomic
-    polynomial, so two sums represent the same complex number iff their
-    cross-scaled difference reduces to the zero vector over a common N.
+    polynomial and in lowest terms with the denominator, so two sums over
+    the same N are the same complex number iff their coefficients and
+    denominators agree; over different N, iff their cross-scaled difference
+    reduces to the zero vector over a common N.
     """
 
     root_order: int
@@ -491,6 +517,8 @@ class CyclotomicSum:
         ) / self.denominator if any(self.coeffs) else 0j
 
     def equals(self, other: "CyclotomicSum") -> bool:
+        if self.root_order == other.root_order:
+            return self.coeffs == other.coeffs and self.denominator == other.denominator
         return (self - other).is_zero()
 
     def __eq__(self, other):
@@ -510,32 +538,56 @@ def cyclo_equal(x: CyclotomicSum, y: CyclotomicSum) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def orbit_images(action: ModuleAction, a: Element) -> np.ndarray:
+    """theta^k a for k = 0 .. |K| - 1, one row each: one product of the
+    power stack with the checked element.  An orbit of |O| elements appears
+    |K|/|O| times."""
+    action.module.check(a)
+    return action.matrices @ np.array(a, dtype=np.int64) % action._orders
+
+
 def orbit(action: ModuleAction, a: Element) -> frozenset:
-    """The full orbit {theta^k a : k in K}, stepped by theta until it returns to a."""
-    if action.group.size > ENUMERATION_CAP:
-        raise SizeCapError(
-            f"group of size {action.group.size} exceeds enumeration cap {ENUMERATION_CAP}")
-    theta = action.generator_maps[0]
-    out = [action.module.check(a)]
-    x = theta._apply(a)
-    while x != a:
-        out.append(x)
-        x = theta._apply(x)
-    return frozenset(out)
+    """The full orbit {theta^k a : k in K}, the distinct rows of orbit_images."""
+    return frozenset(map(tuple, orbit_images(action, a).tolist()))
 
 
-def orbit_average(
-    action: ModuleAction, chi: Character, a: Element, _orbit: frozenset | None = None
-) -> CyclotomicSum:
-    """Average of the character over the orbit of a, as an exact cyclotomic sum.
-
-    ``_orbit`` lets a caller that already holds orbit(action, a) pass it in.
-    """
-    if chi.group != action.module:
+def _weights(action: ModuleAction, chars) -> np.ndarray:
+    """The characters' weights as the columns of a (rank, C) int64 array,
+    once they are known to live on the module and their sums of products
+    with residues to stay in the int64 range."""
+    module = action.module
+    if any(chi.group != module for chi in chars):
         raise CharacterTypeError("character of the wrong module")
-    orb = orbit(action, a) if _orbit is None else _orbit
-    return CyclotomicSum.from_exponents(
-        chi.group.exponent, [chi._evaluate(b) for b in orb], len(orb))
+    _int64_sums(module.rank, max(module.orders), module.exponent, "character values")
+    return np.array([chi._weights for chi in chars], dtype=np.int64).reshape(-1, module.rank).T
+
+
+def conjugate_exponents(action: ModuleAction, chi: Character) -> list[Element]:
+    """The exponent vectors of chi o theta^k for k = 0 .. |K| - 1: one
+    product of chi's weights with the power stack gives chi(theta^k e_j) in
+    Z/N, rescaled to Z/n_j as Character.compose_automorphism does."""
+    n = action.module.exponent
+    values = _weights(action, (chi,))[:, 0] @ action.matrices % n
+    return list(map(tuple, (values * action._orders // n).tolist()))
+
+
+def orbit_averages(action: ModuleAction, chars, images: np.ndarray) -> list[CyclotomicSum]:
+    """The average of each character over the orbit whose orbit_images are
+    given, as exact cyclotomic sums: one product of the images with the
+    characters' weights gives every exponent.
+
+    Every element of the orbit counts |K|/|orbit| times among the images,
+    and CyclotomicSum divides that common factor out of the coefficients
+    and the denominator, so each sum is the one over the distinct elements.
+    """
+    n = action.module.exponent
+    exponents = (images @ _weights(action, chars) % n).T.tolist()
+    return [CyclotomicSum.from_exponents(n, e, len(images)) for e in exponents]
+
+
+def orbit_average(action: ModuleAction, chi: Character, a: Element) -> CyclotomicSum:
+    """Average of the character over the orbit of a, as an exact cyclotomic sum."""
+    return orbit_averages(action, (chi,), orbit_images(action, a))[0]
 
 
 def verify_subgroup(group: FiniteAbelianGroup, elems) -> frozenset:
@@ -599,7 +651,12 @@ def orbit_traces(action: ModuleAction, subgroup) -> tuple[tuple[Element, ...], .
     Every d in one trace has the same trace, so each is walked once, from its
     least element.  The zero subgroup has no nonzero d, so no trace.
     """
-    d_set = verify_subgroup(action.module, subgroup)
+    return _traces(action, verify_subgroup(action.module, subgroup))
+
+
+def _traces(action: ModuleAction, d_set: frozenset) -> tuple[tuple[Element, ...], ...]:
+    """orbit_traces of a set known to be a subgroup, a coordinate subgroup
+    that the program built, say, without verify_subgroup."""
     traces, seen = [], {action.module.zero()}
     for d in sorted(d_set):
         if d not in seen:

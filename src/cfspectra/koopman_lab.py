@@ -50,9 +50,11 @@ from .errors import (
 from .finite_algebra import (
     Character,
     CyclotomicSum,
+    conjugate_exponents,
     cyclo_equal,
-    orbit,
     orbit_average,
+    orbit_averages,
+    orbit_images,
 )
 
 DEFAULT_STATE_CAP = 2 * 10**6
@@ -252,6 +254,8 @@ def _module_tables(ctx, module: bool):
     """(orders, radix, theta, images) of the module, or of the trivial module
     (rank 0, one element): theta[k] is the matrix of theta^k, images[k, w]
     theta^k of the element of mixed-radix index w, last coordinate fastest.
+    The images' int64 sums are bounded as the stack's own products are, so
+    a module past that bound has no action to read them from.
     """
     orders = np.array(ctx.module.orders if module else (), dtype=np.int64)
     rank = len(orders)
@@ -1289,9 +1293,10 @@ def disjointness_certificates(duality, chars) -> dict:
     chi_i o theta^k = chi_j (each character's conjugates listed once).  The
     others share one lazy search for a separating element, in element order,
     one element per orbit, as orbit averages are constant on orbits; each
-    orbit's average is taken once per character with an open pair, and a
-    pair closes at the first orbit whose averages differ, the element an
-    exhaustive scan of that pair finds.  By the finite-level orbit-average
+    orbit's images are taken once, one product of them gives the averages
+    of every character with an open pair, and a pair closes at the first
+    orbit whose averages differ, the element an exhaustive scan of that
+    pair finds.  By the finite-level orbit-average
     identity the search succeeds for unrelated characters, so a failed
     search raises.
     """
@@ -1305,8 +1310,8 @@ def disjointness_certificates(duality, chars) -> dict:
         if i not in conjugates:
             # the least k per conjugate, so a witness is the first k that fits
             conjugates[i] = {}
-            for k in range(duality.triple.k_order):
-                conjugates[i].setdefault(chars[i].compose_action(action, k).exponents, k)
+            for k, exponents in enumerate(conjugate_exponents(action, chars[i])):
+                conjugates[i].setdefault(exponents, k)
         k = conjugates[i].get(chars[j].exponents)
         if k is not None:
             certs[(i, j)] = Certificate(equivalent=True, witness_k=k)
@@ -1316,10 +1321,11 @@ def disjointness_certificates(duality, chars) -> dict:
         for a in action.module.iter_elements():
             if a in seen:
                 continue
-            orb = orbit(action, a)
-            seen.update(orb)
-            averages = {c: orbit_average(action, chars[c], a, _orbit=orb)
-                        for c in sorted({c for p in open_pairs for c in p})}
+            images = orbit_images(action, a)
+            seen.update(map(tuple, images.tolist()))
+            open_chars = sorted({c for p in open_pairs for c in p})
+            averages = dict(zip(open_chars, orbit_averages(
+                action, [chars[c] for c in open_chars], images)))
             still_open = []
             for i, j in open_pairs:
                 if cyclo_equal(averages[i], averages[j]):

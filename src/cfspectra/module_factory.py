@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 
-from .errors import ConsistencyError, ConstructionError, SizeCapError
+import numpy as np
+
+from .errors import ConsistencyError, ConstructionError, InvalidElementError, SizeCapError
 from .finite_algebra import (
     ENUMERATION_CAP,
     Character,
@@ -26,7 +28,8 @@ from .finite_algebra import (
     GroupAutomorphism,
     ModuleAction,
     _prime_factors,
-    orbit_traces,
+    _traces,
+    _weights,
 )
 
 PRIME_SEARCH_BOUND = 10**6
@@ -129,7 +132,7 @@ class AlgebraicTriple:
     def classes(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """The trace partition of D: the traces orbit(d) & D of its nonzero
         d, each sorted, ordered by least element."""
-        return orbit_traces(self.action, self.d_elements())
+        return _traces(self.action, frozenset(self.d_elements()))
 
     def d_generators(self) -> list[tuple[int, ...]]:
         gens = []
@@ -213,24 +216,27 @@ def assemble_triple(targets, depth: int | None = None) -> AlgebraicTriple:
 
 
 def _verify_triple(triple: AlgebraicTriple):
+    # theta^|K| must be the identity; the action refuses it otherwise
+    try:
+        action = triple.action
+    except InvalidElementError as exc:
+        raise ConsistencyError("theta^|K| is not the identity") from exc
     # the twist-and-cycle identity on each span: iterating (copies) times
-    # must act as the block twist on every copy simultaneously
+    # must act as the block twist on every copy simultaneously (copies is
+    # |K| only for the targets {1}, where theta^|K| is the identity)
     for span, block in zip(triple.spans, triple.blocks):
-        power = triple.theta.power(span.copies)
-        for copy in range(span.copies):
-            coord = span.start + copy
-            img = power.images[coord]
-            expected = [0] * triple.module.rank
-            expected[coord] = block.multiplier % block.prime
-            if img != tuple(expected):
-                raise ConsistencyError(
-                    f"copy-cycling identity fails on span {span} at copy {copy}"
-                )
+        power = action.matrices[span.copies % triple.k_order]
+        coords = range(span.start, span.start + span.copies)
+        expected = np.zeros((triple.module.rank, span.copies), dtype=np.int64)
+        expected[coords, range(span.copies)] = block.multiplier % block.prime
+        wrong = np.flatnonzero((power[:, coords] != expected).any(axis=0))
+        if wrong.size:
+            raise ConsistencyError(
+                f"copy-cycling identity fails on span {span} at copy {wrong[0]}"
+            )
     # theta must have exactly the advertised order
-    if not triple.theta.power(triple.k_order).is_identity():
-        raise ConsistencyError("theta^|K| is not the identity")
     for p in _prime_factors(triple.k_order):
-        if triple.theta.power(triple.k_order // p).is_identity():
+        if np.array_equal(action.matrices[triple.k_order // p], action.matrices[0]):
             raise ConsistencyError(f"theta has order dividing |K|/{p}")
     # the defining trace-count property, by exhaustive orbit enumeration
     got = {len(c) for c in triple.classes}
@@ -285,13 +291,12 @@ class CompactTower:
                 if lhs != rhs:
                     raise ConsistencyError(f"equivariance fails at level {j} on {gen}")
             # the deep action on shallow coordinates factors through K_j
-            power = hi.theta.power(lo.k_order)
-            for gen in lo.module.generators():
-                deep_gen = gen + (0,) * (hi.module.rank - lo.module.rank)
-                if self.project_module(j, power.apply(deep_gen)) != gen:
-                    raise ConsistencyError(
-                        f"kernel of K_{j + 1} -> K_{j} acts nontrivially at level {j}"
-                    )
+            rank = lo.module.rank
+            power, identity = hi.action.matrices[lo.k_order], hi.action.matrices[0]
+            if not np.array_equal(power[:rank, :rank], identity[:rank, :rank]):
+                raise ConsistencyError(
+                    f"kernel of K_{j + 1} -> K_{j} acts nontrivially at level {j}"
+                )
 
 
 def compactify(triple: AlgebraicTriple) -> CompactTower:
@@ -342,14 +347,18 @@ class DualityRecord:
                 f"|H| * |D| = {self.annihilator_size} * {d_size} != |B| = {b_size}"
             )
         if self.annihilator_size <= ENUMERATION_CAP:
-            # the pairing <t, d> = e^{2 pi i e/N}: e is the exponent of d's character at t
+            # the pairing <t, d> = e^{2 pi i e/N}, e the exponent of d's character
+            # at t, for every t in H at once: one product with their weights
             chars = [self.character_of_dual(d) for d in self.triple.d_generators()]
-            for t in self.annihilator_elements():
-                if any(chi.evaluate(t) for chi in chars):
-                    raise ConsistencyError(f"{t} is not in the annihilator of D")
+            ann = self.annihilator_elements()
+            pairing = (np.array(ann, dtype=np.int64).reshape(len(ann), -1)
+                       @ _weights(self.dual_action, chars) % self.dual_module.exponent)
+            off = np.flatnonzero(pairing.any(axis=1))
+            if off.size:
+                raise ConsistencyError(f"{ann[off[0]]} is not in the annihilator of D")
         # the identification sends the factor characters onto D, so D's
         # traces under the dual action must be its traces under theta
-        dual = orbit_traces(self.dual_action, self.triple.d_elements())
+        dual = _traces(self.dual_action, frozenset(self.triple.d_elements()))
         if dual != self.triple.classes:
             raise ConsistencyError(
                 f"dual trace counts {sorted({len(c) for c in dual})}: the dual trace "
@@ -359,8 +368,7 @@ class DualityRecord:
 def dualize(triple: AlgebraicTriple) -> DualityRecord:
     """Character-group picture of a triple, with |H| * |D| = |B| certified."""
     dual_module = FiniteAbelianGroup(triple.module.orders)
-    theta_inv = triple.theta.power(triple.k_order - 1)
-    dual_gen = theta_inv.dual()
+    dual_gen = triple.action.powers[-1].dual()  # the dual of theta^-1
     dual_action = ModuleAction(triple.k_group, dual_module, (dual_gen,))
     ann_coords = tuple(
         i for i in range(triple.module.rank) if i not in set(triple.d_coords)

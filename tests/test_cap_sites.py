@@ -28,8 +28,14 @@ CAP_SITES = {
         "(ENUMERATION_CAP)",
     "finite_algebra.FiniteAbelianGroup.coordinate_subgroup":
         "the list of the subgroup's elements (ENUMERATION_CAP)",
-    "finite_algebra.orbit":
-        "the orbit, up to one element per acting-group element (ENUMERATION_CAP)",
+    "finite_algebra.ModuleAction.matrices":
+        "theta's power stack, |K| rank^2 int64 entries, which bounds every "
+        "orbit's |K| images too (ENUMERATION_CAP)",
+    "finite_algebra._int64_sums":
+        "int64 sums of residue products: the power stack's, the orbit and "
+        "module images', rank times the largest order squared, and the "
+        "character exponents', rank times the largest order times the "
+        "exponent (2^63)",
     "finite_algebra.subgroup_from_generators":
         "the closure set of the generated subgroup (ENUMERATION_CAP)",
     "koopman_lab.build_component":

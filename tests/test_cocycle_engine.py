@@ -38,6 +38,7 @@ from cfspectra.errors import InvalidElementError, LabelError, PairError, Paramet
 from cfspectra.finite_algebra import FiniteAbelianGroup
 from cfspectra.module_factory import assemble_triple, dualize
 from cfspectra.session import SessionConfig, synth
+from test_finite_algebra import binary_power
 
 
 def small_ctx():
@@ -566,7 +567,7 @@ def test_semidirect_act_matches_module_action(shipped_product):
     samples = [module.element_by_index(rng.randrange(module.size)) for _ in range(20)]
     # binary powers of theta: independent of the power table that act reads
     theta = ctx.action.generator_maps[0]
-    powers = [theta.power(k) for k in range(ctx.k_order)]
+    powers = [binary_power(theta, k) for k in range(ctx.k_order)]
     for k in range(-ctx.k_order, 2 * ctx.k_order):
         for a in samples:
             assert ctx.act(k, a) == powers[k % ctx.k_order].apply(a)

@@ -19,16 +19,31 @@ from cfspectra.finite_algebra import (
     FiniteAbelianGroup,
     GroupAutomorphism,
     ModuleAction,
+    conjugate_exponents,
     cyclo_equal,
+    cyclotomic_polynomial,
     dual_characters,
     identity_automorphism,
     orbit,
     orbit_average,
+    orbit_images,
     orbit_trace_counts,
     subgroup_from_generators,
     verify_subgroup,
 )
 from cfspectra.module_factory import assemble_triple, dualize
+
+
+def binary_power(phi, m):
+    """Oracle: phi^m by binary powering, one composition per bit of m and one
+    per set bit, independent of the power stack the program reads."""
+    result, base = identity_automorphism(phi.group), phi
+    while m:
+        if m & 1:
+            result = result.compose(base)
+        base = base.compose(base)
+        m >>= 1
+    return result
 
 
 def negation_action(n):
@@ -133,7 +148,7 @@ class TestAutomorphisms:
         g = FiniteAbelianGroup((7,))
         mul3 = GroupAutomorphism(g, ((3,),))
         assert mul3.compose(mul3).apply((1,)) == (2,)  # 9 = 2 mod 7
-        assert mul3.power(6).is_identity()  # 3^6 = 1 mod 7
+        assert binary_power(mul3, 6).is_identity()  # 3^6 = 1 mod 7
 
     def test_dual_of_multiplication_is_multiplication(self):
         g = FiniteAbelianGroup((7,))
@@ -192,12 +207,12 @@ def test_composites_and_powers_equal_checked_construction(case):
     power = identity_automorphism(group)
     for _ in range(m):
         power = phi.compose(power)
-    for built in (phi.compose(psi), phi.power(m)):
+    for built in (phi.compose(psi), binary_power(phi, m)):
         assert built == GroupAutomorphism(group, built.images)
     elements = list(group.elements())
     assert [phi.compose(psi).apply(a) for a in elements] == \
         [phi.apply(psi.apply(a)) for a in elements]
-    assert phi.power(m).images == power.images
+    assert binary_power(phi, m).images == power.images
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -510,7 +525,7 @@ def per_k_orbit(action, a):
     """Oracle: one binary power of theta applied per element of the acting group."""
     action.module.check(a)
     theta = action.generator_maps[0]
-    return frozenset(theta.power(k).apply(a) for k in range(action.group.size))
+    return frozenset(binary_power(theta, k).apply(a) for k in range(action.group.size))
 
 
 def pairwise_verify_subgroup(group, elems):
@@ -582,7 +597,7 @@ class TestSteppedOracles:
             # highest k first: the whole chain is composed from one request
             got = [action.automorphism_for(k) for k in reversed(range(kappa))][::-1]
             for k in range(kappa):
-                assert got[k].images == theta.power(k).images, (name, k)
+                assert got[k].images == binary_power(theta, k).images, (name, k)
                 assert got[k] is action.automorphism_for(k)
 
     def test_stepped_power_is_validated(self):
@@ -627,3 +642,130 @@ class TestSteppedOracles:
         for bad in [(4,), (0, 0), (np.int64(1),), (3.0,)]:
             with pytest.raises(InvalidElementError):
                 verify_subgroup(g, [(0,), (2,), bad])
+
+    def test_public_traces_verify_the_subgroup(self):
+        # the triple's own coordinate subgroups skip the check; a set from
+        # outside keeps it
+        act = negation_action(4)
+        with pytest.raises(InvalidSubgroupError):
+            orbit_trace_counts(act, [(0,), (1,), (3,)])
+
+
+# ---------------------------------------------------------------------------
+# the power stack against binary powers, stepped orbits and per-element sums
+# ---------------------------------------------------------------------------
+
+
+def stepped_orbit(theta, a):
+    """Oracle: theta applied one step at a time until the walk returns to a."""
+    out, x = [a], theta.apply(a)
+    while x != a:
+        out.append(x)
+        x = theta.apply(x)
+    return out
+
+
+def order_of(phi):
+    m, power = 1, phi
+    while not power.is_identity():
+        m, power = m + 1, phi.compose(power)
+    return m
+
+
+@st.composite
+def action_cases(draw):
+    """(action, chi) for a drawn automorphism acting through |K| = its order
+    times 1 or 2, so that with 2 every orbit, the zero's among them, is
+    shorter than |K|; chi is any character of the module."""
+    group, phi, _, _ = draw(automorphism_cases())
+    kappa = order_of(phi) * draw(st.sampled_from([1, 2]))
+    action = ModuleAction(FiniteAbelianGroup((kappa,)), group, (phi,))
+    chi = Character(group, group.element_by_index(draw(st.integers(0, group.size - 1))))
+    return action, chi
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(action_cases())
+def test_stack_orbits_and_averages_equal_the_scalar_oracles(case):
+    action, chi = case
+    theta, kappa = action.generator_maps[0], action.group.size
+    for k in range(kappa):
+        assert np.array_equal(action.matrices[k], binary_power(theta, k).matrix), k
+        assert action.automorphism_for(k).images == binary_power(theta, k).images
+    assert binary_power(theta, kappa).is_identity()  # the action checked theta^kappa
+    n = action.module.exponent
+    for a in action.module.elements():
+        walk = stepped_orbit(theta, a)
+        assert orbit(action, a) == frozenset(walk)
+        assert kappa % len(walk) == 0
+        got = orbit_average(action, chi, a)
+        want = CyclotomicSum.from_exponents(n, [chi.evaluate(b) for b in walk], len(walk))
+        assert (got.root_order, got.coeffs, got.denominator) == (
+            want.root_order, want.coeffs, want.denominator), a
+    assert len(orbit(action, action.module.zero())) == 1
+    assert conjugate_exponents(action, chi) == [
+        chi.compose_action(action, k).exponents for k in range(kappa)]
+
+
+def test_orbit_shorter_than_k_is_averaged_over_its_distinct_elements():
+    # Z/4 acts on Z/5 through x -> -x, of order 2: every orbit is shorter
+    # than |K|, and the zero is a fixed point
+    z5 = FiniteAbelianGroup((5,))
+    action = ModuleAction(FiniteAbelianGroup((4,)), z5, (GroupAutomorphism(z5, ((4,),)),))
+    chi = Character(z5, (1,))
+    assert orbit(action, (0,)) == {(0,)} and orbit(action, (2,)) == {(2,), (3,)}
+    assert orbit_images(action, (2,)).tolist() == [[2], [3], [2], [3]]
+    got = orbit_average(action, chi, (2,))
+    assert (got.root_order, got.coeffs, got.denominator) == (5, (0, 0, 1, 1, 0), 2)
+    assert orbit_average(action, chi, (0,)) == CyclotomicSum.from_fraction(1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([1, 2, 3, 4, 6, 12, 15, 30]).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(-3, 3), min_size=n, max_size=n), st.integers(1, 4),
+    st.integers(1, 3), st.integers(-2, 2), st.booleans())))
+def test_equality_over_one_root_order_equals_the_reduced_difference(case):
+    # two sums over one root order are compared by their normalized
+    # coefficients and denominators; the reduced difference is the oracle.
+    # y is x written another way (scaled, plus a multiple of the cyclotomic
+    # polynomial) or, with `off`, that plus one; z has x's coefficients
+    # over another denominator
+    n, coeffs, den, scale, multiple, off = case
+    x = CyclotomicSum._normalized(n, coeffs, den)
+    phi = cyclotomic_polynomial(n)
+    raw = [scale * c for c in coeffs] + [0] * max(0, len(phi) - n)
+    for j, c in enumerate(phi):
+        raw[j] += multiple * c
+    raw[0] += scale * den * off
+    y = CyclotomicSum._normalized(n, raw, scale * den)
+    z = CyclotomicSum._normalized(n, coeffs, den + 1)
+    assert x.root_order == y.root_order == z.root_order == n
+    assert x.equals(y) == (x - y).is_zero() == (not off)
+    assert x.equals(z) == (x - z).is_zero()
+
+
+class TestInt64Guard:
+    def test_stack_of_a_large_module_is_refused_before_any_product(self):
+        # Z/2 acting on Z/2^40 by negation: (2^40 - 1)^2 exceeds int64
+        big = FiniteAbelianGroup((2**40,))
+        negation = GroupAutomorphism(big, ((2**40 - 1,),))
+        with pytest.raises(SizeCapError, match="exceed the int64 range"):
+            ModuleAction(FiniteAbelianGroup((2,)), big, (negation,))
+
+    def test_character_values_past_int64_are_refused(self):
+        # the stack of Z/p + Z/q fits, p = 2^30 and q = 3^18, but a
+        # character's weights reach the exponent pq, about 2^58, times a residue
+        p, q = 2**30, 3**18
+        module = FiniteAbelianGroup((p, q))
+        negation = GroupAutomorphism(module, ((p - 1, 0), (0, q - 1)))
+        action = ModuleAction(FiniteAbelianGroup((2,)), module, (negation,))
+        assert orbit(action, (1, 1)) == {(1, 1), (p - 1, q - 1)}
+        with pytest.raises(SizeCapError, match="character values.*exceed the int64 range"):
+            orbit_average(action, Character(module, (1, 1)), (1, 1))
+
+    def test_stack_over_the_enumeration_cap_is_refused_before_allocating(self):
+        z5 = FiniteAbelianGroup((5,))
+        big_k = FiniteAbelianGroup((10**6 + 1,))
+        peak = refusal_peak(lambda: ModuleAction(big_k, z5, (identity_automorphism(z5),)),
+                            "power stack of 1000001 x 1 x 1 entries exceeds enumeration cap")
+        assert peak < 10**6

@@ -105,21 +105,24 @@ def test_orbit_builds_no_automorphism(monkeypatch):
     assert len(checks) == len(samples)
 
 
-def test_powers_take_one_composition_each(monkeypatch):
+def test_powers_are_read_off_the_stack(monkeypatch):
     triple = assemble_triple((1, 3, 5))
-    # a fresh action, with no power cached yet
-    action = ModuleAction(triple.action.group, triple.module, triple.action.generator_maps)
     calls = count_calls(monkeypatch, GroupAutomorphism, "__post_init__")
     composes = count_calls(monkeypatch, GroupAutomorphism, "compose")
+    # a fresh action, with no stack or power cached yet
+    action = ModuleAction(triple.action.group, triple.module, triple.action.generator_maps)
     powers = [action.automorphism_for(k) for k in range(triple.k_order)]
-    assert len(composes) == triple.k_order - 1  # one compose per k past the identity
-    assert len(calls) == 0  # the identity and a composite of automorphisms need no check
+    assert len(composes) == 0  # the stack's matrix products make every power
+    assert len(calls) == 0  # and a power read off it needs no check
+    assert [phi.images for phi in powers] == [tuple(map(tuple, m.T.tolist()))
+                                              for m in action.matrices]
     assert powers[1].images == triple.theta.images
 
 
 def test_weaklimits_stack_theta_matrices_once_per_action(tmp_path, monkeypatch):
     # product_23 has kappa = 6: every tower model and pair counter of the
-    # suite reads its action's one stack, so each power's matrix is taken once
+    # suite reads its action's one stack, built once when the action is,
+    # from theta's matrix alone, which the order check takes once more
     bundle = tmp_path / "b"
     assert main(["synth", "--config", str(CONFIG_DIR / "product_23.json"),
                  "--out", str(bundle)]) == 0
@@ -139,8 +142,10 @@ def test_weaklimits_stack_theta_matrices_once_per_action(tmp_path, monkeypatch):
     monkeypatch.setattr(GroupAutomorphism, "matrix", property(counting_matrix))
     monkeypatch.setattr(ModuleAction, "matrices", recording)
     assert main(["verify", "--bundle", str(bundle), "--suite", "weaklimits"]) == 0
-    assert len(stacked) == 1 and stacked[0].group.orders == (6,)
-    assert len(taken) == 6, len(taken)
+    # the bundle's re-synthesis builds the actions of depth 1 and 2 and the dual one
+    assert len({id(a) for a in stacked}) == len(stacked) == 3, stacked
+    assert sorted(a.group.orders for a in stacked) == [(2,), (6,), (6,)]
+    assert sorted(map(id, taken)) == sorted(2 * [id(a.generator_maps[0]) for a in stacked])
 
 
 def test_certificates_and_duality_build_no_fraction(monkeypatch):
@@ -167,14 +172,14 @@ def test_multiplicity_report_walks_orbits_only_in_the_certificate_scan(monkeypat
     # pair walks 7 and 98)
     session = synth(SessionConfig.from_json((CONFIG_DIR / f"{name}.json").read_text()))
     callers = []
-    original = finite_algebra.orbit
+    original = finite_algebra.orbit_images
 
     def recording(action, a):
         callers.append(sys._getframe(1).f_code.co_name)
         return original(action, a)
 
-    monkeypatch.setattr(finite_algebra, "orbit", recording)
-    monkeypatch.setattr(koopman_lab, "orbit", recording)
+    monkeypatch.setattr(finite_algebra, "orbit_images", recording)
+    monkeypatch.setattr(koopman_lab, "orbit_images", recording)
     report = koopman_lab.multiplicity_report(session)
     assert report.certificates
     assert callers and set(callers) == {"disjointness_certificates"}

@@ -29,6 +29,16 @@ KEPT = {
         "scalar oracle for TowerModel.step_values",
     "cocycle_engine.TowerModel.cocycle_between":
         "the cocycle-identity acceptance criterion reads the model through it",
+    "finite_algebra.Character.compose_action":
+        "the certificate oracles twist by it, one power at a time, apart from "
+        "conjugate_exponents' one product",
+    "finite_algebra.GroupAutomorphism.compose":
+        "the binary-powering oracle of ModuleAction.matrices multiplies with it",
+    "finite_algebra.GroupAutomorphism.is_identity":
+        "the order tests read the binary powers with it",
+    "finite_algebra.identity_automorphism":
+        "the binary-powering oracle starts from it; the trivial actions of "
+        "the orbit tests act by it",
     "finite_algebra.subgroup_from_generators":
         "generates the subgroups of the verify_subgroup property test",
     "koopman_lab.simplicity_probe":

@@ -44,7 +44,7 @@ from cfspectra.koopman_lab import (
 )
 from cfspectra.module_factory import assemble_triple, dualize
 from cfspectra.session import SessionConfig, synth
-from test_finite_algebra import refusal_peak
+from test_finite_algebra import binary_power, refusal_peak
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +154,8 @@ class TestComponents:
                 for k in range(kappa):
                     state = l * kappa + k
                     assert op.succ[state] == (l + 1) % h * kappa + (k + b) % kappa
-                    assert op.phase_exp[state] == chi.evaluate(theta.power(k).apply(a)) * scale
+                    moved = binary_power(theta, k).apply(a)
+                    assert op.phase_exp[state] == chi.evaluate(moved) * scale
 
     def test_chi_cycle_holonomy_telescopes(self, direct_session):
         # walk each cycle of a built chi component from its level-0 state:

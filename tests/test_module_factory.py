@@ -6,12 +6,15 @@ import pytest
 from cfspectra.errors import ConsistencyError, ConstructionError
 from cfspectra.finite_algebra import GroupAutomorphism, identity_automorphism
 from cfspectra.module_factory import (
+    CompactTower,
     OrbitBlock,
+    _verify_triple,
     assemble_triple,
     compactify,
     dualize,
     orbit_block,
 )
+from test_finite_algebra import binary_power
 
 
 def brute_trace_counts(triple):
@@ -110,7 +113,7 @@ class TestAssemble:
         assert t.d_coords == (0, 1)
         assert t.k_order == 6
         # theta^2 restores the first block and twists both deep copies
-        sq = t.theta.power(2)
+        sq = binary_power(t.theta, 2)
         assert sq.apply((1, 0, 0)) == (1, 0, 0)
         assert sq.apply((0, 1, 0)) == (0, 2, 0)
         assert brute_trace_counts(t) == {2, 3}
@@ -124,7 +127,7 @@ class TestAssemble:
         # iterating the span automorphism (copies) times twists every copy
         t = assemble_triple({2, 3, 4})
         for span, block in zip(t.spans, t.blocks):
-            power = t.theta.power(span.copies)
+            power = binary_power(t.theta, span.copies)
             for copy in range(span.copies):
                 unit = [0] * t.module.rank
                 unit[span.start + copy] = 1
@@ -142,9 +145,40 @@ class TestAssemble:
 
     def test_theta_order(self):
         t = assemble_triple({2, 3})
-        assert t.theta.power(6).is_identity()
-        assert not t.theta.power(3).is_identity()
-        assert not t.theta.power(2).is_identity()
+        assert binary_power(t.theta, 6).is_identity()
+        assert not binary_power(t.theta, 3).is_identity()
+        assert not binary_power(t.theta, 2).is_identity()
+
+
+class TestStackChecks:
+    """Each check that reads theta's powers off the stack fails a tampered triple."""
+
+    def test_wrong_block_twist_breaks_the_copy_cycling_identity(self):
+        t = assemble_triple({2, 3})
+        block = t.blocks[1]  # theta is kept; the block claims the multiplier's square
+        bad = dataclasses.replace(block, multiplier=block.multiplier ** 2 % block.prime)
+        with pytest.raises(ConsistencyError, match="copy-cycling identity fails on span"):
+            _verify_triple(dataclasses.replace(t, blocks=(t.blocks[0], bad)))
+
+    def test_theta_whose_order_does_not_divide_k_is_refused(self):
+        t = assemble_triple({2, 3})  # theta of order 6 under K = Z/10
+        with pytest.raises(ConsistencyError, match=r"theta\^\|K\| is not the identity"):
+            _verify_triple(dataclasses.replace(t, targets=(2, 5)))
+
+    def test_theta_of_smaller_order_is_refused(self):
+        t = assemble_triple({2, 3})  # theta of order 6 under K = Z/30
+        with pytest.raises(ConsistencyError, match=r"theta has order dividing \|K\|/5"):
+            _verify_triple(dataclasses.replace(t, targets=(2, 3, 5)))
+
+    def test_trace_counts_off_the_targets_are_refused(self):
+        t = assemble_triple({2, 3})  # D on the first block alone
+        with pytest.raises(ConsistencyError, match=r"trace counts \[2\] != targets \[2, 3\]"):
+            _verify_triple(dataclasses.replace(t, d_coords=(0,)))
+
+    def test_deep_action_not_factoring_through_k_j_is_refused(self):
+        lo, hi = compactify(assemble_triple({2, 3})).levels
+        with pytest.raises(ConsistencyError, match="kernel of K_2 -> K_1 acts nontrivially"):
+            CompactTower((dataclasses.replace(lo, targets=(1,)), hi)).verify()
 
 
 class TestCompactify:
@@ -238,7 +272,7 @@ class TestDualize:
         t = assemble_triple({1, 3, 6})
         psi = GroupAutomorphism(t.module, ((1, 0, 0, 0, 0), (0, 6, 5, 0, 0), (0, 0, 5, 0, 3),
                                            (0, 2, 0, 3, 0), (0, 0, 0, 0, 4)))
-        psi_inverse = psi.power(5)  # psi has order 6
+        psi_inverse = binary_power(psi, 5)  # psi has order 6
         assert psi.compose(psi_inverse).is_identity()
         dual = GroupAutomorphism.dual
         monkeypatch.setattr(GroupAutomorphism, "dual",

@@ -16,9 +16,12 @@ import pytest
 from cfspectra import finite_algebra, koopman_lab
 from cfspectra.errors import ConsistencyError, SizeCapError
 from cfspectra.finite_algebra import (
+    CyclotomicSum,
     cyclo_equal,
     orbit,
     orbit_average,
+    orbit_averages,
+    orbit_images,
     orbit_trace_counts,
 )
 from cfspectra.koopman_lab import (
@@ -57,10 +60,9 @@ def per_pair_certificate(duality, chi, chi2):
     for a in action.module.elements():
         if a in seen:
             continue
-        orb = orbit(action, a)
-        seen.update(orb)
-        l1 = orbit_average(action, chi, a, _orbit=orb)
-        l2 = orbit_average(action, chi2, a, _orbit=orb)
+        seen.update(orbit(action, a))
+        l1 = orbit_average(action, chi, a)
+        l2 = orbit_average(action, chi2, a)
         if not cyclo_equal(l1, l2):
             return Certificate(False, None, a, l1, l2)
     raise ConsistencyError("exhausted")
@@ -127,22 +129,23 @@ class TestCertificateOracle:
         assert scan_position(rec135, got.separating_a) == position
 
     def test_scan_averages_each_orbit_once(self, rec135, chars135, monkeypatch):
-        # the elements averaged are exactly the first element of every orbit
-        # met before the separating one, in element order; each orbit is
-        # computed once and both characters are averaged over it
+        # the elements walked are exactly the first element of every orbit
+        # met before the separating one, in element order; each orbit's
+        # images are computed once and both characters are averaged over
+        # them, in one call per orbit
         averaged, computed = [], []
 
-        def recording(action, chi, a, **kwargs):
-            averaged.append((chi.exponents, a))
-            assert kwargs["_orbit"] is computed[-1]
-            return orbit_average(action, chi, a, **kwargs)
+        def recording(action, chars, images):
+            assert images is computed[-1][1]
+            averaged.append([chi.exponents for chi in chars])
+            return orbit_averages(action, chars, images)
 
         def computing(action, a):
-            computed.append(orbit(action, a))
-            return computed[-1]
+            computed.append((a, orbit_images(action, a)))
+            return computed[-1][1]
 
-        monkeypatch.setattr(koopman_lab, "orbit_average", recording)
-        monkeypatch.setattr(koopman_lab, "orbit", computing)
+        monkeypatch.setattr(koopman_lab, "orbit_averages", recording)
+        monkeypatch.setattr(koopman_lab, "orbit_images", computing)
         chi, chi2 = chars135[0], chars135[3]
         cert = disjointness_certificate(rec135, chi, chi2)
         stop = scan_position(rec135, cert.separating_a)
@@ -151,9 +154,8 @@ class TestCertificateOracle:
             if a not in seen:
                 seen.update(orbit(rec135.dual_action, a))
                 firsts.append(a)
-        assert averaged[0::2] == [(chi.exponents, a) for a in firsts]
-        assert averaged[1::2] == [(chi2.exponents, a) for a in firsts]
-        assert len(computed) == len(firsts)
+        assert [a for a, _ in computed] == firsts
+        assert averaged == [[chi.exponents, chi2.exponents]] * len(firsts)
         assert len(firsts) < stop + 1
 
     def test_orbit_average_is_constant_on_orbits(self, rec135, chars135, shipped_product):
@@ -206,20 +208,22 @@ class TestSharedCertificateScan:
     def test_each_orbit_walked_once_and_averaged_per_open_character(self, rec135, chars135,
                                                                     monkeypatch):
         # the scan stops at the last pair's separating orbit, and each orbit
-        # is averaged once for each character with a pair still open on it
-        walked, averaged = [], []
+        # is averaged, in one call over its images, once for each character
+        # with a pair still open on it
+        walked, averaged, images_of = [], [], []
 
         def computing(action, a):
             walked.append(a)
-            return orbit(action, a)
+            images_of.append(orbit_images(action, a))
+            return images_of[-1]
 
-        def recording(action, chi, a, **kwargs):
-            assert a == walked[-1]
-            averaged.append((len(walked) - 1, chars135.index(chi)))
-            return orbit_average(action, chi, a, **kwargs)
+        def recording(action, chars, images):
+            assert images is images_of[-1] and len(averaged) == len(walked) - 1
+            averaged.append([chars135.index(chi) for chi in chars])
+            return orbit_averages(action, chars, images)
 
-        monkeypatch.setattr(koopman_lab, "orbit", computing)
-        monkeypatch.setattr(koopman_lab, "orbit_average", recording)
+        monkeypatch.setattr(koopman_lab, "orbit_images", computing)
+        monkeypatch.setattr(koopman_lab, "orbit_averages", recording)
         picked = (0, 1, 3, 17)
         certs = disjointness_certificates(rec135, [chars135[i] for i in picked])
         closed = {(picked[i], picked[j]): walked.index(c.separating_a)
@@ -227,17 +231,34 @@ class TestSharedCertificateScan:
         assert len(walked) == len(set(walked)) == max(closed.values()) + 1
         # pairs close at orbits 1, 91 and 625, so characters drop out along the way
         assert len(set(closed.values())) == 3, closed
-        assert averaged == [(t, c) for t in range(len(walked)) for c in picked
-                            if any(c in p and t <= at for p, at in closed.items())]
+        assert averaged == [[c for c in picked
+                             if any(c in p and t <= at for p, at in closed.items())]
+                            for t in range(len(walked))]
 
     def test_135_module_over_the_cap_is_refused_before_the_scan(self, rec135, chars135,
                                                                 monkeypatch):
         walked = []
         monkeypatch.setattr(finite_algebra, "ENUMERATION_CAP", rec135.dual_module.size - 1)
-        monkeypatch.setattr(koopman_lab, "orbit", lambda action, a: walked.append(a))
+        monkeypatch.setattr(koopman_lab, "orbit_images", lambda action, a: walked.append(a))
         with pytest.raises(SizeCapError, match="exceeds enumeration cap"):
             disjointness_certificates(rec135, chars135[:3])
         assert not walked
+
+
+    def test_scan_that_separates_nothing_raises(self, monkeypatch):
+        # averages forced equal on every orbit: the scan walks the whole
+        # module and reports the violated identity instead of a certificate
+        rec = dualize(assemble_triple({1, 2}))
+        walked = []
+
+        def same(action, chars, images):
+            walked.append(images[0].tolist())
+            return [CyclotomicSum.from_fraction(1)] * len(chars)
+
+        monkeypatch.setattr(koopman_lab, "orbit_averages", same)
+        with pytest.raises(ConsistencyError, match="identical orbit averages on the whole"):
+            disjointness_certificates(rec, class_characters(rec))
+        assert len(walked) == 4  # the orbits of Z/2 + Z/3 under (1, -1)
 
 
 class TestTraceCountOracle:

@@ -21,7 +21,7 @@ from cfspectra.cocycle_engine import MODE_DIRECT, MODE_PRODUCT, Tower, TowerMode
 from cfspectra.errors import ParameterError
 from cfspectra.koopman_lab import exact_spectrum
 from cfspectra.session import SessionConfig, synth
-from test_finite_algebra import refusal_peak
+from test_finite_algebra import binary_power, refusal_peak
 
 
 def per_cut_word_products(model):
@@ -29,7 +29,7 @@ def per_cut_word_products(model):
     ctx = model.ctx
     orders = np.array(ctx.module.orders, dtype=np.int64)
     theta = ctx.action.generator_maps[0]
-    theta_mats = np.stack([theta.power(k).matrix for k in range(ctx.k_order)])
+    theta_mats = np.stack([binary_power(theta, k).matrix for k in range(ctx.k_order)])
     rank = len(orders)
     kappa = ctx.k_order
     h0 = model.schedule.initial_height
