@@ -28,10 +28,10 @@ taller than 2**63 - 1 levels, is refused the same way before it is built,
 and so is a cylinder_level outside 0..(number of stages), or an
 initial_height, state_cap or spectra_depth below 1.  verify and dump
 refuse each array they would build over more entries than state_cap (the
-largest dense array of a weak-limit probe; the cylinder-depth tower a
-probe lists, its level pairs and column offsets, the only tower and pairs
-it lists, and its tables of pair weights; the column pairs of correlation
-decay), and a decay table of
+dense table a weak-limit probe's rows render, or its module images; the
+cylinder-depth tower a probe lists, its level pairs and column offsets,
+the only tower and pairs it lists, and its tables of pair weights; the
+column pairs of correlation decay), and a decay table of
 more than 10**6 rows, before
 building it (a failed suite, or dump exit 1); a tower's height alone is
 never refused.  A decay lag window [h_n, 2 h_n] with no lag below the

@@ -208,9 +208,10 @@ class GroupAutomorphism:
 
     def _invertible(self) -> bool:
         # The induced map on G/pG must be invertible for every prime p | |G|;
-        # for finite abelian G that is equivalent to bijectivity.
+        # for finite abelian G that is equivalent to bijectivity.  The primes
+        # of |G| are those of its cyclic orders, each factored on its own.
         orders = self.group.orders
-        for p in _prime_factors(self.group.size):
+        for p in {p for n in orders for p in _prime_factors(n)}:
             idx = [i for i, n in enumerate(orders) if n % p == 0]
             rows = [[self.images[j][i] for j in idx] for i in idx]
             if _det_mod_p(rows, p) == 0:

@@ -186,12 +186,49 @@ def exact_spectrum(session, depth: int | None = None) -> dict:
 
 
 @dataclass
+class _CellTables:
+    """Tables over the n x n cylinder pairs (g, f), after any leading axes,
+    held at shared explicit cells, coded g n + f and sorted, and by side at
+    every other cell: per name, (explicit, sides), ``sides[..., 0]`` on the
+    diagonal g = f and ``sides[..., 1]`` off it."""
+
+    n: int
+    cells: np.ndarray
+    diagonal: np.ndarray  # where the explicit cells with g = f lie among them
+    parts: dict
+
+    def dense(self, name: str) -> np.ndarray:
+        explicit, sides = self.parts[name]
+        n = self.n
+        out = _by_side(sides, n * n, slice(None, None, n + 1))
+        out[..., self.cells] = explicit
+        return out.reshape(*sides.shape[:-1], n, n)
+
+    def max(self, name: str) -> float:
+        """The largest entry of a dense table: the explicit ones' and those
+        of each side with a cell that is not explicit."""
+        explicit, sides = self.parts[name]
+        n, diagonal = self.n, self.diagonal.size
+        found = [explicit.max(initial=-np.inf)]
+        if diagonal < n:
+            found.append(sides[..., 0].max())
+        if self.cells.size - diagonal < n * n - n:
+            found.append(sides[..., 1].max())
+        return float(max(found))
+
+
+@dataclass
 class WeakLimitReport:
     """A probe's table against its prediction, with the verdict on the worst entry.
 
-    ``values`` (complex) and the prediction's real and imaginary parts are
-    indexed [g, f] for eta and [e_u, e_v, g, f] for chi; ``rows`` renders
-    them as one dict per entry on first read.
+    ``tables`` holds the power-average values, the prediction's real and
+    imaginary parts and the deviations as ``_CellTables``: explicit at the
+    cells the value table or, transposed, the one-step table reaches, by
+    side at every other cell.  ``max_deviation`` is read off them.
+    ``values``, ``pred_re``, ``pred_im`` and ``deviations`` are their dense
+    arrays, indexed [g, f] for eta and [e_u, e_v, g, f] for chi, and
+    ``rows`` renders those as one dict per entry; each is built on first
+    read.
     """
 
     stage_index: int
@@ -199,32 +236,49 @@ class WeakLimitReport:
     component: dict
     family: dict
     prediction_kind: str
-    values: np.ndarray = field(repr=False, compare=False)
-    pred_re: np.ndarray = field(repr=False, compare=False)
-    pred_im: np.ndarray = field(repr=False, compare=False)
-    deviations: np.ndarray = field(repr=False, compare=False)
+    tables: _CellTables = field(repr=False, compare=False)
     tolerance: float
     max_deviation: float = field(init=False)
 
     def __post_init__(self):
-        self.max_deviation = float(self.deviations.max())
+        self.max_deviation = self.tables.max("deviations")
 
     @property
     def passed(self) -> bool:
         return self.max_deviation <= self.tolerance
 
     @cached_property
+    def values(self) -> np.ndarray:
+        return self.tables.dense("values")
+
+    @cached_property
+    def pred_re(self) -> np.ndarray:
+        return self.tables.dense("pred_re")
+
+    @cached_property
+    def pred_im(self) -> np.ndarray:
+        return self.tables.dense("pred_im")
+
+    @cached_property
+    def deviations(self) -> np.ndarray:
+        return self.tables.dense("deviations")
+
+    @cached_property
     def rows(self) -> list:
-        value = _pairs(self.values.real, self.values.imag)
-        pred = _pairs(self.pred_re, self.pred_im)
-        dev = self.deviations.ravel().tolist()
+        # the dense tables straight from the cells, not through the cached
+        # views, whose first reads each take a lock
+        values, pred_re, pred_im, dev = (self.tables.dense(name) for name in
+                                         ("values", "pred_re", "pred_im", "deviations"))
+        value = _pairs(values.real, values.imag)
+        pred = _pairs(pred_re, pred_im)
+        dev = dev.ravel().tolist()
         if self.component["kind"] == "eta":
             eta = self.component["eta"]
-            g, f = np.indices(self.values.shape)
+            g, f = np.indices(values.shape)
             return [{"u": u, "v": v, "eta": eta, "value": val, "pred": p, "deviation": dv}
                     for u, v, val, p, dv in zip(f.ravel().tolist(), g.ravel().tolist(),
                                                 value, pred, dev)]
-        e_u, e_v, g, f = np.indices(self.values.shape)
+        e_u, e_v, g, f = np.indices(values.shape)
         return [{"u": u, "v": v, "value": val, "pred": p, "deviation": dv}
                 for u, v, val, p, dv in zip(_pairs(f, e_u), _pairs(g, e_v), value, pred, dev)]
 
@@ -500,7 +554,7 @@ class _PairCounter:
 
     def decode(self, key):
         sides, n_a = self.shifted.shape[1], self.shape[4]
-        rest, x = np.divmod(key, n_a)
+        rest, x = np.divmod(key, n_a) if n_a > 1 else (key, 0)  # x is 0 without a module
         rest, second = np.divmod(rest, sides)
         c, first = np.divmod(rest, sides)
         return c, first, second, x
@@ -782,7 +836,9 @@ class _PairCounter:
         c, first, second, x = self.decode(key)
         (g, b1), (f, b2) = np.divmod(first, kappa), np.divmod(second, kappa)
         size = n_cyl * n_cyl * kappa * n_a
-        bucket = ((g * n_cyl + f) * kappa + (b1 - b2) % kappa) * n_a + self.image_index[b1, x]
+        bucket = ((g * n_cyl + f) * kappa + (b1 - b2) % kappa) * n_a
+        if n_a > 1:
+            bucket += self.image_index[b1, x]
         if len(asked) > 1:  # table c's buckets after those of the tables before it
             bucket += c * size
         bucket, count = _merged([(bucket, count)])
@@ -801,11 +857,13 @@ class _PairCounter:
 
 
 def _eta_values(counter: _PairCounter, depth: int, steps: tuple[int, ...], eta_exp: int):
-    """Complex tables V[g, f] = <U_eta^s 1_f, 1_g> over the depth-`depth`
-    tower, one per s in steps: a folded bucket adds count * eta(s), s the
-    pair's group exponent, to its cell (g, f), summed in order of s by one
-    bincount per part, as a dense contraction would, after a counter with
-    the module sums each (g, f, s)'s run of module values exactly."""
+    """Per s in steps, the cells (g, f) the folded table reaches, coded
+    g n_cyl + f and sorted, and V[g, f] = <U_eta^s 1_f, 1_g> at each, over
+    the depth-`depth` tower; every other cell of V is 0.  A folded bucket
+    adds count * eta(s), s the pair's group exponent, to its cell, summed
+    in order of s by one bincount, as a dense contraction would, after a
+    counter with the module sums each (g, f, s)'s run of module values
+    exactly."""
     n_cyl, kappa, _, _, n_a = counter.shape
     phases = np.exp(2j * np.pi * eta_exp * np.arange(kappa) / kappa)
     tables = []
@@ -816,18 +874,21 @@ def _eta_values(counter: _PairCounter, depth: int, steps: tuple[int, ...], eta_e
             first = np.flatnonzero(_starts(key))
             key, count = key[first], np.add.reduceat(count, first)
         cell, s = np.divmod(key, kappa)
-        values = np.empty(n_cyl * n_cyl, dtype=complex)
-        values.real = np.bincount(cell, count * phases.real[s], values.size)
-        values.imag = np.bincount(cell, count * phases.imag[s], values.size)
+        cells = cell[_starts(cell)]
+        values = np.empty(cells.size, dtype=complex)
+        values.real = np.bincount(cell, count * phases.real[s], n_cyl * n_cyl)[cells]
+        values.imag = np.bincount(cell, count * phases.imag[s], n_cyl * n_cyl)[cells]
         values /= counter.heights[depth]
-        tables.append(values.reshape(n_cyl, n_cyl))
+        tables.append((cells, values))
     return tables
 
 
 def _chi_values(counter: _PairCounter, depth: int, steps: tuple[int, ...], d,
                 phase_order: int):
-    """Tables V[e_u, e_v, g, f] = <U_chi^s (1_f x eta_{e_u}), 1_g x eta_{e_v}>
-    over the depth-`depth` tower, per s in steps.
+    """Per s in steps, the cells (g, f) the folded table reaches, coded
+    g n_cyl + f and sorted, and V[e_u, e_v, g, f] = <U_chi^s (1_f x
+    eta_{e_u}), 1_g x eta_{e_v}> at each, shape (kappa, kappa, cells), over
+    the depth-`depth` tower; every other cell of V is 0.
 
     A folded bucket (g, f, s, w), (s, w) the transition value, adds count *
     eta_{e_u}(s) * G[e_u - e_v, w] to entry (g, f), G the group-state sum of
@@ -855,17 +916,19 @@ def _chi_values(counter: _PairCounter, depth: int, steps: tuple[int, ...], d,
         key, count = counter.folded(depth, step)
         cell, rest = np.divmod(key, kappa * n_a)
         s, w = np.divmod(rest, n_a)
+        cells = cell[_starts(cell)]
         # bin (e_v, g, f) per term, terms of one bin in bucket order
         bins = (e_v[:, None] * (n_cyl * n_cyl) + cell).ravel()
-        values = np.empty((kappa, kappa * n_cyl * n_cyl), dtype=complex)
+        reached = (e_v[:, None] * (n_cyl * n_cyl) + cells).ravel()
+        values = np.empty((kappa, kappa * cells.size), dtype=complex)
         for e_u in range(kappa):
             t_re, t_im = _cmul(count, 0.0, eta_phase.real[e_u, s], eta_phase.imag[e_u, s])
             g = (e_u - e_v)[:, None] % kappa
             t_re, t_im = _cmul(t_re, t_im, g_table.real[g, w], g_table.imag[g, w])
-            values.real[e_u] = np.bincount(bins, t_re.ravel(), values.shape[1])
-            values.imag[e_u] = np.bincount(bins, t_im.ravel(), values.shape[1])
+            values.real[e_u] = np.bincount(bins, t_re.ravel(), kappa * n_cyl * n_cyl)[reached]
+            values.imag[e_u] = np.bincount(bins, t_im.ravel(), kappa * n_cyl * n_cyl)[reached]
         values /= h * kappa
-        tables.append(values.reshape(kappa, kappa, n_cyl, n_cyl))
+        tables.append((cells, values.reshape(kappa, kappa, cells.size)))
     return tables
 
 
@@ -884,42 +947,86 @@ _PREDICTIONS = {
 }
 
 
-def _weak_limit_prediction(coefficients, lam, delta, inner, one_step, mean):
-    """A ``_PREDICTIONS`` entry on the tables of <1_f, 1_g>, <U 1_f, 1_g> and
-    mu_f mu_g, as (real, imaginary) n x n arrays; inner and mean are given
-    by side, [..., 0] on the diagonal g = f and [..., 1] off it, and
-    one_step, of the probe's shape, is read only when b is given.  The
+def _weak_limit_prediction(coefficients, lam, delta, inner, adjoint, mean):
+    """A ``_PREDICTIONS`` entry at some cells, as (real, imaginary) arrays:
+    inner and mean hold <1_f, 1_g> and mu_f mu_g there, and adjoint, a
+    (real, imaginary) pair read only when b is given, <U 1_g, 1_f>*.  The
     rounding is fixed: (delta a) inner without a one-step term, and
     delta (b U* + inner), for a = 1, with it; c P is added last whenever c
     is given, zero tables included.  Every step acts entry by entry, so a
-    prediction without a one-step term is formed on the two values per
-    side and spread last.
+    cell's prediction does not depend on which other cells are asked.
     """
     a, b, c = coefficients(lam, delta)
-    n = one_step.shape[-1]
     if b is None:
         da = delta * a
         re, im = _cmul(da.real, da.imag, inner, 0.0)
-        if c is not None:
-            re, im = _cadd_real(re, im, c * mean)
-        return _by_side(re, n), _by_side(im, n)
-    # the adjoint swaps u and v: the axis pairs (e_u, e_v) and (g, f)
-    adjoint = one_step.conj().transpose(np.arange(one_step.ndim) ^ 1)
-    re, im = _cmul(b.real, b.imag, adjoint.real, adjoint.imag)
-    re, im = _cadd_real(re, im, _by_side(inner, n))
-    re, im = _cmul(delta, 0.0, re, im)
+    else:
+        re, im = _cmul(b.real, b.imag, *adjoint)
+        re, im = _cadd_real(re, im, inner)
+        re, im = _cmul(delta, 0.0, re, im)
     if c is not None:
-        re, im = _cadd_real(re, im, c * _by_side(mean, n))
+        re, im = _cadd_real(re, im, c * mean)
     return re, im
 
 
-def _by_side(sides, n: int) -> np.ndarray:
-    """n x n tables holding sides[..., 0] on the diagonal and sides[..., 1]
-    off it."""
-    out = np.empty((*sides.shape[:-1], n * n))
+def _by_side(sides, size: int, diagonal) -> np.ndarray:
+    """A last axis of `size` holding sides[..., 0] at the `diagonal` indices
+    and sides[..., 1] at the others."""
+    out = np.empty((*sides.shape[:-1], size), dtype=sides.dtype)
     out[...] = sides[..., 1:]
-    out[..., ::n + 1] = sides[..., :1]
-    return out.reshape(*sides.shape[:-1], n, n)
+    out[..., diagonal] = sides[..., :1]
+    return out
+
+
+def _spread(values, at, size: int, fill: float) -> np.ndarray:
+    """values placed at `at` along a last axis of `size`, fill elsewhere."""
+    out = np.full((*values.shape[:-1], size), fill, dtype=values.dtype)
+    out[..., at] = values
+    return out
+
+
+def _prediction_tables(plan, n: int, inner, mean, tables) -> _CellTables:
+    """The probe's values, prediction and deviations as ``_CellTables``.
+
+    inner and mean are given by side, [..., 0] on the diagonal g = f and
+    [..., 1] off it.  The explicit cells are those the value table
+    reaches and, with a one-step term, the transposed cells the one-step
+    table reaches: the adjoint swaps u and v, the axis pairs (e_u, e_v)
+    and (g, f).  Every other cell holds value 0 and one-step entry 0,
+    whose conjugate is (0.0, -0.0); its prediction is evaluated once per
+    side from those, with the same arithmetic as an explicit cell's.
+    """
+    cells, values = tables[0]
+    adjoint = None
+    if len(plan.steps) > 1:  # tables[1] is the one-step table
+        step_cells, step_values = tables[1]
+        g, f = np.divmod(step_cells, n)
+        flipped = f * n + g
+        reached, cells = cells, np.union1d(cells, flipped)
+        values = _spread(values, np.searchsorted(cells, reached), cells.size, 0.0)
+        at, lead = np.searchsorted(cells, flipped), values.ndim - 1
+        step_values = step_values.transpose(*(np.arange(lead) ^ 1).tolist(), lead)
+        adjoint = (_spread(step_values.real, at, cells.size, 0.0),
+                   _spread(-step_values.imag, at, cells.size, -0.0))
+    # where the diagonal cells g n + g lie among the explicit ones
+    on = np.arange(n) * (n + 1)
+    at = np.searchsorted(cells, on)
+    diagonal = at[cells.take(at, mode="clip") == on]
+    sides = _weak_limit_prediction(plan.coefficients, plan.lam, plan.delta, inner,
+                                   (np.zeros(inner.shape), np.full(inner.shape, -0.0)), mean)
+    if adjoint is None:  # the prediction is one value per side
+        explicit = tuple(_by_side(part, cells.size, diagonal) for part in sides)
+    else:
+        explicit = _weak_limit_prediction(
+            plan.coefficients, plan.lam, plan.delta, _by_side(inner, cells.size, diagonal),
+            adjoint, _by_side(mean, cells.size, diagonal))
+    zeros = np.zeros(inner.shape, dtype=complex)
+    return _CellTables(n, cells, diagonal, {
+        "values": (values, zeros),
+        "pred_re": (explicit[0], sides[0]),
+        "pred_im": (explicit[1], sides[1]),
+        "deviations": (_deviations(values, *explicit), _deviations(zeros, *sides)),
+    })
 
 
 @dataclass
@@ -939,7 +1046,9 @@ class _ProbePlan:
 
 def _probe_plan(session, stage_index: int, component) -> _ProbePlan:
     """The checks of one component at one stage, in the order weak_limit_probe
-    documents, and what its prediction reads; builds no table."""
+    documents, and what its prediction reads; builds no table.  The
+    state_cap refusal bounds the dense table that the report's rows
+    render, which the probe itself does not build."""
     depth = session.schedule.depth
     if not 1 <= stage_index <= depth:
         raise ParameterError(f"no stage {stage_index} in a {depth}-stage schedule")
@@ -951,15 +1060,17 @@ def _probe_plan(session, stage_index: int, component) -> _ProbePlan:
         raise LabelError(f"no {kind} prediction for a {label.kind!r} stage")
     kappa = session.k_order
     n_cyl = session.schedule.height(session.config.cylinder_level)
+    # the dense table the report's rows render: n_cyl^2 rows for eta,
+    # counted kappa times over, and (kappa n_cyl)^2 for chi, whose module
+    # images theta^k w (_module_tables) are built whenever it is counted
     if kind == "eta":
         session.triple.k_group.check((payload,))
         trivial = payload == 0
-        entries = n_cyl * n_cyl * kappa  # _eta_values' count table
+        entries = n_cyl * n_cyl * kappa
     else:
         module = session.ctx.module
         module.check(payload)
         trivial = not any(payload)
-        # _chi_values' value tables, and the images theta^k w of _module_tables
         entries = max((kappa * n_cyl) ** 2, kappa * module.size * module.rank)
     if entries > session.config.state_cap:
         raise SizeCapError(f"probe table of {entries} entries exceeds cap {session.config.state_cap}")
@@ -1018,7 +1129,7 @@ def _probe_report(session, stage_index: int, plan: _ProbePlan, tables) -> WeakLi
     stage, n0, kappa = session.stage(stage_index), session.config.cylinder_level, session.k_order
     n_cyl = session.schedule.height(n0)
     mu = session.tower_at(stage_index).cylinder_size(n0) / session.schedule.height(stage_index)
-    delta, lam, payload = plan.delta, plan.lam, plan.payload
+    payload = plan.payload
     family = {"cylinder_level": n0, "cylinders": n_cyl}
     # <1_f x eta_e, 1_g x eta_e'> = [f = g][e = e'] mu_f, and the means
     # multiply to mu_f mu_g [e = e' = 0]; an eta table has no e axes, and its
@@ -1034,12 +1145,10 @@ def _probe_report(session, stage_index: int, plan: _ProbePlan, tables) -> WeakLi
     # the inner products and means on the diagonal g = f ([..., 0]) and off it
     inner = np.multiply.outer(chars, mu * np.array([1.0, 0.0]))
     mean = np.multiply.outer(means, np.full(2, mu * mu))
-    # tables[-1] is the one-step table when the prediction has one
-    re, im = _weak_limit_prediction(plan.coefficients, lam, delta, inner, tables[-1], mean)
     return WeakLimitReport(
         stage_index=stage.index, label=session.label(stage_index), component=record,
-        family=family, prediction_kind=plan.prediction_kind, values=tables[0],
-        pred_re=re, pred_im=im, deviations=_deviations(tables[0], re, im),
+        family=family, prediction_kind=plan.prediction_kind,
+        tables=_prediction_tables(plan, n_cyl, inner, mean, tables),
         tolerance=PROBE_TOLERANCE_FACTOR / stage.r_count,
     )
 
@@ -1088,11 +1197,18 @@ def weak_limit_probe(session, stage_index: int, component) -> WeakLimitReport:
     ParameterError, an unknown component kind CharacterTypeError, a
     component the label has no prediction for (a plain stage, or chi on a
     rotate stage) LabelError, and an e or d outside its group
-    InvalidElementError.  Then SizeCapError is raised where the largest
-    dense array the probe builds has more entries than the state cap: for
-    eta the count table, n_cyl^2 kappa; for chi the larger of its value
-    tables, (kappa n_cyl)^2, and the module images, kappa |A| rank(A).  The
-    refusals met while counting are stage_probes'.
+    InvalidElementError.  Then SizeCapError is raised where the dense
+    table the report's rows render has more entries than the state cap,
+    counted as n_cyl^2 kappa for eta, kappa times its rows, and for chi as
+    the larger of its (kappa n_cyl)^2 rows and the module images the
+    probe builds, kappa |A| rank(A).  The refusals met while counting are
+    stage_probes'.
+
+    The probe holds its tables at the cells (g, f) its pairs reach, and
+    its prediction and deviation there and once per side of the diagonal
+    for every other cell; its verdict is the largest deviation of the
+    dense table, read off those.  The dense arrays and the rows are built
+    when first read.
     """
     (result,) = stage_probes(session, {stage_index: [component]})[stage_index]
     if isinstance(result, CfspectraError):

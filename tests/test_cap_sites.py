@@ -57,8 +57,8 @@ CAP_SITES = {
         "a dense table of weights per (table, lag) that the counter asks of "
         "the tower below or pairs across a column boundary (the tower's cap)",
     "koopman_lab._probe_plan":
-        "the probe's largest dense array: the eta count table, or the chi value "
-        "tables or module images, the larger (state_cap)",
+        "the dense table the probe's rows render, n_cyl^2 kappa for eta and "
+        "(kappa n_cyl)^2 for chi, or the chi module images, the larger (state_cap)",
     "koopman_lab._difference_counts":
         "a stage's column pairs, or the difference table below it, the fewer "
         "(the tower's cap)",

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from math import lcm
@@ -117,6 +118,18 @@ class TestAutomorphisms:
         g = FiniteAbelianGroup((4,))
         with pytest.raises(InvalidElementError):
             GroupAutomorphism(g, ((2,),))  # doubling is not invertible mod 4
+
+    def test_large_prime_orders_factor_each_order_alone(self):
+        # the primes of |G| are found from each cyclic order, so negation on
+        # Z/p + Z/q with p, q near 2^30 is checked without factoring p q
+        p, q = 1073741789, 1073741783
+        g = FiniteAbelianGroup((p, q))
+        start = time.perf_counter()
+        negation = GroupAutomorphism(g, ((p - 1, 0), (0, q - 1)))
+        assert time.perf_counter() - start < 1.0
+        assert negation.apply((1, 2)) == (p - 1, q - 2)
+        with pytest.raises(InvalidElementError):
+            GroupAutomorphism(g, ((p - 1, 0), (0, 0)))
 
     def test_order_violation_rejected(self):
         g = FiniteAbelianGroup((2, 4))

@@ -10,11 +10,12 @@ counts must equal `level_pass_counts`, one bucket count over all levels of
 a full-depth TowerModel, and its sparse fold the nonzero entries of the
 dense fold of that table, with or without a module part, on stages whose
 columns differ in their group exponent too.  The probe tables, contracted
-per nonzero bucket, must equal the dense contraction of the level pass bit
-for bit, and an eta table read from a counter with the module part the one
-read from a counter without it.  At kappa = 3, where b' - b and b - b'
-differ and so do theta^b and theta^-b, fixed schedules whose rotate stage
-acts pin the fold's direction and the build's untwisting.  The tables of
+per nonzero bucket at the cells the fold reaches, must equal the dense
+contraction of the level pass bit for bit, and an eta table read from a
+counter with the module part the one read from a counter without it.  At
+kappa = 3, where b' - b and b - b' differ and so do theta^b and theta^-b,
+fixed schedules whose rotate stage acts pin the fold's direction and the
+build's untwisting.  The tables of
 any lags and twists, big lags among them, must equal `listed_pairs`, the
 level pass over the whole tower.  One counter that counts the tables of
 every labelled stage in one pass must give each stage the raw and folded
@@ -44,6 +45,7 @@ from cfspectra.koopman_lab import (
 from cfspectra.session import SessionConfig, synth
 from test_probe_tables import (
     PROBED,
+    dense_values,
     folded_counts,
     level_pass_counts,
     oracle_chi_values,
@@ -91,21 +93,26 @@ def assert_counts_equal(session, n, n0):
 
 def assert_values_equal_dense_contraction(session, n, n0):
     # eta = kappa - 1 and d the last element of A; compared as bytes, so
-    # signed zeros count
+    # signed zeros count; a table lists exactly the cells its fold reaches
     model, tower = depth_n(session, n)
-    kappa = session.k_order
+    kappa, n_cyl = session.k_order, session.schedule.height(n0)
     module = session.ctx.module
     d = module.element_by_index(module.size - 1)
     steps = (session.schedule.height(n - 1), 1)
     tables = _eta_values(_PairCounter(tower, n0, False), n, steps, kappa - 1)
     for step, got in zip(steps, tables):
-        assert got.tobytes() == oracle_eta_values(model, step, n0, kappa - 1).tobytes(), step
+        reached = folded_counts(model, step, n0, False).reshape(n_cyl * n_cyl, -1).any(axis=1)
+        assert np.array_equal(got[0], np.flatnonzero(reached)), step
+        want = oracle_eta_values(model, step, n0, kappa - 1)
+        assert dense_values(n_cyl, got).tobytes() == want.tobytes(), step
     if not module_fits(session, n0):
         return
     tables = _chi_values(_PairCounter(tower, n0, True), n, steps, d, session.root_order)
     for step, got in zip(steps, tables):
+        reached = folded_counts(model, step, n0, True).reshape(n_cyl * n_cyl, -1).any(axis=1)
+        assert np.array_equal(got[0], np.flatnonzero(reached)), (n, n0, step)
         want = oracle_chi_values(model, step, n0, d, session.root_order)
-        assert got.tobytes() == want.tobytes(), (n, n0, step)
+        assert dense_values(n_cyl, got).tobytes() == want.tobytes(), (n, n0, step)
 
 
 # (mode, targets): kappa 2 and 3 in direct mode, and delayed stages in
@@ -178,7 +185,8 @@ def test_eta_tables_of_a_module_counter_equal_the_module_less_ones(drawn):
         for eta in range(kappa):
             got = _eta_values(shared, n, steps, eta)
             want = _eta_values(plain, n, steps, eta)
-            assert [t.tobytes() for t in got] == [t.tobytes() for t in want], (n, eta)
+            assert [(c.tobytes(), v.tobytes()) for c, v in got] == [
+                (c.tobytes(), v.tobytes()) for c, v in want], (n, eta)
 
 
 @pytest.mark.parametrize("name, depth", PROBED, ids=[f"{n}-{d}" for n, d in PROBED])

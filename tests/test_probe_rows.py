@@ -2,22 +2,34 @@
 
 The oracle builds every row of a weak-limit probe one cylinder pair at a
 time with scalar complex arithmetic, from the same bucket-count tables the
-probe uses.  The probe computes its table as whole arrays and renders the
-rows from them when they are first read; the two must agree to the last
-bit, because verify_report.json carries the rows.
+probe uses, spread over every cell.  The probe holds its tables at the
+cells its pairs reach, with one value per side of the diagonal elsewhere,
+takes its verdict from them, and renders the rows when they are first
+read; the two must agree to the last bit, because verify_report.json
+carries the rows.  They must agree on random schedules too, on fixed
+probes whose worst entry lies on a cell no pair reaches and whose
+one-step table reaches a cell the value table does not, and a large
+stage's probe must allocate for the cells it reaches, not for its rows.
 """
 
 import cmath
 import json
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from cfspectra import koopman_lab
+from cfspectra.cf_builder import DeltaBlock
 from cfspectra.cocycle_engine import (
     LABEL_DELAYED_TRANSLATE,
+    LABEL_PLAIN,
     LABEL_RIGID_ROTATE,
     LABEL_RIGID_TRANSLATE,
+    MODE_DIRECT,
+    MODE_PRODUCT,
 )
 from cfspectra.finite_algebra import orbit_average
 from cfspectra.koopman_lab import (
@@ -26,6 +38,9 @@ from cfspectra.koopman_lab import (
     _PairCounter,
     weak_limit_probe,
 )
+from cfspectra.session import SessionConfig, synth
+from test_probe_counts import drawn_session, schedules
+from test_probe_tables import dense_values
 
 
 def _scalar_eta_rows(model, label, eta_exp, n0, h_n, delta, mu):
@@ -33,6 +48,7 @@ def _scalar_eta_rows(model, label, eta_exp, n0, h_n, delta, mu):
     counter = _PairCounter(model, n0, False)
     n_cyl = counter.shape[0]
     [values] = _eta_values(counter, model.depth, (h_n,), eta_exp)
+    values = dense_values(n_cyl, values)
     trivial = eta_exp % kappa == 0
     one_step = None
     if label.kind == LABEL_RIGID_TRANSLATE:
@@ -42,6 +58,7 @@ def _scalar_eta_rows(model, label, eta_exp, n0, h_n, delta, mu):
     else:
         pred_kind = "delayed"
         [one_step] = _eta_values(counter, model.depth, (1,), eta_exp)
+        one_step = dense_values(n_cyl, one_step)
     rot = 1.0 + 0j
     if label.kind == LABEL_RIGID_ROTATE:
         rot = cmath.exp(2j * cmath.pi * eta_exp * label.k / kappa)
@@ -76,9 +93,11 @@ def _scalar_chi_rows(session, model, label, d, n0, h_n, delta, mu):
     counter = _PairCounter(model, n0, True)
     n_cyl = counter.shape[0]
     [values] = _chi_values(counter, model.depth, (h_n,), d, n)
+    values = dense_values(n_cyl, values)
     one_step = None
     if label.kind == LABEL_DELAYED_TRANSLATE:
         [one_step] = _chi_values(counter, model.depth, (1,), d, n)
+        one_step = dense_values(n_cyl, one_step)
     l_value = 1.0 + 0j
     if not trivial_d:
         chi = session.duality.character_of_dual(d)
@@ -124,7 +143,7 @@ def scalar_report(session, stage_index, component, report):
     n0 = session.config.cylinder_level
     stage = session.stage(stage_index)
     label = session.label(stage_index)
-    model = session.model(stage_index)
+    model = session.tower_at(stage_index)
     delta = float(stage.delta) if stage.delta is not None else stage.i_count / stage.r_count
     mu = np.full(session.schedule.height(n0), model.cylinder_size(n0) / model.height)
     kind, payload = component
@@ -156,19 +175,96 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("fixture, stage, component", CASES,
-                         ids=[f"{f}-{s}-{c[0]}{c[1]}" for f, s, c in CASES])
-def test_probe_report_equals_scalar_oracle(request, fixture, stage, component):
-    session = request.getfixturevalue(fixture)
-    report = weak_limit_probe(session, stage, component)
+def assert_equals_oracle(session, stage, component, report):
     got = report.to_dict()
     want = scalar_report(session, stage, component, report)
     if json.dumps(got) != json.dumps(want):
         # name the first difference; a diff of the whole text would take minutes
         diff = next(((i, g, w) for i, (g, w) in enumerate(zip(got["rows"], want["rows"]))
                      if json.dumps(g) != json.dumps(w)), None)
-        pytest.fail(f"first differing row (index, probe, oracle): {diff}; "
-                    f"max_deviation {got['max_deviation']!r} vs {want['max_deviation']!r}")
+        pytest.fail(f"stage {stage} {component}: first differing row (index, probe, "
+                    f"oracle): {diff}; max_deviation {got['max_deviation']!r} vs "
+                    f"{want['max_deviation']!r}")
+
+
+@pytest.mark.parametrize("fixture, stage, component", CASES,
+                         ids=[f"{f}-{s}-{c[0]}{c[1]}" for f, s, c in CASES])
+def test_probe_report_equals_scalar_oracle(request, fixture, stage, component):
+    session = request.getfixturevalue(fixture)
+    assert_equals_oracle(session, stage, component, weak_limit_probe(session, stage, component))
+
+
+ROWS_LIMIT = 2500  # probes with more rows than this are not drawn against the oracle
+
+
+# a translate stage under a rotate one, kappa 3; delayed stages in product mode
+@example((MODE_DIRECT, (1, 3), (DeltaBlock(Fraction(1, 2), 4, r_seq=(3, 4, 3, 5)),), 1))
+@example((MODE_PRODUCT, (1, 2), (DeltaBlock(Fraction(1, 2), 5, r_seq=(3, 3, 3, 4, 6)),
+                                 DeltaBlock(Fraction(1, 3), 2, r_seq=(2, 5))), 1))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(schedules())
+def test_probe_equals_scalar_oracle_on_random_schedules(drawn):
+    # every labelled stage from the cylinder level up, eta at e = 0, 1 and
+    # kappa - 1 and chi at the zero and one nonzero d (none on a rotate
+    # stage, which has no chi prediction)
+    session, n0 = drawn_session(drawn)
+    kappa, n_cyl = session.k_order, session.schedule.height(n0)
+    nonzero = [d for d in session.factor_characters() if any(d)][:1]
+    for n in range(n0, session.schedule.depth + 1):
+        label = session.label(n)
+        if label.kind == LABEL_PLAIN:
+            continue
+        components = []
+        if n_cyl**2 <= ROWS_LIMIT:
+            components += [("eta", e) for e in sorted({0, 1 % kappa, kappa - 1})]
+        if label.kind != LABEL_RIGID_ROTATE and (kappa * n_cyl)**2 <= ROWS_LIMIT:
+            components += [("chi", d) for d in [session.ctx.module.zero(), *nonzero]]
+        for component in components:
+            assert_equals_oracle(session, n, component, weak_limit_probe(session, n, component))
+
+
+def test_worst_entry_on_a_cell_no_pair_reaches():
+    # stage 4 translates; eta_0's pairs reach 6 of the 9 cells, and an
+    # unreached cell off the diagonal deviates by its mean term (1 - delta)
+    # mu_f mu_g, more than any reached cell does
+    session = synth(SessionConfig(mode=MODE_PRODUCT, targets=(1, 2), blocks=(
+        DeltaBlock(Fraction(1, 2), 5, r_seq=(3, 3, 3, 4, 6)),)))
+    report = weak_limit_probe(session, 4, ("eta", 0))
+    reached = report.deviations.ravel()[report.tables.cells]
+    assert reached.size < session.schedule.height(1) ** 2
+    assert reached.max() < report.max_deviation == report.deviations.max()
+    assert_equals_oracle(session, 4, ("eta", 0), report)
+
+
+def test_one_step_table_reaching_a_cell_the_values_do_not(probe_product):
+    # stage 2 is a delayed stage; its one-step table, transposed, reaches a
+    # cell of its h_1 table's that no lag-h_1 pair reaches, whose prediction
+    # reads the one-step entry
+    plan = koopman_lab._probe_plan(probe_product, 2, ("eta", 0))
+    counter = _PairCounter(probe_product.tower_at(2), 1, False)
+    (cells, _), (step_cells, _) = _eta_values(counter, 2, plan.steps, 0)
+    n_cyl = probe_product.schedule.height(1)
+    flipped = step_cells % n_cyl * n_cyl + step_cells // n_cyl
+    assert np.setdiff1d(flipped, cells).size
+    for component in [("eta", 0), ("eta", 1), ("chi", (0, 0, 0)), ("chi", (0, 1, 0))]:
+        report = weak_limit_probe(probe_product, 2, component)
+        assert np.isin(flipped, report.tables.cells).all()
+        assert_equals_oracle(probe_product, 2, component, report)
+
+
+def test_large_probe_allocates_for_the_cells_it_reaches(probe_large):
+    # stage 3's eta_0 pairs reach 9,536 of its 88,804 cells; with its rows
+    # unread the probe peaks far below one dense table of them
+    weak_limit_probe(probe_large, 3, ("eta", 0))  # fills the session's caches first
+    tracemalloc.start()
+    try:
+        report = weak_limit_probe(probe_large, 3, ("eta", 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.tables.cells.size < probe_large.schedule.height(1) ** 2 // 8
+    assert peak < 2 * 10**6, peak
+    assert_equals_oracle(probe_large, 3, ("eta", 0), report)
 
 
 def test_probe_renders_rows_only_when_read(request, monkeypatch):

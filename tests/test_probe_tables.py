@@ -11,7 +11,8 @@ to them.  `step_values` in turn must equal the formula on twisted words,
 alpha_l - theta^(beta_l - beta_{l+s}) alpha_{l+s}.  The dense fold
 (`_fold_exponents`) and the dense contractions of the folded tables
 (`oracle_eta_values`, `oracle_chi_values`) are the oracles of the probes'
-sparse fold and per-bucket contraction (test_probe_counts.py).
+sparse fold and per-bucket contraction (test_probe_counts.py), whose
+tables `dense_values` spreads over every cell.
 """
 
 import cmath
@@ -97,6 +98,15 @@ def oracle_chi_values(model, steps, n0, d, phase_order):
                                    g_table[(e_u - e_v) % kappa])
             out[e_u, e_v] = contracted / (model.height * kappa)
     return out
+
+
+def dense_values(n_cyl, table):
+    """A probe table (reached cells, values at them) as the dense array
+    V[..., g, f], 0 at every cell it does not reach."""
+    cells, values = table
+    out = np.zeros((*values.shape[:-1], n_cyl * n_cyl), dtype=complex)
+    out[..., cells] = values
+    return out.reshape(*values.shape[:-1], n_cyl, n_cyl)
 
 
 def fresh_model(session, depth):
