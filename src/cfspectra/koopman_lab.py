@@ -322,17 +322,25 @@ def _module_tables(ctx, module: bool):
 def _runs(lengths, cap):
     """(run, offset) of each element of consecutive runs of the given lengths;
     more elements than the cap are refused before any is listed."""
-    total = int(np.sum(lengths))
+    total = int(lengths.sum())
     if total > cap:
         raise SizeCapError(f"{total} level pairs exceed cap {cap}")
-    run = np.repeat(np.arange(len(lengths)), lengths)
-    starts = np.cumsum(lengths) - lengths
+    run = np.arange(len(lengths)).repeat(lengths)
+    starts = lengths.cumsum() - lengths
     return run, np.arange(run.size) - starts[run]
 
 
 def _at(words, idx):
     """The words at the given level indices."""
-    return tuple(np.take(w, idx, axis=0) for w in words)
+    return tuple(w.take(idx, axis=0) for w in words)
+
+
+def _split(a, n):
+    """(a // n, a mod n) of an int64 array or scalar, n > 0, by // and a
+    multiply-subtract: numpy runs % and np.divmod by a scalar far slower."""
+    q = a // n
+    r = q * n
+    return q, (np.subtract(a, r, out=r) if isinstance(r, np.ndarray) else a - r)
 
 
 _NO_PAIRS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
@@ -347,12 +355,16 @@ def _joined(parts):
 
 
 def _merged(parts):
-    """Tables (keys, counts) summed into one with distinct sorted keys."""
+    """Tables (keys, counts) summed into one with distinct sorted keys, by a
+    stable sort through the parts' sorted runs; distinct keys skip the sum."""
     key, count = _joined(parts)
-    order = np.argsort(key)
-    key, count = key[order], count[order]
-    first = np.flatnonzero(_starts(key))
-    return key[first], np.add.reduceat(count, first)
+    order = key.argsort(kind="stable")
+    key, count = key.take(order), count.take(order)
+    starts = _starts(key)
+    if starts.all():
+        return key, count
+    first = starts.nonzero()[0]
+    return key.take(first), np.add.reduceat(count, first)
 
 
 def _starts(values):
@@ -361,6 +373,15 @@ def _starts(values):
     starts[:1] = True
     np.not_equal(values[1:], values[:-1], out=starts[1:])
     return starts
+
+
+def _distinct(values):
+    """The distinct values, sorted, the bounds of each one's run in their
+    stable sort, and its order: np.unique's, less its costly hash table."""
+    order = values.argsort(kind="stable")
+    values = values.take(order)
+    first = _starts(values).nonzero()[0]
+    return values.take(first), first.tolist() + [values.size], order
 
 
 def _kept(method):
@@ -403,10 +424,8 @@ class _PairCounter:
     The words, entries, boundaries, edges and moves depend only on the
     tower's structure, so one counter serves every stage from n0 up, and
     keeps what it builds for its lifetime.  `count` counts the cyclic
-    tables of any (depth, step)s in one top-down pass, one `pairs` call per
-    depth, and folds each into the buckets of its transition values with
-    no dense table of raw keys.  The eta and chi tables of a (depth, step)
-    are read from its one folded table, eta summing out the module value.
+    tables of any (depth, step)s in one top-down pass and folds each, and
+    the eta and chi tables are read from the folded ones.
     """
 
     def __init__(self, tower, n0: int, module: bool):
@@ -434,17 +453,17 @@ class _PairCounter:
     # -- module arithmetic on vectors ------------------------------------------
 
     def index(self, vecs):
-        """Index of each (unreduced) vector along the last axis."""
-        x = np.zeros(vecs.shape[:-1], dtype=np.int64)
+        """Index of each (unreduced) vector along the last axis; 0 without a module."""
+        x = 0
         for i, (n, place) in enumerate(zip(self.orders.tolist(), self.radix.tolist())):
-            x += vecs[..., i] % n * place
+            x = x + _split(vecs[..., i], n)[1] * place
         return x
 
     def added(self, x, y, sign):
         """Index of the element of index x plus sign times that of index y."""
         out = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
         for n, place in zip(self.orders.tolist(), self.radix.tolist()):
-            out += (x // place + sign * (y // place)) % n * place
+            out += _split(x // place + sign * (y // place), n)[1] * place
         return out
 
     def act(self, k, vecs):
@@ -498,15 +517,11 @@ class _PairCounter:
         if cyclic:
             gaps = np.append(gaps, 0)
         n_a, kappa = self.shape[4], self.kappa
-        groups, group_of = np.unique(
-            (b[left] * kappa + b[right]) * n_a + self.index(v[left] - self.act(delta, v[right])),
-            return_inverse=True)
-        out = []
-        for group, code in enumerate(groups.tolist()):
-            pair, d = divmod(code, n_a)
-            b_1, b_2 = divmod(pair, kappa)
-            out.append((b_1, b_2, d, np.bincount(gaps[group_of == group])))
-        return out
+        codes, bounds, order = _distinct(
+            (b[left] * kappa + b[right]) * n_a + self.index(v[left] - self.act(delta, v[right])))
+        gaps = gaps.take(order)
+        return [(*divmod(code // n_a, kappa), code % n_a, np.bincount(gaps[lo:hi]))
+                for code, lo, hi in zip(codes.tolist(), bounds, bounds[1:])]
 
     @_kept
     def edge(self, m, size, top):
@@ -529,7 +544,7 @@ class _PairCounter:
         if size > self.tower.cap:
             raise SizeCapError(f"{size} edge levels exceed cap {self.tower.cap}")
         levels = np.arange(h - size, h) if top else np.arange(size)
-        col = np.searchsorted(cuts, levels, side="right") - 1
+        col = cuts.searchsorted(levels, side="right") - 1
         y = levels - cuts[col]
         spacer = y >= below
         y[spacer] = 0
@@ -550,38 +565,38 @@ class _PairCounter:
     def encode(self, c, first, second, x):
         """Key of table c, the sides' codes g kappa + b and x."""
         sides, n_a = self.shifted.shape[1], self.shape[4]
-        return ((c * sides + first) * sides + second) * n_a + x
+        key = (c * sides + first) * sides + second
+        return key * n_a + x if n_a > 1 else key  # x is 0 without a module
 
     def decode(self, key):
+        """(c, first, second, x) of each key, split as `_split` splits."""
         sides, n_a = self.shifted.shape[1], self.shape[4]
-        rest, x = np.divmod(key, n_a) if n_a > 1 else (key, 0)  # x is 0 without a module
-        rest, second = np.divmod(rest, sides)
-        c, first = np.divmod(rest, sides)
+        rest, x = _split(key, n_a) if n_a > 1 else (key, 0)  # x is 0 without a module
+        rest, second = _split(rest, sides)
+        c, first = _split(rest, sides)
         return c, first, second, x
 
     def pair_keys(self, first, i1, second, i2, c, count, twists):
         """Table of the word pairs (first[i1[i]], second[i2[i]]), pair i
         counted count[i] times in table c[i], of twist twists[c[i]]; keys may
-        repeat."""
-        keep = np.flatnonzero((first[0][i1] >= 0) & (second[0][i2] >= 0))
-        c, count = c[keep], count[keep]
-        (c1, b1, u1), (c2, b2, u2) = _at(first, i1[keep]), _at(second, i2[keep])
+        repeat.  Every word paired is a cylinder's."""
+        (c1, b1, u1), (c2, b2, u2) = _at(first, i1), _at(second, i2)
         if twists.any():
             u2 = self.act(twists[c], u2)
         kappa = self.kappa
         return self.encode(c, c1 * kappa + b1, c2 * kappa + b2, self.index(u1 - u2)), count
 
     def level_pass(self, lags, weights, twists, wraps):
-        """Pairs (l, l + s) listed level by level over the depth-n0 tower, once
-        per table that counts their lag; the last `wraps` tables wrap l + s."""
+        """Pairs (l, l + s) listed level by level over the depth-n0 tower, all
+        cylinders, once per table that counts their lag; the last `wraps` wrap."""
         words = self.words()
         h = len(words[0])
-        c, i = np.nonzero(weights)
+        c, i = weights.nonzero()
         run, first = _runs(np.where(c >= len(weights) - wraps, h, h - lags[i]), self.tower.cap)
         c, i = c[run], i[run]
         second = first + lags[i]
         if wraps:  # a table that does not wrap pairs no l + s past the top
-            second %= h
+            second = _split(second, h)[1]
         return self.pair_keys(words, first, words, second, c, weights[c, i], twists)
 
     def pairs(self, m, lags, weights, twists, wraps=0, asked=()):
@@ -593,20 +608,16 @@ class _PairCounter:
         after the given tables in the order asked.  Returned as parts whose
         keys may repeat; within a part the tables come in order, each one run
         of keys.  Keys past the int64 range are refused before any is formed.
-
-        One call asks the depth-(m-1) tower for the lags below the column
-        height as they are, then the lower tables of the column offsets of
-        the others, then the asked tables of depth m - 1.
         """
         keys = (len(weights) + len(asked)) * self.table_size
         if keys > 2**63:
             raise SizeCapError(f"pair tables of {keys} keys exceed the int64 key space")
         # a cyclic table's lag is below the height already
-        keep = np.searchsorted(lags, self.heights[m])
+        keep = lags.searchsorted(self.heights[m])
         lags, weights = lags[:keep], weights[:, :keep]
         if m == self.n0:
             return [self.level_pass(lags, weights, twists, wraps)]
-        small = np.searchsorted(lags, self.heights[m - 1])
+        small = lags.searchsorted(self.heights[m - 1])
         lags, weights, big_lags, big_weights = (lags[:small], weights[:, :small],
                                                 lags[small:], weights[:, small:])
         # the given tables go below only with a lag to ask for
@@ -621,13 +632,13 @@ class _PairCounter:
             lower.append((np.array(own), np.eye(len(own), dtype=np.int64), np.zeros_like(own)))
         lower_lags, lower_weights = lags, weights[:n_tables]
         if len(lower) > 1:
-            lower_lags = np.unique(np.concatenate([part[0] for part in lower]))
+            lower_lags = _distinct(np.concatenate([part[0] for part in lower]))[0]
             lower_weights = self.weight_table(sum(len(part[1]) for part in lower),
                                               lower_lags.size, "lower table weights")
             row = 0
             for part_lags, part_weights, _ in lower:
                 lower_weights[row:row + len(part_weights),
-                              np.searchsorted(lower_lags, part_lags)] = part_weights
+                              lower_lags.searchsorted(part_lags)] = part_weights
                 row += len(part_weights)
         parts = self.crossings(m, lags, weights, twists, wraps)
         if lower_lags.size or asked:
@@ -679,9 +690,8 @@ class _PairCounter:
         the columns of stage m."""
         b, v, _, _ = self.stage(m)
         n_a = self.shape[4]
-        moves, copies = np.unique(b * n_a + self.index(v - self.act(delta, v)),
-                                  return_counts=True)
-        return [(*divmod(move, n_a), n) for move, n in zip(moves.tolist(), copies.tolist())]
+        moves, bounds, _ = _distinct(b * n_a + self.index(v - self.act(delta, v)))
+        return [(*divmod(m, n_a), hi - lo) for m, lo, hi in zip(moves.tolist(), bounds, bounds[1:])]
 
     def twist_classes(self, twists, wraps=0):
         """The distinct (twist, cyclic) of the tables, the last `wraps` of them
@@ -689,10 +699,8 @@ class _PairCounter:
         if not (wraps or twists.any()):
             return [(0, 0, None)]
         code = twists * 2 + (np.arange(len(twists)) >= len(twists) - wraps)
-        classes = np.unique(code)
-        if len(classes) == 1:
-            return [(*divmod(int(classes[0]), 2), None)]
-        return [(*divmod(c, 2), code == c) for c in classes.tolist()]
+        classes = sorted(set(code.tolist()))
+        return [(*divmod(c, 2), None if len(classes) == 1 else code == c) for c in classes]
 
     def offsets(self, m, lags, weights, twists, wraps):
         """The pairs of lags s >= h_(m-1) of the depth-m tower, as lower tables.
@@ -717,7 +725,7 @@ class _PairCounter:
         keys = len(weights) * 2 * kappa * kappa * n_a * below
         if keys > 2**63:
             raise SizeCapError(f"column offset groups of {keys} keys exceed the int64 key space")
-        c, i = np.nonzero(weights)  # the (table, lag) entries to list
+        c, i = weights.nonzero()  # the (table, lag) entries to list
         listed = 2 * c.size * cuts.size
         if listed > self.tower.cap:
             raise SizeCapError(f"{listed} column offsets exceed cap {self.tower.cap}")
@@ -725,32 +733,32 @@ class _PairCounter:
         # then two that no level reaches
         ends = np.concatenate((cuts, cuts + self.heights[m], _FAR) if wraps else (cuts, _FAR))
         at = (cuts + lags[i, None]).ravel()  # c_j + s, per (entry, j)
-        k = np.searchsorted(ends, at - below, side="right")
+        k = ends.searchsorted(at - below, side="right")
         k = np.concatenate((k, k + 1))
         t = np.concatenate((at, at)) - ends[k]
-        pair = np.flatnonzero(t > -below)
-        entry, j = np.divmod(pair % at.size, cuts.size)
+        pair = (t > -below).nonzero()[0]
+        entry, j = _split(_split(pair, at.size)[1], cuts.size)
         c, i, k, t = c[entry], i[entry], k[pair], t[pair]
         if 0 < wraps < len(weights):  # only a cyclic table wraps
-            pair = np.flatnonzero((c >= len(weights) - wraps) | (k < cuts.size))
+            pair = ((c >= len(weights) - wraps) | (k < cuts.size)).nonzero()[0]
             c, i, j, k, t = c[pair], i[pair], j[pair], k[pair], t[pair]
-        k %= cuts.size
+        k = _split(k, cuts.size)[1]
         group = ((c * 2 + (t < 0)) * kappa + b[j]) * kappa + b[k]
         if len(self.orders):
             group = group * n_a + self.index(v[j] - (self.act(twists[c], v[k]) if twists.any()
                                                      else v[k]))
         # one sorted pass sums the weights per (group, |t|)
         key, weight = _merged([(group * below + np.abs(t), weights[c, i])])
-        group, span = np.divmod(key, below)
+        group, span = _split(key, below)
         first = _starts(group)
-        spans = np.unique(span)
+        spans = _distinct(span)[0]
         span_weights = self.weight_table(np.count_nonzero(first), spans.size,
                                          "column offset weights")
-        span_weights[np.cumsum(first) - 1, np.searchsorted(spans, span)] = weight
-        rest, d = np.divmod(group[first], n_a)
-        rest, b_k = np.divmod(rest, kappa)
-        rest, b_j = np.divmod(rest, kappa)
-        c, rev = np.divmod(rest, 2)
+        span_weights[first.cumsum() - 1, spans.searchsorted(span)] = weight
+        rest, d = _split(group[first], n_a)
+        rest, b_k = _split(rest, kappa)
+        rest, b_j = _split(rest, kappa)
+        c, rev = _split(rest, 2)
         delta = twists[c]
         span_twists = np.where(rev, b_k - b_j - delta, delta + b_j - b_k) % self.twist_order
         return spans, span_weights, span_twists, (c, rev, b_j, b_k, d)
@@ -798,14 +806,16 @@ class _PairCounter:
                 padded[:, :size + 1] = rows
                 span_weights = np.convolve(padded.ravel(), reach)[reach.size - 1:].reshape(
                     len(rows), width)[:, 1:size + 1]
-                c, span = np.nonzero(span_weights)
+                c, span = span_weights.nonzero()
                 run, k = _runs(span + 1, self.tower.cap)
+                i1 = size - 1 - span[run] + k  # pairs from spacers are dropped
+                keep = ((top[0][i1] >= 0) & (bottom[0][k] >= 0)).nonzero()[0]
+                run, i1, k = run[keep], i1[keep], k[keep]
                 c, span = c[run], span[run]
                 first = (top[0], (top[1] + b_1) % self.kappa,
                          (self.act(-b_1, top[2]) + self.images[0, d_1]) % self.orders)
                 second = (bottom[0], (bottom[1] + b_2) % self.kappa, self.act(-b_2, bottom[2]))
-                parts.append(self.pair_keys(first, size - 1 - span + k, second, k, c,
-                                            span_weights[c, span], twists))
+                parts.append(self.pair_keys(first, i1, second, k, c, span_weights[c, span], twists))
         return parts
 
     def raw(self, asked):
@@ -827,22 +837,22 @@ class _PairCounter:
         (c, g, b, f, b', x) goes to the bucket
         ((g n_cyl + f) kappa + s) |A| + w of table c, for the transition value
         (s, w) = (b - b', theta^b x), theta^b a permutation of the indices.
-        A table's buckets are distinct and sorted, each with the exact sum of
-        its raw counts."""
+        Split by `_split` and merged by `_merged`, a table's buckets are
+        distinct and sorted, each with the exact sum of its raw counts."""
         asked = sorted({(depth, step % self.heights[depth]) for depth, step in asked},
                        reverse=True)
         n_cyl, kappa, _, _, n_a = self.shape
         key, count = self.raw(asked)
         c, first, second, x = self.decode(key)
-        (g, b1), (f, b2) = np.divmod(first, kappa), np.divmod(second, kappa)
+        (g, b1), (f, b2) = _split(first, kappa), _split(second, kappa)
         size = n_cyl * n_cyl * kappa * n_a
-        bucket = ((g * n_cyl + f) * kappa + (b1 - b2) % kappa) * n_a
+        bucket = ((g * n_cyl + f) * kappa + _split(b1 - b2, kappa)[1]) * n_a
         if n_a > 1:
             bucket += self.image_index[b1, x]
         if len(asked) > 1:  # table c's buckets after those of the tables before it
             bucket += c * size
         bucket, count = _merged([(bucket, count)])
-        ends = np.searchsorted(bucket, np.arange(len(asked) + 1) * size).tolist()
+        ends = bucket.searchsorted(np.arange(len(asked) + 1) * size).tolist()
         for c, table in enumerate(asked):
             key = bucket[ends[c]:ends[c + 1]]
             key -= c * size
@@ -859,21 +869,19 @@ class _PairCounter:
 def _eta_values(counter: _PairCounter, depth: int, steps: tuple[int, ...], eta_exp: int):
     """Per s in steps, the cells (g, f) the folded table reaches, coded
     g n_cyl + f and sorted, and V[g, f] = <U_eta^s 1_f, 1_g> at each, over
-    the depth-`depth` tower; every other cell of V is 0.  A folded bucket
-    adds count * eta(s), s the pair's group exponent, to its cell, summed
-    in order of s by one bincount, as a dense contraction would, after a
-    counter with the module sums each (g, f, s)'s run of module values
-    exactly."""
+    the depth-`depth` tower; every other cell of V is 0.  A folded bucket,
+    split as `_split` splits, adds count * eta(s), s the pair's group
+    exponent, to its cell, summed in order of s by one bincount, as a dense
+    contraction would, after a counter with the module sums each (g, f,
+    s)'s run of module values exactly."""
     n_cyl, kappa, _, _, n_a = counter.shape
     phases = np.exp(2j * np.pi * eta_exp * np.arange(kappa) / kappa)
     tables = []
     for step in steps:
         key, count = counter.folded(depth, step)
         if n_a > 1:
-            key = key // n_a
-            first = np.flatnonzero(_starts(key))
-            key, count = key[first], np.add.reduceat(count, first)
-        cell, s = np.divmod(key, kappa)
+            key, count = _merged([(key // n_a, count)])
+        cell, s = _split(key, kappa)
         cells = cell[_starts(cell)]
         values = np.empty(cells.size, dtype=complex)
         values.real = np.bincount(cell, count * phases.real[s], n_cyl * n_cyl)[cells]
@@ -890,9 +898,10 @@ def _chi_values(counter: _PairCounter, depth: int, steps: tuple[int, ...], d,
     eta_{e_u}), 1_g x eta_{e_v}> at each, shape (kappa, kappa, cells), over
     the depth-`depth` tower; every other cell of V is 0.
 
-    A folded bucket (g, f, s, w), (s, w) the transition value, adds count *
-    eta_{e_u}(s) * G[e_u - e_v, w] to entry (g, f), G the group-state sum of
-    the character.  Each entry sums its terms from zero in bucket order and
+    A folded bucket (g, f, s, w), split as `_split` splits, (s, w) the
+    transition value, adds count * eta_{e_u}(s) * G[e_u - e_v, w] to entry
+    (g, f), G the group-state sum of the character, gathered at the buckets
+    once per step.  Each entry sums its terms from zero in bucket order and
     is divided by h kappa last: how np.einsum("gfsw,s,w->gf", ...) rounds
     over the dense buckets while an entry's kappa |A| terms fit in numpy's
     8192-element iterator buffer, at a cost in the nonzero buckets only.
@@ -910,25 +919,26 @@ def _chi_values(counter: _PairCounter, depth: int, steps: tuple[int, ...], d,
         g_table += chi_vals[k] * phases[:, k, None]
     eta_phase = np.exp(2j * np.pi * np.arange(kappa)[:, None] * np.arange(kappa)[None, :] / kappa)
 
-    e_v = np.arange(kappa)
+    e_v, n_bins = np.arange(kappa), kappa * n_cyl * n_cyl
     tables = []
     for step in steps:
         key, count = counter.folded(depth, step)
-        cell, rest = np.divmod(key, kappa * n_a)
-        s, w = np.divmod(rest, n_a)
+        cell, s = _split(key, kappa * n_a)
+        s, w = _split(s, n_a)
         cells = cell[_starts(cell)]
-        # bin (e_v, g, f) per term, terms of one bin in bucket order
+        # row r of e_u's terms sums to bin (r, g, f), read as entry (e_u, e_u - r)
+        g_re, g_im = g_table.real.take(w, axis=1), g_table.imag.take(w, axis=1)
         bins = (e_v[:, None] * (n_cyl * n_cyl) + cell).ravel()
         reached = (e_v[:, None] * (n_cyl * n_cyl) + cells).ravel()
-        values = np.empty((kappa, kappa * cells.size), dtype=complex)
-        for e_u in range(kappa):
+        del cell, w  # before the terms, whose temporaries set the peak
+        values, shape = np.empty((kappa, kappa, cells.size), dtype=complex), (kappa, cells.size)
+        for e_u, rows in enumerate((e_v[:, None] - e_v) % kappa):  # rows e_u - e_v
             t_re, t_im = _cmul(count, 0.0, eta_phase.real[e_u, s], eta_phase.imag[e_u, s])
-            g = (e_u - e_v)[:, None] % kappa
-            t_re, t_im = _cmul(t_re, t_im, g_table.real[g, w], g_table.imag[g, w])
-            values.real[e_u] = np.bincount(bins, t_re.ravel(), kappa * n_cyl * n_cyl)[reached]
-            values.imag[e_u] = np.bincount(bins, t_im.ravel(), kappa * n_cyl * n_cyl)[reached]
+            t_re, t_im = _cmul(t_re, t_im, g_re, g_im)
+            values.real[e_u, rows] = np.bincount(bins, t_re.ravel(), n_bins)[reached].reshape(shape)
+            values.imag[e_u, rows] = np.bincount(bins, t_im.ravel(), n_bins)[reached].reshape(shape)
         values /= h * kappa
-        tables.append((cells, values.reshape(kappa, kappa, cells.size)))
+        tables.append((cells, values))
     return tables
 
 
@@ -1000,17 +1010,17 @@ def _prediction_tables(plan, n: int, inner, mean, tables) -> _CellTables:
     adjoint = None
     if len(plan.steps) > 1:  # tables[1] is the one-step table
         step_cells, step_values = tables[1]
-        g, f = np.divmod(step_cells, n)
+        g, f = _split(step_cells, n)
         flipped = f * n + g
         reached, cells = cells, np.union1d(cells, flipped)
-        values = _spread(values, np.searchsorted(cells, reached), cells.size, 0.0)
-        at, lead = np.searchsorted(cells, flipped), values.ndim - 1
+        values = _spread(values, cells.searchsorted(reached), cells.size, 0.0)
+        at, lead = cells.searchsorted(flipped), values.ndim - 1
         step_values = step_values.transpose(*(np.arange(lead) ^ 1).tolist(), lead)
         adjoint = (_spread(step_values.real, at, cells.size, 0.0),
                    _spread(-step_values.imag, at, cells.size, -0.0))
     # where the diagonal cells g n + g lie among the explicit ones
     on = np.arange(n) * (n + 1)
-    at = np.searchsorted(cells, on)
+    at = cells.searchsorted(on)
     diagonal = at[cells.take(at, mode="clip") == on]
     sides = _weak_limit_prediction(plan.coefficients, plan.lam, plan.delta, inner,
                                    (np.zeros(inner.shape), np.full(inner.shape, -0.0)), mean)
@@ -1046,9 +1056,7 @@ class _ProbePlan:
 
 def _probe_plan(session, stage_index: int, component) -> _ProbePlan:
     """The checks of one component at one stage, in the order weak_limit_probe
-    documents, and what its prediction reads; builds no table.  The
-    state_cap refusal bounds the dense table that the report's rows
-    render, which the probe itself does not build."""
+    documents, and what its prediction reads; builds no table."""
     depth = session.schedule.depth
     if not 1 <= stage_index <= depth:
         raise ParameterError(f"no stage {stage_index} in a {depth}-stage schedule")
@@ -1162,13 +1170,11 @@ def stage_probes(session, probes: dict) -> dict:
     stage's tower, counts every step of every stage in one top-down pass,
     carrying the module only if a chi component passed its checks.  Each
     stage's tables are divided by its own height, and its predictions take
-    its own mu.  The counter lists only the cylinder-depth tower; it
-    refuses that tower, its level pairs, the column offsets, the edge
-    windows and the weight tables over the cap, keys past the int64 range
-    and a stage below the cylinder level (the stage's own height is not
-    checked).  Such a refusal falls back to a counter per stage, each step
-    counted apart: each component that asks for a refused table gets that
-    count's refusal, and the other stages report.
+    its own mu.  A refusal met while counting (an array over the cap, a
+    key past the int64 range, a stage below the cylinder level) falls back
+    to a counter per stage, each step counted apart: each component that
+    asks for a refused table gets that count's refusal, and the other
+    stages report.
     """
     checked = {n: [_or_error(_probe_plan, session, n, component) for component in components]
                for n, components in probes.items()}
@@ -1202,13 +1208,7 @@ def weak_limit_probe(session, stage_index: int, component) -> WeakLimitReport:
     counted as n_cyl^2 kappa for eta, kappa times its rows, and for chi as
     the larger of its (kappa n_cyl)^2 rows and the module images the
     probe builds, kappa |A| rank(A).  The refusals met while counting are
-    stage_probes'.
-
-    The probe holds its tables at the cells (g, f) its pairs reach, and
-    its prediction and deviation there and once per side of the diagonal
-    for every other cell; its verdict is the largest deviation of the
-    dense table, read off those.  The dense arrays and the rows are built
-    when first read.
+    stage_probes'.  The report's tables are as WeakLimitReport describes.
     """
     (result,) = stage_probes(session, {stage_index: [component]})[stage_index]
     if isinstance(result, CfspectraError):

@@ -212,6 +212,16 @@ class SessionConfig:
             if value is not None and value < 1:
                 raise ConfigError(
                     f"malformed value for config key {key}: {value!r} (a {what} of at least 1)")
+        # a stage needs two columns: refused here by key, not when scheduled
+        for key, seq in [("r_seq", self.r_seq)] + [(f"blocks[{i}].r_seq", blk.r_seq or ())
+                                                  for i, blk in enumerate(self.blocks)]:
+            if min(seq, default=2) < 2:
+                raise ConfigError(f"malformed value for config key {key}: {list(seq)!r} "
+                                  "(column counts of at least 2)")
+        for i, blk in enumerate(self.blocks):
+            if blk.r_start is not None and blk.r_start < 2:
+                raise ConfigError(f"malformed value for config key blocks[{i}].r_start: "
+                                  f"{blk.r_start!r} (a column count of at least 2)")
 
     @property
     def num_stages(self) -> int:

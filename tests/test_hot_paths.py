@@ -11,7 +11,8 @@ cylinder-depth tower, and a weak-limit probe lists no deeper one, even for
 lags past a column's height, nor any tower twice, nor a dense table of its
 raw pair counts; its counter groups each stage's column boundaries once.
 The probes of one verify share one counter, which enters each depth once
-for all its stages, and a multiplicity report walks each orbit once.
+for all its stages and splits no key array with np.divmod, and a
+multiplicity report walks each orbit once.
 Decay lists no cylinder start and packs no h-bit indicator.  No command
 renders JSON through json's pure-Python encoder, and a process builds its
 argument parser once.
@@ -481,6 +482,30 @@ def test_chi_probe_builds_no_dense_raw_table(probe_product):
         tracemalloc.stop()
     assert report.passed
     assert peak < dense, (peak, dense)
+
+
+@pytest.mark.parametrize("component", [("eta", 0), ("chi", (1, 0))], ids=["eta0", "chi"])
+def test_probe_splits_no_key_array_with_divmod(scaled_32x32x256, monkeypatch, component):
+    """The pair counter splits its keys, buckets and index arrays by one floor
+    division and a multiply-subtract: numpy runs np.divmod, and % by a
+    scalar, several times slower than // on int64 arrays.  A handful of
+    entries may still go through np.divmod.  % on arrays cannot be spied
+    on, so this test does not see a split written with it, nor the
+    reductions the probe keeps: group exponents mod kappa and module vectors
+    mod their orders (`act`, `edge`, `crossings`, `offsets`, `moved`) and
+    the tables a counter or a chi probe builds once (`_module_tables`,
+    `shifted`, the chi phases)."""
+    sizes = []
+    divmod_ = np.divmod
+
+    def spying(*args, **kwargs):
+        sizes.append(max(np.size(a) for a in args[:2]))
+        return divmod_(*args, **kwargs)
+
+    monkeypatch.setattr(np, "divmod", spying)
+    report = koopman_lab.weak_limit_probe(scaled_32x32x256, 3, component)
+    assert report.passed
+    assert max(sizes, default=0) <= 64, sizes
 
 
 @pytest.mark.parametrize("name", ["direct_12", "product_23", "staircase_mixing"])

@@ -19,7 +19,8 @@ build's untwisting.  The tables of
 any lags and twists, big lags among them, must equal `listed_pairs`, the
 level pass over the whole tower.  One counter that counts the tables of
 every labelled stage in one pass must give each stage the raw and folded
-tables that a counter of that stage alone gives it.
+tables that a counter of that stage alone gives it.  The counter's key
+split must equal np.divmod, and its merge a dict sum.
 """
 
 import tracemalloc
@@ -41,6 +42,7 @@ from cfspectra.koopman_lab import (
     _merged,
     _module_tables,
     _PairCounter,
+    _split,
 )
 from cfspectra.session import SessionConfig, synth
 from test_probe_tables import (
@@ -440,3 +442,54 @@ def test_moved_keys_cost_memory_per_key_not_per_group():
         moved = counter.index(counter.images[0, d[i]] + sign * counter.images[power, w])
         assert got[k] == counter.encode(c[i], counter.shifted[b_j[i], f],
                                         counter.shifted[b_k[i], s], moved)
+
+
+# keys and counts as the counter forms them: small keys repeat, large ones
+# span the int64 range
+KEYS = st.integers(0, 40) | st.integers(0, 2**63 - 1)
+PARTS = st.lists(st.lists(st.tuples(KEYS, st.integers(1, 2**40))), max_size=4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(PARTS)
+@example([])  # no part
+@example([[], []])  # empty parts
+@example([[(5, 1), (2, 3)], [(9, 2), (0, 7)]])  # distinct keys, arriving as sorted runs
+@example([[(3, 1), (3, 2), (1, 4)]])  # a key repeated within a part
+@example([[(3, 1)], [(1, 1)], [(3, 5)]])  # a key repeated across parts
+def test_merge_equals_the_summed_dict(parts):
+    # a merge that skips the segment sum when keys repeat fails the examples
+    # that repeat a key
+    want = {}
+    for part in parts:
+        for key, count in part:
+            want[key] = want.get(key, 0) + count
+    key, count = _merged([(np.array([k for k, _ in part], dtype=np.int64),
+                           np.array([c for _, c in part], dtype=np.int64)) for part in parts])
+    assert key.dtype == count.dtype == np.int64
+    assert key.tolist() == sorted(want)
+    assert count.tolist() == [want[k] for k in sorted(want)]
+
+
+# the split's product (a // n) n stays in the int64 range down to -2^63 + n
+SPLIT_VALUES = st.integers(-2**63 + 2**40, 2**63 - 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(SPLIT_VALUES, max_size=40), st.integers(1, 2**40) | st.just(1))
+@example([-7, -1, 0, 1, 7, -2**62, 2**63 - 1], 1)
+@example([-7, -6, -1, 0, 5, 6], 3)
+def test_split_equals_divmod(values, n):
+    a = np.array(values, dtype=np.int64)
+    got, want = _split(a, n), np.divmod(a, n)
+    for g, w in zip(got, want):
+        assert isinstance(g, np.ndarray) and g.dtype == np.int64 and np.array_equal(g, w)
+    for value in values[:4]:
+        # Python ints stay Python ints; a numpy scalar or a 0-d array, as
+        # `index` meets on one vector, gives numpy scalars
+        assert _split(value, n) == divmod(value, n)
+        assert all(type(g) is int for g in _split(value, n))
+        for scalar in (np.int64(value), np.array(value)):
+            got = _split(scalar, n)
+            assert all(isinstance(g, np.int64) for g in got)
+            assert got == tuple(np.divmod(scalar, n))

@@ -203,12 +203,28 @@ class TestConfig:
         ({"mode": "direct", "targets": [1, 2], "state_cap": -5,
           "blocks": [{"delta": [1, 2], "stages": 2}]},
          "malformed value for config key state_cap: -5 (a cap of at least 1)"),
+        # a stage of fewer than 2 columns, refused at load by its key
+        *(({"mode": "direct", "targets": [1, 2],
+            "blocks": [{"delta": [1, 2], "stages": 2, "r_start": r}]},
+           f"malformed value for config key blocks[0].r_start: {r} "
+           "(a column count of at least 2)") for r in (1, 0, -3)),
+        *(({"mode": "direct", "targets": [1, 2],
+            "blocks": [{"delta": [1, 2], "stages": 2, "r_start": 4},
+                       {"delta": [1, 4], "stages": 2, "r_seq": seq}]},
+           f"malformed value for config key blocks[1].r_seq: {seq} "
+           "(column counts of at least 2)") for seq in ([1, 2], [-2, 3])),
+        ({"mode": "direct", "targets": [1], "shape": "staircase", "r_seq": [1, 3, 4]},
+         "malformed value for config key r_seq: [1, 3, 4] (column counts of at least 2)"),
+        ({"mode": "direct", "targets": [1, 2], "shape": "arithmetic", "r_seq": [2, 1, 2]},
+         "malformed value for config key r_seq: [2, 1, 2] (column counts of at least 2)"),
     ], ids=["no-targets", "no-mode", "misspelled-key", "block-key", "block-missing-key",
             "blocks-not-list", "block-not-object", "not-object", "targets-not-list",
             "state-cap-string", "height-float", "delta-zero-denominator", "r-seq-string",
             "cylinder-level-past-depth", "cylinder-level-negative", "spectra-depth-zero",
             "algebra-depth-zero", "initial-height-zero", "initial-height-negative",
-            "state-cap-zero", "state-cap-negative"])
+            "state-cap-zero", "state-cap-negative", "r-start-one", "r-start-zero",
+            "r-start-negative", "r-seq-one", "r-seq-negative", "staircase-r-seq-one",
+            "arithmetic-r-seq-one"])
     def test_malformed_config_names_the_key(self, doc, path):
         with pytest.raises(ConfigError) as info:
             SessionConfig.from_dict(doc)
@@ -476,6 +492,23 @@ class TestCLI:
         assert main(["synth", "--config", str(path), "--out", str(tmp_path / "n")]) == 1
         assert capsys.readouterr().err == (
             f"error: malformed value for config key ratio_bound: {bound!r} (a finite number)\n")
+
+    def test_stage_of_one_column_is_refused_by_its_key(self, tmp_path, capsys):
+        # refused when the config loads, not when the schedule is built:
+        # synth exits 1, and verify of a bundle whose config.json was edited 2
+        doc = json.loads((CONFIG_DIR / "direct_12.json").read_text())
+        bundle = self.synth_bundle(tmp_path, doc)
+        doc["blocks"][0]["r_start"] = 1
+        message = ("malformed value for config key blocks[0].r_start: 1 "
+                   "(a column count of at least 2)")
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["synth", "--config", str(path), "--out", str(tmp_path / "n")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        (bundle / "config.json").write_text(json.dumps(doc))
+        assert main(["verify", "--bundle", str(bundle), "--suite", "all"]) == 2
+        assert f"bundle failed to load: {message}" in capsys.readouterr().out
 
     def test_oversized_decay_table_is_refused(self, tmp_path, capsys):
         # at cylinder level 9 the pairs of direct_12's cylinders alone number
