@@ -26,7 +26,6 @@ from .cocycle_engine import (
     canonical_word,
     evaluate_cocycle,
     stage_maps,
-    transition_values,
 )
 from .errors import CfspectraError
 from .finite_algebra import (
@@ -49,7 +48,6 @@ from .koopman_lab import (
     disjointness_certificates,
     loop_product,
     multiplicity_report,
-    simplicity_probe,
     stage_probes,
     weak_limit_probe,
 )

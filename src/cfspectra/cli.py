@@ -12,7 +12,11 @@ be written ends the run with `error: ...` and exit 1, and so do a synth
 --out that cannot hold the bundle (`error: bundle not written: ...`; an
 existing file, or a path under one) and a dump --out that cannot be
 written (`error: dump not written: ...`; a missing directory, or a
-directory).
+directory).  A --report or dump --out path that resolves to one of the six
+bundle files of the --bundle directory is refused the same way, before
+anything is written (`error: report not written: ...`, `error: dump not
+written: ...`), since writing it would break the bundle; the default
+verify_report.json is no bundle file.
 
 A bundle is fully determined by its config.json.  verify and dump
 re-synthesize it from there and compare every bundle file below, byte for
@@ -79,6 +83,7 @@ from .koopman_lab import (
     stage_probes,
 )
 from .session import (
+    RENDERED_FILES,
     SessionConfig,
     canonical_json,
     load_bundle,
@@ -309,7 +314,17 @@ def dump_decay(session) -> list:
     return _cylinder_decay(session, session.tower_at(), sorted(lags))
 
 
+def _refuse_bundle_file(path, bundle_dir, what):
+    """Refuse an output path that resolves to one of the bundle's own files;
+    the bundle directory is resolved only for a path with such a name."""
+    target = Path(path).resolve()
+    if target.name in RENDERED_FILES and target.parent == Path(bundle_dir).resolve():
+        raise CfspectraError(f"{what} not written: {path} is the bundle's own {target.name}")
+
+
 def run_dump(bundle_dir, what, fmt, out_path):
+    if out_path:
+        _refuse_bundle_file(out_path, bundle_dir, "dump")
     if fmt == "csv" and what != "decay":
         raise CfspectraError(f"a {what} dump is JSON only; csv is for decay")
     session = _load_session(bundle_dir)
@@ -382,6 +397,8 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "verify":
             suites = SUITES if args.suite == "all" else (args.suite,)
+            if args.report:
+                _refuse_bundle_file(args.report, args.bundle, "report")
             code, results = run_verify(args.bundle, suites)
             report_path = Path(args.report) if args.report else (
                 Path(args.bundle) / "verify_report.json"

@@ -262,11 +262,6 @@ class SemidirectContext:
         """theta^0 .. theta^(k_order - 1): the action's own power table."""
         return self.action.powers
 
-    def act(self, k: int, a):
-        if not isinstance(k, int):
-            raise InvalidElementError(f"{k!r} is not an element of Z/{self.k_order}")
-        return self._automorphisms[k % self.k_order].apply(a)
-
     def check(self, g):
         """g, if it is an element: an int exponent in [0, k_order) and a module element."""
         k, a = g
@@ -277,9 +272,6 @@ class SemidirectContext:
 
     def mul(self, g1, g2):
         return self._mul(self.check(g1), self.check(g2))
-
-    def inv(self, g):
-        return self._inv(self.check(g))
 
     # The unchecked kernel: operands are elements already checked (table
     # entries, products of them), with group exponents reduced mod k_order.
@@ -311,15 +303,6 @@ def _product(word: CoordinateWord, tables, ctx: SemidirectContext):
     return g
 
 
-def word_product(word: CoordinateWord, maps_by_stage, ctx: SemidirectContext):
-    """Left-to-right product of the per-stage table entries along a word.
-
-    A cut missing from its stage's table raises KeyError.
-    """
-    g = _product(word, ctx.tables(maps_by_stage, word.depth), ctx)
-    return ctx.identity() if g is None else g
-
-
 def evaluate_cocycle(x: CoordinateWord, y: CoordinateWord, maps_by_stage,
                      ctx: SemidirectContext):
     """Exact cocycle value between two levels of a common-depth tower.
@@ -338,18 +321,6 @@ def evaluate_cocycle(x: CoordinateWord, y: CoordinateWord, maps_by_stage,
         return ctx.identity() if gx is None else gx
     gy = ctx._inv(gy)
     return gy if gx is None else ctx._mul(gx, gy)
-
-
-def transition_values(schedule: CFSchedule, maps_by_stage, ctx: SemidirectContext):
-    """Cocycle value on every edge level -> level+1 (cyclically) of the full tower."""
-    h = schedule.height(schedule.depth)
-    if h > ENUMERATION_CAP:
-        raise SizeCapError(f"tower height {h} exceeds cap {ENUMERATION_CAP}")
-    words = [canonical_word(l, schedule) for l in range(h)]
-    out = []
-    for l in range(h):
-        out.append(evaluate_cocycle(words[l], words[(l + 1) % h], maps_by_stage, ctx))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +475,3 @@ class TowerModel(Tower):
         d_beta = _step_difference(self.word_beta, steps, self.ctx.k_order)
         d_untwisted = _step_difference(self.word_untwisted, steps, self._orders)
         return d_beta, self._apply_theta_pow(self.word_beta, d_untwisted)
-
-    def cocycle_between(self, l1: int, l2: int):
-        """Exact cocycle value between two levels, from the cached products."""
-        kappa = self.ctx.k_order
-        b1 = int(self.word_beta[l1])
-        db = (b1 - int(self.word_beta[l2])) % kappa
-        u1, u2 = (tuple(int(x) for x in self.word_untwisted[l]) for l in (l1, l2))
-        return db, self.ctx.act(b1, self.ctx.module.sub(u1, u2))

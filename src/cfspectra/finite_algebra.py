@@ -2,11 +2,11 @@
 
 The acting group is cyclic, K = <theta>.  ModuleAction.matrices, the one
 read-only int64 stack of theta^0 .. theta^(|K|-1), owns theta's powers:
-the table of automorphisms that the semidirect context and the character
-twists read is a read of it, the order check reads theta^|K| as theta times
-its last entry, and the tower model and the probes' module tables read it
-directly.  An orbit is one product of the stack with an element, and an
-orbit average takes the character at those |K| images with one more.
+the table of automorphisms that the semidirect context reads is a read of
+it, the order check reads theta^|K| as theta times its last entry, and the
+tower model and the probes' module tables read it directly.  An orbit is
+one product of the stack with an element, and an orbit average takes the
+character at those |K| images with one more.
 
 Everything here is integer/rational arithmetic: group elements are residue
 vectors, a character value e^{2 pi i e/N} is its exponent e in Z/N (N the
@@ -244,25 +244,11 @@ class GroupAutomorphism:
         object.__setattr__(phi, "images", images)
         return phi
 
-    def compose(self, other: "GroupAutomorphism") -> "GroupAutomorphism":
-        """self after other (i.e. a |-> self(other(a))); a composite of two
-        automorphisms is one, so it is built unchecked."""
-        if other.group != self.group:
-            raise InvalidElementError("composing automorphisms of different groups")
-        return self._unchecked(self.group, tuple(self._apply(img) for img in other.images))
-
-    def is_identity(self) -> bool:
-        return self.images == tuple(self.group.generators())
-
     def dual(self) -> "GroupAutomorphism":
         """The adjoint map chi |-> chi o self on the dual group (same orders)."""
         return GroupAutomorphism(self.group, tuple(
             Character(self.group, t).compose_automorphism(self).exponents
             for t in self.group.generators()))
-
-
-def identity_automorphism(group: FiniteAbelianGroup) -> GroupAutomorphism:
-    return GroupAutomorphism._unchecked(group, tuple(group.generators()))
 
 
 def _int64_sums(terms: int, left: int, right: int, what: str):
@@ -336,11 +322,6 @@ class ModuleAction:
         return tuple(GroupAutomorphism._unchecked(self.module, tuple(map(tuple, m)))
                      for m in self.matrices.transpose(0, 2, 1).tolist())
 
-    def automorphism_for(self, k: int) -> GroupAutomorphism:
-        """theta^k for 0 <= k < |K|."""
-        self.group.check((k,))
-        return self.powers[k]
-
 
 # ---------------------------------------------------------------------------
 # characters
@@ -383,12 +364,6 @@ class Character(object):
         n = self.group.exponent
         return Character(self.group, tuple(
             self._evaluate(img) * n_j // n for img, n_j in zip(phi.images, self.group.orders)))
-
-    def compose_action(self, action: ModuleAction, k: int) -> "Character":
-        """The character a |-> self(theta^k a)."""
-        if action.module != self.group:
-            raise CharacterTypeError("action on the wrong module")
-        return self.compose_automorphism(action.automorphism_for(k))
 
 
 def dual_characters(group: FiniteAbelianGroup) -> list[Character]:
@@ -623,25 +598,6 @@ def verify_subgroup(group: FiniteAbelianGroup, elems) -> frozenset:
                 span.append(x)
             step = group.add(step, g)
     return s
-
-
-def subgroup_from_generators(group: FiniteAbelianGroup, gens) -> frozenset:
-    """All sums of multiples of the generators (closure under the group law)."""
-    frontier = {group.zero()}
-    for g in gens:
-        group.check(g)
-        new = set()
-        for base in frontier:
-            x = base
-            while True:
-                new.add(x)
-                x = group.add(x, g)
-                if x == base:
-                    break
-                if len(new) > ENUMERATION_CAP:
-                    raise SizeCapError("subgroup closure exceeds cap")
-        frontier = new
-    return frozenset(frontier)
 
 
 def orbit_traces(action: ModuleAction, subgroup) -> tuple[tuple[Element, ...], ...]:

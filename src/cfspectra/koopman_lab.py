@@ -2,9 +2,10 @@
 
 Components of the composition operator over a tower are phased permutations:
 a successor map on finitely many states with a root-of-unity weight on every
-edge.  Every component is a phased shift along the single tower cycle,
-around which the transition values telescope, so its spectrum is a closed
-form in the height and kappa.  Power averages are evaluated by exact
+edge, which `build_component` returns as two arrays; no command applies one
+to a vector.  Every component is a phased shift along the single tower
+cycle, around which the transition values telescope, so its spectrum is a
+closed form in the height and kappa.  Power averages are evaluated by exact
 bucket counting of phase exponents and judged against one weak-limit
 prediction, delta (a I + b U*) + c P, whose coefficients the component and
 the stage label pick from one table.  The level pairs are counted through
@@ -13,9 +14,9 @@ all probed stages in one pass of one pair counter; correlation decay
 counts the differences of the cylinder starts off the stage cuts.  The
 multiplicity report takes its classes from the triple's trace partition
 and walks orbits only to certify that classes separate, in one scan for
-all its class pairs.  Floating point appears only in least-squares
-residuals and in report summaries; every equality decision is
-integer/rational.
+all its class pairs.  Floating point appears only in the probes'
+deviations from their predictions and in report summaries; every equality
+decision is integer/rational.
 """
 
 from __future__ import annotations
@@ -85,17 +86,6 @@ class PhasedCycleOperator:
     @property
     def n_states(self) -> int:
         return int(self.succ.size)
-
-    def _phases(self) -> np.ndarray:
-        return np.exp(2j * np.pi * self.phase_exp / self.phase_order)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self._phases() * np.asarray(vec)[self.succ]
-
-    def apply_inverse(self, vec: np.ndarray) -> np.ndarray:
-        out = np.empty(self.n_states, dtype=complex)
-        out[self.succ] = np.conj(self._phases()) * np.asarray(vec)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +215,9 @@ class WeakLimitReport:
     imaginary parts and the deviations as ``_CellTables``: explicit at the
     cells the value table or, transposed, the one-step table reaches, by
     side at every other cell.  ``max_deviation`` is read off them.
-    ``values``, ``pred_re``, ``pred_im`` and ``deviations`` are their dense
-    arrays, indexed [g, f] for eta and [e_u, e_v, g, f] for chi, and
-    ``rows`` renders those as one dict per entry; each is built on first
-    read.
+    ``rows`` renders their dense arrays (``tables.dense(name)``, indexed
+    [g, f] for eta and [e_u, e_v, g, f] for chi) as one dict per entry,
+    built on first read.
     """
 
     stage_index: int
@@ -248,25 +237,7 @@ class WeakLimitReport:
         return self.max_deviation <= self.tolerance
 
     @cached_property
-    def values(self) -> np.ndarray:
-        return self.tables.dense("values")
-
-    @cached_property
-    def pred_re(self) -> np.ndarray:
-        return self.tables.dense("pred_re")
-
-    @cached_property
-    def pred_im(self) -> np.ndarray:
-        return self.tables.dense("pred_im")
-
-    @cached_property
-    def deviations(self) -> np.ndarray:
-        return self.tables.dense("deviations")
-
-    @cached_property
     def rows(self) -> list:
-        # the dense tables straight from the cells, not through the cached
-        # views, whose first reads each take a lock
         values, pred_re, pred_im, dev = (self.tables.dense(name) for name in
                                          ("values", "pred_re", "pred_im", "deviations"))
         value = _pairs(values.real, values.imag)
@@ -1549,81 +1520,3 @@ def multiplicity_report(session) -> MultiplicityReport:
         certificates=certs,
         notes=notes,
     )
-
-
-# ---------------------------------------------------------------------------
-# joint cyclicity probe
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SimplicityReport:
-    residuals: list[float]
-    conditioning_flags: list[bool]
-    power_window: int
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals)
-
-
-def _power_matrix(op: PhasedCycleOperator, vec: np.ndarray, window: int) -> np.ndarray:
-    cols = [np.asarray(vec, dtype=complex)]
-    cur = cols[0]
-    for _ in range(window):
-        cur = op.apply(cur)
-        cols.append(cur)
-    cur = cols[0]
-    for _ in range(window):
-        cur = op.apply_inverse(cur)
-        cols.insert(0, cur)
-    return np.stack(cols, axis=1)
-
-
-def simplicity_probe(op1: PhasedCycleOperator, op2: PhasedCycleOperator | None,
-                     v: np.ndarray, power_window: int,
-                     test_vectors: np.ndarray | None = None) -> SimplicityReport:
-    """Least-squares residuals of test vectors against the power span of v,
-    {(op1^q (+) op2^q) v : |q| <= window} on the direct sum of
-    the two state spaces (just op1's powers when op2 is None).  Low
-    residuals witness joint cyclicity; a vector far from the span stays far
-    because the span cannot grow beyond the available distinct eigenvalues.
-    """
-    v = np.asarray(v, dtype=complex)
-    if op2 is None:
-        if v.size != op1.n_states:
-            raise ValueError("test vector has the wrong dimension")
-        m = _power_matrix(op1, v, power_window)
-    else:
-        s1 = op1.n_states
-        if v.size != s1 + op2.n_states:
-            raise ValueError("test vector must live on the direct sum")
-        m1 = _power_matrix(op1, v[:s1], power_window)
-        m2 = _power_matrix(op2, v[s1:], power_window)
-        m = np.concatenate([m1, m2], axis=0)
-    dim = m.shape[0]
-    if test_vectors is None:
-        test_vectors = np.eye(dim, dtype=complex)
-    test_vectors = np.atleast_2d(np.asarray(test_vectors, dtype=complex))
-    try:
-        # rank-revealing basis of the span; plain QR would over-project
-        # when the power columns are dependent
-        u_svd, s_svd, _ = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError:
-        return SimplicityReport([1.0] * test_vectors.shape[0],
-                                [True] * test_vectors.shape[0], power_window)
-    top = s_svd[0] if s_svd.size else 0.0
-    keep = s_svd > max(dim, m.shape[1]) * np.finfo(float).eps * top
-    basis = u_svd[:, keep]
-    rank_deficient = bool(keep.sum() < m.shape[1])
-    residuals, flags = [], []
-    for w in test_vectors:
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            residuals.append(0.0)
-            flags.append(False)
-            continue
-        proj = basis @ (basis.conj().T @ w)
-        residuals.append(float(np.linalg.norm(w - proj) / norm))
-        flags.append(rank_deficient)
-    return SimplicityReport(residuals, flags, power_window)

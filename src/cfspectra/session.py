@@ -56,6 +56,8 @@ SHAPE_STAIRCASE = "staircase"
 SHAPE_ARITHMETIC = "arithmetic"
 
 BUNDLE_FILES = ("config.json", "algebra.json", "schedule.json", "cocycle.json")
+# every file render_bundle writes: the hashed payload, then the two it derives
+RENDERED_FILES = (*BUNDLE_FILES, "validation.json", "manifest.json")
 
 
 def _is_int(x) -> bool:
@@ -206,6 +208,10 @@ class SessionConfig:
         if isinstance(self.ratio_bound, float) and not math.isfinite(self.ratio_bound):
             raise ConfigError(f"malformed value for config key ratio_bound: "
                               f"{self.ratio_bound!r} (a finite number)")
+        # every mass ratio h_n / (h_0 r_1 ... r_n) is at least 1
+        if self.ratio_bound < 1:
+            raise ConfigError(f"malformed value for config key ratio_bound: "
+                              f"{self.ratio_bound!r} (a bound of at least 1)")
         for key, what in (("algebra_depth", "depth"), ("spectra_depth", "depth"),
                           ("initial_height", "height"), ("state_cap", "cap")):
             value = getattr(self, key)

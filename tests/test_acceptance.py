@@ -17,10 +17,10 @@ from cfspectra.koopman_lab import (
     correlation_decay,
     multiplicity_report,
     sample_lags,
-    simplicity_probe,
     weak_limit_probe,
 )
 from cfspectra.module_factory import assemble_triple, dualize
+from oracles import automorphism_for, cocycle_between, compose_action, simplicity_probe
 
 TARGET_SETS = [{1}, {2}, {1, 2}, {2, 3}, {1, 3, 5}, {2, 4, 6}]
 
@@ -86,7 +86,7 @@ class TestAcceptance:
                 v_xy = evaluate_cocycle(x, y, session.maps, ctx)
                 v_yz = evaluate_cocycle(y, z, session.maps, ctx)
                 v_xz = evaluate_cocycle(x, z, session.maps, ctx)
-                assert v_xy == model.cocycle_between(lx, ly), (lx, ly)
+                assert v_xy == cocycle_between(model, lx, ly), (lx, ly)
                 assert ctx.mul(v_xy, v_yz) == v_xz
                 checked += 1
         report("cocycle-identity", True,
@@ -108,12 +108,12 @@ class TestAcceptance:
             # one character of a 3-element class in each factor, one of a 2-element class
             for d in [(0, 1, 0), (1, 0, 0), (1, 1, 0)]:
                 chi = s.duality.character_of_dual(d)
-                values = weak_limit_probe(s, n, ("chi", d)).values
+                values = weak_limit_probe(s, n, ("chi", d)).tables.dense("values")
                 off_diagonal = max(off_diagonal, np.abs(values[e[:, None] != e]).max())
                 for k in range(1, kappa):
-                    twisted = chi.compose_action(action, k).exponents
+                    twisted = compose_action(chi, action, k).exponents
                     phase = np.exp(-2j * np.pi * np.subtract.outer(e, e) * k / kappa)
-                    got = weak_limit_probe(s, n, ("chi", twisted)).values
+                    got = weak_limit_probe(s, n, ("chi", twisted)).tables.dense("values")
                     worst = max(worst, np.abs(got - phase[:, :, None, None] * values).max())
                     checked += 1
         assert checked == 2 * 3 * (kappa - 1) and off_diagonal > 1e-3
@@ -157,7 +157,7 @@ class TestAcceptance:
             # diagonal rows (f = g, e_u = e_v)
             chi = probe_direct.duality.character_of_dual(d)
             l_exact = orbit_average(action, chi, a)
-            exps = [chi.evaluate(action.automorphism_for(k).apply(a))
+            exps = [chi.evaluate(automorphism_for(action, k).apply(a))
                     for k in range(probe_direct.k_order)]
             k_mean = np.mean(np.exp(2j * np.pi * np.array(exps) / chi.group.exponent))
             assert abs(l_exact.value() - k_mean) < 1e-9

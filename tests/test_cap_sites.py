@@ -18,9 +18,6 @@ CAP_SITES = {
         "indices (MAX_HEIGHT)",
     "cli._cylinder_decay":
         "the decay rows, one per cylinder pair and lag (ENUMERATION_CAP)",
-    "cocycle_engine.transition_values":
-        "a canonical word and a cocycle value per level of the full tower "
-        "(ENUMERATION_CAP)",
     "cocycle_engine.TowerModel.__init__":
         "the model's word arrays, one row per level (its cap)",
     "finite_algebra.FiniteAbelianGroup.iter_elements":
@@ -36,8 +33,6 @@ CAP_SITES = {
         "module images', rank times the largest order squared, and the "
         "character exponents', rank times the largest order times the "
         "exponent (2^63)",
-    "finite_algebra.subgroup_from_generators":
-        "the closure set of the generated subgroup (ENUMERATION_CAP)",
     "koopman_lab.build_component":
         "the component's successor and phase arrays, one per level for an eta "
         "component and h kappa states for a chi one (state_cap)",

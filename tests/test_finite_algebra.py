@@ -24,27 +24,22 @@ from cfspectra.finite_algebra import (
     cyclo_equal,
     cyclotomic_polynomial,
     dual_characters,
-    identity_automorphism,
     orbit,
     orbit_average,
     orbit_images,
     orbit_trace_counts,
-    subgroup_from_generators,
     verify_subgroup,
 )
 from cfspectra.module_factory import assemble_triple, dualize
-
-
-def binary_power(phi, m):
-    """Oracle: phi^m by binary powering, one composition per bit of m and one
-    per set bit, independent of the power stack the program reads."""
-    result, base = identity_automorphism(phi.group), phi
-    while m:
-        if m & 1:
-            result = result.compose(base)
-        base = base.compose(base)
-        m >>= 1
-    return result
+from oracles import (
+    automorphism_for,
+    binary_power,
+    compose,
+    compose_action,
+    identity_automorphism,
+    is_identity,
+    subgroup_from_generators,
+)
 
 
 def negation_action(n):
@@ -112,7 +107,7 @@ class TestGroups:
 class TestAutomorphisms:
     def test_identity(self):
         g = FiniteAbelianGroup((2, 3))
-        assert identity_automorphism(g).is_identity()
+        assert is_identity(identity_automorphism(g))
 
     def test_non_bijective_rejected(self):
         g = FiniteAbelianGroup((4,))
@@ -160,8 +155,8 @@ class TestAutomorphisms:
     def test_compose_and_power(self):
         g = FiniteAbelianGroup((7,))
         mul3 = GroupAutomorphism(g, ((3,),))
-        assert mul3.compose(mul3).apply((1,)) == (2,)  # 9 = 2 mod 7
-        assert binary_power(mul3, 6).is_identity()  # 3^6 = 1 mod 7
+        assert compose(mul3, mul3).apply((1,)) == (2,)  # 9 = 2 mod 7
+        assert is_identity(binary_power(mul3, 6))  # 3^6 = 1 mod 7
 
     def test_dual_of_multiplication_is_multiplication(self):
         g = FiniteAbelianGroup((7,))
@@ -173,8 +168,8 @@ class TestAutomorphisms:
         g = FiniteAbelianGroup((3, 3))
         phi = GroupAutomorphism(g, ((0, 1), (1, 0)))  # swap
         psi = GroupAutomorphism(g, ((1, 1), (0, 1)))  # shear
-        lhs = phi.compose(psi).dual()
-        rhs = psi.dual().compose(phi.dual())
+        lhs = compose(phi, psi).dual()
+        rhs = compose(psi.dual(), phi.dual())
         assert lhs.images == rhs.images
 
 
@@ -219,11 +214,11 @@ def test_composites_and_powers_equal_checked_construction(case):
     group, phi, psi, m = case
     power = identity_automorphism(group)
     for _ in range(m):
-        power = phi.compose(power)
-    for built in (phi.compose(psi), binary_power(phi, m)):
+        power = compose(phi, power)
+    for built in (compose(phi, psi), binary_power(phi, m)):
         assert built == GroupAutomorphism(group, built.images)
     elements = list(group.elements())
-    assert [phi.compose(psi).apply(a) for a in elements] == \
+    assert [compose(phi, psi).apply(a) for a in elements] == \
         [phi.apply(psi.apply(a)) for a in elements]
     assert binary_power(phi, m).images == power.images
 
@@ -306,7 +301,7 @@ class TestCharacters:
     def test_compose_action(self):
         act = negation_action(3)
         chi = Character(act.module, (1,))
-        chi_k = chi.compose_action(act, 1)
+        chi_k = compose_action(chi, act, 1)
         assert chi_k.exponents == (2,)  # chi(-x) = conj
 
 
@@ -484,7 +479,7 @@ class TestIntegerPaths:
         g = triple.module
         samples = [g.zero()] + [g.element_by_index(rng.randrange(g.size)) for _ in range(40)]
         for k in range(triple.k_order):
-            phi = triple.action.automorphism_for(k)
+            phi = automorphism_for(triple.action, k)
             for a in samples:
                 assert phi.apply(a) == scale_and_add_apply(phi, a)
 
@@ -608,10 +603,10 @@ class TestSteppedOracles:
             kappa = action.group.size
             theta = action.generator_maps[0]
             # highest k first: the whole chain is composed from one request
-            got = [action.automorphism_for(k) for k in reversed(range(kappa))][::-1]
+            got = [automorphism_for(action, k) for k in reversed(range(kappa))][::-1]
             for k in range(kappa):
                 assert got[k].images == binary_power(theta, k).images, (name, k)
-                assert got[k] is action.automorphism_for(k)
+                assert got[k] is automorphism_for(action, k)
 
     def test_stepped_power_is_validated(self):
         # every new power goes through __post_init__, so a map that is not of
@@ -626,8 +621,8 @@ class TestSteppedOracles:
         with pytest.raises(ValueError):
             ModuleAction(FiniteAbelianGroup((6,)), z7, (neg, dbl))
         with pytest.raises(InvalidElementError):
-            GroupAutomorphism(z7, ((3,),)).compose(identity_automorphism(
-                FiniteAbelianGroup((7, 7))))
+            compose(GroupAutomorphism(z7, ((3,),)),
+                    identity_automorphism(FiniteAbelianGroup((7, 7))))
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(subset_cases())
@@ -680,8 +675,8 @@ def stepped_orbit(theta, a):
 
 def order_of(phi):
     m, power = 1, phi
-    while not power.is_identity():
-        m, power = m + 1, phi.compose(power)
+    while not is_identity(power):
+        m, power = m + 1, compose(phi, power)
     return m
 
 
@@ -704,8 +699,8 @@ def test_stack_orbits_and_averages_equal_the_scalar_oracles(case):
     theta, kappa = action.generator_maps[0], action.group.size
     for k in range(kappa):
         assert np.array_equal(action.matrices[k], binary_power(theta, k).matrix), k
-        assert action.automorphism_for(k).images == binary_power(theta, k).images
-    assert binary_power(theta, kappa).is_identity()  # the action checked theta^kappa
+        assert automorphism_for(action, k).images == binary_power(theta, k).images
+    assert is_identity(binary_power(theta, kappa))  # the action checked theta^kappa
     n = action.module.exponent
     for a in action.module.elements():
         walk = stepped_orbit(theta, a)
@@ -717,7 +712,7 @@ def test_stack_orbits_and_averages_equal_the_scalar_oracles(case):
             want.root_order, want.coeffs, want.denominator), a
     assert len(orbit(action, action.module.zero())) == 1
     assert conjugate_exponents(action, chi) == [
-        chi.compose_action(action, k).exponents for k in range(kappa)]
+        compose_action(chi, action, k).exponents for k in range(kappa)]
 
 
 def test_orbit_shorter_than_k_is_averaged_over_its_distinct_elements():

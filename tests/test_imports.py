@@ -1,6 +1,8 @@
 """Every name a library module, a test or a demo imports must be used in
 that file, and every public definition, constants included, must have a
-caller outside the tests.
+caller outside the tests: no exception is allowed.  What only the tests
+call lives in tests/oracles.py, every public name of which another test
+must take from it, and no package module imports from tests/.
 
 The package's __init__ re-exports names by importing them, so it is exempt
 from the import check, and its imports are not callers.  A string that
@@ -19,33 +21,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cfspectra"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 USERS = sorted([*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
-IMPORTERS = MODULES + sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
-
-# definitions kept although nothing in src/, demos/ or perfbench/ calls them
-KEPT = {
-    "cocycle_engine.word_product":
-        "scalar oracle for the TowerModel word-product arrays",
-    "cocycle_engine.transition_values":
-        "scalar oracle for TowerModel.step_values",
-    "cocycle_engine.TowerModel.cocycle_between":
-        "the cocycle-identity acceptance criterion reads the model through it",
-    "finite_algebra.Character.compose_action":
-        "the certificate oracles twist by it, one power at a time, apart from "
-        "conjugate_exponents' one product",
-    "finite_algebra.GroupAutomorphism.compose":
-        "the binary-powering oracle of ModuleAction.matrices multiplies with it",
-    "finite_algebra.GroupAutomorphism.is_identity":
-        "the order tests read the binary powers with it",
-    "finite_algebra.identity_automorphism":
-        "the binary-powering oracle starts from it; the trivial actions of "
-        "the orbit tests act by it",
-    "finite_algebra.subgroup_from_generators":
-        "generates the subgroups of the verify_subgroup property test",
-    "koopman_lab.simplicity_probe":
-        "the joint-cyclicity acceptance criterion runs it",
-    "koopman_lab.SimplicityReport.max_residual":
-        "the joint-cyclicity acceptance criterion reads it",
-}
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+ORACLES = ROOT / "tests" / "oracles.py"
+IMPORTERS = MODULES + sorted([*TESTS, *(ROOT / "demos").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -125,6 +103,49 @@ def user_sources() -> list[str]:
     return [p.read_text() for p in USERS]
 
 
+def oracle_callers(sources: list[str]) -> set[str]:
+    """Names the sources take from the oracle module: imported from it, or
+    read off it as an attribute."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module == "oracles":
+                names.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "oracles"):
+                names.add(node.attr)
+    return names
+
+
+def uncalled_oracles(oracles: str, tests: list[str]) -> list[str]:
+    """Public top-level definitions of the oracle module (its source) that
+    none of the tests takes from it."""
+    called = oracle_callers(tests)
+    return sorted(name for name, _ in public_definitions(ast.parse(oracles))
+                  if "." not in name and name not in called)
+
+
+def other_test_sources() -> list[str]:
+    return [p.read_text() for p in TESTS if p != ORACLES]
+
+
+def imports_from_tests(modules: dict[str, str]) -> list[str]:
+    """'module: imported' for each import of a tests/ module (or of tests
+    itself) by the modules (name -> source)."""
+    test_modules = {"tests", *(p.stem for p in TESTS)}
+    found = []
+    for module, source in modules.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            found += [f"{module}: {root}" for root in roots if root in test_modules]
+    return sorted(found)
+
+
 def test_checker_sees_an_unused_import():
     assert unused_imports("import os\nfrom math import gcd, lcm\nlcm(2, 3)\n") == [
         "gcd (line 2)", "os (line 1)"]
@@ -136,14 +157,7 @@ def test_no_unused_imports(path):
 
 
 def test_every_public_definition_has_a_caller():
-    assert [d for d in dead_definitions(package_sources(), user_sources())
-            if d not in KEPT] == []
-
-
-def test_kept_definitions_exist_and_have_no_caller():
-    # an entry whose definition is gone, or has gained a caller, is stale
-    assert sorted(KEPT) == [d for d in dead_definitions(package_sources(), user_sources())
-                            if d in KEPT]
+    assert dead_definitions(package_sources(), user_sources()) == []
 
 
 def test_guard_flags_a_readded_dead_definition():
@@ -157,7 +171,7 @@ def test_guard_flags_a_readded_dead_definition():
         "    def orphan_method(self):\n"
         "        \"\"\"OrphanHolder.orphan_method\"\"\"\n"
         "        return self.orphan_method\n")
-    assert [d for d in dead_definitions(modules, user_sources()) if d not in KEPT] == [
+    assert dead_definitions(modules, user_sources()) == [
         "cocycle_engine.ORPHAN_CONSTANT",
         "cocycle_engine.OrphanHolder",
         "cocycle_engine.OrphanHolder.orphan_method",
@@ -176,3 +190,49 @@ def test_guard_counts_strings_only_outside_the_package():
     assert "cocycle_engine.orphan_function" in dead
     traced = user_sources() + ["TARGETS = ('cocycle_engine.orphan_function',)\n"]
     assert "cocycle_engine.orphan_function" not in dead_definitions(modules, traced)
+
+
+def test_guard_flags_an_oracle_put_back_into_the_package():
+    # the tests' callers of an oracle are no callers of a package copy of it
+    oracles = ORACLES.read_text()
+    tree = ast.parse(oracles)
+    moved = [ast.get_source_segment(oracles, node) for node in tree.body
+             if isinstance(node, ast.FunctionDef)
+             and node.name in ("word_product", "transition_values")]
+    modules = package_sources()
+    modules["cocycle_engine"] += "".join(f"\n\n{body}\n" for body in moved)
+    assert dead_definitions(modules, user_sources()) == [
+        "cocycle_engine.transition_values", "cocycle_engine.word_product"]
+
+
+def test_every_oracle_has_a_caller_in_another_test():
+    assert uncalled_oracles(ORACLES.read_text(), other_test_sources()) == []
+
+
+def test_oracle_guard_flags_an_uncalled_oracle():
+    # a name the oracle module itself calls, or a private one, needs no
+    # caller; a public one does, until a test imports it or reads it off
+    # the module
+    oracles = ORACLES.read_text() + (
+        "\n\ndef orphan_oracle(x):\n"
+        "    return orphan_oracle(x - 1) if x else _helper()\n"
+        "\n\ndef _helper():\n"
+        "    return 0\n")
+    tests = other_test_sources()
+    assert uncalled_oracles(oracles, tests) == ["orphan_oracle"]
+    assert uncalled_oracles(oracles, tests + ["from oracles import orphan_oracle\n"]) == []
+    assert uncalled_oracles(oracles, tests + ["import oracles\noracles.orphan_oracle(2)\n"]) == []
+
+
+def test_no_package_module_imports_from_the_tests():
+    assert imports_from_tests({p.stem: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def test_test_import_guard_flags_every_form():
+    modules = {
+        "cocycle_engine": "from oracles import act\n",
+        "koopman_lab": "import test_finite_algebra as fa, numpy\n",
+        "session": "from tests.oracles import act\nfrom .errors import ConfigError\n",
+    }
+    assert imports_from_tests(modules) == [
+        "cocycle_engine: oracles", "koopman_lab: test_finite_algebra", "session: tests"]

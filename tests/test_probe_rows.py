@@ -230,9 +230,10 @@ def test_worst_entry_on_a_cell_no_pair_reaches():
     session = synth(SessionConfig(mode=MODE_PRODUCT, targets=(1, 2), blocks=(
         DeltaBlock(Fraction(1, 2), 5, r_seq=(3, 3, 3, 4, 6)),)))
     report = weak_limit_probe(session, 4, ("eta", 0))
-    reached = report.deviations.ravel()[report.tables.cells]
+    deviations = report.tables.dense("deviations")
+    reached = deviations.ravel()[report.tables.cells]
     assert reached.size < session.schedule.height(1) ** 2
-    assert reached.max() < report.max_deviation == report.deviations.max()
+    assert reached.max() < report.max_deviation == deviations.max()
     assert_equals_oracle(session, 4, ("eta", 0), report)
 
 

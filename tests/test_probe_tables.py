@@ -22,6 +22,7 @@ import pytest
 
 from cfspectra.cocycle_engine import TowerModel
 from cfspectra.koopman_lab import _mixed_radix, _module_tables, _pairing_weights
+from oracles import act, cocycle_between, inv
 
 
 def level_pass_counts(model, steps, n0, module):
@@ -217,12 +218,12 @@ def test_transition_values_equal_scalar_products_on_random_words(random_words):
 
     def product(l):
         b = int(model.word_beta[l])
-        return b, ctx.act(b, tuple(int(x) for x in model.word_untwisted[l]))
+        return b, act(ctx, b, tuple(int(x) for x in model.word_untwisted[l]))
 
     steps = 7
     d_beta, d_alpha = model.step_values(steps)
     for l in range(0, h, 5):
-        want = ctx.mul(product(l), ctx.inv(product((l + steps) % h)))
+        want = ctx.mul(product(l), inv(ctx, product((l + steps) % h)))
         assert (int(d_beta[l]), tuple(int(x) for x in d_alpha[l])) == want
-        assert model.cocycle_between(l, (l + 3 * steps) % h) == ctx.mul(
-            product(l), ctx.inv(product((l + 3 * steps) % h)))
+        assert cocycle_between(model, l, (l + 3 * steps) % h) == ctx.mul(
+            product(l), inv(ctx, product((l + 3 * steps) % h)))

@@ -22,9 +22,11 @@ from cfspectra.session import (
     _BLOCK_SCHEMA,
     _CONFIG_SCHEMA,
     BUNDLE_FILES,
+    RENDERED_FILES,
     SessionConfig,
     canonical_json,
     load_bundle,
+    render_bundle,
     save_bundle,
     synth,
 )
@@ -248,6 +250,12 @@ class TestSynth:
                      "validation.json", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_rendered_files_name_every_bundle_file(self, tmp_path):
+        session = synth(small_direct_config())
+        assert tuple(render_bundle(session)) == RENDERED_FILES
+        save_bundle(session, tmp_path / "b")
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == sorted(RENDERED_FILES)
+
     def test_load_roundtrip(self, tmp_path):
         session = synth(small_direct_config())
         save_bundle(session, tmp_path / "b")
@@ -397,6 +405,43 @@ class TestCLI:
                      "--report", str(tmp_path / "r.json")]) == 0
         assert json.loads((tmp_path / "r.json").read_text())["algebra"]["passed"]
 
+    @pytest.mark.parametrize("command", ["verify", "dump"])
+    def test_output_onto_a_bundle_file_is_refused(self, tmp_path, capsys, command):
+        # verify --report B/cocycle.json used to pass and leave a bundle that
+        # the next verify refused; every spelling of a bundle file is refused
+        # before anything is written
+        bundle = self.synth_bundle(tmp_path, {"mode": "direct", "targets": [1],
+                                              "shape": "staircase", "r_seq": [2, 3]})
+        (tmp_path / "link").symlink_to(bundle, target_is_directory=True)
+        before = {name: (bundle / name).read_bytes() for name in RENDERED_FILES}
+        what = "report" if command == "verify" else "dump"
+        for name in RENDERED_FILES:
+            for path in (bundle / name, bundle / ".." / bundle.name / name,
+                         tmp_path / "link" / name):
+                if command == "verify":
+                    args = ["verify", "--bundle", str(bundle), "--suite", "algebra",
+                            "--report", str(path)]
+                else:
+                    args = ["dump", "--bundle", str(bundle), "--what", "spectra",
+                            "--out", str(path)]
+                capsys.readouterr()
+                assert main(args) == 1
+                captured = capsys.readouterr()
+                assert captured.err == (
+                    f"error: {what} not written: {path} is the bundle's own {name}\n")
+                assert captured.out == ""
+        assert {name: (bundle / name).read_bytes() for name in RENDERED_FILES} == before
+        assert not (bundle / "verify_report.json").exists()
+        # the bundle still loads, and a path in its directory that is no
+        # bundle file, the default report path among them, is written
+        assert main(["verify", "--bundle", str(bundle), "--suite", "algebra"]) == 0
+        assert main(["verify", "--bundle", str(bundle), "--suite", "algebra",
+                     "--report", str(bundle / "verify_report.json")]) == 0
+        assert main(["dump", "--bundle", str(bundle), "--what", "spectra",
+                     "--out", str(bundle / "spectra.json")]) == 0
+        assert json.loads((bundle / "spectra.json").read_text())["components"]
+        assert {name: (bundle / name).read_bytes() for name in RENDERED_FILES} == before
+
     def test_corrupted_subgroup_exits_2(self, tmp_path):
         cfg = {
             "mode": "direct", "targets": [1, 2],
@@ -492,6 +537,32 @@ class TestCLI:
         assert main(["synth", "--config", str(path), "--out", str(tmp_path / "n")]) == 1
         assert capsys.readouterr().err == (
             f"error: malformed value for config key ratio_bound: {bound!r} (a finite number)\n")
+
+    @pytest.mark.parametrize("bound", [-1, 0.5], ids=str)
+    def test_ratio_bound_below_one_is_refused(self, tmp_path, capsys, bound):
+        # every mass ratio is at least 1, so such a bound fails every verify
+        cfg = {"mode": "direct", "targets": [1], "shape": "staircase", "r_seq": [2, 3],
+               "ratio_bound": bound}
+        path = tmp_path / "bound.json"
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["synth", "--config", str(path), "--out", str(tmp_path / "n")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: malformed value for config key ratio_bound: {bound!r} "
+            "(a bound of at least 1)\n")
+        assert not (tmp_path / "n").exists()
+        with pytest.raises(ConfigError, match="ratio_bound"):
+            SessionConfig.from_dict(cfg)
+
+    @pytest.mark.parametrize("bound", [1, 100.0], ids=str)
+    def test_ratio_bound_of_at_least_one_is_accepted(self, tmp_path, bound):
+        cfg = {"mode": "direct", "targets": [1], "shape": "staircase", "r_seq": [2, 3],
+               "ratio_bound": bound}
+        bundle = self.synth_bundle(tmp_path, cfg)
+        assert load_bundle(bundle).config.ratio_bound == bound
+        # the shipped configs take the default, 100.0
+        assert {SessionConfig.from_json(p.read_text()).ratio_bound
+                for p in CONFIG_DIR.glob("*.json")} == {100.0}
 
     def test_stage_of_one_column_is_refused_by_its_key(self, tmp_path, capsys):
         # refused when the config loads, not when the schedule is built:

@@ -29,7 +29,7 @@ def outcome(result):
     refusal as its type and message."""
     if isinstance(result, CfspectraError):
         return type(result).__name__, str(result)
-    return result.to_dict(), result.values.tobytes()
+    return result.to_dict(), result.tables.dense("values").tobytes()
 
 
 def one_by_one(session, n, components):

@@ -17,11 +17,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfspectra.cf_builder import DeltaBlock
-from cfspectra.cocycle_engine import MODE_DIRECT, MODE_PRODUCT, Tower, TowerModel
+from cfspectra.cocycle_engine import (
+    LABEL_RIGID_ROTATE,
+    MODE_DIRECT,
+    MODE_PRODUCT,
+    Tower,
+    TowerModel,
+)
 from cfspectra.errors import ParameterError
 from cfspectra.koopman_lab import exact_spectrum
 from cfspectra.session import SessionConfig, synth
-from test_finite_algebra import binary_power, refusal_peak
+from oracles import binary_power
+from test_finite_algebra import refusal_peak
 
 
 def per_cut_word_products(model):
@@ -65,6 +72,35 @@ def assert_matches_oracle(model):
                                      "probe_direct", "probe_product", "probe_large"])
 def test_word_products_equal_per_cut_build(request, fixture):
     assert_matches_oracle(request.getfixturevalue(fixture).model())
+
+
+@pytest.fixture(scope="module")
+def twisted_rotate():
+    # direct {1,2,3}: kappa = 6 on Z/2 + Z/3 + Z/7 + Z/7; stage 3 translates
+    # by (0, 0, 0, 1) and stage 4 rotates by k = 1 over it
+    return synth(SessionConfig(mode=MODE_DIRECT, targets=(1, 2, 3),
+                               blocks=(DeltaBlock(Fraction(1, 2), 4, r_seq=(4, 4, 4, 4)),)))
+
+
+def test_rotate_blocks_untwist_by_theta_inverse(twisted_rotate):
+    # a fixed case for the one twist of the build, theta^(-b_c) on a rotate
+    # block: theta, its transpose and its inverse are three matrices here,
+    # and the block twists a non-zero module part, so a transposed theta or
+    # theta^(b_c) in its place fails
+    session = twisted_rotate
+    mats = session.ctx.action.matrices
+    assert session.k_order >= 3
+    assert not np.array_equal(mats[1], mats[1].T) and not np.array_equal(mats[1], mats[-1])
+    assert session.label(4).kind == LABEL_RIGID_ROTATE and set(session.maps[3].beta) == {0, 5}
+    assert session.model(3).word_untwisted.any()
+    model = session.model()
+    assert_matches_oracle(model)
+    # (beta, untwisted) per level: theta^(-5) = theta sends (0, 0, 0, 6) to
+    # (0, 0, 3, 0), where its transpose and its inverse give (0, 0, 6, 0)
+    words, counts = np.unique(np.column_stack([model.word_beta, model.word_untwisted]),
+                              axis=0, return_counts=True)
+    assert dict(zip(map(tuple, words.tolist()), counts.tolist())) == {
+        (0, 0, 0, 0, 0): 23, (0, 0, 0, 0, 6): 63, (5, 0, 0, 0, 0): 66, (5, 0, 0, 3, 0): 189}
 
 
 def test_probe_fixtures_reuse_blocks_with_acting_labels(probe_direct):
