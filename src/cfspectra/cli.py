@@ -6,6 +6,8 @@
 
 Verify exit codes: 0 all gated checks pass, 2 algebra, 3 weak limits,
 4 mixing trend, 5 multiplicity (first failing suite in that order).
+A usage error (an unknown --suite, a missing --bundle) prints the usage
+and exits 1, so it never reads as a failed algebra suite; --help exits 0.
 A verify run also writes its suite reports next to the bundle
 (verify_report.json, or the --report path).  A --report path that cannot
 be written ends the run with `error: ...` and exit 1, and so do a synth
@@ -30,9 +32,13 @@ and exit 1; the message names the key path (for example `blocks[1].stage`).
 A schedule with more than 10**6 columns over all its stages, or a tower
 taller than 2**63 - 1 levels, is refused the same way before it is built,
 and so is a cylinder_level outside 0..(number of stages), or an
-initial_height, state_cap or spectra_depth below 1.  verify and dump
-refuse each array they would build over more entries than state_cap (the
-dense table a weak-limit probe's rows render, or its module images; the
+initial_height, state_cap or spectra_depth below 1.  So is an
+algebra_depth whose algebra cannot realize the targets: the set of the
+first algebra_depth targets, with 2 added in product mode (the square
+factor's), must be the whole target set, so only product [1, 2] may
+stop short of its last target, and no depth may exceed the target count.
+verify and dump refuse each array they would build over more entries
+than state_cap (the dense table a weak-limit probe's rows render, or its module images; the
 cylinder-depth tower a probe lists, its level pairs and column offsets,
 the only tower and pairs it lists, and its tables of pair weights; the
 column pairs of correlation decay), and a decay table of
@@ -359,12 +365,22 @@ def run_dump(bundle_dir, what, fmt, out_path):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, its subcommands' parsers included, whose usage
+    error exits 1, as every other refused input does: exit 2 is a failed
+    algebra suite."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process: parsing leaves it
     unchanged, and argparse builds a help formatter for every argument."""
-    p = argparse.ArgumentParser(prog="cfspectra", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="cfspectra", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("synth", help="build a bundle from a config")

@@ -830,7 +830,9 @@ class _PairCounter:
             self.tables[table] = key, count[ends[c]:ends[c + 1]]
 
     def folded(self, depth, step):
-        """The folded table of (depth, step), counted alone unless counted."""
+        """The folded table of (depth, step), counted alone unless counted:
+        how a table is counted when the joint `count` pass that asked for it
+        met a refusal, which stores no table."""
         step %= self.heights[depth]
         if (depth, step) not in self.tables:
             self.count([(depth, step)])
@@ -1066,13 +1068,6 @@ def _probe_plan(session, stage_index: int, component) -> _ProbePlan:
     return _ProbePlan(kind, payload, trivial, pred_kind, coefficients, lam, delta, steps)
 
 
-def _probe_tables(session, stage_index: int, plan: _ProbePlan, counter: _PairCounter):
-    """The plan with the component's power-average tables at its steps."""
-    if plan.kind == "eta":
-        return plan, _eta_values(counter, stage_index, plan.steps, plan.payload)
-    return plan, _chi_values(counter, stage_index, plan.steps, plan.payload, session.root_order)
-
-
 def _or_error(function, *args):
     """function(*args), or the CfspectraError it raises, rid of the frames
     (and counters) its traceback holds."""
@@ -1082,29 +1077,10 @@ def _or_error(function, *args):
         return exc.with_traceback(None)
 
 
-def _tables(session, plans: dict) -> dict:
-    """Each plan with its tables, from one counter counting every (stage, step) at once."""
-    module = any(plan.kind == "chi" for stage in plans.values() for plan in stage)
-    counter = _PairCounter(session.tower_at(max(plans)), session.config.cylinder_level, module)
-    counter.count([(n, step) for n, stage in plans.items() for plan in stage
-                   for step in plan.steps])
-    return {n: [_probe_tables(session, n, plan, counter) for plan in stage]
-            for n, stage in plans.items()}
-
-
-def _stage_tables(session, stage_index: int, plans) -> list:
-    """Each plan of one stage with its tables, or the refusal met counting
-    them, from a counter on the stage's tower that counts each step apart."""
-    counter = _or_error(_PairCounter, session.tower_at(stage_index),
-                        session.config.cylinder_level, any(plan.kind == "chi" for plan in plans))
-    if isinstance(counter, CfspectraError):
-        return [counter] * len(plans)
-    return [_or_error(_probe_tables, session, stage_index, plan, counter) for plan in plans]
-
-
-def _probe_report(session, stage_index: int, plan: _ProbePlan, tables) -> WeakLimitReport:
-    """The component's tables against its prediction, for mu the measure of
-    every depth-n0 cylinder in the stage's tower."""
+def _probe_report(session, stage_index: int, plan: _ProbePlan,
+                  counter: _PairCounter) -> WeakLimitReport:
+    """The component's tables, read off the counter, against its prediction,
+    for mu the measure of every depth-n0 cylinder in the stage's tower."""
     stage, n0, kappa = session.stage(stage_index), session.config.cylinder_level, session.k_order
     n_cyl = session.schedule.height(n0)
     mu = session.tower_at(stage_index).cylinder_size(n0) / session.schedule.height(stage_index)
@@ -1114,9 +1090,11 @@ def _probe_report(session, stage_index: int, plan: _ProbePlan, tables) -> WeakLi
     # multiply to mu_f mu_g [e = e' = 0]; an eta table has no e axes, and its
     # mean is nonzero only for eta trivial
     if plan.kind == "eta":
+        tables = _eta_values(counter, stage_index, plan.steps, payload)
         chars, means = 1.0, float(plan.trivial)
         record = {"kind": "eta", "eta": payload}
     else:
+        tables = _chi_values(counter, stage_index, plan.steps, payload, session.root_order)
         chars = np.eye(kappa)
         means = chars * (np.arange(kappa) == 0)
         record = {"kind": "chi", "d": list(payload)}
@@ -1137,26 +1115,27 @@ def stage_probes(session, probes: dict) -> dict:
 
     ``probes`` maps a stage index to its components; returns, per stage,
     one WeakLimitReport or one CfspectraError per component, in order.
-    Every component's checks run first.  Then one counter, on the deepest
-    stage's tower, counts every step of every stage in one top-down pass,
-    carrying the module only if a chi component passed its checks.  Each
-    stage's tables are divided by its own height, and its predictions take
-    its own mu.  A refusal met while counting (an array over the cap, a
-    key past the int64 range, a stage below the cylinder level) falls back
-    to a counter per stage, each step counted apart: each component that
+    Every component's checks run first.  Then one counter, on the full
+    tower, counts every step of every stage in one top-down pass, carrying
+    the module only if a chi component passed its checks.  Each stage's
+    tables are divided by its own height, and its predictions take its own
+    mu.  A refusal met in that pass (an array over the cap, a key past the
+    int64 range, a stage below the cylinder level) stores no table, and
+    each component then has its tables counted alone by the same counter,
+    one step at a time, reusing what the pass built: each component that
     asks for a refused table gets that count's refusal, and the other
     stages report.
     """
     checked = {n: [_or_error(_probe_plan, session, n, component) for component in components]
                for n, components in probes.items()}
-    plans = {n: live for n, stage in checked.items()
-             if (live := [plan for plan in stage if isinstance(plan, _ProbePlan)])}
-    counted = _or_error(_tables, session, plans) if plans else {}
-    if isinstance(counted, CfspectraError):
-        counted = {n: _stage_tables(session, n, stage) for n, stage in plans.items()}
-    tables = {n: iter(counted.get(n, ())) for n in checked}
-    return {n: [c if isinstance(c, CfspectraError) else _probe_report(session, n, *c)
-                for c in (p if isinstance(p, CfspectraError) else next(tables[n]) for p in stage)]
+    plans = [(n, plan) for n, stage in checked.items() for plan in stage
+             if isinstance(plan, _ProbePlan)]
+    if plans:
+        counter = _PairCounter(session.tower_at(), session.config.cylinder_level,
+                               any(plan.kind == "chi" for _, plan in plans))
+        _or_error(counter.count, [(n, step) for n, plan in plans for step in plan.steps])
+    return {n: [_or_error(_probe_report, session, n, p, counter) if isinstance(p, _ProbePlan)
+                else p for p in stage]
             for n, stage in checked.items()}
 
 

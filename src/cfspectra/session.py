@@ -218,6 +218,18 @@ class SessionConfig:
             if value is not None and value < 1:
                 raise ConfigError(
                     f"malformed value for config key {key}: {value!r} (a {what} of at least 1)")
+        # the algebra of the first algebra_depth targets, with the square
+        # factor's 2 in product mode, must realize every target, or the
+        # bundle's multiplicity suite can never pass
+        if self.algebra_depth is not None:
+            realized = set(self.targets[:self.algebra_depth])
+            if self.mode == MODE_PRODUCT:
+                realized.add(2)
+            if self.algebra_depth > len(self.targets) or realized != set(self.targets):
+                raise ConfigError(
+                    f"malformed value for config key algebra_depth: {self.algebra_depth!r} "
+                    f"(a depth of at most {len(self.targets)} whose algebra realizes the "
+                    f"targets {list(self.targets)})")
         # a stage needs two columns: refused here by key, not when scheduled
         for key, seq in [("r_seq", self.r_seq)] + [(f"blocks[{i}].r_seq", blk.r_seq or ())
                                                   for i, blk in enumerate(self.blocks)]:

@@ -79,8 +79,13 @@ def session_configs(draw):
     shapes = ["delta_blocks", "staircase"] + (["arithmetic"] if mode == "direct" else [])
     shape = draw(st.sampled_from(shapes))
     targets = draw(st.sets(st.integers(1, 6), max_size=3)) | {1 if mode == "direct" else 2}
+    # the depths whose algebra, with the square factor's 2 in product mode,
+    # realizes every target
+    square = {2} if mode == "product" else set()
+    depths = [d for d in range(1, len(targets) + 1)
+              if set(sorted(targets)[:d]) | square == targets]
     kwargs = draw(st.fixed_dictionaries({}, optional={
-        "algebra_depth": st.none() | st.integers(1, 4),
+        "algebra_depth": st.none() | st.sampled_from(depths),
         "initial_height": st.integers(1, 5),
         "state_cap": st.integers(1, 10**7),
         "ratio_bound": st.integers(1, 1000) | st.floats(1, 1e6),
@@ -553,6 +558,55 @@ class TestCLI:
         assert not (tmp_path / "n").exists()
         with pytest.raises(ConfigError, match="ratio_bound"):
             SessionConfig.from_dict(cfg)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--bundle", "B", "--suite", "bogus"], "argument --suite: invalid choice"),
+        (["verify"], "the following arguments are required: --bundle"),
+    ], ids=["unknown-suite", "no-bundle"])
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        # verify exit 2 is a failed algebra suite, which a typo must not read as
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cfspectra verify ")
+        assert f"cfspectra verify: error: {message}" in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cfspectra verify ")
+
+    @pytest.mark.parametrize("mode, targets, depth", [
+        ("direct", [1, 2], 1), ("direct", [1, 2], 5), ("product", [2, 3], 1),
+        ("product", [1, 2, 3], 2)], ids=str)
+    def test_algebra_depth_short_of_the_targets_is_refused(self, tmp_path, capsys, mode,
+                                                           targets, depth):
+        # the algebra of the first `depth` targets, with the square factor's
+        # 2 in product mode, misses a target, so the multiplicity suite could
+        # never pass; a depth past the targets is refused by key, not by synth
+        cfg = {"mode": mode, "targets": targets, "algebra_depth": depth,
+               "blocks": [{"delta": [1, 2], "stages": 2}]}
+        path = tmp_path / "depth.json"
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["synth", "--config", str(path), "--out", str(tmp_path / "n")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: malformed value for config key algebra_depth: {depth} (a depth of at "
+            f"most {len(targets)} whose algebra realizes the targets {targets})\n")
+        assert not (tmp_path / "n").exists()
+
+    @pytest.mark.parametrize("mode, targets, depth", [
+        ("product", [1, 2], 1), ("direct", [1, 2], 2), ("direct", [1, 2], None),
+        ("product", [2, 3], None)], ids=str)
+    def test_algebra_depth_that_realizes_the_targets_is_accepted(self, tmp_path, mode,
+                                                                 targets, depth):
+        # product [1, 2] at depth 1 takes its 2 from the square factor
+        cfg = {"mode": mode, "targets": targets, "algebra_depth": depth,
+               "blocks": [{"delta": [1, 2], "stages": 2}]}
+        code, results = run_verify(self.synth_bundle(tmp_path, cfg), ("multiplicity",))
+        assert code == 0, results
 
     @pytest.mark.parametrize("bound", [1, 100.0], ids=str)
     def test_ratio_bound_of_at_least_one_is_accepted(self, tmp_path, bound):

@@ -6,12 +6,12 @@ chi component passed its checks, and an eta table read from it sums out
 the module value.  Each result must equal weak_limit_probe of that
 component alone, whose eta counter has no module, report byte for report
 byte, and each refusal the same error with the same message.  A refusal
-met while counting them all falls back to a counter per stage, so a stage
-that fits still reports beside one that is refused.
+met in that pass stores no table, and the same counter then counts each
+component's tables alone, so a stage that fits still reports beside one
+that is refused, and no call builds a second counter.
 """
 
 import tracemalloc
-import weakref
 from fractions import Fraction
 
 import pytest
@@ -19,7 +19,7 @@ import pytest
 from cfspectra import cli, koopman_lab
 from cfspectra.cf_builder import DeltaBlock
 from cfspectra.cocycle_engine import LABEL_PLAIN
-from cfspectra.errors import CfspectraError, ParameterError, SizeCapError
+from cfspectra.errors import CfspectraError, CharacterTypeError, ParameterError, SizeCapError
 from cfspectra.koopman_lab import stage_probes, weak_limit_probe
 from cfspectra.session import SessionConfig, synth
 
@@ -131,27 +131,37 @@ def test_a_stage_refused_while_counting_leaves_the_others_reporting(monkeypatch)
         (2, {"kind": "eta", "eta": 0}), (2, {"kind": "eta", "eta": 1})]
 
 
-def test_a_refused_pass_frees_its_counter_before_the_fallback(monkeypatch):
-    # the refusal's traceback holds the frames of the pass over every stage,
-    # and so its counter; the fallback's counters must not sit beside it
+def test_one_counter_per_call_refusal_or_not(monkeypatch, shipped_direct, shipped_product):
+    # each stage_probes call builds one pair counter, on the cap-250 fixture
+    # whose pass meets a refusal as on the suite's probes of a shipped
+    # bundle, and each refusal it returns is rid of its traceback, which
+    # would hold that counter
     session = synth(SessionConfig(mode="direct", targets=(1, 2), state_cap=250,
                                   blocks=(DeltaBlock(Fraction(1, 4), 3, r_seq=(4, 4, 128)),)))
-    counters, alive = [], []
-    init, fallback = koopman_lab._PairCounter.__init__, koopman_lab._stage_tables
+    init, counters, built, refusals = koopman_lab._PairCounter.__init__, [], [], []
 
     def recording(self, *args):
-        counters.append(weakref.ref(self))
+        counters.append(args)
         init(self, *args)
 
-    def checking(*args):
-        alive.append(sum(ref() is not None for ref in counters))
-        return fallback(*args)
+    def probing(session, probes):
+        before = len(counters)
+        results = stage_probes(session, probes)
+        built.append(len(counters) - before)
+        refusals.extend(r for stage in results.values() for r in stage
+                        if isinstance(r, CfspectraError))
+        return results
 
     monkeypatch.setattr(koopman_lab._PairCounter, "__init__", recording)
-    monkeypatch.setattr(koopman_lab, "_stage_tables", checking)
-    results = stage_probes(session, {3: [("eta", 0)], 2: [("eta", 0)]})
-    assert isinstance(results[3][0], SizeCapError) and results[2][0].passed
-    assert alive == [0, 0], alive
+    monkeypatch.setattr(cli, "stage_probes", probing)
+    probing(session, {3: [("eta", 0), ("chi", (0, 1)), ("bogus", 0)], 2: [("eta", 0), ("eta", 1)]})
+    probing(session, {3: [("eta", 0)], 2: [("eta", 0)]})
+    for shipped in (shipped_direct, shipped_product):
+        assert cli._suite_weaklimits(shipped)[0]
+    assert built == [1, 1, 1, 1], built
+    assert [type(r) for r in refusals] == [SizeCapError, SizeCapError, CharacterTypeError,
+                                           SizeCapError]
+    assert all(r.__traceback__ is None for r in refusals)
 
 
 @pytest.mark.parametrize("delta, r_seq, cylinder_level, state_cap, stage, error", [
