@@ -39,8 +39,9 @@ factor's), must be the whole target set, so only product [1, 2] may
 stop short of its last target, and no depth may exceed the target count.
 verify and dump refuse each array they would build over more entries
 than state_cap (the dense table a weak-limit probe's rows render, or its module images; the
-cylinder-depth tower a probe lists, its level pairs and column offsets,
-the only tower and pairs it lists, and its tables of pair weights; the
+one tower a probe lists, above the cylinder depth only for at most
+state_cap pairs, its level pairs and column offsets, the only tower and
+pairs it lists, and its tables of pair weights; the
 column pairs of correlation decay), and a decay table of
 more than 10**6 rows, before
 building it (a failed suite, or dump exit 1); a tower's height alone is
@@ -130,8 +131,9 @@ def _suite_algebra(session):
 
 def _probe_stages(session):
     """Highest stage per labelled class kind no taller than state_cap: not an
-    allocation bound (no probe lists its stage's tower), but deeper stages
-    wait on the finite-stage predictions of ROADMAP item 1."""
+    allocation bound (a probe lists its stage's tower only when its pairs
+    fit koopman_lab.LIST_BUDGET and the cap), but deeper stages wait on the
+    finite-stage predictions of ROADMAP item 1."""
     chosen = {}
     cap = session.config.state_cap
     for n in range(session.schedule.depth, 0, -1):
@@ -205,21 +207,34 @@ def _lag_window(schedule, n):
     return h, min(2 * h, height - 1)
 
 
+def _window_maxima(session, tower, windows):
+    """The largest decay value over each window's lags, read off one count of
+    the union of the windows' lags, as dump_decay counts its own.  A union
+    refused over a cap is counted window by window instead, so that a
+    window is refused only where its own count is, with that count's
+    message, the early window's first."""
+    try:
+        counted = [_cylinder_decay(session, tower, sorted(set().union(*windows)))] * len(windows)
+    except SizeCapError:
+        counted = [_cylinder_decay(session, tower, lags) for lags in windows]
+    return [max(float(r.value) for r in rows if r.lag in lags)
+            for rows, lags in zip(counted, map(set, windows))]
+
+
 def _suite_mixing(session):
     """Decay over an early window [h_1, 2 h_1] and a late one [h_(D-1), 2 h_(D-1)],
-    each clipped to the lags below the tower's height and counted off the
-    stage cuts, plus the validation's staircase ratio trend; the late maximum
-    must be at most half the early one."""
+    each clipped to the lags below the tower's height, both counted off the
+    stage cuts in one pass (`_window_maxima`), plus the validation's
+    staircase ratio trend; the late maximum must be at most half the early
+    one."""
     rep = session.validation
     quantities = rep.mixing_ratios
     trend_ok = rep.mixing_trend_ok
     tower = session.tower_at()
     sched = session.schedule
     (h_early, early_hi), (h_late, late_hi) = (_lag_window(sched, n) for n in (1, sched.depth - 1))
-    early = _cylinder_decay(session, tower, sample_lags(h_early, early_hi))
-    late = _cylinder_decay(session, tower, sample_lags(h_late, late_hi))
-    e_max = max(float(r.value) for r in early)
-    l_max = max(float(r.value) for r in late)
+    e_max, l_max = _window_maxima(session, tower, [
+        sample_lags(h_early, early_hi), sample_lags(h_late, late_hi)])
     decayed = l_max <= 0.5 * e_max
     doc = {
         "early_window": [h_early, early_hi],

@@ -60,6 +60,17 @@ from .finite_algebra import (
 
 DEFAULT_STATE_CAP = 2 * 10**6
 PROBE_TOLERANCE_FACTOR = 3  # deviation budget is this over the stage's column count
+# The most level pairs, h_m per nonzero table-lag weight, for which the
+# pair counter lists a depth-m tower above the cylinder depth level by level
+# instead of counting it from the depths below; never more than the state
+# cap.  Measured in process on one Xeon core (median of 15 runs) on the
+# weaklimits suite: budgets of 1,024 to 4,096 pairs gave the same gain
+# (direct_12 3.1 -> 2.1-2.3 ms, product_23 5.3 -> 4.2-4.4 ms), 8,192 pairs
+# slowed direct_12 back to 2.6 ms, and a height-only rule (list any tower
+# of at most 1,024 levels) made the chi (1, 1) probe of stage 3 of
+# (16, 16, 128, 16) six times slower (1.8 -> 11.7 ms); so the rule weighs
+# pairs, not height.
+LIST_BUDGET = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +401,12 @@ class _PairCounter:
     depth-(m-1) tower (`crossings`); and for s of at least h_(m-1), the
     pairs between two columns, lower pairs at the lag their column offsets
     leave (`offsets`).  The lower tables of all three are asked for at once.
-    Only the depth-n0 tower, the cylinder depth, is listed level by level.
+    The recursion stops at a short tower, which is listed level by level
+    (`level_pass`): the first depth it meets, from the top, below which no
+    asked table lies and whose tables list at most LIST_BUDGET pairs, nor
+    more than the cap (`lists`), and at the latest the depth-n0 tower, the
+    cylinder depth.  The edges of the depths above a listed one are sliced
+    off its words.
 
     The words, entries, boundaries, edges and moves depend only on the
     tower's structure, so one counter serves every stage from n0 up, and
@@ -419,6 +435,7 @@ class _PairCounter:
         side, k = np.arange(n_cyl * self.kappa), np.arange(self.kappa)[:, None]
         self.shifted = side - side % self.kappa + (side % self.kappa + k) % self.kappa
         self._kept = {}
+        self.listed = {n0}  # the depths listed, whose edges are sliced off their words
         self.tables = {}  # the folded table of each (depth, step) counted
 
     # -- module arithmetic on vectors ------------------------------------------
@@ -457,10 +474,11 @@ class _PairCounter:
     # -- the tower's structure -------------------------------------------------
 
     @_kept
-    def words(self):
-        """(cylinder, exponent, u) of every level of the depth-n0 tower."""
+    def words(self, m):
+        """(cylinder, exponent, u) of every level of the depth-m tower, m a
+        listed depth: the depth-n0 cylinder, -1 for a spacer above n0."""
         t = self.tower
-        model = TowerModel(t.schedule, self.n0, t.maps_by_stage[:self.n0], t.ctx, cap=t.cap)
+        model = TowerModel(t.schedule, m, t.maps_by_stage[:m], t.ctx, cap=t.cap)
         return (model.cylinder_ids(self.n0), model.word_beta,
                 model.word_untwisted[:, :len(self.orders)])
 
@@ -496,15 +514,16 @@ class _PairCounter:
 
     @_kept
     def edge(self, m, size, top):
-        """Words of the top or bottom `size` levels of the depth-m tower: those
-        of column 0, whose entry is the identity, or of the last column, as
-        no stage has spacers above it.  A taller window spans several
-        columns, each the depth-(m-1) tower moved by its entry, with the
-        spacers of the gaps (cylinder -1) between them."""
+        """Words of the top or bottom `size` levels of the depth-m tower: a
+        slice of its words at a listed depth, else those of column 0, whose
+        entry is the identity, or of the last column, as no stage has
+        spacers above it.  A taller window spans several columns, each the
+        depth-(m-1) tower moved by its entry, with the spacers of the gaps
+        (cylinder -1) between them."""
         h = self.heights[m]
-        if m == self.n0:
+        if m in self.listed:
             window = slice(h - size, None) if top else slice(0, size)
-            return tuple(w[window] for w in self.words())
+            return tuple(w[window] for w in self.words(m))
         b, v, cuts, _ = self.stage(m)
         below = self.heights[m - 1]
         if size <= below:
@@ -512,8 +531,6 @@ class _PairCounter:
             if top:
                 beta, u = (beta + b[-1]) % self.kappa, (self.act(-b[-1], u) + v[-1]) % self.orders
             return cyl, beta, u
-        if size > self.tower.cap:
-            raise SizeCapError(f"{size} edge levels exceed cap {self.tower.cap}")
         levels = np.arange(h - size, h) if top else np.arange(size)
         col = cuts.searchsorted(levels, side="right") - 1
         y = levels - cuts[col]
@@ -557,10 +574,21 @@ class _PairCounter:
         kappa = self.kappa
         return self.encode(c, c1 * kappa + b1, c2 * kappa + b2, self.index(u1 - u2)), count
 
-    def level_pass(self, lags, weights, twists, wraps):
-        """Pairs (l, l + s) listed level by level over the depth-n0 tower, all
-        cylinders, once per table that counts their lag; the last `wraps` wrap."""
-        words = self.words()
+    def lists(self, m, weights, asked):
+        """Whether `pairs` lists the depth-m tower level by level: the
+        depth-n0 one always, and one above it when no asked table lies
+        below it and its tables, h_m pairs per nonzero weight, list at most
+        LIST_BUDGET pairs, nor more than the cap."""
+        if m == self.n0:
+            return True
+        listed = max(1, np.count_nonzero(weights)) * self.heights[m]
+        return not asked and listed <= min(LIST_BUDGET, self.tower.cap)
+
+    def level_pass(self, m, lags, weights, twists, wraps):
+        """Pairs (l, l + s) listed level by level over the depth-m tower, a
+        listed depth, once per table that counts their lag, less those of
+        the spacers above n0; the last `wraps` tables wrap."""
+        words = self.words(m)
         h = len(words[0])
         c, i = weights.nonzero()
         run, first = _runs(np.where(c >= len(weights) - wraps, h, h - lags[i]), self.tower.cap)
@@ -568,6 +596,9 @@ class _PairCounter:
         second = first + lags[i]
         if wraps:  # a table that does not wrap pairs no l + s past the top
             second = _split(second, h)[1]
+        if m > self.n0:
+            keep = ((words[0][first] >= 0) & (words[0][second] >= 0)).nonzero()[0]
+            c, i, first, second = c[keep], i[keep], first[keep], second[keep]
         return self.pair_keys(words, first, words, second, c, weights[c, i], twists)
 
     def pairs(self, m, lags, weights, twists, wraps=0, asked=()):
@@ -586,8 +617,9 @@ class _PairCounter:
         # a cyclic table's lag is below the height already
         keep = lags.searchsorted(self.heights[m])
         lags, weights = lags[:keep], weights[:, :keep]
-        if m == self.n0:
-            return [self.level_pass(lags, weights, twists, wraps)]
+        if self.lists(m, weights, asked):
+            self.listed.add(m)
+            return [self.level_pass(m, lags, weights, twists, wraps)]
         small = lags.searchsorted(self.heights[m - 1])
         lags, weights, big_lags, big_weights = (lags[:small], weights[:, :small],
                                                 lags[small:], weights[:, small:])
@@ -611,7 +643,8 @@ class _PairCounter:
                 lower_weights[row:row + len(part_weights),
                               lower_lags.searchsorted(part_lags)] = part_weights
                 row += len(part_weights)
-        parts = self.crossings(m, lags, weights, twists, wraps)
+        crossing = self.crossings(m, lags, weights, twists, wraps)
+        parts = []
         if lower_lags.size or asked:
             through = n_tables + len(groups[0])
             below = self.pairs(m - 1, lower_lags, lower_weights,
@@ -627,7 +660,9 @@ class _PairCounter:
             if end < key.size:  # the asked tables, numbered after the given ones
                 parts.append((key[end:] + (len(weights) - through) * self.table_size,
                               count[end:]))
-        return parts
+        # keyed once the depths below have chosen the one that `lists`, whose
+        # words the edges then slice
+        return self.crossed(m, *crossing, twists) + parts
 
     def columns(self, m, key, count, twists):
         """The lower tables moved into every column of stage m: column j adds
@@ -759,14 +794,21 @@ class _PairCounter:
         level size - n + k and bottom level k, for k in range(n).  Per group
         of `boundaries`, the weight of a span n sums the weights of the lags
         g + n over the group's gaps g; the pairs of a span are listed once per
-        table that weighs it."""
+        table that weighs it.  Here the pairs are weighed, listed by index
+        and refused over the cap, before the depths below are counted, and
+        `crossed` keys them after: (size, per group its entries and the
+        tables, spans, weights and runs of its pairs)."""
         size = int(lags.max()) if lags.size else 0
         if not size:
-            return []
-        top, bottom = self.edge(m - 1, size, True), self.edge(m - 1, size, False)
+            return size, []
+        # the refusal `edge` met when it was called here: a window taller
+        # than the cap and than the depth-n0 tower, which spans several
+        # columns of a deeper one
+        if size > max(self.tower.cap, self.heights[self.n0]):
+            raise SizeCapError(f"{size} edge levels exceed cap {self.tower.cap}")
         lag_weights = self.weight_table(len(weights), size + 1, "crossing weights")
         lag_weights[:, lags] = weights
-        parts = []
+        groups = []
         for delta, cyclic, tables in self.twist_classes(twists, wraps):
             rows = lag_weights if tables is None else lag_weights * tables[:, None]
             for b_1, b_2, d_1, gap_counts in self.boundaries(m, cyclic, delta):
@@ -778,15 +820,26 @@ class _PairCounter:
                 span_weights = np.convolve(padded.ravel(), reach)[reach.size - 1:].reshape(
                     len(rows), width)[:, 1:size + 1]
                 c, span = span_weights.nonzero()
-                run, k = _runs(span + 1, self.tower.cap)
-                i1 = size - 1 - span[run] + k  # pairs from spacers are dropped
-                keep = ((top[0][i1] >= 0) & (bottom[0][k] >= 0)).nonzero()[0]
-                run, i1, k = run[keep], i1[keep], k[keep]
-                c, span = c[run], span[run]
-                first = (top[0], (top[1] + b_1) % self.kappa,
-                         (self.act(-b_1, top[2]) + self.images[0, d_1]) % self.orders)
-                second = (bottom[0], (bottom[1] + b_2) % self.kappa, self.act(-b_2, bottom[2]))
-                parts.append(self.pair_keys(first, i1, second, k, c, span_weights[c, span], twists))
+                groups.append(((b_1, b_2, d_1), c, span, span_weights[c, span],
+                               *_runs(span + 1, self.tower.cap)))
+        return size, groups
+
+    def crossed(self, m, size, groups, twists):
+        """The keys of `crossings`' pairs, their words read off the top and
+        bottom `size` levels of the depth-(m-1) tower; pairs from spacers
+        are dropped."""
+        if not groups:
+            return []
+        top, bottom = self.edge(m - 1, size, True), self.edge(m - 1, size, False)
+        parts = []
+        for (b_1, b_2, d_1), c, span, weight, run, k in groups:
+            i1 = size - 1 - span[run] + k
+            keep = ((top[0][i1] >= 0) & (bottom[0][k] >= 0)).nonzero()[0]
+            run, i1, k = run[keep], i1[keep], k[keep]
+            first = (top[0], (top[1] + b_1) % self.kappa,
+                     (self.act(-b_1, top[2]) + self.images[0, d_1]) % self.orders)
+            second = (bottom[0], (bottom[1] + b_2) % self.kappa, self.act(-b_2, bottom[2]))
+            parts.append(self.pair_keys(first, i1, second, k, c[run], weight[run], twists))
         return parts
 
     def raw(self, asked):

@@ -38,9 +38,10 @@ CAP_SITES = {
         "component and h kappa states for a chi one (state_cap)",
     "koopman_lab._runs":
         "the level-pair index arrays the pair counter lists (the tower's cap)",
-    "koopman_lab._PairCounter.edge":
+    "koopman_lab._PairCounter.crossings":
         "the words of a tower's top or bottom levels that span several of its "
-        "columns, which the crossings pair (the tower's cap)",
+        "columns, which the crossings pair (the tower's cap), refused before "
+        "the depths below are counted and the words built",
     "koopman_lab._PairCounter.offsets":
         "the (lag, column, column) offsets of the lags of at least a column's "
         "height, two per lag and column (the tower's cap), and their int64 "

@@ -6,12 +6,13 @@ machine: a path that re-validates an engine-made element on every multiply,
 or rebuilds an automorphism per element, breaks them by a wide margin; a
 character value is an integer exponent, never a Fraction.  The
 full-height passes take their cyclic shifts as slices, never as a rolled
-copy.  No command builds a tower model other than a probe's
-cylinder-depth tower, and a weak-limit probe lists no deeper one, even for
-lags past a column's height, nor any tower twice, nor a dense table of its
-raw pair counts; its counter groups each stage's column boundaries once.
-The probes of one verify share one counter, which enters each depth once
-for all its stages and splits no key array with np.divmod, and a
+copy.  No command builds a tower model other than the one tower a probe's
+counter lists, no deeper than its stage and never below the cylinder depth,
+even for lags past a column's height, nor any tower twice, nor a dense
+table of its raw pair counts; its counter groups each stage's column
+boundaries once.  The probes of one verify share one counter, which enters
+each depth once for all its stages, from the deepest probed stage down to
+the depth it lists, and splits no key array with np.divmod, and a
 multiplicity report walks each orbit once.
 Decay lists no cylinder start and packs no h-bit indicator.  No command
 renders JSON through json's pure-Python encoder, and a process builds its
@@ -188,14 +189,19 @@ def test_multiplicity_report_walks_orbits_only_in_the_certificate_scan(monkeypat
     assert len(callers) <= orbits, len(callers)
 
 
+# the depth whose tower the probes of a shipped bundle's verify list: the
+# first, from the top, whose tables list at most LIST_BUDGET level pairs
+LISTED = {"direct_12": 5, "product_23": 4}
+
+
 @pytest.mark.parametrize("name, tables", [("direct_12", 2), ("product_23", 4)],
                          ids=["direct_12", "product_23"])
 def test_weaklimits_count_each_stage_once(tmp_path, monkeypatch, name, tables):
     # one verify builds one pair counter, on the deepest probed stage's
-    # tower, which lists its cylinder-depth tower once and counts the tables
-    # of every probed stage, each (stage, step) once, in one `raw` call; a
-    # counter per stage builds 2 counters and models on direct_12, 3 on
-    # product_23
+    # tower, which lists one tower once, at the listed depth, and counts the
+    # tables of every probed stage, each (stage, step) once, in one `raw`
+    # call; a counter per stage builds 2 counters and models on direct_12,
+    # 3 on product_23
     bundle = tmp_path / "bundle"
     assert main(["synth", "--config", str(CONFIG_DIR / f"{name}.json"),
                  "--out", str(bundle)]) == 0
@@ -214,7 +220,7 @@ def test_weaklimits_count_each_stage_once(tmp_path, monkeypatch, name, tables):
     monkeypatch.setattr(TowerModel, "__init__", building)
     monkeypatch.setattr(koopman_lab._PairCounter, "raw", recording)
     assert main(["verify", "--bundle", str(bundle), "--suite", "weaklimits"]) == 0
-    assert len(built) == 1 and depths == [1], (len(built), depths)
+    assert len(built) == 1 and depths == [LISTED[name]], (len(built), depths)
     assert len(asked) == 1 and len(asked[0]) == len(set(asked[0])) == tables, asked
 
 
@@ -222,8 +228,9 @@ def test_weaklimits_count_each_stage_once(tmp_path, monkeypatch, name, tables):
 def test_weaklimits_enter_each_depth_once(tmp_path, monkeypatch, name):
     # stage n's table enters the recursion at depth n, beside the lower
     # tables that the stages above it ask for, so one verify enters `pairs`
-    # once per depth from the deepest probed stage down to the cylinder
-    # depth; a counter per stage enters the depths below its stage again
+    # once per depth from the deepest probed stage down to the listed depth,
+    # and never below it; a counter per stage enters the depths below its
+    # stage again
     bundle = tmp_path / "bundle"
     assert main(["synth", "--config", str(CONFIG_DIR / f"{name}.json"),
                  "--out", str(bundle)]) == 0
@@ -236,30 +243,29 @@ def test_weaklimits_enter_each_depth_once(tmp_path, monkeypatch, name):
 
     monkeypatch.setattr(koopman_lab._PairCounter, "pairs", recording)
     assert main(["verify", "--bundle", str(bundle), "--suite", "weaklimits"]) == 0
-    assert sorted(entered) == list(range(1, 10)), entered
+    assert sorted(entered) == list(range(LISTED[name], 10)), entered
 
 
 @pytest.mark.parametrize("name", ["direct_12", "product_23", "staircase_mixing"])
 def test_commands_build_no_tower_model_and_no_loop_product(tmp_path, monkeypatch, name):
     # spectra come from the schedule and decay from the stage cuts; the only
-    # model a command builds is the probe counter's cylinder-depth tower
+    # model a command builds is the one tower the probe counter lists
     bundle = tmp_path / "bundle"
     assert main(["synth", "--config", str(CONFIG_DIR / f"{name}.json"),
                  "--out", str(bundle)]) == 0
     loops = count_calls(monkeypatch, koopman_lab, "loop_product")
     checks = count_calls(monkeypatch, koopman_lab, "class_equivalence_check")
-    inside, outside = [], []
+    inside, outside, listed = [], [], []
     build, words = TowerModel.__init__, koopman_lab._PairCounter.words
 
-    def recording(self, *args, **kwargs):
-        if not inside:
-            outside.append(None)
-        build(self, *args, **kwargs)
+    def recording(self, schedule, depth, *args, **kwargs):
+        (listed if inside else outside).append(depth)
+        build(self, schedule, depth, *args, **kwargs)
 
-    def counter_words(self):
+    def counter_words(self, m):
         inside.append(None)
         try:
-            return words(self)
+            return words(self, m)
         finally:
             inside.pop()
 
@@ -271,9 +277,10 @@ def test_commands_build_no_tower_model_and_no_loop_product(tmp_path, monkeypatch
         assert main([command[0], "--bundle", str(bundle), *command[1:],
                      "--out" if command[0] == "dump" else "--report",
                      str(tmp_path / "out")]) == 0
-        assert not outside and not loops and not checks, command
+        assert not outside and not listed and not loops and not checks, command
     assert main(["verify", "--bundle", str(bundle), "--suite", "all"]) == 0
     assert not outside and not loops and not checks
+    assert listed == ([LISTED[name]] if name in LISTED else []), listed
 
 
 @pytest.mark.parametrize("name", ["direct_12", "product_23", "staircase_mixing"])
@@ -367,7 +374,9 @@ def test_probes_build_no_tower_below_the_cylinder_depth(request, monkeypatch, fi
     # stage 3's gaps reach past h_1 = 14 on (8, 8, 64, 64), past h_1 = 28
     # on (16, 16, 128, 16), and stage 4's past h_2 = 21 on probe_kappa3_wide:
     # those lags pair columns by their offsets, so the only model built is
-    # the depth-1 one that the counter lists
+    # the one the counter lists: the depth-1 one, or on probe_kappa3_wide the
+    # 21-level depth-2 one, whose tables fit LIST_BUDGET
+    listed = 2 if fixture == "probe_kappa3_wide" else 1
     session = request.getfixturevalue(fixture)
     depths = []
     build = TowerModel.__init__
@@ -379,7 +388,7 @@ def test_probes_build_no_tower_below_the_cylinder_depth(request, monkeypatch, fi
     monkeypatch.setattr(TowerModel, "__init__", recording)
     reports = koopman_lab.stage_probes(session, {stage: components})[stage]
     assert all(report.passed for report in reports)
-    assert depths == [session.config.cylinder_level], depths
+    assert depths == [listed] and listed >= session.config.cylinder_level, depths
 
 
 @pytest.mark.parametrize("fixture, stage", [("probe_product", 5), ("probe_direct", 3)])
@@ -434,8 +443,9 @@ def test_a_probe_refused_on_its_level_pairs_now_runs_under_the_default_cap():
 ])
 def test_probes_list_no_tower_of_the_probed_depth(request, monkeypatch, fixture, stage,
                                                   component):
-    # the pairs of the depth-n tower are counted from its stages; only the
-    # tower at the cylinder level is listed, no taller than stage n's columns
+    # the pairs of the depth-n tower are counted from its stages; no tower
+    # between lists few enough pairs, so only the tower at the cylinder
+    # level is listed, no taller than stage n's columns
     session = request.getfixturevalue(fixture)
     heights = []
     build = TowerModel.__init__

@@ -5,7 +5,12 @@ structure of its stages: pairs inside a column come from the depth-(n-1)
 tables, pairs across a column boundary from the words at the column ends,
 and pairs of a lag of at least the column height, the step h_(n-1) among
 them, from the depth-(n-1) tables at the lags their column offsets leave.
-No tower deeper than the cylinder level is listed.  Every raw table it
+The recursion stops at one short tower, which is listed level by level:
+listed at any depth from the cylinder level up to the lowest stage asked,
+its folded tables and the probes' reports must equal those of a counter
+that lists the cylinder-depth tower alone, also where a stage asked
+below a listable depth keeps it from being listed, and under a cap below
+the budget.  Every raw table it
 counts must equal `level_pass_counts`, one bucket count over all levels of
 a full-depth TowerModel, and its sparse fold the nonzero entries of the
 dense fold of that table, with or without a module part, on stages whose
@@ -24,6 +29,7 @@ split must equal np.divmod, and its merge a dict sum.
 """
 
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 from math import prod
 
@@ -32,6 +38,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cfspectra import koopman_lab
 from cfspectra.cf_builder import DeltaBlock
 from cfspectra.cocycle_engine import LABEL_PLAIN, MODE_DIRECT, MODE_PRODUCT, Tower, TowerModel
 from cfspectra.errors import SizeCapError
@@ -43,6 +50,7 @@ from cfspectra.koopman_lab import (
     _module_tables,
     _PairCounter,
     _split,
+    stage_probes,
 )
 from cfspectra.session import SessionConfig, synth
 from test_probe_tables import (
@@ -53,6 +61,7 @@ from test_probe_tables import (
     oracle_chi_values,
     oracle_eta_values,
 )
+from test_stage_probes import outcome
 
 TABLE_LIMIT = 10**6  # raw tables larger than this are not compared with a module part
 
@@ -257,6 +266,134 @@ def test_joint_pass_equals_one_stage_passes_on_random_schedules(drawn):
 @pytest.mark.parametrize("name", sorted({n for n, _ in PROBED + KAPPA3}))
 def test_joint_pass_equals_one_stage_passes_on_probe_fixtures(request, name):
     assert_joint_pass_equals_one_stage_passes(request.getfixturevalue(name), 1)
+
+
+@contextmanager
+def listing_at(depth):
+    """The pair counter lists the depth-`depth` tower and no tower above it,
+    under no budget; with None it lists the cylinder-depth tower alone
+    (budget 0) and counts every depth above it through the recursion."""
+    lists = _PairCounter.lists
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(koopman_lab, "LIST_BUDGET", 0 if depth is None else 2**62)
+        if depth is not None:
+            patch.setattr(_PairCounter, "lists",
+                          lambda self, m, *args: m <= depth and lists(self, m, *args))
+        yield
+
+
+def listed_outcomes(session, n0, asked, probes, depth):
+    """Listing at `depth`: the folded tables of `asked`, counted with and
+    without the module, the depths whose words their counters built, and
+    the outcome of every probe of `probes`."""
+    tables, listed = [], set()
+    with listing_at(depth):
+        for module in (False, True):
+            if module and not module_fits(session, n0):
+                continue
+            counter = _PairCounter(session.tower_at(), n0, module)
+            counter.count(asked)
+            tables.append({t: (key.tobytes(), count.tobytes())
+                           for t, (key, count) in counter.tables.items()})
+            listed |= {key[1] for key in counter._kept if key[0] == "words"}
+        results = stage_probes(session, probes)
+    return tables, listed, {n: [outcome(r) for r in rs] for n, rs in results.items()}
+
+
+def probe_components(session):
+    """eta_0, eta_(kappa-1) and the first nonzero factor character's chi."""
+    nonzero = [d for d in session.factor_characters() if any(d)]
+    return [("eta", 0), ("eta", session.k_order - 1)] + [("chi", d) for d in nonzero[:1]]
+
+
+def assert_listing_anywhere_counts_alike(session, n0, stages, components):
+    """Both steps of every stage asked, and every probe of those stages,
+    with the tower listed at each depth from n0 up to the lowest stage,
+    against the counter that lists the depth-n0 tower alone."""
+    heights = session.schedule.heights()
+    asked = sorted({(n, step) for n in stages for step in (heights[n - 1], 1)}, reverse=True)
+    probes = {n: components for n in stages}
+    want = listed_outcomes(session, n0, asked, probes, None)
+    assert want[1] == {n0}, want[1]
+    for depth in range(n0, min(stages) + 1):
+        tables, listed, reports = listed_outcomes(session, n0, asked, probes, depth)
+        assert listed == {depth}, (stages, depth, listed)
+        assert tables == want[0], (stages, depth)
+        assert reports == want[2], (stages, depth)
+
+
+def labelled_stages(session, n0):
+    return [n for n in range(max(n0, 1), session.schedule.depth + 1)
+            if session.label(n).kind != LABEL_PLAIN]
+
+
+@on_random_schedules
+def test_listing_at_any_depth_counts_as_the_recursion_on_random_schedules(drawn):
+    # each labelled stage alone, listed at every depth from n0 up to it, and
+    # all of them in one pass, listed below the lowest; a level pass that
+    # kept the pairs of the spacers above n0 counts more of them
+    session, n0 = drawn_session(drawn)
+    stages = labelled_stages(session, n0)
+    components = probe_components(session)
+    for n in stages:
+        assert_listing_anywhere_counts_alike(session, n0, [n], components)
+    if len(stages) > 1:
+        assert_listing_anywhere_counts_alike(session, n0, stages, components)
+
+
+@pytest.mark.parametrize("name", ["probe_kappa3", "probe_kappa3_wide", "probe_direct",
+                                  "probe_product"])
+def test_listing_at_any_depth_counts_as_the_recursion_on_probe_fixtures(request, name):
+    # kappa = 3 with an acting rotate stage, with lags past the column
+    # heights; every chi of (8, 8, 64, 64), whose tables below carry the
+    # column offsets' twists; and the delayed stage 5 of probe_product,
+    # whose cyclic one-step table is listed with the wrapped pairs
+    session = request.getfixturevalue(name)
+    components = [("eta", e) for e in range(session.k_order)] + [
+        ("chi", d) for d in session.factor_characters() if any(d)][:4]
+    assert any(kind == "chi" for kind, _ in components)
+    for n in labelled_stages(session, 1):
+        assert_listing_anywhere_counts_alike(session, 1, [n], components)
+
+
+def test_an_asked_stage_below_a_listable_depth_is_counted_through(shipped_direct):
+    # stage 9 of direct_12 alone lists the depth-5 tower; asked beside stage
+    # 3, the pass lists no tower above stage 3, whose table the recursion
+    # counts on the way down, and every listed depth up to 3 gives the
+    # recursion's tables and reports
+    session = shipped_direct
+    init, counters = _PairCounter.__init__, []
+
+    def recording(self, *args):
+        counters.append(self)
+        init(self, *args)
+
+    components = probe_components(session)
+    for stages, listed in (([9], {1, 5}), ([9, 3], {1, 3})):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_PairCounter, "__init__", recording)
+            stage_probes(session, {n: components for n in stages})
+        assert counters.pop().listed == listed, stages
+    assert_listing_anywhere_counts_alike(session, 1, [9, 3], components)
+
+
+def test_a_cap_below_the_budget_bounds_the_listed_pairs():
+    # under cap 250 the cap-250 fixture's rotate stage 2, 31 levels, is
+    # listed for its own tables, two nonzero weights, but not for nine;
+    # listing adds no refusal: the reports and the refusal of stage 3's 256
+    # column offsets are the recursion's
+    session = synth(SessionConfig(mode="direct", targets=(1, 2), state_cap=250,
+                                  blocks=(DeltaBlock(Fraction(1, 4), 3, r_seq=(4, 4, 128)),)))
+    counter = _PairCounter(session.tower_at(), 1, False)
+    assert koopman_lab.LIST_BUDGET > 9 * 31 > 250 > 2 * 31
+    assert counter.lists(2, np.ones((1, 2)), ()) and not counter.lists(2, np.ones((1, 9)), ())
+    assert not counter.lists(2, np.ones((1, 2)), [(1, 1)])
+    probes = {3: [("eta", 0), ("chi", (0, 1))], 2: [("eta", 0), ("eta", 1)]}
+    got = {n: [outcome(r) for r in rs] for n, rs in stage_probes(session, probes).items()}
+    with listing_at(None):
+        want = {n: [outcome(r) for r in rs] for n, rs in stage_probes(session, probes).items()}
+    assert got == want
+    assert got[3] == [("SizeCapError", "256 column offsets exceed cap 250")] * 2
 
 
 def test_asked_tables_are_counted_below_a_call_that_asks_nothing(probe_kappa3_wide):

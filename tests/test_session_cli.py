@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfspectra.cf_builder import DeltaBlock
-from cfspectra.cli import main, run_verify
+from cfspectra.cli import _cylinder_decay, _lag_window, main, run_verify
 from cfspectra.cocycle_engine import LABEL_DELAYED_TRANSLATE, TowerModel
-from cfspectra.errors import BundleError, ConfigError, ScheduleError
+from cfspectra.errors import BundleError, ConfigError, ScheduleError, SizeCapError
+from cfspectra.koopman_lab import sample_lags
 from cfspectra.session import (
     _BLOCK_SCHEMA,
     _CONFIG_SCHEMA,
@@ -666,6 +667,36 @@ class TestCLI:
         assert spectra["components"][0]["spectrum"]["total_multiplicity"] == 590866
         assert main(["dump", "--bundle", str(bundle), "--what", "decay"]) == 1
         assert "decay pairs of 2028 entries exceed cap 1000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, cap, union, error", [
+        # each window fits cap 3,100, and their union forms 3,110 decay pairs
+        ("staircase_mixing", 3100, 3110, None),
+        # the union is refused on 1,540 pairs at a stage where each window
+        # fits; the late window alone is refused on 3,629 at another
+        ("direct_12", 1500, 1540, "decay pairs of 3629 entries exceed cap 1500"),
+    ])
+    def test_a_refused_union_of_windows_counts_each_window_alone(self, tmp_path, name, cap,
+                                                                 union, error):
+        # the mixing suite counts both windows' lags in one pass; a pass
+        # refused over the cap falls back to one count per window, so the
+        # verdict, report and refusal are those of counting each alone
+        doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        session = synth(SessionConfig.from_json(json.dumps(dict(doc, state_cap=cap))))
+        schedule = session.schedule
+        windows = [sample_lags(*_lag_window(schedule, n)) for n in (1, schedule.depth - 1)]
+        with pytest.raises(SizeCapError, match=f"decay pairs of {union} entries exceed cap {cap}"):
+            _cylinder_decay(session, session.tower_at(), sorted(set().union(*windows)))
+        code, results = run_verify(self.synth_bundle(tmp_path, dict(doc, state_cap=cap)),
+                                   ("mixing",))
+        if error:
+            assert code == 4 and results["mixing"]["detail"] == {"error": error}
+            return
+        maxima = [max(float(r.value) for r in _cylinder_decay(session, session.tower_at(), lags))
+                  for lags in windows]
+        uncapped = run_verify(self.synth_bundle(tmp_path, doc, name="uncapped"), ("mixing",))
+        assert (code, results) == uncapped and code == 0
+        detail = results["mixing"]["detail"]
+        assert [detail["early_max"], detail["late_max"]] == maxima
 
     def test_missing_bundle_is_reported(self, tmp_path):
         code, results = run_verify(tmp_path / "nope", ("algebra",))
